@@ -1,0 +1,8 @@
+//go:build !race
+
+package main
+
+const (
+	raceEnabled = false
+	smokePages  = 9
+)
