@@ -43,10 +43,10 @@
 // across any number of in-set hops.
 //
 // A finding can be suppressed at a genuine exception site (for example a
-// real-I/O read deadline) with a checked annotation comment on the same or
-// the preceding line:
+// wall-clock serving metric) with a checked annotation comment on the same
+// or the preceding line:
 //
-//	//fractal:allow simtime — real socket deadline, not simulated time
+//	//fractal:allow simtime — wall-clock metric on the real serving path
 //
 // Annotations are "checked" in that an allow comment which suppresses
 // nothing is itself reported, so stale allowlists cannot accumulate.

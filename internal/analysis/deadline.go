@@ -14,17 +14,17 @@ var deadlineScope = map[string]bool{
 	"fractal/internal/client":          true,
 	"fractal/internal/proxy":           true,
 	"fractal/internal/appserver":       true,
+	"fractal/internal/cdn":             true,
 	"fractal/internal/inp":             true,
 	"fractal/internal/inp/conformance": true,
 }
 
-// deadlineFrameFns are the INP framing entry points that read or write a
-// whole message on a raw stream; passing them a deadline-capable conn
-// without arming a deadline is as unbounded as calling Read directly.
-var deadlineFrameFns = map[string]bool{
-	"ReadMessage":  true,
-	"WriteMessage": true,
-}
+// deadlineFrameFn is the INP framing entry point that reads a whole
+// message off a raw stream; passing it a deadline-capable conn without
+// arming a deadline is as unbounded as calling Read directly. (Writes have
+// no such entry point: frames leave only through a FrameWriter, whose
+// owning Conn arms the deadline at Flush.)
+const deadlineFrameFn = "ReadMessage"
 
 // DeadlineAnalyzer flags unbounded conn I/O: Read/Write (and INP frame
 // calls) on deadline-capable connections inside functions that never arm a
@@ -106,14 +106,14 @@ func checkUnboundedIO(pass *Pass, fd *ast.FuncDecl) {
 				pass.Reportf(call.Pos(),
 					"unbounded %s on a deadline-capable connection in %s; arm a deadline/SetTimeout first (or annotate a genuinely unbounded site with //%s deadline)",
 					fun.Sel.Name, fd.Name.Name, AllowPrefix)
-			case deadlineFrameFns[fun.Sel.Name] && firstArgDeadlineCapable(pass, call):
+			case fun.Sel.Name == deadlineFrameFn && firstArgDeadlineCapable(pass, call):
 				pass.Reportf(call.Pos(),
 					"unbounded %s frame call on a deadline-capable connection in %s; arm a deadline/SetTimeout first (or annotate with //%s deadline)",
 					fun.Sel.Name, fd.Name.Name, AllowPrefix)
 			}
 		case *ast.Ident:
-			// Unqualified ReadMessage/WriteMessage inside package inp.
-			if deadlineFrameFns[fun.Name] && firstArgDeadlineCapable(pass, call) {
+			// Unqualified ReadMessage inside package inp.
+			if fun.Name == deadlineFrameFn && firstArgDeadlineCapable(pass, call) {
 				pass.Reportf(call.Pos(),
 					"unbounded %s frame call on a deadline-capable connection in %s; arm a deadline/SetTimeout first (or annotate with //%s deadline)",
 					fun.Name, fd.Name.Name, AllowPrefix)

@@ -358,7 +358,7 @@ func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch {
-	case pkgPath == "fractal/internal/inp" && deadlineFrameFns[fn.Name()]:
+	case pkgPath == "fractal/internal/inp" && fn.Name() == deadlineFrameFn:
 		return "inp." + fn.Name() + " frame call", true
 	case pkgPath == "time" && fn.Name() == "Sleep":
 		return "time.Sleep", true

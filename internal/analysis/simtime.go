@@ -10,9 +10,10 @@ import (
 // simtimeScope lists the packages where wall-clock time sources are
 // forbidden. netsim, experiment, and core must be strictly deterministic —
 // simulated time flows through netsim.Clock — while the protocol servers
-// (cdn, appserver, proxy) are in scope so that their genuine real-I/O
-// sites (socket read deadlines, serving-path metrics) carry checked
-// //fractal:allow simtime annotations instead of silently drifting.
+// (cdn, appserver, proxy) are in scope so that their genuine wall-clock
+// sites (serving-path metrics; socket deadlines live in inp.Conn, outside
+// this scope) carry checked //fractal:allow simtime annotations instead
+// of silently drifting.
 // faultnet is in scope because its injection decisions must never depend
 // on the wall clock: only a stall blocks, and only until the victim's own
 // deadline fires (time.Until/NewTimer are not in the forbidden set).

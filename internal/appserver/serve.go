@@ -3,98 +3,35 @@ package appserver
 import (
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"net"
-	"sync"
 	"time"
 
-	"fractal/internal/arena"
 	"fractal/internal/core"
 	"fractal/internal/inp"
 )
 
-// INPServer is the application server's network front end: each connection
-// carries an application session, a stream of APP_REQ messages answered
-// with APP_REP carrying PAD-encoded content. INPServer serves each
-// connection on its own goroutine and is safe for concurrent use; the
-// underlying Server provides the locking.
+// INPServer is the application server's network front end: the shared
+// inp.Server serving loop (Serve, Close, SetIdleTimeout, ServeConn) with a
+// handler answering each connection's stream of APP_REQ messages with
+// APP_REP carrying PAD-encoded content. INPServer is safe for concurrent
+// use; the underlying Server provides the locking.
 type INPServer struct {
-	app  *Server
-	sem  chan struct{}
-	logf func(string, ...interface{})
-	idle time.Duration
-
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
-	wg     sync.WaitGroup
+	*inp.Server
+	app *Server
 }
-
-// SetIdleTimeout bounds the gap between requests on each session; it must
-// be called before Serve.
-func (s *INPServer) SetIdleTimeout(d time.Duration) { s.idle = d }
 
 // NewINPServer wraps an application server.
 func NewINPServer(app *Server, maxConcurrent int, logf func(string, ...interface{})) (*INPServer, error) {
 	if app == nil {
 		return nil, errors.New("appserver: INP server needs an application server")
 	}
-	if maxConcurrent < 1 {
-		return nil, fmt.Errorf("appserver: concurrency must be >= 1, got %d", maxConcurrent)
+	s := &INPServer{app: app}
+	var err error
+	s.Server, err = inp.NewServer("appserver", maxConcurrent, logf, s.handle)
+	if err != nil {
+		return nil, err
 	}
-	if logf == nil {
-		logf = log.Printf
-	}
-	return &INPServer{app: app, sem: make(chan struct{}, maxConcurrent), logf: logf}, nil
-}
-
-// Serve accepts sessions until Close.
-func (s *INPServer) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("appserver: server already closed")
-	}
-	s.ln = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				s.wg.Wait()
-				return nil
-			}
-			return fmt.Errorf("appserver: accept: %w", err)
-		}
-		s.sem <- struct{}{}
-		s.wg.Add(1)
-		go func() {
-			defer func() {
-				<-s.sem
-				s.wg.Done()
-			}()
-			defer conn.Close()
-			if err := s.ServeConn(conn); err != nil && !errors.Is(err, io.EOF) {
-				s.logf("appserver: session from %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
-	}
-}
-
-// Close stops accepting and waits for in-flight sessions.
-func (s *INPServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		return ln.Close()
-	}
-	return nil
+	return s, nil
 }
 
 // pushTimeout bounds the AppMeta push: the dial and each read/write of
@@ -121,50 +58,33 @@ func PushAppMetaTCP(proxyAddr string, app core.AppMeta) error {
 	return nil
 }
 
-// ServeConn answers APP_REQ messages until the peer disconnects. The
-// connection's read and body buffers come from one arena session released
-// when it ends, and a request advertising WireVersion >= 2 switches the
-// replies to the INP binary fast path.
-func (s *INPServer) ServeConn(rw net.Conn) error {
-	sess := arena.AcquireSession()
-	defer sess.Release()
-	c := inp.NewConnSession(rw, sess)
-	for {
-		if s.idle > 0 {
-			//fractal:allow simtime — real socket read deadline, not simulated time
-			_ = rw.SetReadDeadline(time.Now().Add(s.idle))
-			// A session that stops reading our replies is as dead as one
-			// that stops sending requests.
-			//fractal:allow simtime — real socket write deadline, not simulated time
-			_ = rw.SetWriteDeadline(time.Now().Add(s.idle))
-		}
-		var req inp.AppReq
-		if err := c.RecvInto(inp.MsgAppReq, &req); err != nil {
-			if errors.Is(err, io.EOF) {
-				return io.EOF
-			}
-			return fmt.Errorf("reading APP_REQ: %w", err)
-		}
-		if req.WireVersion >= inp.Version2 {
-			c.EnableBinary()
-		}
-		if req.AppID != s.app.AppID() {
-			_ = c.SendError(fmt.Sprintf("unknown application %q", req.AppID))
-			continue
-		}
-		res, err := s.app.Encode(req.ProtocolIDs, req.Resource, req.HaveVersion)
-		if err != nil {
-			_ = c.SendError(err.Error())
-			continue
-		}
-		rep := inp.AppRep{
-			Resource: req.Resource,
-			Version:  res.Version,
-			PADID:    res.PADID,
-			Payload:  res.Payload,
-		}
-		if err := c.Send(inp.MsgAppRep, &rep); err != nil {
-			return fmt.Errorf("sending APP_REP: %w", err)
-		}
+// handle answers one APP_REQ. A request advertising WireVersion >= 2
+// switches the replies to the INP binary fast path.
+func (s *INPServer) handle(c *inp.Conn, h inp.Header, raw []byte) error {
+	var req inp.AppReq
+	if err := inp.DecodeAs(h, raw, inp.MsgAppReq, &req); err != nil {
+		return fmt.Errorf("reading APP_REQ: %w", err)
 	}
+	if req.WireVersion >= inp.Version2 {
+		c.EnableBinary()
+	}
+	if req.AppID != s.app.AppID() {
+		_ = c.SendError(fmt.Sprintf("unknown application %q", req.AppID))
+		return nil
+	}
+	res, err := s.app.Encode(req.ProtocolIDs, req.Resource, req.HaveVersion)
+	if err != nil {
+		_ = c.SendError(err.Error())
+		return nil
+	}
+	rep := inp.AppRep{
+		Resource: req.Resource,
+		Version:  res.Version,
+		PADID:    res.PADID,
+		Payload:  res.Payload,
+	}
+	if err := c.Send(inp.MsgAppRep, &rep); err != nil {
+		return fmt.Errorf("sending APP_REP: %w", err)
+	}
+	return nil
 }

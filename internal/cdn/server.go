@@ -3,135 +3,57 @@ package cdn
 import (
 	"errors"
 	"fmt"
-	"io"
-	"log"
-	"net"
-	"sync"
-	"time"
 
-	"fractal/internal/arena"
 	"fractal/internal/inp"
 )
 
 // PADServer is a network front end serving PAD_DOWNLOAD_REQ over INP from
-// an object store. One instance over the origin is the paper's
-// "centralized PAD server"; one per edge store is an edgeserver daemon.
-// PADServer serves each connection on its own goroutine and is safe for
-// concurrent use: its own state is immutable after construction and the
+// an object store: the shared inp.Server serving loop (Serve, Close,
+// SetIdleTimeout, ServeConn) with a download handler. One instance over
+// the origin is the paper's "centralized PAD server"; one per edge store
+// is an edgeserver daemon. PADServer is safe for concurrent use: the
 // backing store synchronizes itself.
 type PADServer struct {
+	*inp.Server
 	store *Origin
-	sem   chan struct{}
-	logf  func(string, ...interface{})
-	idle  time.Duration
-
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
-	wg     sync.WaitGroup
 }
-
-// SetIdleTimeout bounds the gap between download requests on each
-// session; it must be called before Serve.
-func (s *PADServer) SetIdleTimeout(d time.Duration) { s.idle = d }
 
 // NewPADServer wraps an object store.
 func NewPADServer(store *Origin, maxConcurrent int, logf func(string, ...interface{})) (*PADServer, error) {
 	if store == nil {
 		return nil, errors.New("cdn: PAD server needs a store")
 	}
-	if maxConcurrent < 1 {
-		return nil, fmt.Errorf("cdn: PAD server concurrency must be >= 1, got %d", maxConcurrent)
+	s := &PADServer{store: store}
+	var err error
+	s.Server, err = inp.NewServer("cdn", maxConcurrent, logf, s.handle)
+	if err != nil {
+		return nil, err
 	}
-	if logf == nil {
-		logf = log.Printf
-	}
-	return &PADServer{store: store, sem: make(chan struct{}, maxConcurrent), logf: logf}, nil
+	return s, nil
 }
 
-// Serve accepts download sessions until Close.
-func (s *PADServer) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("cdn: PAD server already closed")
+// handle answers one PAD_DOWNLOAD_REQ. A request advertising WireVersion
+// >= 2 switches replies to the INP binary fast path, which ships the
+// module bytes raw (no base64) in a zero-copy writev vector.
+func (s *PADServer) handle(c *inp.Conn, h inp.Header, raw []byte) error {
+	var req inp.PADDownloadReq
+	if err := inp.DecodeAs(h, raw, inp.MsgPADDownloadReq, &req); err != nil {
+		return fmt.Errorf("reading PAD_DOWNLOAD_REQ: %w", err)
 	}
-	s.ln = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				s.wg.Wait()
-				return nil
-			}
-			return fmt.Errorf("cdn: accept: %w", err)
-		}
-		s.sem <- struct{}{}
-		s.wg.Add(1)
-		go func() {
-			defer func() {
-				<-s.sem
-				s.wg.Done()
-			}()
-			defer conn.Close()
-			if err := s.ServeConn(conn); err != nil && !errors.Is(err, io.EOF) {
-				s.logf("cdn: download session from %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
+	if req.WireVersion >= inp.Version2 {
+		c.EnableBinary()
 	}
-}
-
-// Close stops accepting and waits for in-flight downloads.
-func (s *PADServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		return ln.Close()
+	path := req.URL
+	if path == "" {
+		path = "/pads/" + req.PADID
+	}
+	data, err := s.store.Get(path)
+	if err != nil {
+		_ = c.SendError(err.Error())
+		return nil
+	}
+	if err := c.Send(inp.MsgPADDownloadRep, &inp.PADDownloadRep{PADID: req.PADID, Module: data}); err != nil {
+		return fmt.Errorf("sending PAD_DOWNLOAD_REP: %w", err)
 	}
 	return nil
-}
-
-// ServeConn answers PAD_DOWNLOAD_REQ messages until the peer disconnects.
-// The connection's buffers come from one arena session, and a request
-// advertising WireVersion >= 2 switches replies to the INP binary fast
-// path, which ships the module bytes raw (no base64) in a zero-copy
-// writev vector.
-func (s *PADServer) ServeConn(rw net.Conn) error {
-	sess := arena.AcquireSession()
-	defer sess.Release()
-	c := inp.NewConnSession(rw, sess)
-	for {
-		if s.idle > 0 {
-			//fractal:allow simtime — real socket read deadline, not simulated time
-			_ = rw.SetReadDeadline(time.Now().Add(s.idle))
-		}
-		var req inp.PADDownloadReq
-		if err := c.RecvInto(inp.MsgPADDownloadReq, &req); err != nil {
-			if errors.Is(err, io.EOF) {
-				return io.EOF
-			}
-			return fmt.Errorf("reading PAD_DOWNLOAD_REQ: %w", err)
-		}
-		if req.WireVersion >= inp.Version2 {
-			c.EnableBinary()
-		}
-		path := req.URL
-		if path == "" {
-			path = "/pads/" + req.PADID
-		}
-		data, err := s.store.Get(path)
-		if err != nil {
-			_ = c.SendError(err.Error())
-			continue
-		}
-		if err := c.Send(inp.MsgPADDownloadRep, &inp.PADDownloadRep{PADID: req.PADID, Module: data}); err != nil {
-			return fmt.Errorf("sending PAD_DOWNLOAD_REP: %w", err)
-		}
-	}
 }

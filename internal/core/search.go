@@ -37,7 +37,7 @@ func FindPath(t *PAT, m OverheadModel, env Env) (PathResult, error) {
 //
 // The search runs over the PAT's compiled index (see searchindex.go) and
 // returns results identical — node order, tie-breaking, totals, breakdowns
-// — to the reference algorithm below.
+// — to the reference algorithm the differential test compares it with.
 //
 //fractal:hotpath the compiled search is the negotiation plane's inner loop
 func FindPathFiltered(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool) (PathResult, error) {
@@ -52,9 +52,9 @@ func FindPathFiltered(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool
 	}
 	idx := t.index
 	if idx == nil {
-		// A PAT that never compiled (not produced by BuildPAT) still
-		// searches correctly through the reference algorithm.
-		return findPathReference(t, m, env, allow)
+		// BuildPAT and AddPAD always compile, so only a zero-value PAT
+		// gets here.
+		return PathResult{}, fmt.Errorf("core: FindPath on a PAT not built by BuildPAT")
 	}
 
 	// Step 1: mark each node slot with its total overhead, into a pooled
@@ -111,57 +111,6 @@ func FindPathFiltered(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool
 		best.NodeIDs[j] = id
 		best.PADs = append(best.PADs, idx.metas[s])
 		best.Breakdown[id] = marks[s]
-	}
-	return best, nil
-}
-
-// findPathReference is the original map-and-walk implementation of the
-// adaptation path search. It is kept verbatim as the behavioural pin for
-// the compiled index (the differential test drives both over the full
-// case-study sweep) and as the fallback for a PAT without an index.
-func findPathReference(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool) (PathResult, error) {
-	// Step 1: mark each node with its total overhead (resolving symbolic
-	// links so an alias inherits its target's cost).
-	marks := map[string]Breakdown{}
-	for _, id := range t.allIDs() {
-		meta, err := t.Resolve(id)
-		if err != nil {
-			return PathResult{}, err
-		}
-		if allow != nil && !allow(meta) {
-			marks[id] = Breakdown{ClientComp: math.Inf(1)}
-			continue
-		}
-		b, err := m.PADTotal(meta, env)
-		if err != nil {
-			return PathResult{}, fmt.Errorf("core: marking PAD %s: %w", id, err)
-		}
-		marks[id] = b
-	}
-
-	// Step 2: DFS over root-to-leaf paths keeping the least total.
-	best := PathResult{Total: math.Inf(1)}
-	for _, path := range t.Paths() {
-		total := 0.0
-		for _, id := range path {
-			total += marks[id].Total()
-		}
-		if total < best.Total {
-			best = PathResult{NodeIDs: append([]string(nil), path...), Total: total}
-		}
-	}
-	if math.IsInf(best.Total, 1) {
-		return PathResult{}, fmt.Errorf("%w for app %s in env {%s %s}", ErrNoFeasiblePath, t.AppID(), env.Dev.Key(), env.Ntwk.Key())
-	}
-
-	best.Breakdown = map[string]Breakdown{}
-	for _, id := range best.NodeIDs {
-		meta, err := t.Resolve(id)
-		if err != nil {
-			return PathResult{}, err
-		}
-		best.PADs = append(best.PADs, meta)
-		best.Breakdown[id] = marks[id]
 	}
 	return best, nil
 }

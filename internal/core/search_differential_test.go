@@ -241,3 +241,68 @@ func TestCacheKeyStringMatchesFmtReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// findPathReference is the original map-and-walk implementation of the
+// adaptation path search, kept verbatim as the behavioural pin for the
+// compiled index: the differential tests below drive both over the full
+// case-study sweep.
+func findPathReference(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool) (PathResult, error) {
+	// Step 1: mark each node with its total overhead (resolving symbolic
+	// links so an alias inherits its target's cost).
+	marks := map[string]Breakdown{}
+	for _, id := range t.allIDs() {
+		meta, err := t.Resolve(id)
+		if err != nil {
+			return PathResult{}, err
+		}
+		if allow != nil && !allow(meta) {
+			marks[id] = Breakdown{ClientComp: math.Inf(1)}
+			continue
+		}
+		b, err := m.PADTotal(meta, env)
+		if err != nil {
+			return PathResult{}, fmt.Errorf("core: marking PAD %s: %w", id, err)
+		}
+		marks[id] = b
+	}
+
+	// Step 2: DFS over root-to-leaf paths keeping the least total.
+	best := PathResult{Total: math.Inf(1)}
+	for _, path := range t.Paths() {
+		total := 0.0
+		for _, id := range path {
+			total += marks[id].Total()
+		}
+		if total < best.Total {
+			best = PathResult{NodeIDs: append([]string(nil), path...), Total: total}
+		}
+	}
+	if math.IsInf(best.Total, 1) {
+		return PathResult{}, fmt.Errorf("%w for app %s in env {%s %s}", ErrNoFeasiblePath, t.AppID(), env.Dev.Key(), env.Ntwk.Key())
+	}
+
+	best.Breakdown = map[string]Breakdown{}
+	for _, id := range best.NodeIDs {
+		meta, err := t.Resolve(id)
+		if err != nil {
+			return PathResult{}, err
+		}
+		best.PADs = append(best.PADs, meta)
+		best.Breakdown[id] = marks[id]
+	}
+	return best, nil
+}
+
+// TestFindPathRejectsZeroValuePAT: every PAT BuildPAT or AddPAD produces is
+// compiled, so the only uncompiled tree is a zero value, and searching one
+// is a caller bug reported as an error rather than a nil-map walk.
+func TestFindPathRejectsZeroValuePAT(t *testing.T) {
+	ms, err := CaseStudyMatrices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := OverheadModel{Matrices: ms, Rho: 0.8, ServerCPUMHz: 2000, SessionRequests: 75}
+	if _, err := FindPath(&PAT{}, model, sweepEnvs()[0]); err == nil {
+		t.Fatal("FindPath searched a zero-value PAT")
+	}
+}

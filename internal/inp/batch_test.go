@@ -37,7 +37,7 @@ func FuzzFrameBatch(f *testing.F) {
 		seq := uint32(0)
 		for _, fr := range frames {
 			seq++
-			if err := WriteMessage(&sequential, Header{Version: Version, Type: fr.t, Seq: seq}, fr.body); err != nil {
+			if err := writeFrame(&sequential, Header{Version: Version, Type: fr.t, Seq: seq}, fr.body); err != nil {
 				t.Fatalf("sequential WriteMessage(%v): %v", fr.t, err)
 			}
 		}
@@ -81,7 +81,7 @@ func binaryRoundTrip(t *testing.T, mt MsgType, body, out interface{}) {
 	if h.Version != Version2 || h.Type != mt {
 		t.Fatalf("header mangled: %+v", h)
 	}
-	if err := decodeBinaryBody(mt, raw, out); err != nil {
+	if err := decodeV2(mt, raw, out); err != nil {
 		t.Fatalf("decoding binary %v body: %v", mt, err)
 	}
 }
@@ -90,7 +90,7 @@ func binaryRoundTrip(t *testing.T, mt MsgType, body, out interface{}) {
 func jsonRoundTrip(t *testing.T, mt MsgType, body, out interface{}) {
 	t.Helper()
 	var wire bytes.Buffer
-	if err := WriteMessage(&wire, Header{Version: Version, Type: mt, Seq: 1}, body); err != nil {
+	if err := writeFrame(&wire, Header{Version: Version, Type: mt, Seq: 1}, body); err != nil {
 		t.Fatalf("json WriteMessage(%v): %v", mt, err)
 	}
 	_, raw, err := ReadMessage(&wire)
@@ -252,23 +252,23 @@ func FuzzBinaryDecodeGarbage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, which byte) {
 		switch which % 9 {
 		case 0:
-			_ = decodeBinaryBody(MsgAppReq, raw, &AppReq{})
+			_ = decodeV2(MsgAppReq, raw, &AppReq{})
 		case 1:
-			_ = decodeBinaryBody(MsgAppRep, raw, &AppRep{})
+			_ = decodeV2(MsgAppRep, raw, &AppRep{})
 		case 2:
-			_ = decodeBinaryBody(MsgPADDownloadReq, raw, &PADDownloadReq{})
+			_ = decodeV2(MsgPADDownloadReq, raw, &PADDownloadReq{})
 		case 3:
-			_ = decodeBinaryBody(MsgPADDownloadRep, raw, &PADDownloadRep{})
+			_ = decodeV2(MsgPADDownloadRep, raw, &PADDownloadRep{})
 		case 4:
-			_ = decodeBinaryBody(MsgInitReq, raw, &InitReq{})
+			_ = decodeV2(MsgInitReq, raw, &InitReq{})
 		case 5:
-			_ = decodeBinaryBody(MsgInitRep, raw, &InitRep{})
+			_ = decodeV2(MsgInitRep, raw, &InitRep{})
 		case 6:
-			_ = decodeBinaryBody(MsgCliMetaReq, raw, &CliMetaReq{})
+			_ = decodeV2(MsgCliMetaReq, raw, &CliMetaReq{})
 		case 7:
-			_ = decodeBinaryBody(MsgCliMetaRep, raw, &CliMetaRep{})
+			_ = decodeV2(MsgCliMetaRep, raw, &CliMetaRep{})
 		case 8:
-			_ = decodeBinaryBody(MsgPADMetaRep, raw, &PADMetaRep{})
+			_ = decodeV2(MsgPADMetaRep, raw, &PADMetaRep{})
 		}
 	})
 }
@@ -486,11 +486,15 @@ func BenchmarkINPRoundTrip(b *testing.B) {
 	rep := &AppRep{Resource: "mail/inbox", Version: 7, PADID: "pad-differential", Payload: bytes.Repeat([]byte("x"), 512)}
 	b.Run("json", func(b *testing.B) {
 		var wire bytes.Buffer
+		fw := NewFrameWriter(&wire)
 		var got AppRep
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			wire.Reset()
-			if err := WriteMessage(&wire, Header{Version: Version, Type: MsgAppRep, Seq: 1}, rep); err != nil {
+			if err := fw.WriteMessage(Header{Version: Version, Type: MsgAppRep, Seq: 1}, rep); err != nil {
+				b.Fatal(err)
+			}
+			if err := fw.Flush(); err != nil {
 				b.Fatal(err)
 			}
 			_, raw, err := ReadMessage(&wire)
@@ -522,7 +526,7 @@ func BenchmarkINPRoundTrip(b *testing.B) {
 				b.Fatal(err)
 			}
 			got = AppRep{}
-			if err := decodeBinaryBody(MsgAppRep, raw, &got); err != nil {
+			if err := decodeV2(MsgAppRep, raw, &got); err != nil {
 				b.Fatal(err)
 			}
 		}

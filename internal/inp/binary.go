@@ -19,13 +19,20 @@ import (
 // Version2 support receives hot bodies as Version2 frames. Old peers
 // never see a v2 frame and new peers fall back to JSON transparently,
 // pinned semantically identical by differential round-trip fuzz
-// (FuzzBinaryBodyDifferential).
+// (FuzzBinaryBodyDifferential) and byte-identical to the first release of
+// the format by golden frames (TestGoldenV2Frames).
 //
 // Wire format: strings are uvarint length + bytes; byte slices, string
 // slices, and meta arrays use a presence-aware prefix (0 = nil, n+1 = n
 // elements) so nil and empty survive the round trip exactly as JSON's
 // null vs ""/[] do; ints are signed varints; float64s are 8 fixed
 // big-endian IEEE-754 bytes; digests are raw fixed-width bytes.
+//
+// Each hot message describes its codec once, next to its struct in
+// inp.go: the fields in wire order through the append primitives, and
+// again through the reader. The description is code rather than a
+// reflected field table because the serving path's allocation budget has
+// no room for boxing each field (see DESIGN.md).
 
 const (
 	// Version2 is the binary-body protocol revision. Headers carry it only
@@ -37,749 +44,303 @@ const (
 	spliceMin = 4 << 10
 )
 
-// binaryMsgType reports whether t's body has a binary codec.
-func binaryMsgType(t MsgType) bool {
-	switch t {
-	case MsgAppReq, MsgAppRep, MsgPADDownloadReq, MsgPADDownloadRep,
-		MsgInitReq, MsgInitRep, MsgCliMetaReq, MsgCliMetaRep, MsgPADMetaRep:
-		return true
-	}
-	return false
+// wireBody is the encode half of a hot message's codec description. The
+// methods have value receivers, so a body queued by value or by pointer
+// encodes alike.
+type wireBody interface {
+	wireType() MsgType
+	appendWire(e *encodeState)
 }
 
-// binaryEncodable reports whether body is a value the binary codec for t
-// understands (the matching struct, by value or pointer).
-func binaryEncodable(t MsgType, body interface{}) bool {
-	switch t {
-	case MsgAppReq:
-		switch body.(type) {
-		case AppReq, *AppReq:
-			return true
-		}
-	case MsgAppRep:
-		switch body.(type) {
-		case AppRep, *AppRep:
-			return true
-		}
-	case MsgPADDownloadReq:
-		switch body.(type) {
-		case PADDownloadReq, *PADDownloadReq:
-			return true
-		}
-	case MsgPADDownloadRep:
-		switch body.(type) {
-		case PADDownloadRep, *PADDownloadRep:
-			return true
-		}
-	case MsgInitReq:
-		switch body.(type) {
-		case InitReq, *InitReq:
-			return true
-		}
-	case MsgInitRep:
-		switch body.(type) {
-		case InitRep, *InitRep:
-			return true
-		}
-	case MsgCliMetaReq:
-		switch body.(type) {
-		case CliMetaReq, *CliMetaReq:
-			return true
-		}
-	case MsgCliMetaRep:
-		switch body.(type) {
-		case CliMetaRep, *CliMetaRep:
-			return true
-		}
-	case MsgPADMetaRep:
-		switch body.(type) {
-		case PADMetaRep, *PADMetaRep:
-			return true
-		}
-	}
-	return false
+// wireDecoder is the full description, implemented by the pointer to each
+// hot body struct. decodeWire takes the reader by value so it stays on
+// the caller's stack across the interface call, and ends with r.done().
+type wireDecoder interface {
+	wireBody
+	decodeWire(r wireReader) error
 }
 
-// appendFrameBinary appends one complete Version2 frame. On error every
-// queued-but-unfinished byte (including splice vectors) is rolled back so
-// the batch survives intact.
-//
-//fractal:hotpath binary bodies are assembled here on every hot exchange
-func (fw *FrameWriter) appendFrameBinary(h Header, body interface{}) error {
-	es := fw.state()
-	start := es.buf.Len()
-	vecs, ext := len(fw.vecs), fw.extLen
-	es.buf.Write(zeroHeader[:]) // reserve the header slot
-	if err := fw.appendBinaryBody(h.Type, body); err != nil {
-		es.buf.SetBytes(es.buf.Bytes()[:start])
-		fw.vecs = fw.vecs[:vecs]
-		fw.extLen = ext
-		return err
+// wireCodec returns t's codec prototype, or nil when t has none.
+func wireCodec(t MsgType) wireDecoder {
+	if t < msgMax {
+		return msgTable[t].wire
 	}
-	n := es.buf.Len() - start - headerLen + (fw.extLen - ext)
-	if n > MaxBody {
-		es.buf.SetBytes(es.buf.Bytes()[:start])
-		fw.vecs = fw.vecs[:vecs]
-		fw.extLen = ext
-		return fmt.Errorf("inp: %v body of %d bytes exceeds limit", h.Type, n)
-	}
-	patchHeader(es.buf.Bytes()[start:start+headerLen], h, uint32(n))
 	return nil
 }
 
-// appendBinaryBody dispatches to the per-type field encoders.
-func (fw *FrameWriter) appendBinaryBody(t MsgType, body interface{}) error {
-	switch t {
-	case MsgAppReq:
-		if m, ok := toAppReq(body); ok {
-			fw.appendString(m.AppID)
-			fw.appendString(m.Resource)
-			fw.appendStrings(m.ProtocolIDs)
-			fw.appendInt(m.HaveVersion)
-			fw.appendInt(m.WireVersion)
-			return nil
-		}
-	case MsgAppRep:
-		if m, ok := toAppRep(body); ok {
-			fw.appendString(m.Resource)
-			fw.appendInt(m.Version)
-			fw.appendString(m.PADID)
-			fw.appendBlob(m.Payload)
-			return nil
-		}
-	case MsgPADDownloadReq:
-		if m, ok := toPADDownloadReq(body); ok {
-			fw.appendString(m.PADID)
-			fw.appendString(m.URL)
-			fw.appendInt(m.WireVersion)
-			return nil
-		}
-	case MsgPADDownloadRep:
-		if m, ok := toPADDownloadRep(body); ok {
-			fw.appendString(m.PADID)
-			fw.appendBlob(m.Module)
-			return nil
-		}
-	case MsgInitReq:
-		if m, ok := toInitReq(body); ok {
-			fw.appendString(m.AppID)
-			fw.appendString(m.Resource)
-			fw.appendString(m.ClientID)
-			fw.appendInt(m.WireVersion)
-			return nil
-		}
-	case MsgInitRep:
-		if m, ok := toInitRep(body); ok {
-			fw.appendBool(m.OK)
-			fw.appendString(m.Reason)
-			return nil
-		}
-	case MsgCliMetaReq:
-		if m, ok := toCliMetaReq(body); ok {
-			fw.appendDevMeta(&m.Dev)
-			fw.appendNtwkMeta(&m.Ntwk)
-			return nil
-		}
-	case MsgCliMetaRep:
-		if m, ok := toCliMetaRep(body); ok {
-			fw.appendDevMeta(&m.Dev)
-			fw.appendNtwkMeta(&m.Ntwk)
-			fw.appendInt(m.SessionRequests)
-			return nil
-		}
-	case MsgPADMetaRep:
-		if m, ok := toPADMetaRep(body); ok {
-			if m.PADs == nil {
-				fw.appendUvarint(0)
-				return nil
-			}
-			fw.appendUvarint(uint64(len(m.PADs)) + 1)
-			for i := range m.PADs {
-				fw.appendPADMeta(&m.PADs[i])
-			}
-			return nil
-		}
+// DecodeRaw decodes a raw body returned by Recv into v according to the
+// header's wire version: Version2 bodies use the binary codec (v must be
+// the pointer to the header type's struct; trailing bytes are rejected),
+// all others JSON.
+func DecodeRaw(h Header, raw []byte, v interface{}) error {
+	if h.Version < Version2 {
+		return DecodeBody(raw, v)
 	}
-	return fmt.Errorf("inp: no binary codec for %v body of type %T", t, body)
+	d, ok := v.(wireDecoder)
+	if !ok || d.wireType() != h.Type {
+		return fmt.Errorf("inp: no binary codec decodes a %v body into %T", h.Type, v)
+	}
+	if err := d.decodeWire(wireReader{b: raw}); err != nil {
+		return fmt.Errorf("inp: decoding %v binary body: %w", h.Type, err)
+	}
+	return nil
 }
 
+// --- core metadata, shared by several messages ---
+
 //fractal:hotpath device metadata rides every negotiation burst
-func (fw *FrameWriter) appendDevMeta(d *core.DevMeta) {
-	fw.appendString(d.OSType)
-	fw.appendString(d.CPUType)
-	fw.appendFloat(d.CPUMHz)
-	fw.appendInt(d.MemMB)
+func (e *encodeState) appendDevMeta(d *core.DevMeta) {
+	e.appendString(d.OSType)
+	e.appendString(d.CPUType)
+	e.appendFloat(d.CPUMHz)
+	e.appendInt(d.MemMB)
+}
+
+func (r *wireReader) devMeta(d *core.DevMeta) {
+	d.OSType = r.str()
+	d.CPUType = r.str()
+	d.CPUMHz = r.float()
+	d.MemMB = r.int_()
 }
 
 //fractal:hotpath network metadata rides every negotiation burst
-func (fw *FrameWriter) appendNtwkMeta(n *core.NtwkMeta) {
-	fw.appendString(n.NetworkType)
-	fw.appendFloat(n.BandwidthKbps)
+func (e *encodeState) appendNtwkMeta(n *core.NtwkMeta) {
+	e.appendString(n.NetworkType)
+	e.appendFloat(n.BandwidthKbps)
+}
+
+func (r *wireReader) ntwkMeta(n *core.NtwkMeta) {
+	n.NetworkType = r.str()
+	n.BandwidthKbps = r.float()
 }
 
 //fractal:hotpath PAD metadata arrays ride every PAD_META_REP
-func (fw *FrameWriter) appendPADMeta(p *core.PADMeta) {
-	fw.appendString(p.ID)
-	fw.appendString(p.Version)
-	fw.appendString(p.Protocol)
-	fw.appendInt64(p.Size)
-	fw.appendInt64(int64(p.Overhead.ServerCompStd))
-	fw.appendInt64(int64(p.Overhead.ClientCompStd))
-	fw.appendInt64(p.Overhead.TrafficBytes)
-	fw.appendInt64(p.Overhead.UpstreamBytes)
-	fw.es.buf.Write(p.Digest[:])
-	fw.appendString(p.URL)
-	fw.appendString(p.Parent)
-	fw.appendStrings(p.Children)
-	fw.appendString(p.Alias)
+func (e *encodeState) appendPADMeta(p *core.PADMeta) {
+	e.appendString(p.ID)
+	e.appendString(p.Version)
+	e.appendString(p.Protocol)
+	e.appendInt64(p.Size)
+	e.appendInt64(int64(p.Overhead.ServerCompStd))
+	e.appendInt64(int64(p.Overhead.ClientCompStd))
+	e.appendInt64(p.Overhead.TrafficBytes)
+	e.appendInt64(p.Overhead.UpstreamBytes)
+	e.buf.Write(p.Digest[:])
+	e.appendString(p.URL)
+	e.appendString(p.Parent)
+	e.appendStrings(p.Children)
+	e.appendString(p.Alias)
 }
 
-func toAppReq(body interface{}) (*AppReq, bool) {
-	switch m := body.(type) {
-	case *AppReq:
-		return m, true
-	case AppReq:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toAppRep(body interface{}) (*AppRep, bool) {
-	switch m := body.(type) {
-	case *AppRep:
-		return m, true
-	case AppRep:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toPADDownloadReq(body interface{}) (*PADDownloadReq, bool) {
-	switch m := body.(type) {
-	case *PADDownloadReq:
-		return m, true
-	case PADDownloadReq:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toPADDownloadRep(body interface{}) (*PADDownloadRep, bool) {
-	switch m := body.(type) {
-	case *PADDownloadRep:
-		return m, true
-	case PADDownloadRep:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toInitReq(body interface{}) (*InitReq, bool) {
-	switch m := body.(type) {
-	case *InitReq:
-		return m, true
-	case InitReq:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toInitRep(body interface{}) (*InitRep, bool) {
-	switch m := body.(type) {
-	case *InitRep:
-		return m, true
-	case InitRep:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toCliMetaReq(body interface{}) (*CliMetaReq, bool) {
-	switch m := body.(type) {
-	case *CliMetaReq:
-		return m, true
-	case CliMetaReq:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toCliMetaRep(body interface{}) (*CliMetaRep, bool) {
-	switch m := body.(type) {
-	case *CliMetaRep:
-		return m, true
-	case CliMetaRep:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toPADMetaRep(body interface{}) (*PADMetaRep, bool) {
-	switch m := body.(type) {
-	case *PADMetaRep:
-		return m, true
-	case PADMetaRep:
-		return &m, true
-	}
-	return nil, false
+func (r *wireReader) padMeta(p *core.PADMeta) {
+	p.ID = r.str()
+	p.Version = r.str()
+	p.Protocol = r.str()
+	p.Size = r.int64_()
+	p.Overhead.ServerCompStd = time.Duration(r.int64_())
+	p.Overhead.ClientCompStd = time.Duration(r.int64_())
+	p.Overhead.TrafficBytes = r.int64_()
+	p.Overhead.UpstreamBytes = r.int64_()
+	copy(p.Digest[:], r.take(uint64(len(p.Digest))))
+	p.URL = r.str()
+	p.Parent = r.str()
+	p.Children = r.strs()
+	p.Alias = r.str()
 }
 
 // --- encode primitives ---
 
 //fractal:hotpath varint fields are appended here
-func (fw *FrameWriter) appendUvarint(x uint64) {
+func (e *encodeState) appendUvarint(x uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], x)
-	fw.es.buf.Write(tmp[:n])
+	e.buf.Write(tmp[:n])
 }
 
-//fractal:hotpath signed fields are appended here
-func (fw *FrameWriter) appendInt(v int) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], int64(v))
-	fw.es.buf.Write(tmp[:n])
-}
-
-//fractal:hotpath 64-bit counters and durations are appended here
-func (fw *FrameWriter) appendInt64(v int64) {
+//fractal:hotpath signed fields, counters and durations are appended here
+func (e *encodeState) appendInt64(v int64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutVarint(tmp[:], v)
-	fw.es.buf.Write(tmp[:n])
+	e.buf.Write(tmp[:n])
 }
 
+func (e *encodeState) appendInt(v int) { e.appendInt64(int64(v)) }
+
 //fractal:hotpath boolean fields are appended here
-func (fw *FrameWriter) appendBool(v bool) {
+func (e *encodeState) appendBool(v bool) {
 	b := byte(0)
 	if v {
 		b = 1
 	}
-	fw.es.buf.WriteByte(b)
+	e.buf.WriteByte(b)
 }
 
 // appendFloat encodes f as 8 fixed big-endian IEEE-754 bytes — unlike
 // JSON it round-trips NaN and the infinities.
 //
 //fractal:hotpath metadata rates are appended here
-func (fw *FrameWriter) appendFloat(f float64) {
+func (e *encodeState) appendFloat(f float64) {
 	var tmp [8]byte
 	binary.BigEndian.PutUint64(tmp[:], math.Float64bits(f))
-	fw.es.buf.Write(tmp[:])
+	e.buf.Write(tmp[:])
 }
 
 //fractal:hotpath string fields are appended here
-func (fw *FrameWriter) appendString(s string) {
-	fw.appendUvarint(uint64(len(s)))
-	fw.es.buf.WriteString(s)
+func (e *encodeState) appendString(s string) {
+	e.appendUvarint(uint64(len(s)))
+	e.buf.WriteString(s)
 }
 
-// appendBlob encodes b with a presence-aware prefix (0 = nil, n+1 = n
-// bytes). Large payloads splice as their own writev vector instead of
-// being copied; they must stay unmodified until Flush.
+// appendCount writes the presence-aware prefix of a slice field: 0 = nil,
+// n+1 = n elements.
+func (e *encodeState) appendCount(n int, isNil bool) {
+	if isNil {
+		e.appendUvarint(0)
+		return
+	}
+	e.appendUvarint(uint64(n) + 1)
+}
+
+// appendBlob encodes b behind a count prefix. Large payloads splice as
+// their own writev vector instead of being copied; they must stay
+// unmodified until Flush.
 //
 //fractal:hotpath payload and module bodies are appended here
-func (fw *FrameWriter) appendBlob(b []byte) {
-	if b == nil {
-		fw.appendUvarint(0)
-		return
-	}
-	fw.appendUvarint(uint64(len(b)) + 1)
+func (e *encodeState) appendBlob(b []byte) {
+	e.appendCount(len(b), b == nil)
 	if len(b) >= spliceMin {
-		fw.splice(b)
+		e.splice(b)
 		return
 	}
-	fw.es.buf.Write(b)
+	e.buf.Write(b)
 }
 
 //fractal:hotpath protocol-id lists are appended here
-func (fw *FrameWriter) appendStrings(ss []string) {
-	if ss == nil {
-		fw.appendUvarint(0)
-		return
-	}
-	fw.appendUvarint(uint64(len(ss)) + 1)
+func (e *encodeState) appendStrings(ss []string) {
+	e.appendCount(len(ss), ss == nil)
 	for _, s := range ss {
-		fw.appendString(s)
+		e.appendString(s)
 	}
 }
 
-// --- decode ---
+// --- decode primitives ---
 
 var errBinTruncated = errors.New("truncated field")
 
-// binReader decodes the binary wire format. Every wire-declared length is
+// wireReader decodes the binary wire format. Every wire-declared length is
 // bound-checked against the bytes actually present before any allocation
-// is sized from it, so a hostile length cannot inflate memory.
-type binReader struct {
+// is sized from it, so a hostile length cannot inflate memory. The first
+// failure sticks in err: later reads return zero values and consume
+// nothing, so a codec description reads its fields straight through and
+// checks once, in done.
+type wireReader struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (r *binReader) uvarint() (uint64, error) {
+// done is the verdict of a finished decode: the first field error, or
+// trailing bytes the description did not consume.
+func (r *wireReader) done() error {
+	if r.err == nil && r.off != len(r.b) {
+		return fmt.Errorf("%d trailing bytes", len(r.b)-r.off)
+	}
+	return r.err
+}
+
+// take consumes the next n bytes, or fails if fewer remain.
+func (r *wireReader) take(n uint64) []byte {
+	if r.err == nil && n > uint64(len(r.b)-r.off) {
+		r.err = errBinTruncated
+	}
+	if r.err != nil {
+		return nil
+	}
+	p := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
+	return p
+}
+
+func (r *wireReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		return 0, errBinTruncated
+		r.err = errBinTruncated
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
 
-func (r *binReader) int_() (int, error) {
+func (r *wireReader) int64_() int64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
-		return 0, errBinTruncated
+		r.err = errBinTruncated
+		return 0
 	}
 	r.off += n
-	return int(v), nil
+	return v
 }
 
-func (r *binReader) int64_() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, errBinTruncated
+func (r *wireReader) int_() int { return int(r.int64_()) }
+
+func (r *wireReader) bool_() bool {
+	p := r.take(1)
+	if len(p) == 1 && p[0] > 1 {
+		r.err = fmt.Errorf("bad bool byte %d", p[0])
 	}
-	r.off += n
-	return v, nil
+	return len(p) == 1 && p[0] == 1
 }
 
-func (r *binReader) bool_() (bool, error) {
-	if r.off >= len(r.b) {
-		return false, errBinTruncated
+func (r *wireReader) float() float64 {
+	if p := r.take(8); len(p) == 8 {
+		return math.Float64frombits(binary.BigEndian.Uint64(p))
 	}
-	b := r.b[r.off]
-	r.off++
-	if b > 1 {
-		return false, fmt.Errorf("bad bool byte %d", b)
-	}
-	return b == 1, nil
+	return 0
 }
 
-func (r *binReader) float() (float64, error) {
-	if len(r.b)-r.off < 8 {
-		return 0, errBinTruncated
+func (r *wireReader) str() string { return string(r.take(r.uvarint())) }
+
+// count reads a presence-aware slice prefix. The element count is bounded
+// by the bytes left — every element costs at least one — so callers may
+// size an allocation from it.
+func (r *wireReader) count() (n int, present bool) {
+	v := r.uvarint()
+	if v == 0 {
+		return 0, false
 	}
-	f := math.Float64frombits(binary.BigEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return f, nil
+	if v--; v > uint64(len(r.b)-r.off) {
+		r.err = errBinTruncated
+		return 0, false
+	}
+	return int(v), true
 }
 
-// fixed copies an exact-width field (e.g. a digest) out of the raw body.
-func (r *binReader) fixed(dst []byte) error {
-	if len(r.b)-r.off < len(dst) {
-		return errBinTruncated
-	}
-	copy(dst, r.b[r.off:])
-	r.off += len(dst)
-	return nil
-}
-
-func (r *binReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(r.b)-r.off) {
-		return "", errBinTruncated
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *binReader) blob() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	n--
-	if n > uint64(len(r.b)-r.off) {
-		return nil, errBinTruncated
+func (r *wireReader) blob() []byte {
+	n, ok := r.count()
+	if !ok {
+		return nil
 	}
 	// Copied out rather than aliased: raw bodies live in a
 	// connection-scoped buffer the next Recv overwrites, while decoded
 	// payloads outlive it.
 	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+int(n)])
-	r.off += int(n)
-	return out, nil
+	copy(out, r.take(uint64(n)))
+	return out
 }
 
-func (r *binReader) strs() ([]string, error) {
-	n, err := r.uvarint()
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	n--
-	if n > uint64(len(r.b)-r.off) { // each element costs at least one byte
-		return nil, errBinTruncated
+func (r *wireReader) strs() []string {
+	n, ok := r.count()
+	if !ok {
+		return nil
 	}
 	out := make([]string, n)
-	for i := range out {
-		if out[i], err = r.str(); err != nil {
-			return nil, err
-		}
+	for i := 0; i < n && r.err == nil; i++ {
+		out[i] = r.str()
 	}
-	return out, nil
-}
-
-// DecodeRaw decodes a raw body returned by Recv into v according to the
-// header's wire version: Version2 bodies use the binary codec, all
-// others JSON.
-func DecodeRaw(h Header, raw []byte, v interface{}) error {
-	if h.Version >= Version2 {
-		return decodeBinaryBody(h.Type, raw, v)
-	}
-	return DecodeBody(raw, v)
-}
-
-// decodeBinaryBody decodes a Version2 raw body into v, which must be a
-// pointer to the matching struct. Trailing bytes are rejected.
-func decodeBinaryBody(t MsgType, raw []byte, v interface{}) error {
-	r := binReader{b: raw}
-	var err error
-	ok := true
-	switch t {
-	case MsgAppReq:
-		if m, isT := v.(*AppReq); isT {
-			err = r.decodeAppReq(m)
-		} else {
-			ok = false
-		}
-	case MsgAppRep:
-		if m, isT := v.(*AppRep); isT {
-			err = r.decodeAppRep(m)
-		} else {
-			ok = false
-		}
-	case MsgPADDownloadReq:
-		if m, isT := v.(*PADDownloadReq); isT {
-			err = r.decodePADDownloadReq(m)
-		} else {
-			ok = false
-		}
-	case MsgPADDownloadRep:
-		if m, isT := v.(*PADDownloadRep); isT {
-			err = r.decodePADDownloadRep(m)
-		} else {
-			ok = false
-		}
-	case MsgInitReq:
-		if m, isT := v.(*InitReq); isT {
-			err = r.decodeInitReq(m)
-		} else {
-			ok = false
-		}
-	case MsgInitRep:
-		if m, isT := v.(*InitRep); isT {
-			err = r.decodeInitRep(m)
-		} else {
-			ok = false
-		}
-	case MsgCliMetaReq:
-		if m, isT := v.(*CliMetaReq); isT {
-			err = r.decodeCliMetaReq(m)
-		} else {
-			ok = false
-		}
-	case MsgCliMetaRep:
-		if m, isT := v.(*CliMetaRep); isT {
-			err = r.decodeCliMetaRep(m)
-		} else {
-			ok = false
-		}
-	case MsgPADMetaRep:
-		if m, isT := v.(*PADMetaRep); isT {
-			err = r.decodePADMetaRep(m)
-		} else {
-			ok = false
-		}
-	default:
-		return fmt.Errorf("inp: no binary codec for %v", t)
-	}
-	if !ok {
-		return fmt.Errorf("inp: decoding %v binary body into %T", t, v)
-	}
-	if err != nil {
-		return fmt.Errorf("inp: decoding %v binary body: %w", t, err)
-	}
-	if r.off != len(raw) {
-		return fmt.Errorf("inp: %v binary body has %d trailing bytes", t, len(raw)-r.off)
-	}
-	return nil
-}
-
-func (r *binReader) decodeAppReq(m *AppReq) (err error) {
-	if m.AppID, err = r.str(); err != nil {
-		return err
-	}
-	if m.Resource, err = r.str(); err != nil {
-		return err
-	}
-	if m.ProtocolIDs, err = r.strs(); err != nil {
-		return err
-	}
-	if m.HaveVersion, err = r.int_(); err != nil {
-		return err
-	}
-	m.WireVersion, err = r.int_()
-	return err
-}
-
-func (r *binReader) decodeAppRep(m *AppRep) (err error) {
-	if m.Resource, err = r.str(); err != nil {
-		return err
-	}
-	if m.Version, err = r.int_(); err != nil {
-		return err
-	}
-	if m.PADID, err = r.str(); err != nil {
-		return err
-	}
-	m.Payload, err = r.blob()
-	return err
-}
-
-func (r *binReader) decodePADDownloadReq(m *PADDownloadReq) (err error) {
-	if m.PADID, err = r.str(); err != nil {
-		return err
-	}
-	if m.URL, err = r.str(); err != nil {
-		return err
-	}
-	m.WireVersion, err = r.int_()
-	return err
-}
-
-func (r *binReader) decodePADDownloadRep(m *PADDownloadRep) (err error) {
-	if m.PADID, err = r.str(); err != nil {
-		return err
-	}
-	m.Module, err = r.blob()
-	return err
-}
-
-func (r *binReader) decodeInitReq(m *InitReq) (err error) {
-	if m.AppID, err = r.str(); err != nil {
-		return err
-	}
-	if m.Resource, err = r.str(); err != nil {
-		return err
-	}
-	if m.ClientID, err = r.str(); err != nil {
-		return err
-	}
-	m.WireVersion, err = r.int_()
-	return err
-}
-
-func (r *binReader) decodeInitRep(m *InitRep) (err error) {
-	if m.OK, err = r.bool_(); err != nil {
-		return err
-	}
-	m.Reason, err = r.str()
-	return err
-}
-
-func (r *binReader) decodeDevMeta(d *core.DevMeta) (err error) {
-	if d.OSType, err = r.str(); err != nil {
-		return err
-	}
-	if d.CPUType, err = r.str(); err != nil {
-		return err
-	}
-	if d.CPUMHz, err = r.float(); err != nil {
-		return err
-	}
-	d.MemMB, err = r.int_()
-	return err
-}
-
-func (r *binReader) decodeNtwkMeta(n *core.NtwkMeta) (err error) {
-	if n.NetworkType, err = r.str(); err != nil {
-		return err
-	}
-	n.BandwidthKbps, err = r.float()
-	return err
-}
-
-func (r *binReader) decodeCliMetaReq(m *CliMetaReq) (err error) {
-	if err = r.decodeDevMeta(&m.Dev); err != nil {
-		return err
-	}
-	return r.decodeNtwkMeta(&m.Ntwk)
-}
-
-func (r *binReader) decodeCliMetaRep(m *CliMetaRep) (err error) {
-	if err = r.decodeDevMeta(&m.Dev); err != nil {
-		return err
-	}
-	if err = r.decodeNtwkMeta(&m.Ntwk); err != nil {
-		return err
-	}
-	m.SessionRequests, err = r.int_()
-	return err
-}
-
-func (r *binReader) decodePADMeta(p *core.PADMeta) (err error) {
-	if p.ID, err = r.str(); err != nil {
-		return err
-	}
-	if p.Version, err = r.str(); err != nil {
-		return err
-	}
-	if p.Protocol, err = r.str(); err != nil {
-		return err
-	}
-	if p.Size, err = r.int64_(); err != nil {
-		return err
-	}
-	var d int64
-	if d, err = r.int64_(); err != nil {
-		return err
-	}
-	p.Overhead.ServerCompStd = time.Duration(d)
-	if d, err = r.int64_(); err != nil {
-		return err
-	}
-	p.Overhead.ClientCompStd = time.Duration(d)
-	if p.Overhead.TrafficBytes, err = r.int64_(); err != nil {
-		return err
-	}
-	if p.Overhead.UpstreamBytes, err = r.int64_(); err != nil {
-		return err
-	}
-	if err = r.fixed(p.Digest[:]); err != nil {
-		return err
-	}
-	if p.URL, err = r.str(); err != nil {
-		return err
-	}
-	if p.Parent, err = r.str(); err != nil {
-		return err
-	}
-	if p.Children, err = r.strs(); err != nil {
-		return err
-	}
-	p.Alias, err = r.str()
-	return err
-}
-
-func (r *binReader) decodePADMetaRep(m *PADMetaRep) error {
-	n, err := r.uvarint()
-	if err != nil || n == 0 {
-		m.PADs = nil
-		return err
-	}
-	n--
-	// Each PADMeta costs well over one byte on the wire; one is a safe
-	// floor for pre-sizing against a hostile count.
-	if n > uint64(len(r.b)-r.off) {
-		return errBinTruncated
-	}
-	m.PADs = make([]core.PADMeta, n)
-	for i := range m.PADs {
-		if err := r.decodePADMeta(&m.PADs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return out
 }

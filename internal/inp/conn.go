@@ -160,8 +160,10 @@ func (c *Conn) Queue(t MsgType, body interface{}) error {
 	// would make the next successful frame skip one and be rejected by a
 	// healthy peer with ErrSeqMismatch.
 	h := Header{Version: Version, Type: t, Seq: c.seq + 1}
-	if c.binary && binaryMsgType(t) && binaryEncodable(t, body) {
-		h.Version = Version2
+	if c.binary {
+		if wb, ok := body.(wireBody); ok && wb.wireType() == t {
+			h.Version = Version2
+		}
 	}
 	if err := c.fw.WriteMessage(h, body); err != nil {
 		return err
@@ -187,19 +189,18 @@ func (c *Conn) Send(t MsgType, body interface{}) error {
 // Recv reads the next message and verifies its sequence number advances
 // the peer's stream by exactly one, so a duplicated or stale frame can
 // never be accepted as the answer to a newer request. On session conns
-// the returned raw body is valid only until the next Recv.
+// the body lands in the session's reusable buffer, so the returned raw
+// slice is valid only until the next Recv.
 func (c *Conn) Recv() (Header, []byte, error) {
 	c.armRead()
-	var h Header
-	var raw []byte
-	var err error
+	h, raw, err := readFrame(c.r, c.body, c.sess)
 	if c.sess != nil {
-		h, raw, err = c.readReuse()
-	} else {
-		h, raw, err = ReadMessage(c.r)
+		// body shares the Conn's session lifetime (see NewConnSession); it
+		// is kept across errors so grown storage is reused.
+		c.body = raw
 	}
 	if err != nil {
-		return h, raw, err
+		return h, nil, err
 	}
 	if h.Seq != c.peerSeq+1 {
 		return h, raw, fmt.Errorf("%w: got %v seq %d, expected %d", ErrSeqMismatch, h.Type, h.Seq, c.peerSeq+1)
@@ -214,51 +215,6 @@ func (c *Conn) Recv() (Header, []byte, error) {
 	return h, raw, nil
 }
 
-// readReuse reads one frame into the connection's session-scoped body
-// buffer, growing it through the arena under the same incremental
-// reservation cap as ReadMessage (a hostile header alone cannot size a
-// 64 MB allocation).
-//
-//fractal:hotpath the server read path reuses the session body buffer
-func (c *Conn) readReuse() (Header, []byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return Header{}, nil, fmt.Errorf("inp: reading header: %w", err)
-	}
-	h, n, err := parseHeader(hdr[:])
-	if err != nil {
-		return Header{}, nil, err
-	}
-	if c.body == nil {
-		reserve := n
-		if reserve > maxBodyReserve {
-			reserve = maxBodyReserve
-		}
-		//fractal:allow hotpath — body shares the Conn's session lifetime (see NewConnSession)
-		c.body = c.sess.Bytes(int(reserve))
-	}
-	body := c.body[:0]
-	for len(body) < int(n) {
-		step := int(n) - len(body)
-		if step > maxBodyReserve {
-			step = maxBodyReserve
-		}
-		off := len(body)
-		if cap(body)-off < step {
-			body = c.sess.Grow(body, step)
-		}
-		body = body[:off+step]
-		if _, err := io.ReadFull(c.r, body[off:]); err != nil {
-			//fractal:allow hotpath — body shares the Conn's session lifetime; kept so grown storage is reused
-			c.body = body[:0]
-			return Header{}, nil, fmt.Errorf("inp: reading %v body: %w", h.Type, err)
-		}
-	}
-	//fractal:allow hotpath — body shares the Conn's session lifetime (see NewConnSession)
-	c.body = body
-	return h, body, nil
-}
-
 // RecvInto reads the next message, requires it to be of the wanted type,
 // and decodes it into reply. A peer MsgError is surfaced as a *PeerError.
 func (c *Conn) RecvInto(want MsgType, reply interface{}) error {
@@ -266,6 +222,13 @@ func (c *Conn) RecvInto(want MsgType, reply interface{}) error {
 	if err != nil {
 		return err
 	}
+	return DecodeAs(h, raw, want, reply)
+}
+
+// DecodeAs is RecvInto's second half for a frame already received: it
+// requires h to be of the wanted type and decodes raw into reply,
+// surfacing a peer MsgError as a *PeerError.
+func DecodeAs(h Header, raw []byte, want MsgType, reply interface{}) error {
 	if h.Type == MsgError {
 		var e ErrorRep
 		if derr := DecodeBody(raw, &e); derr == nil && e.Message != "" {
@@ -276,10 +239,7 @@ func (c *Conn) RecvInto(want MsgType, reply interface{}) error {
 	if h.Type != want {
 		return fmt.Errorf("inp: expected %v, got %v", want, h.Type)
 	}
-	if h.Version >= Version2 {
-		return decodeBinaryBody(h.Type, raw, reply)
-	}
-	return DecodeBody(raw, reply)
+	return DecodeRaw(h, raw, reply)
 }
 
 // Call sends a request and decodes the matching reply type.

@@ -17,7 +17,7 @@ func TestConnRejectsStaleSequence(t *testing.T) {
 	var wire bytes.Buffer
 	// The "peer" sends frame seq=1 twice: a legitimate reply followed by
 	// a duplicate of it (a replay or a stale retransmission).
-	if err := WriteMessage(&wire, Header{Version: Version, Type: MsgInitRep, Seq: 1}, InitRep{OK: true}); err != nil {
+	if err := writeFrame(&wire, Header{Version: Version, Type: MsgInitRep, Seq: 1}, InitRep{OK: true}); err != nil {
 		t.Fatal(err)
 	}
 	frame := append([]byte(nil), wire.Bytes()...)
@@ -38,7 +38,7 @@ func TestConnRejectsSkippedSequence(t *testing.T) {
 	var wire bytes.Buffer
 	// First frame from a fresh peer must carry seq 1; seq 5 means four
 	// frames were lost or reordered and the stream cannot be trusted.
-	if err := WriteMessage(&wire, Header{Version: Version, Type: MsgInitRep, Seq: 5}, InitRep{OK: true}); err != nil {
+	if err := writeFrame(&wire, Header{Version: Version, Type: MsgInitRep, Seq: 5}, InitRep{OK: true}); err != nil {
 		t.Fatal(err)
 	}
 	c := NewConn(&wire)
@@ -53,7 +53,7 @@ func TestConnRejectsSkippedSequence(t *testing.T) {
 func TestConnSequenceGateProperty(t *testing.T) {
 	f := func(seq uint32) bool {
 		var wire bytes.Buffer
-		if err := WriteMessage(&wire, Header{Version: Version, Type: MsgInitRep, Seq: seq}, InitRep{OK: true}); err != nil {
+		if err := writeFrame(&wire, Header{Version: Version, Type: MsgInitRep, Seq: seq}, InitRep{OK: true}); err != nil {
 			return false
 		}
 		var rep InitRep
@@ -197,12 +197,12 @@ func TestConnSetTimeoutZeroClearsDeadline(t *testing.T) {
 	go func() {
 		// Answer the first (bounded) call promptly.
 		_, _, _ = ReadMessage(server)
-		_ = WriteMessage(server, Header{Version: Version, Type: MsgInitRep, Seq: 1}, InitRep{OK: true})
+		_ = writeFrame(server, Header{Version: Version, Type: MsgInitRep, Seq: 1}, InitRep{OK: true})
 		// Answer the second call only after the first call's stale
 		// deadline has long passed.
 		_, _, _ = ReadMessage(server)
 		time.Sleep(150 * time.Millisecond)
-		_ = WriteMessage(server, Header{Version: Version, Type: MsgCliMetaReq, Seq: 2}, CliMetaReq{})
+		_ = writeFrame(server, Header{Version: Version, Type: MsgCliMetaReq, Seq: 2}, CliMetaReq{})
 	}()
 
 	c := NewConn(client)

@@ -1,32 +1,36 @@
 package inp
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"slices"
+	"sync"
 
 	"fractal/internal/arena"
 )
 
-// FrameWriter coalesces consecutive frames into one write: frames queued
-// with WriteMessage are assembled contiguously in an arena buffer and
-// nothing reaches the stream until Flush, which issues a single vectored
-// write (writev via net.Buffers) on TCP and a single coalesced Write on
-// any other stream. Large binary bodies are spliced as their own vector
-// entries instead of being copied into the assembly buffer.
+// FrameWriter is the one place INP frames are assembled. It coalesces
+// consecutive frames into one write: frames queued with WriteMessage are
+// built contiguously in an arena buffer and nothing reaches the stream
+// until Flush, which issues a single vectored write (writev via
+// net.Buffers) on TCP and a single coalesced Write on any other stream.
+// Large binary bodies are spliced as their own vector entries instead of
+// being copied into the assembly buffer.
 //
 // A FrameWriter serves one connection and is not safe for concurrent use.
-// The JSON wire bytes are byte-identical to sequential WriteMessage calls,
-// pinned by FuzzFrameBatch.
+// The JSON wire bytes are header + json.Marshal(body), and a batch is
+// byte-identical to the same frames flushed one at a time, pinned by
+// FuzzWriteMessagePooledEquivalence and FuzzFrameBatch.
 type FrameWriter struct {
 	w   io.Writer
 	tcp *net.TCPConn // non-nil when vectored writes are available
 	// es is borrowed from encPool while frames are queued and returned on
 	// Flush, so idle connections pin no assembly storage.
 	es     *encodeState
-	vecs   []frameVec
 	nb     net.Buffers // reusable backing for the vectored flush
-	extLen int         // total spliced (zero-copy) bytes queued
 	queued int
 }
 
@@ -35,6 +39,38 @@ type FrameWriter struct {
 type frameVec struct {
 	end int
 	ext []byte
+}
+
+// encodeState is the pooled assembly state of one write batch: a buffer
+// with a JSON encoder bound to it, so a frame (header + body) is built
+// contiguously with no per-message allocations on the steady state, plus
+// the splice points of bodies queued by reference. The binary codec
+// descriptions append to it directly; it is its own heap object so that
+// handing it to them through an interface does not force the owning Conn
+// to the heap. Its storage comes from the arena and is returned on put, so
+// the retention policy (size classes, oversized frames dropped) lives in
+// one place.
+type encodeState struct {
+	buf    arena.Buffer
+	enc    *json.Encoder
+	vecs   []frameVec
+	extLen int // total spliced (zero-copy) bytes queued
+}
+
+var encPool = sync.Pool{New: func() interface{} {
+	es := &encodeState{}
+	es.enc = json.NewEncoder(&es.buf)
+	return es
+}}
+
+// putEncState returns an encode state to the pool. A named function rather
+// than a deferred closure so the hot framing path does not allocate a
+// capturing closure per message.
+func putEncState(es *encodeState) {
+	es.buf.Release()
+	clear(es.vecs[:cap(es.vecs)]) // a pooled state must not pin spliced payloads
+	es.vecs, es.extLen = es.vecs[:0], 0
+	encPool.Put(es)
 }
 
 // NewFrameWriter returns a batching frame writer over w.
@@ -52,43 +88,70 @@ func (fw *FrameWriter) init(w io.Writer) {
 	}
 }
 
-// state returns the assembly buffer, borrowing one on first use.
-func (fw *FrameWriter) state() *encodeState {
-	if fw.es == nil {
-		fw.es = encPool.Get().(*encodeState)
-	}
-	return fw.es
-}
+var zeroHeader [headerLen]byte
 
 // WriteMessage queues one frame; nothing reaches the stream until Flush.
-// Headers carrying Version2 use the binary body codec (the type must be
-// binary-capable); all others encode JSON byte-identically to the
-// package-level WriteMessage.
+// Headers carrying Version2 use the body's binary codec (the body must be
+// the header type's struct); all others encode JSON. On error every byte
+// the half-built frame queued (splice vectors included) is rolled back, so
+// a batch of already-queued frames survives intact.
 //
-//fractal:hotpath every batched exchange queues frames here
+//fractal:hotpath every frame is assembled here
 func (fw *FrameWriter) WriteMessage(h Header, body interface{}) error {
 	if h.Type == MsgInvalid || h.Type >= msgMax {
 		return fmt.Errorf("inp: cannot write message of type %v", h.Type)
 	}
-	es := fw.state()
-	var err error
-	if h.Version >= Version2 {
-		err = fw.appendFrameBinary(h, body)
-	} else {
-		err = appendFrameJSON(&es.buf, es.enc, h, body)
+	if fw.es == nil {
+		fw.es = encPool.Get().(*encodeState)
+	}
+	es := fw.es
+	start, vecs, ext := es.buf.Len(), len(es.vecs), es.extLen
+	es.buf.Write(zeroHeader[:]) // reserve the header slot
+	err := es.appendBody(h, body)
+	n := es.buf.Len() - start - headerLen + (es.extLen - ext)
+	if err == nil && n > MaxBody {
+		err = fmt.Errorf("inp: %v body of %d bytes exceeds limit", h.Type, n)
 	}
 	if err != nil {
+		es.buf.SetBytes(es.buf.Bytes()[:start])
+		es.vecs = es.vecs[:vecs]
+		es.extLen = ext
 		return err
 	}
+	hdr := es.buf.Bytes()[start : start+headerLen]
+	copy(hdr[0:4], magic[:])
+	hdr[4] = h.Version
+	hdr[5] = uint8(h.Type)
+	binary.BigEndian.PutUint32(hdr[8:12], h.Seq)
+	binary.BigEndian.PutUint32(hdr[12:16], uint32(n))
 	fw.queued++
+	return nil
+}
+
+// appendBody appends body in the encoding h.Version selects.
+func (e *encodeState) appendBody(h Header, body interface{}) error {
+	if h.Version >= Version2 {
+		wb, ok := body.(wireBody)
+		if !ok || wb.wireType() != h.Type {
+			return fmt.Errorf("inp: no binary codec for %v body of type %T", h.Type, body)
+		}
+		wb.appendWire(e)
+		return nil
+	}
+	// Encoder.Encode emits exactly json.Marshal's bytes plus one newline.
+	if err := e.enc.Encode(body); err != nil {
+		return fmt.Errorf("inp: encoding %v body: %w", h.Type, err)
+	}
+	b := e.buf.Bytes()
+	e.buf.SetBytes(b[:len(b)-1]) // drop the encoder's trailing newline
 	return nil
 }
 
 // splice records p as a zero-copy vector entry following everything
 // queued so far. p must stay unmodified until Flush returns.
-func (fw *FrameWriter) splice(p []byte) {
-	fw.vecs = append(fw.vecs, frameVec{end: fw.es.buf.Len(), ext: p})
-	fw.extLen += len(p)
+func (e *encodeState) splice(p []byte) {
+	e.vecs = append(e.vecs, frameVec{end: e.buf.Len(), ext: p})
+	e.extLen += len(p)
 }
 
 // Buffered reports how many queued bytes await Flush.
@@ -96,7 +159,7 @@ func (fw *FrameWriter) Buffered() int {
 	if fw.es == nil {
 		return 0
 	}
-	return fw.es.buf.Len() + fw.extLen
+	return fw.es.buf.Len() + fw.es.extLen
 }
 
 // Flush writes every queued frame in one call and releases the assembly
@@ -113,7 +176,7 @@ func (fw *FrameWriter) Flush() error {
 	fw.queued = 0
 	defer putEncState(es)
 	var err error
-	if len(fw.vecs) == 0 {
+	if len(es.vecs) == 0 {
 		if es.buf.Len() > 0 {
 			_, err = fw.w.Write(es.buf.Bytes())
 		}
@@ -133,7 +196,7 @@ func (fw *FrameWriter) flushVectored(es *encodeState) error {
 	b := es.buf.Bytes()
 	fw.nb = fw.nb[:0]
 	off := 0
-	for _, v := range fw.vecs {
+	for _, v := range es.vecs {
 		if v.end > off {
 			fw.nb = append(fw.nb, b[off:v.end])
 			off = v.end
@@ -145,8 +208,6 @@ func (fw *FrameWriter) flushVectored(es *encodeState) error {
 	if off < len(b) {
 		fw.nb = append(fw.nb, b[off:])
 	}
-	fw.vecs = fw.vecs[:0]
-	fw.extLen = 0
 	if fw.tcp != nil {
 		// net.Buffers.WriteTo consumes its receiver slice, so hand it a
 		// view; fw.nb's backing array stays reusable for the next flush.
@@ -161,6 +222,73 @@ func (fw *FrameWriter) flushVectored(es *encodeState) error {
 	_, err := fw.w.Write(scratch.Bytes())
 	scratch.Release()
 	return err
+}
+
+// maxBodyReserve caps how much body memory is allocated ahead of bytes
+// actually arriving: a header may claim up to MaxBody, but the buffer only
+// grows in maxBodyReserve steps as the stream delivers, so a hostile
+// header alone cannot size a 64 MB allocation.
+const maxBodyReserve = 1 << 20
+
+// parseHeader validates a raw header and returns it with the body length.
+// Version 1 is accepted on every type; Version2 only on the hot types
+// that have a binary body codec.
+func parseHeader(hdr []byte) (Header, uint32, error) {
+	if [4]byte(hdr[0:4]) != magic {
+		return Header{}, 0, fmt.Errorf("inp: bad magic %q", hdr[0:4])
+	}
+	h := Header{Version: hdr[4], Type: MsgType(hdr[5]), Seq: binary.BigEndian.Uint32(hdr[8:12])}
+	if h.Version != Version && !(h.Version == Version2 && wireCodec(h.Type) != nil) {
+		return Header{}, 0, fmt.Errorf("inp: unsupported protocol version %d", h.Version)
+	}
+	if h.Type == MsgInvalid || h.Type >= msgMax {
+		return Header{}, 0, fmt.Errorf("inp: unknown message type %d", hdr[5])
+	}
+	n := binary.BigEndian.Uint32(hdr[12:16])
+	if n > MaxBody {
+		return Header{}, 0, fmt.Errorf("inp: %v body of %d bytes exceeds limit", h.Type, n)
+	}
+	return h, n, nil
+}
+
+// ReadMessage reads one framed message, returning its header and raw body
+// in freshly allocated storage.
+func ReadMessage(r io.Reader) (Header, []byte, error) {
+	return readFrame(r, nil, nil)
+}
+
+// readFrame is the one frame reader: it parses and validates the header,
+// then reads the body into body[:0], growing it in maxBodyReserve steps as
+// bytes arrive. Growth goes through sess when the storage is
+// session-scoped (body must then be nil or an earlier readFrame result on
+// the same session), else through the heap. The returned slice is the
+// possibly regrown storage even on error, so a caller reusing it keeps it.
+//
+//fractal:hotpath every INP exchange reads through here
+func readFrame(r io.Reader, body []byte, sess *arena.Session) (Header, []byte, error) {
+	body = body[:0]
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Header{}, body, fmt.Errorf("inp: reading header: %w", err)
+	}
+	h, n, err := parseHeader(hdr[:])
+	if err != nil {
+		return Header{}, body, err
+	}
+	for len(body) < int(n) {
+		step := min(int(n)-len(body), maxBodyReserve)
+		off := len(body)
+		if sess != nil {
+			body = sess.Grow(body, step)
+		} else {
+			body = slices.Grow(body, step)
+		}
+		body = body[:off+step]
+		if _, err := io.ReadFull(r, body[off:]); err != nil {
+			return Header{}, body[:0], fmt.Errorf("inp: reading %v body: %w", h.Type, err)
+		}
+	}
+	return h, body, nil
 }
 
 // readBufSize is the per-connection buffered-read window: one mid-class

@@ -13,7 +13,7 @@ import (
 // must never panic and never allocate unbounded buffers.
 func FuzzReadMessage(f *testing.F) {
 	var seed bytes.Buffer
-	_ = WriteMessage(&seed, Header{Version: Version, Type: MsgInitReq, Seq: 1}, InitReq{AppID: "a"})
+	_ = writeFrame(&seed, Header{Version: Version, Type: MsgInitReq, Seq: 1}, InitReq{AppID: "a"})
 	f.Add(seed.Bytes())
 	f.Add([]byte("INP1garbage"))
 	f.Add([]byte{})
@@ -61,7 +61,7 @@ func FuzzWriteMessagePooledEquivalence(f *testing.F) {
 		body := InitReq{AppID: appID, Resource: resource, ClientID: clientID}
 		h := Header{Version: Version, Type: MsgInitReq, Seq: seq}
 		var got bytes.Buffer
-		if err := WriteMessage(&got, h, body); err != nil {
+		if err := writeFrame(&got, h, body); err != nil {
 			t.Fatalf("pooled write: %v", err)
 		}
 		want := referenceFrame(t, h, body)
@@ -103,7 +103,7 @@ func TestWriteMessagePooledConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				seq := uint32(g*1000 + i)
 				var buf bytes.Buffer
-				if err := WriteMessage(&buf, Header{Version: Version, Type: MsgAppReq, Seq: seq},
+				if err := writeFrame(&buf, Header{Version: Version, Type: MsgAppReq, Seq: seq},
 					AppReq{AppID: "webapp", Resource: "page", ProtocolIDs: []string{"gzip"}}); err != nil {
 					t.Error(err)
 					return

@@ -6,14 +6,9 @@
 package inp
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
-	"slices"
-	"sync"
 
-	"fractal/internal/arena"
 	"fractal/internal/core"
 )
 
@@ -38,25 +33,31 @@ const (
 	msgMax
 )
 
-var msgNames = map[MsgType]string{
-	MsgInitReq:        "INIT_REQ",
-	MsgInitRep:        "INIT_REP",
-	MsgCliMetaReq:     "CLI_META_REQ",
-	MsgCliMetaRep:     "CLI_META_REP",
-	MsgPADMetaRep:     "PAD_META_REP",
-	MsgPADDownloadReq: "PAD_DOWNLOAD_REQ",
-	MsgPADDownloadRep: "PAD_DOWNLOAD_REP",
-	MsgAppReq:         "APP_REQ",
-	MsgAppRep:         "APP_REP",
-	MsgError:          "ERROR",
-	MsgAppMetaPush:    "APP_META_PUSH",
-	MsgAppMetaAck:     "APP_META_ACK",
+// msgTable is the one per-type table: the paper's name for every message,
+// and for the hot ones a prototype of the body whose methods are its
+// Version2 codec (nil = JSON only).
+var msgTable = [msgMax]struct {
+	name string
+	wire wireDecoder
+}{
+	MsgInitReq:        {"INIT_REQ", new(InitReq)},
+	MsgInitRep:        {"INIT_REP", new(InitRep)},
+	MsgCliMetaReq:     {"CLI_META_REQ", new(CliMetaReq)},
+	MsgCliMetaRep:     {"CLI_META_REP", new(CliMetaRep)},
+	MsgPADMetaRep:     {"PAD_META_REP", new(PADMetaRep)},
+	MsgPADDownloadReq: {"PAD_DOWNLOAD_REQ", new(PADDownloadReq)},
+	MsgPADDownloadRep: {"PAD_DOWNLOAD_REP", new(PADDownloadRep)},
+	MsgAppReq:         {"APP_REQ", new(AppReq)},
+	MsgAppRep:         {"APP_REP", new(AppRep)},
+	MsgError:          {"ERROR", nil},
+	MsgAppMetaPush:    {"APP_META_PUSH", nil},
+	MsgAppMetaAck:     {"APP_META_ACK", nil},
 }
 
 // String returns the paper's message name.
 func (t MsgType) String() string {
-	if n, ok := msgNames[t]; ok {
-		return n
+	if t < msgMax && msgTable[t].name != "" {
+		return msgTable[t].name
 	}
 	return fmt.Sprintf("MSG(%d)", uint8(t))
 }
@@ -82,145 +83,7 @@ type Header struct {
 	Seq     uint32
 }
 
-// encodeState is a pooled frame-assembly buffer with a JSON encoder bound
-// to it, so a frame (header + body) is built contiguously with no
-// per-message allocations on the steady state. Its storage comes from the
-// arena and is returned on put, so the retention policy (size classes,
-// oversized frames dropped) lives in one place.
-type encodeState struct {
-	buf arena.Buffer
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() interface{} {
-	es := &encodeState{}
-	es.enc = json.NewEncoder(&es.buf)
-	return es
-}}
-
-var zeroHeader [headerLen]byte
-
-// putEncState returns an encode state to the pool. A named function rather
-// than a deferred closure so the hot framing path does not allocate a
-// capturing closure per message.
-func putEncState(es *encodeState) {
-	es.buf.Release()
-	encPool.Put(es)
-}
-
-// patchHeader backfills a reserved header slot once the body length is
-// known.
-func patchHeader(hdr []byte, h Header, n uint32) {
-	copy(hdr[0:4], magic[:])
-	hdr[4] = h.Version
-	hdr[5] = uint8(h.Type)
-	binary.BigEndian.PutUint32(hdr[8:12], h.Seq)
-	binary.BigEndian.PutUint32(hdr[12:16], n)
-}
-
-// appendFrameJSON appends one complete framed JSON message to buf; enc
-// must be the encoder bound to buf. On error the buffer is restored to its
-// prior length, so a batch of already-queued frames survives intact.
-//
-//fractal:hotpath every JSON frame is assembled here
-func appendFrameJSON(buf *arena.Buffer, enc *json.Encoder, h Header, body interface{}) error {
-	start := buf.Len()
-	buf.Write(zeroHeader[:]) // reserve the header slot
-	// Encoder.Encode emits exactly json.Marshal's bytes plus one newline,
-	// so the frames stay byte-identical to the unpooled encoding.
-	if err := enc.Encode(body); err != nil {
-		buf.SetBytes(buf.Bytes()[:start])
-		return fmt.Errorf("inp: encoding %v body: %w", h.Type, err)
-	}
-	frame := buf.Bytes()
-	frame = frame[:len(frame)-1] // drop the encoder's trailing newline
-	buf.SetBytes(frame)
-	n := len(frame) - start - headerLen
-	if n > MaxBody {
-		buf.SetBytes(frame[:start])
-		return fmt.Errorf("inp: %v body of %d bytes exceeds limit", h.Type, n)
-	}
-	patchHeader(frame[start:start+headerLen], h, uint32(n))
-	return nil
-}
-
-// WriteMessage frames and writes one message as a single Write call.
-//
-//fractal:hotpath every INP exchange writes through here
-func WriteMessage(w io.Writer, h Header, body interface{}) error {
-	if h.Type == MsgInvalid || h.Type >= msgMax {
-		return fmt.Errorf("inp: cannot write message of type %v", h.Type)
-	}
-	es := encPool.Get().(*encodeState)
-	defer putEncState(es)
-	if err := appendFrameJSON(&es.buf, es.enc, h, body); err != nil {
-		return err
-	}
-	if _, err := w.Write(es.buf.Bytes()); err != nil {
-		return fmt.Errorf("inp: writing %v frame: %w", h.Type, err)
-	}
-	return nil
-}
-
-// maxBodyReserve caps how much body memory is allocated ahead of bytes
-// actually arriving: a header may claim up to MaxBody, but the buffer only
-// grows in maxBodyReserve steps as the stream delivers, so a hostile
-// header alone cannot size a 64 MB allocation.
-const maxBodyReserve = 1 << 20
-
-// parseHeader validates a raw header and returns it with the body length.
-// Version 1 is accepted on every type; Version2 only on the hot types
-// that have a binary body codec.
-func parseHeader(hdr []byte) (Header, uint32, error) {
-	if [4]byte(hdr[0:4]) != magic {
-		return Header{}, 0, fmt.Errorf("inp: bad magic %q", hdr[0:4])
-	}
-	h := Header{Version: hdr[4], Type: MsgType(hdr[5]), Seq: binary.BigEndian.Uint32(hdr[8:12])}
-	if h.Version != Version && !(h.Version == Version2 && binaryMsgType(h.Type)) {
-		return Header{}, 0, fmt.Errorf("inp: unsupported protocol version %d", h.Version)
-	}
-	if h.Type == MsgInvalid || h.Type >= msgMax {
-		return Header{}, 0, fmt.Errorf("inp: unknown message type %d", hdr[5])
-	}
-	n := binary.BigEndian.Uint32(hdr[12:16])
-	if n > MaxBody {
-		return Header{}, 0, fmt.Errorf("inp: %v body of %d bytes exceeds limit", h.Type, n)
-	}
-	return h, n, nil
-}
-
-// ReadMessage reads one framed message, returning its header and raw body.
-//
-//fractal:hotpath every INP exchange reads through here
-func ReadMessage(r io.Reader) (Header, []byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Header{}, nil, fmt.Errorf("inp: reading header: %w", err)
-	}
-	h, n, err := parseHeader(hdr[:])
-	if err != nil {
-		return Header{}, nil, err
-	}
-	reserve := n
-	if reserve > maxBodyReserve {
-		reserve = maxBodyReserve
-	}
-	body := make([]byte, 0, reserve)
-	for len(body) < int(n) {
-		step := int(n) - len(body)
-		if step > maxBodyReserve {
-			step = maxBodyReserve
-		}
-		off := len(body)
-		body = slices.Grow(body, step)[:off+step]
-		if _, err := io.ReadFull(r, body[off:]); err != nil {
-			return Header{}, nil, fmt.Errorf("inp: reading %v body: %w", h.Type, err)
-		}
-	}
-	return h, body, nil
-}
-
-// DecodeBody unmarshals a raw body into a typed message.
+// DecodeBody unmarshals a raw JSON body into a typed message.
 func DecodeBody(raw []byte, v interface{}) error {
 	if err := json.Unmarshal(raw, v); err != nil {
 		return fmt.Errorf("inp: decoding body: %w", err)
@@ -243,10 +106,40 @@ type InitReq struct {
 	WireVersion int `json:"inp_version,omitempty"`
 }
 
+func (InitReq) wireType() MsgType { return MsgInitReq }
+
+func (m InitReq) appendWire(e *encodeState) {
+	e.appendString(m.AppID)
+	e.appendString(m.Resource)
+	e.appendString(m.ClientID)
+	e.appendInt(m.WireVersion)
+}
+
+func (m *InitReq) decodeWire(r wireReader) error {
+	m.AppID = r.str()
+	m.Resource = r.str()
+	m.ClientID = r.str()
+	m.WireVersion = r.int_()
+	return r.done()
+}
+
 // InitRep acknowledges INIT_REQ.
 type InitRep struct {
 	OK     bool   `json:"ok"`
 	Reason string `json:"reason,omitempty"`
+}
+
+func (InitRep) wireType() MsgType { return MsgInitRep }
+
+func (m InitRep) appendWire(e *encodeState) {
+	e.appendBool(m.OK)
+	e.appendString(m.Reason)
+}
+
+func (m *InitRep) decodeWire(r wireReader) error {
+	m.OK = r.bool_()
+	m.Reason = r.str()
+	return r.done()
 }
 
 // CliMetaReq carries empty DevMeta/NtwkMeta templates "to be filled by
@@ -254,6 +147,19 @@ type InitRep struct {
 type CliMetaReq struct {
 	Dev  core.DevMeta  `json:"dev"`
 	Ntwk core.NtwkMeta `json:"ntwk"`
+}
+
+func (CliMetaReq) wireType() MsgType { return MsgCliMetaReq }
+
+func (m CliMetaReq) appendWire(e *encodeState) {
+	e.appendDevMeta(&m.Dev)
+	e.appendNtwkMeta(&m.Ntwk)
+}
+
+func (m *CliMetaReq) decodeWire(r wireReader) error {
+	r.devMeta(&m.Dev)
+	r.ntwkMeta(&m.Ntwk)
+	return r.done()
 }
 
 // CliMetaRep returns the client's probed metadata plus the expected
@@ -264,10 +170,45 @@ type CliMetaRep struct {
 	SessionRequests int           `json:"session_requests"`
 }
 
+func (CliMetaRep) wireType() MsgType { return MsgCliMetaRep }
+
+func (m CliMetaRep) appendWire(e *encodeState) {
+	e.appendDevMeta(&m.Dev)
+	e.appendNtwkMeta(&m.Ntwk)
+	e.appendInt(m.SessionRequests)
+}
+
+func (m *CliMetaRep) decodeWire(r wireReader) error {
+	r.devMeta(&m.Dev)
+	r.ntwkMeta(&m.Ntwk)
+	m.SessionRequests = r.int_()
+	return r.done()
+}
+
 // PADMetaRep delivers the negotiated PAD metadata array (redacted: no tree
 // links), with digests and URLs inserted by the distribution manager.
 type PADMetaRep struct {
 	PADs []core.PADMeta `json:"pads"`
+}
+
+func (PADMetaRep) wireType() MsgType { return MsgPADMetaRep }
+
+func (m PADMetaRep) appendWire(e *encodeState) {
+	e.appendCount(len(m.PADs), m.PADs == nil)
+	for i := range m.PADs {
+		e.appendPADMeta(&m.PADs[i])
+	}
+}
+
+func (m *PADMetaRep) decodeWire(r wireReader) error {
+	m.PADs = nil
+	if n, ok := r.count(); ok {
+		m.PADs = make([]core.PADMeta, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			r.padMeta(&m.PADs[i])
+		}
+	}
+	return r.done()
 }
 
 // PADDownloadReq asks a PAD server/edge for a module by id.
@@ -280,10 +221,38 @@ type PADDownloadReq struct {
 	WireVersion int `json:"inp_version,omitempty"`
 }
 
+func (PADDownloadReq) wireType() MsgType { return MsgPADDownloadReq }
+
+func (m PADDownloadReq) appendWire(e *encodeState) {
+	e.appendString(m.PADID)
+	e.appendString(m.URL)
+	e.appendInt(m.WireVersion)
+}
+
+func (m *PADDownloadReq) decodeWire(r wireReader) error {
+	m.PADID = r.str()
+	m.URL = r.str()
+	m.WireVersion = r.int_()
+	return r.done()
+}
+
 // PADDownloadRep returns the packed mobile-code module.
 type PADDownloadRep struct {
 	PADID  string `json:"pad_id"`
 	Module []byte `json:"module"`
+}
+
+func (PADDownloadRep) wireType() MsgType { return MsgPADDownloadRep }
+
+func (m PADDownloadRep) appendWire(e *encodeState) {
+	e.appendString(m.PADID)
+	e.appendBlob(m.Module)
+}
+
+func (m *PADDownloadRep) decodeWire(r wireReader) error {
+	m.PADID = r.str()
+	m.Module = r.blob()
+	return r.done()
 }
 
 // AppReq starts (or continues) the application session, carrying the
@@ -300,12 +269,48 @@ type AppReq struct {
 	WireVersion int `json:"inp_version,omitempty"`
 }
 
+func (AppReq) wireType() MsgType { return MsgAppReq }
+
+func (m AppReq) appendWire(e *encodeState) {
+	e.appendString(m.AppID)
+	e.appendString(m.Resource)
+	e.appendStrings(m.ProtocolIDs)
+	e.appendInt(m.HaveVersion)
+	e.appendInt(m.WireVersion)
+}
+
+func (m *AppReq) decodeWire(r wireReader) error {
+	m.AppID = r.str()
+	m.Resource = r.str()
+	m.ProtocolIDs = r.strs()
+	m.HaveVersion = r.int_()
+	m.WireVersion = r.int_()
+	return r.done()
+}
+
 // AppRep returns the adapted application content.
 type AppRep struct {
 	Resource string `json:"resource"`
 	Version  int    `json:"version"`
 	PADID    string `json:"pad_id"`
 	Payload  []byte `json:"payload"`
+}
+
+func (AppRep) wireType() MsgType { return MsgAppRep }
+
+func (m AppRep) appendWire(e *encodeState) {
+	e.appendString(m.Resource)
+	e.appendInt(m.Version)
+	e.appendString(m.PADID)
+	e.appendBlob(m.Payload)
+}
+
+func (m *AppRep) decodeWire(r wireReader) error {
+	m.Resource = r.str()
+	m.Version = r.int_()
+	m.PADID = r.str()
+	m.Payload = r.blob()
+	return r.done()
 }
 
 // ErrorRep reports a failure to the peer.

@@ -14,7 +14,7 @@ import (
 func TestMessageRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	want := InitReq{AppID: "webapp", Resource: "page-001"}
-	if err := WriteMessage(&buf, Header{Version: Version, Type: MsgInitReq, Seq: 7}, want); err != nil {
+	if err := writeFrame(&buf, Header{Version: Version, Type: MsgInitReq, Seq: 7}, want); err != nil {
 		t.Fatal(err)
 	}
 	h, raw, err := ReadMessage(&buf)
@@ -50,7 +50,7 @@ func TestAllMessageTypesRoundTrip(t *testing.T) {
 	seq := uint32(0)
 	for mt, body := range bodies {
 		seq++
-		if err := WriteMessage(&buf, Header{Version: Version, Type: mt, Seq: seq}, body); err != nil {
+		if err := writeFrame(&buf, Header{Version: Version, Type: mt, Seq: seq}, body); err != nil {
 			t.Fatalf("%v: %v", mt, err)
 		}
 	}
@@ -79,10 +79,10 @@ func TestMsgTypeStrings(t *testing.T) {
 
 func TestWriteMessageRejectsInvalidType(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, Header{Version: Version, Type: MsgInvalid}, nil); err == nil {
+	if err := writeFrame(&buf, Header{Version: Version, Type: MsgInvalid}, nil); err == nil {
 		t.Fatal("invalid type written")
 	}
-	if err := WriteMessage(&buf, Header{Version: Version, Type: msgMax}, nil); err == nil {
+	if err := writeFrame(&buf, Header{Version: Version, Type: msgMax}, nil); err == nil {
 		t.Fatal("out-of-range type written")
 	}
 }
@@ -90,7 +90,7 @@ func TestWriteMessageRejectsInvalidType(t *testing.T) {
 func TestReadMessageRejectsCorruptFrames(t *testing.T) {
 	good := func() []byte {
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, Header{Version: Version, Type: MsgInitRep, Seq: 1}, InitRep{OK: true}); err != nil {
+		if err := writeFrame(&buf, Header{Version: Version, Type: MsgInitRep, Seq: 1}, InitRep{OK: true}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -223,7 +223,7 @@ func TestConnSequenceNumbersIncrease(t *testing.T) {
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(app, res string, seq uint32) bool {
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, Header{Version: Version, Type: MsgInitReq, Seq: seq}, InitReq{AppID: app, Resource: res}); err != nil {
+		if err := writeFrame(&buf, Header{Version: Version, Type: MsgInitReq, Seq: seq}, InitReq{AppID: app, Resource: res}); err != nil {
 			return false
 		}
 		h, raw, err := ReadMessage(&buf)

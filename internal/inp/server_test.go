@@ -1,0 +1,216 @@
+package inp_test
+
+import (
+	"fmt"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"fractal/internal/appserver"
+	"fractal/internal/cdn"
+	"fractal/internal/experiment"
+	"fractal/internal/inp"
+	"fractal/internal/proxy"
+)
+
+// daemon is one of the three INP front ends, all of which run the shared
+// inp.Server loop; the shutdown and idle contracts below are the loop's,
+// so they are checked through each daemon's own constructor and methods.
+type daemon struct {
+	name string
+	// start builds the daemon with the given concurrency bound.
+	start func(maxConcurrent int) (server, error)
+	// req is a request the daemon answers with a repType frame, leaving
+	// the session open.
+	reqType inp.MsgType
+	req     interface{}
+	repType inp.MsgType
+}
+
+// request sends the daemon's request without reading the reply.
+func (d daemon) request(c *inp.Conn) error { return c.Send(d.reqType, d.req) }
+
+// exchange runs one full request/reply.
+func (d daemon) exchange(c *inp.Conn) error {
+	if err := d.request(c); err != nil {
+		return err
+	}
+	h, _, err := c.Recv()
+	if err == nil && h.Type != d.repType {
+		err = fmt.Errorf("%s answered %v with %v, want %v", d.name, d.reqType, h.Type, d.repType)
+	}
+	return err
+}
+
+type server interface {
+	Serve(net.Listener) error
+	ServeConn(net.Conn) error
+	Close() error
+	SetIdleTimeout(time.Duration)
+}
+
+const bigModule = "/pads/big"
+
+func daemons(t *testing.T) []daemon {
+	t.Helper()
+	cfg := experiment.DefaultSetupConfig()
+	cfg.Pages, cfg.SamplePages = 4, 2
+	s, err := experiment.NewSetup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CDN.Origin().Publish(bigModule, make([]byte, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	quiet := func(string, ...interface{}) {}
+
+	return []daemon{
+		{
+			name:    "proxy",
+			start:   func(n int) (server, error) { return proxy.NewServer(s.Proxy, n, quiet) },
+			reqType: inp.MsgAppMetaPush, req: inp.AppMetaPush{App: s.AppMeta}, repType: inp.MsgAppMetaAck,
+		},
+		{
+			name:    "cdn",
+			start:   func(n int) (server, error) { return cdn.NewPADServer(s.CDN.Origin(), n, quiet) },
+			reqType: inp.MsgPADDownloadReq, req: inp.PADDownloadReq{URL: bigModule, WireVersion: inp.Version2}, repType: inp.MsgPADDownloadRep,
+		},
+		{
+			name:    "appserver",
+			start:   func(n int) (server, error) { return appserver.NewINPServer(s.App, n, quiet) },
+			reqType: inp.MsgAppReq,
+			req:     inp.AppReq{AppID: "webapp", Resource: "page-000", ProtocolIDs: []string{"pad-direct"}, WireVersion: inp.Version2},
+			repType: inp.MsgAppRep,
+		},
+	}
+}
+
+// acceptSignal reports on accepted each time Accept hands a connection to
+// the serving loop.
+type acceptSignal struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func (l *acceptSignal) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+	}
+	return c, err
+}
+
+// TestCloseDrainsAndDropsPendingConn pins the shutdown contract on every
+// daemon. With one concurrency slot held by a live session and a second
+// connection accepted but parked on the semaphore, Close must (1) not
+// return while the live session is in flight, (2) make the accept loop
+// drop the parked connection instead of serving it once a slot frees, and
+// (3) return, with Serve returning nil, once the live session ends.
+func TestCloseDrainsAndDropsPendingConn(t *testing.T) {
+	for _, d := range daemons(t) {
+		t.Run(d.name, func(t *testing.T) {
+			srv, err := d.start(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig := &acceptSignal{Listener: ln, accepted: make(chan struct{}, 2)}
+			served := make(chan error, 1)
+			go func() { served <- srv.Serve(sig) }()
+
+			dial := func() net.Conn {
+				conn, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { conn.Close() })
+				_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+				<-sig.accepted
+				return conn
+			}
+			live := dial()
+			if err := d.exchange(inp.NewConn(live)); err != nil {
+				t.Fatalf("live session: %v", err)
+			}
+			// The loop has accepted this one and cannot take the only slot.
+			parked := dial()
+			if err := d.request(inp.NewConn(parked)); err != nil {
+				t.Fatalf("parked request: %v", err)
+			}
+
+			closed := make(chan error, 1)
+			go func() { closed <- srv.Close() }()
+			select {
+			case <-closed:
+				t.Fatal("Close returned while a session was in flight")
+			case <-time.After(150 * time.Millisecond):
+			}
+
+			// End the live session: its slot frees, and a loop still
+			// blocked on the semaphore would now serve the parked conn.
+			live.Close()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close did not return after the last session ended")
+			}
+			select {
+			case err := <-served:
+				if err != nil {
+					t.Errorf("Serve returned %v after Close", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Serve did not return after Close")
+			}
+			if _, _, err := inp.ReadMessage(parked); err == nil {
+				t.Error("the connection parked on the semaphore was served after Close")
+			}
+		})
+	}
+}
+
+// TestIdleTimeoutReleasesStalledWriter: with an idle timeout set, a client
+// that sends a request and then never reads the reply must not pin the
+// serving goroutine — the write side is bounded like the read side. The
+// transport is net.Pipe, which buffers nothing, so every reply (the PAD
+// server's 1 MiB module included) blocks in Write until the deadline.
+func TestIdleTimeoutReleasesStalledWriter(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	for _, d := range daemons(t) {
+		t.Run(d.name, func(t *testing.T) {
+			srv, err := d.start(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.SetIdleTimeout(idle)
+			client, serverEnd := net.Pipe()
+			var once sync.Once
+			release := func() { once.Do(func() { client.Close(); serverEnd.Close() }) }
+			defer release()
+
+			done := make(chan error, 1)
+			go func() { done <- srv.ServeConn(serverEnd) }()
+			_ = client.SetWriteDeadline(time.Now().Add(5 * time.Second))
+			if err := d.request(inp.NewConn(client)); err != nil {
+				t.Fatalf("request: %v", err)
+			}
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Error("ServeConn reported a clean end for a stalled reply")
+				}
+			case <-time.After(20 * idle):
+				release() // unblock the goroutine before failing
+				<-done
+				t.Fatalf("serving goroutine still blocked writing %v after the %v idle timeout", 20*idle, idle)
+			}
+		})
+	}
+}

@@ -3,55 +3,23 @@ package proxy
 import (
 	"errors"
 	"fmt"
-	"io"
-	"log"
-	"net"
-	"sync"
-	"time"
 
-	"fractal/internal/arena"
 	"fractal/internal/core"
 	"fractal/internal/inp"
 )
 
-// Server is the proxy's INP front end: goroutine-per-connection with a
-// bounded concurrency semaphore, running the Figure 4 negotiation exchange
-// (INIT_REQ -> INIT_REP + CLI_META_REQ -> CLI_META_REP -> PAD_META_REP)
-// on each connection. Server is safe for concurrent use: its own fields
-// are immutable after construction and the Proxy it fronts synchronizes
+// Server is the proxy's INP front end: the shared inp.Server serving loop
+// (Serve, Close, SetIdleTimeout, ServeConn) with a handler that runs the
+// Figure 4 negotiation exchange (INIT_REQ -> INIT_REP + CLI_META_REQ ->
+// CLI_META_REP -> PAD_META_REP) or accepts an application server's
+// topology push (APP_META_PUSH) as each session of a connection. A client
+// that pipelines CLI_META_REP behind INIT_REQ gets the whole negotiation
+// phase answered in a single vectored write (the serving fast path).
+// Server is safe for concurrent use: the Proxy it fronts synchronizes
 // itself.
 type Server struct {
+	*inp.Server
 	proxy *Proxy
-	sem   chan struct{}
-	logf  func(format string, args ...interface{})
-	// idle bounds how long a session may sit between messages; zero
-	// means no limit.
-	idle   time.Duration
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
-	// done is closed by Close so an accept loop blocked on the concurrency
-	// semaphore abandons its pending connection instead of serving it after
-	// shutdown began.
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-// SetIdleTimeout bounds the gap between messages on each session; it must
-// be called before Serve.
-func (s *Server) SetIdleTimeout(d time.Duration) { s.idle = d }
-
-// armDeadline applies the idle timeout to a connection if configured.
-// Both directions are bounded: a peer that stops reading mid-reply (a
-// stalled or reset client) must not pin the serving goroutine any longer
-// than one that stops sending.
-func (s *Server) armDeadline(conn net.Conn) {
-	if s.idle > 0 {
-		//fractal:allow simtime — real socket read deadline, not simulated time
-		_ = conn.SetReadDeadline(time.Now().Add(s.idle))
-		//fractal:allow simtime — real socket write deadline, not simulated time
-		_ = conn.SetWriteDeadline(time.Now().Add(s.idle))
-	}
 }
 
 // NewServer wraps a proxy. maxConcurrent bounds simultaneously served
@@ -60,133 +28,39 @@ func NewServer(p *Proxy, maxConcurrent int, logf func(string, ...interface{})) (
 	if p == nil {
 		return nil, errors.New("proxy: server needs a proxy")
 	}
-	if maxConcurrent < 1 {
-		return nil, fmt.Errorf("proxy: server concurrency must be >= 1, got %d", maxConcurrent)
-	}
-	if logf == nil {
-		logf = log.Printf
-	}
-	return &Server{proxy: p, sem: make(chan struct{}, maxConcurrent), logf: logf, done: make(chan struct{})}, nil
-}
-
-// Serve accepts connections from l until Close. It returns nil after a
-// clean shutdown.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("proxy: server already closed")
-	}
-	s.ln = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				s.wg.Wait()
-				return nil
-			}
-			return fmt.Errorf("proxy: accept: %w", err)
-		}
-		select {
-		case s.sem <- struct{}{}:
-		case <-s.done:
-			// Close ran while we waited for a concurrency slot: drop the
-			// pending connection rather than serving it after shutdown.
-			conn.Close()
-			s.wg.Wait()
-			return nil
-		}
-		s.wg.Add(1)
-		go func() {
-			defer func() {
-				<-s.sem
-				s.wg.Done()
-			}()
-			defer conn.Close()
-			if err := s.ServeConn(conn); err != nil {
-				s.logf("proxy: session from %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
-	}
-}
-
-// Close stops accepting and does not return until every in-flight session
-// has drained. It is idempotent.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	alreadyClosed := s.closed
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
+	s := &Server{proxy: p}
 	var err error
-	if !alreadyClosed {
-		close(s.done)
-		if ln != nil {
-			err = ln.Close()
-		}
+	s.Server, err = inp.NewServer("proxy", maxConcurrent, logf, s.handle)
+	if err != nil {
+		return nil, err
 	}
-	s.wg.Wait()
-	return err
+	return s, nil
 }
 
-// ServeConn serves sessions over an established connection until the
-// peer disconnects: any number of client negotiations (INIT_REQ) — the
-// connection is persistent, so a client can run session after session
-// without paying a dial per negotiation — or application-server topology
-// pushes (APP_META_PUSH). The connection's buffers come from one arena
-// session released when the connection is done, and a client that
-// pipelines CLI_META_REP behind INIT_REQ gets the whole negotiation
-// phase answered in a single vectored write (the serving fast path).
-func (s *Server) ServeConn(rw net.Conn) error {
-	sess := arena.AcquireSession()
-	defer sess.Release()
-	c := inp.NewConnSession(rw, sess)
-
-	for first := true; ; first = false {
-		s.armDeadline(rw)
-		h, raw, err := c.Recv()
-		if err != nil {
-			if !first && errors.Is(err, io.EOF) {
-				// Clean disconnect at a session boundary ends the
-				// persistent connection.
-				return nil
-			}
-			if first {
-				return fmt.Errorf("reading first message: %w", err)
-			}
-			return fmt.Errorf("reading next session: %w", err)
+// handle serves the session that h opens.
+func (s *Server) handle(c *inp.Conn, h inp.Header, raw []byte) error {
+	switch h.Type {
+	case inp.MsgAppMetaPush:
+		var push inp.AppMetaPush
+		if err := inp.DecodeBody(raw, &push); err != nil {
+			return err
 		}
-		switch h.Type {
-		case inp.MsgAppMetaPush:
-			var push inp.AppMetaPush
-			if err := inp.DecodeBody(raw, &push); err != nil {
-				return err
-			}
-			if err := s.proxy.PushAppMeta(push.App); err != nil {
-				_ = c.Send(inp.MsgAppMetaAck, inp.AppMetaAck{OK: false, Reason: err.Error()})
-				return err
-			}
-			if err := c.Send(inp.MsgAppMetaAck, inp.AppMetaAck{OK: true}); err != nil {
-				return err
-			}
-		case inp.MsgInitReq:
-			if err := s.negotiate(c, rw, h, raw); err != nil {
-				return err
-			}
-		default:
-			_ = c.SendError(fmt.Sprintf("unexpected %v to open a session", h.Type))
-			return fmt.Errorf("unexpected opening message %v", h.Type)
+		if err := s.proxy.PushAppMeta(push.App); err != nil {
+			_ = c.Send(inp.MsgAppMetaAck, inp.AppMetaAck{OK: false, Reason: err.Error()})
+			return err
 		}
+		return c.Send(inp.MsgAppMetaAck, inp.AppMetaAck{OK: true})
+	case inp.MsgInitReq:
+		return s.negotiate(c, h, raw)
+	default:
+		_ = c.SendError(fmt.Sprintf("unexpected %v to open a session", h.Type))
+		return fmt.Errorf("unexpected opening message %v", h.Type)
 	}
 }
 
 // negotiate runs one Figure 4 exchange whose opening INIT_REQ has just
 // been read into raw.
-func (s *Server) negotiate(c *inp.Conn, rw net.Conn, h inp.Header, raw []byte) error {
+func (s *Server) negotiate(c *inp.Conn, h inp.Header, raw []byte) error {
 	// Decode before any further Recv: the raw slice is session-scoped and
 	// the next frame overwrites it.
 	var initReq inp.InitReq
@@ -226,7 +100,6 @@ func (s *Server) negotiate(c *inp.Conn, rw net.Conn, h inp.Header, raw []byte) e
 		if err := c.Flush(); err != nil {
 			return fmt.Errorf("sending INIT_REP: %w", err)
 		}
-		s.armDeadline(rw)
 		if err := c.RecvInto(inp.MsgCliMetaRep, &meta); err != nil {
 			return fmt.Errorf("reading CLI_META_REP: %w", err)
 		}
