@@ -10,6 +10,7 @@ import (
 	"fractal/internal/core"
 	"fractal/internal/experiment"
 	"fractal/internal/mobilecode"
+	"fractal/internal/mobilecode/verify"
 	"fractal/internal/netsim"
 	"fractal/internal/proxy"
 	"fractal/internal/workload"
@@ -492,18 +493,16 @@ func deepApp(depth, fanout int) core.AppMeta {
 	return app
 }
 
-// BenchmarkMobileCodeDeployment measures the client-side security +
-// deployment pipeline (unpack, digest, signature, assemble VM).
-func BenchmarkMobileCodeDeployment(b *testing.B) {
+// benchLoader builds the signed builtin PAD modules and a loader that
+// trusts their signer and runs the production deployment pipeline (the
+// bytecode verifier installed, as client.New installs it).
+func benchLoader(b *testing.B) ([]*mobilecode.Module, *mobilecode.Loader) {
+	b.Helper()
 	signer, err := mobilecode.NewSigner("bench")
 	if err != nil {
 		b.Fatal(err)
 	}
 	mods, err := mobilecode.BuildBuiltins("1.0", signer)
-	if err != nil {
-		b.Fatal(err)
-	}
-	packed, err := mods[1].Pack()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -515,10 +514,74 @@ func BenchmarkMobileCodeDeployment(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	loader.SetVerifier(verify.LoaderVerifier())
+	return mods, loader
+}
+
+// BenchmarkMobileCodeDeployment measures the client-side security +
+// deployment pipeline (unpack, digest, signature, bytecode verification,
+// host table, assemble VM) for each builtin PAD.
+func BenchmarkMobileCodeDeployment(b *testing.B) {
+	mods, loader := benchLoader(b)
+	for _, m := range mods {
+		packed, err := m.Pack()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(m.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := loader.Load(packed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkVaryDecodeHeldCorpus measures a deployed vary-block PAD decoding
+// against the whole corpus in rotation: every page is held at its old
+// version and receives the differential to the new one. It is the client
+// pattern of a device that works through more pages than any small cache
+// holds, so each decode re-chunks its held version. One op is one page.
+func BenchmarkVaryDecodeHeldCorpus(b *testing.B) {
+	s := getSetup(b)
+	olds, curs := benchCorpus(b, s)
+	mods, loader := benchLoader(b)
+	var pad *mobilecode.DeployedPAD
+	for _, m := range mods {
+		packed, err := m.Pack()
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := loader.Load(packed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if d.Name() == codec.NameVaryBlock {
+			pad = d
+			break
+		}
+	}
+	if pad == nil {
+		b.Fatal("no builtin PAD implements " + codec.NameVaryBlock)
+	}
+	payloads := make([][]byte, len(olds))
+	var total int64
+	for i := range olds {
+		p, err := pad.Encode(olds[i], curs[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads[i] = p
+		total += int64(len(curs[i]))
+	}
+	b.SetBytes(total / int64(len(olds)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := loader.Load(packed); err != nil {
+		j := i % len(olds)
+		if _, err := pad.Decode(olds[j], payloads[j]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -345,9 +345,8 @@ func (c *Client) Request(appID, resource string) ([]byte, error) {
 }
 
 // DecodeCacheStats sums the chunk-index cache counters of every deployed
-// PAD: the hot-path engine's client-side effect. On a session issuing
-// differential requests against held versions, Hits grows with every
-// request after the first touch of a version.
+// PAD. Only a PAD's encode primitives consult that cache; a client that
+// only decodes — every Request does — reads all zeros here.
 func (c *Client) DecodeCacheStats() codec.ChunkCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

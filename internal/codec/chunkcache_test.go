@@ -84,6 +84,81 @@ func TestCachedEncodeMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestDecodeIgnoresChunkCache pins the one decode path: a VaryBlock with a
+// ChunkCache attached decodes byte-identically to a stateless one — for a
+// cold start, a differing held version and an already-current one — and
+// rejects the same hostile payloads, without a single cache lookup.
+func TestDecodeIgnoresChunkCache(t *testing.T) {
+	plain, err := NewVaryBlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := NewVaryBlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewChunkCache(0)
+	cached.UseChunkCache(cache)
+
+	type decodeCase struct {
+		name         string
+		old, payload []byte
+	}
+	var good, hostile []decodeCase
+	for pi, pr := range corpusPairs(t, 4) {
+		for _, ab := range []struct {
+			name     string
+			old, cur []byte
+		}{{"cold", nil, pr[1]}, {"diff", pr[0], pr[1]}, {"current", pr[1], pr[1]}} {
+			payload, err := plain.Encode(ab.old, ab.cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			good = append(good, decodeCase{fmt.Sprintf("pair %d %s", pi, ab.name), ab.old, payload})
+			hostile = append(hostile,
+				decodeCase{fmt.Sprintf("pair %d %s truncated", pi, ab.name), ab.old, payload[:len(payload)/2]},
+				decodeCase{fmt.Sprintf("pair %d %s trailing", pi, ab.name), ab.old, append(payload[:len(payload):len(payload)], 0)},
+				decodeCase{fmt.Sprintf("pair %d %s wrong old", pi, ab.name), pr[0][:len(pr[0])-100], payload},
+			)
+		}
+	}
+	header := func(vs ...uint64) []byte { return appendUvarints(append([]byte(nil), varyMagic...), vs...) }
+	held := good[1].old
+	hostile = append(hostile,
+		decodeCase{"garbage", held, []byte("not a payload at all")},
+		decodeCase{"empty", held, nil},
+		decodeCase{"4 GiB header, tiny literal", nil, append(header(1<<32, 0, 1), varyOpLit, 3, 'a', 'b', 'c')},
+		decodeCase{"2 GiB header, no ops", nil, header(1<<31, 0, 1)},
+		decodeCase{"ref past last chunk", held, append(header(1, uint64(len(held)), 1), varyOpRef, 0xff, 0xff, 0x03)},
+		decodeCase{"unknown op tag", held, append(header(1, uint64(len(held)), 1), 7)},
+	)
+
+	before := cache.Stats()
+	for _, c := range good {
+		want, err := plain.Decode(c.old, c.payload)
+		if err != nil {
+			t.Fatalf("%s: stateless decode: %v", c.name, err)
+		}
+		got, err := cached.Decode(c.old, c.payload)
+		if err != nil {
+			t.Fatalf("%s: decode with cache attached: %v", c.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: decode with cache attached differs from stateless decode", c.name)
+		}
+	}
+	for _, c := range hostile {
+		for _, vb := range []*VaryBlock{plain, cached} {
+			if _, err := vb.Decode(c.old, c.payload); err == nil {
+				t.Errorf("%s: hostile payload decoded without error (cache attached: %v)", c.name, vb.cache != nil)
+			}
+		}
+	}
+	if after := cache.Stats(); after != before {
+		t.Fatalf("Decode touched the chunk cache: %+v -> %+v", before, after)
+	}
+}
+
 // TestSharedCacheConcurrent hammers one shared VaryBlock + ChunkCache from
 // many goroutines (run under -race in CI) and asserts every concurrent
 // output equals the serial stateless output.

@@ -3,8 +3,8 @@ package codec
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // Gzip compresses content at the server and decompresses at the client
@@ -51,16 +51,28 @@ func (g *Gzip) Encode(old, cur []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode implements Codec.
+// Decode implements Codec. The gzip trailer's ISIZE field (the content
+// length mod 2^32) sizes the output once instead of growing it by doubling.
+// It is an unvalidated hint, capped like every other wire length here; the
+// stream is still read to EOF, so a trailer that lies or belongs to the
+// last of several members costs a regrow or some slack, never correctness.
 func (g *Gzip) Decode(old, payload []byte) ([]byte, error) {
 	r, err := gzip.NewReader(bytes.NewReader(payload))
 	if err != nil {
 		return nil, fmt.Errorf("codec: gzip payload corrupt: %w", err)
 	}
 	defer r.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
+	reserve := uint32(0)
+	if len(payload) >= 4 {
+		reserve = binary.LittleEndian.Uint32(payload[len(payload)-4:])
+	}
+	if reserve > maxDecodeReserve {
+		reserve = maxDecodeReserve
+	}
+	// MinRead of slack lets ReadFrom see EOF without growing a full buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, int(reserve)+bytes.MinRead))
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("codec: gzip decompress: %w", err)
 	}
-	return out, nil
+	return buf.Bytes(), nil
 }

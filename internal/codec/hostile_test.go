@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"strings"
@@ -92,5 +93,61 @@ func TestVaryBlockHostileLengthNoHugeAllocation(t *testing.T) {
 	})
 	if delta > 16<<20 {
 		t.Fatalf("decoding a truncated 2 GB-claiming varyblock payload allocated %d bytes", delta)
+	}
+}
+
+// The gzip decoder sizes its output from the trailer's ISIZE field, which
+// is as unvalidated as any header length above.
+func TestGzipHostileTrailerNoHugeAllocation(t *testing.T) {
+	g := NewGzip()
+	payload, err := g.Encode(nil, []byte("abc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(payload[len(payload)-4:], 1<<32-1)
+	delta := allocDelta(t, func() {
+		if _, err := g.Decode(nil, payload); err == nil {
+			t.Error("payload with a forged 4 GiB ISIZE decoded without error")
+		} else if !strings.Contains(err.Error(), "checksum") {
+			t.Errorf("unexpected decode error: %v", err)
+		}
+	})
+	if delta > 8<<20 {
+		t.Fatalf("decoding a 4 GiB-claiming gzip payload allocated %d bytes", delta)
+	}
+}
+
+// A trailer can be wrong without being forged: in a multi-member stream it
+// describes the last member only. The hint may then be zero, too small or
+// merely short of the total, and the output must not depend on it.
+func TestGzipDecodeIgnoresMisleadingTrailer(t *testing.T) {
+	g := NewGzip()
+	_, page := versionedPair(t, 19)
+	member := func(content []byte) []byte {
+		p, err := g.Encode(nil, content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	concat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		want    []byte
+	}{
+		{"trailer claims 0", concat(member(page), member(nil)), page},
+		{"trailer too small", concat(member(page), member([]byte("tail"))), concat(page, []byte("tail"))},
+		{"trailer short of total", concat(member([]byte("head")), member(page)), concat([]byte("head"), page)},
+		{"single member", member(page), page},
+		{"empty content", member(nil), nil},
+	} {
+		got, err := g.Decode(nil, c.payload)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(got, c.want) {
+			t.Errorf("%s: decoded %d bytes, want the %d-byte original", c.name, len(got), len(c.want))
+		}
 	}
 }

@@ -37,13 +37,18 @@ const maxDecodeReserve = 1 << 20
 //
 // VaryBlock is stateless and safe for concurrent use. Optionally a shared
 // ChunkCache (UseChunkCache, set before concurrent use begins) memoizes
-// the per-version chunk list + digest index, so the base version of a page
-// is chunked and digested once per version instead of once per request;
-// payloads are byte-identical either way.
+// the per-version chunk list + digest index for Encode, so the base
+// version of a page is chunked and digested once per version instead of
+// once per request; payloads are byte-identical either way. Decode never
+// consults the cache: it needs the old version's chunk boundaries only, and
+// a client either advances past a held version or cycles through more of
+// them than a small cache holds, so a lookup would add a whole-version
+// SHA-1 and an index build that do not pay back (DESIGN.md, "Ablation
+// receipts").
 type VaryBlock struct {
 	chunker *rabin.Chunker
 	conf    string      // cache-key descriptor of the chunker config
-	cache   *ChunkCache // nil = stateless
+	cache   *ChunkCache // Encode only; nil = stateless
 }
 
 // NewVaryBlock returns the protocol with the default LBFS-like chunking
@@ -133,7 +138,9 @@ func (v *VaryBlock) Encode(old, cur []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Codec.
+// Decode implements Codec. The receiver re-chunks its old version with the
+// same parameters and resolves the references; chunk boundaries are all it
+// needs, so no digest is computed and the chunk cache is not touched.
 func (v *VaryBlock) Decode(old, payload []byte) ([]byte, error) {
 	r := bytes.NewReader(payload)
 	magic := make([]byte, len(varyMagic))
@@ -168,15 +175,7 @@ func (v *VaryBlock) Decode(old, payload []byte) ([]byte, error) {
 	if nops > curLen+1 {
 		return nil, fmt.Errorf("codec: varyblock payload: %d ops for %d bytes is impossible", nops, curLen)
 	}
-	// The receiver re-chunks its old version with the same parameters; with
-	// a cache attached the chunk list is reused across the session's
-	// requests against the same held version.
-	var oldChunks []rabin.Chunk
-	if v.cache != nil && len(old) > 0 {
-		oldChunks = v.indexOf(old).Chunks
-	} else {
-		oldChunks = v.chunker.Split(old)
-	}
+	oldChunks := v.chunker.Split(old)
 	reserve := curLen
 	if reserve > maxDecodeReserve {
 		reserve = maxDecodeReserve

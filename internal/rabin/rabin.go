@@ -57,22 +57,26 @@ func NewTable(pol Pol, window int) (*Table, error) {
 		// v mod p == v ^ mod[b] with the top bits cleared.
 		top := uint64(b) << t.deg
 		t.mod[b] = polyMod(top, pol) | top
-		// out[b]: fingerprint contribution of the oldest in-window byte,
-		// i.e. b * x^(8*(window-1)) mod p, so it can be expired by XOR
-		// just before the window shifts.
-		fp := t.appendByteSlow(0, byte(b))
-		for i := 0; i < window-1; i++ {
-			fp = t.appendByteSlow(fp, 0)
+	}
+	// out[b]: fingerprint contribution of the oldest in-window byte, i.e.
+	// b * x^(8*(window-1)) mod p, so it can be expired by XOR just before
+	// the window shifts. Multiplying by x^8 mod p is one mod[] table step,
+	// and the map b -> out[b] is linear over GF(2), so the eight single-bit
+	// values are shifted through the window and every other entry is the
+	// XOR of the entries for its lowest set bit and for the rest.
+	for i := 0; i < 8; i++ {
+		fp := uint64(1) << i
+		for j := 0; j < window-1; j++ {
+			fp <<= 8
+			fp ^= t.mod[fp>>t.deg]
 		}
-		t.out[b] = fp
+		t.out[1<<i] = fp
+	}
+	for b := 1; b < 256; b++ {
+		low := b & -b
+		t.out[b] = t.out[low] ^ t.out[b^low]
 	}
 	return t, nil
-}
-
-// appendByteSlow is the reference (non-table) append used while building
-// the tables themselves.
-func (t *Table) appendByteSlow(fp uint64, b byte) uint64 {
-	return polyMod(fp<<8|uint64(b), t.pol)
 }
 
 // Window returns the window size the table was built for.

@@ -62,6 +62,53 @@ func TestNewTableValidation(t *testing.T) {
 	}
 }
 
+// tablesReference is the bit-serial table construction NewTable used before
+// it switched to table steps: every entry is a chain of polynomial long
+// divisions, with no table consulted while building one. It is the oracle
+// NewTable's tables must equal.
+func tablesReference(pol Pol, window int) (mod, out [256]uint64) {
+	appendByteSlow := func(fp uint64, b byte) uint64 {
+		return polyMod(fp<<8|uint64(b), pol)
+	}
+	for b := 0; b < 256; b++ {
+		top := uint64(b) << pol.Deg()
+		mod[b] = polyMod(top, pol) | top
+		fp := appendByteSlow(0, byte(b))
+		for i := 0; i < window-1; i++ {
+			fp = appendByteSlow(fp, 0)
+		}
+		out[b] = fp
+	}
+	return mod, out
+}
+
+func TestNewTableMatchesBitSerialReference(t *testing.T) {
+	check := func(pol Pol, window int) {
+		t.Helper()
+		tab, err := NewTable(pol, window)
+		if err != nil {
+			t.Fatalf("NewTable(%#x, %d): %v", uint64(pol), window, err)
+		}
+		mod, out := tablesReference(pol, window)
+		if tab.mod != mod {
+			t.Errorf("pol %#x window %d: mod table differs from reference", uint64(pol), window)
+		}
+		if tab.out != out {
+			t.Errorf("pol %#x window %d: out table differs from reference", uint64(pol), window)
+		}
+	}
+	for _, window := range []int{2, 16, 48, 256} {
+		check(DefaultPol, window)
+	}
+	// Other polynomials across the supported degree range. The tables are
+	// defined for any modulus, so these need not be irreducible.
+	rng := rand.New(rand.NewSource(15))
+	for deg := 16; deg <= 56; deg++ {
+		pol := Pol(1<<deg | rng.Uint64()&(1<<deg-1))
+		check(pol, 2+rng.Intn(255))
+	}
+}
+
 // The heart of the rolling property: after rolling any byte sequence
 // through the digest, the fingerprint equals the direct fingerprint of the
 // last `window` bytes (with leading zeros when fewer have been rolled).
