@@ -243,37 +243,6 @@ func BenchmarkVaryEncodeCold(b *testing.B) {
 	b.SetBytes(total)
 }
 
-// BenchmarkBitmapDigestParallel measures per-block SHA-1 digesting of a
-// corpus-sized buffer: "small" stays under the parallel threshold (serial
-// path), "large" crosses it and fans out across the digest worker pool.
-func BenchmarkBitmapDigestParallel(b *testing.B) {
-	s := getSetup(b)
-	_, curs := benchCorpus(b, s)
-	var big []byte
-	for _, c := range curs {
-		big = append(big, c...)
-	}
-	bm, err := codec.NewBitmap(codec.DefaultBlockSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	small := big[:32<<10]
-	b.Run("small-serial", func(b *testing.B) {
-		b.SetBytes(int64(len(small)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = bm.BlockDigests(small)
-		}
-	})
-	b.Run("large-parallel", func(b *testing.B) {
-		b.SetBytes(int64(len(big)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = bm.BlockDigests(big)
-		}
-	})
-}
-
 // BenchmarkFig11aBytesTransferred reports the measured per-request bytes
 // of each protocol (Figure 11(a)) as benchmark metrics.
 func BenchmarkFig11aBytesTransferred(b *testing.B) {

@@ -15,7 +15,7 @@ func TestNormalizeName(t *testing.T) {
 		"BenchmarkAblationAdaptationCache/cache-off (raw FindPath, compiled index)":   "BenchmarkAblationAdaptationCache/cache-off_(raw_FindPath,_compiled_index)",
 		"BenchmarkAblationAdaptationCache/cache-off_(raw_FindPath,_compiled_index)-1": "BenchmarkAblationAdaptationCache/cache-off_(raw_FindPath,_compiled_index)",
 		// A trailing -word is part of the name, not a GOMAXPROCS suffix.
-		"BenchmarkBitmapDigestParallel/small-serial": "BenchmarkBitmapDigestParallel/small-serial",
+		"BenchmarkMobileCodeDeployment/pad-direct": "BenchmarkMobileCodeDeployment/pad-direct",
 	}
 	for in, want := range cases {
 		if got := normalizeName(in); got != want {

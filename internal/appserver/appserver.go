@@ -9,7 +9,6 @@
 package appserver
 
 import (
-	"crypto/sha1"
 	"fmt"
 	"sort"
 	"strings"
@@ -61,17 +60,17 @@ type Stats struct {
 	PrecomputeHits int64
 }
 
-// serverChunkCacheEntries bounds the server's shared chunk-index cache.
-// The corpus is 75 pages × a few versions × two differencing protocols;
-// 512 entries keeps every live (version, config) index resident while an
-// LRU bound still protects a server holding far more content.
+// serverChunkCacheEntries bounds the server's chunk-index cache. The corpus
+// is 75 pages × a few versions under one chunker configuration; 512 entries
+// keeps every live version's index resident while an LRU bound still
+// protects a server holding far more content.
 const serverChunkCacheEntries = 512
 
 // Server is one Fractal application server instance. Server is safe for
 // concurrent use: all mutable state (resources, PADs, transcoders, the
 // encode cache, and stats) is guarded by a single RWMutex, so many
-// sessions may encode and negotiate at once. The chunk-index cache shared
-// by the differencing PADs is internally synchronized.
+// sessions may encode and negotiate at once. The chunk-index cache the
+// vary-sized blocking PAD encodes through is internally synchronized.
 type Server struct {
 	appID  string
 	signer *mobilecode.Signer
@@ -83,9 +82,10 @@ type Server struct {
 	protoPAD    map[string]string               // protocol name -> PAD id
 	transcoders map[string]transcode.Transcoder // content-adaptation PADs by id
 	strategy    Strategy
-	// precomputed holds proactive encodings keyed by
-	// "padID|resource|haveVersion".
-	precomputed map[string][]byte
+	// precomputed holds the proactive encodings. It is rebuilt under the
+	// same write lock that changes resources or strategy, so whenever a
+	// reader sees Proactive the store matches the version chains.
+	precomputed map[precompKey][]byte
 
 	requests    atomic.Int64
 	reactive    atomic.Int64
@@ -109,7 +109,7 @@ func New(appID string, signer *mobilecode.Signer) (*Server, error) {
 		pads:        map[string]*pad{},
 		protoPAD:    map[string]string{},
 		transcoders: map[string]transcode.Transcoder{},
-		precomputed: map[string][]byte{},
+		precomputed: map[precompKey][]byte{},
 	}, nil
 }
 
@@ -124,10 +124,10 @@ func (s *Server) SetStrategy(st Strategy) error {
 		return fmt.Errorf("appserver: unknown strategy %d", st)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.strategy = st
-	s.mu.Unlock()
 	if st == Proactive {
-		return s.precomputeAll()
+		return s.precomputeAllLocked()
 	}
 	return nil
 }
@@ -166,7 +166,6 @@ func (s *Server) InstallCorpus(versions ...*workload.Corpus) error {
 		}
 	}
 	if s.strategy == Proactive {
-		s.precomputed = map[string][]byte{}
 		return s.precomputeAllLocked()
 	}
 	return nil
@@ -190,20 +189,6 @@ func (s *Server) Current(resource string) ([]byte, int, error) {
 	return chain[len(chain)-1], len(chain), nil
 }
 
-// version returns a specific version's data (1-indexed), nil for 0.
-func (s *Server) version(resource string, v int) ([]byte, error) {
-	if v == 0 {
-		return nil, nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	chain, ok := s.resources[resource]
-	if !ok || v < 1 || v > len(chain) {
-		return nil, fmt.Errorf("appserver: resource %q has no version %d", resource, v)
-	}
-	return chain[v-1], nil
-}
-
 // DeployPADs builds, signs, and installs the case-study PAD set at the
 // given module version.
 func (s *Server) DeployPADs(moduleVersion string) error {
@@ -225,9 +210,9 @@ func (s *Server) DeployPADs(moduleVersion string) error {
 		if err != nil {
 			return fmt.Errorf("appserver: native impl for %s: %w", spec.ID, err)
 		}
-		// Differencing protocols share the server-wide chunk-index cache:
-		// each installed version is chunked and digested once, not once per
-		// request (or once per precompute pass).
+		// Vary-sized blocking — the one ChunkCacheUser — encodes through the
+		// server-wide chunk-index cache: each installed version is chunked
+		// and digested once, not once per request or per precompute pass.
 		if cu, ok := codec.Codec(impl).(codec.ChunkCacheUser); ok {
 			cu.UseChunkCache(s.chunks)
 		}
@@ -237,9 +222,9 @@ func (s *Server) DeployPADs(moduleVersion string) error {
 	return nil
 }
 
-// ChunkCacheStats reports the shared chunk-index cache's effectiveness —
-// on a warm server Hits should dwarf Misses, the whole point of the
-// hot-path engine.
+// ChunkCacheStats reports the counters of the chunk-index cache. Only
+// vary-sized blocking encodes look versions up in it, so a server whose
+// clients negotiated other protocols reads no lookups at request time.
 func (s *Server) ChunkCacheStats() codec.ChunkCacheStats {
 	return s.chunks.Stats()
 }
@@ -370,17 +355,11 @@ func (s *Server) TrustedKey() (string, []byte) {
 	return s.signer.Entity, s.signer.PublicKey()
 }
 
-// precomputeAll fills the proactive cache for every (transcoder, PAD,
-// resource) combination against each predecessor version and the
-// cold-start case.
-func (s *Server) precomputeAll() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.precomputeAllLocked()
-}
-
-// precomputeAllLocked is precomputeAll with s.mu already held.
+// precomputeAllLocked rebuilds the proactive store for every (transcoder,
+// PAD, resource) combination against each predecessor version and the
+// cold-start case; the caller holds s.mu for writing.
 func (s *Server) precomputeAllLocked() error {
+	s.precomputed = map[precompKey][]byte{}
 	tcs := []string{""}
 	for id := range s.transcoders {
 		tcs = append(tcs, id)
@@ -388,7 +367,8 @@ func (s *Server) precomputeAllLocked() error {
 	for res, chain := range s.resources {
 		curV := len(chain)
 		for _, tcID := range tcs {
-			cur, err := s.transformLocked(tcID, chain[curV-1])
+			tc := s.transcoders[tcID]
+			cur, err := transform(tcID, tc, chain[curV-1])
 			if err != nil {
 				return err
 			}
@@ -396,7 +376,7 @@ func (s *Server) precomputeAllLocked() error {
 				for have := 0; have <= curV; have++ {
 					var old []byte
 					if have > 0 {
-						if old, err = s.transformLocked(tcID, chain[have-1]); err != nil {
+						if old, err = transform(tcID, tc, chain[have-1]); err != nil {
 							return err
 						}
 					}
@@ -404,7 +384,7 @@ func (s *Server) precomputeAllLocked() error {
 					if err != nil {
 						return fmt.Errorf("appserver: precomputing %s/%s/%s@%d: %w", tcID, id, res, have, err)
 					}
-					s.precomputed[precompKey(tcID, id, res, have)] = payload
+					s.precomputed[precompKey{tcID, id, res, have}] = payload
 				}
 			}
 		}
@@ -412,15 +392,11 @@ func (s *Server) precomputeAllLocked() error {
 	return nil
 }
 
-// transformLocked applies a registered transcoder ("" = none); the caller
-// holds s.mu.
-func (s *Server) transformLocked(tcID string, content []byte) ([]byte, error) {
-	if tcID == "" {
+// transform applies transcoder tc to content. A nil tc — what the
+// transcoder table holds for the id "" — is the identity.
+func transform(tcID string, tc transcode.Transcoder, content []byte) ([]byte, error) {
+	if tc == nil {
 		return content, nil
-	}
-	tc, ok := s.transcoders[tcID]
-	if !ok {
-		return nil, fmt.Errorf("appserver: unknown transcoder PAD %q", tcID)
 	}
 	out, err := tc.Transform(content)
 	if err != nil {
@@ -429,8 +405,11 @@ func (s *Server) transformLocked(tcID string, content []byte) ([]byte, error) {
 	return out, nil
 }
 
-func precompKey(transcoderID, padID, resource string, have int) string {
-	return fmt.Sprintf("%s|%s|%s|%d", transcoderID, padID, resource, have)
+// precompKey names one proactive encoding: the transcoder ("" = none) and
+// PAD module applied, the resource, and the version the client holds.
+type precompKey struct {
+	transcoder, pad, resource string
+	have                      int
 }
 
 // EncodeResult is the outcome of serving one request.
@@ -449,72 +428,91 @@ type EncodeResult struct {
 // form "<module-id>@<context>" resolve to their module.
 func (s *Server) Encode(padIDs []string, resource string, haveVersion int) (EncodeResult, error) {
 	s.requests.Add(1)
-	s.mu.RLock()
-	var chosen *pad
-	var chosenID, tcID string
-	for _, id := range padIDs {
-		if _, ok := s.transcoders[id]; ok {
-			if tcID != "" && tcID != id {
-				s.mu.RUnlock()
-				return EncodeResult{}, fmt.Errorf("appserver: path names two transcoders (%s, %s)", tcID, id)
-			}
-			tcID = id
-			continue
-		}
-		if chosen != nil {
-			continue
-		}
-		moduleID := id
-		if i := strings.IndexByte(id, '@'); i >= 0 {
-			moduleID = id[:i]
-		}
-		if p, ok := s.pads[moduleID]; ok {
-			chosen, chosenID = p, id
-		}
-	}
-	strategy := s.strategy
-	s.mu.RUnlock()
-	if chosen == nil {
-		return EncodeResult{}, fmt.Errorf("appserver: none of the negotiated PADs %v is deployed", padIDs)
-	}
-	cur, curV, err := s.Current(resource)
+	r, err := s.resolve(padIDs, resource, haveVersion)
 	if err != nil {
 		return EncodeResult{}, err
 	}
-	if haveVersion < 0 || haveVersion > curV {
-		return EncodeResult{}, fmt.Errorf("appserver: client claims version %d of %s, newest is %d", haveVersion, resource, curV)
+	if r.precomputed {
+		s.precompHits.Add(1)
+		return EncodeResult{Payload: r.payload, Version: r.curV, PADID: r.padID, ContentBytes: int64(len(r.cur)), Precomputed: true}, nil
 	}
-	// Note haveVersion may equal curV (client already current): the old
-	// version is then the current content itself, and differencing
-	// protocols collapse the payload to nearly nothing.
-	if strategy == Proactive {
-		s.mu.RLock()
-		payload, ok := s.precomputed[precompKey(tcID, moduleOf(chosenID), resource, haveVersion)]
-		s.mu.RUnlock()
-		if ok {
-			s.precompHits.Add(1)
-			return EncodeResult{Payload: payload, Version: curV, PADID: chosenID, ContentBytes: int64(len(cur)), Precomputed: true}, nil
+	cur, err := transform(r.tcID, r.tc, r.cur)
+	if err != nil {
+		return EncodeResult{}, err
+	}
+	// haveVersion may equal the current version (client already current):
+	// old is then the current content itself, and differencing protocols
+	// collapse the payload to nearly nothing.
+	old := r.old
+	if old != nil {
+		if old, err = transform(r.tcID, r.tc, old); err != nil {
+			return EncodeResult{}, err
 		}
 	}
-	old, err := s.version(resource, haveVersion)
+	payload, err := r.pad.impl.Encode(old, cur)
 	if err != nil {
-		return EncodeResult{}, err
-	}
-	s.mu.RLock()
-	cur, err = s.transformLocked(tcID, cur)
-	if err == nil && old != nil {
-		old, err = s.transformLocked(tcID, old)
-	}
-	s.mu.RUnlock()
-	if err != nil {
-		return EncodeResult{}, err
-	}
-	payload, err := chosen.impl.Encode(old, cur)
-	if err != nil {
-		return EncodeResult{}, fmt.Errorf("appserver: encoding %s with %s: %w", resource, chosenID, err)
+		return EncodeResult{}, fmt.Errorf("appserver: encoding %s with %s: %w", resource, r.padID, err)
 	}
 	s.reactive.Add(1)
-	return EncodeResult{Payload: payload, Version: curV, PADID: chosenID, ContentBytes: int64(len(cur))}, nil
+	return EncodeResult{Payload: payload, Version: r.curV, PADID: r.padID, ContentBytes: int64(len(cur))}, nil
+}
+
+// resolved is everything one reply is built from.
+type resolved struct {
+	pad         *pad
+	padID       string               // as negotiated, context suffix included
+	tc          transcode.Transcoder // nil = the path names none
+	tcID        string
+	old, cur    []byte // old is nil for a client holding nothing
+	curV        int
+	payload     []byte // the proactive encoding, when precomputed
+	precomputed bool
+}
+
+// resolve reads everything a reply depends on — PAD choice, transcoder,
+// both versions, the current version number and, under Proactive, the
+// precomputed payload — in one critical section. An InstallCorpus landing
+// between separate reads could otherwise pair the newer version's payload
+// with the older version's number, and the client would commit bytes under
+// a version it does not hold.
+func (s *Server) resolve(padIDs []string, resource string, haveVersion int) (resolved, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var r resolved
+	for _, id := range padIDs {
+		if tc, ok := s.transcoders[id]; ok {
+			if r.tcID != "" && r.tcID != id {
+				return r, fmt.Errorf("appserver: path names two transcoders (%s, %s)", r.tcID, id)
+			}
+			r.tc, r.tcID = tc, id
+			continue
+		}
+		if r.pad != nil {
+			continue
+		}
+		if p, ok := s.pads[moduleOf(id)]; ok {
+			r.pad, r.padID = p, id
+		}
+	}
+	if r.pad == nil {
+		return r, fmt.Errorf("appserver: none of the negotiated PADs %v is deployed", padIDs)
+	}
+	chain := s.resources[resource]
+	if len(chain) == 0 {
+		return r, fmt.Errorf("appserver: no resource %q", resource)
+	}
+	r.curV = len(chain)
+	if haveVersion < 0 || haveVersion > r.curV {
+		return r, fmt.Errorf("appserver: client claims version %d of %s, newest is %d", haveVersion, resource, r.curV)
+	}
+	r.cur = chain[r.curV-1]
+	if haveVersion > 0 {
+		r.old = chain[haveVersion-1]
+	}
+	if s.strategy == Proactive {
+		r.payload, r.precomputed = s.precomputed[precompKey{r.tcID, moduleOf(r.padID), resource, haveVersion}]
+	}
+	return r, nil
 }
 
 // moduleOf strips a context suffix from a metadata PAD id.
@@ -533,6 +531,3 @@ func (s *Server) Stats() Stats {
 		PrecomputeHits: s.precompHits.Load(),
 	}
 }
-
-// DigestOf is a convenience for tests: SHA-1 of a blob.
-func DigestOf(b []byte) [sha1.Size]byte { return sha1.Sum(b) }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,6 +51,19 @@ func testServer(t testing.TB) *Server {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// version returns a specific installed version's data (1-indexed). Encode
+// reads versions inside its own critical section; only tests need one by
+// number.
+func (s *Server) version(resource string, v int) ([]byte, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	chain := s.resources[resource]
+	if v < 1 || v > len(chain) {
+		return nil, fmt.Errorf("appserver: resource %q has no version %d", resource, v)
+	}
+	return chain[v-1], nil
 }
 
 func TestNewValidation(t *testing.T) {
@@ -563,4 +578,124 @@ func TestProactiveStoreRefreshedOnNewVersion(t *testing.T) {
 	if !res.Precomputed {
 		t.Fatal("refreshed store not used")
 	}
+}
+
+// TestProactiveEncodeConsistentUnderInstall pins the reply invariant under
+// a live update: whatever version number a reply carries, its payload
+// decodes to that version's content. Reading the current version number and
+// the precomputed payload in separate critical sections lets an
+// InstallCorpus land between them and produce version N+1's payload
+// labelled N — a client would commit the new bytes under the old number and
+// decode its next differential against a base it does not hold.
+func TestProactiveEncodeConsistentUnderInstall(t *testing.T) {
+	const installs = 37
+	v, err := workload.Generate(workload.Config{Pages: 1, TextBytes: 1024, Images: 1, ImageBytes: 8192, Seed: 90})
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions := []*workload.Corpus{v}
+	contents := [][]byte{v.Pages[0].Bytes()} // contents[i] is version i+1
+	for i := 1; i <= installs; i++ {
+		if v, err = workload.MutateCorpus(v, workload.DefaultMutation(int64(90+i))); err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, v)
+		contents = append(contents, v.Pages[0].Bytes())
+	}
+	signer, err := mobilecode.NewSigner("live-update")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New("webapp", signer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InstallCorpus(versions[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeployPADs("1.0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetStrategy(Proactive); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var served atomic.Int64
+	// A requester loops one kind of request until stopped: cold (holds
+	// nothing) or differential (holds the version before the newest it has
+	// seen). The loop has to stay about as short as Encode itself, or a
+	// requester is rarely inside Encode when an install arrives; proactive
+	// replies share the store's payload slices, so each distinct (have,
+	// version, payload) is decoded the first time it is seen and recognised
+	// by its backing array afterwards.
+	requester := func(padID, protocol string, differential bool) {
+		defer wg.Done()
+		dec, err := codec.New(protocol)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		type reply struct {
+			have, version int
+			payload       *byte
+		}
+		checked := map[reply]bool{}
+		seen := 1
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			have := 0
+			if differential {
+				have = seen - 1
+			}
+			res, err := s.Encode([]string{padID}, "page-000", have)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(res.Payload) == 0 {
+				t.Errorf("%s have=%d: empty payload", padID, have)
+				return
+			}
+			served.Add(1)
+			seen = res.Version
+			key := reply{have, res.Version, &res.Payload[0]}
+			if checked[key] {
+				continue
+			}
+			checked[key] = true
+			var old []byte
+			if have > 0 {
+				old = contents[have-1]
+			}
+			got, err := dec.Decode(old, res.Payload)
+			if err != nil || !bytes.Equal(got, contents[res.Version-1]) {
+				t.Errorf("%s have=%d: reply labelled version %d does not carry that version's content (decode error: %v)", padID, have, res.Version, err)
+				return
+			}
+		}
+	}
+	wg.Add(3)
+	go requester("pad-gzip", codec.NameGzip, false)
+	go requester("pad-gzip", codec.NameGzip, false)
+	go requester("pad-bitmap", codec.NameBitmap, true)
+	for _, v := range versions[1:] {
+		// Let the requesters get back up to speed, so each install lands
+		// at an arbitrary point of their loops. A failed requester has
+		// stopped serving; so stop waiting for it.
+		for target := served.Load() + 100; served.Load() < target && !t.Failed(); {
+			runtime.Gosched()
+		}
+		if err := s.InstallCorpus(v); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

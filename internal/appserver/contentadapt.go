@@ -108,11 +108,11 @@ func (s *Server) MeasureContentAdaptationAppMeta(appID string, samplePages int) 
 			for _, pr := range pairs {
 				tOld := pr.old
 				if tOld != nil {
-					if tOld, err = s.transformLocked(tcID, tOld); err != nil {
+					if tOld, err = transform(tcID, tc, tOld); err != nil {
 						return core.AppMeta{}, err
 					}
 				}
-				tCur, err := s.transformLocked(tcID, pr.cur)
+				tCur, err := transform(tcID, tc, pr.cur)
 				if err != nil {
 					return core.AppMeta{}, err
 				}

@@ -27,17 +27,11 @@ var bitmapMagic = []byte("FBM1")
 // where the server already stores the old version — compares blocks
 // directly.
 //
-// Bitmap is stateless and safe for concurrent use. With a shared
-// ChunkCache attached (UseChunkCache, set before concurrent use begins)
-// Encode compares the cached per-version digest vectors instead of the raw
-// bytes — the comparison the real digest exchange performs — so each
-// version is digested once and subsequent requests touch 20 bytes per
-// block instead of the full content. Payloads are byte-identical either
-// way.
+// Bitmap is stateless and safe for concurrent use. No digest vector is
+// kept or cached: with both versions in memory, hashing a version costs
+// more than comparing it (DESIGN.md, "Ablation receipts").
 type Bitmap struct {
 	blockSize int
-	conf      string      // cache-key descriptor of the block size
-	cache     *ChunkCache // nil = stateless
 }
 
 // NewBitmap returns a Bitmap protocol with the given block size.
@@ -45,24 +39,7 @@ func NewBitmap(blockSize int) (*Bitmap, error) {
 	if blockSize < 16 || blockSize > 1<<20 {
 		return nil, fmt.Errorf("codec: bitmap block size %d out of range [16, 1MiB]", blockSize)
 	}
-	return &Bitmap{blockSize: blockSize, conf: fmt.Sprintf("bitmap|%d", blockSize)}, nil
-}
-
-// UseChunkCache implements ChunkCacheUser. It must be called before the
-// codec is used concurrently.
-func (b *Bitmap) UseChunkCache(c *ChunkCache) { b.cache = c }
-
-// BlockDigests returns the SHA-1 of every block of data — the per-block
-// vector the client uploads in the full exchange. Digests are computed
-// with the bounded parallel pool above its threshold and served from the
-// shared cache when one is attached.
-func (b *Bitmap) BlockDigests(data []byte) [][sha1.Size]byte {
-	if b.cache == nil || len(data) == 0 {
-		return sha1Blocks(data, b.blockSize)
-	}
-	return b.cache.getOrBuild(b.conf, data, func() *ChunkIndex {
-		return buildBlockIndex(b.blockSize, data)
-	}).Sums
+	return &Bitmap{blockSize: blockSize}, nil
 }
 
 // Name implements Codec.
@@ -94,14 +71,6 @@ func (b *Bitmap) Encode(old, cur []byte) ([]byte, error) {
 	bs := b.blockSize
 	nblocks := (len(cur) + bs - 1) / bs
 	bitmap := make([]byte, (nblocks+7)/8)
-	// With a cache attached, compare the memoized digest vectors (the real
-	// exchange's comparison): each version is digested once, then every
-	// request against it reads 20 bytes per block. Stateless encodes
-	// compare raw bytes — cheaper than hashing both sides once.
-	var oldSums, curSums [][sha1.Size]byte
-	if b.cache != nil && len(old) > 0 {
-		oldSums, curSums = b.BlockDigests(old), b.BlockDigests(cur)
-	}
 	// Literal staging comes from the unified arena (see VaryBlock.Encode).
 	var lits arena.Buffer
 	defer lits.Release()
@@ -118,11 +87,7 @@ func (b *Bitmap) Encode(old, cur []byte) ([]byte, error) {
 			if oend > len(old) {
 				oend = len(old)
 			}
-			if oldSums != nil {
-				same = oend-start == len(curBlk) && oldSums[i] == curSums[i]
-			} else {
-				same = bytes.Equal(curBlk, old[start:oend])
-			}
+			same = bytes.Equal(curBlk, old[start:oend])
 		}
 		if !same {
 			bitmap[i/8] |= 1 << (i % 8)

@@ -9,12 +9,12 @@ import (
 )
 
 // ChunkIndex is the preprocessed identity of one content version under one
-// blocking configuration: its chunk list, the SHA-1 of every chunk, and a
-// digest → first-occurrence index. Computing it is the dominant server-side
-// cost of the differencing protocols (the Figure 10/11 observation), and it
+// chunker configuration: its chunk list, the SHA-1 of every chunk, and a
+// digest → first-occurrence index. Building it is the dominant cost of a
+// vary-sized blocking encode (the Figure 10/11 observation), and it
 // depends only on the bytes and the configuration — never on the request —
-// so it is computed once per version and shared. A ChunkIndex is immutable
-// after construction and safe for concurrent use.
+// so VaryBlock.Encode may share one per version through a ChunkCache. A
+// ChunkIndex is immutable after construction and safe for concurrent use.
 type ChunkIndex struct {
 	Chunks []rabin.Chunk
 	Sums   [][sha1.Size]byte
@@ -27,33 +27,26 @@ func (ix *ChunkIndex) Lookup(sum [sha1.Size]byte) (int, bool) {
 	return i, ok
 }
 
-// buildChunkIndex chunks data and digests every chunk (in parallel above
-// the pool threshold), keeping the first occurrence of each digest — the
-// same tie-break the wire format has always used, so cached and stateless
-// encodes emit identical ref indices.
+// buildChunkIndex chunks data and digests every chunk, keeping the first
+// occurrence of each digest — the same tie-break the wire format has
+// always used, so cached and stateless encodes emit identical ref indices.
 func buildChunkIndex(ch *rabin.Chunker, data []byte) *ChunkIndex {
 	chunks := ch.Split(data)
-	sums := sha1Chunks(data, chunks)
+	sums := make([][sha1.Size]byte, len(chunks))
 	first := make(map[[sha1.Size]byte]int, len(chunks))
-	for i, sum := range sums {
-		if _, dup := first[sum]; !dup {
-			first[sum] = i
+	for i, c := range chunks {
+		sums[i] = sha1.Sum(data[c.Offset : c.Offset+c.Length])
+		if _, dup := first[sums[i]]; !dup {
+			first[sums[i]] = i
 		}
 	}
 	return &ChunkIndex{Chunks: chunks, Sums: sums, first: first}
 }
 
-// buildBlockIndex digests data in fixed blockSize blocks (the Bitmap
-// protocol's granularity); only Sums is populated.
-func buildBlockIndex(blockSize int, data []byte) *ChunkIndex {
-	return &ChunkIndex{Sums: sha1Blocks(data, blockSize)}
-}
-
-// cacheKey addresses one ChunkIndex: the blocking configuration (a
-// protocol-specific descriptor string, e.g. the chunker parameters) plus
-// the SHA-1 of the content bytes. Content addressing means a version
-// re-installed under another resource name, or shared between encode and
-// decode sides of the same process, still hits.
+// cacheKey addresses one ChunkIndex: a descriptor string of the chunker
+// parameters plus the SHA-1 of the content bytes. Content addressing means
+// a version re-installed under another resource name still hits; it also
+// means every lookup, hit or miss, digests the whole version.
 type cacheKey struct {
 	conf string
 	sum  [sha1.Size]byte
@@ -66,11 +59,11 @@ type ChunkCacheStats struct {
 	Entries int
 }
 
-// ChunkCache is a bounded LRU of ChunkIndex values shared across codecs
-// and requests. It is safe for concurrent use. A cache miss builds outside
-// the lock, so a burst of first requests for the same version may build the
-// index more than once; every build of the same key produces an identical
-// index, so whichever insert lands last is indistinguishable.
+// ChunkCache is a bounded LRU of ChunkIndex values shared across VaryBlock
+// codecs and requests. It is safe for concurrent use. A cache miss builds
+// outside the lock, so a burst of first requests for the same version may
+// build the index more than once; every build of the same key produces an
+// identical index, so whichever insert lands last is indistinguishable.
 type ChunkCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -100,9 +93,9 @@ func NewChunkCache(capacity int) *ChunkCache {
 	return c
 }
 
-// getOrBuild returns the index for (conf, data), building and inserting it
-// on a miss.
-func (c *ChunkCache) getOrBuild(conf string, data []byte, build func() *ChunkIndex) *ChunkIndex {
+// getOrBuild returns the index of data under chunker ch (described by
+// conf), building and inserting it on a miss.
+func (c *ChunkCache) getOrBuild(conf string, ch *rabin.Chunker, data []byte) *ChunkIndex {
 	key := cacheKey{conf: conf, sum: sha1.Sum(data)}
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -115,7 +108,7 @@ func (c *ChunkCache) getOrBuild(conf string, data []byte, build func() *ChunkInd
 	c.misses++
 	c.mu.Unlock()
 
-	ix := build()
+	ix := buildChunkIndex(ch, data)
 
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -142,10 +135,11 @@ func (c *ChunkCache) Stats() ChunkCacheStats {
 	return ChunkCacheStats{Hits: c.hits, Misses: c.misses, Entries: c.order.Len()}
 }
 
-// ChunkCacheUser is implemented by codecs that can share a ChunkCache.
-// Passing nil returns the codec to stateless operation. Cached and
-// stateless operation produce byte-identical payloads; only the work
-// profile changes.
+// ChunkCacheUser is implemented by codecs whose Encode can share a
+// ChunkCache — VaryBlock is the only one; callers attach a cache through a
+// type assertion that simply does not fire for the rest. Passing nil
+// returns the codec to stateless operation. Cached and stateless operation
+// produce byte-identical payloads; only the work profile changes.
 type ChunkCacheUser interface {
 	UseChunkCache(*ChunkCache)
 }

@@ -19,8 +19,39 @@ func corpusPairs(t testing.TB, n int) [][2][]byte {
 	return pairs
 }
 
+// bitmapDigestOracle builds the Bitmap payload the protocol's digest
+// exchange defines: block i of cur is a literal unless old has a block at
+// the same position of equal length and equal SHA-1. That is the decision a
+// server makes from the client's uploaded digests alone; Bitmap.Encode,
+// which holds both versions, compares bytes instead and must emit the same
+// payload byte for byte.
+func bitmapDigestOracle(bs int, old, cur []byte) []byte {
+	block := func(data []byte, i int) ([]byte, bool) {
+		start := i * bs
+		if start >= len(data) {
+			return nil, false
+		}
+		return data[start:min(start+bs, len(data))], true
+	}
+	nblocks := (len(cur) + bs - 1) / bs
+	bitmap := make([]byte, (nblocks+7)/8)
+	var lits []byte
+	for i := 0; i < nblocks; i++ {
+		c, _ := block(cur, i)
+		if o, ok := block(old, i); ok && len(o) == len(c) && sha1.Sum(o) == sha1.Sum(c) {
+			continue
+		}
+		bitmap[i/8] |= 1 << (i % 8)
+		lits = append(lits, c...)
+	}
+	out := appendUvarints(append([]byte(nil), bitmapMagic...), uint64(bs), uint64(len(cur)), uint64(len(old)))
+	return append(append(out, bitmap...), lits...)
+}
+
 // TestCachedEncodeMatchesUncached locks in the engine's core contract:
-// attaching a ChunkCache changes the work profile, never the bytes.
+// attaching a ChunkCache to VaryBlock changes the work profile, never the
+// bytes. Bitmap has no cache to attach; its one encode path is held to the
+// digest-comparison oracle instead.
 func TestCachedEncodeMatchesUncached(t *testing.T) {
 	pairs := corpusPairs(t, 4)
 	cache := NewChunkCache(0)
@@ -35,52 +66,79 @@ func TestCachedEncodeMatchesUncached(t *testing.T) {
 	}
 	cachedVary.UseChunkCache(cache)
 
-	plainBm, err := NewBitmap(DefaultBlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedBm, err := NewBitmap(DefaultBlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedBm.UseChunkCache(cache)
-
-	type pairCodec struct {
-		name          string
-		plain, cached Codec
-	}
-	cases := []pairCodec{
-		{"varyblock", plainVary, cachedVary},
-		{"bitmap", plainBm, cachedBm},
-	}
-	for _, pc := range cases {
-		for round := 0; round < 2; round++ { // round 1 = cold cache, round 2 = warm
-			for pi, pr := range pairs {
-				for _, ab := range [][2][]byte{{pr[0], pr[1]}, {nil, pr[1]}, {pr[1], pr[1]}} {
-					want, err := pc.plain.Encode(ab[0], ab[1])
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := pc.cached.Encode(ab[0], ab[1])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("%s pair %d round %d: cached payload differs from stateless payload", pc.name, pi, round)
-					}
-					dec, err := pc.cached.Decode(ab[0], got)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(dec, ab[1]) {
-						t.Fatalf("%s pair %d round %d: cached decode mismatch", pc.name, pi, round)
-					}
+	for round := 0; round < 2; round++ { // round 1 = cold cache, round 2 = warm
+		for pi, pr := range pairs {
+			for _, ab := range [][2][]byte{{pr[0], pr[1]}, {nil, pr[1]}, {pr[1], pr[1]}} {
+				want, err := plainVary.Encode(ab[0], ab[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cachedVary.Encode(ab[0], ab[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("varyblock pair %d round %d: cached payload differs from stateless payload", pi, round)
+				}
+				dec, err := cachedVary.Decode(ab[0], got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(dec, ab[1]) {
+					t.Fatalf("varyblock pair %d round %d: cached decode mismatch", pi, round)
 				}
 			}
 		}
 	}
 	if st := cache.Stats(); st.Hits == 0 {
 		t.Fatalf("cache never hit across warm rounds: %+v", st)
+	}
+
+	for _, bs := range []int{64, DefaultBlockSize} {
+		bm, err := NewBitmap(bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := Codec(bm).(ChunkCacheUser); ok {
+			t.Fatal("Bitmap implements ChunkCacheUser; it has one stateless encode path")
+		}
+		for pi, pr := range pairs {
+			old, cur := pr[0], pr[1]
+			partial := bs/2 + 1
+			cases := []struct {
+				name     string
+				old, cur []byte
+			}{
+				{"cold", nil, cur},
+				{"diff", old, cur},
+				{"current (same slice)", cur, cur},
+				{"current (copy)", append([]byte(nil), cur...), cur},
+				// The last block pair matches byte for byte up to the shorter
+				// side's end and differs in length only, in either direction;
+				// the longer side also gains or loses whole blocks.
+				{"cur shorter by a partial block", cur, cur[:len(cur)-partial]},
+				{"cur longer by a partial block", cur[:len(cur)-partial], cur},
+				{"cur shorter by blocks and a part", cur, cur[:len(cur)-2*bs-partial]},
+				{"cur longer by blocks and a part", cur[:len(cur)-2*bs-partial], cur},
+				{"empty cur", old, nil},
+			}
+			for _, c := range cases {
+				got, err := bm.Encode(c.old, c.cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := bitmapDigestOracle(bs, c.old, c.cur); !bytes.Equal(got, want) {
+					t.Fatalf("bitmap/%d pair %d %s: payload differs from the digest-comparison oracle", bs, pi, c.name)
+				}
+				dec, err := bm.Decode(c.old, got)
+				if err != nil {
+					t.Fatalf("bitmap/%d pair %d %s: %v", bs, pi, c.name, err)
+				}
+				if !bytes.Equal(dec, c.cur) {
+					t.Fatalf("bitmap/%d pair %d %s: decode mismatch", bs, pi, c.name)
+				}
+			}
+		}
 	}
 }
 
@@ -159,23 +217,24 @@ func TestDecodeIgnoresChunkCache(t *testing.T) {
 	}
 }
 
-// TestSharedCacheConcurrent hammers one shared VaryBlock + ChunkCache from
-// many goroutines (run under -race in CI) and asserts every concurrent
-// output equals the serial stateless output.
+// TestSharedCacheConcurrent hammers one shared VaryBlock + ChunkCache and
+// one shared Bitmap from many goroutines (run under -race in CI) and asserts
+// every concurrent output equals the serial output — the stateless
+// VaryBlock's, and the digest-comparison oracle's for Bitmap.
 func TestSharedCacheConcurrent(t *testing.T) {
 	pairs := corpusPairs(t, 3)
 	plain, err := NewVaryBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	type expect struct{ payload, cur []byte }
+	type expect struct{ payload, bitmap, cur []byte }
 	want := make([]expect, len(pairs))
 	for i, pr := range pairs {
 		p, err := plain.Encode(pr[0], pr[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = expect{payload: p, cur: pr[1]}
+		want[i] = expect{payload: p, bitmap: bitmapDigestOracle(DefaultBlockSize, pr[0], pr[1]), cur: pr[1]}
 	}
 
 	// Tiny capacity forces concurrent eviction alongside concurrent hits.
@@ -189,7 +248,6 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedBm.UseChunkCache(cache)
 
 	const goroutines = 8
 	const iters = 20
@@ -220,8 +278,13 @@ func TestSharedCacheConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d iter %d: concurrent decode mismatch", g, i)
 					return
 				}
-				if _, err := sharedBm.Encode(pr[0], pr[1]); err != nil {
+				bmPayload, err := sharedBm.Encode(pr[0], pr[1])
+				if err != nil {
 					errs <- err
+					return
+				}
+				if !bytes.Equal(bmPayload, want[pi].bitmap) {
+					errs <- fmt.Errorf("goroutine %d iter %d: concurrent bitmap payload differs from the oracle", g, i)
 					return
 				}
 			}
@@ -271,48 +334,6 @@ func TestChunkCacheLRUEviction(t *testing.T) {
 	}
 	if got := cache.Stats(); got.Misses != st.Misses+1 {
 		t.Fatalf("expected a miss on the evicted entry: %+v", got)
-	}
-}
-
-// TestParallelDigestsMatchSerial pins the determinism of the digest pool:
-// indexed results mean chunk order, not scheduling order, decides output.
-func TestParallelDigestsMatchSerial(t *testing.T) {
-	_, cur := versionedPair(t, 300)
-	// Replicate the page well past parallelDigestThreshold.
-	big := bytes.Repeat(cur, 1+(2*parallelDigestThreshold)/len(cur))
-
-	bm, err := NewBitmap(DefaultBlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := bm.BlockDigests(big)
-	var serial [][sha1.Size]byte
-	for start := 0; start < len(big); start += DefaultBlockSize {
-		end := start + DefaultBlockSize
-		if end > len(big) {
-			end = len(big)
-		}
-		serial = append(serial, sha1.Sum(big[start:end]))
-	}
-	if len(par) != len(serial) {
-		t.Fatalf("parallel produced %d digests, serial %d", len(par), len(serial))
-	}
-	for i := range serial {
-		if par[i] != serial[i] {
-			t.Fatalf("digest %d differs between parallel and serial paths", i)
-		}
-	}
-
-	vb, err := NewVaryBlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := vb.chunker.Split(big)
-	sums := sha1Chunks(big, chunks)
-	for i, c := range chunks {
-		if want := sha1.Sum(big[c.Offset : c.Offset+c.Length]); sums[i] != want {
-			t.Fatalf("chunk digest %d differs between pool and direct computation", i)
-		}
 	}
 }
 

@@ -39,7 +39,9 @@ const maxDecodeReserve = 1 << 20
 // ChunkCache (UseChunkCache, set before concurrent use begins) memoizes
 // the per-version chunk list + digest index for Encode, so the base
 // version of a page is chunked and digested once per version instead of
-// once per request; payloads are byte-identical either way. Decode never
+// once per request; payloads are byte-identical either way. What a hit
+// still pays is the cache key, one whole-version SHA-1 per side — about a
+// quarter of the stateless encode on a 135 KB page. Decode never
 // consults the cache: it needs the old version's chunk boundaries only, and
 // a client either advances past a held version or cycles through more of
 // them than a small cache holds, so a lookup would add a whole-version
@@ -96,9 +98,7 @@ func (v *VaryBlock) indexOf(data []byte) *ChunkIndex {
 	if v.cache == nil || len(data) == 0 {
 		return buildChunkIndex(v.chunker, data)
 	}
-	return v.cache.getOrBuild(v.conf, data, func() *ChunkIndex {
-		return buildChunkIndex(v.chunker, data)
-	})
+	return v.cache.getOrBuild(v.conf, v.chunker, data)
 }
 
 // Encode implements Codec. Payload layout:

@@ -22,17 +22,17 @@ import (
 //	rsync.encode        2 buffers (old, cur)     -> payload (param "rsync.block")
 //	rsync.decode        2 buffers (old, payload) -> cur
 //
-// The differencing encode primitives share one small chunk-index cache per
-// host table (one table per deployed PAD), so a PAD that encodes against
-// the same version repeatedly digests it once. The decode primitives are
-// stateless: they read chunk or block boundaries and never the cache.
+// vary.encode keeps one small chunk-index cache per host table (one table
+// per deployed PAD), so a PAD that encodes against the same version
+// repeatedly chunks and digests it once. Every other primitive is
+// stateless.
 func HostTable(params map[string]string) ([]HostFunc, error) {
 	hosts, _, err := HostTableWithCache(params)
 	return hosts, err
 }
 
-// HostTableWithCache is HostTable, also returning the chunk-index cache
-// the table's differencing encode primitives share (for observability).
+// HostTableWithCache is HostTable, also returning the chunk-index cache of
+// the table's vary.encode primitive (for observability).
 func HostTableWithCache(params map[string]string) ([]HostFunc, *codec.ChunkCache, error) {
 	get := func(key string, def int) (int, error) {
 		v, ok := params[key]
@@ -94,14 +94,13 @@ func HostTableWithCache(params map[string]string) ([]HostFunc, *codec.ChunkCache
 		return nil, nil, fmt.Errorf("mobilecode: configuring rsync primitive: %w", err)
 	}
 
-	// hostChunkCacheEntries is deliberately small: only vary.encode and
-	// bitmap.encode consult the cache, a client host encodes against at most
-	// a handful of versions, and each index entry is a few percent of its
-	// content's size.
+	// hostChunkCacheEntries is deliberately small: only vary.encode
+	// consults the cache, a client host encodes against at most a handful
+	// of versions, and each index entry is a few percent of its content's
+	// size.
 	const hostChunkCacheEntries = 8
 	cache := codec.NewChunkCache(hostChunkCacheEntries)
 	vb.UseChunkCache(cache)
-	bm.UseChunkCache(cache)
 
 	one := func(f func([]byte) ([]byte, error)) func([][]byte) ([][]byte, error) {
 		return func(args [][]byte) ([][]byte, error) {

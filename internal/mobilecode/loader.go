@@ -106,9 +106,9 @@ func (d *DeployedPAD) Name() string { return d.proto }
 // Module returns the underlying verified module.
 func (d *DeployedPAD) Module() *Module { return d.module }
 
-// ChunkCacheStats reports the counters of the chunk-index cache the PAD's
-// vary.encode and bitmap.encode primitives share. Decoding never touches
-// it, so on a PAD used only to decode every counter stays zero.
+// ChunkCacheStats reports the counters of the chunk-index cache of the
+// PAD's vary.encode primitive. Nothing else touches it, so on a PAD used
+// only to decode every counter stays zero.
 func (d *DeployedPAD) ChunkCacheStats() codec.ChunkCacheStats { return d.chunks.Stats() }
 
 // run executes a program with the calling convention shared by both

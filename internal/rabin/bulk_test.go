@@ -7,14 +7,14 @@ import (
 )
 
 // splitReference is the pre-optimization Split: every byte of every chunk
-// rolls through a Digest ring buffer, with the min-size constraint applied
+// rolls through the digest ring buffer, with the min-size constraint applied
 // as a check-skip rather than a roll-skip. The bulk Split must reproduce
 // its chunk sequence — offsets, lengths, and Cut fingerprints — exactly,
 // because chunk boundaries are wire-visible (both endpoints re-derive
 // them) and feed every figure of the evaluation.
 func splitReference(c *Chunker, data []byte) []Chunk {
 	var chunks []Chunk
-	d := c.tab.NewDigest()
+	d := newDigest(c.tab)
 	start := 0
 	for start < len(data) {
 		limit := start + c.cfg.MaxSize

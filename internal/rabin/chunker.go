@@ -1,9 +1,6 @@
 package rabin
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Chunk is one content-defined region of an input buffer.
 type Chunk struct {
@@ -112,14 +109,15 @@ func (c *Chunker) Split(data []byte) []Chunk {
 // already bounded by MaxSize), returning the chunk length and the
 // fingerprint at the cut (0 for forced cuts).
 //
-// This is the hot inner loop of every differencing request, so it rolls in
-// bulk over the slice rather than through Digest: no boundary may be
-// declared before MinSize, and the fingerprint at any position depends only
-// on the Window bytes ending there, so the first MinSize-Window bytes of
-// the chunk can be skipped outright (the LBFS min-size optimization). The
-// ring buffer disappears too — the expiring byte is just window[i-Window].
-// Fingerprints are bit-identical to rolling every byte through Digest.Roll
-// from a fresh digest, which TestFindCutMatchesDigestRoll locks in.
+// This is the hot inner loop of every vary-sized blocking request, so it
+// rolls in bulk over the slice rather than byte by byte through a ring
+// buffer: no boundary may be declared before MinSize, and the fingerprint
+// at any position depends only on the Window bytes ending there, so the
+// first MinSize-Window bytes of the chunk can be skipped outright (the LBFS
+// min-size optimization). The ring buffer disappears too — the expiring
+// byte is just window[i-Window]. Fingerprints are bit-identical to rolling
+// every byte through the per-byte reference digest kept in bulk_test.go,
+// which TestFindCutMatchesDigestRoll locks in.
 func (c *Chunker) findCut(window []byte) (int, uint64) {
 	min := c.cfg.MinSize
 	if len(window) < min {
@@ -149,47 +147,4 @@ func (c *Chunker) findCut(window []byte) (int, uint64) {
 		}
 	}
 	return len(window), 0
-}
-
-// SplitReader chunks a stream incrementally in O(MaxSize) memory, calling
-// emit for each chunk with its data. The chunk sequence is identical to
-// Split over the whole stream. Emit errors abort and are returned.
-func (c *Chunker) SplitReader(r io.Reader, emit func(Chunk, []byte) error) error {
-	if emit == nil {
-		return fmt.Errorf("rabin: SplitReader needs an emit callback")
-	}
-	buf := make([]byte, 0, 2*c.cfg.MaxSize)
-	offset := 0
-	eof := false
-	for {
-		for len(buf) < c.cfg.MaxSize && !eof {
-			free := buf[len(buf):cap(buf)]
-			n, err := r.Read(free)
-			buf = buf[:len(buf)+n]
-			if err == io.EOF {
-				eof = true
-				break
-			}
-			if err != nil {
-				return fmt.Errorf("rabin: reading stream at offset %d: %w", offset+len(buf), err)
-			}
-		}
-		if len(buf) == 0 {
-			return nil
-		}
-		window := buf
-		if len(window) > c.cfg.MaxSize {
-			window = window[:c.cfg.MaxSize]
-		}
-		// A forced cut before MaxSize is only valid at true end of input.
-		if !eof && len(window) < c.cfg.MaxSize {
-			continue
-		}
-		n, cut := c.findCut(window)
-		if err := emit(Chunk{Offset: offset, Length: n, Cut: cut}, buf[:n]); err != nil {
-			return err
-		}
-		offset += n
-		buf = append(buf[:0], buf[n:]...)
-	}
 }

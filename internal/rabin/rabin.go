@@ -81,56 +81,3 @@ func NewTable(pol Pol, window int) (*Table, error) {
 
 // Window returns the window size the table was built for.
 func (t *Table) Window() int { return t.window }
-
-// Digest is a rolling fingerprint over the last Window() bytes written.
-// The zero Digest is not usable; obtain one from Table.NewDigest.
-type Digest struct {
-	t    *Table
-	fp   uint64
-	win  []byte
-	wpos int
-}
-
-// NewDigest returns a rolling digest over an initially all-zero window.
-func (t *Table) NewDigest() *Digest {
-	return &Digest{t: t, win: make([]byte, t.window)}
-}
-
-// Reset returns the digest to its initial all-zero-window state.
-func (d *Digest) Reset() {
-	d.fp = 0
-	d.wpos = 0
-	for i := range d.win {
-		d.win[i] = 0
-	}
-}
-
-// Roll shifts b into the window, expiring the oldest byte, and returns the
-// updated fingerprint.
-func (d *Digest) Roll(b byte) uint64 {
-	out := d.win[d.wpos]
-	d.win[d.wpos] = b
-	d.wpos++
-	if d.wpos == len(d.win) {
-		d.wpos = 0
-	}
-	d.fp ^= d.t.out[out]
-	d.fp = d.fp<<8 | uint64(b)
-	d.fp ^= d.t.mod[d.fp>>d.t.deg]
-	return d.fp
-}
-
-// Sum64 returns the current fingerprint.
-func (d *Digest) Sum64() uint64 { return d.fp }
-
-// Fingerprint computes the fingerprint of data directly (non-rolling),
-// equivalent to rolling data through a fresh digest when len(data) >= the
-// window size.
-func (t *Table) Fingerprint(data []byte) uint64 {
-	fp := uint64(0)
-	for _, b := range data {
-		fp = fp<<8 | uint64(b)
-		fp ^= t.mod[fp>>t.deg]
-	}
-	return fp
-}

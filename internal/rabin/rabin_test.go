@@ -2,8 +2,6 @@ package rabin
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -109,6 +107,61 @@ func TestNewTableMatchesBitSerialReference(t *testing.T) {
 	}
 }
 
+// digest is the per-byte rolling fingerprint over a ring buffer of the last
+// Window() bytes — the form Chunker.findCut's bulk loop replaced. No product
+// code rolls this way any more; it stays here as the reference the bulk
+// loop's fingerprints and chunk boundaries must equal (splitReference in
+// bulk_test.go).
+type digest struct {
+	t    *Table
+	fp   uint64
+	win  []byte
+	wpos int
+}
+
+// newDigest returns a rolling digest over an initially all-zero window.
+func newDigest(t *Table) *digest {
+	return &digest{t: t, win: make([]byte, t.window)}
+}
+
+// Reset returns the digest to its initial all-zero-window state.
+func (d *digest) Reset() {
+	d.fp = 0
+	d.wpos = 0
+	for i := range d.win {
+		d.win[i] = 0
+	}
+}
+
+// Roll shifts b into the window, expiring the oldest byte, and returns the
+// updated fingerprint.
+func (d *digest) Roll(b byte) uint64 {
+	out := d.win[d.wpos]
+	d.win[d.wpos] = b
+	d.wpos++
+	if d.wpos == len(d.win) {
+		d.wpos = 0
+	}
+	d.fp ^= d.t.out[out]
+	d.fp = d.fp<<8 | uint64(b)
+	d.fp ^= d.t.mod[d.fp>>d.t.deg]
+	return d.fp
+}
+
+// Sum64 returns the current fingerprint.
+func (d *digest) Sum64() uint64 { return d.fp }
+
+// fingerprintDirect computes the fingerprint of data without rolling:
+// append every byte, expire none.
+func fingerprintDirect(t *Table, data []byte) uint64 {
+	fp := uint64(0)
+	for _, b := range data {
+		fp = fp<<8 | uint64(b)
+		fp ^= t.mod[fp>>t.deg]
+	}
+	return fp
+}
+
 // The heart of the rolling property: after rolling any byte sequence
 // through the digest, the fingerprint equals the direct fingerprint of the
 // last `window` bytes (with leading zeros when fewer have been rolled).
@@ -121,7 +174,7 @@ func TestRollingMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, 300)
 	rng.Read(data)
-	d := tab.NewDigest()
+	d := newDigest(tab)
 	for i := range data {
 		got := d.Roll(data[i])
 		// Window content: last `window` bytes ending at i, zero-padded on
@@ -133,7 +186,7 @@ func TestRollingMatchesDirect(t *testing.T) {
 				win[j] = data[src]
 			}
 		}
-		want := tab.Fingerprint(win)
+		want := fingerprintDirect(tab, win)
 		if got != want {
 			t.Fatalf("position %d: rolling fp %#x != direct fp %#x", i, got, want)
 		}
@@ -145,7 +198,7 @@ func TestDigestReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := tab.NewDigest()
+	d := newDigest(tab)
 	for _, b := range []byte("hello world") {
 		d.Roll(b)
 	}
@@ -174,7 +227,7 @@ func TestRollingHistoryIndependenceProperty(t *testing.T) {
 		if len(tail) < window {
 			tail = append(tail, make([]byte, window-len(tail))...)
 		}
-		da, db := tab.NewDigest(), tab.NewDigest()
+		da, db := newDigest(tab), newDigest(tab)
 		for _, b := range prefixA {
 			da.Roll(b)
 		}
@@ -372,7 +425,7 @@ func BenchmarkRoll(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := tab.NewDigest()
+	d := newDigest(tab)
 	data := make([]byte, 1<<16)
 	rand.New(rand.NewSource(6)).Read(data)
 	b.SetBytes(int64(len(data)))
@@ -395,119 +448,5 @@ func BenchmarkSplit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch.Split(data)
-	}
-}
-
-// chunkedReader returns short reads of varying sizes to stress the
-// streaming refill logic.
-type chunkedReader struct {
-	data []byte
-	pos  int
-	step int
-}
-
-func (r *chunkedReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := r.step
-	if n > len(p) {
-		n = len(p)
-	}
-	if r.pos+n > len(r.data) {
-		n = len(r.data) - r.pos
-	}
-	copy(p, r.data[r.pos:r.pos+n])
-	r.pos += n
-	r.step = r.step%7 + 1 // vary read sizes 1..7... then grow
-	if r.step < 64 {
-		r.step *= 3
-	}
-	return n, nil
-}
-
-func TestSplitReaderMatchesSplit(t *testing.T) {
-	ch, err := NewChunker(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(40))
-	data := make([]byte, 50000)
-	rng.Read(data)
-	want := ch.Split(data)
-	var got []Chunk
-	var rebuilt []byte
-	err = ch.SplitReader(&chunkedReader{data: data, step: 3}, func(c Chunk, b []byte) error {
-		got = append(got, c)
-		rebuilt = append(rebuilt, b...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("streaming produced %d chunks, Split produced %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("chunk %d: streaming %+v != split %+v", i, got[i], want[i])
-		}
-	}
-	if !bytes.Equal(rebuilt, data) {
-		t.Fatal("streaming chunks do not reconstruct input")
-	}
-}
-
-func TestSplitReaderEmptyAndErrors(t *testing.T) {
-	ch, err := NewChunker(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	if err := ch.SplitReader(bytes.NewReader(nil), func(Chunk, []byte) error { calls++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 0 {
-		t.Fatal("emit called for empty stream")
-	}
-	if err := ch.SplitReader(bytes.NewReader([]byte("x")), nil); err == nil {
-		t.Fatal("nil emit accepted")
-	}
-	// Emit errors abort.
-	data := make([]byte, 5000)
-	rand.New(rand.NewSource(41)).Read(data)
-	wantErr := fmt.Errorf("stop")
-	err = ch.SplitReader(bytes.NewReader(data), func(Chunk, []byte) error { return wantErr })
-	if err != wantErr {
-		t.Fatalf("emit error not propagated: %v", err)
-	}
-}
-
-// Property: streaming and in-memory chunking agree for random inputs and
-// random read granularities.
-func TestSplitReaderEquivalenceProperty(t *testing.T) {
-	ch, err := NewChunker(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(data []byte, step uint8) bool {
-		want := ch.Split(data)
-		var got []Chunk
-		err := ch.SplitReader(&chunkedReader{data: data, step: int(step%13) + 1}, func(c Chunk, _ []byte) error {
-			got = append(got, c)
-			return nil
-		})
-		if err != nil || len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
