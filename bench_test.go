@@ -514,6 +514,23 @@ func BenchmarkMobileCodeDeployment(b *testing.B) {
 // pattern of a device that works through more pages than any small cache
 // holds, so each decode re-chunks its held version. One op is one page.
 func BenchmarkVaryDecodeHeldCorpus(b *testing.B) {
+	benchPADDecode(b, codec.NameVaryBlock)
+}
+
+// BenchmarkPADDecode is the same rotation through each builtin PAD: the
+// client's whole per-reply cost between the frame and the held version.
+// Its allocs/op are the floor of the by-reference VM — pad-direct hands
+// back the payload itself, so it allocates nothing page-sized.
+func BenchmarkPADDecode(b *testing.B) {
+	for _, proto := range []string{codec.NameDirect, codec.NameGzip, codec.NameBitmap, codec.NameVaryBlock} {
+		b.Run(proto, func(b *testing.B) { benchPADDecode(b, proto) })
+	}
+}
+
+// benchPADDecode times one DeployedPAD.Decode per op, rotating through the
+// corpus: page j is held at its old version and receives proto's payload
+// for the new one.
+func benchPADDecode(b *testing.B, proto string) {
 	s := getSetup(b)
 	olds, curs := benchCorpus(b, s)
 	mods, loader := benchLoader(b)
@@ -527,13 +544,13 @@ func BenchmarkVaryDecodeHeldCorpus(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if d.Name() == codec.NameVaryBlock {
+		if d.Name() == proto {
 			pad = d
 			break
 		}
 	}
 	if pad == nil {
-		b.Fatal("no builtin PAD implements " + codec.NameVaryBlock)
+		b.Fatal("no builtin PAD implements " + proto)
 	}
 	payloads := make([][]byte, len(olds))
 	var total int64

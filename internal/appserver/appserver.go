@@ -373,16 +373,21 @@ func (s *Server) precomputeAllLocked() error {
 				return err
 			}
 			for id, p := range s.pads {
+				// A base-independent protocol is encoded once and the one
+				// payload stored under every have.
+				_, once := p.impl.(codec.BaseIndependent)
+				var payload []byte
 				for have := 0; have <= curV; have++ {
-					var old []byte
-					if have > 0 {
-						if old, err = transform(tcID, tc, chain[have-1]); err != nil {
-							return err
+					if !once || have == 0 {
+						var old []byte
+						if have > 0 {
+							if old, err = transform(tcID, tc, chain[have-1]); err != nil {
+								return err
+							}
 						}
-					}
-					payload, err := p.impl.Encode(old, cur)
-					if err != nil {
-						return fmt.Errorf("appserver: precomputing %s/%s/%s@%d: %w", tcID, id, res, have, err)
+						if payload, err = p.impl.Encode(old, cur); err != nil {
+							return fmt.Errorf("appserver: precomputing %s/%s/%s@%d: %w", tcID, id, res, have, err)
+						}
 					}
 					s.precomputed[precompKey{tcID, id, res, have}] = payload
 				}

@@ -580,6 +580,69 @@ func TestProactiveStoreRefreshedOnNewVersion(t *testing.T) {
 	}
 }
 
+// TestProactivePayloadsEqualReactive pins the proactive store against the
+// strategy it replaces: for every (transcoder, PAD, resource, have) the
+// precomputed payload is byte-equal to a fresh reactive encode — including
+// the base-independent protocols, which precompute encodes once per
+// version and files under every have as the same slice.
+func TestProactivePayloadsEqualReactive(t *testing.T) {
+	s := testServer(t)
+	_, v2 := testCorpora(t, 4)
+	v3, err := workload.MutateCorpus(v2, workload.DefaultMutation(102))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InstallCorpus(v3); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeployContentAdaptation("1.0"); err != nil {
+		t.Fatal(err)
+	}
+	type request struct {
+		path     string
+		resource string
+		have     int
+	}
+	var reqs []request
+	for _, prefix := range []string{"", "pad-full ", "pad-thumb "} {
+		for _, id := range []string{"pad-direct", "pad-gzip", "pad-bitmap", "pad-vary"} {
+			for _, p := range v3.Pages {
+				for have := 0; have <= 3; have++ {
+					reqs = append(reqs, request{prefix + id, p.ID, have})
+				}
+			}
+		}
+	}
+	encodeAll := func(wantPrecomputed bool) [][]byte {
+		out := make([][]byte, len(reqs))
+		for i, r := range reqs {
+			res, err := s.Encode(strings.Fields(r.path), r.resource, r.have)
+			if err != nil {
+				t.Fatalf("%+v: %v", r, err)
+			}
+			if res.Precomputed != wantPrecomputed {
+				t.Fatalf("%+v: precomputed = %v", r, res.Precomputed)
+			}
+			out[i] = res.Payload
+		}
+		return out
+	}
+	reactive := encodeAll(false)
+	if err := s.SetStrategy(Proactive); err != nil {
+		t.Fatal(err)
+	}
+	proactive := encodeAll(true)
+	for i, r := range reqs {
+		if !bytes.Equal(proactive[i], reactive[i]) {
+			t.Fatalf("%+v: precomputed payload differs from the reactive encode", r)
+		}
+		once := strings.HasSuffix(r.path, "pad-direct") || strings.HasSuffix(r.path, "pad-gzip")
+		if r.have > 0 && once && &proactive[i][0] != &proactive[i-1][0] {
+			t.Fatalf("%+v: a base-independent payload is stored once per have, not once", r)
+		}
+	}
+}
+
 // TestProactiveEncodeConsistentUnderInstall pins the reply invariant under
 // a live update: whatever version number a reply carries, its payload
 // decodes to that version's content. Reading the current version number and

@@ -293,7 +293,10 @@ func (c *Client) deployPAD(meta core.PADMeta) error {
 
 // Request fetches a resource through the negotiated protocol, decoding the
 // adapted payload with the deployed mobile code and updating the local
-// version cache so later requests are differential.
+// version cache so later requests are differential. The returned slice is
+// the held version itself — under pad-direct, the reply frame's own bytes,
+// which the decode aliases rather than copies — so callers must not modify
+// it.
 func (c *Client) Request(appID, resource string) ([]byte, error) {
 	pads, err := c.EnsureProtocol(appID)
 	if err != nil {

@@ -37,6 +37,14 @@ type Codec interface {
 	Decode(old, payload []byte) ([]byte, error)
 }
 
+// BaseIndependent marks a protocol whose Encode ignores old: the payload
+// for cur is the same whatever version the receiver holds, so a server may
+// encode a version once and serve it against every base. Direct and Gzip
+// are; a protocol that does not say so is encoded per base.
+type BaseIndependent interface {
+	BaseIndependent()
+}
+
 // UpstreamCoster is implemented by protocols that send request-direction
 // data beyond the request itself (Bitmap's client block digests). The
 // returned size is counted as additional traffic by the experiment

@@ -448,3 +448,36 @@ func BenchmarkDecode(b *testing.B) {
 		})
 	}
 }
+
+// TestBaseIndependentCodecsIgnoreOld pins what the BaseIndependent marker
+// asserts, on which a server rests encoding a version once for every base:
+// a marked protocol's payload is the same whatever the receiver holds.
+// Direct and Gzip are marked; the differencing protocols must not be.
+func TestBaseIndependentCodecsIgnoreOld(t *testing.T) {
+	marked := map[string]bool{}
+	for _, c := range allCodecs(t) {
+		if _, ok := c.(BaseIndependent); !ok {
+			continue
+		}
+		marked[c.Name()] = true
+		for i, pr := range corpusPairs(t, 3) {
+			old, cur := pr[0], pr[1]
+			want, err := c.Encode(nil, cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, base := range [][]byte{old, cur, cur[:len(cur)/2], {}} {
+				got, err := c.Encode(base, cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: pair %d: payload against a %d-byte base differs from the cold payload", c.Name(), i, len(base))
+				}
+			}
+		}
+	}
+	if len(marked) != 2 || !marked[NameDirect] || !marked[NameGzip] {
+		t.Fatalf("base-independent protocols = %v, want direct and gzip", marked)
+	}
+}

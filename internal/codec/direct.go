@@ -15,6 +15,9 @@ func (*Direct) Name() string { return NameDirect }
 // Cost implements Costed: Direct performs no computation on either side.
 func (*Direct) Cost() CostModel { return CostModel{} }
 
+// BaseIndependent implements the marker: Encode never reads old.
+func (*Direct) BaseIndependent() {}
+
 // Encode implements Codec: the payload is a copy of the current content.
 func (*Direct) Encode(old, cur []byte) ([]byte, error) {
 	return append([]byte(nil), cur...), nil

@@ -35,6 +35,9 @@ func (*Gzip) Cost() CostModel {
 	return CostModel{ServerNsPerByte: 289, ClientNsPerByte: 289, ServerFixed: 200 * 1000, ClientFixed: 100 * 1000}
 }
 
+// BaseIndependent implements the marker: Encode never reads old.
+func (*Gzip) BaseIndependent() {}
+
 // Encode implements Codec: gzip-compress cur; old is ignored.
 func (g *Gzip) Encode(old, cur []byte) ([]byte, error) {
 	var buf bytes.Buffer

@@ -71,8 +71,13 @@ func wireCodec(t MsgType) wireDecoder {
 // DecodeRaw decodes a raw body returned by Recv into v according to the
 // header's wire version: Version2 bodies use the binary codec (v must be
 // the pointer to the header type's struct; trailing bytes are rejected),
-// all others JSON.
+// all others JSON. The caller keeps raw: v holds no reference to it.
 func DecodeRaw(h Header, raw []byte, v interface{}) error {
+	return decodeRaw(h, raw, v, false)
+}
+
+// decodeRaw is DecodeRaw; owned says v may keep slices of raw (see blob).
+func decodeRaw(h Header, raw []byte, v interface{}, owned bool) error {
 	if h.Version < Version2 {
 		return DecodeBody(raw, v)
 	}
@@ -80,7 +85,7 @@ func DecodeRaw(h Header, raw []byte, v interface{}) error {
 	if !ok || d.wireType() != h.Type {
 		return fmt.Errorf("inp: no binary codec decodes a %v body into %T", h.Type, v)
 	}
-	if err := d.decodeWire(wireReader{b: raw}); err != nil {
+	if err := d.decodeWire(wireReader{b: raw, owned: owned}); err != nil {
 		return fmt.Errorf("inp: decoding %v binary body: %w", h.Type, err)
 	}
 	return nil
@@ -233,9 +238,10 @@ var errBinTruncated = errors.New("truncated field")
 // nothing, so a codec description reads its fields straight through and
 // checks once, in done.
 type wireReader struct {
-	b   []byte
-	off int
-	err error
+	b     []byte
+	off   int
+	err   error
+	owned bool // the decoded message may keep slices of b
 }
 
 // done is the verdict of a finished decode: the first field error, or
@@ -325,11 +331,17 @@ func (r *wireReader) blob() []byte {
 	if !ok {
 		return nil
 	}
-	// Copied out rather than aliased: raw bodies live in a
-	// connection-scoped buffer the next Recv overwrites, while decoded
-	// payloads outlive it.
+	p := r.take(uint64(n))
+	// Aliased iff the Conn allocated the body for this frame: then nothing
+	// else will ever write it, and clipping the capacity keeps an append
+	// off the fields behind it. Everywhere else — a session Conn's reused
+	// body buffer, a caller's slice handed to DecodeRaw — the bytes are
+	// overwritten while decoded payloads outlive them, so they are copied.
+	if r.owned {
+		return p[:len(p):len(p)]
+	}
 	out := make([]byte, n)
-	copy(out, r.take(uint64(n)))
+	copy(out, p)
 	return out
 }
 

@@ -43,12 +43,12 @@ type deadlineRW interface {
 // a call helper for the request/response pattern of Figure 4. Writes are
 // batched through a FrameWriter: Queue stages frames and Flush emits the
 // burst as one vectored write, so a pipelined phase costs one syscall per
-// direction (Send is Queue+Flush for the single-frame case). A Conn
-// serves one session and is not safe for concurrent use.
+// direction (Send is Queue+Flush for the single-frame case). Reads go
+// through one buffered reader, so a burst of small frames costs one read
+// and the Conn must be the only reader of its stream. A Conn serves one
+// session and is not safe for concurrent use.
 type Conn struct {
-	rw io.ReadWriter
-	// r is the read side: rw directly, or the session read buffer.
-	r       io.Reader
+	rw      io.ReadWriter
 	fw      FrameWriter
 	brd     bufReader
 	sess    *arena.Session
@@ -70,25 +70,31 @@ type Conn struct {
 	binary bool
 }
 
-// NewConn wraps a byte stream (typically a net.Conn).
+// NewConn wraps a byte stream (typically a dialled net.Conn). Nothing else
+// may read rw afterwards: bytes the Conn has buffered would be lost to it.
+// Each Recv allocates its frame body, which the decoded message then owns
+// (see RecvInto). The read buffer is part of the Conn's one allocation.
 func NewConn(rw io.ReadWriter) *Conn {
-	c := &Conn{rw: rw, r: rw}
+	c := &struct {
+		Conn
+		buf [readBufSize]byte
+	}{Conn: Conn{rw: rw}}
 	c.fw.init(rw)
-	return c
+	c.brd = bufReader{src: rw, buf: c.buf[:]}
+	return &c.Conn
 }
 
-// NewConnSession wraps a byte stream with session-scoped buffering: reads
-// go through an arena-backed buffer (enabling pipeline detection via
-// InputPending) and message bodies reuse one arena buffer across Recvs,
-// so the raw slice returned by Recv is valid only until the next Recv.
-// The caller owns sess and releases it after the Conn is abandoned.
+// NewConnSession is NewConn over session-scoped storage: the read buffer
+// is borrowed from sess, and message bodies reuse one arena buffer across
+// Recvs, so the raw slice returned by Recv is valid only until the next
+// Recv and decoded messages copy out of it. The caller owns sess and
+// releases it after the Conn is abandoned.
 func NewConnSession(rw io.ReadWriter, sess *arena.Session) *Conn {
-	c := NewConn(rw)
-	c.sess = sess
+	c := &Conn{rw: rw, sess: sess}
+	c.fw.init(rw)
 	b := sess.Bytes(readBufSize)
 	//fractal:allow hotpath — the Conn and its session share a lifetime; the caller releases sess only after abandoning the Conn
 	c.brd = bufReader{src: rw, buf: b[:readBufSize]}
-	c.r = &c.brd
 	return c
 }
 
@@ -123,11 +129,9 @@ func (c *Conn) EnableBinary() { c.binary = true }
 func (c *Conn) BinaryEnabled() bool { return c.binary }
 
 // InputPending reports whether undrained inbound bytes already sit in the
-// session read buffer — i.e. the peer pipelined another frame behind the
-// one just consumed. Always false on conns without a session.
-func (c *Conn) InputPending() bool {
-	return c.sess != nil && c.brd.buffered() > 0
-}
+// read buffer — i.e. the peer pipelined another frame behind the one just
+// consumed.
+func (c *Conn) InputPending() bool { return c.brd.buffered() > 0 }
 
 // armRead applies the per-operation read deadline, if any.
 func (c *Conn) armRead() {
@@ -190,10 +194,11 @@ func (c *Conn) Send(t MsgType, body interface{}) error {
 // the peer's stream by exactly one, so a duplicated or stale frame can
 // never be accepted as the answer to a newer request. On session conns
 // the body lands in the session's reusable buffer, so the returned raw
-// slice is valid only until the next Recv.
+// slice is valid only until the next Recv; on any other Conn it is
+// allocated for this frame and the Conn never touches it again.
 func (c *Conn) Recv() (Header, []byte, error) {
 	c.armRead()
-	h, raw, err := readFrame(c.r, c.body, c.sess)
+	h, raw, err := readFrame(&c.brd, c.body, c.sess)
 	if c.sess != nil {
 		// body shares the Conn's session lifetime (see NewConnSession); it
 		// is kept across errors so grown storage is reused.
@@ -217,18 +222,25 @@ func (c *Conn) Recv() (Header, []byte, error) {
 
 // RecvInto reads the next message, requires it to be of the wanted type,
 // and decodes it into reply. A peer MsgError is surfaced as a *PeerError.
+// Without a session the frame body was allocated for this message alone,
+// so reply's binary []byte fields alias it instead of copying out.
 func (c *Conn) RecvInto(want MsgType, reply interface{}) error {
 	h, raw, err := c.Recv()
 	if err != nil {
 		return err
 	}
-	return DecodeAs(h, raw, want, reply)
+	return decodeAs(h, raw, want, reply, c.sess == nil)
 }
 
 // DecodeAs is RecvInto's second half for a frame already received: it
 // requires h to be of the wanted type and decodes raw into reply,
-// surfacing a peer MsgError as a *PeerError.
+// surfacing a peer MsgError as a *PeerError. The caller keeps raw: reply
+// holds no reference to it.
 func DecodeAs(h Header, raw []byte, want MsgType, reply interface{}) error {
+	return decodeAs(h, raw, want, reply, false)
+}
+
+func decodeAs(h Header, raw []byte, want MsgType, reply interface{}, owned bool) error {
 	if h.Type == MsgError {
 		var e ErrorRep
 		if derr := DecodeBody(raw, &e); derr == nil && e.Message != "" {
@@ -239,7 +251,7 @@ func DecodeAs(h Header, raw []byte, want MsgType, reply interface{}) error {
 	if h.Type != want {
 		return fmt.Errorf("inp: expected %v, got %v", want, h.Type)
 	}
-	return DecodeRaw(h, raw, reply)
+	return decodeRaw(h, raw, reply, owned)
 }
 
 // Call sends a request and decodes the matching reply type.

@@ -254,7 +254,7 @@ func parseHeader(hdr []byte) (Header, uint32, error) {
 // ReadMessage reads one framed message, returning its header and raw body
 // in freshly allocated storage.
 func ReadMessage(r io.Reader) (Header, []byte, error) {
-	return readFrame(r, nil, nil)
+	return readFrame(&bufReader{src: r}, nil, nil) // no buffer: nothing is read ahead of the frame
 }
 
 // readFrame is the one frame reader: it parses and validates the header,
@@ -265,13 +265,13 @@ func ReadMessage(r io.Reader) (Header, []byte, error) {
 // possibly regrown storage even on error, so a caller reusing it keeps it.
 //
 //fractal:hotpath every INP exchange reads through here
-func readFrame(r io.Reader, body []byte, sess *arena.Session) (Header, []byte, error) {
+func readFrame(r *bufReader, body []byte, sess *arena.Session) (Header, []byte, error) {
 	body = body[:0]
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := r.hdr[:] // a local array would be moved to the heap by src.Read, once per frame
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Header{}, body, fmt.Errorf("inp: reading header: %w", err)
 	}
-	h, n, err := parseHeader(hdr[:])
+	h, n, err := parseHeader(hdr)
 	if err != nil {
 		return Header{}, body, err
 	}
@@ -292,19 +292,20 @@ func readFrame(r io.Reader, body []byte, sess *arena.Session) (Header, []byte, e
 }
 
 // readBufSize is the per-connection buffered-read window: one mid-class
-// arena borrow, large enough that a pipelined negotiation burst arrives
-// in a single fill.
+// arena borrow, large enough that a pipelined negotiation burst — or a
+// frame's header and small body — arrives in a single fill.
 const readBufSize = 4 << 10
 
-// bufReader is a minimal buffered reader over session-scoped arena
-// storage. Unlike bufio.Reader it exposes how many undrained bytes sit in
-// its buffer, which the serving path uses to detect pipelined requests,
-// and its buffer returns to the arena with the owning session instead of
-// being pinned by an idle connection.
+// bufReader is the minimal buffered reader every Conn reads through, over
+// storage the Conn supplies (arena-borrowed on a session Conn, part of the
+// Conn itself otherwise). Unlike bufio.Reader it exposes how many undrained
+// bytes sit in its buffer, which the serving path uses to detect pipelined
+// requests.
 type bufReader struct {
 	src  io.Reader
 	buf  []byte
 	r, w int
+	hdr  [headerLen]byte // readFrame's header scratch
 }
 
 // buffered reports the undrained byte count.
@@ -313,7 +314,7 @@ func (b *bufReader) buffered() int { return b.w - b.r }
 // Read refills from src at most once per call; reads at least as large as
 // the buffer bypass it entirely so large bodies stream straight through.
 //
-//fractal:hotpath every buffered session read lands here
+//fractal:hotpath every Conn read lands here
 func (b *bufReader) Read(p []byte) (int, error) {
 	if b.r == b.w {
 		if len(p) >= len(b.buf) {

@@ -13,7 +13,7 @@ import (
 // PAD composes into a protocol — the equivalent of the class libraries a
 // Java PAD links against on the client:
 //
-//	identity            1 buffer  -> 1 buffer (copy)
+//	identity            1 buffer  -> the same buffer
 //	gzip.encode/.decode 1 buffer  -> 1 buffer (param "gzip.level")
 //	bitmap.encode       2 buffers (old, cur)     -> payload (param "bitmap.block")
 //	bitmap.decode       2 buffers (old, payload) -> cur
@@ -25,7 +25,8 @@ import (
 // vary.encode keeps one small chunk-index cache per host table (one table
 // per deployed PAD), so a PAD that encodes against the same version
 // repeatedly chunks and digests it once. Every other primitive is
-// stateless.
+// stateless. None writes its arguments (the HostFunc contract), and only
+// identity returns one.
 func HostTable(params map[string]string) ([]HostFunc, error) {
 	hosts, _, err := HostTableWithCache(params)
 	return hosts, err
@@ -122,9 +123,7 @@ func HostTableWithCache(params map[string]string) ([]HostFunc, *codec.ChunkCache
 	}
 
 	return []HostFunc{
-		{Name: "identity", Arity: 1, Results: 1, Fn: one(func(b []byte) ([]byte, error) {
-			return append([]byte(nil), b...), nil
-		})},
+		{Name: "identity", Arity: 1, Results: 1, Fn: one(func(b []byte) ([]byte, error) { return b, nil })},
 		{Name: "gzip.encode", Arity: 1, Results: 1, Fn: one(func(b []byte) ([]byte, error) { return gz.Encode(nil, b) })},
 		{Name: "gzip.decode", Arity: 1, Results: 1, Fn: one(func(b []byte) ([]byte, error) { return gz.Decode(nil, b) })},
 		{Name: "bitmap.encode", Arity: 2, Results: 1, Fn: two(bm.Encode)},

@@ -44,7 +44,9 @@ func (l *Loader) SetVerifier(v VerifyFunc) { l.verify = v }
 
 // DeployedPAD is an instantiated protocol adaptor: verified mobile code
 // ready to encode/decode application content on this host. It is safe for
-// concurrent use.
+// concurrent use. Encode and Decode never modify their inputs, and — as
+// VM.Run does — may return a result that aliases one (pad-direct returns
+// the payload itself).
 type DeployedPAD struct {
 	module *Module
 	proto  string

@@ -18,6 +18,8 @@ import (
 // Op is a VM opcode. The machine has two stacks: a buffer stack of byte
 // slices (the data being transformed) and an integer stack (control
 // values). Host calls invoke named primitives registered by the embedder.
+// Buffers are immutable values: no instruction writes the bytes of one, so
+// the stack, the caller's inputs and the results may share storage freely.
 type Op uint8
 
 // The instruction set.
@@ -26,12 +28,12 @@ const (
 	OpHalt              // stop successfully
 	OpPush              // push immediate onto the int stack
 	OpPop               // discard top of int stack
-	OpDupB              // duplicate top buffer
+	OpDupB              // duplicate top buffer (a second reference, no copy)
 	OpSwapB             // swap top two buffers
 	OpDropB             // drop top buffer
 	OpSize              // push len(top buffer) onto int stack
-	OpConcatB           // pop two buffers, push their concatenation
-	OpSliceB            // pop end, start ints; slice top buffer in place
+	OpConcatB           // pop two buffers, push their concatenation (a new buffer)
+	OpSliceB            // pop end, start ints; replace top buffer by that window of it
 	OpLt                // pop b, a; push 1 if a < b else 0
 	OpEq                // pop b, a; push 1 if a == b else 0
 	OpJmp               // jump to absolute instruction index (immediate)
@@ -164,7 +166,9 @@ func UnmarshalProgram(data []byte) (Program, error) {
 // buffers (topmost last in the slice) and its results are pushed in order.
 // Results declares how many buffers a successful call pushes; the static
 // verifier uses it to bound the buffer stack, and the VM enforces the
-// declaration at run time when it is set.
+// declaration at run time when it is set. Fn must treat its arguments as
+// read-only — they may be the caller's own inputs to Run, shared with other
+// stack slots — and may return them, or sub-slices of them, as results.
 type HostFunc struct {
 	Name  string
 	Arity int
@@ -257,14 +261,17 @@ var (
 )
 
 // Run executes the program with the given initial buffer stack and returns
-// the final buffer stack. The input slices are not modified.
+// the final buffer stack. The inputs enter by reference: they are never
+// modified — nor is any spare capacity behind them — and the results may
+// alias them, so a caller that later overwrites an input must copy the
+// results it keeps first.
 func (v *VM) Run(p Program, inputs [][]byte) ([][]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	st := &state{vm: v}
+	st := &state{vm: v, bufs: make([][]byte, 0, len(inputs))}
 	for _, in := range inputs {
-		if err := st.pushB(append([]byte(nil), in...)); err != nil {
+		if err := st.pushB(in[:len(in):len(in)]); err != nil {
 			return nil, err
 		}
 	}
@@ -290,7 +297,7 @@ func (v *VM) Run(p Program, inputs [][]byte) ([][]byte, error) {
 		case OpDupB:
 			var b []byte
 			if b, err = st.peekB(); err == nil {
-				err = st.pushB(append([]byte(nil), b...))
+				err = st.pushB(b) // held twice, charged twice
 			}
 		case OpSwapB:
 			err = st.swapB()
@@ -309,7 +316,9 @@ func (v *VM) Run(p Program, inputs [][]byte) ([][]byte, error) {
 			if below, err = st.popB(); err != nil {
 				break
 			}
-			err = st.pushB(append(below, top...))
+			// A new buffer, never an append into below: its storage is shared.
+			out := make([]byte, 0, len(below)+len(top))
+			err = st.pushB(append(append(out, below...), top...))
 		case OpSliceB:
 			var end, start int64
 			if end, err = st.popI(); err != nil {
@@ -326,7 +335,7 @@ func (v *VM) Run(p Program, inputs [][]byte) ([][]byte, error) {
 				err = fmt.Errorf("slice [%d:%d] of %d-byte buffer", start, end, len(b))
 				break
 			}
-			err = st.pushB(b[start:end])
+			err = st.pushB(b[start:end:end])
 		case OpLt, OpEq:
 			var b2, a2 int64
 			if b2, err = st.popI(); err != nil {
