@@ -16,16 +16,6 @@
 // skipped (runs may gate a subset); benchmarks in the run but in no
 // snapshot are ignored. Matching zero benchmarks is itself a failure, so a
 // renamed benchmark cannot silently disarm the gate.
-//
-// With -fleet-snapshot the gate instead compares two `fractal-bench -mode
-// fleet -json` envelopes — the committed BENCH_fleet.json against a fresh
-// run on stdin (or a file argument). Fleet figures come from the
-// harness's simulated clock and are machine-independent, so the p99 gate
-// is tight (default 1.05x); the gate also enforces the 1->N shard
-// throughput-scaling floor (default 6x) and per-session allocation
-// flatness:
-//
-//	fractal-bench -mode fleet -json | bench-gate -fleet-snapshot BENCH_fleet.json
 package main
 
 import (
@@ -69,29 +59,7 @@ func main() {
 	var snapshots multiFlag
 	flag.Var(&snapshots, "snapshot", "committed BENCH_*.json snapshot to gate against (repeatable)")
 	maxRatio := flag.Float64("max-ns-ratio", 2.0, "fail when fresh ns/op exceeds snapshot ns/op by more than this ratio")
-	fleetSnapshot := flag.String("fleet-snapshot", "", "committed fleet envelope (fractal-bench -mode fleet -json) to gate a fresh fleet run against")
-	fleetP99Ratio := flag.Float64("max-fleet-p99-ratio", 1.05, "fail when a fleet row's simulated p99 exceeds its snapshot row by more than this ratio")
-	fleetAllocsRatio := flag.Float64("max-fleet-allocs-ratio", 1.5, "fail when a fleet row's allocs/session exceeds its snapshot row by more than this ratio")
-	minFleetScale := flag.Float64("min-fleet-scale", 6.0, "fail when the fleet sweep's widest/narrowest sim sessions/sec ratio is below this floor (0 disables)")
 	flag.Parse()
-
-	if *fleetSnapshot != "" {
-		if len(snapshots) > 0 {
-			fmt.Fprintln(os.Stderr, "bench-gate: -fleet-snapshot and -snapshot are separate modes; pass one")
-			os.Exit(2)
-		}
-		candidate := ""
-		if flag.NArg() > 0 {
-			candidate = flag.Arg(0)
-		}
-		if failures := runFleetGate(*fleetSnapshot, candidate, *fleetP99Ratio, *fleetAllocsRatio, *minFleetScale); failures > 0 {
-			fmt.Fprintf(os.Stderr, "bench-gate: %d fleet gate failure(s)\n", failures)
-			os.Exit(1)
-		}
-		fmt.Printf("bench-gate: fleet gate passed (p99 <= %.2fx, allocs <= %.2fx, scaling >= %.1fx)\n",
-			*fleetP99Ratio, *fleetAllocsRatio, *minFleetScale)
-		return
-	}
 
 	if len(snapshots) == 0 {
 		fmt.Fprintln(os.Stderr, "bench-gate: at least one -snapshot is required")

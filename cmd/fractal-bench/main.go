@@ -7,21 +7,16 @@
 //	fractal-bench -exp fig9b -clients 1,50,100,200,300
 //	fractal-bench -exp headline -json
 //	fractal-bench -exp fig10 -cpuprofile cpu.out -memprofile mem.out
-//	fractal-bench -mode negotiate -workers 8 -ops 20000
+//	fractal-bench -mode faults -seed 7
 //
 // Experiments: table1, fig9a, fig9b, fig10, fig10d, fig11a, fig11b,
 // fig11c, headline, capacity, timeline, premise, session, all.
 //
-// With -mode negotiate the tool skips the paper experiments and drives the
-// proxy negotiation plane directly: a warm-key phase, a cold-key phase, and
-// a loopback INP/TCP session phase, reporting throughput and the proxy's
-// hit/search/collapse counters.
-//
-// With -mode faults the tool runs the deterministic fault-injection
-// scenarios over real TCP: scripted refusals, stalls, corruption,
-// truncation, and outages, reporting each scenario's contract outcome
-// (completed, failed-fast, or degraded) and fault census. -seed selects
-// the fault schedule; the same seed reproduces identical rows.
+// With -mode faults the tool skips the paper experiments and runs the
+// deterministic fault-injection scenarios over real TCP: scripted refusals,
+// stalls, corruption, truncation, and outages, reporting each scenario's
+// contract outcome (completed, failed-fast, or degraded) and fault census.
+// -seed selects the fault schedule; the same seed reproduces identical rows.
 //
 // With -json the sections are emitted as one JSON document (each TSV row
 // split into fields) instead of the human-readable text, for consumption by
@@ -90,41 +85,19 @@ func emitJSON(secs []jsonSection, note string) error {
 
 func main() {
 	var (
-		mode          = flag.String("mode", "exp", "exp = paper experiments (see -exp); negotiate = negotiation-plane throughput driver; faults = deterministic fault-injection scenarios; fleet = sharded-tier discrete-event load harness")
-		workers       = flag.Int("workers", 8, "concurrent workers for -mode negotiate")
-		ops           = flag.Int("ops", 20000, "negotiations per worker per phase for -mode negotiate")
-		exp           = flag.String("exp", "all", "experiment id: table1|fig9a|fig9b|fig10|fig10d|fig11a|fig11b|fig11c|headline|capacity|timeline|premise|session|all")
-		clients       = flag.String("clients", "1,25,50,100,150,200,250,300", "comma-separated client counts for fig9a/fig9b")
-		pages         = flag.Int("pages", 0, "override corpus size (default: the paper's 75)")
-		seed          = flag.Int64("seed", 0, "override workload seed")
-		edges         = flag.Int("edges", 0, "override CDN edgeserver count")
-		jsonOut       = flag.Bool("json", false, "emit sections as one JSON document (with run provenance) instead of text")
-		note          = flag.String("note", "", "free-form provenance note recorded in the -json envelope (e.g. host or run context)")
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile covering the experiment runs to this file")
-		memProfile    = flag.String("memprofile", "", "write a heap profile taken after the experiment runs to this file")
-		fleetShards   = flag.String("fleet-shards", "1,2,4,8", "comma-separated shard counts swept by -mode fleet")
-		fleetSessions = flag.Int("fleet-sessions", 1_000_000, "simulated client sessions per shard count for -mode fleet")
-		fleetProfiles = flag.Int("fleet-profiles", 0, "distinct client profiles for -mode fleet (0 = harness default)")
-		fleetArrival  = flag.String("fleet-arrival", "constant", "arrival curve for -mode fleet: constant|diurnal|flash")
-		fleetRepush   = flag.Int("fleet-repushes", 0, "topology repushes injected during each -mode fleet run")
-		fleetReplicas = flag.Int("fleet-replicas", 1, "warm cache replication factor for -mode fleet")
+		mode       = flag.String("mode", "exp", "exp = paper experiments (see -exp); faults = deterministic fault-injection scenarios")
+		exp        = flag.String("exp", "all", "experiment id: table1|fig9a|fig9b|fig10|fig10d|fig11a|fig11b|fig11c|headline|capacity|timeline|premise|session|all")
+		clients    = flag.String("clients", "1,25,50,100,150,200,250,300", "comma-separated client counts for fig9a/fig9b")
+		pages      = flag.Int("pages", 0, "override corpus size (default: the paper's 75)")
+		seed       = flag.Int64("seed", 0, "override workload seed")
+		edges      = flag.Int("edges", 0, "override CDN edgeserver count")
+		jsonOut    = flag.Bool("json", false, "emit sections as one JSON document (with run provenance) instead of text")
+		note       = flag.String("note", "", "free-form provenance note recorded in the -json envelope (e.g. host or run context)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering the experiment runs to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile taken after the experiment runs to this file")
 	)
 	flag.Parse()
 
-	if *mode == "negotiate" {
-		sec, err := runNegotiate(*workers, *ops)
-		if err != nil {
-			fatal(err)
-		}
-		if *jsonOut {
-			if err := emitJSON([]jsonSection{sec.toJSON()}, *note); err != nil {
-				fatal(err)
-			}
-		} else {
-			sec.print()
-		}
-		return
-	}
 	if *mode == "faults" {
 		sec, err := runFaultsMode(*pages, *seed, *edges)
 		if err != nil {
@@ -139,31 +112,8 @@ func main() {
 		}
 		return
 	}
-	if *mode == "fleet" {
-		bseed := *seed
-		if bseed == 0 {
-			bseed = 2005
-		}
-		counts, err := parseCounts(*fleetShards)
-		if err != nil {
-			fatal(err)
-		}
-		summary, perShard, err := runFleetMode(counts, *fleetSessions, *fleetProfiles, *fleetArrival, bseed, *fleetRepush, *fleetReplicas)
-		if err != nil {
-			fatal(err)
-		}
-		if *jsonOut {
-			if err := emitJSON([]jsonSection{summary.toJSON(), perShard.toJSON()}, *note); err != nil {
-				fatal(err)
-			}
-		} else {
-			summary.print()
-			perShard.print()
-		}
-		return
-	}
 	if *mode != "exp" {
-		fatal(fmt.Errorf("unknown mode %q (want exp, negotiate, faults, or fleet)", *mode))
+		fatal(fmt.Errorf("unknown mode %q (want exp or faults)", *mode))
 	}
 
 	cfg := experiment.DefaultSetupConfig()

@@ -207,15 +207,6 @@ func TestLockheldFixtures(t *testing.T) {
 	checkFixture(t, LockheldAnalyzer, filepath.Join("testdata", "lockheld", "good"), "fractal/internal/client")
 }
 
-// TestLockheldFleetFixtures pins the cross-shard fan-out discipline: a
-// fleet-tier lock held across a shard send (topology push or routed
-// negotiation) is reported, and the snapshot-then-send shape the real
-// fleet.Fleet.PushAppMeta uses is clean.
-func TestLockheldFleetFixtures(t *testing.T) {
-	checkFixture(t, LockheldAnalyzer, filepath.Join("testdata", "lockheld", "fleet", "bad"), "fractal/internal/fleet")
-	checkFixture(t, LockheldAnalyzer, filepath.Join("testdata", "lockheld", "fleet", "good"), "fractal/internal/fleet")
-}
-
 func TestWiretaintFixtures(t *testing.T) {
 	checkFixture(t, WiretaintAnalyzer, filepath.Join("testdata", "wiretaint", "bad"), "fractal/internal/inp")
 	checkFixture(t, WiretaintAnalyzer, filepath.Join("testdata", "wiretaint", "good"), "fractal/internal/inp")

@@ -15,7 +15,6 @@ import (
 var goleakScope = map[string]bool{
 	"fractal/internal/client":          true,
 	"fractal/internal/proxy":           true,
-	"fractal/internal/fleet":           true,
 	"fractal/internal/inp":             true,
 	"fractal/internal/inp/conformance": true,
 }

@@ -20,10 +20,6 @@ var lockheldScope = map[string]bool{
 	"fractal/internal/cdn":       true,
 	"fractal/internal/appserver": true,
 	"fractal/internal/p2p":       true,
-	// fleet's coherence ledger must never hold its mutex across a shard
-	// push or negotiation: one slow shard would serialize the whole
-	// invalidation fan-out behind the lock.
-	"fractal/internal/fleet": true,
 }
 
 // LockheldAnalyzer runs a must-hold dataflow over each function's CFG: the
@@ -346,8 +342,6 @@ func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 			return "inp.Conn." + fn.Name() + " (network round trip)", true
 		case recv == "fractal/internal/syncx.Group" && fn.Name() == "Do":
 			return "syncx.Group.Do (may join an in-flight call)", true
-		case recv == "fractal/internal/proxy.Proxy" && proxyShardSends[fn.Name()]:
-			return "proxy.Proxy." + fn.Name() + " (shard send: PAT build or collapsed search)", true
 		case recv == "sync.WaitGroup" && fn.Name() == "Wait":
 			return "sync.WaitGroup.Wait", true
 		case recv == "sync.Cond" && fn.Name() == "Wait":
@@ -366,19 +360,6 @@ func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 		return "net." + fn.Name(), true
 	}
 	return "", false
-}
-
-// proxyShardSends are the proxy.Proxy methods a fleet-tier caller treats
-// as sends to a shard: a topology push rebuilds the shard's PAT (and may
-// verify modules), and a negotiation can join or run a path search behind
-// the shard's singleflight. Holding a fleet-level lock across either
-// serializes the whole tier behind one slow shard, so the cross-shard
-// fan-out must snapshot its ledger and release before sending.
-var proxyShardSends = map[string]bool{
-	"PushAppMeta":    true,
-	"Negotiate":      true,
-	"NegotiateFor":   true,
-	"NegotiateKeyed": true,
 }
 
 // inpConnExchanges are the inp.Conn methods that perform (or commit the

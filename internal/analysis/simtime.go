@@ -25,10 +25,6 @@ var simtimeScope = map[string]bool{
 	"fractal/internal/appserver":  true,
 	"fractal/internal/proxy":      true,
 	"fractal/internal/faultnet":   true,
-	// fleet's latency histograms and routing feed the load harness's
-	// simulated figures; a wall-clock read here would make the committed
-	// BENCH_fleet.json figures machine-dependent.
-	"fractal/internal/fleet": true,
 }
 
 // simtimeForbidden are the time package functions that read or block on

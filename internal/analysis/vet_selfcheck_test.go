@@ -1,6 +1,10 @@
 package analysis
 
-import "testing"
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 // TestVetSelfCheck runs the full fractal-vet suite against this repository
 // itself, so tier-1 verification (`go test ./...`) enforces the
@@ -24,5 +28,28 @@ func TestVetSelfCheck(t *testing.T) {
 	}
 	for _, d := range Run(pkgs, Analyzers()) {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestScopeTablesNameRealPackages pins that every import path in an
+// analyzer's scope table is a package of this module: an entry left behind
+// by a deleted or renamed package checks nothing, silently.
+func TestScopeTablesNameRealPackages(t *testing.T) {
+	loader := getLoader(t)
+	tables := map[string]map[string]bool{
+		"deadlineScope":   deadlineScope,
+		"digestsafeScope": digestsafeScope,
+		"goleakScope":     goleakScope,
+		"lockheldScope":   lockheldScope,
+		"simtimeScope":    simtimeScope,
+		"wiretaintScope":  wiretaintScope,
+	}
+	for name, table := range tables {
+		for path := range table {
+			rel, ok := strings.CutPrefix(path, loader.ModulePath+"/")
+			if !ok || !hasGoFiles(filepath.Join(loader.ModuleDir, filepath.FromSlash(rel))) {
+				t.Errorf("%s names %q, which is not a package directory of module %s", name, path, loader.ModulePath)
+			}
+		}
 	}
 }

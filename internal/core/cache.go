@@ -157,10 +157,31 @@ func (c *AdaptationCache) GetKeyed(key string) ([]PADMeta, bool) {
 		s.stats.Misses++
 		return nil, false
 	}
+	return s.hitLocked(el), true
+}
+
+// hitLocked counts a hit on el, marks it most recently used, and returns
+// the caller's defensive copy. The shard lock must be held.
+func (s *cacheShard) hitLocked(el *list.Element) []PADMeta {
 	s.stats.Hits++
 	s.order.MoveToFront(el)
-	pads := el.Value.(*adaptEntry).pads
-	return append([]PADMeta(nil), pads...), true
+	return append([]PADMeta(nil), el.Value.(*adaptEntry).pads...)
+}
+
+// RecheckKeyed is the second look of a lookup whose GetKeyed already
+// missed (the singleflight leader's double-check): a miss counts nothing
+// further and a hit turns that counted miss into a hit, so Hits + Misses
+// stays one outcome per lookup rather than one per probe.
+func (c *AdaptationCache) RecheckKeyed(key string) ([]PADMeta, bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.entries[key]
+	if !ok {
+		return nil, false
+	}
+	s.stats.Misses--
+	return s.hitLocked(el), true
 }
 
 // Put stores a negotiation result, evicting the least recently used entry

@@ -647,6 +647,34 @@ func TestAdaptationCacheBasics(t *testing.T) {
 	}
 }
 
+// TestAdaptationCacheRecheckCountsOneOutcome pins the double-check
+// accounting: a lookup that misses and is looked at again is still one
+// counted outcome — a miss if the second look misses too, a hit if an entry
+// arrived in between.
+func TestAdaptationCacheRecheckCountsOneOutcome(t *testing.T) {
+	c, err := NewAdaptationCache(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := validEnv()
+	key := CacheKey{AppID: "app", Dev: env.Dev, Ntwk: env.Ntwk}.String()
+	c.GetKeyed(key)
+	if _, ok := c.RecheckKeyed(key); ok {
+		t.Fatal("recheck hit an empty cache")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("miss then missed recheck: stats = %+v, want one miss", st)
+	}
+	c.PutKeyed(key, []PADMeta{{ID: "p1", Protocol: "x"}})
+	got, ok := c.RecheckKeyed(key)
+	if !ok || len(got) != 1 || got[0].ID != "p1" {
+		t.Fatalf("RecheckKeyed = %v, %v", got, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("miss then filled recheck: stats = %+v, want the miss relabelled a hit", st)
+	}
+}
+
 func TestAdaptationCacheLRUEviction(t *testing.T) {
 	c, err := NewAdaptationCache(2)
 	if err != nil {

@@ -49,9 +49,9 @@ func eventBefore(a, b event) bool {
 // The pending set is kept in an inlined 4-ary heap of event values rather
 // than container/heap over pointers: no per-event heap allocation, no
 // interface boxing on push/pop, and the shallower tree does ~half the
-// compare/swap levels of a binary heap at fleet-scale queue depths. The
-// moves counter tallies element moves during sifts; the regression test
-// pins it to the O(log n)-per-operation envelope at a million events.
+// compare/swap levels of a binary heap at large queue depths. The moves
+// counter tallies element moves during sifts; the regression test pins it
+// to the O(log n)-per-operation envelope at a hundred thousand events.
 type VirtualClock struct {
 	now    time.Duration
 	seq    uint64

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -393,5 +395,50 @@ func TestLinkLossRate(t *testing.T) {
 	// Standard links remain clean by default.
 	if Bluetooth.LossRate != 0 {
 		t.Fatal("standard link has nonzero loss")
+	}
+}
+
+// logNBound is the per-operation move envelope of a 4-ary heap holding at
+// most n elements: ceil(log4 n) levels plus slack for the root/leaf edges.
+func logNBound(n int) uint64 {
+	if n < 2 {
+		return 2
+	}
+	levels := (bits.Len(uint(n-1)) + 1) / 2 // ceil(log4 n)
+	return uint64(levels + 2)
+}
+
+// TestVirtualClockHeapDiscipline verifies the clock's inlined heap keeps
+// the same stable (timestamp, schedule-order) execution order as the old
+// container/heap implementation, and stays within the O(log n) move
+// envelope under a large schedule.
+func TestVirtualClockHeapDiscipline(t *testing.T) {
+	const n = 100000
+	run := func(seed int64) ([]int, uint64) {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewVirtualClock()
+		order := make([]int, 0, n)
+		for i := 0; i < n; i++ {
+			i := i
+			c.Schedule(time.Duration(rng.Intn(1000))*time.Millisecond, func() {
+				order = append(order, i)
+			})
+		}
+		c.Run()
+		return order, c.moves
+	}
+	a, movesA := run(11)
+	b, _ := run(11)
+	if len(a) != n || len(b) != n {
+		t.Fatalf("executed %d/%d events, want %d", len(a), len(b), n)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("event order diverged at %d: %d vs %d", i, a[i], b[i])
+		}
+	}
+	bound := uint64(2*n) * logNBound(n)
+	if movesA > bound {
+		t.Fatalf("%d schedule+run ops did %d moves, above envelope %d", 2*n, movesA, bound)
 	}
 }

@@ -90,76 +90,36 @@ func (p *Proxy) authorizer() Authorizer {
 	return p.authz
 }
 
-// Outcome classifies how one negotiation was satisfied: served from the
-// adaptation cache, by running a path search, or by joining another
-// caller's in-flight search for the same key. Exactly one outcome is
-// reported per successful negotiation, mirroring the Stats invariant
-// Negotiations = CacheHits + Searches + CollapsedSearches.
-type Outcome uint8
-
-// Negotiation outcomes.
-const (
-	OutcomeHit Outcome = iota
-	OutcomeSearch
-	OutcomeCollapsed
-)
-
-// String names the outcome for logs and experiment rows.
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeHit:
-		return "hit"
-	case OutcomeSearch:
-		return "search"
-	case OutcomeCollapsed:
-		return "collapsed"
-	}
-	return "unknown"
-}
-
 // NegotiateFor is Negotiate with an authenticated principal: the
 // adaptation cache is partitioned per principal and the path search only
 // considers PADs the policy allows. Concurrent misses for the same cache
 // key collapse into one search: one caller becomes the leader and runs the
 // search, the rest block on its result and are counted as
-// CollapsedSearches.
+// CollapsedSearches. The warm path (cache hit) allocates only the key and
+// the defensive result copy; the singleflight closure below is built on
+// misses only.
 func (p *Proxy) NegotiateFor(principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
-	key := core.CacheKey{AppID: appID, Principal: principal, Dev: env.Dev, Ntwk: env.Ntwk}.String()
-	pads, _, err := p.NegotiateKeyed(key, principal, appID, env, sessionRequests)
-	return pads, err
-}
-
-// NegotiateKeyed is NegotiateFor for a caller that already rendered the
-// canonical cache key (core.CacheKey.String over the same principal, app,
-// and environment), so a front router that routed on the key does not
-// build it twice. It additionally reports how the negotiation was
-// satisfied; the fleet tier uses the outcome to drive warm-path
-// replication and the load harness uses it to assign simulated service
-// times. The warm path (cache hit) allocates only the defensive result
-// copy; the singleflight closure below is built on misses only.
-func (p *Proxy) NegotiateKeyed(key, principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, Outcome, error) {
 	if err := env.Validate(); err != nil {
-		return nil, OutcomeHit, fmt.Errorf("proxy: client metadata: %w", err)
+		return nil, fmt.Errorf("proxy: client metadata: %w", err)
 	}
+	key := core.CacheKey{AppID: appID, Principal: principal, Dev: env.Dev, Ntwk: env.Ntwk}.String()
 	p.negotiations.Add(1)
 	if pads, ok := p.cache.GetKeyed(key); ok {
 		p.cacheHits.Add(1)
-		return pads, OutcomeHit, nil
+		return pads, nil
 	}
-	outcome := OutcomeSearch
 	pads, err, joined := p.sf.Do(key, func() ([]core.PADMeta, error) {
 		// Double-check under leadership: a previous leader may have filled
 		// the cache between our miss and this call, so each unique key runs
-		// at most one search no matter how callers interleave.
-		if pads, ok := p.cache.GetKeyed(key); ok {
+		// at most one search no matter how callers interleave. RecheckKeyed
+		// keeps the cache's counters at one outcome per negotiation.
+		if pads, ok := p.cache.RecheckKeyed(key); ok {
 			p.cacheHits.Add(1)
-			outcome = OutcomeHit
 			return pads, nil
 		}
 		return p.searchAndFill(key, principal, appID, env, sessionRequests)
 	})
 	if joined {
-		outcome = OutcomeCollapsed
 		p.collapsedSearches.Add(1)
 		if err == nil {
 			// Followers share the leader's slice; hand each caller its own
@@ -167,17 +127,7 @@ func (p *Proxy) NegotiateKeyed(key, principal, appID string, env core.Env, sessi
 			pads = append([]core.PADMeta(nil), pads...)
 		}
 	}
-	return pads, outcome, err
-}
-
-// SeedCache installs an already-prepared negotiation result under its
-// canonical key, bypassing the path search. The fleet tier uses it for
-// warm-path replication: when one shard fills a cold key, the prepared
-// result may be copied to the key's rendezvous successors so a later
-// membership change finds them warm. pads must already be client-prepared
-// (links redacted, URLs filled); the cache stores a defensive copy.
-func (p *Proxy) SeedCache(key string, pads []core.PADMeta) {
-	p.cache.PutKeyed(key, pads)
+	return pads, err
 }
 
 // searchAndFill runs the authorized path search for a cache miss and

@@ -10,6 +10,23 @@ import (
 	"fractal/internal/inp"
 )
 
+// checkCacheCounters pins that the adaptation cache and the proxy count the
+// same events: one cache outcome per negotiation (the singleflight
+// leader's re-check is not a second lookup), and a cache miss exactly when
+// the negotiation ran or joined a search.
+func checkCacheCounters(t *testing.T, p *Proxy) {
+	t.Helper()
+	st, cs := p.Stats(), p.CacheStats()
+	if cs.Hits+cs.Misses != st.Negotiations {
+		t.Errorf("cache Hits(%d) + Misses(%d) = %d, want Negotiations = %d",
+			cs.Hits, cs.Misses, cs.Hits+cs.Misses, st.Negotiations)
+	}
+	if cs.Misses != st.Searches+st.CollapsedSearches {
+		t.Errorf("cache Misses = %d, want Searches(%d) + CollapsedSearches(%d)",
+			cs.Misses, st.Searches, st.CollapsedSearches)
+	}
+}
+
 // TestNegotiateSingleflightExactlyOneSearchPerKey is the cold-cache
 // hammer (run under -race in CI): many goroutines negotiate a small set of
 // unique cache keys concurrently, and the proxy must run exactly one path
@@ -55,6 +72,7 @@ func TestNegotiateSingleflightExactlyOneSearchPerKey(t *testing.T) {
 		t.Errorf("CacheHits(%d) + Searches(%d) + CollapsedSearches(%d) = %d, want Negotiations = %d",
 			st.CacheHits, st.Searches, st.CollapsedSearches, got, st.Negotiations)
 	}
+	checkCacheCounters(t, p)
 }
 
 // TestNegotiateCollapsesConcurrentMisses pins that followers arriving while
@@ -110,6 +128,7 @@ func TestNegotiateCollapsesConcurrentMisses(t *testing.T) {
 		t.Errorf("counter invariant broken: %d hits + %d searches + %d collapsed != %d negotiations",
 			st.CacheHits, st.Searches, st.CollapsedSearches, st.Negotiations)
 	}
+	checkCacheCounters(t, p)
 }
 
 // TestNegotiateStatsSequential pins the counter semantics on the simple
@@ -122,12 +141,14 @@ func TestNegotiateStatsSequential(t *testing.T) {
 	if st := p.Stats(); st.Searches != 1 || st.CacheHits != 0 || st.CollapsedSearches != 0 {
 		t.Fatalf("after cold negotiation: %+v", st)
 	}
+	checkCacheCounters(t, p)
 	if _, err := p.Negotiate("webapp", desktopEnv(), 75); err != nil {
 		t.Fatal(err)
 	}
 	if st := p.Stats(); st.Searches != 1 || st.CacheHits != 1 {
 		t.Fatalf("after warm negotiation: %+v", st)
 	}
+	checkCacheCounters(t, p)
 }
 
 // partialNegotiation opens a session and stops after receiving the
