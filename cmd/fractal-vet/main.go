@@ -1,16 +1,15 @@
 // Command fractal-vet runs the repo-specific static-analysis suite over
 // the module: determinism (simtime, rawrand), error-handling (errdiscard),
-// VM instruction-set completeness (opcomplete), digest-comparison hygiene
-// (digestsafe), conn-deadline safety (deadline), and the flow-sensitive
-// checks built on the CFG/dataflow engine and its interprocedural
-// call-graph summaries — lock discipline (lockheld), wire-length
-// allocation taint (wiretaint), hot-path allocation hygiene (hotpath),
-// and goroutine-leak detection (goleak). See internal/analysis for the
-// invariants and the //fractal:allow annotation syntax.
+// digest-comparison hygiene (digestsafe), and the flow-sensitive checks
+// built on the one CFG/dataflow engine and its interprocedural call-graph
+// summaries — lock discipline (lockheld), wire-length allocation taint
+// (wiretaint), and hot-path allocation and arena-lifetime hygiene
+// (hotpath). See internal/analysis for the invariants and the
+// //fractal:allow annotation syntax.
 //
 // Usage:
 //
-//	fractal-vet [-json|-sarif] [-enable a,b] [-disable c] [-timing] [-time-budget d] [packages]
+//	fractal-vet [-json|-sarif] [-enable a,b] [-disable c] [-timing] [packages]
 //	fractal-vet -pads [module.pad ...]
 //
 // With no arguments (or "./...") every package of the enclosing module is
@@ -49,7 +48,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	timing := fs.Bool("timing", false, "print a per-analyzer wall-time report to stderr")
-	budget := fs.Duration("time-budget", 0, "fail if the analysis wall time exceeds this duration (0 = no budget)")
 	pads := fs.Bool("pads", false, "verify builtin PAD bytecode (and any packed module files given as arguments) instead of Go sources")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -120,11 +118,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	if *timing {
 		printTimings(stderr, timings, wall, len(pkgs))
 	}
-	if *budget > 0 && wall > *budget {
-		fmt.Fprintf(stderr, "fractal-vet: analysis took %s, over the %s budget\n",
-			wall.Round(time.Millisecond), *budget)
-		return 1
-	}
 	if len(diags) > 0 {
 		return 1
 	}
@@ -132,10 +125,9 @@ func run(args []string, stdout, stderr *os.File) int {
 }
 
 // printTimings renders the per-analyzer wall-time report, slowest first.
-// Analyzer entries are cumulative across packages and overlap (analyzers
-// run concurrently within each package), so their sum exceeds the wall
-// line; "(summaries)" is the one-off interprocedural program build. The
-// wall line is what the -time-budget flag compares against.
+// Analyzer entries are cumulative across packages; "(summaries)" is the
+// one-off interprocedural program build, and the wall line the whole
+// analysis.
 func printTimings(w *os.File, timings []analysis.Timing, wall time.Duration, npkgs int) {
 	sorted := make([]analysis.Timing, len(timings))
 	copy(sorted, timings)

@@ -174,8 +174,7 @@ func TestRunSARIFRelatedLocations(t *testing.T) {
 }
 
 // TestRunTiming checks -timing prints a per-analyzer report (to stderr)
-// with the summaries pseudo-entry and the wall line the budget compares
-// against.
+// with the summaries pseudo-entry and the wall line.
 func TestRunTiming(t *testing.T) {
 	var code int
 	out := capture(t, func(f *os.File) {
@@ -193,24 +192,6 @@ func TestRunTiming(t *testing.T) {
 		if !strings.Contains(out, a.Name) {
 			t.Errorf("-timing output missing analyzer %q:\n%s", a.Name, out)
 		}
-	}
-}
-
-// TestRunTimeBudget checks an absurdly small budget fails the run even
-// on a clean package, and a generous one does not.
-func TestRunTimeBudget(t *testing.T) {
-	var code int
-	out := capture(t, func(f *os.File) {
-		code = run([]string{"-time-budget", "1ns", "../../internal/netsim"}, f, f)
-	})
-	if code != 1 {
-		t.Fatalf("run -time-budget 1ns = %d, want 1 (output: %s)", code, out)
-	}
-	if !strings.Contains(out, "over the 1ns budget") {
-		t.Errorf("budget failure not reported:\n%s", out)
-	}
-	if code := capture2(t, []string{"-time-budget", "10m", "../../internal/netsim"}); code != 0 {
-		t.Fatalf("run -time-budget 10m = %d, want 0", code)
 	}
 }
 

@@ -5,7 +5,8 @@
 // The repo's core correctness properties — "simulation results are
 // repeatable" and "PADs are verified before deployment" — are invariants
 // about how code is written, not just runtime behaviour. Each analyzer
-// machine-checks one of them:
+// machine-checks one of them, and each is kept because re-introducing the
+// bug it was written for makes it fire (DESIGN.md, "Analyzer receipts"):
 //
 //   - simtime:    wall-clock time sources are forbidden in
 //     simulation-deterministic packages; virtual time flows
@@ -15,13 +16,8 @@
 //   - errdiscard: io.Reader/io.Writer and codec encode/decode errors (and
 //     Read byte counts — the short-read bug class) must not be
 //     discarded.
-//   - opcomplete: every VM opcode has an assembler mnemonic and a
-//     dispatch-switch handler.
 //   - digestsafe: digest equality goes through the designated constant-time
 //     helper, never ad-hoc ==/bytes.Equal.
-//   - deadline:   conn Read/Write and INP frame calls in the networking
-//     packages must be guarded by a deadline or SetTimeout, so a
-//     stalled peer cannot park a session goroutine forever.
 //   - lockheld:   (flow-sensitive) no mutex is provably held across a
 //     blocking operation, no lock is re-acquired while held, and
 //     known locks are acquired in a consistent order.
@@ -29,18 +25,17 @@
 //     pass an upper-bound check before sizing an allocation.
 //   - hotpath:    (flow-sensitive) functions annotated //fractal:hotpath
 //     avoid per-call allocation constructs, pinning the
-//     benchmarked allocs/op.
-//   - goleak:     (interprocedural) goroutines spawned in the serving-plane
-//     packages are tied to a context/close/deadline exit signal,
-//     so a stalled peer cannot leak a goroutine per session.
+//     benchmarked allocs/op; session arena buffers never outlive
+//     their session.
 //
-// The flow-sensitive analyzers run on a shared intraprocedural CFG +
-// forward-dataflow engine (cfg.go, dataflow.go) — the host-language
-// sibling of the PAD bytecode verifier's stack checker. On top of that,
-// a call graph with bottom-up function summaries (callgraph.go,
-// summary.go) lets lockheld, wiretaint, and goleak see through calls:
-// taint transfer, blocking behaviour, and spawn obligations compose
-// across any number of in-set hops.
+// The flow-sensitive analyzers share one engine: one per-function driver
+// over an intraprocedural CFG (cfg.go), one forward-dataflow solver with its
+// replay and copy-on-write helpers (dataflow.go), one "may block" classifier
+// (lockheld.go), and one taint engine with two rule sets — wire integers
+// and session arena borrows (wiretaint.go). A call graph with bottom-up
+// function summaries (callgraph.go, summary.go) lets lockheld and
+// wiretaint see through calls: blocking behaviour and taint transfer
+// compose across any number of in-set hops.
 //
 // A finding can be suppressed at a genuine exception site (for example a
 // wall-clock serving metric) with a checked annotation comment on the same
@@ -53,14 +48,12 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"runtime"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -74,7 +67,7 @@ type Diagnostic struct {
 	Message  string         `json:"message"`
 	// Related points at the other ends of an interprocedural finding: the
 	// decode site feeding a sink, the lock acquisition a blocking call
-	// violates, the unguarded operation inside a leaked goroutine.
+	// violates.
 	Related []Related `json:"related,omitempty"`
 }
 
@@ -96,6 +89,9 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
+	// scope, when non-empty, lists the only import paths the analyzer runs
+	// on; RunTimed applies it.
+	scope []string
 }
 
 // Pass carries one analyzer's view of one package and collects its
@@ -196,55 +192,36 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// RunTimed is Run plus per-analyzer wall-time accounting. Within each
-// package the analyzers execute concurrently (they are independent by
-// construction: each gets its own Pass, and Package/Program are read-only
-// by the time analyzers run), bounded by GOMAXPROCS so vet time stays
-// flat as the suite grows.
+// RunTimed is Run plus per-analyzer wall-time accounting. Analyzers run
+// one after another, in suite order, on each package their scope admits.
 func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 	t0 := time.Now()
 	prog := BuildProgram(pkgs)
-	progDur := time.Since(t0)
-
-	durations := make([]atomic.Int64, len(analyzers))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	timings := []Timing{{Analyzer: "(summaries)", Duration: time.Since(t0)}}
+	enabled := map[string]bool{}
+	for _, a := range analyzers {
+		timings = append(timings, Timing{Analyzer: a.Name})
+		enabled[a.Name] = true
+	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		allows := collectAllows(pkg.Fset, pkg.Files)
-		passes := make([]*Pass, len(analyzers))
-		var wg sync.WaitGroup
 		for i, a := range analyzers {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, a *Analyzer) {
-				defer func() {
-					<-sem
-					wg.Done()
-				}()
-				start := time.Now()
-				pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, Prog: prog}
-				a.Run(pass)
-				durations[i].Add(int64(time.Since(start)))
-				passes[i] = pass
-			}(i, a)
-		}
-		wg.Wait()
-		// Sequential collection in analyzer order keeps the output (and the
-		// allow bookkeeping) deterministic regardless of scheduling.
-		for _, pass := range passes {
+			if len(a.scope) > 0 && !slices.Contains(a.scope, pkg.Path) {
+				continue
+			}
+			start := time.Now()
+			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, Prog: prog}
+			a.Run(pass)
+			timings[i+1].Duration += time.Since(start)
 			for _, d := range pass.diags {
-				if suppressed(d, allows) {
-					continue
+				if !suppressed(d, allows) {
+					out = append(out, d)
 				}
-				out = append(out, d)
 			}
 		}
 		// An allow annotation naming an enabled analyzer that suppressed
 		// nothing is stale; report it so allowlists stay honest.
-		enabled := map[string]bool{}
-		for _, a := range analyzers {
-			enabled[a.Name] = true
-		}
 		for _, al := range allows {
 			if al.used || !enabled[al.analyzer] {
 				continue
@@ -260,23 +237,9 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		if out[i].Line != out[j].Line {
-			return out[i].Line < out[j].Line
-		}
-		if out[i].Col != out[j].Col {
-			return out[i].Col < out[j].Col
-		}
-		return out[i].Analyzer < out[j].Analyzer
+	slices.SortFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col), cmp.Compare(a.Analyzer, b.Analyzer))
 	})
-	timings := make([]Timing, 0, len(analyzers)+1)
-	timings = append(timings, Timing{Analyzer: "(summaries)", Duration: progDur})
-	for i, a := range analyzers {
-		timings = append(timings, Timing{Analyzer: a.Name, Duration: time.Duration(durations[i].Load())})
-	}
 	return out, timings
 }
 
@@ -302,13 +265,10 @@ func Analyzers() []*Analyzer {
 		SimtimeAnalyzer,
 		RawrandAnalyzer,
 		ErrdiscardAnalyzer,
-		OpcompleteAnalyzer,
 		DigestsafeAnalyzer,
-		DeadlineAnalyzer,
 		LockheldAnalyzer,
 		WiretaintAnalyzer,
 		HotpathAnalyzer,
-		GoleakAnalyzer,
 	}
 }
 
@@ -340,13 +300,7 @@ func Select(enable, disable string) ([]*Analyzer, error) {
 			}
 			drop[name] = true
 		}
-		var kept []*Analyzer
-		for _, a := range picked {
-			if !drop[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		picked = kept
+		picked = slices.DeleteFunc(picked, func(a *Analyzer) bool { return drop[a.Name] })
 	}
 	return picked, nil
 }

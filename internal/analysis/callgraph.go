@@ -29,8 +29,8 @@ import (
 // non-blocking and taint-free. That is an unsoundness, documented in
 // DESIGN.md ("Interprocedural analysis" — soundness caveats); the repo's
 // blocking and decoding primitives are concrete calls in practice, and
-// the conformance/differential dynamic layers backstop what the static
-// layer cannot see.
+// dynamic tests (the conformance oracle, the goroutine and idle-timeout
+// tests of the serving loop) backstop what the static layer cannot see.
 
 // Program is the interprocedural view of one Run's package set: the
 // function index, the call graph, and (once Summarize ran) the per-function
@@ -42,9 +42,6 @@ type Program struct {
 	order []*ProgFunc
 	// sccID groups mutually recursive functions; equal IDs share a cycle.
 	sccID map[*ProgFunc]int
-	// chans caches per-package channel facts for the goroutine-obligation
-	// analysis (close sites, visible buffering).
-	chans map[*Package]*chanFacts
 }
 
 // ProgFunc is one declared function or method of the package set.
@@ -69,7 +66,6 @@ func BuildProgram(pkgs []*Package) *Program {
 	p := &Program{
 		fns:   map[*types.Func]*ProgFunc{},
 		sccID: map[*ProgFunc]int{},
-		chans: map[*Package]*chanFacts{},
 	}
 	// Pass 1: index declarations.
 	var all []*ProgFunc
@@ -110,9 +106,6 @@ func BuildProgram(pkgs []*Package) *Program {
 		})
 	}
 	p.computeSCCs(all)
-	for _, pkg := range pkgs {
-		p.chans[pkg] = collectChanFacts(pkg)
-	}
 	p.summarize()
 	return p
 }
@@ -124,14 +117,6 @@ func (p *Program) FuncOf(fn *types.Func) *ProgFunc {
 		return nil
 	}
 	return p.fns[fn]
-}
-
-// SummaryOf returns fn's summary, or nil when fn is outside the set.
-func (p *Program) SummaryOf(fn *types.Func) *FuncSummary {
-	if pf := p.FuncOf(fn); pf != nil {
-		return pf.Summary
-	}
-	return nil
 }
 
 // resolveCall is resolve for callers outside the program build: it
@@ -190,6 +175,20 @@ func (p *Program) resolve(pf *ProgFunc, call *ast.CallExpr) *ProgFunc {
 	return nil
 }
 
+// identVar resolves an identifier expression to the variable it declares
+// or uses, or nil (blank, non-variable, or not an identifier).
+func identVar(pkg *Package, e ast.Expr) *types.Var {
+	id, ok := e.(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
+		return v
+	}
+	v, _ := pkg.Info.Uses[id].(*types.Var)
+	return v
+}
+
 // isInterfaceMethod reports whether fn's receiver is an interface type.
 func isInterfaceMethod(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
@@ -226,12 +225,7 @@ func localBindings(p *Program, pf *ProgFunc) (map[*types.Var]types.Type, map[*ty
 	concrete := map[*types.Var]types.Type{}
 	fnBind := map[*types.Var]*types.Func{}
 	record := func(id *ast.Ident, rhs ast.Expr) {
-		var v *types.Var
-		if def, ok := pkg.Info.Defs[id].(*types.Var); ok {
-			v = def
-		} else if use, ok := pkg.Info.Uses[id].(*types.Var); ok {
-			v = use
-		}
+		v := identVar(pkg, id)
 		if v == nil || v.IsField() {
 			return
 		}

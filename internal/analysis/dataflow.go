@@ -1,11 +1,18 @@
 package analysis
 
-// A generic forward worklist fixpoint over CFG blocks — the dataflow half
-// of the flow-sensitive engine. An analyzer supplies the lattice (Join,
-// Equal), the per-block transfer function, and optionally a per-edge
-// refinement (how a branch condition sharpens facts on its true/false
-// edges). The engine returns the block-entry facts at the fixpoint; the
-// analyzer then replays each reached block once to report.
+import (
+	"go/ast"
+	"go/types"
+	"maps"
+)
+
+// The dataflow half of the flow-sensitive engine, and the three pieces
+// every flow analyzer (lockheld, wiretaint, hotpath) is built from: a
+// per-function driver (forEachFunc), a forward worklist fixpoint with a
+// replay of each reached block (solve), and a copy-on-write handle on
+// map-shaped facts (cow). An analyzer supplies the lattice (Join, Equal),
+// the per-block transfer function, and optionally a per-edge refinement
+// (how a branch condition sharpens facts on its true/false edges).
 //
 // Contract: Transfer, Refine, and Join must treat their inputs as
 // immutable — facts are shared between blocks, so implementations
@@ -76,4 +83,51 @@ func ForwardFixpoint[F any](g *CFG, an FlowAnalysis[F]) map[*Block]F {
 		}
 	}
 	return in
+}
+
+// solve runs the analysis to its fixpoint over g, then replays every
+// reached block once with its converged entry fact — the pass in which an
+// analyzer reports.
+func solve[F any](g *CFG, an FlowAnalysis[F], replay func(b *Block, in F)) {
+	facts := ForwardFixpoint(g, an)
+	for _, b := range g.Blocks {
+		if in, reached := facts[b]; reached {
+			replay(b, in)
+		}
+	}
+}
+
+// cow returns the write handle of a copy-on-write map fact: reads go
+// through *fact, and the first call clones the shared input into *fact
+// before handing it out for writing.
+func cow[M ~map[K]V, K comparable, V any](fact *M) func() M {
+	cloned := false
+	return func() M {
+		if !cloned {
+			*fact, cloned = maps.Clone(*fact), true
+		}
+		return *fact
+	}
+}
+
+// forEachFunc is the per-function driver: it visits the CFG of every
+// function body in the package that want admits (nil admits all) — each
+// declaration, then each function literal inside it, analyzed from its
+// own entry — together with the enclosing declaration and its program
+// function (nil without a program view), whose locally-evident bindings
+// cover the nested literals too.
+func forEachFunc(pass *Pass, want func(*ast.FuncDecl) bool, visit func(fd *ast.FuncDecl, pf *ProgFunc, g *CFG)) {
+	for _, f := range pass.Pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || (want != nil && !want(fd)) {
+				continue
+			}
+			fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
+			pf := pass.Prog.FuncOf(fn)
+			for _, g := range funcCFGs(fd.Body) {
+				visit(fd, pf, g)
+			}
+		}
+	}
 }

@@ -19,16 +19,6 @@ var digestHelperNames = map[string]bool{
 	"digestEqual": true,
 }
 
-// digestsafeScope lists the packages forming the PAD verification
-// pipeline. Digest comparisons elsewhere (for example the rsync encoder's
-// block-dedup hash-table probe) are content addressing, not verification,
-// and stay free to use plain comparisons in hot paths.
-var digestsafeScope = map[string]bool{
-	"fractal/internal/mobilecode": true,
-	"fractal/internal/cdn":        true,
-	"fractal/internal/client":     true,
-}
-
 // DigestsafeAnalyzer requires SHA-1 digest equality checks in the PAD
 // deployment pipeline to go through the designated constant-time helper
 // (mobilecode.DigestEqual) rather than ad-hoc == / bytes.Equal on raw
@@ -38,12 +28,13 @@ var DigestsafeAnalyzer = &Analyzer{
 	Name: "digestsafe",
 	Doc:  "compare SHA-1 digests via the designated DigestEqual helper, not ==/bytes.Equal",
 	Run:  runDigestsafe,
+	// The PAD verification pipeline. Digest comparisons elsewhere (for
+	// example the rsync encoder's block-dedup hash-table probe) are content
+	// addressing, not verification, and stay free to use plain comparisons.
+	scope: []string{"fractal/internal/mobilecode", "fractal/internal/cdn", "fractal/internal/client"},
 }
 
 func runDigestsafe(pass *Pass) {
-	if !digestsafeScope[pass.Pkg.Path] {
-		return
-	}
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

@@ -147,42 +147,9 @@ func TestErrdiscardFixtures(t *testing.T) {
 	checkFixture(t, ErrdiscardAnalyzer, filepath.Join("testdata", "errdiscard", "good"), "fractal/internal/codec")
 }
 
-func TestOpcompleteFixtures(t *testing.T) {
-	checkFixture(t, OpcompleteAnalyzer, filepath.Join("testdata", "opcomplete", "bad"), "fractal/internal/mobilecode")
-	checkFixture(t, OpcompleteAnalyzer, filepath.Join("testdata", "opcomplete", "good"), "fractal/internal/mobilecode")
-}
-
 func TestDigestsafeFixtures(t *testing.T) {
 	checkFixture(t, DigestsafeAnalyzer, filepath.Join("testdata", "digestsafe", "bad"), "fractal/internal/mobilecode")
 	checkFixture(t, DigestsafeAnalyzer, filepath.Join("testdata", "digestsafe", "good"), "fractal/internal/mobilecode")
-}
-
-func TestDeadlineFixtures(t *testing.T) {
-	checkFixture(t, DeadlineAnalyzer, filepath.Join("testdata", "deadline", "bad"), "fractal/internal/inp")
-	checkFixture(t, DeadlineAnalyzer, filepath.Join("testdata", "deadline", "good"), "fractal/internal/inp")
-}
-
-// TestDeadlineScope verifies unbounded conn I/O outside the networking
-// packages (for example in a simulator) is not the deadline analyzer's
-// business.
-func TestDeadlineScope(t *testing.T) {
-	loader := getLoader(t)
-	abs, err := filepath.Abs(filepath.Join("testdata", "deadline", "bad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(abs, "fractal/internal/netsim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{DeadlineAnalyzer}) {
-		// The fixture's allow annotation goes stale out of scope and is
-		// rightly reported by allowcheck; only deadline findings themselves
-		// would be a scoping bug.
-		if d.Analyzer == DeadlineAnalyzer.Name {
-			t.Fatalf("deadline fired outside its scope: %v", d)
-		}
-	}
 }
 
 // TestDigestsafeScope verifies comparisons outside the verification
@@ -228,15 +195,6 @@ func TestWiretaintInterFixtures(t *testing.T) {
 func TestLockheldInterFixtures(t *testing.T) {
 	checkFixture(t, LockheldAnalyzer, filepath.Join("testdata", "lockheld", "inter", "bad"), "fractal/internal/client")
 	checkFixture(t, LockheldAnalyzer, filepath.Join("testdata", "lockheld", "inter", "good"), "fractal/internal/client")
-}
-
-// TestGoleakFixtures pins the goroutine-leak verdicts: spawns blocking
-// on channels nobody closes (or looping forever) are reported; spawns
-// tied to a context case, a package-closed channel, or visible
-// buffering are clean.
-func TestGoleakFixtures(t *testing.T) {
-	checkFixture(t, GoleakAnalyzer, filepath.Join("testdata", "goleak", "bad"), "fractal/internal/client")
-	checkFixture(t, GoleakAnalyzer, filepath.Join("testdata", "goleak", "good"), "fractal/internal/client")
 }
 
 func TestHotpathFixtures(t *testing.T) {
@@ -325,7 +283,7 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(two) != 2 {
 		t.Fatalf("enable list: got %d analyzers, err %v", len(two), err)
 	}
-	rest, err := Select("", "opcomplete")
+	rest, err := Select("", "hotpath")
 	if err != nil || len(rest) != len(Analyzers())-1 {
 		t.Fatalf("disable list: got %d analyzers, err %v", len(rest), err)
 	}

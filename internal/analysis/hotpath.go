@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -21,12 +20,13 @@ const HotpathPrefix = "fractal:hotpath"
 // interface boxing of non-pointer values. It is annotation-driven and runs
 // in every package.
 //
-// Independent of annotations it also enforces the arena lifetime rule:
-// a session-scoped buffer (arena.Session Bytes/Grow) is recycled when the
-// connection releases its session, so storing one into a struct field, a
-// package-level variable, or a channel would let the storage be
-// overwritten under the escapee. The rare legitimate store — a field of
-// an object that provably shares the session's lifetime — is annotated.
+// Independent of annotations it also enforces the arena lifetime rule, as
+// the taint engine's arena rule set: a session-scoped buffer
+// (arena.Session Bytes/Grow) is recycled when the connection releases its
+// session, so storing one into a struct field, a package-level variable,
+// or a channel would let the storage be overwritten under the escapee.
+// The rare legitimate store — a field of an object that provably shares
+// the session's lifetime — is annotated.
 var HotpathAnalyzer = &Analyzer{
 	Name: "hotpath",
 	Doc:  "flag per-call allocation constructs in functions annotated //fractal:hotpath, and session arena buffers escaping their lifetime scope",
@@ -34,129 +34,71 @@ var HotpathAnalyzer = &Analyzer{
 }
 
 func runHotpath(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		marked := hotpathLines(f)
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkArenaEscape(pass, fd)
-			if !isHotFunc(pass, fd, marked) {
-				continue
-			}
-			checkHotFunc(pass, fd)
-		}
-	}
-}
-
-// checkArenaEscape flags session-scoped arena buffers escaping into
-// storage that outlives the session: struct fields, package-level
-// variables, and channel sends. Taint starts at (*arena.Session)
-// Bytes/Grow calls and propagates through local assignments (including
-// slicing) to a fixpoint.
-func checkArenaEscape(pass *Pass, fd *ast.FuncDecl) {
-	tainted := map[*types.Var]bool{}
-	for changed := true; changed; {
-		changed = false
+	hot := hotFuncs(pass)
+	// Without a session borrow the arena rule set has no source, so only
+	// hot functions and borrowing ones need a CFG.
+	want := func(fd *ast.FuncDecl) bool {
+		keep := hot[fd]
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i := range as.Rhs {
-				if !arenaDerived(pass, as.Rhs[i], tainted) {
-					continue
-				}
-				id, ok := as.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				v, ok := pass.Pkg.Info.Defs[id].(*types.Var)
-				if !ok {
-					v, ok = pass.Pkg.Info.Uses[id].(*types.Var)
-				}
-				if ok && v != nil && !v.IsField() && !tainted[v] {
-					tainted[v] = true
-					changed = true
-				}
-			}
-			return true
+			call, ok := n.(*ast.CallExpr)
+			keep = keep || ok && isSessionBorrow(pass.Pkg, call)
+			return !keep
 		})
+		return keep
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i := range n.Rhs {
-				if !arenaDerived(pass, n.Rhs[i], tainted) {
-					continue
-				}
-				switch lhs := n.Lhs[i].(type) {
-				case *ast.SelectorExpr:
-					pass.Reportf(n.Lhs[i].Pos(),
-						"session arena buffer stored into field %s outlives its session in %s; the storage is recycled at Session.Release (or annotate with //%s hotpath if the field shares the session's lifetime)",
-						types.ExprString(lhs), fd.Name.Name, AllowPrefix)
-				case *ast.Ident:
-					if v, ok := pass.Pkg.Info.Uses[lhs].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-						pass.Reportf(n.Lhs[i].Pos(),
-							"session arena buffer stored into package variable %s outlives its session in %s (or annotate with //%s hotpath)",
-							lhs.Name, fd.Name.Name, AllowPrefix)
-					}
-				}
-			}
-		case *ast.SendStmt:
-			if arenaDerived(pass, n.Value, tainted) {
-				pass.Reportf(n.Pos(),
-					"session arena buffer sent on a channel escapes its session in %s; the storage is recycled at Session.Release (or annotate with //%s hotpath)",
-					fd.Name.Name, AllowPrefix)
-			}
+	forEachFunc(pass, want, func(fd *ast.FuncDecl, pf *ProgFunc, g *CFG) {
+		(&taintCtx{pass: pass, pkg: pass.Pkg, pf: pf, fd: fd, rules: arenaRules}).run(g, taintFact{})
+		if hot[fd] {
+			checkHotFunc(pass, fd, g)
 		}
-		return true
 	})
 }
 
-// arenaDerived reports whether e evaluates to (or visibly contains) a
-// session arena borrow: a direct Session.Bytes/Grow call, a tainted
-// local, a slice/paren/address-of wrapper over one, or a composite
-// literal embedding one.
-func arenaDerived(pass *Pass, e ast.Expr, tainted map[*types.Var]bool) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		v, ok := pass.Pkg.Info.Uses[e].(*types.Var)
-		return ok && tainted[v]
-	case *ast.CallExpr:
-		return isSessionBorrow(pass, e)
-	case *ast.SliceExpr:
-		return arenaDerived(pass, e.X, tainted)
-	case *ast.ParenExpr:
-		return arenaDerived(pass, e.X, tainted)
-	case *ast.UnaryExpr:
-		return e.Op == token.AND && arenaDerived(pass, e.X, tainted)
-	case *ast.CompositeLit:
-		for _, elt := range e.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				if arenaDerived(pass, kv.Value, tainted) {
-					return true
-				}
-			} else if arenaDerived(pass, elt, tainted) {
-				return true
+// arenaRules is the taint engine's second rule set: a borrow from an arena
+// session ((*arena.Session) Bytes/Grow) is tainted, taint follows slicing,
+// parens, & and composite literals, and the borrow must not be stored where
+// it outlives the session.
+var arenaRules = &taintRules{source: isSessionBorrow, sinks: arenaSinks}
+
+// arenaSinks reports a session borrow stored into a struct field, a
+// package-level variable, or sent on a channel.
+func arenaSinks(c *taintCtx, node ast.Node, fact taintFact) {
+	switch n := node.(type) {
+	case *ast.AssignStmt:
+		if len(n.Lhs) != len(n.Rhs) {
+			return
+		}
+		for i, lhs := range n.Lhs {
+			if !c.exprTaint(n.Rhs[i], fact).tainted() {
+				continue
+			}
+			if _, ok := lhs.(*ast.SelectorExpr); ok {
+				c.pass.Reportf(lhs.Pos(),
+					"session arena buffer stored into field %s outlives its session in %s; the storage is recycled at Session.Release (or annotate with //%s hotpath if the field shares the session's lifetime)",
+					types.ExprString(lhs), c.fd.Name.Name, AllowPrefix)
+			} else if v := identVar(c.pkg, lhs); v != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+				c.pass.Reportf(lhs.Pos(),
+					"session arena buffer stored into package variable %s outlives its session in %s (or annotate with //%s hotpath)",
+					v.Name(), c.fd.Name.Name, AllowPrefix)
 			}
 		}
+	case *ast.SendStmt:
+		if c.exprTaint(n.Value, fact).tainted() {
+			c.pass.Reportf(n.Pos(),
+				"session arena buffer sent on a channel escapes its session in %s; the storage is recycled at Session.Release (or annotate with //%s hotpath)",
+				c.fd.Name.Name, AllowPrefix)
+		}
 	}
-	return false
 }
 
 // isSessionBorrow reports whether call borrows storage from an arena
 // session ((*arena.Session).Bytes or Grow).
-func isSessionBorrow(pass *Pass, call *ast.CallExpr) bool {
+func isSessionBorrow(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok {
 		return false
 	}
@@ -170,79 +112,51 @@ func isSessionBorrow(pass *Pass, call *ast.CallExpr) bool {
 	return fn.Name() == "Bytes" || fn.Name() == "Grow"
 }
 
-// hotpathLines collects the lines on which a //fractal:hotpath comment
-// ends, so a marker directly above a declaration is honoured even when the
-// parser did not attach it as the doc comment.
-func hotpathLines(f *ast.File) map[int]bool {
-	lines := map[int]bool{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if strings.HasPrefix(text, HotpathPrefix) {
-				lines[-1] = true // marker seen somewhere; real check below
-			}
-		}
-	}
-	return lines
-}
-
-// isHotFunc reports whether fd carries the hotpath marker: in its doc
-// comment, or as a standalone comment on the line directly above the
-// declaration (above the doc comment counts too, matching how
-// //fractal:allow binds to the following line).
-func isHotFunc(pass *Pass, fd *ast.FuncDecl, marked map[int]bool) bool {
-	if fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), HotpathPrefix) {
-				return true
-			}
-		}
-	}
-	if !marked[-1] {
-		return false
-	}
-	declLine := pass.Fset.Position(fd.Pos()).Line
-	if fd.Doc != nil {
-		declLine = pass.Fset.Position(fd.Doc.Pos()).Line
-	}
-	for _, cg := range fileOf(pass, fd).Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if !strings.HasPrefix(text, HotpathPrefix) {
-				continue
-			}
-			if pass.Fset.Position(c.End()).Line == declLine-1 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// fileOf returns the *ast.File containing the declaration.
-func fileOf(pass *Pass, fd *ast.FuncDecl) *ast.File {
+// hotFuncs returns the declarations carrying the hotpath marker: in the
+// doc comment, or in a comment ending on the line directly above the
+// declaration or its doc comment (matching how //fractal:allow binds to
+// the following line).
+func hotFuncs(pass *Pass) map[*ast.FuncDecl]bool {
+	hot := map[*ast.FuncDecl]bool{}
 	for _, f := range pass.Pkg.Files {
-		if f.Pos() <= fd.Pos() && fd.End() <= f.End() {
-			return f
+		markerEnds := map[int]bool{}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), HotpathPrefix) {
+					markerEnds[pass.Fset.Position(c.End()).Line] = true
+				}
+			}
 		}
-	}
-	return nil
-}
-
-// checkHotFunc applies the per-call allocation checks to one annotated
-// function, using its CFG (and those of nested literals) for loop depth.
-func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
-	prealloc := preallocatedKeys(pass, fd.Body)
-	for _, g := range funcCFGs(fd.Body) {
-		for _, b := range g.Blocks {
-			if b.Deferred {
-				// The deferred-call replay duplicates expressions already
-				// present in-line at the DeferStmt.
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
 				continue
 			}
-			for _, node := range b.Nodes {
-				checkHotNode(pass, fd, node, b.LoopDepth, prealloc)
+			top := fd.Pos()
+			if fd.Doc != nil {
+				top = fd.Doc.Pos()
 			}
+			for line := pass.Fset.Position(top).Line - 1; line < pass.Fset.Position(fd.Pos()).Line; line++ {
+				hot[fd] = hot[fd] || markerEnds[line]
+			}
+		}
+	}
+	return hot
+}
+
+// checkHotFunc applies the per-call allocation checks to one CFG of an
+// annotated function (its body or a literal inside it), using the CFG for
+// loop depth.
+func checkHotFunc(pass *Pass, fd *ast.FuncDecl, g *CFG) {
+	prealloc := preallocatedKeys(pass, fd.Body)
+	for _, b := range g.Blocks {
+		if b.Deferred {
+			// The deferred-call replay duplicates expressions already
+			// present in-line at the DeferStmt.
+			continue
+		}
+		for _, node := range b.Nodes {
+			checkHotNode(pass, fd, node, b.LoopDepth, prealloc)
 		}
 	}
 }

@@ -9,19 +9,6 @@ import (
 	"strings"
 )
 
-// lockheldScope lists the concurrent serving-plane packages whose lock
-// discipline the analyzer proves: a mutex held across a blocking operation
-// (conn I/O, INP frame calls, channel ops, singleflight joins, timed
-// waits) turns one stalled peer into a pile-up behind the lock — the
-// deadlock class the -race job cannot see because nothing races.
-var lockheldScope = map[string]bool{
-	"fractal/internal/client":    true,
-	"fractal/internal/proxy":     true,
-	"fractal/internal/cdn":       true,
-	"fractal/internal/appserver": true,
-	"fractal/internal/p2p":       true,
-}
-
 // LockheldAnalyzer runs a must-hold dataflow over each function's CFG: the
 // fact is the set of mutexes provably held on every path to a program
 // point. It reports (a) a blocking operation executed while any lock is
@@ -32,6 +19,12 @@ var LockheldAnalyzer = &Analyzer{
 	Name: "lockheld",
 	Doc:  "flag mutexes held across blocking ops, self-deadlocks, and lock-order inversions",
 	Run:  runLockheld,
+	// The concurrent serving-plane packages: a mutex held across a blocking
+	// operation there turns one stalled peer into a pile-up behind the
+	// lock — the deadlock class the -race job cannot see because nothing
+	// races.
+	scope: []string{"fractal/internal/client", "fractal/internal/proxy", "fractal/internal/cdn",
+		"fractal/internal/appserver", "fractal/internal/p2p"},
 }
 
 // lockInfo describes one held lock.
@@ -74,99 +67,77 @@ type orderSite struct {
 }
 
 func runLockheld(pass *Pass) {
-	if !lockheldScope[pass.Pkg.Path] {
-		return
-	}
 	var orders []orderSite
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			// The enclosing ProgFunc supplies the locally-evident bindings
-			// for interprocedural call resolution; its binding maps cover
-			// nested literals too (localBindings walks the whole decl body).
-			var pf *ProgFunc
-			if pass.Prog != nil {
-				if fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					pf = pass.Prog.FuncOf(fn)
-				}
-			}
-			for _, g := range funcCFGs(fd.Body) {
-				orders = append(orders, lockheldFunc(pass, g, pf)...)
-			}
+	forEachFunc(pass, nil, func(_ *ast.FuncDecl, pf *ProgFunc, g *CFG) {
+		an := FlowAnalysis[lockFact]{
+			Entry:    func() lockFact { return lockFact{} },
+			Transfer: func(b *Block, in lockFact) lockFact { return lockTransfer(pass, g, b, in, pf, nil) },
+			Join:     lockJoin,
+			Equal:    lockEqual,
 		}
-	}
+		solve(g, an, func(b *Block, in lockFact) { lockTransfer(pass, g, b, in, pf, &orders) })
+	})
 	reportLockOrders(pass, orders)
 }
 
-// lockheldFunc runs the fixpoint over one function (or function literal)
-// and replays each reached block once to report, returning the lock-order
-// observations for the package-wide pass.
-func lockheldFunc(pass *Pass, g *CFG, pf *ProgFunc) []orderSite {
-	an := FlowAnalysis[lockFact]{
-		Entry:    func() lockFact { return lockFact{} },
-		Transfer: func(b *Block, in lockFact) lockFact { return lockTransfer(pass, g, b, in, nil, nil, pf) },
-		Join:     lockJoin,
-		Equal:    lockEqual,
-	}
-	entry := ForwardFixpoint(g, an)
-	var orders []orderSite
-	for _, b := range g.Blocks {
-		in, reached := entry[b]
-		if !reached {
-			continue
-		}
-		lockTransfer(pass, g, b, in, pass, &orders, pf)
-	}
-	return orders
-}
-
-// lockTransfer pushes the held-set through one block. With rep non-nil it
-// also reports findings and records lock-order observations — the replay
-// pass after the fixpoint converged.
-func lockTransfer(pass *Pass, g *CFG, b *Block, in lockFact, rep *Pass, orders *[]orderSite, pf *ProgFunc) lockFact {
+// lockTransfer pushes the held-set through one block. With orders non-nil
+// it also reports findings and records lock-order observations — the
+// replay pass after the fixpoint converged.
+func lockTransfer(pass *Pass, g *CFG, b *Block, in lockFact, pf *ProgFunc, orders *[]orderSite) lockFact {
 	held := in
-	cloned := false
-	mutate := func() lockFact {
-		if !cloned {
-			c := make(lockFact, len(held))
-			for k, v := range held {
-				c[k] = v
+	mutate := cow(&held)
+	checkBlocking := func(n ast.Node) {
+		if orders == nil || len(held) == 0 {
+			return
+		}
+		site, ok := pass.Prog.mayBlock(pass.Pkg, pf, n)
+		if !ok {
+			return
+		}
+		if _, isCall := n.(*ast.CallExpr); !isCall {
+			pass.Reportf(site.pos, "%s while %s is held; release the lock first", site.desc, heldNames(held))
+			return
+		}
+		var related []Related
+		if site.leaf != site.pos {
+			// Interprocedural: the callee is not itself a blocking
+			// primitive, but its summary says some operation it
+			// (transitively) performs can block indefinitely.
+			related = []Related{
+				pass.RelatedAt(heldAcquisition(held), "lock acquired here"),
+				pass.RelatedAt(site.leaf, "blocking operation inside the callee: "+site.leafDesc),
 			}
-			held, cloned = c, true
 		}
-		return held
+		pass.ReportRelated(site.pos, related, "%s while %s is held; a stalled peer parks every caller behind the lock (release it, or annotate a deliberate serialization point with //%s lockheld)",
+			site.desc, heldNames(held), AllowPrefix)
 	}
-
-	if rep != nil && len(held) > 0 {
-		if b.Select != nil && !selectHasDefault(b.Select) && len(b.Select.Body.List) > 0 {
-			rep.Reportf(b.Select.Pos(), "select with no default blocks while %s is held; release the lock first", heldNames(held))
-		}
-		if b.Range != nil && isChannelType(pass, b.Range.X) {
-			rep.Reportf(b.Range.Pos(), "ranging over a channel blocks each iteration while %s is held; release the lock first", heldNames(held))
-		}
+	if b.Select != nil {
+		checkBlocking(b.Select)
 	}
-
+	if b.Range != nil {
+		checkBlocking(b.Range)
+	}
 	for _, node := range b.Nodes {
+		comm := g.IsSelectComm(node)
 		ast.Inspect(node, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false // analyzed as its own function
-			case *ast.DeferStmt:
-				// Registration only; the call replays in the exit chain.
+			case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
+				// Literals are analyzed as their own functions, a deferred
+				// call replays in the exit chain, a spawn runs elsewhere.
 				return false
-			case *ast.GoStmt:
-				// Runs on another goroutine with its own CFG.
-				return false
+			case *ast.SendStmt, *ast.UnaryExpr:
+				// A select case's channel operation blocks as part of the
+				// select, reported at its head.
+				if comm {
+					return true
+				}
 			case *ast.CallExpr:
 				if key, tk, op, ok := lockOpOf(pass, n); ok {
 					switch op {
 					case "Lock", "RLock":
-						if rep != nil {
+						if orders != nil {
 							if prev, dup := held[key]; dup {
-								rep.Reportf(n.Pos(), "%s of %s while already held (acquired at %s): self-deadlock", op, key, pass.Fset.Position(prev.pos))
+								pass.Reportf(n.Pos(), "%s of %s while already held (acquired at %s): self-deadlock", op, key, pass.Fset.Position(prev.pos))
 							}
 							for _, h := range held {
 								if h.typeKey != "" && tk != "" && h.typeKey != tk {
@@ -180,57 +151,12 @@ func lockTransfer(pass *Pass, g *CFG, b *Block, in lockFact, rep *Pass, orders *
 					}
 					return true
 				}
-				if rep != nil && len(held) > 0 {
-					if desc, ok := blockingCall(pass, n); ok {
-						rep.Reportf(n.Pos(), "%s while %s is held; a stalled peer parks every caller behind the lock (release it, or annotate a deliberate serialization point with //%s lockheld)", desc, heldNames(held), AllowPrefix)
-					} else if callee := pass.Prog.resolveCall(pass.Pkg, pf, n); callee != nil && callee.Summary != nil && callee.Summary.Blocks {
-						// Interprocedural: the callee is not itself a blocking
-						// primitive, but its summary says some operation it
-						// (transitively) performs can block indefinitely.
-						cs := callee.Summary
-						related := []Related{
-							rep.RelatedAt(heldAcquisition(held), "lock acquired here"),
-							rep.RelatedAt(cs.LeafPos, "blocking operation inside the callee: "+cs.LeafDesc),
-						}
-						rep.ReportRelated(n.Pos(), related, "call to %s (may block: %s) while %s is held; a stalled peer parks every caller behind the lock (release it, or annotate a deliberate serialization point with //%s lockheld)",
-							shortFuncName(callee), cs.LeafDesc, heldNames(held), AllowPrefix)
-					}
-				}
-			case *ast.SendStmt:
-				if rep != nil && len(held) > 0 && !g.IsSelectComm(n) {
-					rep.Reportf(n.Pos(), "channel send while %s is held; release the lock first", heldNames(held))
-				}
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && rep != nil && len(held) > 0 && !underSelectComm(g, b, n) {
-					rep.Reportf(n.Pos(), "channel receive while %s is held; release the lock first", heldNames(held))
-				}
 			}
+			checkBlocking(n)
 			return true
 		})
 	}
 	return held
-}
-
-// underSelectComm reports whether the receive expression belongs to a
-// select communication clause in this block (reported at the select head
-// instead).
-func underSelectComm(g *CFG, b *Block, recv *ast.UnaryExpr) bool {
-	for _, node := range b.Nodes {
-		if !g.IsSelectComm(node) {
-			continue
-		}
-		found := false
-		ast.Inspect(node, func(n ast.Node) bool {
-			if n == ast.Node(recv) {
-				found = true
-			}
-			return !found
-		})
-		if found {
-			return true
-		}
-	}
-	return false
 }
 
 func selectHasDefault(s *ast.SelectStmt) bool {
@@ -318,49 +244,105 @@ func lockTypeKey(pass *Pass, lockExpr ast.Expr) string {
 	return ""
 }
 
-// blockingCall recognizes calls that can block indefinitely on a peer or
-// another goroutine: conn Read/Write, INP framing and Conn exchanges,
-// singleflight joins, sync waits, timed sleeps, and dials.
-func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if (sel.Sel.Name == "Read" || sel.Sel.Name == "Write") && isConnMethod(pass, sel) {
-			return "conn " + sel.Sel.Name, true
+// blockSite is one operation that may block indefinitely: where it is,
+// what it is, and the primitive it bottoms out in — itself, unless it is a
+// call into a blocking in-set function.
+type blockSite struct {
+	pos, leaf      token.Pos
+	desc, leafDesc string
+}
+
+// mayBlock is the one "may block" classifier, read by both the blocking
+// summaries and lockheld's reports: a channel send or receive, a select
+// with no default, a range over a channel, a blocking primitive call
+// (blockingCall), or a call to an in-set function whose summary blocks.
+// Callers skip what does not block at the point they look at (function
+// literals, go statements, a select's own communication clauses).
+func (p *Program) mayBlock(pkg *Package, pf *ProgFunc, n ast.Node) (blockSite, bool) {
+	desc := ""
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		desc = "channel send"
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			desc = "channel receive"
+		}
+	case *ast.SelectStmt:
+		if !selectHasDefault(n) && len(n.Body.List) > 0 {
+			desc = "select with no default"
+		}
+	case *ast.RangeStmt:
+		if tv, ok := pkg.Info.Types[n.X]; ok && tv.Type != nil {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				desc = "range over channel"
+			}
+		}
+	case *ast.CallExpr:
+		if desc = blockingCall(pkg, n); desc != "" {
+			break
+		}
+		if callee := p.resolveCall(pkg, pf, n); callee != nil && callee.Summary != nil && callee.Summary.block.desc != "" {
+			cb := callee.Summary.block
+			return blockSite{pos: n.Pos(), leaf: cb.leaf, leafDesc: cb.leafDesc,
+				desc: fmt.Sprintf("call to %s (may block: %s)", shortFuncName(callee), cb.leafDesc)}, true
 		}
 	}
-	fn := calleeFunc(pass, call)
-	if fn == nil {
-		return "", false
+	if desc == "" {
+		return blockSite{}, false
 	}
-	pkgPath := ""
-	if fn.Pkg() != nil {
-		pkgPath = fn.Pkg().Path()
+	return blockSite{pos: n.Pos(), leaf: n.Pos(), desc: desc, leafDesc: desc}, true
+}
+
+// blockingCall describes a call that can block indefinitely on a peer or
+// another goroutine — conn Read/Write, INP framing and Conn exchanges,
+// singleflight joins, sync waits, timed sleeps, and dials — or returns "".
+func blockingCall(pkg *Package, call *ast.CallExpr) string {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if (sel.Sel.Name == "Read" || sel.Sel.Name == "Write") && isConnMethod(pkg, sel) {
+			return "conn " + sel.Sel.Name
+		}
 	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
+	var fn *types.Func
+	switch fun := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		fn, _ = pkg.Info.Uses[fun.Sel].(*types.Func)
+	case *ast.Ident:
+		fn, _ = pkg.Info.Uses[fun].(*types.Func)
+	}
+	if fn == nil || fn.Pkg() == nil {
+		return ""
+	}
+	if sig, _ := fn.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
 		switch recv := named(sig.Recv().Type()); {
 		case recv == "fractal/internal/inp.Conn" && inpConnExchanges[fn.Name()]:
-			return "inp.Conn." + fn.Name() + " (network round trip)", true
+			return "inp.Conn." + fn.Name() + " (network round trip)"
 		case recv == "fractal/internal/syncx.Group" && fn.Name() == "Do":
-			return "syncx.Group.Do (may join an in-flight call)", true
+			return "syncx.Group.Do (may join an in-flight call)"
 		case recv == "sync.WaitGroup" && fn.Name() == "Wait":
-			return "sync.WaitGroup.Wait", true
+			return "sync.WaitGroup.Wait"
 		case recv == "sync.Cond" && fn.Name() == "Wait":
-			return "sync.Cond.Wait", true
+			return "sync.Cond.Wait"
 		case recv == "net.Dialer" && strings.HasPrefix(fn.Name(), "Dial"):
-			return "net.Dialer." + fn.Name(), true
+			return "net.Dialer." + fn.Name()
 		}
-		return "", false
+		return ""
 	}
-	switch {
-	case pkgPath == "fractal/internal/inp" && fn.Name() == deadlineFrameFn:
-		return "inp." + fn.Name() + " frame call", true
-	case pkgPath == "time" && fn.Name() == "Sleep":
-		return "time.Sleep", true
-	case pkgPath == "net" && strings.HasPrefix(fn.Name(), "Dial"):
-		return "net." + fn.Name(), true
+	switch path := fn.Pkg().Path(); {
+	case path == "fractal/internal/inp" && fn.Name() == frameReadFn:
+		return "inp." + fn.Name() + " frame call"
+	case path == "time" && fn.Name() == "Sleep":
+		return "time.Sleep"
+	case path == "net" && strings.HasPrefix(fn.Name(), "Dial"):
+		return "net." + fn.Name()
 	}
-	return "", false
+	return ""
 }
+
+// frameReadFn is the INP framing entry point that reads a whole message
+// off a raw stream: as blocking as calling Read directly. (Writes have no
+// such entry point: frames leave only through a FrameWriter, whose owning
+// Conn is covered by inpConnExchanges.)
+const frameReadFn = "ReadMessage"
 
 // inpConnExchanges are the inp.Conn methods that perform (or commit the
 // caller to) network I/O. Queue only stages bytes, but a queued frame
@@ -377,30 +359,36 @@ var inpConnExchanges = map[string]bool{
 	"Flush":     true,
 }
 
-// calleeFunc resolves a call's target to its types.Func, for both
-// qualified (pkg.F, recv.M) and unqualified (F) call forms.
-func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		if fn, ok := pass.Pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	case *ast.Ident:
-		if fn, ok := pass.Pkg.Info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
-}
-
-// isChannelType reports whether the expression's static type is a channel.
-func isChannelType(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.Pkg.Info.Types[e]
-	if !ok || tv.Type == nil {
+// isConnMethod reports whether sel resolves to a method whose receiver's
+// static type also offers SetReadDeadline — the net.Conn shape, as opposed
+// to a plain io.Reader/io.Writer or an in-memory buffer. *os.File carries
+// the deadline methods too but local file I/O has no stalled peer, so it
+// is exempt.
+func isConnMethod(pkg *Package, sel *ast.SelectorExpr) bool {
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok {
 		return false
 	}
-	_, isChan := tv.Type.Underlying().(*types.Chan)
-	return isChan
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	recv := sig.Recv().Type()
+	return named(recv) != "os.File" && hasDeadlineMethods(recv)
+}
+
+// hasDeadlineMethods reports whether t's method set (or its pointer's)
+// includes SetReadDeadline — the marker of a conn that talks to a peer.
+func hasDeadlineMethods(t types.Type) bool {
+	for _, typ := range []types.Type{t, types.NewPointer(t)} {
+		ms := types.NewMethodSet(typ)
+		for i := 0; i < ms.Len(); i++ {
+			if ms.At(i).Obj().Name() == "SetReadDeadline" {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // reportLockOrders flags pairs of type-level locks acquired in both orders

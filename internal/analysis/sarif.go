@@ -45,8 +45,8 @@ type sarifResult struct {
 	Locations []sarifLocation `json:"locations"`
 	// RelatedLocations carries the other ends of an interprocedural
 	// finding (decode site and callee sink, lock acquisition and blocking
-	// leaf, the unguarded operation inside a leaked goroutine) so code
-	// scanning renders the full chain, not just the report line.
+	// leaf) so code scanning renders the full chain, not just the report
+	// line.
 	RelatedLocations []sarifLocation `json:"relatedLocations,omitempty"`
 }
 

@@ -7,26 +7,6 @@ import (
 	"strings"
 )
 
-// simtimeScope lists the packages where wall-clock time sources are
-// forbidden. netsim, experiment, and core must be strictly deterministic —
-// simulated time flows through netsim.Clock — while the protocol servers
-// (cdn, appserver, proxy) are in scope so that their genuine wall-clock
-// sites (serving-path metrics; socket deadlines live in inp.Conn, outside
-// this scope) carry checked //fractal:allow simtime annotations instead
-// of silently drifting.
-// faultnet is in scope because its injection decisions must never depend
-// on the wall clock: only a stall blocks, and only until the victim's own
-// deadline fires (time.Until/NewTimer are not in the forbidden set).
-var simtimeScope = map[string]bool{
-	"fractal/internal/netsim":     true,
-	"fractal/internal/experiment": true,
-	"fractal/internal/core":       true,
-	"fractal/internal/cdn":        true,
-	"fractal/internal/appserver":  true,
-	"fractal/internal/proxy":      true,
-	"fractal/internal/faultnet":   true,
-}
-
 // simtimeForbidden are the time package functions that read or block on
 // the wall clock.
 var simtimeForbidden = map[string]bool{
@@ -42,12 +22,19 @@ var SimtimeAnalyzer = &Analyzer{
 	Name: "simtime",
 	Doc:  "forbid time.Now/Sleep/After in simulation-deterministic packages; use netsim.Clock",
 	Run:  runSimtime,
+	// netsim, experiment and core must be strictly deterministic — simulated
+	// time flows through netsim.Clock — while the protocol servers (cdn,
+	// appserver, proxy) are in scope so that their genuine wall-clock sites
+	// (serving-path metrics; socket deadlines live in inp.Conn, outside this
+	// scope) carry checked //fractal:allow simtime annotations instead of
+	// silently drifting. faultnet's injection decisions must never depend on
+	// the wall clock: only a stall blocks, and only until the victim's own
+	// deadline fires (time.Until/NewTimer are not in the forbidden set).
+	scope: []string{"fractal/internal/netsim", "fractal/internal/experiment", "fractal/internal/core",
+		"fractal/internal/cdn", "fractal/internal/appserver", "fractal/internal/proxy", "fractal/internal/faultnet"},
 }
 
 func runSimtime(pass *Pass) {
-	if !simtimeScope[pass.Pkg.Path] {
-		return
-	}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)

@@ -1,11 +1,8 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"strings"
 )
 
 // The bottom-up function-summary engine. For every function of the
@@ -17,34 +14,24 @@ import (
 //	    taint of specific parameters) and which integer parameters reach
 //	    an allocation-size sink (make, slices.Grow, io.CopyN) unchecked
 //	    — possibly through further calls;
-//	(b) blocking        — whether the function may block indefinitely on a
-//	    peer or another goroutine (conn I/O, INP frame/Conn calls,
-//	    channel operations, singleflight joins, dials, sleeps), directly
-//	    or transitively through in-set callees;
-//	(c) goroutine
-//	    obligations     — every `go` statement in the function, with a
-//	    verdict on whether the spawned goroutine's exit is tied to a
-//	    context/close/deadline signal (the goleak analyzer's input).
+//	(b) blocking        — the earliest operation by which the function may
+//	    block indefinitely on a peer or another goroutine, as the one
+//	    "may block" classifier (mayBlock) sees it, directly or
+//	    transitively through in-set callees.
 //
-// Summaries let the flow-sensitive analyzers (wiretaint, lockheld,
-// goleak) see one call deep — and, because summaries compose, arbitrarily
-// many calls deep — without ever inlining bodies.
+// Summaries let the flow-sensitive analyzers (wiretaint, lockheld) see one
+// call deep — and, because summaries compose, arbitrarily many calls deep
+// — without ever inlining bodies.
 
 // FuncSummary is the interprocedural abstract of one function.
 type FuncSummary struct {
-	// Blocking behaviour.
-	Blocks    bool
-	BlockPos  token.Pos // earliest site in this function that may block
-	BlockDesc string    // what that site is
-	LeafPos   token.Pos // the ultimate primitive operation (== BlockPos when direct)
-	LeafDesc  string
+	// block is the earliest site in this function that may block; its
+	// desc is empty when nothing can.
+	block blockSite
 
 	// Taint transfer.
 	Results    []TaintSpec      // per result, in signature order
 	SinkParams map[int]SinkSite // parameter index → the sink it reaches
-
-	// Goroutine obligations.
-	Spawns []SpawnSite
 }
 
 // TaintSpec describes the taint of one function result.
@@ -65,15 +52,6 @@ type SinkSite struct {
 	Desc string
 }
 
-// SpawnSite is one `go` statement and its exit-signal verdict.
-type SpawnSite struct {
-	GoPos token.Pos
-	Tied  bool
-	// For untied spawns, the first obligation that can block forever.
-	ObPos  token.Pos
-	ObDesc string
-}
-
 // summarize computes every summary bottom-up, iterating each call-graph
 // cycle until its members stabilize.
 func (p *Program) summarize() {
@@ -90,7 +68,8 @@ func (p *Program) summarize() {
 		for round := 0; ; round++ {
 			changed := false
 			for _, pf := range batch {
-				ns := p.computeSummary(pf)
+				ns := &FuncSummary{block: p.summarizeBlocking(pf)}
+				summarizeTaint(p, pf, ns)
 				if !summaryEqual(pf.Summary, ns) {
 					changed = true
 				}
@@ -104,22 +83,10 @@ func (p *Program) summarize() {
 		}
 		i = j
 	}
-	for _, pf := range p.order {
-		pf.Summary.Spawns = p.spawnSites(pf)
-	}
-}
-
-// computeSummary builds one function's summary against the current
-// (possibly still converging) summaries of its callees.
-func (p *Program) computeSummary(pf *ProgFunc) *FuncSummary {
-	s := &FuncSummary{}
-	p.summarizeBlocking(pf, s)
-	summarizeTaint(p, pf, s)
-	return s
 }
 
 func summaryEqual(a, b *FuncSummary) bool {
-	if a.Blocks != b.Blocks || a.BlockPos != b.BlockPos || len(a.Results) != len(b.Results) || len(a.SinkParams) != len(b.SinkParams) {
+	if a.block.pos != b.block.pos || len(a.Results) != len(b.Results) || len(a.SinkParams) != len(b.SinkParams) {
 		return false
 	}
 	for i := range a.Results {
@@ -135,72 +102,35 @@ func summaryEqual(a, b *FuncSummary) bool {
 	return true
 }
 
-// summarizeBlocking scans the body for the earliest operation that may
-// block: a primitive blocking call (the lockheld leaf set), a channel
-// operation outside a select-with-default, a defaultless select, a range
-// over a channel, or a call to an in-set function whose summary blocks.
-// Function-literal bodies and `go` statements are excluded — they do not
-// block the caller at this point (literals are summarized only through
-// the named functions that invoke them; a spawn's blocking belongs to the
-// spawned goroutine).
-func (p *Program) summarizeBlocking(pf *ProgFunc, s *FuncSummary) {
-	note := func(pos token.Pos, desc string, leafPos token.Pos, leafDesc string) {
-		if s.Blocks && s.BlockPos <= pos {
-			return
-		}
-		s.Blocks = true
-		s.BlockPos, s.BlockDesc = pos, desc
-		s.LeafPos, s.LeafDesc = leafPos, leafDesc
-	}
+// summarizeBlocking returns the earliest operation in the body that
+// mayBlock classifies as blocking. Function-literal bodies and `go`
+// statements are excluded — they do not block the caller at this point
+// (literals are summarized only through the named functions that invoke
+// them; a spawn's blocking belongs to the spawned goroutine) — and so are
+// a select's communication clauses, which block as part of the select.
+func (p *Program) summarizeBlocking(pf *ProgFunc) blockSite {
+	var first blockSite
 	var walk func(n ast.Node)
 	walk = func(root ast.Node) {
 		ast.Inspect(root, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncLit, *ast.GoStmt:
 				return false
-			case *ast.SelectStmt:
-				if !selectHasDefault(n) && len(n.Body.List) > 0 {
-					note(n.Pos(), "select with no default", n.Pos(), "select with no default")
-				}
-				for _, cl := range n.Body.List {
-					if cc, ok := cl.(*ast.CommClause); ok {
-						for _, st := range cc.Body {
-							walk(st)
-						}
-					}
+			case *ast.CommClause:
+				for _, st := range n.Body {
+					walk(st)
 				}
 				return false
-			case *ast.SendStmt:
-				note(n.Pos(), "channel send", n.Pos(), "channel send")
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW {
-					note(n.Pos(), "channel receive", n.Pos(), "channel receive")
-				}
-			case *ast.RangeStmt:
-				if isChannelType(pkgAsPass(pf.Pkg), n.X) {
-					note(n.Pos(), "range over channel", n.Pos(), "range over channel")
-				}
-			case *ast.CallExpr:
-				if desc, ok := blockingCall(pkgAsPass(pf.Pkg), n); ok {
-					note(n.Pos(), desc, n.Pos(), desc)
-					return true
-				}
-				if callee := p.resolve(pf, n); callee != nil && callee.Summary != nil && callee.Summary.Blocks {
-					cs := callee.Summary
-					note(n.Pos(),
-						fmt.Sprintf("call to %s (may block: %s)", shortFuncName(callee), cs.LeafDesc),
-						cs.LeafPos, cs.LeafDesc)
-				}
+			}
+			if site, ok := p.mayBlock(pf.Pkg, pf, n); ok && (first.desc == "" || site.pos < first.pos) {
+				first = site
 			}
 			return true
 		})
 	}
 	walk(pf.Decl.Body)
+	return first
 }
-
-// pkgAsPass adapts a Package to the *Pass the shared helpers take (they
-// only touch Pkg.Info).
-func pkgAsPass(pkg *Package) *Pass { return &Pass{Pkg: pkg, Fset: pkg.Fset} }
 
 // shortFuncName renders a function compactly: "inp.ReadMessage",
 // "proxy.Proxy.Negotiate".
@@ -220,181 +150,4 @@ func shortFuncName(pf *ProgFunc) string {
 		}
 	}
 	return pkgName + fn.Name()
-}
-
-// spawnSites analyzes every `go` statement in pf (including inside nested
-// literals — each distinct `go` is one site). A spawn whose target cannot
-// be resolved to a body (interface method, func value from elsewhere)
-// yields no site: the analyzer stays silent rather than guessing.
-func (p *Program) spawnSites(pf *ProgFunc) []SpawnSite {
-	var out []SpawnSite
-	ast.Inspect(pf.Decl.Body, func(n ast.Node) bool {
-		gs, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		body, bodyPkg := p.spawnTarget(pf, gs)
-		if body == nil {
-			return true
-		}
-		ob := p.obligation(bodyPkg, body)
-		site := SpawnSite{GoPos: gs.Pos(), Tied: ob == nil}
-		if ob != nil {
-			site.ObPos, site.ObDesc = ob.pos, ob.desc
-		}
-		out = append(out, site)
-		return true
-	})
-	return out
-}
-
-// spawnTarget resolves the body the spawned goroutine runs: a literal's
-// body, or the declaration of a directly named in-set function.
-func (p *Program) spawnTarget(pf *ProgFunc, gs *ast.GoStmt) (ast.Node, *Package) {
-	if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
-		return lit.Body, pf.Pkg
-	}
-	if callee := p.resolve(pf, gs.Call); callee != nil {
-		return callee.Decl.Body, callee.Pkg
-	}
-	return nil, nil
-}
-
-// oblig is one operation that can park the goroutine forever.
-type oblig struct {
-	pos  token.Pos
-	desc string
-}
-
-// obligation scans a goroutine body for the earliest operation not tied
-// to an exit signal: a channel send/receive/range on a channel that is
-// never closed in its package, carries no done-like name, and has no
-// visible buffering; a defaultless select none of whose cases receives
-// from such a signal; or an endless `for` with no break/return/goto. A
-// nil result means every path is tied.
-func (p *Program) obligation(pkg *Package, body ast.Node) *oblig {
-	facts := p.chans[pkg]
-	if facts == nil {
-		facts = collectChanFacts(pkg)
-		p.chans[pkg] = facts
-	}
-	var best *oblig
-	note := func(pos token.Pos, desc string) {
-		if best == nil || pos < best.pos {
-			best = &oblig{pos: pos, desc: desc}
-		}
-	}
-	var walk func(n ast.Node)
-	walk = func(root ast.Node) {
-		ast.Inspect(root, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit, *ast.GoStmt:
-				// Nested literals run only if called; nested spawns are
-				// their own sites.
-				return false
-			case *ast.SelectStmt:
-				if selectHasDefault(n) {
-					// Non-blocking by construction; case bodies still count.
-				} else if !selectTied(pkg, facts, n) {
-					note(n.Pos(), "select with no default and no context/close-tied case")
-				}
-				for _, cl := range n.Body.List {
-					if cc, ok := cl.(*ast.CommClause); ok {
-						for _, st := range cc.Body {
-							walk(st)
-						}
-					}
-				}
-				return false
-			case *ast.SendStmt:
-				if !tiedChanExpr(pkg, facts, n.Chan) {
-					note(n.Pos(), fmt.Sprintf("send on %q", exprText(n.Chan)))
-				}
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && !tiedChanExpr(pkg, facts, n.X) {
-					note(n.Pos(), fmt.Sprintf("receive from %q", exprText(n.X)))
-				}
-			case *ast.RangeStmt:
-				if isChannelType(pkgAsPass(pkg), n.X) && !tiedChanExpr(pkg, facts, n.X) {
-					note(n.Pos(), fmt.Sprintf("range over %q", exprText(n.X)))
-				}
-			case *ast.ForStmt:
-				if n.Cond == nil && !loopHasExit(n) {
-					note(n.Pos(), "endless for loop with no break/return")
-				}
-			}
-			return true
-		})
-	}
-	walk(body)
-	return best
-}
-
-// selectTied reports whether any case of the select receives from an
-// exit-signal channel — the shape that lets the goroutine observe
-// shutdown however long the other cases stall.
-func selectTied(pkg *Package, facts *chanFacts, sel *ast.SelectStmt) bool {
-	for _, cl := range sel.Body.List {
-		cc, ok := cl.(*ast.CommClause)
-		if !ok || cc.Comm == nil {
-			continue
-		}
-		var recv ast.Expr
-		switch comm := cc.Comm.(type) {
-		case *ast.ExprStmt:
-			if ue, ok := comm.X.(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-				recv = ue.X
-			}
-		case *ast.AssignStmt:
-			if len(comm.Rhs) == 1 {
-				if ue, ok := comm.Rhs[0].(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-					recv = ue.X
-				}
-			}
-		}
-		if recv != nil && tiedChanExpr(pkg, facts, recv) {
-			return true
-		}
-	}
-	return false
-}
-
-// loopHasExit reports whether an endless for loop contains any statement
-// that can leave it (return, break, goto) outside nested function
-// literals. Breaks of nested loops count too — a deliberate
-// under-approximation that keeps the check quiet on intricate loops.
-func loopHasExit(loop *ast.ForStmt) bool {
-	found := false
-	ast.Inspect(loop.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false
-		case *ast.ReturnStmt:
-			found = true
-		case *ast.BranchStmt:
-			if n.Tok == token.BREAK || n.Tok == token.GOTO {
-				found = true
-			}
-		case *ast.CallExpr:
-			// panic/Fatal-style calls end the goroutine too; the vet run
-			// only needs "can this loop ever stop".
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// exprText renders a channel expression for messages, bounded.
-func exprText(e ast.Expr) string {
-	s := strings.TrimSpace(types.ExprString(e))
-	if len(s) > 40 {
-		s = s[:37] + "..."
-	}
-	return s
 }

@@ -7,11 +7,14 @@ import (
 )
 
 // TestVetSelfCheck runs the full fractal-vet suite against this repository
-// itself, so tier-1 verification (`go test ./...`) enforces the
-// determinism, digest-safety, and error-handling invariants forever: a
-// change that reads the wall clock in internal/netsim, draws from the
-// global math/rand source, discards a codec error, leaves a VM opcode
-// unhandled, or compares digests ad hoc fails this test.
+// itself, so tier-1 verification (`go test ./...`) enforces its invariants
+// forever: a change that reads the wall clock in internal/netsim, draws
+// from the global math/rand source, discards a codec error, compares
+// digests ad hoc, holds a lock across a network exchange, sizes an
+// allocation from an unchecked wire length, or allocates per call in a
+// //fractal:hotpath function fails this test. The invariants of the
+// retired goleak, opcomplete and deadline analyzers are pinned by dynamic
+// tests instead (DESIGN.md, "Analyzer receipts").
 func TestVetSelfCheck(t *testing.T) {
 	loader := getLoader(t)
 	pkgs, err := loader.LoadAll()
@@ -32,23 +35,15 @@ func TestVetSelfCheck(t *testing.T) {
 }
 
 // TestScopeTablesNameRealPackages pins that every import path in an
-// analyzer's scope table is a package of this module: an entry left behind
-// by a deleted or renamed package checks nothing, silently.
+// analyzer's scope is a package of this module: an entry left behind by a
+// deleted or renamed package checks nothing, silently.
 func TestScopeTablesNameRealPackages(t *testing.T) {
 	loader := getLoader(t)
-	tables := map[string]map[string]bool{
-		"deadlineScope":   deadlineScope,
-		"digestsafeScope": digestsafeScope,
-		"goleakScope":     goleakScope,
-		"lockheldScope":   lockheldScope,
-		"simtimeScope":    simtimeScope,
-		"wiretaintScope":  wiretaintScope,
-	}
-	for name, table := range tables {
-		for path := range table {
+	for _, a := range Analyzers() {
+		for _, path := range a.scope {
 			rel, ok := strings.CutPrefix(path, loader.ModulePath+"/")
 			if !ok || !hasGoFiles(filepath.Join(loader.ModuleDir, filepath.FromSlash(rel))) {
-				t.Errorf("%s names %q, which is not a package directory of module %s", name, path, loader.ModulePath)
+				t.Errorf("%s's scope names %q, which is not a package directory of module %s", a.Name, path, loader.ModulePath)
 			}
 		}
 	}

@@ -7,24 +7,10 @@ import (
 	"go/types"
 )
 
-// wiretaintScope lists the packages that decode attacker-controlled bytes:
-// the INP framing plane and the delta codec. Everywhere else, integers do
-// not arrive from a peer.
-var wiretaintScope = map[string]bool{
-	"fractal/internal/inp":   true,
-	"fractal/internal/codec": true,
-}
-
-// taintBoundMax is the largest constant upper bound that counts as a
-// sanitizer. Comparing a wire integer against 64 MB and then allocating it
-// is exactly the hostile-header bug, so huge constants do not launder
-// taint.
-const taintBoundMax = 1 << 24
-
-// WiretaintAnalyzer runs a may-taint dataflow over each function's CFG:
-// integers produced by wire decoders (binary.ReadUvarint, ByteOrder
-// Uint16/32/64, local wrappers, and — via the summary engine — any
-// in-set function whose result is wire-derived) are tainted; branch
+// WiretaintAnalyzer runs the taint engine's wire rule set over each
+// function's CFG: integers produced by wire decoders (binary.ReadUvarint,
+// ByteOrder Uint16/32/64, local wrappers, and — via the summary engine —
+// any in-set function whose result is wire-derived) are tainted; branch
 // conditions that upper-bound a tainted variable against a sane limit
 // sanitize it on the guarded edge; tainted values reaching an
 // allocation-size sink (make, slices.Grow, io.CopyN — directly or as an
@@ -36,16 +22,44 @@ var WiretaintAnalyzer = &Analyzer{
 	Name: "wiretaint",
 	Doc:  "flag wire-decoded integers flowing into allocation sizes without a bound check",
 	Run:  runWiretaint,
+	// The packages that decode attacker-controlled bytes: the INP framing
+	// plane and the delta codec. Everywhere else, integers do not arrive
+	// from a peer.
+	scope: []string{"fractal/internal/inp", "fractal/internal/codec"},
 }
 
-// taintedBit marks a value as wire-derived. The remaining bits are
-// parameter indices — "tainted iff parameter i is" — used only while
-// computing a function's summary.
+// taintBoundMax is the largest constant upper bound that counts as a
+// sanitizer. Comparing a wire integer against 64 MB and then allocating it
+// is exactly the hostile-header bug, so huge constants do not launder
+// taint.
+const taintBoundMax = 1 << 24
+
+// taintRules is one rule set of the taint engine: what introduces taint,
+// which variables carry it, and where it must not arrive. The wire rule
+// set is below; the arena rule set is hotpath's.
+type taintRules struct {
+	// source recognizes a call whose (first) result is tainted.
+	source func(pkg *Package, call *ast.CallExpr) bool
+	// ints restricts tracking to integer variables and turns on the
+	// integer transfer: conversions, min/max clamps, callee summaries,
+	// and bound-check sanitization on branch edges.
+	ints bool
+	// sinks reports (or, while summarizing, records) taint arriving where
+	// the rule set forbids it, in one CFG node under the fact before it.
+	sinks func(c *taintCtx, node ast.Node, fact taintFact)
+}
+
+// wireRules: wire-decoded integers must not size an allocation unchecked.
+var wireRules = &taintRules{source: isWireSource, ints: true, sinks: (*taintCtx).checkSinks}
+
+// taintedBit marks a value as tainted. The remaining bits are parameter
+// indices — "tainted iff parameter i is" — used only while computing a
+// function's summary.
 const taintedBit = uint64(1) << 63
 
-// taintVal is the abstract value of one integer variable: which taint it
-// may carry, and (when wire-derived) the earliest decode site that
-// introduced it, for related-location reporting.
+// taintVal is the abstract value of one variable: which taint it may
+// carry, and (when tainted) the earliest source site that introduced it,
+// for related-location reporting.
 type taintVal struct {
 	mask uint64
 	src  token.Pos
@@ -72,11 +86,7 @@ func taintJoin(a, b taintFact) taintFact {
 		out[v] = tv
 	}
 	for v, tv := range b {
-		if cur, ok := out[v]; ok {
-			out[v] = joinVal(cur, tv)
-		} else {
-			out[v] = tv
-		}
+		out[v] = joinVal(out[v], tv)
 	}
 	return out
 }
@@ -94,28 +104,10 @@ func taintEqual(a, b taintFact) bool {
 }
 
 func runWiretaint(pass *Pass) {
-	if !wiretaintScope[pass.Pkg.Path] {
-		return
-	}
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			wrappers := sourceWrappers(pass.Pkg, fd.Body)
-			var pf *ProgFunc
-			if pass.Prog != nil {
-				if fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					pf = pass.Prog.FuncOf(fn)
-				}
-			}
-			for _, g := range funcCFGs(fd.Body) {
-				ctx := &taintCtx{pkg: pass.Pkg, prog: pass.Prog, pf: pf, wrappers: wrappers, pass: pass}
-				ctx.run(g, nil)
-			}
-		}
-	}
+	forEachFunc(pass, nil, func(fd *ast.FuncDecl, pf *ProgFunc, g *CFG) {
+		c := &taintCtx{pass: pass, pkg: pass.Pkg, prog: pass.Prog, pf: pf, fd: fd, rules: wireRules}
+		c.run(g, taintFact{})
+	})
 }
 
 // summarizeTaint computes the taint-transfer half of pf's summary: which
@@ -128,83 +120,55 @@ func summarizeTaint(p *Program, pf *ProgFunc, s *FuncSummary) {
 	if !ok {
 		return
 	}
-	ctx := &taintCtx{
-		pkg:      pf.Pkg,
-		prog:     p,
-		pf:       pf,
-		wrappers: sourceWrappers(pf.Pkg, pf.Decl.Body),
-		collect:  true,
-		numRes:   sig.Results().Len(),
-		resIndex: map[*types.Var]int{},
-	}
+	c := &taintCtx{pkg: pf.Pkg, prog: p, pf: pf, fd: pf.Decl, rules: wireRules, results: sig.Results()}
 	entry := taintFact{}
 	for i := 0; i < sig.Params().Len() && i < 62; i++ {
-		v := sig.Params().At(i)
-		if isIntegerVar(v) {
+		if v := sig.Params().At(i); isIntegerVar(v) {
 			entry[v] = taintVal{mask: uint64(1) << uint(i)}
 		}
 	}
-	for i := 0; i < sig.Results().Len(); i++ {
-		ctx.resIndex[sig.Results().At(i)] = i
-	}
-	ctx.entry = entry
-	g := BuildCFG(pf.Decl.Body)
-	ctx.run(g, entry)
-	if len(ctx.resultSpecs) > 0 {
-		s.Results = ctx.resultSpecs
-	}
-	if len(ctx.sinkParams) > 0 {
-		s.SinkParams = ctx.sinkParams
-	}
+	c.run(BuildCFG(pf.Decl.Body), entry)
+	s.Results, s.SinkParams = c.resultSpecs, c.sinkParams
 }
 
-// taintCtx is one engine instance: reporting mode (pass != nil) for the
-// analyzer, collect mode for summaries.
+// taintCtx is one engine instance over one function under one rule set:
+// reporting mode (pass != nil) for the analyzers, collect mode for
+// summaries. pf and prog may be nil; callees then stay unresolved.
 type taintCtx struct {
+	pass     *Pass
 	pkg      *Package
 	prog     *Program
 	pf       *ProgFunc
+	fd       *ast.FuncDecl
+	rules    *taintRules
 	wrappers map[*types.Var]bool
-	pass     *Pass
 
 	// collect mode
-	collect     bool
-	entry       taintFact
-	numRes      int
-	resIndex    map[*types.Var]int
+	results     *types.Tuple
 	resultSpecs []TaintSpec
 	sinkParams  map[int]SinkSite
 }
 
-// run executes the fixpoint and the reporting/collection replay.
+// run executes the fixpoint and the reporting/collection replay over g, a
+// CFG of the declaration fd or of a function literal inside it.
 func (c *taintCtx) run(g *CFG, entry taintFact) {
+	c.wrappers = c.sourceWrappers(c.fd.Body)
 	an := FlowAnalysis[taintFact]{
-		Entry: func() taintFact {
-			if entry == nil {
-				return taintFact{}
-			}
-			return entry
-		},
+		Entry:    func() taintFact { return entry },
 		Transfer: func(b *Block, in taintFact) taintFact { return c.transfer(b, in, false) },
-		Refine:   c.refine,
 		Join:     taintJoin,
 		Equal:    taintEqual,
 	}
-	facts := ForwardFixpoint(g, an)
-	for _, b := range g.Blocks {
-		in, reached := facts[b]
-		if !reached {
-			continue
-		}
-		c.transfer(b, in, true)
+	if c.rules.ints {
+		an.Refine = c.refine
 	}
+	solve(g, an, func(b *Block, in taintFact) { c.transfer(b, in, true) })
 }
 
-// sourceWrappers finds one level of local indirection over the wire
-// decoders: `readU := func(...) ... { ... binary.ReadUvarint ... }`. Calls
-// through such a variable taint their first result like the decoder
-// itself.
-func sourceWrappers(pkg *Package, body *ast.BlockStmt) map[*types.Var]bool {
+// sourceWrappers finds one level of local indirection over the sources:
+// `readU := func(...) ... { ... binary.ReadUvarint ... }`. Calls through
+// such a variable taint their first result like the source itself.
+func (c *taintCtx) sourceWrappers(body *ast.BlockStmt) map[*types.Var]bool {
 	wrappers := map[*types.Var]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -212,90 +176,59 @@ func sourceWrappers(pkg *Package, body *ast.BlockStmt) map[*types.Var]bool {
 			return true
 		}
 		lit, ok := as.Rhs[0].(*ast.FuncLit)
-		if !ok {
+		v := identVar(c.pkg, as.Lhs[0])
+		if !ok || v == nil {
 			return true
 		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		var v *types.Var
-		if def, ok := pkg.Info.Defs[id].(*types.Var); ok {
-			v = def
-		} else if use, ok := pkg.Info.Uses[id].(*types.Var); ok {
-			v = use
-		}
-		if v == nil {
-			return true
-		}
-		callsSource := false
 		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok && isWireSource(pkg, call, nil) {
-				callsSource = true
-				return false
+			if call, ok := m.(*ast.CallExpr); ok && c.rules.source(c.pkg, call) {
+				wrappers[v] = true
 			}
-			return true
+			return !wrappers[v]
 		})
-		if callsSource {
-			wrappers[v] = true
-		}
 		return true
 	})
 	return wrappers
 }
 
+// isSource reports whether the call introduces taint: a source of the
+// rule set, or a call through a local wrapper of one.
+func (c *taintCtx) isSource(call *ast.CallExpr) bool {
+	if v := identVar(c.pkg, call.Fun); v != nil && c.wrappers[v] {
+		return true
+	}
+	return c.rules.source(c.pkg, call)
+}
+
 // transfer pushes the taint set through one block; with final set it also
-// flags (or, in collect mode, records) taint reaching allocation sinks
-// and accumulates result specs at returns.
+// hands each node to the rule set's sinks and, in collect mode,
+// accumulates result specs at returns.
 func (c *taintCtx) transfer(b *Block, in taintFact, final bool) taintFact {
 	fact := in
-	cloned := false
-	mutate := func() taintFact {
-		if !cloned {
-			cp := make(taintFact, len(fact))
-			for v, tv := range fact {
-				cp[v] = tv
-			}
-			fact, cloned = cp, true
-		}
-		return fact
-	}
-
+	mutate := cow(&fact)
 	for _, node := range b.Nodes {
+		if final {
+			c.rules.sinks(c, node, fact)
+			if ret, ok := node.(*ast.ReturnStmt); ok && c.pass == nil {
+				c.collectReturn(ret, fact)
+			}
+		}
 		switch n := node.(type) {
 		case *ast.AssignStmt:
-			if final {
-				c.checkSinks(n, fact)
-			}
-			c.assign(n, fact, mutate)
+			c.assign(n.Lhs, n.Rhs, n.Tok, fact, mutate)
 		case *ast.DeclStmt:
 			if gd, ok := n.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
 				for _, spec := range gd.Specs {
 					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
+					if !ok || len(vs.Values) == 0 {
 						continue
 					}
-					for i, name := range vs.Names {
-						if i < len(vs.Values) {
-							if tv := c.exprTaint(vs.Values[i], fact); !tv.zero() {
-								if v, ok := c.pkg.Info.Defs[name].(*types.Var); ok {
-									mutate()[v] = tv
-								}
-							}
-						}
+					lhs := make([]ast.Expr, len(vs.Names))
+					for i, id := range vs.Names {
+						lhs[i] = id
 					}
+					c.assign(lhs, vs.Values, token.DEFINE, fact, mutate)
 				}
-			}
-		case *ast.ReturnStmt:
-			if final {
-				c.checkSinks(node, fact)
-				if c.collect {
-					c.collectReturn(n, fact)
-				}
-			}
-		default:
-			if final {
-				c.checkSinks(node, fact)
 			}
 		}
 	}
@@ -304,33 +237,28 @@ func (c *taintCtx) transfer(b *Block, in taintFact, final bool) taintFact {
 
 // collectReturn folds one return statement into the result specs.
 func (c *taintCtx) collectReturn(ret *ast.ReturnStmt, fact taintFact) {
-	if c.numRes == 0 {
+	n := c.results.Len()
+	if n == 0 {
 		return
 	}
 	if c.resultSpecs == nil {
-		c.resultSpecs = make([]TaintSpec, c.numRes)
+		c.resultSpecs = make([]TaintSpec, n)
 	}
-	vals := make([]taintVal, c.numRes)
+	vals := make([]taintVal, n)
 	switch {
-	case len(ret.Results) == c.numRes:
+	case len(ret.Results) == n:
 		for i, e := range ret.Results {
 			vals[i] = c.exprTaint(e, fact)
 		}
 	case len(ret.Results) == 0:
 		// Bare return: named results carry their current fact.
-		for v, tv := range fact {
-			if i, ok := c.resIndex[v]; ok {
-				vals[i] = tv
-			}
+		for i := range vals {
+			vals[i] = fact[c.results.At(i)]
 		}
 	case len(ret.Results) == 1:
 		// return f() forwarding a multi-value call.
 		if call, ok := ret.Results[0].(*ast.CallExpr); ok {
-			if isWireSource(c.pkg, call, c.wrappers) {
-				vals[0] = taintVal{mask: taintedBit, src: call.Pos()}
-			} else if specs := c.specsForCall(call, fact); specs != nil {
-				copy(vals, specs)
-			}
+			copy(vals, c.callResults(call, fact))
 		}
 	}
 	for i, tv := range vals {
@@ -345,99 +273,58 @@ func (c *taintCtx) collectReturn(ret *ast.ReturnStmt, fact taintFact) {
 	}
 }
 
-// specsForCall instantiates the callee's per-result taint specs against
-// the argument taints at this call site, or nil when the callee has no
-// summary.
-func (c *taintCtx) specsForCall(call *ast.CallExpr, fact taintFact) []taintVal {
-	sum := c.calleeSummary(call)
-	if sum == nil || len(sum.Results) == 0 {
+// callResults is the per-result taint of a call: a source taints its
+// first result, a summarized callee instantiates its specs against the
+// argument taints at this site, anything else is clean (nil).
+func (c *taintCtx) callResults(call *ast.CallExpr, fact taintFact) []taintVal {
+	if c.isSource(call) {
+		return []taintVal{{mask: taintedBit, src: call.Pos()}}
+	}
+	if !c.rules.ints {
 		return nil
 	}
-	out := make([]taintVal, len(sum.Results))
-	for i, spec := range sum.Results {
-		out[i] = c.instantiate(spec, call, fact)
+	callee := c.prog.resolveCall(c.pkg, c.pf, call)
+	if callee == nil || callee.Summary == nil {
+		return nil
+	}
+	out := make([]taintVal, len(callee.Summary.Results))
+	for i, spec := range callee.Summary.Results {
+		// Unconditional taint keeps the callee's decode site as source;
+		// parameter-conditional taint substitutes the argument taints.
+		if spec.Always {
+			out[i] = taintVal{mask: taintedBit, src: spec.SrcPos}
+		}
+		for p := 0; p < 62 && p < len(call.Args); p++ {
+			if spec.Params&(uint64(1)<<uint(p)) != 0 {
+				out[i] = joinVal(out[i], c.exprTaint(call.Args[p], fact))
+			}
+		}
 	}
 	return out
 }
 
-// calleeSummary resolves the call through the program, if possible.
-func (c *taintCtx) calleeSummary(call *ast.CallExpr) *FuncSummary {
-	if c.prog == nil {
-		return nil
+// assign applies strong updates: a tracked variable assigned from a
+// tainted expression becomes tainted, one assigned from a clean expression
+// becomes clean. A multi-value assignment from a call follows
+// callResults; any other multi-value form is conservatively clean.
+func (c *taintCtx) assign(lhs, rhs []ast.Expr, tok token.Token, fact taintFact, mutate func() taintFact) {
+	vals := make([]taintVal, len(lhs))
+	if len(rhs) == len(lhs) {
+		for i, e := range rhs {
+			vals[i] = c.exprTaint(e, fact)
+		}
+	} else if call, ok := rhs[0].(*ast.CallExpr); ok {
+		copy(vals, c.callResults(call, fact))
 	}
-	callee := c.resolveCallee(call)
-	if callee == nil {
-		return nil
-	}
-	return callee.Summary
-}
-
-func (c *taintCtx) resolveCallee(call *ast.CallExpr) *ProgFunc {
-	return c.prog.resolveCall(c.pkg, c.pf, call)
-}
-
-// instantiate maps one result spec to a concrete taint value at a call
-// site: unconditional taint keeps the callee's decode site as source;
-// parameter-conditional taint substitutes the argument taints.
-func (c *taintCtx) instantiate(spec TaintSpec, call *ast.CallExpr, fact taintFact) taintVal {
-	var out taintVal
-	if spec.Always {
-		out.mask |= taintedBit
-		out.src = spec.SrcPos
-	}
-	for p := 0; p < 62; p++ {
-		if spec.Params&(uint64(1)<<uint(p)) == 0 || p >= len(call.Args) {
+	for i, l := range lhs {
+		v := identVar(c.pkg, l)
+		if v == nil || (c.rules.ints && !isIntegerVar(v)) {
 			continue
 		}
-		out = joinVal(out, c.exprTaint(call.Args[p], fact))
-	}
-	return out
-}
-
-// assign applies strong updates: a variable assigned from a tainted
-// expression becomes tainted, one assigned from a clean expression becomes
-// clean. Multi-value assignments from a wire source taint position 0;
-// multi-value assignments from a summarized callee follow its specs.
-func (c *taintCtx) assign(as *ast.AssignStmt, fact taintFact, mutate func() taintFact) {
-	var multiVals []taintVal
-	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
-		if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
-			if isWireSource(c.pkg, call, c.wrappers) {
-				multiVals = make([]taintVal, len(as.Lhs))
-				multiVals[0] = taintVal{mask: taintedBit, src: call.Pos()}
-			} else if specs := c.specsForCall(call, fact); specs != nil {
-				multiVals = make([]taintVal, len(as.Lhs))
-				copy(multiVals, specs)
-			}
-		}
-	}
-	for i, lhs := range as.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		var v *types.Var
-		if def, ok := c.pkg.Info.Defs[id].(*types.Var); ok {
-			v = def
-		} else if use, ok := c.pkg.Info.Uses[id].(*types.Var); ok {
-			v = use
-		}
-		if v == nil || !isIntegerVar(v) {
-			continue
-		}
-		var tv taintVal
-		switch {
-		case multiVals != nil:
-			tv = multiVals[i]
-		case len(as.Rhs) == len(as.Lhs):
-			rhs := as.Rhs[i]
-			tv = c.exprTaint(rhs, fact)
-			if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
-				// Compound (+=, <<=, ...): taint accumulates.
-				tv = joinVal(tv, fact[v])
-			}
-		default:
-			// Multi-value from an unsummarized call: conservatively clean.
+		tv := vals[i]
+		if tok != token.ASSIGN && tok != token.DEFINE {
+			// Compound (+=, <<=, ...): taint accumulates.
+			tv = joinVal(tv, fact[v])
 		}
 		if !tv.zero() {
 			mutate()[v] = tv
@@ -448,16 +335,30 @@ func (c *taintCtx) assign(as *ast.AssignStmt, fact taintFact, mutate func() tain
 }
 
 // exprTaint reports the taint an expression's value may carry under the
-// current fact.
+// current fact. Taint flows through parens, unary operators (&x), slicing,
+// composite literals embedding a tainted value and, for integers,
+// arithmetic, conversions, min/max and summarized callees.
 func (c *taintCtx) exprTaint(e ast.Expr, fact taintFact) taintVal {
 	switch e := e.(type) {
 	case *ast.Ident:
 		if v, ok := c.pkg.Info.Uses[e].(*types.Var); ok {
 			return fact[v]
 		}
-		return taintVal{}
 	case *ast.ParenExpr:
 		return c.exprTaint(e.X, fact)
+	case *ast.UnaryExpr:
+		return c.exprTaint(e.X, fact)
+	case *ast.SliceExpr:
+		return c.exprTaint(e.X, fact)
+	case *ast.CompositeLit:
+		var out taintVal
+		for _, elt := range e.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			out = joinVal(out, c.exprTaint(elt, fact))
+		}
+		return out
 	case *ast.BinaryExpr:
 		switch e.Op {
 		case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ,
@@ -465,49 +366,43 @@ func (c *taintCtx) exprTaint(e ast.Expr, fact taintFact) taintVal {
 			return taintVal{} // booleans
 		}
 		return joinVal(c.exprTaint(e.X, fact), c.exprTaint(e.Y, fact))
-	case *ast.UnaryExpr:
-		return c.exprTaint(e.X, fact)
 	case *ast.CallExpr:
-		if isWireSource(c.pkg, e, c.wrappers) {
-			return taintVal{mask: taintedBit, src: e.Pos()}
+		// Only integers flow through conversions and builtins.
+		if !c.rules.ints || c.isSource(e) {
+			return c.firstResult(e, fact)
 		}
 		// Conversion: T(x) is as tainted as x.
 		if tv, ok := c.pkg.Info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
 			return c.exprTaint(e.Args[0], fact)
 		}
-		// min(x, smallConst) clamps; min/max of all-tainted stays tainted.
+		// min(x, smallConst) clamps; min/max of all-tainted stays tainted;
+		// every other builtin (len, cap, ...) yields a clean value.
 		if id, ok := e.Fun.(*ast.Ident); ok {
 			if bi, ok := c.pkg.Info.Uses[id].(*types.Builtin); ok {
-				switch bi.Name() {
-				case "min":
-					out := taintVal{}
-					for _, a := range e.Args {
-						av := c.exprTaint(a, fact)
-						if av.zero() && smallConstOrClean(c.pkg, a) {
-							return taintVal{}
-						}
+				out := taintVal{}
+				for _, a := range e.Args {
+					av := c.exprTaint(a, fact)
+					switch {
+					case bi.Name() == "min" && av.zero() && smallConstOrClean(c.pkg, a):
+						return taintVal{}
+					case bi.Name() == "min" || bi.Name() == "max":
 						out = joinVal(out, av)
 					}
-					return out
-				case "max":
-					out := taintVal{}
-					for _, a := range e.Args {
-						out = joinVal(out, c.exprTaint(a, fact))
-					}
-					return out
-				case "len", "cap":
-					return taintVal{}
 				}
-				return taintVal{}
+				return out
 			}
 		}
-		// A summarized callee's first result.
-		if specs := c.specsForCall(e, fact); specs != nil {
-			return specs[0]
-		}
-		return taintVal{}
+		return c.firstResult(e, fact)
 	}
 	// Selectors, index expressions, literals: clean.
+	return taintVal{}
+}
+
+// firstResult is the taint of a call's first result.
+func (c *taintCtx) firstResult(call *ast.CallExpr, fact taintFact) taintVal {
+	if vals := c.callResults(call, fact); len(vals) > 0 {
+		return vals[0]
+	}
 	return taintVal{}
 }
 
@@ -534,25 +429,14 @@ func (c *taintCtx) refine(e Edge, out taintFact) taintFact {
 		return out
 	}
 	fact := out
-	cloned := false
-	sanitize := func(id *ast.Ident) {
-		v, ok := c.pkg.Info.Uses[id].(*types.Var)
-		if !ok {
-			return
-		}
-		if _, had := fact[v]; !had {
-			return
-		}
-		if !cloned {
-			cp := make(taintFact, len(fact))
-			for w, tv := range fact {
-				cp[w] = tv
+	mutate := cow(&fact)
+	c.refineCond(e.Cond, e.Negated, out, func(id *ast.Ident) {
+		if v, ok := c.pkg.Info.Uses[id].(*types.Var); ok {
+			if _, had := fact[v]; had {
+				delete(mutate(), v)
 			}
-			fact, cloned = cp, true
 		}
-		delete(fact, v)
-	}
-	c.refineCond(e.Cond, e.Negated, fact, sanitize)
+	})
 	return fact
 }
 
@@ -644,42 +528,31 @@ func identOf(e ast.Expr) (*ast.Ident, bool) {
 	}
 }
 
-// isWireSource recognizes the decoder calls that introduce taint.
-func isWireSource(pkg *Package, call *ast.CallExpr, wrappers map[*types.Var]bool) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func)
-		if !ok {
-			return false
-		}
-		if fn.Pkg() != nil && fn.Pkg().Path() == "encoding/binary" {
-			switch fn.Name() {
-			case "ReadUvarint", "ReadVarint":
-				return true
-			}
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				switch fn.Name() {
-				case "Uint16", "Uint32", "Uint64":
-					return true
-				}
-			}
-		}
+// isWireSource recognizes the decoder calls that introduce wire taint.
+func isWireSource(pkg *Package, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
 		return false
-	case *ast.Ident:
-		if wrappers == nil {
-			return false
-		}
-		if v, ok := pkg.Info.Uses[fun].(*types.Var); ok {
-			return wrappers[v]
-		}
+	}
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/binary" {
+		return false
+	}
+	switch fn.Name() {
+	case "ReadUvarint", "ReadVarint":
+		return true
+	case "Uint16", "Uint32", "Uint64":
+		sig, ok := fn.Type().(*types.Signature)
+		return ok && sig.Recv() != nil
 	}
 	return false
 }
 
-// checkSinks reports (or records) taint reaching allocation-size
-// positions in any call under node — make/slices.Grow/io.CopyN directly,
-// or a call whose callee summary says the parameter reaches such a sink
-// (skipping nested function literals, which get their own pass).
+// checkSinks is the wire rule set's sinks: it reports (or records) taint
+// reaching allocation-size positions in any call under node —
+// make/slices.Grow/io.CopyN directly, or a call whose callee summary says
+// the parameter reaches such a sink (skipping nested function literals,
+// which get their own pass).
 func (c *taintCtx) checkSinks(node ast.Node, fact taintFact) {
 	ast.Inspect(node, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -712,7 +585,7 @@ func (c *taintCtx) checkSinks(node ast.Node, fact taintFact) {
 			}
 		}
 		// Arguments feeding a callee whose summary reaches a sink.
-		if callee := c.resolveCallee(call); callee != nil && callee.Summary != nil && len(callee.Summary.SinkParams) > 0 {
+		if callee := c.prog.resolveCall(c.pkg, c.pf, call); callee != nil && callee.Summary != nil {
 			for p, sink := range callee.Summary.SinkParams {
 				if p >= len(call.Args) {
 					continue
@@ -733,10 +606,10 @@ func (c *taintCtx) checkSinks(node ast.Node, fact taintFact) {
 // summary being built.
 func (c *taintCtx) sinkHit(arg ast.Expr, fact taintFact, sinkDesc string, sinkPos token.Pos, callee *SinkSite) {
 	tv := c.exprTaint(arg, fact)
-	if tv.zero() {
-		return
-	}
-	if c.pass != nil && tv.tainted() {
+	if c.pass != nil {
+		if !tv.tainted() {
+			return
+		}
 		var related []Related
 		if tv.src.IsValid() && tv.src != arg.Pos() {
 			related = append(related, c.pass.RelatedAt(tv.src, "wire-decoded here"))
@@ -747,27 +620,25 @@ func (c *taintCtx) sinkHit(arg ast.Expr, fact taintFact, sinkDesc string, sinkPo
 		c.pass.ReportRelated(arg.Pos(), related,
 			"wire-decoded integer %s flows into %s without an upper-bound check; a hostile header sizes this allocation (clamp it, or annotate with //%s wiretaint)",
 			types.ExprString(arg), sinkDesc, AllowPrefix)
+		return
 	}
-	if c.collect {
-		if params := tv.mask &^ taintedBit; params != 0 {
-			if c.sinkParams == nil {
-				c.sinkParams = map[int]SinkSite{}
-			}
-			for p := 0; p < 62; p++ {
-				if params&(uint64(1)<<uint(p)) == 0 {
-					continue
-				}
-				site := SinkSite{Pos: sinkPos, Desc: sinkDesc}
-				if cur, ok := c.sinkParams[p]; !ok || site.Pos < cur.Pos {
-					c.sinkParams[p] = site
-				}
-			}
+	params := tv.mask &^ taintedBit
+	for p := 0; p < 62 && params != 0; p++ {
+		if params&(uint64(1)<<uint(p)) == 0 {
+			continue
+		}
+		if c.sinkParams == nil {
+			c.sinkParams = map[int]SinkSite{}
+		}
+		site := SinkSite{Pos: sinkPos, Desc: sinkDesc}
+		if cur, ok := c.sinkParams[p]; !ok || site.Pos < cur.Pos {
+			c.sinkParams[p] = site
 		}
 	}
 }
 
 // isIntegerVar reports whether v holds an integer (signed or unsigned),
-// the only type taint tracks.
+// the only type the wire rule set tracks.
 func isIntegerVar(v *types.Var) bool {
 	b, ok := v.Type().Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsInteger != 0

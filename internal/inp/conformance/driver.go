@@ -261,7 +261,6 @@ func (rc *rewriteConn) Write(p []byte) (int, error) {
 	}
 	// The driver arms its own bound through the promoted deadline
 	// methods before every flush; this inner write inherits it.
-	//fractal:allow deadline — bounded by the deadline the driver conn armed on the embedded conn
 	if _, err := rc.Conn.Write(buf); err != nil {
 		return 0, err
 	}
@@ -283,7 +282,6 @@ func (rc *rewriteConn) Read(p []byte) (int, error) {
 		rc.inbuf = rc.inbuf[n:]
 		return n, nil
 	}
-	//fractal:allow deadline — bounded by the deadline the driver conn armed on the embedded conn
 	return rc.Conn.Read(p)
 }
 

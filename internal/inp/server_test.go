@@ -1,8 +1,11 @@
 package inp_test
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -174,6 +177,102 @@ func TestCloseDrainsAndDropsPendingConn(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCloseLeavesNoSessionGoroutines pins that Close reclaims every
+// goroutine the serving loop started, on every daemon: after completed
+// sessions, a peer that connects and sends nothing, and a peer that stalls
+// mid-frame — both released by the idle timeout — no goroutine is left in
+// the accept loop or a session. It looks for those functions in the
+// goroutine stacks rather than counting goroutines, so goroutines other
+// code leaves running cannot make it flaky.
+func TestCloseLeavesNoSessionGoroutines(t *testing.T) {
+	for _, d := range daemons(t) {
+		t.Run(d.name, func(t *testing.T) {
+			srv, err := d.start(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.SetIdleTimeout(100 * time.Millisecond)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig := &acceptSignal{Listener: ln, accepted: make(chan struct{}, 4)}
+			served := make(chan error, 1)
+			go func() { served <- srv.Serve(sig) }()
+			dial := func() net.Conn {
+				conn, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { conn.Close() })
+				_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+				<-sig.accepted
+				return conn
+			}
+
+			for i := 0; i < 2; i++ {
+				done := dial()
+				if err := d.exchange(inp.NewConn(done)); err != nil {
+					t.Fatalf("completed session %d: %v", i, err)
+				}
+				done.Close()
+			}
+			dial() // connects and sends nothing
+			var frame bytes.Buffer
+			if err := d.request(inp.NewConn(&frame)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dial().Write(frame.Bytes()[:frame.Len()/2]); err != nil {
+				t.Fatalf("half a frame: %v", err)
+			}
+
+			closed := make(chan error, 1)
+			go func() { closed <- srv.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close did not return with two stalled peers past the idle timeout")
+			}
+			select {
+			case err := <-served:
+				if err != nil {
+					t.Errorf("Serve returned %v after Close", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Serve did not return after Close")
+			}
+			var left []string
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+				if left = servingGoroutines(); len(left) == 0 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d serving goroutines outlive Close:\n%s", len(left), strings.Join(left, "\n\n"))
+				}
+			}
+		})
+	}
+}
+
+// servingGoroutines returns the stacks of goroutines running the serving
+// loop: the accept loop or a session.
+func servingGoroutines() []string {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 2); err != nil {
+		return []string{err.Error()}
+	}
+	var out []string
+	for _, g := range strings.Split(buf.String(), "\n\n") {
+		if strings.Contains(g, "inp.(*Server).session") || strings.Contains(g, "inp.(*Server).Serve") {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // TestIdleTimeoutReleasesStalledWriter: with an idle timeout set, a client
