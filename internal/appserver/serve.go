@@ -58,15 +58,11 @@ func PushAppMetaTCP(proxyAddr string, app core.AppMeta) error {
 	return nil
 }
 
-// handle answers one APP_REQ. A request advertising WireVersion >= 2
-// switches the replies to the INP binary fast path.
+// handle answers one APP_REQ.
 func (s *INPServer) handle(c *inp.Conn, h inp.Header, raw []byte) error {
 	var req inp.AppReq
 	if err := inp.DecodeAs(h, raw, inp.MsgAppReq, &req); err != nil {
 		return fmt.Errorf("reading APP_REQ: %w", err)
-	}
-	if req.WireVersion >= inp.Version2 {
-		c.EnableBinary()
 	}
 	if req.AppID != s.app.AppID() {
 		_ = c.SendError(fmt.Sprintf("unknown application %q", req.AppID))

@@ -32,16 +32,12 @@ func NewPADServer(store *Origin, maxConcurrent int, logf func(string, ...interfa
 	return s, nil
 }
 
-// handle answers one PAD_DOWNLOAD_REQ. A request advertising WireVersion
-// >= 2 switches replies to the INP binary fast path, which ships the
-// module bytes raw (no base64) in a zero-copy writev vector.
+// handle answers one PAD_DOWNLOAD_REQ. The reply ships the module bytes
+// raw in a zero-copy writev vector.
 func (s *PADServer) handle(c *inp.Conn, h inp.Header, raw []byte) error {
 	var req inp.PADDownloadReq
 	if err := inp.DecodeAs(h, raw, inp.MsgPADDownloadReq, &req); err != nil {
 		return fmt.Errorf("reading PAD_DOWNLOAD_REQ: %w", err)
-	}
-	if req.WireVersion >= inp.Version2 {
-		c.EnableBinary()
 	}
 	path := req.URL
 	if path == "" {

@@ -68,10 +68,7 @@ func (t *TCPNegotiator) Negotiate(appID string, env core.Env, sessionRequests in
 	// fast-path proxy answers all three replies in one vectored write; a
 	// classic proxy simply finds CLI_META_REP already buffered when it
 	// asks for it.
-	// WireVersion advertises the binary fast path: a new proxy answers all
-	// three replies as Version2 binary frames, an old one ignores the field.
-	if err := c.Queue(inp.MsgInitReq,
-		inp.InitReq{AppID: appID, ClientID: t.ClientID, WireVersion: inp.Version2}); err != nil {
+	if err := c.Queue(inp.MsgInitReq, inp.InitReq{AppID: appID, ClientID: t.ClientID}); err != nil {
 		return nil, fmt.Errorf("client: INIT exchange: %w", err)
 	}
 	if err := c.Queue(inp.MsgCliMetaRep,
@@ -158,11 +155,7 @@ func (f *TCPPADFetcher) FetchPAD(meta core.PADMeta) ([]byte, error) {
 	c := inp.NewConn(conn)
 	c.SetTimeout(f.CallTimeout)
 	var rep inp.PADDownloadRep
-	// WireVersion advertises the binary fast path; a new PAD server ships
-	// the module raw instead of base64-in-JSON, an old one ignores it.
-	err = c.Call(inp.MsgPADDownloadReq,
-		&inp.PADDownloadReq{PADID: meta.ID, URL: meta.URL, WireVersion: inp.Version2},
-		inp.MsgPADDownloadRep, &rep)
+	err = c.Call(inp.MsgPADDownloadReq, &inp.PADDownloadReq{PADID: meta.ID, URL: meta.URL}, inp.MsgPADDownloadRep, &rep)
 	if err != nil {
 		return nil, fmt.Errorf("client: downloading %s: %w", meta.ID, err)
 	}
@@ -288,9 +281,6 @@ func (s *TCPAppSession) FetchContent(req inp.AppReq) (inp.AppRep, error) {
 	}
 
 	var rep inp.AppRep
-	// Advertise the binary fast path; after the server's first Version2
-	// reply the session's own requests upgrade to binary automatically.
-	req.WireVersion = inp.Version2
 	// sessMu (and only sessMu) is held across this round trip: it is the
 	// exchange-serialization lock, and Close can still interrupt the call
 	// by closing conn under mu.

@@ -10,12 +10,11 @@ import (
 	"fractal/internal/inp"
 )
 
-// startStaleV2Server runs a malicious application server: the first
-// exchange on each connection is answered correctly, the second is
-// answered with a verbatim replay of the first reply re-stamped as a
-// Version2 binary frame — a stale frame a conforming client must refuse
-// with the typed sequence error, without adopting the forged version.
-func startStaleV2Server(t *testing.T) string {
+// startStaleReplayServer runs a malicious application server: the first
+// exchange on each connection is answered correctly, the second with a
+// verbatim replay of the first reply — a stale frame a conforming client
+// must refuse with the typed sequence error.
+func startStaleReplayServer(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -42,8 +41,8 @@ func startStaleV2Server(t *testing.T) string {
 				if err := c.RecvInto(inp.MsgAppReq, &req); err != nil {
 					return
 				}
-				// Replay of reply #1: stale seq 1, forged Version2 binary
-				// framing. The legitimate next reply would be v1 seq 2.
+				// Replay of reply #1: stale seq 1, where the legitimate
+				// next reply would carry seq 2.
 				var buf bytes.Buffer
 				fw := inp.NewFrameWriter(&buf)
 				h := inp.Header{Version: inp.Version2, Type: inp.MsgAppRep, Seq: 1}
@@ -61,7 +60,7 @@ func startStaleV2Server(t *testing.T) string {
 // inp.ErrSeqMismatch, break the session (the stream position is
 // unknown), and the next call must transparently redial and succeed.
 func TestSessionRejectsStaleReplayedFrame(t *testing.T) {
-	addr := startStaleV2Server(t)
+	addr := startStaleReplayServer(t)
 	s, err := DialAppSession(addr, SessionConfig{
 		DialTimeout: 2 * time.Second,
 		CallTimeout: 2 * time.Second,

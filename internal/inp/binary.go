@@ -10,41 +10,26 @@ import (
 	"fractal/internal/core"
 )
 
-// Binary body fast-path. JSON stays the wire default for inspectability,
-// but the hot session bodies — the application exchange (AppReq/AppRep,
-// PADDownloadReq/Rep) and the negotiation burst (InitReq/InitRep,
-// CliMetaReq/CliMetaRep, PADMetaRep) — gain a hand-rolled binary codec
-// behind a negotiated version flag: requests advertise decode capability
-// in their (JSON-ignored) WireVersion field, and a peer that has proven
-// Version2 support receives hot bodies as Version2 frames. Old peers
-// never see a v2 frame and new peers fall back to JSON transparently,
-// pinned semantically identical by differential round-trip fuzz
-// (FuzzBinaryBodyDifferential) and byte-identical to the first release of
-// the format by golden frames (TestGoldenV2Frames).
+// The INP body codec: one hand-rolled binary encoding for every message
+// type, pinned byte for byte by golden frames (TestGoldenV2Frames).
 //
 // Wire format: strings are uvarint length + bytes; byte slices, string
 // slices, and meta arrays use a presence-aware prefix (0 = nil, n+1 = n
-// elements) so nil and empty survive the round trip exactly as JSON's
-// null vs ""/[] do; ints are signed varints; float64s are 8 fixed
-// big-endian IEEE-754 bytes; digests are raw fixed-width bytes.
+// elements) so nil and empty survive the round trip; ints are signed
+// varints; float64s are 8 fixed big-endian IEEE-754 bytes; digests are
+// raw fixed-width bytes.
 //
-// Each hot message describes its codec once, next to its struct in
-// inp.go: the fields in wire order through the append primitives, and
-// again through the reader. The description is code rather than a
-// reflected field table because the serving path's allocation budget has
-// no room for boxing each field (see DESIGN.md).
+// Each message describes its codec once, next to its struct in inp.go:
+// the fields in wire order through the append primitives, and again
+// through the reader. The description is code rather than a reflected
+// field table because the serving path's allocation budget has no room
+// for boxing each field (see DESIGN.md).
 
-const (
-	// Version2 is the binary-body protocol revision. Headers carry it only
-	// on frames whose body uses the binary codec; everything else stays
-	// JSON at Version.
-	Version2 = 2
-	// spliceMin is the smallest []byte field worth splicing as its own
-	// writev vector instead of copying into the assembly buffer.
-	spliceMin = 4 << 10
-)
+// spliceMin is the smallest []byte field worth splicing as its own writev
+// vector instead of copying into the assembly buffer.
+const spliceMin = 4 << 10
 
-// wireBody is the encode half of a hot message's codec description. The
+// wireBody is the encode half of a message's codec description. The
 // methods have value receivers, so a body queued by value or by pointer
 // encodes alike.
 type wireBody interface {
@@ -53,40 +38,28 @@ type wireBody interface {
 }
 
 // wireDecoder is the full description, implemented by the pointer to each
-// hot body struct. decodeWire takes the reader by value so it stays on
-// the caller's stack across the interface call, and ends with r.done().
+// body struct. decodeWire takes the reader by value so it stays on the
+// caller's stack across the interface call, and ends with r.done().
 type wireDecoder interface {
 	wireBody
 	decodeWire(r wireReader) error
 }
 
-// wireCodec returns t's codec prototype, or nil when t has none.
-func wireCodec(t MsgType) wireDecoder {
-	if t < msgMax {
-		return msgTable[t].wire
-	}
-	return nil
-}
-
-// DecodeRaw decodes a raw body returned by Recv into v according to the
-// header's wire version: Version2 bodies use the binary codec (v must be
-// the pointer to the header type's struct; trailing bytes are rejected),
-// all others JSON. The caller keeps raw: v holds no reference to it.
+// DecodeRaw decodes a raw body returned by Recv into v, the pointer to the
+// header type's struct; trailing bytes are rejected. The caller keeps raw:
+// v holds no reference to it.
 func DecodeRaw(h Header, raw []byte, v interface{}) error {
 	return decodeRaw(h, raw, v, false)
 }
 
 // decodeRaw is DecodeRaw; owned says v may keep slices of raw (see blob).
 func decodeRaw(h Header, raw []byte, v interface{}, owned bool) error {
-	if h.Version < Version2 {
-		return DecodeBody(raw, v)
-	}
 	d, ok := v.(wireDecoder)
 	if !ok || d.wireType() != h.Type {
-		return fmt.Errorf("inp: no binary codec decodes a %v body into %T", h.Type, v)
+		return fmt.Errorf("inp: no codec decodes a %v body into %T", h.Type, v)
 	}
 	if err := d.decodeWire(wireReader{b: raw, owned: owned}); err != nil {
-		return fmt.Errorf("inp: decoding %v binary body: %w", h.Type, err)
+		return fmt.Errorf("inp: decoding %v body: %w", h.Type, err)
 	}
 	return nil
 }
@@ -152,6 +125,27 @@ func (r *wireReader) padMeta(p *core.PADMeta) {
 	p.Alias = r.str()
 }
 
+// appendPADMetas encodes a PAD metadata array behind a count prefix: the
+// body of PAD_META_REP and the PAD half of APP_META_PUSH.
+func (e *encodeState) appendPADMetas(ps []core.PADMeta) {
+	e.appendCount(len(ps), ps == nil)
+	for i := range ps {
+		e.appendPADMeta(&ps[i])
+	}
+}
+
+func (r *wireReader) padMetas() []core.PADMeta {
+	n, ok := r.count()
+	if !ok {
+		return nil
+	}
+	out := make([]core.PADMeta, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		r.padMeta(&out[i])
+	}
+	return out
+}
+
 // --- encode primitives ---
 
 //fractal:hotpath varint fields are appended here
@@ -179,8 +173,8 @@ func (e *encodeState) appendBool(v bool) {
 	e.buf.WriteByte(b)
 }
 
-// appendFloat encodes f as 8 fixed big-endian IEEE-754 bytes — unlike
-// JSON it round-trips NaN and the infinities.
+// appendFloat encodes f as 8 fixed big-endian IEEE-754 bytes, so NaN and
+// the infinities round-trip bit-exact.
 //
 //fractal:hotpath metadata rates are appended here
 func (e *encodeState) appendFloat(f float64) {

@@ -26,17 +26,6 @@ func decodeV2(t MsgType, raw []byte, v interface{}) error {
 	return DecodeRaw(Header{Version: Version2, Type: t}, raw, v)
 }
 
-// hotTypes lists the message types msgTable gives a binary codec.
-func hotTypes() []MsgType {
-	var out []MsgType
-	for t := MsgInvalid + 1; t < msgMax; t++ {
-		if wireCodec(t) != nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // fillDistinct sets every exported field reachable from v — through nested
 // structs, arrays and slices — to a distinct non-zero value drawn from
 // *next, so a round trip that drops, swaps or truncates any one field
@@ -83,15 +72,18 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int) {
 }
 
 // TestCodecCompleteness is the receipt for "one codec description per
-// message": every body struct with a binary codec round-trips through
-// Version2 with every exported field set, so a field added to a struct
-// (or to DevMeta, NtwkMeta, PADMeta, PADOverhead) but forgotten in either
-// half of its description fails here. Reflection is confined to this
-// test; the codec itself names each field in code.
+// message": every message type has a codec, and every body struct
+// round-trips with every exported field set, so a field added to a struct
+// (or to AppMeta, DevMeta, NtwkMeta, PADMeta, PADOverhead) but forgotten
+// in either half of its description fails here. Reflection is confined to
+// this test; the codec itself names each field in code.
 func TestCodecCompleteness(t *testing.T) {
-	hot := hotTypes()
-	for i, mt := range hot {
-		proto := wireCodec(mt)
+	for mt := MsgInvalid + 1; mt < msgMax; mt++ {
+		proto := msgTable[mt].wire
+		if proto == nil {
+			t.Errorf("%v has no codec", mt)
+			continue
+		}
 		if got := proto.wireType(); got != mt {
 			t.Errorf("msgTable[%v] holds the codec of %v", mt, got)
 			continue
@@ -123,7 +115,7 @@ func TestCodecCompleteness(t *testing.T) {
 			}
 		}
 		// The codec of one type must refuse the struct of another.
-		other := wireCodec(hot[(i+1)%len(hot)])
+		other := msgTable[mt%(msgMax-1)+1].wire
 		if err := writeFrame(io.Discard, Header{Version: Version2, Type: mt, Seq: 1}, other); err == nil {
 			t.Errorf("%v frame accepted a %T body", mt, other)
 		}
@@ -215,8 +207,8 @@ func TestFrameWriterRollsBackHalfQueuedFrame(t *testing.T) {
 	if err := fw.WriteMessage(Header{Version: Version2, Type: MsgAppRep, Seq: 2}, tooBig); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized body: %v", err)
 	}
-	if err := fw.WriteMessage(Header{Version: Version, Type: MsgAppRep, Seq: 2}, make(chan int)); err == nil {
-		t.Fatal("unencodable JSON body queued")
+	if err := fw.WriteMessage(Header{Version: Version2, Type: MsgAppRep, Seq: 2}, make(chan int)); err == nil {
+		t.Fatal("a body with no codec was queued")
 	}
 	if fw.Buffered() != before {
 		t.Fatalf("failed frames left %d bytes queued", fw.Buffered()-before)

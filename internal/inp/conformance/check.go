@@ -3,9 +3,6 @@ package conformance
 import (
 	"bytes"
 	"fmt"
-	"reflect"
-
-	"fractal/internal/inp"
 )
 
 // CheckTrace is the differential oracle for one trace: evaluate the spec,
@@ -59,7 +56,7 @@ func compareToModel(ex *Expect, out *Outcome) error {
 			if got.Err != "" {
 				return fmt.Errorf("step %d reply %d: got error %q, spec expects %v", i, j, got.Err, want)
 			}
-			if got.Type != want.Type || got.Version != want.Version || got.Seq != want.Seq {
+			if got.Type != want.Type || got.Seq != want.Seq {
 				return fmt.Errorf("step %d reply %d: got %v, spec expects %v", i, j, got, want)
 			}
 		}
@@ -84,9 +81,6 @@ func compareToModel(ex *Expect, out *Outcome) error {
 	} else if out.DrainErr != errClosed {
 		return fmt.Errorf("drain observation %q, spec expects a clean close", out.DrainErr)
 	}
-	if out.DriverBinary != ex.DriverBinary {
-		return fmt.Errorf("final client encoding binary=%v, spec expects %v", out.DriverBinary, ex.DriverBinary)
-	}
 	return nil
 }
 
@@ -108,7 +102,7 @@ func compareOutcomes(a, b *Outcome) error {
 		}
 		for j := range sa.Replies {
 			ra, rb := sa.Replies[j], sb.Replies[j]
-			if ra.Err != rb.Err || ra.Type != rb.Type || ra.Version != rb.Version || ra.Seq != rb.Seq {
+			if ra.Err != rb.Err || ra.Type != rb.Type || ra.Seq != rb.Seq {
 				return fmt.Errorf("step %d reply %d: %s got %v, %s got %v", i, j, a.Stack, ra, b.Stack, rb)
 			}
 			if !bytes.Equal(ra.Body, rb.Body) {
@@ -120,106 +114,5 @@ func compareOutcomes(a, b *Outcome) error {
 	if a.DrainErr != b.DrainErr {
 		return fmt.Errorf("drain: %s=%q vs %s=%q", a.Stack, a.DrainErr, b.Stack, b.DrainErr)
 	}
-	if a.DriverBinary != b.DriverBinary {
-		return fmt.Errorf("final encoding: %s binary=%v vs %s binary=%v", a.Stack, a.DriverBinary, b.Stack, b.DriverBinary)
-	}
 	return nil
-}
-
-// CheckEncodings replays a valid (unmutated) trace twice on one stack —
-// once advertising only v1 JSON, once advertising Version2 — and requires
-// the decoded reply bodies to be equivalent: the binary fast path must be
-// an encoding, not a different protocol.
-func CheckEncodings(stack Stack, tr Trace) error {
-	j := tr.clone()
-	j.Binary = false
-	b := tr.clone()
-	b.Binary = true
-	oj, err := runFor(stack, j)
-	if err != nil {
-		return err
-	}
-	ob, err := runFor(stack, b)
-	if err != nil {
-		return err
-	}
-	if len(oj.Steps) != len(ob.Steps) {
-		return fmt.Errorf("json ran %d steps, binary %d", len(oj.Steps), len(ob.Steps))
-	}
-	for i := range oj.Steps {
-		sj, sb := oj.Steps[i], ob.Steps[i]
-		if len(sj.Replies) != len(sb.Replies) {
-			return fmt.Errorf("step %d: json got %d replies, binary %d", i, len(sj.Replies), len(sb.Replies))
-		}
-		for k := range sj.Replies {
-			rj, rb := sj.Replies[k], sb.Replies[k]
-			if rj.Err != rb.Err || rj.Type != rb.Type || rj.Seq != rb.Seq {
-				return fmt.Errorf("step %d reply %d: json %v vs binary %v", i, k, rj, rb)
-			}
-			if rj.Err != "" {
-				continue
-			}
-			vj, err := decodeReply(rj)
-			if err != nil {
-				return fmt.Errorf("step %d reply %d: decoding json reply: %w", i, k, err)
-			}
-			vb, err := decodeReply(rb)
-			if err != nil {
-				return fmt.Errorf("step %d reply %d: decoding binary reply: %w", i, k, err)
-			}
-			if !reflect.DeepEqual(vj, vb) {
-				return fmt.Errorf("step %d reply %d (%v): decoded bodies differ between encodings:\njson:   %+v\nbinary: %+v",
-					i, k, rj.Type, vj, vb)
-			}
-		}
-	}
-	if oj.DrainErr != ob.DrainErr {
-		return fmt.Errorf("drain: json %q vs binary %q", oj.DrainErr, ob.DrainErr)
-	}
-	return nil
-}
-
-func runFor(stack Stack, tr Trace) (*Outcome, error) {
-	ex, err := Eval(tr)
-	if err != nil {
-		return nil, fmt.Errorf("spec eval: %w", err)
-	}
-	out, err := Run(stack, tr, ex)
-	if err != nil {
-		return nil, err
-	}
-	if cerr := compareToModel(ex, out); cerr != nil {
-		return nil, fmt.Errorf("stack %s diverges from spec: %w", out.Stack, cerr)
-	}
-	return out, nil
-}
-
-// decodeReply decodes an observed reply body into its typed struct via
-// the version-aware decoder, so JSON and binary replies become
-// comparable values.
-func decodeReply(r RecvObs) (interface{}, error) {
-	var v interface{}
-	switch r.Type {
-	case inp.MsgInitRep:
-		v = new(inp.InitRep)
-	case inp.MsgCliMetaReq:
-		v = new(inp.CliMetaReq)
-	case inp.MsgPADMetaRep:
-		v = new(inp.PADMetaRep)
-	case inp.MsgAppRep:
-		v = new(inp.AppRep)
-	case inp.MsgPADDownloadRep:
-		v = new(inp.PADDownloadRep)
-	case inp.MsgAppMetaAck:
-		v = new(inp.AppMetaAck)
-	case inp.MsgError:
-		v = new(inp.ErrorRep)
-	default:
-		return nil, fmt.Errorf("no decoder for reply type %v", r.Type)
-	}
-	h := inp.Header{Version: r.Version, Type: r.Type, Seq: r.Seq}
-	if err := inp.DecodeRaw(h, r.Body, v); err != nil {
-		return nil, err
-	}
-	return v, nil
 }

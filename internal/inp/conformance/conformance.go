@@ -6,24 +6,20 @@
 // (INIT_REQ -> INIT_REP + CLI_META_REQ -> CLI_META_REP -> PAD_META_REP,
 // including the pipelined-burst variant answered in one vectored write),
 // the PAD fetch and app session request/reply loops, re-negotiation on a
-// persistent connection, in-band error frames, and the wire-version
-// lattice: first contact is always v1 JSON, a client advertises Version2
-// in its request body, hot replies upgrade to v2 binary once the peer has
-// proven support, and an accepted v2 frame upgrades the receiving side —
-// but a *rejected* frame never mutates connection state, and a conn never
-// downgrades.
+// persistent connection, in-band error frames, and the one header version:
+// a frame stamped with any version but Version2 is refused at the header,
+// closing the connection with no reply.
 //
 // A seeded generator (gen.go) emits valid traces plus systematic
 // single-fault mutants: duplicated and replayed frames, stale/skipped
 // sequence numbers, wrong message types, trailing bytes inside a body,
-// truncated frames, v2-before-advertise version patches, error-frame
+// truncated frames, retired-version (v1) patches, error-frame
 // interleavings, and tampered inbound replies. The differential driver
 // (driver.go) replays each trace against the real TCP stack and the
-// in-memory netsim stack and the checker (check.go) asserts three ways:
-// each stack matches the model's expected frame-by-frame outcome, the two
-// stacks match each other byte-for-byte, and — for valid traces — the
-// JSON and binary encodings decode to equivalent bodies. Failing traces
-// are shrunk (shrink.go) to a minimal counterexample.
+// in-memory netsim stack and the checker (check.go) asserts two ways:
+// each stack matches the model's expected frame-by-frame outcome, and the
+// two stacks match each other byte-for-byte. Failing traces are shrunk
+// (shrink.go) to a minimal counterexample.
 package conformance
 
 import (
@@ -127,9 +123,9 @@ const (
 	MutSeqDelta
 	// MutWrongType overwrites the type byte of frame Frame with Type.
 	MutWrongType
-	// MutVersion2 stamps Version2 on frame Frame before the client ever
-	// advertised it (v2-before-advertise).
-	MutVersion2
+	// MutVersion1 stamps the retired header version 1 on frame Frame; the
+	// server must refuse it at the header.
+	MutVersion1
 	// MutTrailing appends 1+Sel%16 junk bytes inside the body of frame
 	// Frame (the length field is bumped to cover them).
 	MutTrailing
@@ -140,11 +136,6 @@ const (
 	// MutInDupReply injects a duplicate of the last accepted reply in
 	// front of the step's real replies.
 	MutInDupReply
-	// MutInStaleV2 injects a clone of an earlier v1 reply (selected by
-	// Sel among binary-capable types) re-stamped as Version2. The frame
-	// fails the sequence gate; a conforming client must reject it
-	// *without* upgrading to binary (bugfix #2).
-	MutInStaleV2
 	// MutInDelay delays delivery of the step's replies by Ms
 	// milliseconds (exposes stale absolute deadlines; bugfix #3).
 	MutInDelay
@@ -162,16 +153,14 @@ func (k MutKind) String() string {
 		return "seqdelta"
 	case MutWrongType:
 		return "wrongtype"
-	case MutVersion2:
-		return "v2early"
+	case MutVersion1:
+		return "v1"
 	case MutTrailing:
 		return "trailing"
 	case MutTruncate:
 		return "truncate"
 	case MutInDupReply:
 		return "in-dup"
-	case MutInStaleV2:
-		return "in-stalev2"
 	case MutInDelay:
 		return "in-delay"
 	}
@@ -248,17 +237,15 @@ func (s Step) String() string {
 }
 
 // Trace is one complete client session against a target: the steps a
-// client performs on a single persistent connection, plus whether it
-// advertises Version2 in its requests.
+// client performs on a single persistent connection.
 type Trace struct {
 	Target Target
-	Binary bool
 	Steps  []Step
 }
 
 func (t Trace) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace target=%v binary=%v\n", t.Target, t.Binary)
+	fmt.Fprintf(&b, "trace target=%v\n", t.Target)
 	for i, s := range t.Steps {
 		fmt.Fprintf(&b, "  %2d: %v\n", i, s)
 	}

@@ -23,18 +23,17 @@ type Stack interface {
 // RecvObs is one observed reply frame (or the classified error that
 // arrived in its place).
 type RecvObs struct {
-	Type    inp.MsgType
-	Version uint8
-	Seq     uint32
-	Body    []byte
-	Err     string
+	Type inp.MsgType
+	Seq  uint32
+	Body []byte
+	Err  string
 }
 
 func (r RecvObs) String() string {
 	if r.Err != "" {
 		return "err:" + r.Err
 	}
-	return fmt.Sprintf("%v/v%d/seq%d(%dB)", r.Type, r.Version, r.Seq, len(r.Body))
+	return fmt.Sprintf("%v/seq%d(%dB)", r.Type, r.Seq, len(r.Body))
 }
 
 // StepObs is what the driver observed for one step.
@@ -47,10 +46,9 @@ type StepObs struct {
 
 // Outcome is the full observation of one trace replay on one stack.
 type Outcome struct {
-	Stack        string
-	Steps        []StepObs
-	DriverBinary bool
-	DrainErr     string
+	Stack    string
+	Steps    []StepObs
+	DrainErr string
 }
 
 // Error classes: every transport error collapses to one of these so TCP
@@ -115,8 +113,7 @@ func Run(stack Stack, tr Trace, ex *Expect) (*Outcome, error) {
 	c.SetTimeout(driverTimeout)
 
 	out := &Outcome{Stack: stack.Name()}
-	var rawReplies [][]byte   // reconstructed reply frames, inbound-tamper pool
-	var metaReplies []RecvObs // accepted replies, for stale-v2 candidate selection
+	var lastReply []byte // reconstructed last reply frame, inbound-tamper source
 	terminated := false
 
 	for i, est := range ex.Steps {
@@ -136,9 +133,9 @@ func Run(stack Stack, tr Trace, ex *Expect) (*Outcome, error) {
 
 		rc.muts = s.Muts
 		if im, ok := hasInbound(s); ok {
-			armInbound(rc, im, rawReplies, metaReplies)
+			armInbound(rc, im, lastReply)
 		}
-		for _, msg := range stepMessages(tr, s) {
+		for _, msg := range stepMessages(s) {
 			if qerr := c.Queue(msg.t, msg.body); qerr != nil {
 				return nil, fmt.Errorf("staging %v: %w", msg.t, qerr)
 			}
@@ -158,10 +155,9 @@ func Run(stack Stack, tr Trace, ex *Expect) (*Outcome, error) {
 				readFailed = true
 				break
 			}
-			obs := RecvObs{Type: h.Type, Version: h.Version, Seq: h.Seq, Body: append([]byte(nil), raw...)}
+			obs := RecvObs{Type: h.Type, Seq: h.Seq, Body: append([]byte(nil), raw...)}
 			so.Replies = append(so.Replies, obs)
-			rawReplies = append(rawReplies, buildFrame(h, obs.Body))
-			metaReplies = append(metaReplies, obs)
+			lastReply = buildFrame(h, obs.Body)
 		}
 		if !readFailed && est.Term != TermNone {
 			_, _, terr := c.Recv()
@@ -189,29 +185,16 @@ func Run(stack Stack, tr Trace, ex *Expect) (*Outcome, error) {
 			out.DrainErr = classify(derr)
 		}
 	}
-	out.DriverBinary = c.BinaryEnabled()
 	return out, nil
 }
 
 // armInbound prepares the read-side tamper for a step, mirroring the
-// model's eligibility rules exactly.
-func armInbound(rc *rewriteConn, im Mutation, rawReplies [][]byte, metaReplies []RecvObs) {
+// model's eligibility rule exactly: a duplicate needs a reply to clone.
+func armInbound(rc *rewriteConn, im Mutation, lastReply []byte) {
 	switch im.Kind {
 	case MutInDupReply:
-		if n := len(rawReplies); n > 0 {
-			rc.inject = append(rc.inject, append([]byte(nil), rawReplies[n-1]...))
-		}
-	case MutInStaleV2:
-		var cands [][]byte
-		for i, r := range metaReplies {
-			if r.Version == inp.Version && binaryCapable(r.Type) {
-				cands = append(cands, rawReplies[i])
-			}
-		}
-		if len(cands) > 0 {
-			f := append([]byte(nil), cands[int(im.Sel)%len(cands)]...)
-			f[offVersion] = 2
-			rc.inject = append(rc.inject, f)
+		if lastReply != nil {
+			rc.inject = append(rc.inject, lastReply)
 		}
 	case MutInDelay:
 		rc.delay = time.Duration(im.Ms) * time.Millisecond

@@ -18,7 +18,7 @@ func NewGen(seed int64) *Gen {
 // occasional failed staging attempt or timeout adjustment mixed in (both
 // must be invisible on the wire).
 func (g *Gen) Valid() Trace {
-	tr := Trace{Target: Target(g.rng.Intn(3)), Binary: g.rng.Intn(2) == 0}
+	tr := Trace{Target: Target(g.rng.Intn(3))}
 	units := 1 + g.rng.Intn(3)
 	for u := 0; u < units; u++ {
 		switch tr.Target {
@@ -94,28 +94,18 @@ func (g *Gen) mutate(base Trace) (Trace, bool) {
 	case 5:
 		types := []uint8{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 200}
 		s.Muts = append(s.Muts, Mutation{Kind: MutWrongType, Frame: last, Type: types[g.rng.Intn(len(types))]})
-	case 6: // v2-before-advertise
-		if tr.Binary {
-			return tr, false
-		}
-		s.Muts = append(s.Muts, Mutation{Kind: MutVersion2, Frame: last})
+	case 6: // retired header version
+		s.Muts = append(s.Muts, Mutation{Kind: MutVersion1, Frame: last})
 	case 7:
 		s.Muts = append(s.Muts, Mutation{Kind: MutTrailing, Frame: g.rng.Intn(last + 1), Sel: uint32(g.rng.Intn(256))})
 	case 8: // truncation is terminal: cut the last frame and half-close
 		tr.Steps = tr.Steps[:i+1]
 		s.Muts = append(s.Muts, Mutation{Kind: MutTruncate, Sel: uint32(g.rng.Intn(4096))})
-	case 9: // tampered inbound frame; needs reply history to clone from
+	case 9: // duplicated inbound reply; needs reply history to clone from
 		if i == 0 || ws[0] >= i {
 			return tr, false
 		}
-		if g.rng.Intn(2) == 0 {
-			s.Muts = append(s.Muts, Mutation{Kind: MutInDupReply})
-		} else {
-			if tr.Binary {
-				return tr, false
-			}
-			s.Muts = append(s.Muts, Mutation{Kind: MutInStaleV2, Sel: uint32(g.rng.Intn(8))})
-		}
+		s.Muts = append(s.Muts, Mutation{Kind: MutInDupReply})
 	}
 	return tr, true
 }

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -36,17 +37,15 @@ func (t Term) String() string {
 	return fmt.Sprintf("Term(%d)", int(t))
 }
 
-// FrameExpect is the spec's prediction for one reply frame: its type, its
-// wire version (the v1/v2 lattice made observable), and its sequence
-// number (the server must never skip or repeat one).
+// FrameExpect is the spec's prediction for one reply frame: its type and
+// its sequence number (the server must never skip or repeat one).
 type FrameExpect struct {
-	Type    inp.MsgType
-	Version uint8
-	Seq     uint32
+	Type inp.MsgType
+	Seq  uint32
 }
 
 func (f FrameExpect) String() string {
-	return fmt.Sprintf("%v/v%d/seq%d", f.Type, f.Version, f.Seq)
+	return fmt.Sprintf("%v/seq%d", f.Type, f.Seq)
 }
 
 // StepExpect is the spec's prediction for one step.
@@ -67,9 +66,6 @@ type StepExpect struct {
 // no conforming client keeps writing into a dead connection.
 type Expect struct {
 	Steps []StepExpect
-	// DriverBinary is the client conn's final encoding state: true only
-	// if an *accepted* reply carried Version2.
-	DriverBinary bool
 }
 
 // stagedMsg is one message a step stages, before framing.
@@ -82,23 +78,19 @@ type stagedMsg struct {
 // it. The driver sends exactly these through the real inp.Conn and the
 // model frames exactly these through the raw frame writer, so any
 // disagreement between the two byte streams is a Conn framing bug.
-func stepMessages(tr Trace, s Step) []stagedMsg {
-	wv := 0
-	if tr.Binary {
-		wv = inp.Version2
-	}
+func stepMessages(s Step) []stagedMsg {
 	climeta := func() stagedMsg {
 		env := envFor(s.Env)
 		return stagedMsg{inp.MsgCliMetaRep, inp.CliMetaRep{Dev: env.Dev, Ntwk: env.Ntwk, SessionRequests: 75}}
 	}
 	switch s.Op {
 	case OpInit:
-		return []stagedMsg{{inp.MsgInitReq, inp.InitReq{AppID: appIDFor(s.App), WireVersion: wv}}}
+		return []stagedMsg{{inp.MsgInitReq, inp.InitReq{AppID: appIDFor(s.App)}}}
 	case OpCliMeta:
 		return []stagedMsg{climeta()}
 	case OpInitBurst:
 		return []stagedMsg{
-			{inp.MsgInitReq, inp.InitReq{AppID: appIDFor(s.App), WireVersion: wv}},
+			{inp.MsgInitReq, inp.InitReq{AppID: appIDFor(s.App)}},
 			climeta(),
 		}
 	case OpMetaPush:
@@ -109,10 +101,9 @@ func stepMessages(tr Trace, s Step) []stagedMsg {
 			Resource:    resourceFor(s.Resource),
 			ProtocolIDs: []string{protoFor(s.Proto)},
 			HaveVersion: 0,
-			WireVersion: wv,
 		}}}
 	case OpPADReq:
-		return []stagedMsg{{inp.MsgPADDownloadReq, inp.PADDownloadReq{PADID: padFor(s.PAD), WireVersion: wv}}}
+		return []stagedMsg{{inp.MsgPADDownloadReq, inp.PADDownloadReq{PADID: padFor(s.PAD)}}}
 	case OpClientError:
 		return []stagedMsg{{inp.MsgError, inp.ErrorRep{Message: "client abort"}}}
 	}
@@ -126,22 +117,19 @@ const (
 )
 
 // model is the executable spec state while evaluating one trace: both
-// endpoints' sequence counters and encoding state, the proxy's session
-// phase, and the frame history the mutation kinds draw from.
+// endpoints' sequence counters, the proxy's session phase, and the frame
+// history the mutation kinds draw from.
 type model struct {
 	tr Trace
 
-	dSeq, dPeer uint32 // driver conn: next send seq - 1, last accepted reply seq
-	dBinary     bool
-	sSeq, sPeer uint32 // server conn
-	sBinary     bool
+	dSeq        uint32 // driver conn: next send seq - 1
+	sSeq, sPeer uint32 // server conn: replies sent, last accepted request seq
 
 	phase      int    // proxy only
 	pendingApp string // proxy: AppID of the negotiation awaiting CLI_META_REP
 
-	hist    [][]byte      // post-mutation frames written, replay pool
-	replies []FrameExpect // replies emitted so far, inbound-tamper pool
-	closed  bool
+	hist   [][]byte // post-mutation frames written, replay pool
+	closed bool
 }
 
 // Eval runs the spec over a trace and returns the expected observable
@@ -160,7 +148,6 @@ func Eval(tr Trace) (*Expect, error) {
 		}
 		ex.Steps = append(ex.Steps, *st)
 	}
-	ex.DriverBinary = m.dBinary
 	return ex, nil
 }
 
@@ -179,11 +166,8 @@ func (m *model) step(s Step) (*StepExpect, error) {
 	// Stage and frame the step's messages exactly as a conforming client
 	// conn would.
 	var frames [][]byte
-	for _, msg := range stepMessages(m.tr, s) {
-		h := inp.Header{Version: inp.Version, Type: msg.t, Seq: m.dSeq + 1}
-		if m.dBinary && binaryCapable(msg.t) {
-			h.Version = inp.Version2
-		}
+	for _, msg := range stepMessages(s) {
+		h := inp.Header{Version: inp.Version2, Type: msg.t, Seq: m.dSeq + 1}
 		f, err := renderFrame(h, msg.body)
 		if err != nil {
 			return nil, fmt.Errorf("rendering %v: %w", msg.t, err)
@@ -197,9 +181,8 @@ func (m *model) step(s Step) (*StepExpect, error) {
 
 	// An inbound tamper the driver detects ends the trace before any of
 	// this step's real replies are read: the injected frame fails the
-	// sequence gate and a conforming client abandons the stream without
-	// mutating conn state (bugfix #2 keeps dBinary false here).
-	if im, ok := hasInbound(s); ok && m.inboundEligible(im) {
+	// sequence gate and a conforming client abandons the stream.
+	if im, ok := hasInbound(s); ok && im.Kind == MutInDupReply && m.sSeq > 0 {
 		st.Term = TermDriverReject
 		m.closed = true
 		return st, nil
@@ -212,11 +195,11 @@ func (m *model) step(s Step) (*StepExpect, error) {
 	}
 	rd := bytes.NewReader(stream)
 	for rd.Len() > 0 {
-		h, raw, err := inp.ReadMessage(rd)
+		h, raw, err := readFrame(rd)
 		if err != nil {
-			// Malformed or incomplete frame: parse failures and EOF
-			// mid-header/mid-body all close the connection without a
-			// reply.
+			// Malformed or incomplete frame: parse failures (a retired
+			// header version among them) and EOF mid-header/mid-body all
+			// close the connection without a reply.
 			m.serverClose(st)
 			break
 		}
@@ -225,9 +208,6 @@ func (m *model) step(s Step) (*StepExpect, error) {
 			break
 		}
 		m.sPeer = h.Seq
-		if h.Version >= inp.Version2 {
-			m.sBinary = true
-		}
 		if !m.dispatch(st, h, raw, rd) {
 			break
 		}
@@ -241,21 +221,19 @@ func (m *model) step(s Step) (*StepExpect, error) {
 	return st, nil
 }
 
-// inboundEligible mirrors the driver's injection precondition: tampering
-// needs reply history, and a stale-v2 injection needs a v1 reply of a
-// binary-capable type to re-stamp.
-func (m *model) inboundEligible(im Mutation) bool {
-	switch im.Kind {
-	case MutInDupReply:
-		return len(m.replies) > 0
-	case MutInStaleV2:
-		for _, r := range m.replies {
-			if r.Version == inp.Version && binaryCapable(r.Type) {
-				return true
-			}
-		}
+// errRetiredVersion is the spec's refusal of a header version other than
+// specVersion.
+var errRetiredVersion = errors.New("conformance: retired header version")
+
+// readFrame is the spec server's frame read: the real parser behind the
+// spec's own statement of the header version, so a parser that accepted a
+// retired version would diverge from the spec rather than agree with it.
+func readFrame(rd *bytes.Reader) (inp.Header, []byte, error) {
+	var hdr [frameHeaderLen]byte
+	if n, _ := rd.ReadAt(hdr[:], rd.Size()-int64(rd.Len())); n > offVersion && hdr[offVersion] != specVersion {
+		return inp.Header{}, nil, errRetiredVersion
 	}
-	return false
+	return inp.ReadMessage(rd)
 }
 
 // dispatch runs one accepted frame through the target's session state
@@ -289,9 +267,8 @@ func (m *model) dispatchProxy(st *StepExpect, h inp.Header, raw []byte, rd *byte
 	}
 	switch h.Type {
 	case inp.MsgAppMetaPush:
-		// Topology pushes are always v1 JSON.
 		var push inp.AppMetaPush
-		if inp.DecodeBody(raw, &push) != nil {
+		if inp.DecodeRaw(h, raw, &push) != nil {
 			return m.serverClose(st)
 		}
 		m.reply(st, inp.MsgAppMetaAck)
@@ -305,15 +282,12 @@ func (m *model) dispatchProxy(st *StepExpect, h inp.Header, raw []byte, rd *byte
 		if inp.DecodeRaw(h, raw, &req) != nil {
 			return m.serverClose(st)
 		}
-		if req.WireVersion >= inp.Version2 {
-			m.sBinary = true
-		}
 		// The serving fast path triggers on pipelined input: the client
 		// flushed CLI_META_REP behind INIT_REQ, and the server drains it
 		// before any refusal or reply.
 		fast := rd.Len() > 0
 		if fast {
-			h2, raw2, err := inp.ReadMessage(rd)
+			h2, raw2, err := readFrame(rd)
 			if err != nil {
 				return m.serverClose(st)
 			}
@@ -321,9 +295,6 @@ func (m *model) dispatchProxy(st *StepExpect, h inp.Header, raw []byte, rd *byte
 				return m.serverClose(st)
 			}
 			m.sPeer = h2.Seq
-			if h2.Version >= inp.Version2 {
-				m.sBinary = true
-			}
 			if h2.Type == inp.MsgError || h2.Type != inp.MsgCliMetaRep {
 				return m.serverClose(st)
 			}
@@ -375,9 +346,6 @@ func (m *model) dispatchApp(st *StepExpect, h inp.Header, raw []byte) bool {
 	if inp.DecodeRaw(h, raw, &req) != nil {
 		return m.serverClose(st)
 	}
-	if req.WireVersion >= inp.Version2 {
-		m.sBinary = true
-	}
 	// Application-level refusals are in-band: the session survives them.
 	if req.AppID != validApp {
 		m.reply(st, inp.MsgError)
@@ -399,9 +367,6 @@ func (m *model) dispatchPAD(st *StepExpect, h inp.Header, raw []byte) bool {
 	if inp.DecodeRaw(h, raw, &req) != nil {
 		return m.serverClose(st)
 	}
-	if req.WireVersion >= inp.Version2 {
-		m.sBinary = true
-	}
 	path := req.URL
 	if path == "" {
 		path = "/pads/" + req.PADID
@@ -414,22 +379,10 @@ func (m *model) dispatchPAD(st *StepExpect, h inp.Header, raw []byte) bool {
 	return true
 }
 
-// reply records one server frame: v2 only for binary-capable types once
-// the server side upgraded, sequence numbers dense. An accepted v2 reply
-// upgrades the driver conn (the observable half of the lattice).
+// reply records one server frame, sequence numbers dense.
 func (m *model) reply(st *StepExpect, t inp.MsgType) {
-	v := uint8(inp.Version)
-	if m.sBinary && binaryCapable(t) {
-		v = inp.Version2
-	}
 	m.sSeq++
-	fe := FrameExpect{Type: t, Version: v, Seq: m.sSeq}
-	st.Replies = append(st.Replies, fe)
-	m.replies = append(m.replies, fe)
-	m.dPeer = fe.Seq
-	if v >= inp.Version2 {
-		m.dBinary = true
-	}
+	st.Replies = append(st.Replies, FrameExpect{Type: t, Seq: m.sSeq})
 }
 
 func (m *model) serverClose(st *StepExpect) bool {

@@ -20,6 +20,8 @@ const (
 	offType    = 5  // header byte carrying the message type
 	offSeq     = 8  // big-endian uint32 sequence number
 	offLen     = 12 // big-endian uint32 body length
+
+	specVersion = 2 // the one header version a conforming server accepts
 )
 
 // renderFrame encodes one spec-level frame to wire bytes through the real
@@ -99,11 +101,11 @@ func applyOutMuts(muts []Mutation, frames [][]byte, hist [][]byte) (out [][]byte
 				continue
 			}
 			out[m.Frame%len(out)][offType] = m.Type
-		case MutVersion2:
+		case MutVersion1:
 			if len(out) == 0 {
 				continue
 			}
-			out[m.Frame%len(out)][offVersion] = 2
+			out[m.Frame%len(out)][offVersion] = 1
 		case MutTrailing:
 			if len(out) == 0 {
 				continue
@@ -136,22 +138,9 @@ func applyOutMuts(muts []Mutation, frames [][]byte, hist [][]byte) (out [][]byte
 func hasInbound(s Step) (Mutation, bool) {
 	for _, m := range s.Muts {
 		switch m.Kind {
-		case MutInDupReply, MutInStaleV2, MutInDelay:
+		case MutInDupReply, MutInDelay:
 			return m, true
 		}
 	}
 	return Mutation{}, false
-}
-
-// binaryCapable mirrors the v2 type lattice: the hot message types that
-// have a binary body codec. Re-declared here (not exported from inp) so
-// the spec states the lattice independently; a drift between the two
-// lists surfaces as a version-byte divergence in every binary trace.
-func binaryCapable(t inp.MsgType) bool {
-	switch t {
-	case inp.MsgAppReq, inp.MsgAppRep, inp.MsgPADDownloadReq, inp.MsgPADDownloadRep,
-		inp.MsgInitReq, inp.MsgInitRep, inp.MsgCliMetaReq, inp.MsgCliMetaRep, inp.MsgPADMetaRep:
-		return true
-	}
-	return false
 }

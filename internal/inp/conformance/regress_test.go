@@ -2,9 +2,11 @@ package conformance
 
 import "testing"
 
-// The three wire-state bugs the conformance model flushed out, pinned as
-// shrunk model-derived traces. Each trace made CheckTrace fail against
-// the pre-fix inp.Conn and must stay green forever after.
+// Wire-state bugs the conformance model flushed out, pinned as shrunk
+// model-derived traces. Each trace made CheckTrace fail against the
+// pre-fix inp.Conn and must stay green forever after. Bug 2, a rejected
+// frame flipping the connection's body encoding, went away with the
+// second encoding.
 
 // Bug 1: Conn.Queue consumed a sequence number even when encoding the
 // body failed, so the first frame after a failed staging attempt went
@@ -18,21 +20,6 @@ func TestRegressionQueueFailureBurnsNoSeq(t *testing.T) {
 	}}
 	if err := CheckTrace(ss, tr); err != nil {
 		t.Fatalf("queue-failure trace diverges:\n%v%v", tr, err)
-	}
-}
-
-// Bug 2: Conn.Recv flipped the connection to binary before the sequence
-// gate ran, so a stale replayed frame re-stamped Version2 — one a
-// conforming client must reject — still upgraded the encoding state of
-// a v1 session. Rejected frames must not mutate connection state.
-func TestRegressionRejectedV2FrameDoesNotUpgrade(t *testing.T) {
-	ss := bothStacks(t)
-	tr := Trace{Target: TargetPAD, Steps: []Step{
-		{Op: OpPADReq},
-		{Op: OpPADReq, Muts: []Mutation{{Kind: MutInStaleV2}}},
-	}}
-	if err := CheckTrace(ss, tr); err != nil {
-		t.Fatalf("stale-v2 trace diverges:\n%v%v", tr, err)
 	}
 }
 

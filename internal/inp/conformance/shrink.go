@@ -1,8 +1,8 @@
 package conformance
 
 // Shrink greedily minimizes a failing trace to a counterexample a human
-// can read: drop whole steps, then drop individual mutations, then clear
-// the binary advertisement, keeping each simplification that still fails.
+// can read: drop whole steps, then drop individual mutations, keeping each
+// simplification that still fails.
 // budget bounds candidate evaluations — each one replays the candidate on
 // every stack — so shrinking a pathological failure stays cheap.
 func Shrink(tr Trace, failing func(Trace) bool, budget int) Trace {
@@ -29,15 +29,6 @@ func Shrink(tr Trace, failing func(Trace) bool, budget int) Trace {
 					improved = true
 					j--
 				}
-			}
-		}
-		if cur.Binary && budget > 0 {
-			cand := cur.clone()
-			cand.Binary = false
-			budget--
-			if failing(cand) {
-				cur = cand
-				improved = true
 			}
 		}
 	}

@@ -64,10 +64,6 @@ type Conn struct {
 	// knows whether there is a stale deadline to remove — and never touches
 	// deadlines some other owner (a server idle policy) armed itself.
 	armedR, armedW bool
-	// binary records that the peer has proven Version2 support (it sent a
-	// v2 frame, or advertised WireVersion >= 2 and the server called
-	// EnableBinary); hot bodies are then emitted with the binary codec.
-	binary bool
 }
 
 // NewConn wraps a byte stream (typically a dialled net.Conn). Nothing else
@@ -119,14 +115,11 @@ func (c *Conn) SetTimeout(d time.Duration) {
 	c.timeout = d
 }
 
-// EnableBinary switches hot body types to the Version2 binary codec.
-// Servers call it after a request advertises WireVersion >= Version2;
-// clients normally never call it — they upgrade automatically when the
-// peer answers with a Version2 frame.
-func (c *Conn) EnableBinary() { c.binary = true }
-
-// BinaryEnabled reports whether hot bodies are being sent in binary.
-func (c *Conn) BinaryEnabled() bool { return c.binary }
+// EnableBinary does nothing: every body is binary.
+//
+// Deprecated: kept only until the benchmark stops calling it (ROADMAP
+// item 1(b)).
+func (c *Conn) EnableBinary() {}
 
 // InputPending reports whether undrained inbound bytes already sit in the
 // read buffer — i.e. the peer pipelined another frame behind the one just
@@ -156,19 +149,13 @@ func (c *Conn) armWrite() {
 }
 
 // Queue frames one message with the next sequence number into the write
-// batch; nothing reaches the stream until Flush. Hot body types use the
-// binary codec once the peer has proven Version2 support.
+// batch; nothing reaches the stream until Flush.
 func (c *Conn) Queue(t MsgType, body interface{}) error {
 	// The sequence number is committed only once the frame is staged: if
 	// encoding fails nothing reaches the wire, so consuming a seq here
 	// would make the next successful frame skip one and be rejected by a
 	// healthy peer with ErrSeqMismatch.
-	h := Header{Version: Version, Type: t, Seq: c.seq + 1}
-	if c.binary {
-		if wb, ok := body.(wireBody); ok && wb.wireType() == t {
-			h.Version = Version2
-		}
-	}
+	h := Header{Version: Version2, Type: t, Seq: c.seq + 1}
 	if err := c.fw.WriteMessage(h, body); err != nil {
 		return err
 	}
@@ -211,19 +198,13 @@ func (c *Conn) Recv() (Header, []byte, error) {
 		return h, raw, fmt.Errorf("%w: got %v seq %d, expected %d", ErrSeqMismatch, h.Type, h.Seq, c.peerSeq+1)
 	}
 	c.peerSeq = h.Seq
-	if h.Version >= Version2 {
-		// The peer emits v2 frames, so it decodes them too: upgrade.
-		// Only an *accepted* frame mutates conn state — a stale or
-		// replayed v2 frame rejected above must not flip the encoding.
-		c.binary = true
-	}
 	return h, raw, nil
 }
 
 // RecvInto reads the next message, requires it to be of the wanted type,
 // and decodes it into reply. A peer MsgError is surfaced as a *PeerError.
 // Without a session the frame body was allocated for this message alone,
-// so reply's binary []byte fields alias it instead of copying out.
+// so reply's []byte fields alias it instead of copying out.
 func (c *Conn) RecvInto(want MsgType, reply interface{}) error {
 	h, raw, err := c.Recv()
 	if err != nil {
@@ -243,7 +224,7 @@ func DecodeAs(h Header, raw []byte, want MsgType, reply interface{}) error {
 func decodeAs(h Header, raw []byte, want MsgType, reply interface{}, owned bool) error {
 	if h.Type == MsgError {
 		var e ErrorRep
-		if derr := DecodeBody(raw, &e); derr == nil && e.Message != "" {
+		if derr := decodeRaw(h, raw, &e, false); derr == nil && e.Message != "" {
 			return &PeerError{Message: e.Message}
 		}
 		return &PeerError{}

@@ -17,7 +17,7 @@ func TestConnRejectsStaleSequence(t *testing.T) {
 	var wire bytes.Buffer
 	// The "peer" sends frame seq=1 twice: a legitimate reply followed by
 	// a duplicate of it (a replay or a stale retransmission).
-	if err := writeFrame(&wire, Header{Version: Version, Type: MsgInitRep, Seq: 1}, InitRep{OK: true}); err != nil {
+	if err := writeFrame(&wire, Header{Version: Version2, Type: MsgInitRep, Seq: 1}, InitRep{OK: true}); err != nil {
 		t.Fatal(err)
 	}
 	frame := append([]byte(nil), wire.Bytes()...)
@@ -38,7 +38,7 @@ func TestConnRejectsSkippedSequence(t *testing.T) {
 	var wire bytes.Buffer
 	// First frame from a fresh peer must carry seq 1; seq 5 means four
 	// frames were lost or reordered and the stream cannot be trusted.
-	if err := writeFrame(&wire, Header{Version: Version, Type: MsgInitRep, Seq: 5}, InitRep{OK: true}); err != nil {
+	if err := writeFrame(&wire, Header{Version: Version2, Type: MsgInitRep, Seq: 5}, InitRep{OK: true}); err != nil {
 		t.Fatal(err)
 	}
 	c := NewConn(&wire)
@@ -53,7 +53,7 @@ func TestConnRejectsSkippedSequence(t *testing.T) {
 func TestConnSequenceGateProperty(t *testing.T) {
 	f := func(seq uint32) bool {
 		var wire bytes.Buffer
-		if err := writeFrame(&wire, Header{Version: Version, Type: MsgInitRep, Seq: seq}, InitRep{OK: true}); err != nil {
+		if err := writeFrame(&wire, Header{Version: Version2, Type: MsgInitRep, Seq: seq}, InitRep{OK: true}); err != nil {
 			return false
 		}
 		var rep InitRep
@@ -125,7 +125,7 @@ func TestConnQueueEncodeFailureKeepsSequence(t *testing.T) {
 	if err := c.Send(MsgInitReq, InitReq{AppID: "webapp"}); err != nil {
 		t.Fatal(err)
 	}
-	// Channels are not JSON-encodable; staging must fail without a frame.
+	// A channel has no codec; staging must fail without a frame.
 	if err := c.Queue(MsgCliMetaRep, make(chan int)); err == nil {
 		t.Fatal("queueing an unencodable body succeeded")
 	}
@@ -146,45 +146,6 @@ func TestConnQueueEncodeFailureKeepsSequence(t *testing.T) {
 	}
 }
 
-// TestConnRejectedV2FrameDoesNotUpgrade pins that only an accepted frame
-// mutates conn state: a stale/replayed Version2 frame that fails the
-// sequence gate must not flip the conn to the binary encoding.
-func TestConnRejectedV2FrameDoesNotUpgrade(t *testing.T) {
-	var wire bytes.Buffer
-	// A stale v2 frame: wrong seq (5 on a fresh conn), binary body.
-	var fw FrameWriter
-	fw.init(&wire)
-	if err := fw.WriteMessage(Header{Version: Version2, Type: MsgInitRep, Seq: 5}, InitRep{OK: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	c := NewConn(&wire)
-	if _, _, err := c.Recv(); !errors.Is(err, ErrSeqMismatch) {
-		t.Fatalf("stale v2 frame err = %v, want ErrSeqMismatch", err)
-	}
-	if c.BinaryEnabled() {
-		t.Fatal("rejected v2 frame flipped the conn to binary")
-	}
-
-	// The same frame with the correct seq does upgrade.
-	wire.Reset()
-	fw.init(&wire)
-	if err := fw.WriteMessage(Header{Version: Version2, Type: MsgInitRep, Seq: 1}, InitRep{OK: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Recv(); err != nil {
-		t.Fatalf("accepted v2 frame err = %v", err)
-	}
-	if !c.BinaryEnabled() {
-		t.Fatal("accepted v2 frame did not upgrade the conn")
-	}
-}
-
 // TestConnSetTimeoutZeroClearsDeadline pins that disabling the per-op
 // bound also clears a previously armed absolute deadline: a later
 // long-running Recv must block until the peer answers, not fail against
@@ -197,12 +158,12 @@ func TestConnSetTimeoutZeroClearsDeadline(t *testing.T) {
 	go func() {
 		// Answer the first (bounded) call promptly.
 		_, _, _ = ReadMessage(server)
-		_ = writeFrame(server, Header{Version: Version, Type: MsgInitRep, Seq: 1}, InitRep{OK: true})
+		_ = writeFrame(server, Header{Version: Version2, Type: MsgInitRep, Seq: 1}, InitRep{OK: true})
 		// Answer the second call only after the first call's stale
 		// deadline has long passed.
 		_, _, _ = ReadMessage(server)
 		time.Sleep(150 * time.Millisecond)
-		_ = writeFrame(server, Header{Version: Version, Type: MsgCliMetaReq, Seq: 2}, CliMetaReq{})
+		_ = writeFrame(server, Header{Version: Version2, Type: MsgCliMetaReq, Seq: 2}, CliMetaReq{})
 	}()
 
 	c := NewConn(client)

@@ -2,12 +2,10 @@ package inp
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"slices"
-	"sync"
 
 	"fractal/internal/arena"
 )
@@ -17,19 +15,19 @@ import (
 // built contiguously in an arena buffer and nothing reaches the stream
 // until Flush, which issues a single vectored write (writev via
 // net.Buffers) on TCP and a single coalesced Write on any other stream.
-// Large binary bodies are spliced as their own vector entries instead of
-// being copied into the assembly buffer.
+// Large byte-slice fields are spliced as their own vector entries instead
+// of being copied into the assembly buffer.
 //
 // A FrameWriter serves one connection and is not safe for concurrent use.
-// The JSON wire bytes are header + json.Marshal(body), and a batch is
-// byte-identical to the same frames flushed one at a time, pinned by
-// FuzzWriteMessagePooledEquivalence and FuzzFrameBatch.
+// A batch is byte-identical to the same frames flushed one at a time
+// (FuzzFrameBatch), and a writer reused across flushes writes what a fresh
+// one would (FuzzWriteMessagePooledEquivalence).
 type FrameWriter struct {
 	w   io.Writer
 	tcp *net.TCPConn // non-nil when vectored writes are available
-	// es is borrowed from encPool while frames are queued and returned on
-	// Flush, so idle connections pin no assembly storage.
-	es     *encodeState
+	// es holds the queued batch. Flush returns its buffer to the arena, so
+	// idle connections pin no assembly storage.
+	es     encodeState
 	nb     net.Buffers // reusable backing for the vectored flush
 	queued int
 }
@@ -41,36 +39,23 @@ type frameVec struct {
 	ext []byte
 }
 
-// encodeState is the pooled assembly state of one write batch: a buffer
-// with a JSON encoder bound to it, so a frame (header + body) is built
-// contiguously with no per-message allocations on the steady state, plus
-// the splice points of bodies queued by reference. The binary codec
-// descriptions append to it directly; it is its own heap object so that
-// handing it to them through an interface does not force the owning Conn
-// to the heap. Its storage comes from the arena and is returned on put, so
-// the retention policy (size classes, oversized frames dropped) lives in
-// one place.
+// encodeState is the assembly state of one write batch: a buffer the codec
+// descriptions append frames (header + body) to, plus the splice points of
+// byte slices queued by reference. Its storage comes from the arena and is
+// returned on release, so the retention policy (size classes, oversized
+// frames dropped) lives in one place.
 type encodeState struct {
 	buf    arena.Buffer
-	enc    *json.Encoder
 	vecs   []frameVec
 	extLen int // total spliced (zero-copy) bytes queued
 }
 
-var encPool = sync.Pool{New: func() interface{} {
-	es := &encodeState{}
-	es.enc = json.NewEncoder(&es.buf)
-	return es
-}}
-
-// putEncState returns an encode state to the pool. A named function rather
-// than a deferred closure so the hot framing path does not allocate a
-// capturing closure per message.
-func putEncState(es *encodeState) {
-	es.buf.Release()
-	clear(es.vecs[:cap(es.vecs)]) // a pooled state must not pin spliced payloads
-	es.vecs, es.extLen = es.vecs[:0], 0
-	encPool.Put(es)
+// release returns the batch's storage to the arena and drops its splice
+// references, so a flushed writer pins neither.
+func (e *encodeState) release() {
+	e.buf.Release()
+	clear(e.vecs[:cap(e.vecs)])
+	e.vecs, e.extLen = e.vecs[:0], 0
 }
 
 // NewFrameWriter returns a batching frame writer over w.
@@ -91,32 +76,30 @@ func (fw *FrameWriter) init(w io.Writer) {
 var zeroHeader [headerLen]byte
 
 // WriteMessage queues one frame; nothing reaches the stream until Flush.
-// Headers carrying Version2 use the body's binary codec (the body must be
-// the header type's struct); all others encode JSON. On error every byte
-// the half-built frame queued (splice vectors included) is rolled back, so
-// a batch of already-queued frames survives intact.
+// The body must be the header type's struct, by value or by pointer; the
+// header is stamped as given. On error every byte the half-built frame
+// queued (splice vectors included) is rolled back, so a batch of
+// already-queued frames survives intact.
 //
 //fractal:hotpath every frame is assembled here
 func (fw *FrameWriter) WriteMessage(h Header, body interface{}) error {
 	if h.Type == MsgInvalid || h.Type >= msgMax {
 		return fmt.Errorf("inp: cannot write message of type %v", h.Type)
 	}
-	if fw.es == nil {
-		fw.es = encPool.Get().(*encodeState)
+	wb, ok := body.(wireBody)
+	if !ok || wb.wireType() != h.Type {
+		return fmt.Errorf("inp: no codec encodes a %v body of type %T", h.Type, body)
 	}
-	es := fw.es
+	es := &fw.es
 	start, vecs, ext := es.buf.Len(), len(es.vecs), es.extLen
 	es.buf.Write(zeroHeader[:]) // reserve the header slot
-	err := es.appendBody(h, body)
+	wb.appendWire(es)
 	n := es.buf.Len() - start - headerLen + (es.extLen - ext)
-	if err == nil && n > MaxBody {
-		err = fmt.Errorf("inp: %v body of %d bytes exceeds limit", h.Type, n)
-	}
-	if err != nil {
+	if n > MaxBody {
 		es.buf.SetBytes(es.buf.Bytes()[:start])
 		es.vecs = es.vecs[:vecs]
 		es.extLen = ext
-		return err
+		return fmt.Errorf("inp: %v body of %d bytes exceeds limit", h.Type, n)
 	}
 	hdr := es.buf.Bytes()[start : start+headerLen]
 	copy(hdr[0:4], magic[:])
@@ -125,25 +108,6 @@ func (fw *FrameWriter) WriteMessage(h Header, body interface{}) error {
 	binary.BigEndian.PutUint32(hdr[8:12], h.Seq)
 	binary.BigEndian.PutUint32(hdr[12:16], uint32(n))
 	fw.queued++
-	return nil
-}
-
-// appendBody appends body in the encoding h.Version selects.
-func (e *encodeState) appendBody(h Header, body interface{}) error {
-	if h.Version >= Version2 {
-		wb, ok := body.(wireBody)
-		if !ok || wb.wireType() != h.Type {
-			return fmt.Errorf("inp: no binary codec for %v body of type %T", h.Type, body)
-		}
-		wb.appendWire(e)
-		return nil
-	}
-	// Encoder.Encode emits exactly json.Marshal's bytes plus one newline.
-	if err := e.enc.Encode(body); err != nil {
-		return fmt.Errorf("inp: encoding %v body: %w", h.Type, err)
-	}
-	b := e.buf.Bytes()
-	e.buf.SetBytes(b[:len(b)-1]) // drop the encoder's trailing newline
 	return nil
 }
 
@@ -156,9 +120,6 @@ func (e *encodeState) splice(p []byte) {
 
 // Buffered reports how many queued bytes await Flush.
 func (fw *FrameWriter) Buffered() int {
-	if fw.es == nil {
-		return 0
-	}
 	return fw.es.buf.Len() + fw.es.extLen
 }
 
@@ -167,19 +128,16 @@ func (fw *FrameWriter) Buffered() int {
 //
 //fractal:hotpath one flush per direction per session phase
 func (fw *FrameWriter) Flush() error {
-	es := fw.es
-	if es == nil {
+	n := fw.queued
+	fw.queued = 0
+	es := &fw.es
+	defer es.release()
+	if n == 0 {
 		return nil
 	}
-	n := fw.queued
-	fw.es = nil
-	fw.queued = 0
-	defer putEncState(es)
 	var err error
 	if len(es.vecs) == 0 {
-		if es.buf.Len() > 0 {
-			_, err = fw.w.Write(es.buf.Bytes())
-		}
+		_, err = fw.w.Write(es.buf.Bytes())
 	} else {
 		err = fw.flushVectored(es)
 	}
@@ -231,14 +189,14 @@ func (fw *FrameWriter) flushVectored(es *encodeState) error {
 const maxBodyReserve = 1 << 20
 
 // parseHeader validates a raw header and returns it with the body length.
-// Version 1 is accepted on every type; Version2 only on the hot types
-// that have a binary body codec.
+// Only Version2 is accepted: a frame of any other version is refused
+// before its body is read.
 func parseHeader(hdr []byte) (Header, uint32, error) {
 	if [4]byte(hdr[0:4]) != magic {
 		return Header{}, 0, fmt.Errorf("inp: bad magic %q", hdr[0:4])
 	}
 	h := Header{Version: hdr[4], Type: MsgType(hdr[5]), Seq: binary.BigEndian.Uint32(hdr[8:12])}
-	if h.Version != Version && !(h.Version == Version2 && wireCodec(h.Type) != nil) {
+	if h.Version != Version2 {
 		return Header{}, 0, fmt.Errorf("inp: unsupported protocol version %d", h.Version)
 	}
 	if h.Type == MsgInvalid || h.Type >= msgMax {

@@ -2,9 +2,6 @@ package inp
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -13,7 +10,7 @@ import (
 // must never panic and never allocate unbounded buffers.
 func FuzzReadMessage(f *testing.F) {
 	var seed bytes.Buffer
-	_ = writeFrame(&seed, Header{Version: Version, Type: MsgInitReq, Seq: 1}, InitReq{AppID: "a"})
+	_ = writeFrame(&seed, Header{Version: Version2, Type: MsgInitReq, Seq: 1}, InitReq{AppID: "a"})
 	f.Add(seed.Bytes())
 	f.Add([]byte("INP1garbage"))
 	f.Add([]byte{})
@@ -31,44 +28,43 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// referenceFrame is the pre-pooling WriteMessage algorithm (json.Marshal
-// plus a separately assembled header), kept as the byte-level pin for the
-// pooled encoder.
-func referenceFrame(t *testing.T, h Header, body interface{}) []byte {
-	t.Helper()
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatalf("reference marshal: %v", err)
-	}
-	var hdr [headerLen]byte
-	copy(hdr[0:4], magic[:])
-	hdr[4] = h.Version
-	hdr[5] = uint8(h.Type)
-	binary.BigEndian.PutUint32(hdr[8:12], h.Seq)
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(raw)))
-	return append(hdr[:], raw...)
-}
-
-// FuzzWriteMessagePooledEquivalence pins the pooled framing: for arbitrary
-// string payloads (covering HTML-escaped characters and invalid UTF-8),
-// a frame produced through a pooled Conn is byte-identical to the unpooled
-// encoding and round-trips through ReadMessage to the same message.
+// FuzzWriteMessagePooledEquivalence pins storage reuse in the framer: a
+// frame queued on a writer whose arena storage already carried an earlier
+// batch — a spliced one, whose vector must not leak into the next flush —
+// is byte-identical to the same frame from a fresh writer, and round-trips
+// through ReadMessage to exactly the message queued, invalid UTF-8
+// included.
 func FuzzWriteMessagePooledEquivalence(f *testing.F) {
 	f.Add("webapp", "page-000", "alice", uint32(1))
 	f.Add("<script>&", "a\xff\xfeb", "", uint32(0))
 	f.Add("", "", "", uint32(1<<31))
 	f.Fuzz(func(t *testing.T, appID, resource, clientID string, seq uint32) {
 		body := InitReq{AppID: appID, Resource: resource, ClientID: clientID}
-		h := Header{Version: Version, Type: MsgInitReq, Seq: seq}
+		h := Header{Version: Version2, Type: MsgInitReq, Seq: seq}
+		var want bytes.Buffer
+		if err := writeFrame(&want, h, body); err != nil {
+			t.Fatalf("fresh write: %v", err)
+		}
 		var got bytes.Buffer
-		if err := writeFrame(&got, h, body); err != nil {
-			t.Fatalf("pooled write: %v", err)
+		fw := NewFrameWriter(&got)
+		earlier := &AppRep{Resource: resource, PADID: appID, Payload: goldenBlob(spliceMin)}
+		if err := fw.WriteMessage(Header{Version: Version2, Type: MsgAppRep, Seq: seq}, earlier); err != nil {
+			t.Fatal(err)
 		}
-		want := referenceFrame(t, h, body)
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("pooled frame diverged from reference:\npooled:    %q\nreference: %q", got.Bytes(), want)
+		if err := fw.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		rh, raw, err := ReadMessage(bytes.NewReader(got.Bytes()))
+		got.Reset()
+		if err := fw.WriteMessage(h, body); err != nil {
+			t.Fatalf("reused write: %v", err)
+		}
+		if err := fw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("reused writer's frame diverged from a fresh one:\nreused: %q\nfresh:  %q", got.Bytes(), want.Bytes())
+		}
+		rh, raw, err := ReadMessage(&got)
 		if err != nil {
 			t.Fatalf("round trip: %v", err)
 		}
@@ -76,24 +72,19 @@ func FuzzWriteMessagePooledEquivalence(f *testing.F) {
 			t.Fatalf("round-trip header %+v, want %+v", rh, h)
 		}
 		var back InitReq
-		if err := DecodeBody(raw, &back); err != nil {
+		if err := DecodeRaw(rh, raw, &back); err != nil {
 			t.Fatalf("round-trip decode: %v", err)
 		}
-		// json.Marshal coerces invalid UTF-8 to U+FFFD, so compare against
-		// what the reference encoding decodes to, not the original input.
-		var wantBack InitReq
-		if err := DecodeBody(want[headerLen:], &wantBack); err != nil {
-			t.Fatalf("reference decode: %v", err)
-		}
-		if !reflect.DeepEqual(back, wantBack) {
-			t.Fatalf("round trip decoded %+v, want %+v", back, wantBack)
+		if back != body {
+			t.Fatalf("round trip decoded %+v, want %+v", back, body)
 		}
 	})
 }
 
-// TestWriteMessagePooledConcurrent hammers the frame pool from many
-// goroutines (run under -race in CI) and checks every frame parses back
-// to its own sequence number — a buffer-sharing bug would interleave them.
+// TestWriteMessagePooledConcurrent hammers the arena storage the framers
+// share from many goroutines (run under -race in CI) and checks every
+// frame parses back to its own sequence number — a buffer-sharing bug
+// would interleave them.
 func TestWriteMessagePooledConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -103,7 +94,7 @@ func TestWriteMessagePooledConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				seq := uint32(g*1000 + i)
 				var buf bytes.Buffer
-				if err := writeFrame(&buf, Header{Version: Version, Type: MsgAppReq, Seq: seq},
+				if err := writeFrame(&buf, Header{Version: Version2, Type: MsgAppReq, Seq: seq},
 					AppReq{AppID: "webapp", Resource: "page", ProtocolIDs: []string{"gzip"}}); err != nil {
 					t.Error(err)
 					return

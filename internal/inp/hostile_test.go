@@ -19,7 +19,7 @@ import (
 func TestReadMessageHostileLengthNoHugeAllocation(t *testing.T) {
 	var hdr [headerLen]byte
 	copy(hdr[0:4], magic[:])
-	hdr[4] = Version
+	hdr[4] = Version2
 	hdr[5] = uint8(MsgAppRep)
 	binary.BigEndian.PutUint32(hdr[12:16], uint32(MaxBody))
 

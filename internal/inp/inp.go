@@ -2,11 +2,11 @@
 // 3.3 (Figure 4): the framed message exchange between client, adaptation
 // proxy, CDN, and application server. Every packet carries an INP header
 // maintaining protocol integrity (magic, version, type, sequence number,
-// body length); bodies are JSON for inspectability.
+// body length); bodies use the one binary codec of binary.go, described
+// once per message next to its struct below.
 package inp
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"fractal/internal/core"
@@ -33,9 +33,8 @@ const (
 	msgMax
 )
 
-// msgTable is the one per-type table: the paper's name for every message,
-// and for the hot ones a prototype of the body whose methods are its
-// Version2 codec (nil = JSON only).
+// msgTable is the one per-type table: the paper's name for every message
+// and a prototype of its body, whose methods are the body's codec.
 var msgTable = [msgMax]struct {
 	name string
 	wire wireDecoder
@@ -49,9 +48,9 @@ var msgTable = [msgMax]struct {
 	MsgPADDownloadRep: {"PAD_DOWNLOAD_REP", new(PADDownloadRep)},
 	MsgAppReq:         {"APP_REQ", new(AppReq)},
 	MsgAppRep:         {"APP_REP", new(AppRep)},
-	MsgError:          {"ERROR", nil},
-	MsgAppMetaPush:    {"APP_META_PUSH", nil},
-	MsgAppMetaAck:     {"APP_META_ACK", nil},
+	MsgError:          {"ERROR", new(ErrorRep)},
+	MsgAppMetaPush:    {"APP_META_PUSH", new(AppMetaPush)},
+	MsgAppMetaAck:     {"APP_META_ACK", new(AppMetaAck)},
 }
 
 // String returns the paper's message name.
@@ -64,8 +63,9 @@ func (t MsgType) String() string {
 
 // Protocol constants.
 const (
-	// Version is the INP protocol version carried in every header.
-	Version = 1
+	// Version2 is the INP protocol version: every header carries it, and a
+	// frame stamped with any other version is refused at the header.
+	Version2 = 2
 	// MaxBody bounds a message body; larger frames are rejected before
 	// allocation.
 	MaxBody = 64 << 20
@@ -83,27 +83,18 @@ type Header struct {
 	Seq     uint32
 }
 
-// DecodeBody unmarshals a raw JSON body into a typed message.
-func DecodeBody(raw []byte, v interface{}) error {
-	if err := json.Unmarshal(raw, v); err != nil {
-		return fmt.Errorf("inp: decoding body: %w", err)
-	}
-	return nil
-}
-
 // --- message bodies (Figure 4, bottom) ---
 
 // InitReq opens a negotiation; its payload is the application request.
 // ClientID optionally identifies an authenticated principal for the
 // proxy's access-control policy (empty = anonymous).
 type InitReq struct {
-	AppID    string `json:"app_id"`
-	Resource string `json:"resource"`
-	ClientID string `json:"client_id,omitempty"`
-	// WireVersion advertises the highest INP body encoding the client can
-	// decode. Old decoders ignore the field; omitempty keeps old frames
-	// byte-identical.
-	WireVersion int `json:"inp_version,omitempty"`
+	AppID    string
+	Resource string
+	ClientID string
+	// WireVersion is informational: no receiver reads it. It stays in the
+	// body so the frame layout the golden frames pin is unchanged.
+	WireVersion int
 }
 
 func (InitReq) wireType() MsgType { return MsgInitReq }
@@ -125,8 +116,8 @@ func (m *InitReq) decodeWire(r wireReader) error {
 
 // InitRep acknowledges INIT_REQ.
 type InitRep struct {
-	OK     bool   `json:"ok"`
-	Reason string `json:"reason,omitempty"`
+	OK     bool
+	Reason string
 }
 
 func (InitRep) wireType() MsgType { return MsgInitRep }
@@ -145,8 +136,8 @@ func (m *InitRep) decodeWire(r wireReader) error {
 // CliMetaReq carries empty DevMeta/NtwkMeta templates "to be filled by
 // the client".
 type CliMetaReq struct {
-	Dev  core.DevMeta  `json:"dev"`
-	Ntwk core.NtwkMeta `json:"ntwk"`
+	Dev  core.DevMeta
+	Ntwk core.NtwkMeta
 }
 
 func (CliMetaReq) wireType() MsgType { return MsgCliMetaReq }
@@ -165,9 +156,9 @@ func (m *CliMetaReq) decodeWire(r wireReader) error {
 // CliMetaRep returns the client's probed metadata plus the expected
 // session length used to amortize PAD downloads.
 type CliMetaRep struct {
-	Dev             core.DevMeta  `json:"dev"`
-	Ntwk            core.NtwkMeta `json:"ntwk"`
-	SessionRequests int           `json:"session_requests"`
+	Dev             core.DevMeta
+	Ntwk            core.NtwkMeta
+	SessionRequests int
 }
 
 func (CliMetaRep) wireType() MsgType { return MsgCliMetaRep }
@@ -188,37 +179,26 @@ func (m *CliMetaRep) decodeWire(r wireReader) error {
 // PADMetaRep delivers the negotiated PAD metadata array (redacted: no tree
 // links), with digests and URLs inserted by the distribution manager.
 type PADMetaRep struct {
-	PADs []core.PADMeta `json:"pads"`
+	PADs []core.PADMeta
 }
 
 func (PADMetaRep) wireType() MsgType { return MsgPADMetaRep }
 
 func (m PADMetaRep) appendWire(e *encodeState) {
-	e.appendCount(len(m.PADs), m.PADs == nil)
-	for i := range m.PADs {
-		e.appendPADMeta(&m.PADs[i])
-	}
+	e.appendPADMetas(m.PADs)
 }
 
 func (m *PADMetaRep) decodeWire(r wireReader) error {
-	m.PADs = nil
-	if n, ok := r.count(); ok {
-		m.PADs = make([]core.PADMeta, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			r.padMeta(&m.PADs[i])
-		}
-	}
+	m.PADs = r.padMetas()
 	return r.done()
 }
 
 // PADDownloadReq asks a PAD server/edge for a module by id.
 type PADDownloadReq struct {
-	PADID string `json:"pad_id"`
-	URL   string `json:"url"`
-	// WireVersion advertises the highest INP frame version the requester
-	// decodes (0 or 1 = JSON only). Old peers' JSON decoders ignore the
-	// field; new peers answer hot replies in binary when it is >= Version2.
-	WireVersion int `json:"inp_version,omitempty"`
+	PADID string
+	URL   string
+	// WireVersion is informational, as on InitReq.
+	WireVersion int
 }
 
 func (PADDownloadReq) wireType() MsgType { return MsgPADDownloadReq }
@@ -238,8 +218,8 @@ func (m *PADDownloadReq) decodeWire(r wireReader) error {
 
 // PADDownloadRep returns the packed mobile-code module.
 type PADDownloadRep struct {
-	PADID  string `json:"pad_id"`
-	Module []byte `json:"module"`
+	PADID  string
+	Module []byte
 }
 
 func (PADDownloadRep) wireType() MsgType { return MsgPADDownloadRep }
@@ -258,15 +238,14 @@ func (m *PADDownloadRep) decodeWire(r wireReader) error {
 // AppReq starts (or continues) the application session, carrying the
 // negotiated protocol identifications so the server selects matching PADs.
 type AppReq struct {
-	AppID       string   `json:"app_id"`
-	Resource    string   `json:"resource"`
-	ProtocolIDs []string `json:"protocol_ids"`
+	AppID       string
+	Resource    string
+	ProtocolIDs []string
 	// HaveVersion tells the server which version of the resource the
 	// client already holds (0 = none), enabling differential encoding.
-	HaveVersion int `json:"have_version"`
-	// WireVersion advertises the highest INP frame version the requester
-	// decodes, as on PADDownloadReq.
-	WireVersion int `json:"inp_version,omitempty"`
+	HaveVersion int
+	// WireVersion is informational, as on InitReq.
+	WireVersion int
 }
 
 func (AppReq) wireType() MsgType { return MsgAppReq }
@@ -290,10 +269,10 @@ func (m *AppReq) decodeWire(r wireReader) error {
 
 // AppRep returns the adapted application content.
 type AppRep struct {
-	Resource string `json:"resource"`
-	Version  int    `json:"version"`
-	PADID    string `json:"pad_id"`
-	Payload  []byte `json:"payload"`
+	Resource string
+	Version  int
+	PADID    string
+	Payload  []byte
 }
 
 func (AppRep) wireType() MsgType { return MsgAppRep }
@@ -315,7 +294,18 @@ func (m *AppRep) decodeWire(r wireReader) error {
 
 // ErrorRep reports a failure to the peer.
 type ErrorRep struct {
-	Message string `json:"message"`
+	Message string
+}
+
+func (ErrorRep) wireType() MsgType { return MsgError }
+
+func (m ErrorRep) appendWire(e *encodeState) {
+	e.appendString(m.Message)
+}
+
+func (m *ErrorRep) decodeWire(r wireReader) error {
+	m.Message = r.str()
+	return r.done()
 }
 
 // AppMetaPush is the application server's topology push to the adaptation
@@ -323,11 +313,37 @@ type ErrorRep struct {
 // manager when the protocol adaptation topology is first created or
 // changed later").
 type AppMetaPush struct {
-	App core.AppMeta `json:"app"`
+	App core.AppMeta
+}
+
+func (AppMetaPush) wireType() MsgType { return MsgAppMetaPush }
+
+func (m AppMetaPush) appendWire(e *encodeState) {
+	e.appendString(m.App.AppID)
+	e.appendPADMetas(m.App.PADs)
+}
+
+func (m *AppMetaPush) decodeWire(r wireReader) error {
+	m.App.AppID = r.str()
+	m.App.PADs = r.padMetas()
+	return r.done()
 }
 
 // AppMetaAck acknowledges a topology push.
 type AppMetaAck struct {
-	OK     bool   `json:"ok"`
-	Reason string `json:"reason,omitempty"`
+	OK     bool
+	Reason string
+}
+
+func (AppMetaAck) wireType() MsgType { return MsgAppMetaAck }
+
+func (m AppMetaAck) appendWire(e *encodeState) {
+	e.appendBool(m.OK)
+	e.appendString(m.Reason)
+}
+
+func (m *AppMetaAck) decodeWire(r wireReader) error {
+	m.OK = r.bool_()
+	m.Reason = r.str()
+	return r.done()
 }

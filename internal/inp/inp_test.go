@@ -14,18 +14,18 @@ import (
 func TestMessageRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	want := InitReq{AppID: "webapp", Resource: "page-001"}
-	if err := writeFrame(&buf, Header{Version: Version, Type: MsgInitReq, Seq: 7}, want); err != nil {
+	if err := writeFrame(&buf, Header{Version: Version2, Type: MsgInitReq, Seq: 7}, want); err != nil {
 		t.Fatal(err)
 	}
 	h, raw, err := ReadMessage(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Type != MsgInitReq || h.Seq != 7 || h.Version != Version {
+	if h.Type != MsgInitReq || h.Seq != 7 || h.Version != Version2 {
 		t.Fatalf("header = %+v", h)
 	}
 	var got InitReq
-	if err := DecodeBody(raw, &got); err != nil {
+	if err := DecodeRaw(h, raw, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
@@ -45,12 +45,14 @@ func TestAllMessageTypesRoundTrip(t *testing.T) {
 		MsgAppReq:         AppReq{AppID: "a", Resource: "r", ProtocolIDs: []string{"pad-gzip"}, HaveVersion: 1},
 		MsgAppRep:         AppRep{Resource: "r", Version: 2, PADID: "pad-gzip", Payload: []byte{9}},
 		MsgError:          ErrorRep{Message: "boom"},
+		MsgAppMetaPush:    AppMetaPush{App: core.AppMeta{AppID: "a", PADs: []core.PADMeta{{ID: "pad-gzip", Protocol: "gzip"}}}},
+		MsgAppMetaAck:     AppMetaAck{OK: true},
 	}
 	var buf bytes.Buffer
 	seq := uint32(0)
 	for mt, body := range bodies {
 		seq++
-		if err := writeFrame(&buf, Header{Version: Version, Type: mt, Seq: seq}, body); err != nil {
+		if err := writeFrame(&buf, Header{Version: Version2, Type: mt, Seq: seq}, body); err != nil {
 			t.Fatalf("%v: %v", mt, err)
 		}
 	}
@@ -79,10 +81,10 @@ func TestMsgTypeStrings(t *testing.T) {
 
 func TestWriteMessageRejectsInvalidType(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, Header{Version: Version, Type: MsgInvalid}, nil); err == nil {
+	if err := writeFrame(&buf, Header{Version: Version2, Type: MsgInvalid}, nil); err == nil {
 		t.Fatal("invalid type written")
 	}
-	if err := writeFrame(&buf, Header{Version: Version, Type: msgMax}, nil); err == nil {
+	if err := writeFrame(&buf, Header{Version: Version2, Type: msgMax}, nil); err == nil {
 		t.Fatal("out-of-range type written")
 	}
 }
@@ -90,7 +92,7 @@ func TestWriteMessageRejectsInvalidType(t *testing.T) {
 func TestReadMessageRejectsCorruptFrames(t *testing.T) {
 	good := func() []byte {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, Header{Version: Version, Type: MsgInitRep, Seq: 1}, InitRep{OK: true}); err != nil {
+		if err := writeFrame(&buf, Header{Version: Version2, Type: MsgInitRep, Seq: 1}, InitRep{OK: true}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -101,11 +103,13 @@ func TestReadMessageRejectsCorruptFrames(t *testing.T) {
 	if _, _, err := ReadMessage(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic accepted")
 	}
-	// Bad version.
-	bad = append([]byte(nil), good...)
-	bad[4] = 99
-	if _, _, err := ReadMessage(bytes.NewReader(bad)); err == nil {
-		t.Error("bad version accepted")
+	// Any version but Version2, the retired v1 included.
+	for _, v := range []byte{1, 99} {
+		bad = append([]byte(nil), good...)
+		bad[4] = v
+		if _, _, err := ReadMessage(bytes.NewReader(bad)); err == nil {
+			t.Errorf("version %d accepted", v)
+		}
 	}
 	// Unknown type.
 	bad = append([]byte(nil), good...)
@@ -223,7 +227,7 @@ func TestConnSequenceNumbersIncrease(t *testing.T) {
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(app, res string, seq uint32) bool {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, Header{Version: Version, Type: MsgInitReq, Seq: seq}, InitReq{AppID: app, Resource: res}); err != nil {
+		if err := writeFrame(&buf, Header{Version: Version2, Type: MsgInitReq, Seq: seq}, InitReq{AppID: app, Resource: res}); err != nil {
 			return false
 		}
 		h, raw, err := ReadMessage(&buf)
@@ -231,7 +235,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			return false
 		}
 		var got InitReq
-		if err := DecodeBody(raw, &got); err != nil {
+		if err := DecodeRaw(h, raw, &got); err != nil {
 			return false
 		}
 		return got.AppID == app && got.Resource == res

@@ -23,14 +23,6 @@ func patterned(n int, salt byte) []byte {
 	return p
 }
 
-// binarySender returns a Conn whose hot bodies go out as Version2 frames,
-// as a server's do once the client advertised the binary codec.
-func binarySender(w io.ReadWriter) *Conn {
-	c := NewConn(w)
-	c.EnableBinary()
-	return c
-}
-
 // TestRecvIntoBlobOwnership pins the one rule wireReader.blob states: a
 // decoded []byte field aliases the frame body iff the Conn allocated that
 // body for this frame alone. A dialled Conn therefore delivers a payload
@@ -44,7 +36,7 @@ func TestRecvIntoBlobOwnership(t *testing.T) {
 
 	t.Run("dialled conn aliases the frame it allocated", func(t *testing.T) {
 		a, b := netsim.StreamPair()
-		tx, rx := binarySender(a), NewConn(b)
+		tx, rx := NewConn(a), NewConn(b)
 		for _, m := range []AppRep{{Resource: "r", Version: 1, PADID: "pad-direct", Payload: first},
 			{Resource: "r", Version: 2, PADID: "pad-direct", Payload: second}} {
 			if err := tx.Send(MsgAppRep, m); err != nil {
@@ -89,7 +81,7 @@ func TestRecvIntoBlobOwnership(t *testing.T) {
 
 	t.Run("session conn copies out of its reused body buffer", func(t *testing.T) {
 		a, b := netsim.StreamPair()
-		tx := binarySender(a)
+		tx := NewConn(a)
 		sess := arena.AcquireSession()
 		defer sess.Release()
 		rx := NewConnSession(b, sess)
@@ -126,7 +118,7 @@ func TestRecvIntoBlobOwnership(t *testing.T) {
 
 	t.Run("exported decoders leave the caller its buffer", func(t *testing.T) {
 		var wire bytes.Buffer
-		if err := binarySender(&wire).Send(MsgPADDownloadRep, PADDownloadRep{PADID: "pad-vary", Module: module}); err != nil {
+		if err := NewConn(&wire).Send(MsgPADDownloadRep, PADDownloadRep{PADID: "pad-vary", Module: module}); err != nil {
 			t.Fatal(err)
 		}
 		h, raw, err := ReadMessage(&wire)
@@ -182,7 +174,7 @@ func TestRecvIntoBlobOwnership(t *testing.T) {
 // burst's second frame as pending input.
 func TestBufferedReadsDecodeIdentically(t *testing.T) {
 	want := []interface{}{
-		&InitRep{OK: true, Reason: "json frame"},
+		&InitRep{OK: true, Reason: "first frame"},
 		&AppRep{Resource: "r", Version: 7, PADID: "pad-gzip", Payload: patterned(readBufSize+900, 6)}, // body larger than the read buffer
 		&AppRep{Resource: "s", Version: 8, PADID: "pad-direct", Payload: []byte("small")},
 		&PADDownloadRep{PADID: "pad-vary", Module: patterned(300, 7)},
@@ -191,9 +183,6 @@ func TestBufferedReadsDecodeIdentically(t *testing.T) {
 	var wire bytes.Buffer
 	tx := NewConn(&wire)
 	for i, m := range want {
-		if i == 1 {
-			tx.EnableBinary() // the first frame stays JSON
-		}
 		if err := tx.Queue(types[i], m); err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,8 @@ import (
 // so they are checked through each daemon's own constructor and methods.
 type daemon struct {
 	name string
-	// start builds the daemon with the given concurrency bound.
-	start func(maxConcurrent int) (server, error)
+	// start builds the daemon with the given concurrency bound and log.
+	start func(maxConcurrent int, logf func(string, ...interface{})) (server, error)
 	// req is a request the daemon answers with a repType frame, leaving
 	// the session open.
 	reqType inp.MsgType
@@ -66,28 +66,35 @@ func daemons(t *testing.T) []daemon {
 	if err := s.CDN.Origin().Publish(bigModule, make([]byte, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
-	quiet := func(string, ...interface{}) {}
-
 	return []daemon{
 		{
-			name:    "proxy",
-			start:   func(n int) (server, error) { return proxy.NewServer(s.Proxy, n, quiet) },
+			name: "proxy",
+			start: func(n int, logf func(string, ...interface{})) (server, error) {
+				return proxy.NewServer(s.Proxy, n, logf)
+			},
 			reqType: inp.MsgAppMetaPush, req: inp.AppMetaPush{App: s.AppMeta}, repType: inp.MsgAppMetaAck,
 		},
 		{
-			name:    "cdn",
-			start:   func(n int) (server, error) { return cdn.NewPADServer(s.CDN.Origin(), n, quiet) },
-			reqType: inp.MsgPADDownloadReq, req: inp.PADDownloadReq{URL: bigModule, WireVersion: inp.Version2}, repType: inp.MsgPADDownloadRep,
+			name: "cdn",
+			start: func(n int, logf func(string, ...interface{})) (server, error) {
+				return cdn.NewPADServer(s.CDN.Origin(), n, logf)
+			},
+			reqType: inp.MsgPADDownloadReq, req: inp.PADDownloadReq{URL: bigModule}, repType: inp.MsgPADDownloadRep,
 		},
 		{
-			name:    "appserver",
-			start:   func(n int) (server, error) { return appserver.NewINPServer(s.App, n, quiet) },
+			name: "appserver",
+			start: func(n int, logf func(string, ...interface{})) (server, error) {
+				return appserver.NewINPServer(s.App, n, logf)
+			},
 			reqType: inp.MsgAppReq,
-			req:     inp.AppReq{AppID: "webapp", Resource: "page-000", ProtocolIDs: []string{"pad-direct"}, WireVersion: inp.Version2},
+			req:     inp.AppReq{AppID: "webapp", Resource: "page-000", ProtocolIDs: []string{"pad-direct"}},
 			repType: inp.MsgAppRep,
 		},
 	}
 }
+
+// quiet discards the serving loop's session log.
+func quiet(string, ...interface{}) {}
 
 // acceptSignal reports on accepted each time Accept hands a connection to
 // the serving loop.
@@ -113,7 +120,7 @@ func (l *acceptSignal) Accept() (net.Conn, error) {
 func TestCloseDrainsAndDropsPendingConn(t *testing.T) {
 	for _, d := range daemons(t) {
 		t.Run(d.name, func(t *testing.T) {
-			srv, err := d.start(1)
+			srv, err := d.start(1, quiet)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +196,7 @@ func TestCloseDrainsAndDropsPendingConn(t *testing.T) {
 func TestCloseLeavesNoSessionGoroutines(t *testing.T) {
 	for _, d := range daemons(t) {
 		t.Run(d.name, func(t *testing.T) {
-			srv, err := d.start(4)
+			srv, err := d.start(4, quiet)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +291,7 @@ func TestIdleTimeoutReleasesStalledWriter(t *testing.T) {
 	const idle = 100 * time.Millisecond
 	for _, d := range daemons(t) {
 		t.Run(d.name, func(t *testing.T) {
-			srv, err := d.start(1)
+			srv, err := d.start(1, quiet)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,6 +316,67 @@ func TestIdleTimeoutReleasesStalledWriter(t *testing.T) {
 				release() // unblock the goroutine before failing
 				<-done
 				t.Fatalf("serving goroutine still blocked writing %v after the %v idle timeout", 20*idle, idle)
+			}
+		})
+	}
+}
+
+// TestVersion1FrameRefusedAtHeader pins the one-encoding contract on every
+// daemon: a request stamped with the retired header version 1 is refused
+// before any handler runs — no reply comes back, the connection closes,
+// and the session log names the refusal.
+func TestVersion1FrameRefusedAtHeader(t *testing.T) {
+	for _, d := range daemons(t) {
+		t.Run(d.name, func(t *testing.T) {
+			logged := make(chan string, 1) // the one session this test opens
+			srv, err := d.start(1, func(format string, args ...interface{}) {
+				logged <- fmt.Sprintf(format, args...)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- srv.Serve(ln) }()
+			defer func() {
+				if err := srv.Close(); err != nil {
+					t.Error(err)
+				}
+				if err := <-served; err != nil {
+					t.Error(err)
+				}
+			}()
+
+			var frame bytes.Buffer
+			fw := inp.NewFrameWriter(&frame)
+			if err := fw.WriteMessage(inp.Header{Version: 1, Type: d.reqType, Seq: 1}, d.req); err != nil {
+				t.Fatal(err)
+			}
+			if err := fw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := conn.Write(frame.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil {
+				t.Fatalf("read %d bytes (err %v) after a version-1 %v, want the connection closed with no reply", n, err, d.reqType)
+			}
+			select {
+			case line := <-logged:
+				if !strings.Contains(line, "unsupported protocol version 1") {
+					t.Fatalf("session log %q does not name the refused version", line)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the refused session was never logged")
 			}
 		})
 	}

@@ -91,11 +91,9 @@ func benchNegotiation(addr string, env core.Env) error {
 // benchSession runs one negotiation session over an established INP
 // connection, the way a swarm client amortizes its dial: pipelined like
 // TCPNegotiator — one write carries both requests, one fast-path server
-// write carries all three replies — and advertising WireVersion so every
-// session after the first runs fully binary in both directions.
+// write carries all three replies.
 func benchSession(c *inp.Conn, env core.Env) error {
-	if err := c.Queue(inp.MsgInitReq,
-		inp.InitReq{AppID: "webapp", Resource: "page-000", WireVersion: inp.Version2}); err != nil {
+	if err := c.Queue(inp.MsgInitReq, inp.InitReq{AppID: "webapp", Resource: "page-000"}); err != nil {
 		return err
 	}
 	if err := c.Queue(inp.MsgCliMetaRep, inp.CliMetaRep{Dev: env.Dev, Ntwk: env.Ntwk, SessionRequests: 75}); err != nil {
@@ -147,10 +145,10 @@ func benchServer(b *testing.B) (addr string, shutdown func()) {
 
 // BenchmarkServerThroughput measures steady-state negotiation sessions
 // over loopback INP/TCP with parallel clients, each holding a persistent
-// connection — the swarm-client shape the serving path is built for. The
-// first session on each connection negotiates the binary fast path; the
+// connection — the swarm-client shape the serving path is built for. An
+// unmeasured first session on each connection warms its buffers; the
 // measured loop then exercises the accept-side arena session, batched
-// vectored framing, the binary codec in both directions, and the
+// vectored framing, the body codec in both directions, and the
 // negotiation plane together.
 func BenchmarkServerThroughput(b *testing.B) {
 	addr, shutdown := benchServer(b)
@@ -169,7 +167,6 @@ func BenchmarkServerThroughput(b *testing.B) {
 		}
 		defer conn.Close()
 		c := inp.NewConn(conn)
-		// Warm session: upgrades the connection to the binary wire.
 		if err := benchSession(c, env); err != nil {
 			b.Error(err)
 			return

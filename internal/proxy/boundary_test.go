@@ -14,18 +14,30 @@ import (
 // These tests pin ServeConn's persistent-connection boundary semantics:
 // a peer that disconnects *between* sessions is a clean goodbye
 // (ServeConn returns nil), while EOF mid-header or mid-body is a
-// protocol error — and the distinction must hold identically whether the
-// session ran v1 JSON or the Version2 binary fast path, over real TCP or
-// the in-memory netsim stream the simulations use.
+// protocol error — and the distinction must hold identically over real
+// TCP and the in-memory netsim stream the simulations use, whatever wire
+// version the peer advertises. Bodies are always binary; WireVersion is
+// informational, so a peer advertising 0 (the value that once asked for
+// JSON bodies, hence the "json" subtest name) must be served exactly like
+// one advertising Version2.
 
 var boundaryMatrix = []struct {
 	transport string
-	binary    bool
+	advert    int
 }{
-	{"tcp", false},
-	{"tcp", true},
-	{"netsim", false},
-	{"netsim", true},
+	{"tcp", 0},
+	{"tcp", inp.Version2},
+	{"netsim", 0},
+	{"netsim", inp.Version2},
+}
+
+// advertName names a boundaryMatrix row after the body encoding its
+// WireVersion advertisement used to select.
+func advertName(advert int) string {
+	if advert >= inp.Version2 {
+		return "binary"
+	}
+	return "json"
 }
 
 // startServeConn runs ServeConn on the server end of a fresh transport
@@ -74,15 +86,11 @@ func closeWriteEnd(t *testing.T, conn net.Conn) {
 }
 
 // negotiateOnce drives one full Figure 4 exchange from the client end,
-// optionally advertising the binary fast path.
-func negotiateOnce(t *testing.T, c *inp.Conn, binary bool) {
+// advertising the given wire version.
+func negotiateOnce(t *testing.T, c *inp.Conn, advert int) {
 	t.Helper()
-	wv := 0
-	if binary {
-		wv = inp.Version2
-	}
 	var initRep inp.InitRep
-	if err := c.Call(inp.MsgInitReq, inp.InitReq{AppID: "webapp", WireVersion: wv}, inp.MsgInitRep, &initRep); err != nil {
+	if err := c.Call(inp.MsgInitReq, inp.InitReq{AppID: "webapp", WireVersion: advert}, inp.MsgInitRep, &initRep); err != nil {
 		t.Fatalf("INIT: %v", err)
 	}
 	if !initRep.OK {
@@ -102,9 +110,6 @@ func negotiateOnce(t *testing.T, c *inp.Conn, binary bool) {
 	if len(padRep.PADs) == 0 {
 		t.Fatal("negotiated zero PADs")
 	}
-	if c.BinaryEnabled() != binary {
-		t.Fatalf("client binary state = %v after negotiation, want %v", c.BinaryEnabled(), binary)
-	}
 }
 
 func waitServeConn(t *testing.T, errc chan error) error {
@@ -119,18 +124,12 @@ func waitServeConn(t *testing.T, errc chan error) error {
 }
 
 // renderInitFrame builds the wire bytes of an INIT_REQ frame with the
-// given sequence number, in the requested encoding.
-func renderInitFrame(t *testing.T, seq uint32, binary bool) []byte {
+// given sequence number and advertised wire version.
+func renderInitFrame(t *testing.T, seq uint32, advert int) []byte {
 	t.Helper()
-	h := inp.Header{Version: inp.Version, Type: inp.MsgInitReq, Seq: seq}
-	wv := 0
-	if binary {
-		h.Version = inp.Version2
-		wv = inp.Version2
-	}
 	var buf bytes.Buffer
 	fw := inp.NewFrameWriter(&buf)
-	if err := fw.WriteMessage(h, inp.InitReq{AppID: "webapp", WireVersion: wv}); err != nil {
+	if err := fw.WriteMessage(inp.Header{Version: inp.Version2, Type: inp.MsgInitReq, Seq: seq}, inp.InitReq{AppID: "webapp", WireVersion: advert}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.Flush(); err != nil {
@@ -144,7 +143,7 @@ func renderInitFrame(t *testing.T, seq uint32, binary bool) []byte {
 // boundary. ServeConn must report a clean nil.
 func TestServeConnCleanEOFAtSessionBoundary(t *testing.T) {
 	for _, tc := range boundaryMatrix {
-		t.Run(tc.transport+"/"+encName(tc.binary), func(t *testing.T) {
+		t.Run(tc.transport+"/"+advertName(tc.advert), func(t *testing.T) {
 			srv, err := NewServer(newTestProxy(t), 4, t.Logf)
 			if err != nil {
 				t.Fatal(err)
@@ -152,8 +151,8 @@ func TestServeConnCleanEOFAtSessionBoundary(t *testing.T) {
 			conn, errc := startServeConn(t, tc.transport, srv)
 			defer conn.Close()
 			c := inp.NewConn(conn)
-			negotiateOnce(t, c, tc.binary)
-			negotiateOnce(t, c, tc.binary) // re-negotiation on the same conn
+			negotiateOnce(t, c, tc.advert)
+			negotiateOnce(t, c, tc.advert) // re-negotiation on the same conn
 			closeWriteEnd(t, conn)
 			if err := waitServeConn(t, errc); err != nil {
 				t.Fatalf("clean boundary EOF => %v, want nil", err)
@@ -186,7 +185,7 @@ func TestServeConnEOFBeforeFirstMessage(t *testing.T) {
 // is a protocol error, not a boundary.
 func TestServeConnEOFMidHeader(t *testing.T) {
 	for _, tc := range boundaryMatrix {
-		t.Run(tc.transport+"/"+encName(tc.binary), func(t *testing.T) {
+		t.Run(tc.transport+"/"+advertName(tc.advert), func(t *testing.T) {
 			srv, err := NewServer(newTestProxy(t), 4, t.Logf)
 			if err != nil {
 				t.Fatal(err)
@@ -194,8 +193,8 @@ func TestServeConnEOFMidHeader(t *testing.T) {
 			conn, errc := startServeConn(t, tc.transport, srv)
 			defer conn.Close()
 			c := inp.NewConn(conn)
-			negotiateOnce(t, c, tc.binary)
-			frame := renderInitFrame(t, 3, tc.binary)
+			negotiateOnce(t, c, tc.advert)
+			frame := renderInitFrame(t, 3, tc.advert)
 			if _, err := conn.Write(frame[:7]); err != nil {
 				t.Fatal(err)
 			}
@@ -209,10 +208,10 @@ func TestServeConnEOFMidHeader(t *testing.T) {
 }
 
 // TestServeConnEOFMidBody: a complete header whose body never finishes
-// is a protocol error, under both encodings.
+// is a protocol error.
 func TestServeConnEOFMidBody(t *testing.T) {
 	for _, tc := range boundaryMatrix {
-		t.Run(tc.transport+"/"+encName(tc.binary), func(t *testing.T) {
+		t.Run(tc.transport+"/"+advertName(tc.advert), func(t *testing.T) {
 			srv, err := NewServer(newTestProxy(t), 4, t.Logf)
 			if err != nil {
 				t.Fatal(err)
@@ -220,8 +219,8 @@ func TestServeConnEOFMidBody(t *testing.T) {
 			conn, errc := startServeConn(t, tc.transport, srv)
 			defer conn.Close()
 			c := inp.NewConn(conn)
-			negotiateOnce(t, c, tc.binary)
-			frame := renderInitFrame(t, 3, tc.binary)
+			negotiateOnce(t, c, tc.advert)
+			frame := renderInitFrame(t, 3, tc.advert)
 			if _, err := conn.Write(frame[:len(frame)-3]); err != nil {
 				t.Fatal(err)
 			}
@@ -232,11 +231,4 @@ func TestServeConnEOFMidBody(t *testing.T) {
 			}
 		})
 	}
-}
-
-func encName(binary bool) string {
-	if binary {
-		return "binary"
-	}
-	return "json"
 }

@@ -42,7 +42,7 @@ func (s *Server) handle(c *inp.Conn, h inp.Header, raw []byte) error {
 	switch h.Type {
 	case inp.MsgAppMetaPush:
 		var push inp.AppMetaPush
-		if err := inp.DecodeBody(raw, &push); err != nil {
+		if err := inp.DecodeRaw(h, raw, &push); err != nil {
 			return err
 		}
 		if err := s.proxy.PushAppMeta(push.App); err != nil {
@@ -66,11 +66,6 @@ func (s *Server) negotiate(c *inp.Conn, h inp.Header, raw []byte) error {
 	var initReq inp.InitReq
 	if err := inp.DecodeRaw(h, raw, &initReq); err != nil {
 		return fmt.Errorf("reading INIT_REQ: %w", err)
-	}
-	// A client advertising Version2 decodes binary bodies, so every hot
-	// reply from here on ships on the binary fast path.
-	if initReq.WireVersion >= inp.Version2 {
-		c.EnableBinary()
 	}
 	// A pipelined client has already flushed CLI_META_REP behind INIT_REQ;
 	// drain it before any refusal so an error reply is not lost to a
