@@ -80,3 +80,10 @@ func checkedThenOverwritten(r *bufio.Reader) ([]byte, error) {
 	}
 	return make([]byte, n), nil //want wiretaint:22
 }
+
+// A slice decoder is a source too: a count read with binary.Uvarint sizes
+// a table unchecked.
+func unboundedSliceCount(b []byte) map[string]string {
+	n, _ := binary.Uvarint(b)
+	return make(map[string]string, n) //want wiretaint:33
+}

@@ -60,3 +60,13 @@ func allowedSite(r *bufio.Reader) []byte {
 	//fractal:allow wiretaint — fixture: reader is length-capped upstream
 	return make([]byte, n)
 }
+
+// A count read with binary.Uvarint and bounded by the bytes left, as the
+// shared wire reader's Count does.
+func countBoundedByInput(b []byte) map[string]string {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return nil
+	}
+	return make(map[string]string, n)
+}

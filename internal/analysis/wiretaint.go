@@ -9,7 +9,7 @@ import (
 
 // WiretaintAnalyzer runs the taint engine's wire rule set over each
 // function's CFG: integers produced by wire decoders (binary.ReadUvarint,
-// ByteOrder Uint16/32/64, local wrappers, and — via the summary engine —
+// binary.Uvarint, ByteOrder Uint16/32/64, local wrappers, and — via the summary engine —
 // any in-set function whose result is wire-derived) are tainted; branch
 // conditions that upper-bound a tainted variable against a sane limit
 // sanitize it on the guarded edge; tainted values reaching an
@@ -23,9 +23,9 @@ var WiretaintAnalyzer = &Analyzer{
 	Doc:  "flag wire-decoded integers flowing into allocation sizes without a bound check",
 	Run:  runWiretaint,
 	// The packages that decode attacker-controlled bytes: the INP framing
-	// plane and the delta codec. Everywhere else, integers do not arrive
-	// from a peer.
-	scope: []string{"fractal/internal/inp", "fractal/internal/codec"},
+	// plane, the shared wire reader, the PAD module parser and the delta
+	// codec. Everywhere else, integers do not arrive from a peer.
+	scope: []string{"fractal/internal/inp", "fractal/internal/wire", "fractal/internal/mobilecode", "fractal/internal/codec"},
 }
 
 // taintBoundMax is the largest constant upper bound that counts as a
@@ -539,7 +539,7 @@ func isWireSource(pkg *Package, call *ast.CallExpr) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "ReadUvarint", "ReadVarint":
+	case "ReadUvarint", "ReadVarint", "Uvarint", "Varint":
 		return true
 	case "Uint16", "Uint32", "Uint64":
 		sig, ok := fn.Type().(*types.Signature)

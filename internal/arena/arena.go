@@ -144,6 +144,14 @@ func (w *Buffer) WriteByte(c byte) error {
 	return nil
 }
 
+// AvailableBuffer returns an empty slice with room for n bytes after the
+// accumulated ones, for an append-style encoder to fill and hand back to
+// Write (the bytes.Buffer idiom), which then copies it in place.
+func (w *Buffer) AvailableBuffer(n int) []byte {
+	w.ensure(n)
+	return w.bx.b[len(w.bx.b):]
+}
+
 // Bytes returns the accumulated bytes. The slice is valid until the next
 // Write, Reset, or Release.
 func (w *Buffer) Bytes() []byte {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"fractal/internal/core"
+	"fractal/internal/wire"
 )
 
 // MsgType identifies an INP message (Figure 4's message formats).
@@ -106,12 +107,12 @@ func (m InitReq) appendWire(e *encodeState) {
 	e.appendInt(m.WireVersion)
 }
 
-func (m *InitReq) decodeWire(r wireReader) error {
-	m.AppID = r.str()
-	m.Resource = r.str()
-	m.ClientID = r.str()
-	m.WireVersion = r.int_()
-	return r.done()
+func (m *InitReq) decodeWire(r wire.Reader) error {
+	m.AppID = r.Str()
+	m.Resource = r.Str()
+	m.ClientID = r.Str()
+	m.WireVersion = r.Int()
+	return r.Done()
 }
 
 // InitRep acknowledges INIT_REQ.
@@ -127,10 +128,10 @@ func (m InitRep) appendWire(e *encodeState) {
 	e.appendString(m.Reason)
 }
 
-func (m *InitRep) decodeWire(r wireReader) error {
-	m.OK = r.bool_()
-	m.Reason = r.str()
-	return r.done()
+func (m *InitRep) decodeWire(r wire.Reader) error {
+	m.OK = r.Bool()
+	m.Reason = r.Str()
+	return r.Done()
 }
 
 // CliMetaReq carries empty DevMeta/NtwkMeta templates "to be filled by
@@ -147,10 +148,10 @@ func (m CliMetaReq) appendWire(e *encodeState) {
 	e.appendNtwkMeta(&m.Ntwk)
 }
 
-func (m *CliMetaReq) decodeWire(r wireReader) error {
-	r.devMeta(&m.Dev)
-	r.ntwkMeta(&m.Ntwk)
-	return r.done()
+func (m *CliMetaReq) decodeWire(r wire.Reader) error {
+	readDevMeta(&r, &m.Dev)
+	readNtwkMeta(&r, &m.Ntwk)
+	return r.Done()
 }
 
 // CliMetaRep returns the client's probed metadata plus the expected
@@ -169,11 +170,11 @@ func (m CliMetaRep) appendWire(e *encodeState) {
 	e.appendInt(m.SessionRequests)
 }
 
-func (m *CliMetaRep) decodeWire(r wireReader) error {
-	r.devMeta(&m.Dev)
-	r.ntwkMeta(&m.Ntwk)
-	m.SessionRequests = r.int_()
-	return r.done()
+func (m *CliMetaRep) decodeWire(r wire.Reader) error {
+	readDevMeta(&r, &m.Dev)
+	readNtwkMeta(&r, &m.Ntwk)
+	m.SessionRequests = r.Int()
+	return r.Done()
 }
 
 // PADMetaRep delivers the negotiated PAD metadata array (redacted: no tree
@@ -188,9 +189,9 @@ func (m PADMetaRep) appendWire(e *encodeState) {
 	e.appendPADMetas(m.PADs)
 }
 
-func (m *PADMetaRep) decodeWire(r wireReader) error {
-	m.PADs = r.padMetas()
-	return r.done()
+func (m *PADMetaRep) decodeWire(r wire.Reader) error {
+	m.PADs = readPADMetas(&r)
+	return r.Done()
 }
 
 // PADDownloadReq asks a PAD server/edge for a module by id.
@@ -209,11 +210,11 @@ func (m PADDownloadReq) appendWire(e *encodeState) {
 	e.appendInt(m.WireVersion)
 }
 
-func (m *PADDownloadReq) decodeWire(r wireReader) error {
-	m.PADID = r.str()
-	m.URL = r.str()
-	m.WireVersion = r.int_()
-	return r.done()
+func (m *PADDownloadReq) decodeWire(r wire.Reader) error {
+	m.PADID = r.Str()
+	m.URL = r.Str()
+	m.WireVersion = r.Int()
+	return r.Done()
 }
 
 // PADDownloadRep returns the packed mobile-code module.
@@ -229,10 +230,10 @@ func (m PADDownloadRep) appendWire(e *encodeState) {
 	e.appendBlob(m.Module)
 }
 
-func (m *PADDownloadRep) decodeWire(r wireReader) error {
-	m.PADID = r.str()
-	m.Module = r.blob()
-	return r.done()
+func (m *PADDownloadRep) decodeWire(r wire.Reader) error {
+	m.PADID = r.Str()
+	m.Module = r.Blob()
+	return r.Done()
 }
 
 // AppReq starts (or continues) the application session, carrying the
@@ -258,13 +259,13 @@ func (m AppReq) appendWire(e *encodeState) {
 	e.appendInt(m.WireVersion)
 }
 
-func (m *AppReq) decodeWire(r wireReader) error {
-	m.AppID = r.str()
-	m.Resource = r.str()
-	m.ProtocolIDs = r.strs()
-	m.HaveVersion = r.int_()
-	m.WireVersion = r.int_()
-	return r.done()
+func (m *AppReq) decodeWire(r wire.Reader) error {
+	m.AppID = r.Str()
+	m.Resource = r.Str()
+	m.ProtocolIDs = r.Strs()
+	m.HaveVersion = r.Int()
+	m.WireVersion = r.Int()
+	return r.Done()
 }
 
 // AppRep returns the adapted application content.
@@ -284,12 +285,12 @@ func (m AppRep) appendWire(e *encodeState) {
 	e.appendBlob(m.Payload)
 }
 
-func (m *AppRep) decodeWire(r wireReader) error {
-	m.Resource = r.str()
-	m.Version = r.int_()
-	m.PADID = r.str()
-	m.Payload = r.blob()
-	return r.done()
+func (m *AppRep) decodeWire(r wire.Reader) error {
+	m.Resource = r.Str()
+	m.Version = r.Int()
+	m.PADID = r.Str()
+	m.Payload = r.Blob()
+	return r.Done()
 }
 
 // ErrorRep reports a failure to the peer.
@@ -303,9 +304,9 @@ func (m ErrorRep) appendWire(e *encodeState) {
 	e.appendString(m.Message)
 }
 
-func (m *ErrorRep) decodeWire(r wireReader) error {
-	m.Message = r.str()
-	return r.done()
+func (m *ErrorRep) decodeWire(r wire.Reader) error {
+	m.Message = r.Str()
+	return r.Done()
 }
 
 // AppMetaPush is the application server's topology push to the adaptation
@@ -323,10 +324,10 @@ func (m AppMetaPush) appendWire(e *encodeState) {
 	e.appendPADMetas(m.App.PADs)
 }
 
-func (m *AppMetaPush) decodeWire(r wireReader) error {
-	m.App.AppID = r.str()
-	m.App.PADs = r.padMetas()
-	return r.done()
+func (m *AppMetaPush) decodeWire(r wire.Reader) error {
+	m.App.AppID = r.Str()
+	m.App.PADs = readPADMetas(&r)
+	return r.Done()
 }
 
 // AppMetaAck acknowledges a topology push.
@@ -342,8 +343,8 @@ func (m AppMetaAck) appendWire(e *encodeState) {
 	e.appendString(m.Reason)
 }
 
-func (m *AppMetaAck) decodeWire(r wireReader) error {
-	m.OK = r.bool_()
-	m.Reason = r.str()
-	return r.done()
+func (m *AppMetaAck) decodeWire(r wire.Reader) error {
+	m.OK = r.Bool()
+	m.Reason = r.Str()
+	return r.Done()
 }

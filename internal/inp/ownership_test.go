@@ -23,7 +23,7 @@ func patterned(n int, salt byte) []byte {
 	return p
 }
 
-// TestRecvIntoBlobOwnership pins the one rule wireReader.blob states: a
+// TestRecvIntoBlobOwnership pins the one rule wire.Reader.Blob states: a
 // decoded []byte field aliases the frame body iff the Conn allocated that
 // body for this frame alone. A dialled Conn therefore delivers a payload
 // for one allocation of its size, a session Conn and the exported decoders

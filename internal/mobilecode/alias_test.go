@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"fractal/internal/cdn"
+	"fractal/internal/netsim"
 	"fractal/internal/workload"
 )
 
@@ -188,5 +190,65 @@ func TestDupBChargedThoughShared(t *testing.T) {
 	}
 	if _, err := vm.Run(dup, [][]byte{make([]byte, 501)}); !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("two references to 501 bytes under a 1000-byte budget: %v, want memory budget", err)
+	}
+}
+
+// TestLoadNeverWritesPacked pins the aliasing contract of Unpack, Load and
+// Module: packed is never written, and the programs a module carries are
+// windows of it whose capacity ends where they do, so growing one cannot
+// reach the bytes behind it.
+func TestLoadNeverWritesPacked(t *testing.T) {
+	s := testSigner(t)
+	loader, err := NewLoader(testTrust(t, s), DefaultSandbox())
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin, err := cdn.NewOrigin(netsim.SharedServer{Name: "origin", UplinkKbps: 1000, Rho: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := append(BuiltinSpecs(), RsyncSpec(), CascadeSpec())
+	specs = append(specs, TranscoderSpecs()...)
+	for _, spec := range specs {
+		m, err := BuildModule(spec, "1.0", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := guard(packed)
+		pad, err := loader.Load(g.win)
+		if err != nil {
+			t.Fatalf("loading %s: %v", spec.ID, err)
+		}
+		got := pad.Module()
+		for role, prog := range map[string][]byte{"encode": got.Encode, "decode": got.Decode} {
+			if cap(prog) != len(prog) {
+				t.Fatalf("%s: %s program cap %d != len %d", spec.ID, role, cap(prog), len(prog))
+			}
+			_ = append(prog, 0xFF)
+		}
+		requireIntact(t, spec.ID+" load", g)
+
+		// The CDN origin hands out its stored object itself; deploying
+		// from it repeatedly leaves the store as published.
+		path := "/pads/" + spec.ID
+		if err := origin.Publish(path, packed); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			stored, err := origin.Get(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := loader.Load(stored); err != nil {
+				t.Fatalf("loading %s from the origin: %v", spec.ID, err)
+			}
+		}
+		if stored, _ := origin.Get(path); !bytes.Equal(stored, packed) {
+			t.Fatalf("%s: origin object changed by Load", spec.ID)
+		}
 	}
 }

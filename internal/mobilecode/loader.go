@@ -49,14 +49,15 @@ func (l *Loader) SetVerifier(v VerifyFunc) { l.verify = v }
 // the payload itself).
 type DeployedPAD struct {
 	module *Module
-	proto  string
 	vm     *VM
 	enc    Program
 	dec    Program
 	chunks *codec.ChunkCache
 }
 
-// Load verifies and instantiates a packed module.
+// Load verifies and instantiates a packed module. packed is never written,
+// and the deployed PAD's module aliases it, so the caller must not write
+// it afterwards either.
 func (l *Loader) Load(packed []byte) (*DeployedPAD, error) {
 	m, err := Unpack(packed)
 	if err != nil {
@@ -68,19 +69,15 @@ func (l *Loader) Load(packed []byte) (*DeployedPAD, error) {
 	if err := l.trust.Verify(m.Entity, m.ID, m.Version, m.Digest, m.Sig); err != nil {
 		return nil, err
 	}
-	p, err := m.DecodePayload()
-	if err != nil {
-		return nil, err
-	}
-	enc, err := UnmarshalProgram(p.Encode)
+	enc, err := UnmarshalProgram(m.Encode)
 	if err != nil {
 		return nil, fmt.Errorf("mobilecode: PAD %s encode program: %w", m.ID, err)
 	}
-	dec, err := UnmarshalProgram(p.Decode)
+	dec, err := UnmarshalProgram(m.Decode)
 	if err != nil {
 		return nil, fmt.Errorf("mobilecode: PAD %s decode program: %w", m.ID, err)
 	}
-	hosts, chunks, err := HostTableWithCache(p.Params)
+	hosts, chunks, err := HostTableWithCache(m.Params)
 	if err != nil {
 		return nil, fmt.Errorf("mobilecode: PAD %s: %w", m.ID, err)
 	}
@@ -96,14 +93,14 @@ func (l *Loader) Load(packed []byte) (*DeployedPAD, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DeployedPAD{module: m, proto: p.Protocol, vm: vm, enc: enc, dec: dec, chunks: chunks}, nil
+	return &DeployedPAD{module: m, vm: vm, enc: enc, dec: dec, chunks: chunks}, nil
 }
 
 // ID returns the PAD's module identifier.
 func (d *DeployedPAD) ID() string { return d.module.ID }
 
 // Name returns the protocol name the PAD implements.
-func (d *DeployedPAD) Name() string { return d.proto }
+func (d *DeployedPAD) Name() string { return d.module.Protocol }
 
 // Module returns the underlying verified module.
 func (d *DeployedPAD) Module() *Module { return d.module }

@@ -2,12 +2,16 @@ package mobilecode
 
 import (
 	"bytes"
+	"crypto/ed25519"
+	"crypto/sha1"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"fractal/internal/codec"
 	"fractal/internal/rabin"
+	"fractal/internal/wire"
 	"fractal/internal/workload"
 )
 
@@ -54,11 +58,8 @@ func TestModulePackUnpackRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.ID != m.ID || u.Version != m.Version || u.Entity != m.Entity {
-		t.Fatalf("identity mismatch: %+v vs %+v", u, m)
-	}
-	if !bytes.Equal(u.Payload, m.Payload) || u.Digest != m.Digest || !bytes.Equal(u.Sig, m.Sig) {
-		t.Fatal("payload/digest/signature mismatch after round trip")
+	if !reflect.DeepEqual(u, m) {
+		t.Fatalf("round trip mismatch: %+v vs %+v", u, m)
 	}
 	if m.Size() != int64(len(packed)) {
 		t.Fatalf("Size() = %d, want %d", m.Size(), len(packed))
@@ -99,9 +100,10 @@ func TestUnpackRejectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte inside the payload region: the digest check must trip.
+	// Flip the last byte of the section, just before the digest and the
+	// signature: the digest check must trip.
 	tampered := append([]byte(nil), packed...)
-	tampered[len(tampered)-80] ^= 0x01
+	tampered[len(tampered)-sha1.Size-ed25519.SignatureSize-1] ^= 0x01
 	if _, err := Unpack(tampered); err == nil {
 		t.Error("tampered module unpacked cleanly")
 	}
@@ -519,5 +521,87 @@ func TestCascadeInteroperatesWithNativePrimitives(t *testing.T) {
 	}
 	if !bytes.Equal(got, cur) {
 		t.Fatal("hand-decoded cascade mismatch")
+	}
+}
+
+// rawModule assembles FMC2 bytes by hand around a section, with a digest
+// that matches it, so a test reaches the checks behind the digest.
+func rawModule(id, version, entity string, sec, sig []byte) []byte {
+	b := wire.AppendString([]byte(moduleMagic), id)
+	b = wire.AppendString(b, version)
+	b = wire.AppendString(b, entity)
+	b = wire.AppendBytes(b, sec)
+	digest := sha1.Sum(sec)
+	return append(append(b, digest[:]...), sig...)
+}
+
+// regressionSeed is the input an earlier unpacker accepted with an empty
+// id, version and entity, under the FMC2 magic.
+func regressionSeed() []byte {
+	return rawModule("", "", "", nil, append([]byte{0x40}, make([]byte, ed25519.SignatureSize)...))
+}
+
+// rawSection assembles a section with an identity program on both sides;
+// params are written in the order given, as key, value pairs.
+func rawSection(t *testing.T, protocol string, params ...string) []byte {
+	t.Helper()
+	p := simplePayload(t)
+	b := wire.AppendString(nil, protocol)
+	b = wire.AppendBytes(b, p.Encode)
+	b = wire.AppendBytes(b, p.Decode)
+	b = wire.AppendCount(b, len(params)/2, false)
+	for _, s := range params {
+		b = wire.AppendString(b, s)
+	}
+	return b
+}
+
+// TestUnpackRefusesWhatPackCannotProduce pins Unpack to the modules Pack
+// and NewModule can write: each input below carries a section digest that
+// verifies, so the refusal comes from the check named.
+func TestUnpackRefusesWhatPackCannotProduce(t *testing.T) {
+	sig := make([]byte, ed25519.SignatureSize)
+	sec := rawSection(t, "direct", "a", "1", "b", "2")
+	if _, err := Unpack(rawModule("pad-x", "1", "e", sec, sig)); err != nil {
+		t.Fatalf("well-formed control refused: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		// The input an earlier unpacker accepted (four empty fields, the
+		// SHA-1 of nothing, a 0x40 signature length, 64 zero bytes),
+		// re-headed FMC2; FuzzUnpack keeps it as a seed.
+		"empty identity, empty section": regressionSeed(),
+		"empty id":                      rawModule("", "1", "e", sec, sig),
+		"empty version":                 rawModule("pad-x", "", "e", sec, sig),
+		"empty entity":                  rawModule("pad-x", "1", "", sec, sig),
+		"empty protocol":                rawModule("pad-x", "1", "e", rawSection(t, ""), sig),
+		"short signature":               rawModule("pad-x", "1", "e", sec, sig[:63]),
+		"long signature":                rawModule("pad-x", "1", "e", sec, append(sig, 0)),
+		"params out of order":           rawModule("pad-x", "1", "e", rawSection(t, "direct", "b", "2", "a", "1"), sig),
+		"params repeated":               rawModule("pad-x", "1", "e", rawSection(t, "direct", "a", "1", "a", "2"), sig),
+		"section trailing bytes":        rawModule("pad-x", "1", "e", append(sec, 0), sig),
+		"non-minimal length":            rawModule("pad-x", "1", "e", append([]byte{0x86, 0x00}, sec[1:]...), sig),
+		"truncated section":             rawModule("pad-x", "1", "e", sec, sig)[:20],
+		"params count past bytes":       rawModule("pad-x", "1", "e", append(sec[:len(sec)-9], 0xFF, 0x0F), sig),
+	} {
+		if _, err := Unpack(b); err == nil {
+			t.Errorf("%s: unpacked cleanly", name)
+		}
+	}
+}
+
+// TestUnpackRefusesFMC1 pins the format switch: a module under the old
+// magic, whatever follows it, is refused at the header.
+func TestUnpackRefusesFMC1(t *testing.T) {
+	m, err := NewModule("pad-x", "1.0", simplePayload(t), testSigner(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("FMC1"), packed[len(moduleMagic):]...)
+	if _, err := Unpack(old); err == nil || !strings.Contains(err.Error(), `"FMC1"`) {
+		t.Fatalf("FMC1 module: err = %v, want a refusal naming the magic", err)
 	}
 }

@@ -545,24 +545,20 @@ type ModuleReport struct {
 // It performs no signature check — provenance is the Loader's business;
 // this is the safety half of the deploy gate.
 func Module(m *mobilecode.Module, sb mobilecode.Sandbox) (*ModuleReport, error) {
-	payload, err := m.DecodePayload()
-	if err != nil {
-		return nil, err
-	}
-	hosts, err := mobilecode.HostTable(payload.Params)
+	hosts, err := mobilecode.HostTable(m.Params)
 	if err != nil {
 		return nil, fmt.Errorf("verify: module %s host table: %w", m.ID, err)
 	}
 	cfg := DeployConfig(hosts, sb)
 	rep := &ModuleReport{ID: m.ID, Version: m.Version}
-	enc, err := mobilecode.UnmarshalProgram(payload.Encode)
+	enc, err := mobilecode.UnmarshalProgram(m.Encode)
 	if err != nil {
 		return nil, fmt.Errorf("verify: module %s encode program: %w", m.ID, err)
 	}
 	if rep.Encode, err = Program(enc, cfg); err != nil {
 		return nil, fmt.Errorf("verify: module %s encode program: %w", m.ID, err)
 	}
-	dec, err := mobilecode.UnmarshalProgram(payload.Decode)
+	dec, err := mobilecode.UnmarshalProgram(m.Decode)
 	if err != nil {
 		return nil, fmt.Errorf("verify: module %s decode program: %w", m.ID, err)
 	}

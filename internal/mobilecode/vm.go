@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"fractal/internal/wire"
 )
 
 // Op is a VM opcode. The machine has two stacks: a buffer stack of byte
@@ -94,19 +96,16 @@ func (p Program) Validate() error {
 	return nil
 }
 
-// MarshalBinary encodes the program for transport inside a PAD payload.
+// MarshalBinary encodes the program for transport inside a PAD module,
+// in package wire's encoding: a uvarint instruction count, then per
+// instruction its opcode byte, varint immediate and symbol string.
 func (p Program) MarshalBinary() ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(p)))]...)
+	out := binary.AppendUvarint(nil, uint64(len(p)))
 	for _, in := range p {
-		out = append(out, byte(in.Op))
-		out = append(out, tmp[:binary.PutVarint(tmp[:], in.Arg)]...)
-		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(in.Sym)))]...)
-		out = append(out, in.Sym...)
+		out = wire.AppendString(wire.AppendVarint(append(out, byte(in.Op)), in.Arg), in.Sym)
 	}
 	return out, nil
 }
@@ -114,47 +113,23 @@ func (p Program) MarshalBinary() ([]byte, error) {
 // UnmarshalProgram decodes a program encoded by MarshalBinary and
 // validates it.
 func UnmarshalProgram(data []byte) (Program, error) {
-	pos := 0
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, errors.New("mobilecode: truncated program")
-		}
-		pos += n
-		return v, nil
-	}
-	n, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<20 {
+	r := wire.NewReader(data, false)
+	n := r.Uvarint()
+	if n > 1<<20 || n > uint64(len(data)) { // an instruction costs at least a byte
 		return nil, fmt.Errorf("mobilecode: program of %d instructions is unreasonable", n)
 	}
 	p := make(Program, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if pos >= len(data) {
-			return nil, errors.New("mobilecode: truncated program")
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		var in Instr
+		if op := r.Take(1); len(op) == 1 {
+			in.Op = Op(op[0])
 		}
-		op := Op(data[pos])
-		pos++
-		arg, m := binary.Varint(data[pos:])
-		if m <= 0 {
-			return nil, errors.New("mobilecode: truncated immediate")
-		}
-		pos += m
-		symLen, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if symLen > 256 || pos+int(symLen) > len(data) {
-			return nil, errors.New("mobilecode: truncated symbol")
-		}
-		sym := string(data[pos : pos+int(symLen)])
-		pos += int(symLen)
-		p = append(p, Instr{Op: op, Arg: arg, Sym: sym})
+		in.Arg = r.Varint()
+		in.Sym = r.Str()
+		p = append(p, in)
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("mobilecode: %d trailing bytes after program", len(data)-pos)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("mobilecode: malformed program: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package mobilecode
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -83,6 +84,11 @@ func TestUnmarshalProgramRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := UnmarshalProgram(nil); err == nil {
 		t.Error("empty data unmarshalled")
+	}
+	// A count of 2^20 instructions in three bytes is refused before the
+	// program is sized from it.
+	if _, err := UnmarshalProgram([]byte{0x80, 0x80, 0x40}); err == nil || !strings.Contains(err.Error(), "unreasonable") {
+		t.Errorf("hostile instruction count: err = %v, want it refused as unreasonable", err)
 	}
 }
 

@@ -9,6 +9,7 @@ package rabin
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Pol is a polynomial over GF(2), represented by its coefficient bits. The
@@ -43,13 +44,25 @@ type Table struct {
 	out    [256]uint64 // contribution of a byte leaving the window
 }
 
-// NewTable precomputes tables for the polynomial and window size.
+// tables memoizes NewTable: a table is a pure function of its
+// (polynomial, window) pair and immutable, so every chunker of one
+// configuration shares one. The pairs come from chunker configurations in
+// code — PAD params set only the cut sizes and mask — so the map holds a
+// handful of entries.
+var tables sync.Map // [2]int{pol, window} -> *Table
+
+// NewTable returns the tables for the polynomial and window size,
+// precomputing them on first use.
 func NewTable(pol Pol, window int) (*Table, error) {
 	if pol.Deg() < 16 || pol.Deg() > 56 {
 		return nil, fmt.Errorf("rabin: polynomial degree %d out of supported range [16,56]", pol.Deg())
 	}
 	if window < 2 || window > 256 {
 		return nil, fmt.Errorf("rabin: window size %d out of range [2,256]", window)
+	}
+	key := [2]int{int(pol), window}
+	if t, ok := tables.Load(key); ok {
+		return t.(*Table), nil
 	}
 	t := &Table{pol: pol, window: window, deg: pol.Deg()}
 	for b := 0; b < 256; b++ {
@@ -76,7 +89,8 @@ func NewTable(pol Pol, window int) (*Table, error) {
 		low := b & -b
 		t.out[b] = t.out[low] ^ t.out[b^low]
 	}
-	return t, nil
+	shared, _ := tables.LoadOrStore(key, t)
+	return shared.(*Table), nil
 }
 
 // Window returns the window size the table was built for.

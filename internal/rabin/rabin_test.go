@@ -3,6 +3,7 @@ package rabin
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -57,6 +58,39 @@ func TestNewTableValidation(t *testing.T) {
 	}
 	if tab.Window() != 48 {
 		t.Fatalf("Window() = %d, want 48", tab.Window())
+	}
+}
+
+// TestNewTableSharedAcrossGoroutines pins the memo: concurrent chunkers of
+// one configuration — deployed PADs loading on several sessions at once —
+// get one table, and a different window gets its own.
+func TestNewTableSharedAcrossGoroutines(t *testing.T) {
+	const workers = 8
+	got := make([]*Table, workers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tab, err := NewTable(DefaultPol, 40)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = tab
+		}(i)
+	}
+	wg.Wait()
+	for i, tab := range got {
+		if tab != got[0] {
+			t.Fatalf("goroutine %d got table %p, goroutine 0 got %p", i, tab, got[0])
+		}
+	}
+	other, err := NewTable(DefaultPol, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == got[0] || other.Window() != 41 {
+		t.Fatalf("window 41 shares the window-40 table (Window() = %d)", other.Window())
 	}
 }
 
