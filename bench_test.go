@@ -50,11 +50,11 @@ func BenchmarkTable1BuildPADs(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		mods, err := mobilecode.BuildBuiltins("1.0", signer)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, m := range mods {
+		for _, spec := range mobilecode.BuiltinSpecs() {
+			m, err := mobilecode.BuildModule(spec, "1.0", signer)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if _, err := m.Pack(); err != nil {
 				b.Fatal(err)
 			}
@@ -402,9 +402,17 @@ func BenchmarkAblationVaryChunk(b *testing.B) {
 // BenchmarkAblationPATDepth measures path-search cost on deeper trees than
 // the case study's one-level PAT.
 func BenchmarkAblationPATDepth(b *testing.B) {
-	ms, err := core.Neutral([]string{"p"})
-	if err != nil {
-		b.Fatal(err)
+	var ms core.Matrices
+	for _, m := range []struct {
+		dst       **core.RatioMatrix
+		name, col string
+	}{{&ms.A, "A", "any-cpu"}, {&ms.B, "B", "any-os"}, {&ms.R, "R", "any-net"}} {
+		// The pure linear model: every environment ratio is 1.
+		r, err := core.NewRatioMatrix(m.name, []string{"p"}, []string{m.col}, [][]float64{{1}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		*m.dst = r
 	}
 	model := core.OverheadModel{Matrices: ms, Rho: 0.8, ServerCPUMHz: 2000, SessionRequests: 1}
 	env := core.Env{
@@ -471,9 +479,13 @@ func benchLoader(b *testing.B) ([]*mobilecode.Module, *mobilecode.Loader) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mods, err := mobilecode.BuildBuiltins("1.0", signer)
-	if err != nil {
-		b.Fatal(err)
+	var mods []*mobilecode.Module
+	for _, spec := range mobilecode.BuiltinSpecs() {
+		m, err := mobilecode.BuildModule(spec, "1.0", signer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mods = append(mods, m)
 	}
 	trust := mobilecode.NewTrustList()
 	if err := trust.Add(signer.Entity, signer.PublicKey()); err != nil {

@@ -7,16 +7,9 @@
 //	fractal-bench -exp fig9b -clients 1,50,100,200,300
 //	fractal-bench -exp headline -json
 //	fractal-bench -exp fig10 -cpuprofile cpu.out -memprofile mem.out
-//	fractal-bench -mode faults -seed 7
 //
 // Experiments: table1, fig9a, fig9b, fig10, fig10d, fig11a, fig11b,
 // fig11c, headline, capacity, timeline, premise, session, all.
-//
-// With -mode faults the tool skips the paper experiments and runs the
-// deterministic fault-injection scenarios over real TCP: scripted refusals,
-// stalls, corruption, truncation, and outages, reporting each scenario's
-// contract outcome (completed, failed-fast, or degraded) and fault census.
-// -seed selects the fault schedule; the same seed reproduces identical rows.
 //
 // With -json the sections are emitted as one JSON document (each TSV row
 // split into fields) instead of the human-readable text, for consumption by
@@ -85,7 +78,6 @@ func emitJSON(secs []jsonSection, note string) error {
 
 func main() {
 	var (
-		mode       = flag.String("mode", "exp", "exp = paper experiments (see -exp); faults = deterministic fault-injection scenarios")
 		exp        = flag.String("exp", "all", "experiment id: table1|fig9a|fig9b|fig10|fig10d|fig11a|fig11b|fig11c|headline|capacity|timeline|premise|session|all")
 		clients    = flag.String("clients", "1,25,50,100,150,200,250,300", "comma-separated client counts for fig9a/fig9b")
 		pages      = flag.Int("pages", 0, "override corpus size (default: the paper's 75)")
@@ -97,24 +89,6 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the experiment runs to this file")
 	)
 	flag.Parse()
-
-	if *mode == "faults" {
-		sec, err := runFaultsMode(*pages, *seed, *edges)
-		if err != nil {
-			fatal(err)
-		}
-		if *jsonOut {
-			if err := emitJSON([]jsonSection{sec.toJSON()}, *note); err != nil {
-				fatal(err)
-			}
-		} else {
-			sec.print()
-		}
-		return
-	}
-	if *mode != "exp" {
-		fatal(fmt.Errorf("unknown mode %q (want exp or faults)", *mode))
-	}
 
 	cfg := experiment.DefaultSetupConfig()
 	if *pages > 0 {

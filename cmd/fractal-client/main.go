@@ -3,6 +3,13 @@
 // verifies the negotiated PAD from a PAD server, and fetches resources
 // from the application server with the adapted protocol.
 //
+// Every dial and every read or write is bounded, and a failed negotiation
+// or PAD download is retried on a fresh connection, so a stalled or dead
+// peer ends the run with an error instead of hanging it. If the -trust
+// file's directory also holds pad-direct.fmc (fractal-server -publish
+// writes both), the client degrades to that Direct module when the
+// adaptation plane stays down.
+//
 // Usage:
 //
 //	fractal-client -proxy localhost:7001 -server localhost:7002 \
@@ -13,17 +20,28 @@ package main
 import (
 	"crypto/ed25519"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
+	"time"
 
 	"fractal/internal/client"
 	"fractal/internal/core"
 	"fractal/internal/experiment"
 	"fractal/internal/mobilecode"
 	"fractal/internal/netsim"
+)
+
+// I/O bounds of every transport: a stalled peer costs at most dialTimeout
+// to reach and callTimeout per read or write of each attempt.
+const (
+	dialTimeout = 5 * time.Second
+	callTimeout = 5 * time.Second
 )
 
 func main() {
@@ -62,7 +80,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("fractal-client: %v", err)
 	}
-	sessionConn, err := client.DialApp(*serverAddr)
+	fallback, err := loadFallback(*trustFile)
+	if err != nil {
+		log.Fatalf("fractal-client: %v", err)
+	}
+	sessionConn, err := client.DialAppSession(*serverAddr,
+		client.SessionConfig{DialTimeout: dialTimeout, CallTimeout: callTimeout})
 	if err != nil {
 		log.Fatalf("fractal-client: %v", err)
 	}
@@ -73,9 +96,10 @@ func main() {
 		SessionRequests: *session,
 		Trust:           trust,
 		Sandbox:         mobilecode.DefaultSandbox(),
+		FallbackDirect:  fallback,
 	},
-		&client.TCPNegotiator{Addr: *proxyAddr, ClientID: *clientID},
-		&client.TCPPADFetcher{Addr: *padsAddr},
+		&client.TCPNegotiator{Addr: *proxyAddr, ClientID: *clientID, DialTimeout: dialTimeout, CallTimeout: callTimeout},
+		&client.TCPPADFetcher{Addr: *padsAddr, DialTimeout: dialTimeout, CallTimeout: callTimeout},
 		sessionConn,
 	)
 	if err != nil {
@@ -112,8 +136,18 @@ func main() {
 			i+1, *resource, c.HeldVersion(*resource), len(data), st.PayloadBytes, st.PADDownloadBytes)
 	}
 	st := c.Stats()
-	fmt.Printf("requests=%d negotiations=%d pad_downloads=%d wire_bytes=%d content_bytes=%d\n",
-		st.Requests, st.Negotiations, st.PADDownloads, st.PayloadBytes, st.ContentBytes)
+	fmt.Printf("requests=%d negotiations=%d pad_downloads=%d degradations=%d wire_bytes=%d content_bytes=%d\n",
+		st.Requests, st.Negotiations, st.PADDownloads, st.Degradations, st.PayloadBytes, st.ContentBytes)
+}
+
+// loadFallback reads the Direct module published beside the trust file,
+// or returns nil when there is none.
+func loadFallback(trustPath string) ([]byte, error) {
+	module, err := os.ReadFile(filepath.Join(filepath.Dir(trustPath), "pad-direct.fmc"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	return module, err
 }
 
 func envFor(device string) (core.Env, error) {

@@ -78,3 +78,17 @@ func TestLoadTrustErrors(t *testing.T) {
 		t.Error("short key accepted")
 	}
 }
+
+func TestLoadFallback(t *testing.T) {
+	dir := t.TempDir()
+	trustPath := filepath.Join(dir, "trust.key")
+	if got, err := loadFallback(trustPath); err != nil || got != nil {
+		t.Fatalf("no published module: got %d bytes, err %v; want nil, nil", len(got), err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "pad-direct.fmc"), []byte("module"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := loadFallback(trustPath); err != nil || string(got) != "module" {
+		t.Fatalf("published module: got %q, err %v", got, err)
+	}
+}

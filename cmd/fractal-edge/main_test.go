@@ -14,11 +14,12 @@ func writeModules(t *testing.T, dir string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mods, err := mobilecode.BuildBuiltins("1.0", signer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range mods {
+	specs := mobilecode.BuiltinSpecs()
+	for _, spec := range specs {
+		m, err := mobilecode.BuildModule(spec, "1.0", signer)
+		if err != nil {
+			t.Fatal(err)
+		}
 		packed, err := m.Pack()
 		if err != nil {
 			t.Fatal(err)
@@ -27,7 +28,7 @@ func writeModules(t *testing.T, dir string) int {
 			t.Fatal(err)
 		}
 	}
-	return len(mods)
+	return len(specs)
 }
 
 func TestLoadModuleDir(t *testing.T) {

@@ -10,7 +10,7 @@
 //
 //   - simtime:    wall-clock time sources are forbidden in
 //     simulation-deterministic packages; virtual time flows
-//     through netsim.Clock.
+//     through netsim.VirtualClock.
 //   - rawrand:    the global math/rand source is forbidden; randomness
 //     comes from injected, seeded *rand.Rand values.
 //   - errdiscard: io.Reader/io.Writer and codec encode/decode errors (and
@@ -184,15 +184,10 @@ type Timing struct {
 	Duration time.Duration `json:"duration"`
 }
 
-// Run executes the analyzers over the packages, applies allow annotations,
-// reports unused annotations, and returns the surviving diagnostics sorted
-// by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(pkgs, analyzers)
-	return diags
-}
-
-// RunTimed is Run plus per-analyzer wall-time accounting. Analyzers run
+// RunTimed executes the analyzers over the packages, applies allow
+// annotations, reports unused annotations, and returns the surviving
+// diagnostics sorted by position together with per-analyzer wall time.
+// Analyzers run
 // one after another, in suite order, on each package their scope admits.
 func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 	t0 := time.Now()

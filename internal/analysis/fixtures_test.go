@@ -19,6 +19,12 @@ var (
 	fixtureLoaderErr  error
 )
 
+// Run is RunTimed without the timings.
+func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	diags, _ := RunTimed(pkgs, analyzers)
+	return diags
+}
+
 func getLoader(t *testing.T) *Loader {
 	t.Helper()
 	fixtureLoaderOnce.Do(func() {

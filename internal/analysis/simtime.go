@@ -20,10 +20,10 @@ var simtimeForbidden = map[string]bool{
 // packages.
 var SimtimeAnalyzer = &Analyzer{
 	Name: "simtime",
-	Doc:  "forbid time.Now/Sleep/After in simulation-deterministic packages; use netsim.Clock",
+	Doc:  "forbid time.Now/Sleep/After in simulation-deterministic packages; use netsim.VirtualClock",
 	Run:  runSimtime,
 	// netsim, experiment and core must be strictly deterministic — simulated
-	// time flows through netsim.Clock — while the protocol servers (cdn,
+	// time flows through netsim.VirtualClock — while the protocol servers (cdn,
 	// appserver, proxy) are in scope so that their genuine wall-clock sites
 	// (serving-path metrics; socket deadlines live in inp.Conn, outside this
 	// scope) carry checked //fractal:allow simtime annotations instead of
@@ -45,7 +45,7 @@ func runSimtime(pass *Pass) {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
-				"time.%s is wall-clock time in simulation-deterministic package %s; route virtual time through netsim.Clock (or annotate a genuine real-I/O site with //%s simtime)",
+				"time.%s is wall-clock time in simulation-deterministic package %s; route virtual time through netsim.VirtualClock (or annotate a genuine real-I/O site with //%s simtime)",
 				sel.Sel.Name, pass.Pkg.Path, AllowPrefix)
 			return true
 		})

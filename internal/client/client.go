@@ -378,15 +378,6 @@ func (c *Client) Forget(resource string) {
 	delete(c.versions, resource)
 }
 
-// DropProtocols clears the protocol cache (but not deployed PADs), forcing
-// renegotiation — used when the client's environment changes, e.g. the
-// roaming scenario.
-func (c *Client) DropProtocols() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.protocolCache = map[string][]core.PADMeta{}
-}
-
 // SetEnv updates the client's environment metadata (device switch or
 // network handoff) and clears the protocol cache so the next request
 // renegotiates.

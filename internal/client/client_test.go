@@ -416,7 +416,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	go func() { adone <- asrv.Serve(aln) }()
 	defer func() { _ = asrv.Close(); <-adone }()
 
-	session, err := DialApp(aln.Addr().String())
+	session, err := DialAppSession(aln.Addr().String(), SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

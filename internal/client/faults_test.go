@@ -13,17 +13,17 @@ import (
 	"fractal/internal/core"
 	"fractal/internal/faultnet"
 	"fractal/internal/inp"
-	"fractal/internal/mobilecode"
 	"fractal/internal/netsim"
 	"fractal/internal/proxy"
 )
 
-// The fault suite drives the real TCP client plane through faultnet's
+// The fault suite drives the shipped TCP client plane through faultnet's
 // deterministic injector and asserts the contract of the hardening work:
-// every session either completes, fails fast with a typed error, or
-// degrades to the Direct builtin — and a fixed fault seed reproduces
-// identical stats run after run. Nothing here may hang: go test runs the
-// suite under a finite -timeout in CI.
+// every session either completes (the transports retry on fresh
+// connections), fails fast with a typed error, or degrades to the Direct
+// builtin — and a fixed fault seed reproduces identical stats run after
+// run. Nothing here may hang: go test runs the suite under a finite
+// -timeout in CI, and no test sleeps a real backoff.
 
 // faultCallTimeout bounds each read/write in the suite: long enough for a
 // loopback exchange, short enough that an injected stall fails fast.
@@ -64,32 +64,30 @@ func startAppTCP(t *testing.T, w *world) string {
 func TestNegotiationRefusalIsTypedAndRetried(t *testing.T) {
 	w := buildWorld(t)
 	addr := startProxyTCP(t, w)
+	env := pdaConfig(w.trust).Env
 
-	// Bare negotiator against a refusing dialer: fails fast and typed.
-	refuse := &faultnet.Dialer{Schedule: faultnet.NewSchedule(1, faultnet.Fault{Kind: faultnet.Refuse})}
-	bare := &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: refuse.Dial}
-	if _, err := bare.Negotiate("webapp", pdaConfig(w.trust).Env, 75); !errors.Is(err, faultnet.ErrRefused) {
+	// Every dial refused: fails after the last attempt, typed.
+	refuse := faultnet.Fault{Kind: faultnet.Refuse}
+	down := &faultnet.Dialer{Schedule: faultnet.NewSchedule(1, refuse, refuse, refuse)}
+	neg := &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: down.Dial, sleep: skipWait}
+	if _, err := neg.Negotiate("webapp", env, 75); !errors.Is(err, faultnet.ErrRefused) {
 		t.Fatalf("refused dial err = %v, want ErrRefused", err)
 	}
 
-	// Retry wrapper over a refuse-then-clean schedule: recovers.
-	sched := faultnet.NewSchedule(1, faultnet.Fault{Kind: faultnet.Refuse}, faultnet.Fault{})
+	// One refusal, then a clean dial: the negotiator recovers by itself.
+	sched := faultnet.NewSchedule(1, refuse)
 	d := &faultnet.Dialer{Schedule: sched}
-	rn, err := NewRetryingNegotiator(
-		&TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial},
-		RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pads, err := rn.Negotiate("webapp", pdaConfig(w.trust).Env, 75)
+	var ws waits
+	neg = &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial, sleep: ws.sleep}
+	pads, err := neg.Negotiate("webapp", env, 75)
 	if err != nil {
 		t.Fatalf("negotiation did not survive one refusal: %v", err)
 	}
 	if len(pads) == 0 {
 		t.Fatal("no PADs negotiated")
 	}
-	if st := rn.Stats(); st.Attempts != 2 || st.Retries != 1 {
-		t.Fatalf("retry stats = %+v", st)
+	if n := len(ws); n != 1 {
+		t.Fatalf("backoff waits = %d, want 1", n)
 	}
 	if got := sched.Counts(); got["refuse"] != 1 || got["none"] != 1 {
 		t.Fatalf("schedule counts = %v", got)
@@ -99,22 +97,31 @@ func TestNegotiationRefusalIsTypedAndRetried(t *testing.T) {
 func TestNegotiationStallFailsFastThenRetries(t *testing.T) {
 	w := buildWorld(t)
 	addr := startProxyTCP(t, w)
+	env := pdaConfig(w.trust).Env
+	stall := faultnet.Fault{Kind: faultnet.StallRead}
 
-	sched := faultnet.NewSchedule(2, faultnet.Fault{Kind: faultnet.StallRead}, faultnet.Fault{})
-	d := &faultnet.Dialer{Schedule: sched}
-	neg := &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial}
-
+	// A proxy that stalls every connection costs one deadline per
+	// attempt, then fails typed.
+	d := &faultnet.Dialer{Schedule: faultnet.NewSchedule(2, stall, stall, stall)}
+	neg := &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial, sleep: skipWait}
 	start := time.Now()
-	_, err := neg.Negotiate("webapp", pdaConfig(w.trust).Env, 75)
+	_, err := neg.Negotiate("webapp", env, 75)
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("stalled negotiation err = %v, want deadline exceeded", err)
 	}
-	if el := time.Since(start); el > 10*faultCallTimeout {
+	if el := time.Since(start); el > 10*retryAttempts*faultCallTimeout {
 		t.Fatalf("stalled negotiation took %v, deadline did not bound it", el)
 	}
-	// The next dial draws the clean schedule slot and completes.
-	if _, err := neg.Negotiate("webapp", pdaConfig(w.trust).Env, 75); err != nil {
-		t.Fatalf("clean retry after stall: %v", err)
+
+	// One stall, then a clean connection: the retry completes.
+	sched := faultnet.NewSchedule(2, stall)
+	d = &faultnet.Dialer{Schedule: sched}
+	neg = &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial, sleep: skipWait}
+	if _, err := neg.Negotiate("webapp", env, 75); err != nil {
+		t.Fatalf("retry after stall: %v", err)
+	}
+	if got := sched.Counts(); got["stall-read"] != 1 || got["none"] != 1 {
+		t.Fatalf("schedule counts = %v", got)
 	}
 }
 
@@ -167,32 +174,27 @@ func TestPADDownloadResetFailsTypedThenFailsOver(t *testing.T) {
 	addr, mods, shutdown := startPADServer(t, 0)
 	defer shutdown()
 	meta := core.PADMeta{ID: mods[0].ID, URL: "/pads/" + mods[0].ID}
+	reset := faultnet.Fault{Kind: faultnet.Reset, After: 4}
 
-	reset := &faultnet.Dialer{Schedule: faultnet.NewSchedule(4, faultnet.Fault{Kind: faultnet.Reset, After: 4})}
-	faulty := &TCPPADFetcher{Addr: addr, CallTimeout: faultCallTimeout, Dial: reset.Dial}
+	dead := &faultnet.Dialer{Schedule: faultnet.NewSchedule(4, reset, reset, reset)}
+	faulty := &TCPPADFetcher{Addr: addr, CallTimeout: faultCallTimeout, Dial: dead.Dial, sleep: skipWait}
 	if _, err := faulty.FetchPAD(meta); !errors.Is(err, faultnet.ErrReset) {
 		t.Fatalf("reset download err = %v, want ErrReset", err)
 	}
 
-	// Failover: the dead transport rotates to a clean one on attempt 2.
-	stillDead := &faultnet.Dialer{Schedule: faultnet.NewSchedule(4,
-		faultnet.Fault{Kind: faultnet.Reset, After: 4}, faultnet.Fault{Kind: faultnet.Reset, After: 4})}
-	rf, err := NewRetryingPADFetcher(RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond}, 4,
-		&TCPPADFetcher{Addr: addr, CallTimeout: faultCallTimeout, Dial: stillDead.Dial},
-		&TCPPADFetcher{Addr: addr, CallTimeout: faultCallTimeout})
+	// A reset connection fails over to a fresh one on the next attempt.
+	d := &faultnet.Dialer{Schedule: faultnet.NewSchedule(4, reset)}
+	f := &TCPPADFetcher{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial, sleep: skipWait}
+	got, err := f.FetchPAD(meta)
 	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rf.FetchPAD(meta)
-	if err != nil {
-		t.Fatalf("failover download: %v", err)
+		t.Fatalf("download after reset: %v", err)
 	}
 	packed, err := mods[0].Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, packed) {
-		t.Fatal("failover returned wrong module bytes")
+		t.Fatal("retried download returned wrong module bytes")
 	}
 }
 
@@ -202,23 +204,19 @@ func TestNegotiationCorruptionDetectedThenRetried(t *testing.T) {
 
 	// Corrupt the first four inbound bytes: the INP magic of the first
 	// reply frame. The framing layer must reject it, never deliver it.
-	sched := faultnet.NewSchedule(5, faultnet.Fault{Kind: faultnet.Corrupt, Count: 4}, faultnet.Fault{})
+	sched := faultnet.NewSchedule(5, faultnet.Fault{Kind: faultnet.Corrupt, Count: 4})
 	d := &faultnet.Dialer{Schedule: sched}
-	rn, err := NewRetryingNegotiator(
-		&TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial},
-		RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pads, err := rn.Negotiate("webapp", pdaConfig(w.trust).Env, 75)
+	var ws waits
+	neg := &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial, sleep: ws.sleep}
+	pads, err := neg.Negotiate("webapp", pdaConfig(w.trust).Env, 75)
 	if err != nil {
 		t.Fatalf("negotiation did not survive frame corruption: %v", err)
 	}
 	if len(pads) == 0 {
 		t.Fatal("no PADs negotiated")
 	}
-	if st := rn.Stats(); st.Retries != 1 {
-		t.Fatalf("retry stats = %+v, want one retry", st)
+	if n := len(ws); n != 1 {
+		t.Fatalf("backoff waits = %d, want one retry", n)
 	}
 }
 
@@ -229,30 +227,11 @@ func TestClientDegradesWhenProxyUnreachable(t *testing.T) {
 	w := buildWorld(t)
 	addr := startProxyTCP(t, w)
 
-	signer, err := mobilecode.NewSigner("device-vendor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.trust.Add(signer.Entity, signer.PublicKey()); err != nil {
-		t.Fatal(err)
-	}
-	mod, err := mobilecode.BuildModule(mobilecode.BuiltinSpecs()[0], "1.0", signer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := mod.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dead := &faultnet.Dialer{Schedule: faultnet.NewSchedule(6,
-		faultnet.Fault{Kind: faultnet.Refuse}, faultnet.Fault{Kind: faultnet.Refuse})}
-	rn, err := NewRetryingNegotiator(
-		&TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: dead.Dial},
-		RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packed := buildFallbackDirect(t, w.trust)
+	refuse := faultnet.Fault{Kind: faultnet.Refuse}
+	sched := faultnet.NewSchedule(6, refuse, refuse, refuse)
+	dead := &faultnet.Dialer{Schedule: sched}
+	rn := &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: dead.Dial, sleep: skipWait}
 	cfg := pdaConfig(w.trust)
 	cfg.FallbackDirect = packed
 	c, err := New(cfg, rn, w.fetcher("region-0", netsim.Bluetooth), w.local())
@@ -270,8 +249,8 @@ func TestClientDegradesWhenProxyUnreachable(t *testing.T) {
 	if st.Degradations != 1 || st.Negotiations != 0 {
 		t.Fatalf("stats = %+v, want one degradation and zero negotiations", st)
 	}
-	if rn.Stats().Exhausted != 1 {
-		t.Fatalf("retry stats = %+v, want exhausted once", rn.Stats())
+	if got := sched.Counts(); got["refuse"] != 3 || got["none"] != 0 {
+		t.Fatalf("schedule counts = %v, want every attempt refused", got)
 	}
 }
 
@@ -289,12 +268,7 @@ func TestFaultScheduleReproducesIdenticalStats(t *testing.T) {
 			faultnet.Fault{},
 		)
 		d := &faultnet.Dialer{Schedule: sched}
-		rn, err := NewRetryingNegotiator(
-			&TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial},
-			RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond}, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rn := &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial, sleep: skipWait}
 		c, err := New(pdaConfig(w.trust), rn, w.fetcher("region-0", netsim.Bluetooth), w.local())
 		if err != nil {
 			t.Fatal(err)

@@ -4,14 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"fractal/internal/core"
+	"fractal/internal/faultnet"
 	"fractal/internal/inp"
 	"fractal/internal/mobilecode"
+	"fractal/internal/proxy"
 )
 
 // directWorld is a minimal wired client environment around the builtin
@@ -326,146 +330,144 @@ func TestNoFallbackSurfacesCause(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyBackoffDeterministic checks the exponential schedule and
-// the cap with jitter disabled, and the jitter bounds with it enabled.
+// TestRetryPolicyBackoffDeterministic pins the transports' fixed
+// schedule: retry n waits within [d/2, d] for d = 50ms·2^(n-1) capped at
+// 2s, so the exponential envelope and the cap are exact and only the top
+// half of each wait is drawn at random.
 func TestRetryPolicyBackoffDeterministic(t *testing.T) {
-	p := RetryPolicy{Attempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
-	rng := rand.New(rand.NewSource(1))
-	want := []time.Duration{10, 20, 40, 50, 50}
+	want := []time.Duration{50, 100, 200, 400, 800, 1600, 2000, 2000}
 	for i, w := range want {
-		if got := p.backoff(i+1, rng); got != w*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
-		}
-	}
-	j := RetryPolicy{Attempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Jitter: 0.5}
-	for i := 0; i < 100; i++ {
-		d := j.backoff(1, rng)
-		if d < 50*time.Millisecond || d > 100*time.Millisecond {
-			t.Fatalf("jittered backoff %v outside [50ms, 100ms]", d)
-		}
-	}
-	// Same seed, same jitter draws: the schedule is reproducible.
-	a, b := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
-	for i := 1; i <= 5; i++ {
-		if j.backoff(i, a) != j.backoff(i, b) {
-			t.Fatal("equal seeds produced different backoff schedules")
+		d := w * time.Millisecond
+		for range 50 {
+			if got := backoff(i + 1); got < d/2 || got > d {
+				t.Fatalf("backoff(%d) = %v, want within [%v, %v]", i+1, got, d/2, d)
+			}
 		}
 	}
 }
 
-func TestRetryPolicyValidate(t *testing.T) {
-	if err := DefaultRetryPolicy().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []RetryPolicy{
-		{Attempts: 0},
-		{Attempts: 1, BaseDelay: -time.Second},
-		{Attempts: 1, Jitter: 1.5},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("policy %+v accepted", bad)
-		}
-	}
+// waits records the backoff waits a transport takes instead of sleeping
+// them.
+type waits []time.Duration
+
+func (w *waits) sleep(d time.Duration) { *w = append(*w, d) }
+
+// skipWait takes a backoff wait without sleeping it.
+func skipWait(time.Duration) {}
+
+// noWait fails the test if a transport backs off at all.
+func noWait(t *testing.T) func(time.Duration) {
+	return func(d time.Duration) { t.Errorf("unexpected backoff wait of %v", d) }
 }
 
-// TestRetryingNegotiatorRecovers: two transient failures then success,
-// with the backoff sleeps captured instead of slept.
+// TestRetryingNegotiatorRecovers: two refused dials, then a clean one —
+// TCPNegotiator retries on fresh connections and succeeds, with one
+// jittered backoff per retry captured instead of slept.
 func TestRetryingNegotiatorRecovers(t *testing.T) {
-	w := buildDirectWorld(t)
-	var calls int32
-	flaky := funcNeg(func(string, core.Env, int) ([]core.PADMeta, error) {
-		if atomic.AddInt32(&calls, 1) < 3 {
-			return nil, errors.New("transient")
-		}
-		return []core.PADMeta{w.meta}, nil
-	})
-	rn, err := NewRetryingNegotiator(flaky, RetryPolicy{Attempts: 3, BaseDelay: 10 * time.Millisecond}, 1)
+	w := buildWorld(t)
+	addr := startProxyTCP(t, w)
+	sched := faultnet.NewSchedule(1, faultnet.Fault{Kind: faultnet.Refuse}, faultnet.Fault{Kind: faultnet.Refuse})
+	d := &faultnet.Dialer{Schedule: sched}
+	var ws waits
+	neg := &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial, sleep: ws.sleep}
+	pads, err := neg.Negotiate("webapp", pdaConfig(w.trust).Env, 75)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slept []time.Duration
-	rn.r.sleep = func(d time.Duration) { slept = append(slept, d) }
-	pads, err := rn.Negotiate("webapp", w.config().Env, 75)
-	if err != nil {
-		t.Fatal(err)
+	if len(pads) == 0 {
+		t.Fatal("no PADs negotiated")
 	}
-	if len(pads) != 1 {
-		t.Fatalf("pads = %+v", pads)
+	if got := sched.Counts(); got["refuse"] != 2 || got["none"] != 1 {
+		t.Fatalf("schedule counts = %v, want two refusals then one clean dial", got)
 	}
-	if got := rn.Stats(); got.Attempts != 3 || got.Retries != 2 || got.Exhausted != 0 {
-		t.Fatalf("stats = %+v", got)
-	}
-	if len(slept) != 2 || slept[0] != 10*time.Millisecond || slept[1] != 20*time.Millisecond {
-		t.Fatalf("backoff sleeps = %v", slept)
+	if len(ws) != 2 || ws[0] < 25*time.Millisecond || ws[0] > 50*time.Millisecond ||
+		ws[1] < 50*time.Millisecond || ws[1] > 100*time.Millisecond {
+		t.Fatalf("backoff waits = %v, want one in [25ms,50ms] then one in [50ms,100ms]", ws)
 	}
 }
 
 // TestRetryingNegotiatorExhausts: a hard-down proxy fails after exactly
-// Attempts tries with the last error wrapped.
+// three dials with the last error wrapped, and no wait follows the last.
 func TestRetryingNegotiatorExhausts(t *testing.T) {
-	sentinel := errors.New("proxy down hard")
-	var calls int32
-	down := funcNeg(func(string, core.Env, int) ([]core.PADMeta, error) {
-		atomic.AddInt32(&calls, 1)
-		return nil, sentinel
-	})
-	rn, err := NewRetryingNegotiator(down, RetryPolicy{Attempts: 4}, 1)
-	if err != nil {
-		t.Fatal(err)
+	var dials atomic.Int32
+	dial := func(string, string) (net.Conn, error) {
+		dials.Add(1)
+		return nil, faultnet.ErrRefused
 	}
-	rn.r.sleep = func(time.Duration) {}
-	if _, err := rn.Negotiate("webapp", core.Env{}, 1); !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want wrapped sentinel", err)
+	var ws waits
+	neg := &TCPNegotiator{Addr: "proxy.invalid:7001", Dial: dial, sleep: ws.sleep}
+	_, err := neg.Negotiate("webapp", core.Env{}, 1)
+	if !errors.Is(err, faultnet.ErrRefused) {
+		t.Fatalf("err = %v, want wrapped ErrRefused", err)
 	}
-	if n := atomic.LoadInt32(&calls); n != 4 {
-		t.Fatalf("calls = %d, want 4", n)
+	if !strings.Contains(err.Error(), "after 3 attempts") {
+		t.Fatalf("err = %v, want the attempt count", err)
 	}
-	if got := rn.Stats(); got.Exhausted != 1 {
-		t.Fatalf("stats = %+v", got)
+	if n := dials.Load(); n != 3 {
+		t.Fatalf("dials = %d, want 3", n)
 	}
-}
-
-// TestRetryingPADFetcherFailsOver: the first edge is dead; attempt two
-// rotates to the second source and succeeds.
-func TestRetryingPADFetcherFailsOver(t *testing.T) {
-	w := buildDirectWorld(t)
-	dead := funcFetcher(func(core.PADMeta) ([]byte, error) { return nil, errors.New("edge down") })
-	var aliveCalls int32
-	alive := funcFetcher(func(meta core.PADMeta) ([]byte, error) {
-		atomic.AddInt32(&aliveCalls, 1)
-		return w.packed, nil
-	})
-	rf, err := NewRetryingPADFetcher(RetryPolicy{Attempts: 3}, 1, dead, alive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf.r.sleep = func(time.Duration) {}
-	packed, err := rf.FetchPAD(w.meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(packed) != len(w.packed) {
-		t.Fatalf("failover returned %d bytes, want %d", len(packed), len(w.packed))
-	}
-	if got := rf.Stats(); got.Attempts != 2 || got.Retries != 1 {
-		t.Fatalf("stats = %+v", got)
-	}
-	if atomic.LoadInt32(&aliveCalls) != 1 {
-		t.Fatalf("second source called %d times, want 1", aliveCalls)
+	if n := len(ws); n != 2 {
+		t.Fatalf("backoff waits = %d, want 2", n)
 	}
 }
 
-func TestRetryWrapperConstructorsReject(t *testing.T) {
-	if _, err := NewRetryingNegotiator(nil, DefaultRetryPolicy(), 1); err == nil {
-		t.Error("nil negotiator accepted")
+// TestNegotiationRefusalNotRetried: an in-band refusal cannot succeed on
+// retry, so the negotiator returns it as *inp.PeerError after one dial and
+// no wait — whether the proxy's policy denies the principal (an error
+// frame) or the proxy refuses at INIT_REP.
+func TestNegotiationRefusalNotRetried(t *testing.T) {
+	w := buildWorld(t)
+	pt := proxy.NewPolicyTable()
+	if err := pt.Restrict("banned"); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewRetryingNegotiator(funcNeg(nil), RetryPolicy{}, 1); err == nil {
-		t.Error("invalid policy accepted")
+	w.proxy.SetAuthorizer(pt)
+	for name, addr := range map[string]string{
+		"policy-denial":    startProxyTCP(t, w),
+		"init-rep-refusal": startRefusingProxy(t),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var dials atomic.Int32
+			dial := func(network, addr string) (net.Conn, error) {
+				dials.Add(1)
+				return net.Dial(network, addr)
+			}
+			neg := &TCPNegotiator{Addr: addr, ClientID: "banned", CallTimeout: faultCallTimeout, Dial: dial, sleep: noWait(t)}
+			_, err := neg.Negotiate("webapp", pdaConfig(w.trust).Env, 75)
+			var pe *inp.PeerError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want *inp.PeerError", err)
+			}
+			if n := dials.Load(); n != 1 {
+				t.Fatalf("dials = %d, want 1", n)
+			}
+		})
 	}
-	if _, err := NewRetryingPADFetcher(DefaultRetryPolicy(), 1); err == nil {
-		t.Error("zero sources accepted")
+}
+
+// startRefusingProxy serves one negotiation that it refuses at INIT_REP.
+func startRefusingProxy(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewRetryingPADFetcher(DefaultRetryPolicy(), 1, nil); err == nil {
-		t.Error("nil source accepted")
-	}
+	done := make(chan struct{})
+	t.Cleanup(func() { _ = ln.Close(); <-done })
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		c := inp.NewConn(conn)
+		var req inp.InitReq
+		var meta inp.CliMetaRep
+		if c.RecvInto(inp.MsgInitReq, &req) != nil || c.RecvInto(inp.MsgCliMetaRep, &meta) != nil {
+			return
+		}
+		_ = c.Send(inp.MsgInitRep, inp.InitRep{Reason: "access denied"})
+	}()
+	return ln.Addr().String()
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
@@ -33,11 +34,51 @@ func dialBounded(dial DialFunc, timeout time.Duration, addr string) (net.Conn, e
 	return net.DialTimeout("tcp", addr, timeout)
 }
 
+// The TCP transports retry a failed exchange on a fresh connection with
+// capped, jittered exponential backoff: retry n waits retryBase·2^(n-1),
+// capped at retryCap, with the top half of that wait drawn at random so
+// clients that failed together do not retry together.
+const (
+	retryAttempts = 3 // tries per exchange, the first included
+	retryBase     = 50 * time.Millisecond
+	retryCap      = 2 * time.Second
+)
+
+// backoff returns the wait before retry n (1-based).
+func backoff(n int) time.Duration {
+	d := retryBase << (n - 1)
+	if d <= 0 || d > retryCap {
+		d = retryCap
+	}
+	half := d / 2
+	//fractal:allow rawrand backoff jitter exists to decorrelate clients, not to reproduce; tests replace the wait
+	return d - half + time.Duration(rand.Int64N(int64(half)+1))
+}
+
+// retryable reports whether a failed attempt is worth repeating: an
+// in-band answer from the peer (a refusal, a missing module) would only be
+// given again, so only transport failures are retried.
+func retryable(err error) bool {
+	var pe *inp.PeerError
+	return !errors.As(err, &pe)
+}
+
+// wait sleeps the backoff before retry n through sleep, or through
+// time.Sleep when sleep is nil.
+func wait(sleep func(time.Duration), n int) {
+	if sleep == nil {
+		sleep = time.Sleep
+	}
+	sleep(backoff(n))
+}
+
 // TCPNegotiator performs the Figure 4 negotiation against a live
 // adaptation proxy over INP/TCP. ClientID, when set, identifies the
-// principal for the proxy's access-control policy. The zero timeouts
-// reproduce the historical fair-weather behaviour (block forever);
-// production configurations should set both.
+// principal for the proxy's access-control policy. A refused dial, a
+// deadline, a reset or a corrupt frame is retried on a fresh connection;
+// a refusal from the proxy itself is returned at once. The zero timeouts
+// block forever on a stalled proxy; production configurations should set
+// both.
 type TCPNegotiator struct {
 	Addr     string
 	ClientID string
@@ -49,10 +90,26 @@ type TCPNegotiator struct {
 	// Dial, when set, replaces the real dialer (fault injection, SOCKS,
 	// in-process transports). DialTimeout is then the dialer's concern.
 	Dial DialFunc
+
+	sleep func(time.Duration) // backoff wait; nil means time.Sleep
 }
 
 // Negotiate implements Negotiator.
 func (t *TCPNegotiator) Negotiate(appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
+	for n := 1; ; n++ {
+		pads, err := t.negotiate(appID, env, sessionRequests)
+		if err == nil || !retryable(err) {
+			return pads, err
+		}
+		if n == retryAttempts {
+			return nil, fmt.Errorf("client: negotiation for %s failed after %d attempts: %w", appID, n, err)
+		}
+		wait(t.sleep, n)
+	}
+}
+
+// negotiate runs one exchange on a fresh connection.
+func (t *TCPNegotiator) negotiate(appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
 	conn, err := dialBounded(t.Dial, t.DialTimeout, t.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dialing proxy %s: %w", t.Addr, err)
@@ -83,7 +140,7 @@ func (t *TCPNegotiator) Negotiate(appID string, env core.Env, sessionRequests in
 		return nil, fmt.Errorf("client: INIT exchange: %w", err)
 	}
 	if !initRep.OK {
-		return nil, fmt.Errorf("client: proxy refused negotiation: %s", initRep.Reason)
+		return nil, fmt.Errorf("client: INIT exchange: %w", &inp.PeerError{Message: "proxy refused negotiation: " + initRep.Reason})
 	}
 	var tmpl inp.CliMetaReq
 	if err := c.RecvInto(inp.MsgCliMetaReq, &tmpl); err != nil {
@@ -96,20 +153,16 @@ func (t *TCPNegotiator) Negotiate(appID string, env core.Env, sessionRequests in
 	return rep.PADs, nil
 }
 
-// CDNFetcher downloads PAD modules from the simulated CDN, recording
-// simulated retrieval times.
+// CDNFetcher downloads PAD modules from the simulated CDN.
 type CDNFetcher struct {
 	CDN    *cdn.CDN
 	Region string
 	Link   netsim.Link
 	// Concurrent models how many simultaneous downloads share the edge.
 	Concurrent int
-
-	mu        sync.Mutex
-	lastTimes []cdn.Retrieval
 }
 
-// FetchPAD implements PADFetcher via the closest edgeserver.
+// FetchPAD implements PADFetcher via the closest healthy edgeserver.
 func (f *CDNFetcher) FetchPAD(meta core.PADMeta) ([]byte, error) {
 	conc := f.Concurrent
 	if conc < 1 {
@@ -119,21 +172,13 @@ func (f *CDNFetcher) FetchPAD(meta core.PADMeta) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.mu.Lock()
-	f.lastTimes = append(f.lastTimes, r)
-	f.mu.Unlock()
 	return r.Data, nil
 }
 
-// Retrievals returns the accumulated retrieval records.
-func (f *CDNFetcher) Retrievals() []cdn.Retrieval {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]cdn.Retrieval(nil), f.lastTimes...)
-}
-
 // TCPPADFetcher downloads PAD modules from a PAD server (edgeserver or
-// centralized) over INP/TCP, one connection per download.
+// centralized) over INP/TCP, one connection per download. A failed
+// download is retried on a fresh connection as TCPNegotiator retries a
+// negotiation; an in-band error from the server is returned at once.
 type TCPPADFetcher struct {
 	Addr string
 	// DialTimeout bounds the TCP dial; zero means no bound.
@@ -143,10 +188,26 @@ type TCPPADFetcher struct {
 	CallTimeout time.Duration
 	// Dial, when set, replaces the real dialer.
 	Dial DialFunc
+
+	sleep func(time.Duration) // backoff wait; nil means time.Sleep
 }
 
 // FetchPAD implements PADFetcher.
 func (f *TCPPADFetcher) FetchPAD(meta core.PADMeta) ([]byte, error) {
+	for n := 1; ; n++ {
+		module, err := f.fetch(meta)
+		if err == nil || !retryable(err) {
+			return module, err
+		}
+		if n == retryAttempts {
+			return nil, fmt.Errorf("client: PAD download %s failed after %d attempts: %w", meta.ID, n, err)
+		}
+		wait(f.sleep, n)
+	}
+}
+
+// fetch runs one download on a fresh connection.
+func (f *TCPPADFetcher) fetch(meta core.PADMeta) ([]byte, error) {
 	conn, err := dialBounded(f.Dial, f.DialTimeout, f.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dialing PAD server %s: %w", f.Addr, err)
@@ -204,11 +265,6 @@ type TCPAppSession struct {
 	broken  bool
 	closed  bool
 	redials int64
-}
-
-// DialApp opens an application session with unbounded I/O.
-func DialApp(addr string) (*TCPAppSession, error) {
-	return DialAppSession(addr, SessionConfig{})
 }
 
 // DialAppSession opens an application session with the given bounds.

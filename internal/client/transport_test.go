@@ -22,9 +22,12 @@ func startPADServer(t *testing.T, idle time.Duration) (addr string, mods []*mobi
 	if err != nil {
 		t.Fatal(err)
 	}
-	mods, err = mobilecode.BuildBuiltins("1.0", signer)
-	if err != nil {
-		t.Fatal(err)
+	for _, spec := range mobilecode.BuiltinSpecs() {
+		m, err := mobilecode.BuildModule(spec, "1.0", signer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, m)
 	}
 	store, err := cdn.NewOrigin(netsim.SharedServer{Name: "store", UplinkKbps: 1000, Rho: 0.8})
 	if err != nil {
@@ -63,7 +66,7 @@ func startPADServer(t *testing.T, idle time.Duration) (addr string, mods []*mobi
 func TestTCPPADFetcherRoundTrip(t *testing.T) {
 	addr, mods, shutdown := startPADServer(t, 0)
 	defer shutdown()
-	f := &TCPPADFetcher{Addr: addr}
+	f := &TCPPADFetcher{Addr: addr, sleep: noWait(t)}
 	want := mods[0]
 	got, err := f.FetchPAD(core.PADMeta{ID: want.ID, URL: "/pads/" + want.ID})
 	if err != nil {
@@ -80,7 +83,8 @@ func TestTCPPADFetcherRoundTrip(t *testing.T) {
 	if _, err := f.FetchPAD(core.PADMeta{ID: want.ID}); err != nil {
 		t.Fatalf("fetch by id alone failed: %v", err)
 	}
-	// Missing PAD is an in-band error; session-level fetches still work.
+	// Missing PAD is an in-band error, returned without a retry;
+	// session-level fetches still work.
 	if _, err := f.FetchPAD(core.PADMeta{ID: "pad-ghost", URL: "/pads/pad-ghost"}); err == nil {
 		t.Fatal("missing PAD fetched")
 	}
@@ -90,9 +94,10 @@ func TestTCPPADFetcherRoundTrip(t *testing.T) {
 }
 
 func TestTCPPADFetcherBadAddress(t *testing.T) {
-	f := &TCPPADFetcher{Addr: "127.0.0.1:1"}
-	if _, err := f.FetchPAD(core.PADMeta{ID: "x"}); err == nil {
-		t.Fatal("fetch against dead address succeeded")
+	f := &TCPPADFetcher{Addr: "127.0.0.1:1", sleep: skipWait}
+	_, err := f.FetchPAD(core.PADMeta{ID: "x"})
+	if err == nil || !strings.Contains(err.Error(), "after 3 attempts") {
+		t.Fatalf("fetch against dead address = %v, want failure after 3 attempts", err)
 	}
 }
 
@@ -116,6 +121,9 @@ func TestPADServerIdleTimeoutDropsSlowloris(t *testing.T) {
 	}
 }
 
+// TestCDNFetcherRecordsRetrievals: the fetcher keeps nothing per fetch;
+// its retrievals are recorded by the edge it reaches — a miss that fills
+// from the origin, then a hit.
 func TestCDNFetcherRecordsRetrievals(t *testing.T) {
 	topo, err := cdn.DefaultTopology(2)
 	if err != nil {
@@ -124,19 +132,18 @@ func TestCDNFetcherRecordsRetrievals(t *testing.T) {
 	if err := topo.Origin().Publish("/pads/x", bytes.Repeat([]byte("x"), 2048)); err != nil {
 		t.Fatal(err)
 	}
+	home, err := topo.EdgeFor("region-0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := &CDNFetcher{CDN: topo, Region: "region-0", Link: netsim.WLAN}
-	if _, err := f.FetchPAD(core.PADMeta{ID: "x", URL: "/pads/x"}); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if _, err := f.FetchPAD(core.PADMeta{ID: "x", URL: "/pads/x"}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := f.FetchPAD(core.PADMeta{ID: "x", URL: "/pads/x"}); err != nil {
-		t.Fatal(err)
-	}
-	rs := f.Retrievals()
-	if len(rs) != 2 {
-		t.Fatalf("recorded %d retrievals, want 2", len(rs))
-	}
-	if rs[0].CacheHit || !rs[1].CacheHit {
-		t.Fatalf("cache pattern = %v/%v, want miss then hit", rs[0].CacheHit, rs[1].CacheHit)
+	if st := home.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("home edge stats = %+v, want one miss then one hit", st)
 	}
 }
 
@@ -161,8 +168,8 @@ func TestCDNFetcherSurvivesEdgeFailure(t *testing.T) {
 	if string(got) != "module" {
 		t.Fatal("failover fetched wrong bytes")
 	}
-	if f.Retrievals()[0].EdgeID == home.ID {
-		t.Fatal("retrieval recorded against the failed edge")
+	if st := home.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("failed edge served the retrieval: %+v", st)
 	}
 }
 
@@ -209,7 +216,7 @@ func startStallServer(t *testing.T) (addr string, reqArrived chan struct{}) {
 // Close tears down the conn, which fails the blocked call promptly.
 func TestAppSessionCloseUnblocksStalledCall(t *testing.T) {
 	addr, reqArrived := startStallServer(t)
-	s, err := DialApp(addr)
+	s, err := DialAppSession(addr, SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +260,7 @@ func TestAppSessionCloseUnblocksStalledCall(t *testing.T) {
 // and resurrect the session), and Close is idempotent.
 func TestAppSessionUseAfterClose(t *testing.T) {
 	addr, _ := startStallServer(t)
-	s, err := DialApp(addr)
+	s, err := DialAppSession(addr, SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,33 +65,75 @@ func buildUnverifiableWorld(t *testing.T) *directWorld {
 // TestDeployRejectsUnverifiableModule: a properly signed module whose
 // bytecode cannot be proven safe is refused at deploy time with the
 // verifier's typed error, and the rejection is counted on both security
-// counters.
+// counters. With a FallbackDirect module configured — a compromised
+// mirror, not a dead one — the same rejection degrades the session to
+// the local Direct module instead of failing it.
 func TestDeployRejectsUnverifiableModule(t *testing.T) {
-	w := buildUnverifiableWorld(t)
-	content := funcContent(func(req inp.AppReq) (inp.AppRep, error) {
-		t.Fatal("content fetched through an unverified protocol")
-		return inp.AppRep{}, nil
-	})
-	c, err := New(w.config(), w.negotiator(), w.padStore(), content)
+	for _, withFallback := range []bool{false, true} {
+		w := buildUnverifiableWorld(t)
+		cfg := w.config()
+		content := funcContent(func(req inp.AppReq) (inp.AppRep, error) {
+			t.Fatal("content fetched through an unverified protocol")
+			return inp.AppRep{}, nil
+		})
+		if withFallback {
+			cfg.FallbackDirect = buildFallbackDirect(t, w.trust)
+			content = func(req inp.AppReq) (inp.AppRep, error) {
+				return inp.AppRep{Resource: req.Resource, Version: 1, PADID: w.meta.ID, Payload: []byte("direct body")}, nil
+			}
+		}
+		c, err := New(cfg, w.negotiator(), w.padStore(), content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := c.Request("webapp", "page")
+		st := c.Stats()
+		if st.SecurityRejections != 1 || st.VerifierRejections != 1 {
+			t.Fatalf("fallback=%v: rejections security=%d verifier=%d, want 1/1", withFallback, st.SecurityRejections, st.VerifierRejections)
+		}
+		if st.PADDownloads != 0 {
+			t.Fatalf("fallback=%v: rejected module counted as downloaded: %d", withFallback, st.PADDownloads)
+		}
+		if withFallback {
+			if err != nil {
+				t.Fatalf("degraded request failed: %v", err)
+			}
+			if string(data) != "direct body" || st.Degradations != 1 {
+				t.Fatalf("degraded content = %q, degradations = %d; want direct body, 1", data, st.Degradations)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatal("request succeeded over an unverifiable module")
+		}
+		var vErr *verify.Error
+		if !errors.As(err, &vErr) {
+			t.Fatalf("rejection is not a typed verifier error: %v", err)
+		}
+		if !errors.Is(vErr.Kind, verify.ErrUndeclaredCall) {
+			t.Fatalf("rejection kind = %v, want ErrUndeclaredCall", vErr.Kind)
+		}
+	}
+}
+
+// buildFallbackDirect packs the builtin Direct module as a device vendor
+// ships it, trusting the vendor's key.
+func buildFallbackDirect(t *testing.T, trust *mobilecode.TrustList) []byte {
+	t.Helper()
+	signer, err := mobilecode.NewSigner("device-vendor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Request("webapp", "page")
-	if err == nil {
-		t.Fatal("request succeeded over an unverifiable module")
+	if err := trust.Add(signer.Entity, signer.PublicKey()); err != nil {
+		t.Fatal(err)
 	}
-	var vErr *verify.Error
-	if !errors.As(err, &vErr) {
-		t.Fatalf("rejection is not a typed verifier error: %v", err)
+	mod, err := mobilecode.BuildModule(mobilecode.BuiltinSpecs()[0], "1.0", signer)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(vErr.Kind, verify.ErrUndeclaredCall) {
-		t.Fatalf("rejection kind = %v, want ErrUndeclaredCall", vErr.Kind)
+	packed, err := mod.Pack()
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.SecurityRejections != 1 || st.VerifierRejections != 1 {
-		t.Fatalf("rejections security=%d verifier=%d, want 1/1", st.SecurityRejections, st.VerifierRejections)
-	}
-	if st.PADDownloads != 0 {
-		t.Fatalf("rejected module counted as downloaded: %d", st.PADDownloads)
-	}
+	return packed
 }

@@ -83,18 +83,3 @@ func ContentAdaptationMatrices() (Matrices, error) {
 	ms.B = b
 	return ms, nil
 }
-
-// MediaPlayerExampleMatrix reproduces the motivating example of Section
-// 3.4.2: Windows Media runs on WinCE but not PalmOS, Kinoma the reverse.
-// It is used by tests and documentation to demonstrate how an infinite
-// ratio disqualifies an otherwise-cheaper PAD.
-func MediaPlayerExampleMatrix() (*RatioMatrix, error) {
-	inf := math.Inf(1)
-	return NewRatioMatrix("B-players",
-		[]string{"winmedia", "kinoma"},
-		[]string{"WinCE", "PalmOS"},
-		[][]float64{
-			{1, inf},
-			{inf, 1},
-		})
-}

@@ -105,31 +105,3 @@ func (ms Matrices) Validate() error {
 	}
 	return nil
 }
-
-// Neutral returns matrices of all-ones over the given protocols, the pure
-// linear model with no environment corrections.
-func Neutral(protocols []string) (Matrices, error) {
-	ones := func(name string, cols []string) (*RatioMatrix, error) {
-		vals := make([][]float64, len(protocols))
-		for i := range vals {
-			vals[i] = make([]float64, len(cols))
-			for j := range vals[i] {
-				vals[i][j] = 1
-			}
-		}
-		return NewRatioMatrix(name, protocols, cols, vals)
-	}
-	a, err := ones("A", []string{"any-cpu"})
-	if err != nil {
-		return Matrices{}, err
-	}
-	b, err := ones("B", []string{"any-os"})
-	if err != nil {
-		return Matrices{}, err
-	}
-	r, err := ones("R", []string{"any-net"})
-	if err != nil {
-		return Matrices{}, err
-	}
-	return Matrices{A: a, B: b, R: r}, nil
-}

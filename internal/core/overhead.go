@@ -5,13 +5,10 @@ import (
 	"math"
 )
 
-// Reference constants of the linear model (Section 3.4.2): overheads are
-// pre-measured on a 500 MHz processor and a 1 Mbps network and scaled
+// StdCPUMHz is the reference processor of the linear model (Section
+// 3.4.2): overheads are pre-measured on a 500 MHz processor and scaled
 // linearly to the client's hardware.
-const (
-	StdCPUMHz        = 500.0
-	StdBandwidthKbps = 1000.0
-)
+const StdCPUMHz = 500.0
 
 // Breakdown is the per-term decomposition of Equation 3 for one PAD in one
 // environment, in seconds. Any term may be +Inf when a normalized ratio

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -433,11 +434,54 @@ func TestPremiseNoUniversalWinner(t *testing.T) {
 	}
 }
 
+// rhoPoint is the winner set at one value of the available-bandwidth
+// fraction ρ.
+type rhoPoint struct {
+	Rho     float64
+	Winners map[string]string // station -> protocol
+}
+
+// runRhoSweep evaluates the Figure 11(b) winner per station across a ρ
+// range, the sensitivity ablation DESIGN.md calls out: the paper fixes
+// ρ≈0.8 after observing deployments between 0.6 and 0.8, so the selection
+// should be stable across that band.
+func runRhoSweep(s *Setup, rhos []float64) ([]rhoPoint, error) {
+	if len(rhos) == 0 {
+		return nil, fmt.Errorf("experiment: rho sweep needs values")
+	}
+	var out []rhoPoint
+	for _, rho := range rhos {
+		model := s.Model
+		model.Rho = rho
+		point := rhoPoint{Rho: rho, Winners: map[string]string{}}
+		for _, st := range netsim.Stations() {
+			env := EnvFor(st)
+			best, bestTotal := "", -1.0
+			for _, proto := range []string{codec.NameDirect, codec.NameGzip, codec.NameBitmap, codec.NameVaryBlock} {
+				pad, err := s.PADByProtocol(proto)
+				if err != nil {
+					return nil, err
+				}
+				b, err := model.PADTotal(pad, env)
+				if err != nil {
+					return nil, fmt.Errorf("experiment: rho %.2f: %w", rho, err)
+				}
+				if total := b.Total(); bestTotal < 0 || total < bestTotal {
+					best, bestTotal = proto, total
+				}
+			}
+			point.Winners[st.Device.Name] = best
+		}
+		out = append(out, point)
+	}
+	return out, nil
+}
+
 // The rho ablation: the per-station selection must be stable across the
 // paper's observed deployment band [0.6, 0.8].
 func TestRhoSweepStability(t *testing.T) {
 	s := testSetup(t)
-	points, err := RunRhoSweep(s, []float64{0.6, 0.7, 0.8})
+	points, err := runRhoSweep(s, []float64{0.6, 0.7, 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +493,7 @@ func TestRhoSweepStability(t *testing.T) {
 			}
 		}
 	}
-	if _, err := RunRhoSweep(s, nil); err == nil {
+	if _, err := runRhoSweep(s, nil); err == nil {
 		t.Error("empty sweep accepted")
 	}
 }

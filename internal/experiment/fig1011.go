@@ -255,46 +255,3 @@ func (g Fig11Grid) Rows() []string {
 	}
 	return rows
 }
-
-// RhoPoint is the winner set at one value of the available-bandwidth
-// fraction ρ.
-type RhoPoint struct {
-	Rho     float64
-	Winners map[string]string // station -> protocol
-}
-
-// RunRhoSweep evaluates the Figure 11(b) winner per station across a ρ
-// range, the sensitivity ablation DESIGN.md calls out: the paper fixes
-// ρ≈0.8 after observing deployments between 0.6 and 0.8, so the selection
-// should be stable across that band.
-func RunRhoSweep(s *Setup, rhos []float64) ([]RhoPoint, error) {
-	if len(rhos) == 0 {
-		return nil, fmt.Errorf("experiment: rho sweep needs values")
-	}
-	var out []RhoPoint
-	for _, rho := range rhos {
-		model := s.Model
-		model.Rho = rho
-		point := RhoPoint{Rho: rho, Winners: map[string]string{}}
-		for _, st := range netsim.Stations() {
-			env := EnvFor(st)
-			best, bestTotal := "", -1.0
-			for _, proto := range []string{codec.NameDirect, codec.NameGzip, codec.NameBitmap, codec.NameVaryBlock} {
-				pad, err := s.PADByProtocol(proto)
-				if err != nil {
-					return nil, err
-				}
-				b, err := model.PADTotal(pad, env)
-				if err != nil {
-					return nil, fmt.Errorf("experiment: rho %.2f: %w", rho, err)
-				}
-				if total := b.Total(); bestTotal < 0 || total < bestTotal {
-					best, bestTotal = proto, total
-				}
-			}
-			point.Winners[st.Device.Name] = best
-		}
-		out = append(out, point)
-	}
-	return out, nil
-}

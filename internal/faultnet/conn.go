@@ -11,8 +11,7 @@ import (
 )
 
 // stream applies the byte-level fault classes (truncate, corrupt, reset)
-// to a raw byte stream. It is the engine shared by Stream (io.ReadWriter
-// wrapping) and Conn (net.Conn wrapping); the caller provides locking.
+// to a raw byte stream: the engine behind Conn, which provides locking.
 type stream struct {
 	fault    Fault
 	rng      *rand.Rand
@@ -52,73 +51,6 @@ func (s *stream) corrupt(p []byte, n int) {
 			p[i] ^= byte(1 + s.rng.Intn(255))
 		}
 	}
-}
-
-// Stream wraps a plain byte stream with the deterministic byte-level
-// faults (truncate, corrupt, reset). Stalls and refusal need a dialed
-// net.Conn with deadlines — use a Dialer for those. A Stream is safe for
-// concurrent use.
-type Stream struct {
-	rw io.ReadWriter
-	mu sync.Mutex
-	st *stream
-}
-
-// NewStream wraps rw with one fault. Refuse, StallRead, and StallWrite
-// are not meaningful on an undialed stream and behave as None.
-func NewStream(rw io.ReadWriter, f Fault, seed int64) *Stream {
-	return &Stream{rw: rw, st: newStream(f, seed)}
-}
-
-// Read implements io.Reader with the scripted fault applied.
-func (s *Stream) Read(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.st
-	switch st.fault.Kind {
-	case Truncate:
-		if b := st.readBudget(); b <= 0 {
-			return 0, io.EOF
-		} else if len(p) > b {
-			p = p[:b]
-		}
-	case Reset:
-		if b := st.readBudget(); b <= 0 {
-			return 0, ErrReset
-		} else if len(p) > b {
-			p = p[:b]
-		}
-	}
-	n, err := s.rw.Read(p)
-	if st.fault.Kind == Corrupt {
-		st.corrupt(p, n)
-	}
-	st.readOff += n
-	return n, err
-}
-
-// Write implements io.Writer with the scripted fault applied.
-func (s *Stream) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.st
-	if st.fault.Kind == Reset {
-		b := st.fault.After - (st.readOff + st.writeOff)
-		if b <= 0 {
-			return 0, ErrReset
-		}
-		if len(p) > b {
-			n, err := s.rw.Write(p[:b])
-			st.writeOff += n
-			if err != nil {
-				return n, err
-			}
-			return n, ErrReset
-		}
-	}
-	n, err := s.rw.Write(p)
-	st.writeOff += n
-	return n, err
 }
 
 // deadline is one direction's I/O deadline with change notification, so

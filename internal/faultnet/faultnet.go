@@ -1,8 +1,8 @@
 // Package faultnet is a deterministic, seed-driven network fault
-// injector for exercising Fractal's resilience plane. It wraps byte
-// streams (io.ReadWriter) and live sockets (net.Conn) and injects
-// connection refusal, read/write stalls, mid-frame truncation, byte
-// corruption, and connection resets according to a scripted Schedule:
+// injector for exercising Fractal's resilience plane. It wraps live
+// sockets (net.Conn) and injects connection refusal, read/write stalls,
+// mid-frame truncation, byte corruption, and connection resets according
+// to a scripted Schedule:
 // faults are consumed in dial order, so a given (schedule, seed) pair
 // produces byte-identical outcomes run after run, regardless of wall
 // clock or goroutine interleaving.

@@ -25,7 +25,7 @@ func TestKindString(t *testing.T) {
 
 func TestStreamTruncateEndsInboundStream(t *testing.T) {
 	src := bytes.NewReader(bytes.Repeat([]byte{0xAB}, 64))
-	s := NewStream(readWriter{src, io.Discard}, Fault{Kind: Truncate, After: 10}, 1)
+	s := WrapConn(readWriter{src, io.Discard}, Fault{Kind: Truncate, After: 10}, 1)
 	got, err := io.ReadAll(s)
 	if err != nil {
 		t.Fatalf("ReadAll: %v", err)
@@ -34,22 +34,30 @@ func TestStreamTruncateEndsInboundStream(t *testing.T) {
 		t.Fatalf("read %d bytes past truncation, want 10", len(got))
 	}
 	// io.ReadFull surfaces the mid-frame class of error.
-	s2 := NewStream(readWriter{bytes.NewReader(make([]byte, 64)), io.Discard}, Fault{Kind: Truncate, After: 10}, 1)
+	s2 := WrapConn(readWriter{bytes.NewReader(make([]byte, 64)), io.Discard}, Fault{Kind: Truncate, After: 10}, 1)
 	if _, err := io.ReadFull(s2, make([]byte, 16)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("mid-frame read error = %v, want ErrUnexpectedEOF", err)
 	}
 }
 
-// readWriter glues a separate reader and writer into an io.ReadWriter.
+// readWriter glues a separate reader and writer into a net.Conn without
+// deadlines, so the byte-level faults can be checked without sockets.
 type readWriter struct {
 	io.Reader
 	io.Writer
 }
 
+func (readWriter) Close() error                     { return nil }
+func (readWriter) LocalAddr() net.Addr              { return nil }
+func (readWriter) RemoteAddr() net.Addr             { return nil }
+func (readWriter) SetDeadline(time.Time) error      { return nil }
+func (readWriter) SetReadDeadline(time.Time) error  { return nil }
+func (readWriter) SetWriteDeadline(time.Time) error { return nil }
+
 func TestStreamCorruptIsDeterministic(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x55}, 32)
 	read := func(seed int64) []byte {
-		s := NewStream(readWriter{bytes.NewReader(payload), io.Discard}, Fault{Kind: Corrupt, After: 4, Count: 3}, seed)
+		s := WrapConn(readWriter{bytes.NewReader(payload), io.Discard}, Fault{Kind: Corrupt, After: 4, Count: 3}, seed)
 		got, err := io.ReadAll(s)
 		if err != nil {
 			t.Fatalf("ReadAll: %v", err)
@@ -73,7 +81,7 @@ func TestStreamCorruptIsDeterministic(t *testing.T) {
 
 func TestStreamResetBothDirections(t *testing.T) {
 	var sink bytes.Buffer
-	s := NewStream(readWriter{bytes.NewReader(make([]byte, 64)), &sink}, Fault{Kind: Reset, After: 8}, 1)
+	s := WrapConn(readWriter{bytes.NewReader(make([]byte, 64)), &sink}, Fault{Kind: Reset, After: 8}, 1)
 	if _, err := io.ReadFull(s, make([]byte, 6)); err != nil {
 		t.Fatalf("read before reset: %v", err)
 	}

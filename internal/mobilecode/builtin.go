@@ -201,20 +201,6 @@ func BuildModule(spec BuiltinSpec, version string, signer *Signer) (*Module, err
 	}, signer)
 }
 
-// BuildBuiltins packages all four case-study PADs.
-func BuildBuiltins(version string, signer *Signer) ([]*Module, error) {
-	specs := BuiltinSpecs()
-	out := make([]*Module, 0, len(specs))
-	for _, s := range specs {
-		m, err := BuildModule(s, version, signer)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
 // libSeed derives a PAD's deterministic blob seed from its identifier, so
 // every build of the same module carries byte-identical support-library
 // bytes (the module digest depends on them).

@@ -183,7 +183,7 @@ func TestLoaderFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mods, err := BuildBuiltins("1.0", s)
+	mods, err := buildBuiltins("1.0", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestBuiltinModuleSizesAreOrdered(t *testing.T) {
 	// The overhead model depends on PAD sizes being nontrivial and
 	// distinct: direct < gzip < bitmap < vary.
 	s := testSigner(t)
-	mods, err := BuildBuiltins("1.0", s)
+	mods, err := buildBuiltins("1.0", s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,16 +95,16 @@ func checkSoundness(t *testing.T, data []byte) {
 	if err != nil {
 		for _, fault := range staticFaults {
 			if errors.Is(err, fault) {
-				t.Fatalf("verifier-accepted program faulted statically: %v\nprogram:\n%s", err, mobilecode.Disassemble(p))
+				t.Fatalf("verifier-accepted program faulted statically: %v\nprogram: %v", err, p)
 			}
 		}
 		if rep.ExactCost && errors.Is(err, mobilecode.ErrInstructionBudget) {
-			t.Fatalf("exact cost bound %d yet the budget tripped: %v\nprogram:\n%s", rep.MaxCost, err, mobilecode.Disassemble(p))
+			t.Fatalf("exact cost bound %d yet the budget tripped: %v\nprogram: %v", rep.MaxCost, err, p)
 		}
 		return
 	}
 	if len(out) < 1 {
-		t.Fatalf("accepted program halted with %d result buffers\nprogram:\n%s", len(out), mobilecode.Disassemble(p))
+		t.Fatalf("accepted program halted with %d result buffers\nprogram: %v", len(out), p)
 	}
 }
 
@@ -193,7 +193,7 @@ func TestMutatedBuiltinsSoundness(t *testing.T) {
 		if _, err := vm.Run(p, [][]byte{[]byte("old"), []byte("cur")}); err != nil {
 			for _, fault := range staticFaults {
 				if errors.Is(err, fault) {
-					t.Fatalf("accepted mutant faulted statically: %v\nprogram:\n%s", err, mobilecode.Disassemble(p))
+					t.Fatalf("accepted mutant faulted statically: %v\nprogram: %v", err, p)
 				}
 			}
 		}

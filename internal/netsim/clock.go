@@ -15,16 +15,6 @@ import (
 	"time"
 )
 
-// Clock is the time source used by simulated components. Implementations
-// must be safe for use from a single simulation goroutine; the discrete
-// event loop itself is single-threaded by design so results are
-// deterministic and repeatable.
-type Clock interface {
-	// Now returns the current virtual time as an offset from the start of
-	// the simulation.
-	Now() time.Duration
-}
-
 // event is a scheduled callback in the virtual timeline.
 type event struct {
 	at  time.Duration
@@ -173,14 +163,4 @@ func Seconds(s float64) (time.Duration, error) {
 		return 0, fmt.Errorf("netsim: invalid duration %v seconds", s)
 	}
 	return time.Duration(s * float64(time.Second)), nil
-}
-
-// MustSeconds is Seconds for known-good constants; it panics on invalid
-// input and is intended for package-level literals only.
-func MustSeconds(s float64) time.Duration {
-	d, err := Seconds(s)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }

@@ -19,7 +19,6 @@ type CPUType string
 const (
 	OSWinCE42     OSType = "WinCE4.2"
 	OSFedoraCore2 OSType = "FedoraCore2"
-	OSPalmOS      OSType = "PalmOS"
 
 	CPUPXA255 CPUType = "PXA255"
 	CPUP4     CPUType = "PentiumIV"
@@ -29,10 +28,6 @@ const (
 // "a standard processor speed, Std_cpu, 500MHz Pentium IV in our
 // implementation".
 const StdCPUMHz = 500.0
-
-// StdBandwidthKbps is the reference bandwidth of the linear model: "a
-// standard network bandwidth, Std_bandwidth, 1Mbps".
-const StdBandwidthKbps = 1000.0
 
 // Device describes a client host's hardware and software, the source of the
 // client's DevMeta during negotiation.

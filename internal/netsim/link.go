@@ -14,7 +14,6 @@ const (
 	NetLAN       NetworkType = "LAN"
 	NetWLAN      NetworkType = "WLAN"
 	NetBluetooth NetworkType = "Bluetooth"
-	NetDialup    NetworkType = "Dialup" // extension: slow-link ablations
 )
 
 // DefaultRho is the application-level available-bandwidth fraction the
@@ -83,21 +82,4 @@ var (
 	LAN       = Link{Type: NetLAN, BandwidthKbps: 100000, RTT: 300 * time.Microsecond, Rho: DefaultRho}
 	WLAN      = Link{Type: NetWLAN, BandwidthKbps: 11000, RTT: 3 * time.Millisecond, Rho: DefaultRho}
 	Bluetooth = Link{Type: NetBluetooth, BandwidthKbps: 723, RTT: 30 * time.Millisecond, Rho: DefaultRho}
-	Dialup    = Link{Type: NetDialup, BandwidthKbps: 56, RTT: 150 * time.Millisecond, Rho: 0.6}
 )
-
-// LinkByType returns the standard link model for a network type.
-func LinkByType(t NetworkType) (Link, error) {
-	switch t {
-	case NetLAN:
-		return LAN, nil
-	case NetWLAN:
-		return WLAN, nil
-	case NetBluetooth:
-		return Bluetooth, nil
-	case NetDialup:
-		return Dialup, nil
-	default:
-		return Link{}, fmt.Errorf("netsim: unknown network type %q", t)
-	}
-}

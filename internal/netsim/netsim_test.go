@@ -139,11 +139,10 @@ func TestLinkTransferNegativeBytes(t *testing.T) {
 }
 
 func TestStandardLinksOrdering(t *testing.T) {
-	// Bandwidth ordering LAN > WLAN > Bluetooth > Dialup must hold, since
-	// the case study's protocol selection depends on it.
+	// Bandwidth ordering LAN > WLAN > Bluetooth must hold, since the case
+	// study's protocol selection depends on it.
 	if !(LAN.BandwidthKbps > WLAN.BandwidthKbps &&
-		WLAN.BandwidthKbps > Bluetooth.BandwidthKbps &&
-		Bluetooth.BandwidthKbps > Dialup.BandwidthKbps) {
+		WLAN.BandwidthKbps > Bluetooth.BandwidthKbps) {
 		t.Fatal("standard link bandwidth ordering broken")
 	}
 	const size = 135 * 1024
@@ -151,21 +150,6 @@ func TestStandardLinksOrdering(t *testing.T) {
 	tBT, _ := Bluetooth.TransferTime(size)
 	if tLAN >= tBT {
 		t.Fatalf("LAN transfer %v not faster than Bluetooth %v", tLAN, tBT)
-	}
-}
-
-func TestLinkByType(t *testing.T) {
-	for _, nt := range []NetworkType{NetLAN, NetWLAN, NetBluetooth, NetDialup} {
-		l, err := LinkByType(nt)
-		if err != nil {
-			t.Fatalf("LinkByType(%q): %v", nt, err)
-		}
-		if l.Type != nt {
-			t.Fatalf("LinkByType(%q).Type = %q", nt, l.Type)
-		}
-	}
-	if _, err := LinkByType("carrier-pigeon"); err == nil {
-		t.Fatal("unknown network type accepted")
 	}
 }
 
@@ -280,39 +264,6 @@ func TestSharedServerValidation(t *testing.T) {
 	}
 }
 
-func TestServiceQueueMeanSojourn(t *testing.T) {
-	q := ServiceQueue{Workers: 2, Service: 10 * time.Millisecond}
-	// 4 simultaneous requests, 2 workers: completions 10,10,20,20 → mean 15ms.
-	got, err := q.MeanSojourn(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 15*time.Millisecond {
-		t.Fatalf("mean sojourn = %v, want 15ms", got)
-	}
-	// With as many workers as requests the mean equals the service time.
-	q = ServiceQueue{Workers: 8, Service: 7 * time.Millisecond}
-	got, err = q.MeanSojourn(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 7*time.Millisecond {
-		t.Fatalf("uncontended sojourn = %v, want 7ms", got)
-	}
-}
-
-func TestServiceQueueValidation(t *testing.T) {
-	if _, err := (ServiceQueue{Workers: 0, Service: time.Millisecond}).MeanSojourn(1); err == nil {
-		t.Fatal("zero workers accepted")
-	}
-	if _, err := (ServiceQueue{Workers: 1, Service: -time.Millisecond}).MeanSojourn(1); err == nil {
-		t.Fatal("negative service accepted")
-	}
-	if _, err := (ServiceQueue{Workers: 1, Service: time.Millisecond}).MeanSojourn(0); err == nil {
-		t.Fatal("zero requests accepted")
-	}
-}
-
 // Property: transfer time is monotone non-decreasing in byte count for any
 // valid link.
 func TestTransferTimeMonotoneProperty(t *testing.T) {
@@ -349,22 +300,6 @@ func TestScaleComputeMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: mean sojourn never decreases as simultaneous load increases.
-func TestMeanSojournMonotoneProperty(t *testing.T) {
-	q := ServiceQueue{Workers: 4, Service: 3 * time.Millisecond}
-	prev := time.Duration(0)
-	for n := 1; n <= 64; n++ {
-		m, err := q.MeanSojourn(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m < prev {
-			t.Fatalf("sojourn decreased at n=%d: %v < %v", n, m, prev)
-		}
-		prev = m
 	}
 }
 

@@ -61,40 +61,3 @@ func (s SharedServer) RetrievalTime(n int64, concurrent int, client Link) (time.
 	}
 	return s.BaseRTT + client.RTT + d, nil
 }
-
-// ServiceQueue models a compute-bound service with a fixed number of
-// parallel workers and deterministic per-request service time; used for the
-// adaptation proxy's negotiation capacity (Figure 9(a)).
-type ServiceQueue struct {
-	Workers int
-	Service time.Duration
-}
-
-// Validate reports whether the queue parameters are usable.
-func (q ServiceQueue) Validate() error {
-	if q.Workers < 1 {
-		return fmt.Errorf("netsim: service queue needs >= 1 worker, got %d", q.Workers)
-	}
-	if q.Service < 0 {
-		return fmt.Errorf("netsim: negative service time %v", q.Service)
-	}
-	return nil
-}
-
-// MeanSojourn returns the average time a request spends in the system when
-// n requests arrive simultaneously: requests are served in arrival order in
-// batches of Workers, so request i (0-based) completes at
-// (i/Workers + 1) * Service.
-func (q ServiceQueue) MeanSojourn(n int) (time.Duration, error) {
-	if err := q.Validate(); err != nil {
-		return 0, err
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("netsim: request count must be >= 1, got %d", n)
-	}
-	var total time.Duration
-	for i := 0; i < n; i++ {
-		total += time.Duration(i/q.Workers+1) * q.Service
-	}
-	return total / time.Duration(n), nil
-}

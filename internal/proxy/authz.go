@@ -15,14 +15,6 @@ type Authorizer interface {
 	Allow(principal, appID string, pad core.PADMeta) bool
 }
 
-// AuthorizerFunc adapts a function to the Authorizer interface.
-type AuthorizerFunc func(principal, appID string, pad core.PADMeta) bool
-
-// Allow implements Authorizer.
-func (f AuthorizerFunc) Allow(principal, appID string, pad core.PADMeta) bool {
-	return f(principal, appID, pad)
-}
-
 // PolicyTable is a simple concrete Authorizer: per-principal protocol
 // allowlists with a default-allow fallback for unlisted principals. It is
 // safe for concurrent use.

@@ -7,6 +7,14 @@ import (
 	"fractal/internal/core"
 )
 
+// AuthorizerFunc adapts a function to the Authorizer interface.
+type AuthorizerFunc func(principal, appID string, pad core.PADMeta) bool
+
+// Allow implements Authorizer.
+func (f AuthorizerFunc) Allow(principal, appID string, pad core.PADMeta) bool {
+	return f(principal, appID, pad)
+}
+
 func TestPolicyTableBasics(t *testing.T) {
 	pt := NewPolicyTable()
 	pad := func(proto string) core.PADMeta { return core.PADMeta{ID: "p", Protocol: proto} }

@@ -12,7 +12,6 @@ package transcode
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -68,18 +67,6 @@ func New(name string) (Transcoder, error) {
 		return nil, fmt.Errorf("transcode: unknown transcoder %q", name)
 	}
 	return ctor()
-}
-
-// Names returns the sorted registry names.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func init() {

@@ -2,6 +2,7 @@ package transcode
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -19,8 +20,20 @@ func samplePage(t testing.TB) []byte {
 	return c.Pages[0].Bytes()
 }
 
+// registered returns the sorted registry names.
+func registered() []string {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	out := make([]string, 0, len(registry))
+	for n := range registry {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
 func TestRegistry(t *testing.T) {
-	names := Names()
+	names := registered()
 	have := map[string]bool{}
 	for _, n := range names {
 		have[n] = true
