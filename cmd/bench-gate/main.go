@@ -1,11 +1,15 @@
 // Command bench-gate compares a fresh `go test -bench -benchmem` run
 // against the committed BENCH_*.json snapshots and fails when the serving
 // path regresses: a benchmark slower than max-ns-ratio (default 2x) times
-// its snapshot ns/op, or carrying even one more alloc/op than the snapshot,
-// exits nonzero. Allocation counts are deterministic, so the allocs gate is
+// its snapshot ns/op, carrying even one more alloc/op than the snapshot, or
+// allocating more than maxBytesRatio (1.5x) its snapshot B/op, exits
+// nonzero. Allocation counts are deterministic, so the allocs gate is
 // exact; wall-clock is noisy across hosts, so the ns gate is a wide ratio
 // that still catches order-of-magnitude slips (a lost fast path, a pool
-// that stopped pooling).
+// that stopped pooling). Bytes sit between the two: a pooled engine's B/op
+// moves with how often GC empties its pool, but a pool that stopped
+// pooling multiplies it, which the fixed byte ratio catches without the
+// allocs count moving.
 //
 // Usage:
 //
@@ -33,6 +37,7 @@ import (
 type benchEntry struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
@@ -45,9 +50,16 @@ type snapshotFile struct {
 type result struct {
 	Name        string
 	NsPerOp     float64
+	BytesPerOp  float64
 	AllocsPerOp float64
-	HasAllocs   bool
+	HasAllocs   bool // the -benchmem columns, B/op and allocs/op, were present
 }
+
+// maxBytesRatio bounds fresh B/op against the snapshot's. It is fixed
+// rather than a flag: the gated rows repeat their B/op to well under 1%
+// except the pooled gzip rows, which vary by up to a quarter with pool
+// refills after GC.
+const maxBytesRatio = 1.5
 
 // multiFlag collects a repeatable -snapshot flag.
 type multiFlag []string
@@ -109,16 +121,12 @@ func main() {
 		}
 		matched++
 		seen[normalizeName(r.Name)] = true
-		status := "ok"
-		if base.NsPerOp > 0 && r.NsPerOp > base.NsPerOp*(*maxRatio) {
-			status = fmt.Sprintf("FAIL ns/op %.1f > %.1fx snapshot %.1f", r.NsPerOp, *maxRatio, base.NsPerOp)
-			failures++
-		} else if r.HasAllocs && r.AllocsPerOp > base.AllocsPerOp {
-			status = fmt.Sprintf("FAIL allocs/op %.0f > snapshot %.0f", r.AllocsPerOp, base.AllocsPerOp)
+		status := check(r, base, *maxRatio)
+		if status != "ok" {
 			failures++
 		}
-		fmt.Printf("%-60s %12.1f ns/op (base %.1f) %6.0f allocs/op (base %.0f)  %s\n",
-			r.Name, r.NsPerOp, base.NsPerOp, r.AllocsPerOp, base.AllocsPerOp, status)
+		fmt.Printf("%-60s %12.1f ns/op (base %.1f) %10.0f B/op (base %.0f) %6.0f allocs/op (base %.0f)  %s\n",
+			r.Name, r.NsPerOp, base.NsPerOp, r.BytesPerOp, base.BytesPerOp, r.AllocsPerOp, base.AllocsPerOp, status)
 	}
 	for name := range baseline {
 		if !seen[name] {
@@ -134,7 +142,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench-gate: %d of %d gated benchmarks regressed\n", failures, matched)
 		os.Exit(1)
 	}
-	fmt.Printf("bench-gate: %d benchmarks within gate (ns/op <= %.1fx snapshot, allocs/op <= snapshot)\n", matched, *maxRatio)
+	fmt.Printf("bench-gate: %d benchmarks within gate (ns/op <= %.1fx snapshot, B/op <= %.1fx snapshot, allocs/op <= snapshot)\n", matched, *maxRatio, maxBytesRatio)
+}
+
+// check gates one fresh result against its snapshot entry, returning "ok"
+// or the first failed bound.
+func check(r result, base benchEntry, maxNsRatio float64) string {
+	switch {
+	case base.NsPerOp > 0 && r.NsPerOp > base.NsPerOp*maxNsRatio:
+		return fmt.Sprintf("FAIL ns/op %.1f > %.1fx snapshot %.1f", r.NsPerOp, maxNsRatio, base.NsPerOp)
+	case r.HasAllocs && r.AllocsPerOp > base.AllocsPerOp:
+		return fmt.Sprintf("FAIL allocs/op %.0f > snapshot %.0f", r.AllocsPerOp, base.AllocsPerOp)
+	case r.HasAllocs && r.BytesPerOp > base.BytesPerOp*maxBytesRatio:
+		return fmt.Sprintf("FAIL B/op %.0f > %.1fx snapshot %.0f", r.BytesPerOp, maxBytesRatio, base.BytesPerOp)
+	}
+	return "ok"
 }
 
 // normalizeName maps both snapshot names and bench-output names to one
@@ -173,6 +195,8 @@ func parseBenchOutput(r io.Reader) ([]result, error) {
 			case "ns/op":
 				res.NsPerOp = v
 				ok = true
+			case "B/op":
+				res.BytesPerOp = v
 			case "allocs/op":
 				res.AllocsPerOp = v
 				res.HasAllocs = true

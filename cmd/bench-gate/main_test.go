@@ -43,11 +43,11 @@ ok  	fractal/internal/proxy	12.3s
 	if len(got) != 4 {
 		t.Fatalf("parsed %d results, want 4: %+v", len(got), got)
 	}
-	if got[0].Name != "BenchmarkServerThroughput-1" || got[0].NsPerOp != 14987 || got[0].AllocsPerOp != 29 || !got[0].HasAllocs {
+	if got[0].Name != "BenchmarkServerThroughput-1" || got[0].NsPerOp != 14987 || got[0].BytesPerOp != 1272 || got[0].AllocsPerOp != 29 || !got[0].HasAllocs {
 		t.Errorf("result 0 = %+v", got[0])
 	}
 	// The MB/s column must not shift the B/op and allocs/op parse.
-	if got[2].NsPerOp != 28981180 || got[2].AllocsPerOp != 75 {
+	if got[2].NsPerOp != 28981180 || got[2].BytesPerOp != 1467266 || got[2].AllocsPerOp != 75 {
 		t.Errorf("result 2 = %+v", got[2])
 	}
 	if got[3].HasAllocs {
@@ -56,5 +56,28 @@ ok  	fractal/internal/proxy	12.3s
 
 	if _, err := parseBenchOutput(strings.NewReader("BenchmarkBroken-1  10  abc ns/op\n")); err == nil {
 		t.Error("malformed value accepted")
+	}
+}
+
+func TestCheck(t *testing.T) {
+	base := benchEntry{Name: "BenchmarkEncode/gzip", NsPerOp: 1000, BytesPerOp: 60000, AllocsPerOp: 2}
+	cases := []struct {
+		name string
+		r    result
+		want string // "ok" or a prefix of the failure
+	}{
+		{"at snapshot", result{NsPerOp: 1000, BytesPerOp: 60000, AllocsPerOp: 2, HasAllocs: true}, "ok"},
+		{"B/op at the bound", result{NsPerOp: 1000, BytesPerOp: 90000, AllocsPerOp: 2, HasAllocs: true}, "ok"},
+		// Same alloc count, but each allocation is big: a pool that stopped
+		// pooling and now builds its engine per call.
+		{"B/op past the bound", result{NsPerOp: 1000, BytesPerOp: 90001, AllocsPerOp: 2, HasAllocs: true}, "FAIL B/op"},
+		{"one more alloc", result{NsPerOp: 1000, BytesPerOp: 60000, AllocsPerOp: 3, HasAllocs: true}, "FAIL allocs/op"},
+		{"slow", result{NsPerOp: 2001, BytesPerOp: 60000, AllocsPerOp: 2, HasAllocs: true}, "FAIL ns/op"},
+		{"no -benchmem columns", result{NsPerOp: 1000}, "ok"},
+	}
+	for _, c := range cases {
+		if got := check(c.r, base, 2.0); !strings.HasPrefix(got, c.want) {
+			t.Errorf("%s: check = %q, want %q", c.name, got, c.want)
+		}
 	}
 }

@@ -67,10 +67,11 @@ type Stats struct {
 const serverChunkCacheEntries = 512
 
 // Server is one Fractal application server instance. Server is safe for
-// concurrent use: all mutable state (resources, PADs, transcoders, the
-// encode cache, and stats) is guarded by a single RWMutex, so many
-// sessions may encode and negotiate at once. The chunk-index cache the
-// vary-sized blocking PAD encodes through is internally synchronized.
+// concurrent use: the content state (resources, PADs, transcoders,
+// strategy and the precomputed encodings) is guarded by a single RWMutex,
+// so many sessions may encode and negotiate at once. The stats are atomic
+// counters outside that lock, and the chunk-index cache the vary-sized
+// blocking PAD encodes through is internally synchronized.
 type Server struct {
 	appID  string
 	signer *mobilecode.Signer

@@ -14,6 +14,10 @@
 //     returned to the class pools in one Release call, so per-connection
 //     code never pairs individual gets and puts.
 //
+// Beside the byte classes, the arena pools gzip engines (GzipWriter per
+// compression level, GzipReader), the one other serving-path object large
+// enough to dominate a call's allocation and reusable after a reset.
+//
 // Buffers above the largest class fall through to the allocator: a giant
 // PAD module must not pin a megabyte in a pool forever. All pools are
 // package-global and safe for concurrent use; an individual Buffer or

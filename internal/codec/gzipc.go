@@ -5,6 +5,8 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
+
+	"fractal/internal/arena"
 )
 
 // Gzip compresses content at the server and decompresses at the client
@@ -38,20 +40,25 @@ func (*Gzip) Cost() CostModel {
 // BaseIndependent implements the marker: Encode never reads old.
 func (*Gzip) BaseIndependent() {}
 
-// Encode implements Codec: gzip-compress cur; old is ignored.
+// Encode implements Codec: gzip-compress cur; old is ignored. The
+// compressor is borrowed from the arena's per-level pool and the stream is
+// staged in an arena buffer (see VaryBlock.Encode), so a call allocates the
+// exact-size output and little else.
 func (g *Gzip) Encode(old, cur []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := gzip.NewWriterLevel(&buf, g.level)
+	var buf arena.Buffer
+	defer buf.Release()
+	w, err := arena.AcquireGzipWriter(&buf, g.level)
 	if err != nil {
 		return nil, fmt.Errorf("codec: gzip writer: %w", err)
 	}
+	defer w.Release()
 	if _, err := w.Write(cur); err != nil {
 		return nil, fmt.Errorf("codec: gzip compress: %w", err)
 	}
 	if err := w.Close(); err != nil {
 		return nil, fmt.Errorf("codec: gzip flush: %w", err)
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // Decode implements Codec. The gzip trailer's ISIZE field (the content
@@ -59,12 +66,13 @@ func (g *Gzip) Encode(old, cur []byte) ([]byte, error) {
 // It is an unvalidated hint, capped like every other wire length here; the
 // stream is still read to EOF, so a trailer that lies or belongs to the
 // last of several members costs a regrow or some slack, never correctness.
+// The decompressor is borrowed from the arena's reader pool.
 func (g *Gzip) Decode(old, payload []byte) ([]byte, error) {
-	r, err := gzip.NewReader(bytes.NewReader(payload))
+	r, err := arena.AcquireGzipReader(payload)
 	if err != nil {
 		return nil, fmt.Errorf("codec: gzip payload corrupt: %w", err)
 	}
-	defer r.Close()
+	defer r.Release()
 	reserve := uint32(0)
 	if len(payload) >= 4 {
 		reserve = binary.LittleEndian.Uint32(payload[len(payload)-4:])
