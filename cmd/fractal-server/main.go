@@ -33,7 +33,7 @@ func main() {
 		appID     = flag.String("app", "webapp", "application id")
 		pages     = flag.Int("pages", workload.DefaultPages, "corpus size")
 		seed      = flag.Int64("seed", 2005, "workload seed")
-		versions  = flag.Int("versions", 2, "content versions to install (>= 1)")
+		versions  = flag.Int("versions", 2, "content versions to generate and install in order (>= 1); the server keeps the newest two")
 		samples   = flag.Int("samples", 8, "pages sampled when pre-measuring PAD overheads")
 		maxConc   = flag.Int("max-concurrent", 256, "maximum simultaneous sessions")
 		proactive = flag.Bool("proactive", false, "precompute adaptive content (Figure 10(d) strategy)")
@@ -113,8 +113,8 @@ func main() {
 		signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
 		sig := <-ch
 		st := app.Stats()
-		log.Printf("fractal-server: received %v (requests %d, reactive %d, precomputed %d)",
-			sig, st.Requests, st.ReactiveEncod, st.PrecomputeHits)
+		log.Printf("fractal-server: received %v (requests %d, reactive %d, precomputed %d, cold fallbacks %d)",
+			sig, st.Requests, st.ReactiveEncod, st.PrecomputeHits, st.ColdFallbacks)
 		_ = srv.Close()
 	}()
 	if err := srv.Serve(ln); err != nil {

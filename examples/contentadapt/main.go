@@ -82,13 +82,7 @@ func main() {
 		},
 			px,
 			&client.CDNFetcher{CDN: topo, Region: hop.region, Link: hop.station.Link},
-			client.LocalAppServer{Encode: func(ids []string, res string, have int) ([]byte, int, string, error) {
-				r, err := app.Encode(ids, res, have)
-				if err != nil {
-					return nil, 0, "", err
-				}
-				return r.Payload, r.Version, r.PADID, nil
-			}},
+			app,
 		)
 		check(err)
 		pads, err := c.EnsureProtocol("webapp-ca")

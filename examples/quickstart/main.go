@@ -72,13 +72,7 @@ func main() {
 	},
 		px, // in-process negotiation
 		&client.CDNFetcher{CDN: topo, Region: "region-1", Link: netsim.Bluetooth},
-		client.LocalAppServer{Encode: func(ids []string, res string, have int) ([]byte, int, string, error) {
-			r, err := app.Encode(ids, res, have)
-			if err != nil {
-				return nil, 0, "", err
-			}
-			return r.Payload, r.Version, r.PADID, nil
-		}},
+		app,
 	)
 	check(err)
 

@@ -47,13 +47,7 @@ func main() {
 	},
 		s.Proxy,
 		&client.CDNFetcher{CDN: s.CDN, Region: hops[0].region, Link: hops[0].station.Link},
-		client.LocalAppServer{Encode: func(ids []string, res string, have int) ([]byte, int, string, error) {
-			r, err := s.App.Encode(ids, res, have)
-			if err != nil {
-				return nil, 0, "", err
-			}
-			return r.Payload, r.Version, r.PADID, nil
-		}},
+		s.App,
 	)
 	check(err)
 

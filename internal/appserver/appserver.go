@@ -18,6 +18,7 @@ import (
 	"fractal/internal/cdn"
 	"fractal/internal/codec"
 	"fractal/internal/core"
+	"fractal/internal/inp"
 	"fractal/internal/mobilecode"
 	"fractal/internal/mobilecode/verify"
 	"fractal/internal/transcode"
@@ -58,39 +59,69 @@ type Stats struct {
 	Requests       int64
 	ReactiveEncod  int64
 	PrecomputeHits int64
+	// ColdFallbacks counts requests claiming a version the server no
+	// longer holds; each was answered with a cold encode (Base 0).
+	ColdFallbacks int64
 }
 
 // serverChunkCacheEntries bounds the server's chunk-index cache. The corpus
-// is 75 pages × a few versions under one chunker configuration; 512 entries
-// keeps every live version's index resident while an LRU bound still
-// protects a server holding far more content.
+// is 75 pages × the two held versions under one chunker configuration; 512
+// entries keeps every held version's index resident while an LRU bound
+// still protects a server holding far more content.
 const serverChunkCacheEntries = 512
 
+// record is one resource as served: the number of its newest version and
+// the bytes of the two versions the server holds — the paper's old and
+// new page. An install that pushes a version out of this window frees its
+// bytes; a client still claiming it gets a cold encode. Under Proactive the
+// record also carries the newest version's precomputed encodings. A
+// published record is never modified: an install builds a new one and
+// swaps it in, so a reader holding one sees versions and encodings that
+// match.
+type record struct {
+	version   int
+	cur, prev []byte // prev is nil for version 1
+	// store holds the proactive encodings of cur for a client holding
+	// nothing, prev, or cur; nil under Reactive.
+	store map[storeKey][]byte
+}
+
+// storeKey names one proactive encoding of a record's newest version: the
+// transcoder ("" = none) and PAD module applied, and the version the
+// client holds (0, version-1 or version).
+type storeKey struct {
+	transcoder, pad string
+	have            int
+}
+
 // Server is one Fractal application server instance. Server is safe for
-// concurrent use: the content state (resources, PADs, transcoders,
-// strategy and the precomputed encodings) is guarded by a single RWMutex,
-// so many sessions may encode and negotiate at once. The stats are atomic
-// counters outside that lock, and the chunk-index cache the vary-sized
-// blocking PAD encodes through is internally synchronized.
+// concurrent use: the content state (resource records, PADs, transcoders
+// and strategy) is guarded by a single RWMutex, so many sessions may
+// encode and negotiate at once. Installs and strategy switches are
+// serialised on their own mutex and do their encoding outside the RWMutex,
+// taking it for writing only to swap finished records in. The stats are
+// atomic counters outside both locks, and the chunk-index cache the
+// vary-sized blocking PAD encodes through is internally synchronized.
 type Server struct {
 	appID  string
 	signer *mobilecode.Signer
 	chunks *codec.ChunkCache
 
+	// installMu serialises InstallCorpus and SetStrategy, the only writers
+	// of resources and strategy.
+	installMu sync.Mutex
+
 	mu          sync.RWMutex
-	resources   map[string][][]byte             // resource -> versions (index 0 = v1)
+	resources   map[string]*record
 	pads        map[string]*pad                 // by PAD id
 	protoPAD    map[string]string               // protocol name -> PAD id
 	transcoders map[string]transcode.Transcoder // content-adaptation PADs by id
 	strategy    Strategy
-	// precomputed holds the proactive encodings. It is rebuilt under the
-	// same write lock that changes resources or strategy, so whenever a
-	// reader sees Proactive the store matches the version chains.
-	precomputed map[precompKey][]byte
 
 	requests    atomic.Int64
 	reactive    atomic.Int64
 	precompHits atomic.Int64
+	cold        atomic.Int64
 }
 
 // New builds an application server. The signer is the code-signing
@@ -106,11 +137,10 @@ func New(appID string, signer *mobilecode.Signer) (*Server, error) {
 		appID:       appID,
 		signer:      signer,
 		chunks:      codec.NewChunkCache(serverChunkCacheEntries),
-		resources:   map[string][][]byte{},
+		resources:   map[string]*record{},
 		pads:        map[string]*pad{},
 		protoPAD:    map[string]string{},
 		transcoders: map[string]transcode.Transcoder{},
-		precomputed: map[precompKey][]byte{},
 	}, nil
 }
 
@@ -118,18 +148,32 @@ func New(appID string, signer *mobilecode.Signer) (*Server, error) {
 func (s *Server) AppID() string { return s.appID }
 
 // SetStrategy switches between reactive and proactive adaptive content.
-// Switching to Proactive precomputes every (PAD, resource, version-1)
-// encoding immediately.
+// Switching to Proactive precomputes every resource's encodings
+// immediately; switching to Reactive drops them.
 func (s *Server) SetStrategy(st Strategy) error {
 	if st != Reactive && st != Proactive {
 		return fmt.Errorf("appserver: unknown strategy %d", st)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.strategy = st
-	if st == Proactive {
-		return s.precomputeAllLocked()
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
+	s.mu.RLock()
+	next := make(map[string]*record, len(s.resources))
+	for id, rec := range s.resources {
+		next[id] = &record{version: rec.version, cur: rec.cur, prev: rec.prev}
 	}
+	enc := s.encodersLocked()
+	s.mu.RUnlock()
+	if st == Proactive {
+		for id, rec := range next {
+			if err := enc.precompute(id, rec); err != nil {
+				return err
+			}
+		}
+	}
+	s.mu.Lock()
+	s.resources = next
+	s.strategy = st
+	s.mu.Unlock()
 	return nil
 }
 
@@ -142,32 +186,58 @@ func (s *Server) Strategy() Strategy {
 
 // InstallCorpus loads version chains built from a workload corpus: each
 // page contributes its serialized versions in order. Calling it again
-// appends further versions to the existing chains (a content update on a
-// live server); with the proactive strategy active, the precomputed store
-// is rebuilt so no stale encodings survive the update.
+// adds further versions (a content update on a live server); each
+// resource keeps only its newest two. Only the resources the update
+// touches are rebuilt — under Proactive, with their precomputed encodings
+// — outside the read lock, and each is published with one swap, so
+// requests are never served a version without its encodings.
 func (s *Server) InstallCorpus(versions ...*workload.Corpus) error {
 	if len(versions) == 0 {
 		return fmt.Errorf("appserver: no corpus versions to install")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	base := map[string]int{}
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
+	type pending struct {
+		base int // version held before this batch
+		rec  record
+	}
+	work := map[string]*pending{}
+	var order []string
+	s.mu.RLock()
 	for vi, c := range versions {
 		for _, p := range c.Pages {
-			b, seen := base[p.ID]
+			w, seen := work[p.ID]
 			if !seen {
-				b = len(s.resources[p.ID])
-				base[p.ID] = b
+				w = &pending{}
+				if old := s.resources[p.ID]; old != nil {
+					w.rec = record{version: old.version, cur: old.cur, prev: old.prev}
+				}
+				w.base = w.rec.version
+				work[p.ID] = w
+				order = append(order, p.ID)
 			}
-			chain := s.resources[p.ID]
-			if len(chain) != b+vi {
-				return fmt.Errorf("appserver: resource %s has %d versions installing update %d of this batch (base %d)", p.ID, len(chain), vi+1, b)
+			if w.rec.version != w.base+vi {
+				s.mu.RUnlock()
+				return fmt.Errorf("appserver: resource %s has %d versions installing update %d of this batch (base %d)", p.ID, w.rec.version, vi+1, w.base)
 			}
-			s.resources[p.ID] = append(chain, p.Bytes())
+			w.rec.prev, w.rec.cur = w.rec.cur, p.Bytes()
+			w.rec.version++
 		}
 	}
-	if s.strategy == Proactive {
-		return s.precomputeAllLocked()
+	proactive := s.strategy == Proactive
+	enc := s.encodersLocked()
+	s.mu.RUnlock()
+	if proactive {
+		for _, id := range order {
+			if err := enc.precompute(id, &work[id].rec); err != nil {
+				return err
+			}
+		}
+	}
+	for _, id := range order {
+		s.mu.Lock()
+		s.resources[id] = &work[id].rec
+		s.mu.Unlock()
 	}
 	return nil
 }
@@ -183,11 +253,11 @@ func (s *Server) Resources() int {
 func (s *Server) Current(resource string) ([]byte, int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	chain, ok := s.resources[resource]
-	if !ok || len(chain) == 0 {
+	rec, ok := s.resources[resource]
+	if !ok {
 		return nil, 0, fmt.Errorf("appserver: no resource %q", resource)
 	}
-	return chain[len(chain)-1], len(chain), nil
+	return rec.cur, rec.version, nil
 }
 
 // DeployPADs builds, signs, and installs the case-study PAD set at the
@@ -267,16 +337,8 @@ func (s *Server) MeasureAppMeta(samplePages int) (core.AppMeta, error) {
 		if len(pairs) >= samplePages {
 			break
 		}
-		chain := s.resources[id]
-		if len(chain) == 0 {
-			continue
-		}
-		cur := chain[len(chain)-1]
-		var old []byte
-		if len(chain) > 1 {
-			old = chain[len(chain)-2]
-		}
-		pairs = append(pairs, pair{old: old, cur: cur})
+		rec := s.resources[id]
+		pairs = append(pairs, pair{old: rec.prev, cur: rec.cur})
 	}
 	if len(pairs) == 0 {
 		return core.AppMeta{}, fmt.Errorf("appserver: no content installed to measure against")
@@ -356,42 +418,67 @@ func (s *Server) TrustedKey() (string, []byte) {
 	return s.signer.Entity, s.signer.PublicKey()
 }
 
-// precomputeAllLocked rebuilds the proactive store for every (transcoder,
-// PAD, resource) combination against each predecessor version and the
-// cold-start case; the caller holds s.mu for writing.
-func (s *Server) precomputeAllLocked() error {
-	s.precomputed = map[precompKey][]byte{}
-	tcs := []string{""}
-	for id := range s.transcoders {
-		tcs = append(tcs, id)
+// encoders is what a precompute pass encodes with: the communication
+// PADs and the transcoders, "" standing for none, as they were when the
+// pass began.
+type encoders struct {
+	pads map[string]*pad
+	tcs  map[string]transcode.Transcoder
+}
+
+// encodersLocked snapshots the encoders; the caller holds s.mu.
+func (s *Server) encodersLocked() encoders {
+	e := encoders{pads: map[string]*pad{}, tcs: map[string]transcode.Transcoder{"": nil}}
+	for id, tc := range s.transcoders {
+		e.tcs[id] = tc
 	}
-	for res, chain := range s.resources {
-		curV := len(chain)
-		for _, tcID := range tcs {
-			tc := s.transcoders[tcID]
-			cur, err := transform(tcID, tc, chain[curV-1])
-			if err != nil {
+	for id, p := range s.pads {
+		if _, isTC := s.transcoders[id]; !isTC {
+			e.pads[id] = p
+		}
+	}
+	return e
+}
+
+// precompute fills an unpublished record's proactive store: for every
+// (transcoder, PAD) pair, the newest version encoded for a client holding
+// nothing, the previous version, or the newest one.
+func (e encoders) precompute(res string, rec *record) error {
+	haves := []int{0, rec.version}
+	if rec.version > 1 {
+		haves = append(haves, rec.version-1)
+	}
+	rec.store = map[storeKey][]byte{}
+	for tcID, tc := range e.tcs {
+		cur, err := transform(tcID, tc, rec.cur)
+		if err != nil {
+			return err
+		}
+		var prev []byte
+		if rec.prev != nil {
+			if prev, err = transform(tcID, tc, rec.prev); err != nil {
 				return err
 			}
-			for id, p := range s.pads {
-				// A base-independent protocol is encoded once and the one
-				// payload stored under every have.
-				_, once := p.impl.(codec.BaseIndependent)
-				var payload []byte
-				for have := 0; have <= curV; have++ {
-					if !once || have == 0 {
-						var old []byte
-						if have > 0 {
-							if old, err = transform(tcID, tc, chain[have-1]); err != nil {
-								return err
-							}
-						}
-						if payload, err = p.impl.Encode(old, cur); err != nil {
-							return fmt.Errorf("appserver: precomputing %s/%s/%s@%d: %w", tcID, id, res, have, err)
-						}
+		}
+		for id, p := range e.pads {
+			// A base-independent protocol is encoded once and the one
+			// payload stored under every have.
+			_, once := p.impl.(codec.BaseIndependent)
+			var payload []byte
+			for _, have := range haves {
+				if !once || have == 0 {
+					old := cur
+					switch have {
+					case 0:
+						old = nil
+					case rec.version - 1:
+						old = prev
 					}
-					s.precomputed[precompKey{tcID, id, res, have}] = payload
+					if payload, err = p.impl.Encode(old, cur); err != nil {
+						return fmt.Errorf("appserver: precomputing %s/%s/%s@%d: %w", tcID, id, res, have, err)
+					}
 				}
+				rec.store[storeKey{tcID, id, have}] = payload
 			}
 		}
 	}
@@ -411,27 +498,24 @@ func transform(tcID string, tc transcode.Transcoder, content []byte) ([]byte, er
 	return out, nil
 }
 
-// precompKey names one proactive encoding: the transcoder ("" = none) and
-// PAD module applied, the resource, and the version the client holds.
-type precompKey struct {
-	transcoder, pad, resource string
-	have                      int
-}
-
 // EncodeResult is the outcome of serving one request.
 type EncodeResult struct {
-	Payload      []byte
-	Version      int
-	PADID        string
-	ContentBytes int64 // size of the full current version
-	Precomputed  bool
+	Payload []byte
+	Version int
+	// Base is the version Payload was encoded against: the claimed
+	// version when the server still holds it, 0 for a cold encode.
+	Base        int
+	PADID       string
+	Precomputed bool
 }
 
 // Encode serves a resource for a client that negotiated the given PAD
 // path and holds haveVersion (0 = nothing). The path may contain one
 // content-adaptation PAD (applied to the content first) and must contain
 // one communication-optimization PAD. Context-specific metadata ids of the
-// form "<module-id>@<context>" resolve to their module.
+// form "<module-id>@<context>" resolve to their module. A claimed version
+// the server no longer holds is answered with a cold encode: Base says
+// which one the payload needs.
 func (s *Server) Encode(padIDs []string, resource string, haveVersion int) (EncodeResult, error) {
 	s.requests.Add(1)
 	r, err := s.resolve(padIDs, resource, haveVersion)
@@ -440,7 +524,7 @@ func (s *Server) Encode(padIDs []string, resource string, haveVersion int) (Enco
 	}
 	if r.precomputed {
 		s.precompHits.Add(1)
-		return EncodeResult{Payload: r.payload, Version: r.curV, PADID: r.padID, ContentBytes: int64(len(r.cur)), Precomputed: true}, nil
+		return EncodeResult{Payload: r.payload, Version: r.curV, Base: r.base, PADID: r.padID, Precomputed: true}, nil
 	}
 	cur, err := transform(r.tcID, r.tc, r.cur)
 	if err != nil {
@@ -460,7 +544,28 @@ func (s *Server) Encode(padIDs []string, resource string, haveVersion int) (Enco
 		return EncodeResult{}, fmt.Errorf("appserver: encoding %s with %s: %w", resource, r.padID, err)
 	}
 	s.reactive.Add(1)
-	return EncodeResult{Payload: payload, Version: r.curV, PADID: r.padID, ContentBytes: int64(len(cur))}, nil
+	return EncodeResult{Payload: payload, Version: r.curV, Base: r.base, PADID: r.padID}, nil
+}
+
+// FetchContent answers one APP_REQ in process with the reply an INP
+// session would carry, Base included. It is the one content path: the INP
+// front end, peer-to-peer sessions and in-process clients all call it,
+// and it makes *Server a client.ContentFetcher.
+func (s *Server) FetchContent(req inp.AppReq) (inp.AppRep, error) {
+	if req.AppID != s.appID {
+		return inp.AppRep{}, fmt.Errorf("appserver: unknown application %q", req.AppID)
+	}
+	res, err := s.Encode(req.ProtocolIDs, req.Resource, req.HaveVersion)
+	if err != nil {
+		return inp.AppRep{}, err
+	}
+	return inp.AppRep{
+		Resource: req.Resource,
+		Version:  res.Version,
+		Base:     res.Base,
+		PADID:    res.PADID,
+		Payload:  res.Payload,
+	}, nil
 }
 
 // resolved is everything one reply is built from.
@@ -469,18 +574,18 @@ type resolved struct {
 	padID       string               // as negotiated, context suffix included
 	tc          transcode.Transcoder // nil = the path names none
 	tcID        string
-	old, cur    []byte // old is nil for a client holding nothing
-	curV        int
+	old, cur    []byte // old is nil for a cold encode
+	curV, base  int    // base is the version old holds, 0 for none
 	payload     []byte // the proactive encoding, when precomputed
 	precomputed bool
 }
 
 // resolve reads everything a reply depends on — PAD choice, transcoder,
 // both versions, the current version number and, under Proactive, the
-// precomputed payload — in one critical section. An InstallCorpus landing
-// between separate reads could otherwise pair the newer version's payload
-// with the older version's number, and the client would commit bytes under
-// a version it does not hold.
+// precomputed payload — in one critical section, the content from one
+// record. An InstallCorpus landing between separate reads could otherwise
+// pair the newer version's payload with the older version's number, and
+// the client would commit bytes under a version it does not hold.
 func (s *Server) resolve(padIDs []string, resource string, haveVersion int) (resolved, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -503,20 +608,25 @@ func (s *Server) resolve(padIDs []string, resource string, haveVersion int) (res
 	if r.pad == nil {
 		return r, fmt.Errorf("appserver: none of the negotiated PADs %v is deployed", padIDs)
 	}
-	chain := s.resources[resource]
-	if len(chain) == 0 {
+	rec := s.resources[resource]
+	if rec == nil {
 		return r, fmt.Errorf("appserver: no resource %q", resource)
 	}
-	r.curV = len(chain)
+	r.curV, r.cur = rec.version, rec.cur
 	if haveVersion < 0 || haveVersion > r.curV {
 		return r, fmt.Errorf("appserver: client claims version %d of %s, newest is %d", haveVersion, resource, r.curV)
 	}
-	r.cur = chain[r.curV-1]
-	if haveVersion > 0 {
-		r.old = chain[haveVersion-1]
+	switch haveVersion {
+	case 0:
+	case r.curV:
+		r.old, r.base = rec.cur, haveVersion
+	case r.curV - 1:
+		r.old, r.base = rec.prev, haveVersion
+	default:
+		s.cold.Add(1)
 	}
 	if s.strategy == Proactive {
-		r.payload, r.precomputed = s.precomputed[precompKey{r.tcID, moduleOf(r.padID), resource, haveVersion}]
+		r.payload, r.precomputed = rec.store[storeKey{r.tcID, moduleOf(r.padID), r.base}]
 	}
 	return r, nil
 }
@@ -535,5 +645,6 @@ func (s *Server) Stats() Stats {
 		Requests:       s.requests.Load(),
 		ReactiveEncod:  s.reactive.Load(),
 		PrecomputeHits: s.precompHits.Load(),
+		ColdFallbacks:  s.cold.Load(),
 	}
 }

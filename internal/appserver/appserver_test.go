@@ -53,17 +53,20 @@ func testServer(t testing.TB) *Server {
 	return s
 }
 
-// version returns a specific installed version's data (1-indexed). Encode
-// reads versions inside its own critical section; only tests need one by
-// number.
+// version returns a held version's data (1-indexed). Encode reads
+// versions inside its own critical section; only tests need one by number.
 func (s *Server) version(resource string, v int) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	chain := s.resources[resource]
-	if v < 1 || v > len(chain) {
-		return nil, fmt.Errorf("appserver: resource %q has no version %d", resource, v)
+	rec := s.resources[resource]
+	switch {
+	case rec == nil:
+	case v == rec.version:
+		return rec.cur, nil
+	case v == rec.version-1 && v > 0:
+		return rec.prev, nil
 	}
-	return chain[v-1], nil
+	return nil, fmt.Errorf("appserver: resource %q holds no version %d", resource, v)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -443,8 +446,9 @@ func TestINPServerIdleTimeout(t *testing.T) {
 }
 
 func TestLongVersionChainDifferentials(t *testing.T) {
-	// A client may hold ANY historical version; the server must diff the
-	// current version against exactly that basis.
+	// A client may hold ANY historical version. The server holds the
+	// newest two: a claim of either is diffed against exactly that basis,
+	// an older claim gets a cold encode, and Base says which.
 	signer, err := mobilecode.NewSigner("chain")
 	if err != nil {
 		t.Fatal(err)
@@ -488,9 +492,16 @@ func TestLongVersionChainDifferentials(t *testing.T) {
 		if err != nil {
 			t.Fatalf("have=%d: %v", have, err)
 		}
+		wantBase := have
+		if have < 4 {
+			wantBase = 0
+		}
+		if res.Base != wantBase {
+			t.Fatalf("have=%d: Base %d, want %d", have, res.Base, wantBase)
+		}
 		old := []byte(nil)
-		if have > 0 {
-			old = chain[have-1].Pages[0].Bytes()
+		if res.Base > 0 {
+			old = chain[res.Base-1].Pages[0].Bytes()
 		}
 		got, err := vb.Decode(old, res.Payload)
 		if err != nil {
@@ -613,8 +624,8 @@ func TestProactivePayloadsEqualReactive(t *testing.T) {
 			}
 		}
 	}
-	encodeAll := func(wantPrecomputed bool) [][]byte {
-		out := make([][]byte, len(reqs))
+	encodeAll := func(wantPrecomputed bool) []EncodeResult {
+		out := make([]EncodeResult, len(reqs))
 		for i, r := range reqs {
 			res, err := s.Encode(strings.Fields(r.path), r.resource, r.have)
 			if err != nil {
@@ -623,7 +634,7 @@ func TestProactivePayloadsEqualReactive(t *testing.T) {
 			if res.Precomputed != wantPrecomputed {
 				t.Fatalf("%+v: precomputed = %v", r, res.Precomputed)
 			}
-			out[i] = res.Payload
+			out[i] = res
 		}
 		return out
 	}
@@ -633,11 +644,19 @@ func TestProactivePayloadsEqualReactive(t *testing.T) {
 	}
 	proactive := encodeAll(true)
 	for i, r := range reqs {
-		if !bytes.Equal(proactive[i], reactive[i]) {
+		// v1 has left the two-version window: its claim is answered cold.
+		wantBase := r.have
+		if r.have == 1 {
+			wantBase = 0
+		}
+		if proactive[i].Base != wantBase || reactive[i].Base != wantBase {
+			t.Fatalf("%+v: Base proactive %d, reactive %d, want %d", r, proactive[i].Base, reactive[i].Base, wantBase)
+		}
+		if !bytes.Equal(proactive[i].Payload, reactive[i].Payload) {
 			t.Fatalf("%+v: precomputed payload differs from the reactive encode", r)
 		}
 		once := strings.HasSuffix(r.path, "pad-direct") || strings.HasSuffix(r.path, "pad-gzip")
-		if r.have > 0 && once && &proactive[i][0] != &proactive[i-1][0] {
+		if r.have > 0 && once && &proactive[i].Payload[0] != &proactive[i-1].Payload[0] {
 			t.Fatalf("%+v: a base-independent payload is stored once per have, not once", r)
 		}
 	}
@@ -701,8 +720,8 @@ func TestProactiveEncodeConsistentUnderInstall(t *testing.T) {
 			return
 		}
 		type reply struct {
-			have, version int
-			payload       *byte
+			have, version, base int
+			payload             *byte
 		}
 		checked := map[reply]bool{}
 		seen := 1
@@ -727,14 +746,18 @@ func TestProactiveEncodeConsistentUnderInstall(t *testing.T) {
 			}
 			served.Add(1)
 			seen = res.Version
-			key := reply{have, res.Version, &res.Payload[0]}
+			key := reply{have, res.Version, res.Base, &res.Payload[0]}
 			if checked[key] {
 				continue
 			}
 			checked[key] = true
+			if res.Base != have && res.Base != 0 {
+				t.Errorf("%s have=%d: reply encoded against v%d", padID, have, res.Base)
+				return
+			}
 			var old []byte
-			if have > 0 {
-				old = contents[have-1]
+			if res.Base > 0 {
+				old = contents[res.Base-1]
 			}
 			got, err := dec.Decode(old, res.Payload)
 			if err != nil || !bytes.Equal(got, contents[res.Version-1]) {

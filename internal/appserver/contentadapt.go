@@ -233,17 +233,9 @@ func (s *Server) samplePairsLocked(samplePages int) ([]measurePair, int64, error
 		if len(pairs) >= samplePages {
 			break
 		}
-		chain := s.resources[id]
-		if len(chain) == 0 {
-			continue
-		}
-		cur := chain[len(chain)-1]
-		var old []byte
-		if len(chain) > 1 {
-			old = chain[len(chain)-2]
-		}
-		pairs = append(pairs, measurePair{old: old, cur: cur})
-		content += int64(len(cur))
+		rec := s.resources[id]
+		pairs = append(pairs, measurePair{old: rec.prev, cur: rec.cur})
+		content += int64(len(rec.cur))
 	}
 	if len(pairs) == 0 {
 		return nil, 0, fmt.Errorf("appserver: no content installed to measure against")

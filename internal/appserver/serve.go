@@ -64,20 +64,10 @@ func (s *INPServer) handle(c *inp.Conn, h inp.Header, raw []byte) error {
 	if err := inp.DecodeAs(h, raw, inp.MsgAppReq, &req); err != nil {
 		return fmt.Errorf("reading APP_REQ: %w", err)
 	}
-	if req.AppID != s.app.AppID() {
-		_ = c.SendError(fmt.Sprintf("unknown application %q", req.AppID))
-		return nil
-	}
-	res, err := s.app.Encode(req.ProtocolIDs, req.Resource, req.HaveVersion)
+	rep, err := s.app.FetchContent(req)
 	if err != nil {
 		_ = c.SendError(err.Error())
 		return nil
-	}
-	rep := inp.AppRep{
-		Resource: req.Resource,
-		Version:  res.Version,
-		PADID:    res.PADID,
-		Payload:  res.Payload,
 	}
 	if err := c.Send(inp.MsgAppRep, &rep); err != nil {
 		return fmt.Errorf("sending APP_REP: %w", err)

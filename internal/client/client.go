@@ -325,7 +325,18 @@ func (c *Client) Request(appID, resource string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("client: server encoded %s with undeployed PAD %s", resource, rep.PADID)
 	}
-	data, err := pad.Decode(have.data, rep.Payload)
+	// The payload names the version it was encoded against: the one held
+	// here, or none when the server no longer holds ours. Any other base
+	// would decode into garbage, so it is refused before decoding.
+	var base []byte
+	switch rep.Base {
+	case have.version:
+		base = have.data
+	case 0:
+	default:
+		return nil, fmt.Errorf("client: server encoded %s against version %d, client holds %d", resource, rep.Base, have.version)
+	}
+	data, err := pad.Decode(base, rep.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("client: decoding %s via %s: %w", resource, rep.PADID, err)
 	}

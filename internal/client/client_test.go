@@ -89,16 +89,6 @@ func (w *world) fetcher(region string, link netsim.Link) *CDNFetcher {
 	return &CDNFetcher{CDN: w.cdn, Region: region, Link: link, Concurrent: 1}
 }
 
-func (w *world) local() LocalAppServer {
-	return LocalAppServer{Encode: func(ids []string, res string, have int) ([]byte, int, string, error) {
-		r, err := w.app.Encode(ids, res, have)
-		if err != nil {
-			return nil, 0, "", err
-		}
-		return r.Payload, r.Version, r.PADID, nil
-	}}
-}
-
 func pdaConfig(trust *mobilecode.TrustList) Config {
 	return Config{
 		Env: core.Env{
@@ -125,7 +115,7 @@ func desktopConfig(trust *mobilecode.TrustList) Config {
 
 func TestEndToEndRequest(t *testing.T) {
 	w := buildWorld(t)
-	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +138,7 @@ func TestEndToEndRequest(t *testing.T) {
 
 func TestProtocolCacheAvoidsRenegotiation(t *testing.T) {
 	w := buildWorld(t)
-	c, err := New(desktopConfig(w.trust), w.proxy, w.fetcher("region-1", netsim.LAN), w.local())
+	c, err := New(desktopConfig(w.trust), w.proxy, w.fetcher("region-1", netsim.LAN), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +161,7 @@ func TestProtocolCacheAvoidsRenegotiation(t *testing.T) {
 
 func TestDifferentialSecondFetch(t *testing.T) {
 	w := buildWorld(t)
-	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +187,7 @@ func TestDifferentialSecondFetch(t *testing.T) {
 
 func TestForgetForcesColdStart(t *testing.T) {
 	w := buildWorld(t)
-	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +209,11 @@ func TestForgetForcesColdStart(t *testing.T) {
 
 func TestEnvironmentsNegotiateDifferentProtocols(t *testing.T) {
 	w := buildWorld(t)
-	pda, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	pda, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	desktop, err := New(desktopConfig(w.trust), w.proxy, w.fetcher("region-1", netsim.LAN), w.local())
+	desktop, err := New(desktopConfig(w.trust), w.proxy, w.fetcher("region-1", netsim.LAN), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +238,7 @@ func TestEnvironmentsNegotiateDifferentProtocols(t *testing.T) {
 
 func TestSetEnvRenegotiates(t *testing.T) {
 	w := buildWorld(t)
-	c, err := New(desktopConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.LAN), w.local())
+	c, err := New(desktopConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.LAN), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +269,7 @@ func TestSetEnvRenegotiates(t *testing.T) {
 func TestUntrustedModuleRejected(t *testing.T) {
 	w := buildWorld(t)
 	cfg := pdaConfig(mobilecode.NewTrustList()) // empty trust list
-	c, err := New(cfg, w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	c, err := New(cfg, w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +301,7 @@ func TestTamperedModuleRejected(t *testing.T) {
 	if err := w.cdn.Origin().Publish("/pads/pad-bitmap", packed); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +345,7 @@ func TestDigestBindingRejectsSubstitution(t *testing.T) {
 	if err := w.cdn.Origin().Publish("/pads/pad-bitmap", packed); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,22 +357,22 @@ func TestDigestBindingRejectsSubstitution(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	w := buildWorld(t)
 	good := pdaConfig(w.trust)
-	if _, err := New(good, nil, w.fetcher("region-0", netsim.Bluetooth), w.local()); err == nil {
+	if _, err := New(good, nil, w.fetcher("region-0", netsim.Bluetooth), w.app); err == nil {
 		t.Error("nil negotiator accepted")
 	}
 	bad := good
 	bad.SessionRequests = 0
-	if _, err := New(bad, w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local()); err == nil {
+	if _, err := New(bad, w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app); err == nil {
 		t.Error("zero session requests accepted")
 	}
 	bad = good
 	bad.Trust = nil
-	if _, err := New(bad, w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local()); err == nil {
+	if _, err := New(bad, w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app); err == nil {
 		t.Error("nil trust accepted")
 	}
 	bad = good
 	bad.Sandbox = mobilecode.Sandbox{}
-	if _, err := New(bad, w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local()); err == nil {
+	if _, err := New(bad, w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app); err == nil {
 		t.Error("zero sandbox accepted")
 	}
 }

@@ -234,7 +234,7 @@ func TestClientDegradesWhenProxyUnreachable(t *testing.T) {
 	rn := &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: dead.Dial, sleep: skipWait}
 	cfg := pdaConfig(w.trust)
 	cfg.FallbackDirect = packed
-	c, err := New(cfg, rn, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	c, err := New(cfg, rn, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestFaultScheduleReproducesIdenticalStats(t *testing.T) {
 		)
 		d := &faultnet.Dialer{Schedule: sched}
 		rn := &TCPNegotiator{Addr: addr, CallTimeout: faultCallTimeout, Dial: d.Dial, sleep: skipWait}
-		c, err := New(pdaConfig(w.trust), rn, w.fetcher("region-0", netsim.Bluetooth), w.local())
+		c, err := New(pdaConfig(w.trust), rn, w.fetcher("region-0", netsim.Bluetooth), w.app)
 		if err != nil {
 			t.Fatal(err)
 		}

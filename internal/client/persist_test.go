@@ -55,7 +55,7 @@ func TestProtocolCachePersistence(t *testing.T) {
 	w := buildWorld(t)
 	path := filepath.Join(t.TempDir(), "protocols.json")
 
-	first, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	first, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestProtocolCachePersistence(t *testing.T) {
 
 	// A fresh client on the same device restores the cache and never
 	// negotiates — but still downloads + verifies the modules.
-	second, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	second, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestProtocolCachePersistence(t *testing.T) {
 	}
 
 	// A client in a different environment must ignore the stale cache.
-	other, err := New(desktopConfig(w.trust), w.proxy, w.fetcher("region-1", netsim.LAN), w.local())
+	other, err := New(desktopConfig(w.trust), w.proxy, w.fetcher("region-1", netsim.LAN), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestProtocolCachePersistence(t *testing.T) {
 
 func TestLoadProtocolCacheErrors(t *testing.T) {
 	w := buildWorld(t)
-	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSaveProtocolCacheCrashSafety(t *testing.T) {
 	w := buildWorld(t)
 	path := filepath.Join(t.TempDir(), "protocols.json")
 
-	first, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	first, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSaveProtocolCacheCrashSafety(t *testing.T) {
 	if err := os.WriteFile(path, good[:len(good)/2], 0o600); err != nil {
 		t.Fatal(err)
 	}
-	second, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	second, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSaveProtocolCacheCrashSafety(t *testing.T) {
 	if err := second.SaveProtocolCache(path); err != nil {
 		t.Fatal(err)
 	}
-	third, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	third, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSaveProtocolCacheCrashSafety(t *testing.T) {
 func TestStaleCacheFallsBackToNegotiation(t *testing.T) {
 	w := buildWorld(t)
 	path := filepath.Join(t.TempDir(), "protocols.json")
-	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	c, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestStaleCacheFallsBackToNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = appMeta
-	fresh, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.local())
+	fresh, err := New(pdaConfig(w.trust), w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -394,18 +394,3 @@ func (s *TCPAppSession) Close() error {
 	}
 	return conn.Close()
 }
-
-// LocalAppServer adapts an in-process application server to the
-// ContentFetcher interface for simulation and tests.
-type LocalAppServer struct {
-	Encode func(padIDs []string, resource string, haveVersion int) (payload []byte, version int, padID string, err error)
-}
-
-// FetchContent implements ContentFetcher.
-func (l LocalAppServer) FetchContent(req inp.AppReq) (inp.AppRep, error) {
-	payload, version, padID, err := l.Encode(req.ProtocolIDs, req.Resource, req.HaveVersion)
-	if err != nil {
-		return inp.AppRep{}, err
-	}
-	return inp.AppRep{Resource: req.Resource, Version: version, PADID: padID, Payload: payload}, nil
-}

@@ -173,15 +173,6 @@ func TestCDNFetcherSurvivesEdgeFailure(t *testing.T) {
 	}
 }
 
-func TestLocalAppServerErrorPropagation(t *testing.T) {
-	l := LocalAppServer{Encode: func([]string, string, int) ([]byte, int, string, error) {
-		return nil, 0, "", net.ErrClosed
-	}}
-	if _, err := l.FetchContent(inp.AppReq{}); err == nil {
-		t.Fatal("local server error swallowed")
-	}
-}
-
 // startStallServer accepts one connection, signals once the request
 // header has arrived, then swallows everything without ever replying —
 // the pathological peer a session must survive.

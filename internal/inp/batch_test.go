@@ -99,12 +99,20 @@ func TestBinaryFloatSpecials(t *testing.T) {
 }
 
 // FuzzBinaryDecodeGarbage pins that hostile bodies never panic the
-// decoder of any message type. Besides two hostile bodies it is seeded
-// with a valid body of every type (the golden cases), so mutation starts
-// from each codec's real layout.
+// decoder of any message type. Besides four hostile bodies, two of them
+// APP_REP, it is seeded with a valid body of every type (the golden
+// cases), so mutation starts from each codec's real layout.
 func FuzzBinaryDecodeGarbage(f *testing.F) {
 	f.Add([]byte{0x01, 0x61, 0x00, 0x00, 0x00}, byte(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, byte(1))
+	// APP_REP bodies: a Base far past Version, and a Base varint that
+	// overflows before PADID and Payload.
+	var rep bytes.Buffer
+	if err := writeFrame(&rep, Header{Version: Version2, Type: MsgAppRep, Seq: 1}, &AppRep{Resource: "r", Version: 1, Base: 1 << 40, PADID: "p"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rep.Bytes()[headerLen:], byte(MsgAppRep-1))
+	f.Add([]byte{0x01, 'r', 0x02, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x01, 'p', 0x00}, byte(MsgAppRep-1))
 	for _, gc := range goldenCases() {
 		var wire bytes.Buffer
 		if err := writeFrame(&wire, Header{Version: Version2, Type: gc.t, Seq: 1}, gc.body); err != nil {

@@ -3,6 +3,8 @@ package conformance
 import (
 	"bytes"
 	"fmt"
+
+	"fractal/internal/inp"
 )
 
 // CheckTrace is the differential oracle for one trace: evaluate the spec,
@@ -58,6 +60,15 @@ func compareToModel(ex *Expect, out *Outcome) error {
 			}
 			if got.Type != want.Type || got.Seq != want.Seq {
 				return fmt.Errorf("step %d reply %d: got %v, spec expects %v", i, j, got, want)
+			}
+			if want.Type == inp.MsgAppRep {
+				var rep inp.AppRep
+				if err := inp.DecodeRaw(inp.Header{Version: inp.Version2, Type: got.Type, Seq: got.Seq}, got.Body, &rep); err != nil {
+					return fmt.Errorf("step %d reply %d: %w", i, j, err)
+				}
+				if rep.Base != want.Base {
+					return fmt.Errorf("step %d reply %d: APP_REP encoded against v%d, spec expects v%d", i, j, rep.Base, want.Base)
+				}
 			}
 		}
 		wantTerm := obsNone

@@ -183,8 +183,9 @@ func (m Mutation) String() string {
 }
 
 // Step is one client action plus its parameters. The integer selectors
-// index small fixed vocabularies (see world.go): index 0 is always the
-// valid choice, higher indexes are invalid or hostile variants.
+// index small fixed vocabularies (see world.go): index 0 is always a
+// valid choice, higher indexes are invalid or hostile variants — except
+// Have, a version number, valid up to the world's two versions.
 type Step struct {
 	Op TraceOp
 	// App selects the application id: 0 = the installed app, 1 = an
@@ -196,6 +197,9 @@ type Step struct {
 	Resource int
 	// Proto selects the negotiated PAD path: 0 = deployed, 1 = bogus.
 	Proto int
+	// Have is the version an OpAppReq claims to hold: 0 = none, 1 and 2
+	// the world's two versions, 3 = newer than any (refused).
+	Have int
 	// PAD selects the PAD to download: 0 = published, 1 = missing.
 	PAD int
 	// Bad marks an OpMetaPush carrying an invalid topology.
@@ -220,6 +224,9 @@ func (s Step) String() string {
 	}
 	if s.Proto != 0 {
 		fmt.Fprintf(&b, " proto=%d", s.Proto)
+	}
+	if s.Have != 0 {
+		fmt.Fprintf(&b, " have=%d", s.Have)
 	}
 	if s.PAD != 0 {
 		fmt.Fprintf(&b, " pad=%d", s.PAD)

@@ -32,7 +32,7 @@ func (g *Gen) Valid() Trace {
 				tr.Steps = append(tr.Steps, Step{Op: OpMetaPush})
 			}
 		case TargetApp:
-			tr.Steps = append(tr.Steps, Step{Op: OpAppReq})
+			tr.Steps = append(tr.Steps, Step{Op: OpAppReq, Have: g.rng.Intn(3)})
 		default:
 			tr.Steps = append(tr.Steps, Step{Op: OpPADReq})
 		}
@@ -117,11 +117,13 @@ func (g *Gen) paramMutant(tr Trace, i int) (Trace, bool) {
 	case OpInit, OpInitBurst:
 		s.App = 1 + g.rng.Intn(2)
 	case OpAppReq:
-		switch g.rng.Intn(4) {
+		switch g.rng.Intn(5) {
 		case 0:
 			s.App = 1 + g.rng.Intn(2)
 		case 1:
 			s.Resource = 1
+		case 2:
+			s.Have = 3
 		default:
 			s.Proto = 1
 		}

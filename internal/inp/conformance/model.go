@@ -38,13 +38,18 @@ func (t Term) String() string {
 }
 
 // FrameExpect is the spec's prediction for one reply frame: its type and
-// its sequence number (the server must never skip or repeat one).
+// its sequence number (the server must never skip or repeat one), and for
+// APP_REP the version its payload is encoded against.
 type FrameExpect struct {
 	Type inp.MsgType
 	Seq  uint32
+	Base int // APP_REP only
 }
 
 func (f FrameExpect) String() string {
+	if f.Type == inp.MsgAppRep {
+		return fmt.Sprintf("%v/seq%d/base%d", f.Type, f.Seq, f.Base)
+	}
 	return fmt.Sprintf("%v/seq%d", f.Type, f.Seq)
 }
 
@@ -100,7 +105,7 @@ func stepMessages(s Step) []stagedMsg {
 			AppID:       appIDFor(s.App),
 			Resource:    resourceFor(s.Resource),
 			ProtocolIDs: []string{protoFor(s.Proto)},
-			HaveVersion: 0,
+			HaveVersion: s.Have,
 		}}}
 	case OpPADReq:
 		return []stagedMsg{{inp.MsgPADDownloadReq, inp.PADDownloadReq{PADID: padFor(s.PAD)}}}
@@ -355,7 +360,10 @@ func (m *model) dispatchApp(st *StepExpect, h inp.Header, raw []byte) bool {
 		m.reply(st, inp.MsgError)
 		return true
 	}
+	// The world installs two versions, and the server holds two, so every
+	// claimed version is held and the payload is encoded against it.
 	m.reply(st, inp.MsgAppRep)
+	st.Replies[len(st.Replies)-1].Base = req.HaveVersion
 	return true
 }
 

@@ -213,6 +213,9 @@ func (w *World) check() error {
 	if n := w.appCore.Resources(); n != worldPages {
 		return fmt.Errorf("conformance: app server has %d resources, want %d", n, worldPages)
 	}
+	if _, v, err := w.appCore.Current(validResource); err != nil || v != 2 {
+		return fmt.Errorf("conformance: %s at version %d (%v), the spec assumes 2", validResource, v, err)
+	}
 	if _, err := w.origin.Get("/pads/" + validPAD); err != nil {
 		return fmt.Errorf("conformance: origin missing %s: %w", validPAD, err)
 	}

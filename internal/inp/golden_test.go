@@ -17,11 +17,13 @@ import (
 // goldenCase is one Version2 frame whose bytes are pinned in
 // testdata/golden_v2.txt. Its first 21 frames were captured by running
 // these cases through the FrameWriter of commit e308a4a (the last one with
-// the hand-spelled codec); the last three, for the ERROR and topology-push
-// codecs, were appended when those codecs were written. The file pins the
-// wire format against drift that round-trip tests and the conformance
-// suite cannot see: those compare the codec with itself, and both of its
-// ends change together.
+// the hand-spelled codec); the next three, for the ERROR and topology-push
+// codecs, were appended when those codecs were written. The three app_rep
+// frames were re-captured when APP_REP gained its Base field, and
+// app_rep_base, the one with a non-zero Base, was appended then. The file
+// pins the wire format against drift that round-trip tests and the
+// conformance suite cannot see: those compare the codec with itself, and
+// both of its ends change together.
 type goldenCase struct {
 	name string
 	t    MsgType
@@ -92,6 +94,7 @@ func goldenCases() []goldenCase {
 			pad("direct", nil), pad("gzip", []string{"direct"}),
 		}}}},
 		{"app_meta_ack_refused", MsgAppMetaAck, &AppMetaAck{Reason: "core: AppMeta needs an application id"}},
+		{"app_rep_base", MsgAppRep, &AppRep{Resource: "page/7", Version: 9, Base: 8, PADID: "varyblock", Payload: []byte("delta")}},
 	}
 }
 

@@ -272,8 +272,12 @@ func (m *AppReq) decodeWire(r wire.Reader) error {
 type AppRep struct {
 	Resource string
 	Version  int
-	PADID    string
-	Payload  []byte
+	// Base is the version Payload was encoded against: the request's
+	// HaveVersion when the server still holds it, 0 for a cold encode.
+	// A client decodes against its held bytes only when Base names them.
+	Base    int
+	PADID   string
+	Payload []byte
 }
 
 func (AppRep) wireType() MsgType { return MsgAppRep }
@@ -281,6 +285,7 @@ func (AppRep) wireType() MsgType { return MsgAppRep }
 func (m AppRep) appendWire(e *encodeState) {
 	e.appendString(m.Resource)
 	e.appendInt(m.Version)
+	e.appendInt(m.Base)
 	e.appendString(m.PADID)
 	e.appendBlob(m.Payload)
 }
@@ -288,6 +293,7 @@ func (m AppRep) appendWire(e *encodeState) {
 func (m *AppRep) decodeWire(r wire.Reader) error {
 	m.Resource = r.Str()
 	m.Version = r.Int()
+	m.Base = r.Int()
 	m.PADID = r.Str()
 	m.Payload = r.Blob()
 	return r.Done()

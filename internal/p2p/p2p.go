@@ -153,13 +153,7 @@ func (p *Peer) clientFor(q *Peer) (*client.Client, error) {
 	},
 		q.proxy, // negotiate with the remote peer's negotiation manager
 		padFetcherFunc(q.fetchModule),
-		client.LocalAppServer{Encode: func(ids []string, res string, have int) ([]byte, int, string, error) {
-			r, err := q.app.Encode(ids, res, have)
-			if err != nil {
-				return nil, 0, "", err
-			}
-			return r.Payload, r.Version, r.PADID, nil
-		}},
+		q.app,
 	)
 	if err != nil {
 		return nil, fmt.Errorf("p2p: %s -> %s: %w", p.name, q.name, err)
