@@ -14,8 +14,8 @@
 //     returned to the class pools in one Release call, so per-connection
 //     code never pairs individual gets and puts.
 //
-// Beside the byte classes, the arena pools gzip engines (GzipWriter per
-// compression level, GzipReader), the one other serving-path object large
+// Beside the byte classes, the arena pools gzip compressors (a GzipWriter
+// pool per compression level), the one other serving-path object large
 // enough to dominate a call's allocation and reusable after a reset.
 //
 // Buffers above the largest class fall through to the allocator: a giant

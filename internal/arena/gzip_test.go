@@ -90,37 +90,16 @@ func TestAcquireGzipWriterRejectsBadLevel(t *testing.T) {
 	}
 }
 
-// TestGzipReaderReleaseDropsPayload pins the no-retention rule on the
-// reader side: a released reader no longer references the payload.
-func TestGzipReaderReleaseDropsPayload(t *testing.T) {
-	payload := freshCompress(t, gzip.DefaultCompression, []byte("held"))
-	zr, err := AcquireGzipReader(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(zr)
-	if err != nil || string(got) != "held" {
-		t.Fatalf("read %q, %v", got, err)
-	}
-	zr.Release()
-	if zr.src.Size() != 0 {
-		t.Errorf("released reader still references a %d-byte payload", zr.src.Size())
-	}
-}
-
 // TestGzipSteadyStateAllocs pins the pools' promise: after warmup, a
-// borrow/compress/release cycle and a borrow/decompress/release cycle
-// allocate nothing of their own.
+// borrow/compress/release cycle allocates nothing of its own.
 func TestGzipSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	in := bytes.Repeat([]byte("slice "), 100)
-	payload := freshCompress(t, gzip.BestSpeed, in)
 	var out Buffer
 	defer out.Release()
-	out.Write(payload)
-	scratch := make([]byte, len(in)+1)
+	out.Write(freshCompress(t, gzip.BestSpeed, in))
 	cycle := func() {
 		out.Reset()
 		zw, err := AcquireGzipWriter(&out, gzip.BestSpeed)
@@ -130,17 +109,8 @@ func TestGzipSteadyStateAllocs(t *testing.T) {
 		zw.Write(in)
 		zw.Close()
 		zw.Release()
-
-		zr, err := AcquireGzipReader(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, err := io.ReadFull(zr, scratch); err != io.ErrUnexpectedEOF || n != len(in) {
-			t.Fatalf("decompressed %d bytes (%v), want %d", n, err, len(in))
-		}
-		zr.Release()
 	}
-	cycle() // warm the pools
+	cycle() // warm the pool
 	if avg := testing.AllocsPerRun(100, cycle); avg > 0 {
 		t.Errorf("gzip borrow cycle allocates %.1f per run, want 0", avg)
 	}

@@ -3,7 +3,6 @@ package codec
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 
 	"fractal/internal/arena"
@@ -61,29 +60,12 @@ func (g *Gzip) Encode(old, cur []byte) ([]byte, error) {
 	return bytes.Clone(buf.Bytes()), nil
 }
 
-// Decode implements Codec. The gzip trailer's ISIZE field (the content
-// length mod 2^32) sizes the output once instead of growing it by doubling.
-// It is an unvalidated hint, capped like every other wire length here; the
-// stream is still read to EOF, so a trailer that lies or belongs to the
-// last of several members costs a regrow or some slack, never correctness.
-// The decompressor is borrowed from the arena's reader pool.
+// Decode implements Codec: it inflates payload in one pass, straight into
+// the output (see inflate).
 func (g *Gzip) Decode(old, payload []byte) ([]byte, error) {
-	r, err := arena.AcquireGzipReader(payload)
+	out, err := inflate(payload)
 	if err != nil {
-		return nil, fmt.Errorf("codec: gzip payload corrupt: %w", err)
-	}
-	defer r.Release()
-	reserve := uint32(0)
-	if len(payload) >= 4 {
-		reserve = binary.LittleEndian.Uint32(payload[len(payload)-4:])
-	}
-	if reserve > maxDecodeReserve {
-		reserve = maxDecodeReserve
-	}
-	// MinRead of slack lets ReadFrom see EOF without growing a full buffer.
-	buf := bytes.NewBuffer(make([]byte, 0, int(reserve)+bytes.MinRead))
-	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("codec: gzip decompress: %w", err)
 	}
-	return buf.Bytes(), nil
+	return out, nil
 }

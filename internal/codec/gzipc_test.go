@@ -50,7 +50,7 @@ func freshGzip(t testing.TB, level int, content []byte) []byte {
 // changes no payload byte: at every level, each corpus page encodes through
 // the pooled writers exactly as a fresh writer encodes it, and in sequence,
 // so every page after the first goes through a writer the previous one
-// left behind. Under -race, which adds nothing to a single-goroutine
+// left behind. Each payload also decodes back to its page. Under -race, which adds nothing to a single-goroutine
 // sequence, the sweep keeps its first pages only.
 func TestGzipPooledEncodeMatchesFreshWriter(t *testing.T) {
 	n := workload.DefaultPages
@@ -74,15 +74,17 @@ func TestGzipPooledEncodeMatchesFreshWriter(t *testing.T) {
 				if want := freshGzip(t, level, page); !bytes.Equal(got, want) {
 					t.Fatalf("page %d: pooled encode is %d bytes, fresh writer %d, or differs in content", i, len(got), len(want))
 				}
+				if back, err := g.Decode(nil, got); err != nil || !bytes.Equal(back, page) {
+					t.Fatalf("page %d: decoded to %d bytes (%v), want the %d-byte original", i, len(back), err, len(page))
+				}
 			}
 		})
 	}
 }
 
-// TestGzipDecodeAfterFailedDecode pins that a decompressor returned to the
-// pool mid-failure carries nothing into its next borrow: after each kind
-// of broken payload, the valid one still decodes exactly. The sequence
-// repeats so that the failed reader is the one the next decode reuses.
+// TestGzipDecodeAfterFailedDecode pins that a failed decode carries
+// nothing into the next one: after each kind of broken payload, the valid
+// one still decodes exactly, round after round.
 func TestGzipDecodeAfterFailedDecode(t *testing.T) {
 	g := NewGzip()
 	_, page := versionedPair(t, 23)
@@ -124,7 +126,7 @@ func TestGzipDecodeAfterFailedDecode(t *testing.T) {
 // TestGzipConcurrentSharedCodec runs many goroutines through one *Gzip, as
 // the server's sessions and a deployed PAD's host table do. Every payload
 // must match a fresh writer's and decode back to its page; under -race it
-// also proves that no engine is shared between two borrowers.
+// also proves that no compressor is shared between two borrowers.
 func TestGzipConcurrentSharedCodec(t *testing.T) {
 	const workers = 8
 	pages := corpusPages(t, workers)

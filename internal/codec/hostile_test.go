@@ -2,7 +2,10 @@ package codec
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
+	"errors"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -149,5 +152,46 @@ func TestGzipDecodeIgnoresMisleadingTrailer(t *testing.T) {
 		if !bytes.Equal(got, c.want) {
 			t.Errorf("%s: decoded %d bytes, want the %d-byte original", c.name, len(got), len(c.want))
 		}
+	}
+}
+
+// zeros is an endless source of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// A decompression bomb: a payload of about 70 KiB that inflates to 65 MiB,
+// past the 64 MiB a payload may decode to. It must be refused, and the
+// decoder must allocate no more than that bound and its first reserve.
+func TestGzipDecompressionBombRefused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("inflating 64 MiB under the race detector is slow and adds nothing")
+	}
+	var b bytes.Buffer
+	w, err := gzip.NewWriterLevel(&b, gzip.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.CopyN(w, zeros{}, 65<<20); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload := b.Bytes()
+	if len(payload) > 80<<10 {
+		t.Fatalf("bomb payload is %d bytes, want about 70 KiB", len(payload))
+	}
+	g := NewGzip()
+	delta := allocDelta(t, func() {
+		if _, err := g.Decode(nil, payload); !errors.Is(err, errInflateLimit) {
+			t.Errorf("a payload inflating to 65 MiB: got %v, want the 64 MiB limit", err)
+		}
+	})
+	if delta > maxInflate+4<<20 {
+		t.Fatalf("refusing a 65 MiB bomb allocated %d bytes, want at most 64 MiB and the reserve", delta)
 	}
 }

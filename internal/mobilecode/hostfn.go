@@ -24,9 +24,10 @@ import (
 //
 // vary.encode keeps one small chunk-index cache per host table (one table
 // per deployed PAD), so a PAD that encodes against the same version
-// repeatedly chunks and digests it once. gzip.encode and gzip.decode
-// borrow a pooled compressor or decompressor from internal/arena for the
-// length of one call and keep nothing between calls. Every other primitive
+// repeatedly chunks and digests it once. gzip.encode borrows a pooled
+// compressor from internal/arena for the length of one call, and
+// gzip.decode inflates with state on its own stack; neither keeps anything
+// between calls. Every other primitive
 // is stateless. None writes its arguments (the HostFunc contract), and only
 // identity returns one.
 func HostTable(params map[string]string) ([]HostFunc, error) {
