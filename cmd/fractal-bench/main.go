@@ -124,7 +124,7 @@ func main() {
 		"capacity": func() (section, error) { return runCapacity(s) },
 		"timeline": func() (section, error) { return runTimeline(s) },
 		"premise":  func() (section, error) { return runPremise(cfg.Seed) },
-		"session":  func() (section, error) { return runSession(s, cfg.SessionRequests) },
+		"session":  func() (section, error) { return runSession(s, s.Model.SessionRequests) },
 	}
 	order := []string{"table1", "fig9a", "fig9b", "fig10", "fig10d", "fig11a", "fig11b", "fig11c", "headline", "capacity", "timeline", "premise", "session"}
 

@@ -18,20 +18,15 @@
 package main
 
 import (
-	"crypto/ed25519"
-	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"fractal/internal/client"
 	"fractal/internal/core"
+	"fractal/internal/deploy"
 	"fractal/internal/experiment"
 	"fractal/internal/mobilecode"
 	"fractal/internal/netsim"
@@ -57,7 +52,7 @@ func main() {
 		appID      = flag.String("app", "webapp", "application id")
 		resource   = flag.String("resource", "page-000", "resource to fetch")
 		n          = flag.Int("n", 1, "number of requests (later ones are differential)")
-		session    = flag.Int("session", 75, "expected requests per session (amortizes PAD download)")
+		session    = flag.Int("session", deploy.SessionRequests, "expected requests per session (amortizes PAD download)")
 		clientID   = flag.String("id", "", "principal identity for proxy access control (optional)")
 	)
 	flag.Parse()
@@ -76,11 +71,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("fractal-client: %v", err)
 	}
-	trust, err := loadTrust(*trustFile)
+	trust, err := deploy.LoadTrust(*trustFile)
 	if err != nil {
 		log.Fatalf("fractal-client: %v", err)
 	}
-	fallback, err := loadFallback(*trustFile)
+	fallback, err := deploy.LoadFallback(*trustFile)
 	if err != nil {
 		log.Fatalf("fractal-client: %v", err)
 	}
@@ -140,16 +135,6 @@ func main() {
 		st.Requests, st.Negotiations, st.PADDownloads, st.Degradations, st.PayloadBytes, st.ContentBytes)
 }
 
-// loadFallback reads the Direct module published beside the trust file,
-// or returns nil when there is none.
-func loadFallback(trustPath string) ([]byte, error) {
-	module, err := os.ReadFile(filepath.Join(filepath.Dir(trustPath), "pad-direct.fmc"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	return module, err
-}
-
 func envFor(device string) (core.Env, error) {
 	switch strings.ToLower(device) {
 	case "desktop":
@@ -161,29 +146,4 @@ func envFor(device string) (core.Env, error) {
 	default:
 		return core.Env{}, fmt.Errorf("unknown device %q (want desktop|laptop|pda)", device)
 	}
-}
-
-// loadTrust reads the "<entity>\n<hex pubkey>\n" file written by
-// fractal-server -publish.
-func loadTrust(path string) (*mobilecode.TrustList, error) {
-	if path == "" {
-		return nil, fmt.Errorf("a -trust file is required (written by fractal-server -publish)")
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 2 {
-		return nil, fmt.Errorf("trust file %s: want 2 lines (entity, hex key), got %d", path, len(lines))
-	}
-	key, err := hex.DecodeString(strings.TrimSpace(lines[1]))
-	if err != nil {
-		return nil, fmt.Errorf("trust file %s: bad key: %w", path, err)
-	}
-	trust := mobilecode.NewTrustList()
-	if err := trust.Add(strings.TrimSpace(lines[0]), ed25519.PublicKey(key)); err != nil {
-		return nil, err
-	}
-	return trust, nil
 }

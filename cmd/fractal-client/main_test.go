@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fractal/internal/deploy"
 	"fractal/internal/mobilecode"
 )
 
@@ -39,7 +40,7 @@ func TestLoadTrust(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	trust, err := loadTrust(path)
+	trust, err := deploy.LoadTrust(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,32 +50,32 @@ func TestLoadTrust(t *testing.T) {
 }
 
 func TestLoadTrustErrors(t *testing.T) {
-	if _, err := loadTrust(""); err == nil {
+	if _, err := deploy.LoadTrust(""); err == nil {
 		t.Error("empty path accepted")
 	}
 	dir := t.TempDir()
-	if _, err := loadTrust(filepath.Join(dir, "absent")); err == nil {
+	if _, err := deploy.LoadTrust(filepath.Join(dir, "absent")); err == nil {
 		t.Error("missing file accepted")
 	}
 	oneLine := filepath.Join(dir, "one.key")
 	if err := os.WriteFile(oneLine, []byte("only-entity\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadTrust(oneLine); err == nil {
+	if _, err := deploy.LoadTrust(oneLine); err == nil {
 		t.Error("one-line file accepted")
 	}
 	badHex := filepath.Join(dir, "hex.key")
 	if err := os.WriteFile(badHex, []byte("e\nnot-hex\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadTrust(badHex); err == nil {
+	if _, err := deploy.LoadTrust(badHex); err == nil {
 		t.Error("bad hex accepted")
 	}
 	shortKey := filepath.Join(dir, "short.key")
 	if err := os.WriteFile(shortKey, []byte("e\nabcd\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadTrust(shortKey); err == nil {
+	if _, err := deploy.LoadTrust(shortKey); err == nil {
 		t.Error("short key accepted")
 	}
 }
@@ -82,13 +83,13 @@ func TestLoadTrustErrors(t *testing.T) {
 func TestLoadFallback(t *testing.T) {
 	dir := t.TempDir()
 	trustPath := filepath.Join(dir, "trust.key")
-	if got, err := loadFallback(trustPath); err != nil || got != nil {
+	if got, err := deploy.LoadFallback(trustPath); err != nil || got != nil {
 		t.Fatalf("no published module: got %d bytes, err %v; want nil, nil", len(got), err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "pad-direct.fmc"), []byte("module"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := loadFallback(trustPath); err != nil || string(got) != "module" {
+	if got, err := deploy.LoadFallback(trustPath); err != nil || string(got) != "module" {
 		t.Fatalf("published module: got %q, err %v", got, err)
 	}
 }

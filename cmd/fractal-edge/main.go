@@ -10,89 +10,28 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
-	"net"
-	"os"
-	"os/signal"
-	"path/filepath"
-	"strings"
-	"syscall"
-	"time"
 
 	"fractal/internal/cdn"
-	"fractal/internal/mobilecode"
-	"fractal/internal/netsim"
+	"fractal/internal/deploy"
 )
 
 func main() {
 	var (
-		listen  = flag.String("listen", ":7003", "INP listen address")
-		dir     = flag.String("dir", "./pads", "directory of packed PAD modules (*.fmc)")
-		maxConc = flag.Int("max-concurrent", 256, "maximum simultaneous downloads")
+		listen = flag.String("listen", ":7003", "INP listen address")
+		dir    = flag.String("dir", "./pads", "directory of packed PAD modules (*.fmc)")
 	)
 	flag.Parse()
 
-	store, loaded, err := loadModuleDir(*dir)
+	store, err := deploy.LoadModules(*dir)
 	if err != nil {
 		log.Fatalf("fractal-edge: %v", err)
 	}
-
-	srv, err := cdn.NewPADServer(store, *maxConc, log.Printf)
+	ep, err := deploy.Serve(*listen, cdn.NewPADServer, store, log.Printf)
 	if err != nil {
 		log.Fatalf("fractal-edge: %v", err)
 	}
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("fractal-edge: listen %s: %v", *listen, err)
-	}
-	log.Printf("fractal-edge: serving %d PAD modules on %s", loaded, ln.Addr())
-
-	go func() {
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
-		<-ch
-		_ = srv.Close()
-	}()
-	if err := srv.Serve(ln); err != nil {
+	if err := ep.Run(func() { log.Printf("fractal-edge: serving %d PAD modules on %s", len(store.Paths()), ep.Addr()) }); err != nil {
 		log.Fatalf("fractal-edge: %v", err)
 	}
-}
-
-// loadModuleDir reads every *.fmc module in dir into a serving store,
-// validating structure and payload digest first — a corrupt module in the
-// store would fail every client.
-func loadModuleDir(dir string) (*cdn.Origin, int, error) {
-	store, err := cdn.NewOrigin(netsim.SharedServer{
-		Name: "edge", UplinkKbps: 100000, Rho: netsim.DefaultRho, BaseRTT: 5 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, 0, fmt.Errorf("reading %s: %w", dir, err)
-	}
-	loaded := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".fmc") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, 0, err
-		}
-		m, err := mobilecode.Unpack(data)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s is not a valid PAD module: %w", e.Name(), err)
-		}
-		if err := store.Publish("/pads/"+m.ID, data); err != nil {
-			return nil, 0, err
-		}
-		loaded++
-	}
-	if loaded == 0 {
-		return nil, 0, fmt.Errorf("no PAD modules in %s", dir)
-	}
-	return store, loaded, nil
 }

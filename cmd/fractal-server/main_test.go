@@ -1,76 +1,80 @@
 package main
 
 import (
+	"bufio"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
-	"fractal/internal/appserver"
-	"fractal/internal/mobilecode"
-	"fractal/internal/workload"
+	"fractal/internal/deploy"
+	"fractal/internal/proxy"
 )
 
-func TestPublishModulesWritesModulesAndTrustKey(t *testing.T) {
-	signer, err := mobilecode.NewSigner("op")
-	if err != nil {
-		t.Fatal(err)
+// TestMain runs the daemon itself when a test re-executes this binary
+// with FRACTAL_SERVER_RUN_DAEMON=1.
+func TestMain(m *testing.M) {
+	if os.Getenv("FRACTAL_SERVER_RUN_DAEMON") == "1" {
+		main()
+		return
 	}
-	app, err := appserver.New("webapp", signer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := workload.Generate(workload.Config{Pages: 1, TextBytes: 64, Images: 0, ImageBytes: 0, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := app.InstallCorpus(v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := app.DeployPADs("1.0"); err != nil {
-		t.Fatal(err)
-	}
+	os.Exit(m.Run())
+}
+
+// TestPublishesBeforePush runs fractal-server against a proxy gated on an
+// empty publish directory: the push registers only because the server
+// writes its modules there before pushing. SIGTERM then drains it and it
+// exits 0.
+func TestPublishesBeforePush(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "pads")
-	if err := publishModules(app, dir); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
+	px, err := deploy.NewProxy(false, deploy.DirModules(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mods, trustSeen := 0, false
-	for _, e := range entries {
-		switch {
-		case strings.HasSuffix(e.Name(), ".fmc"):
-			mods++
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := mobilecode.Unpack(data)
-			if err != nil {
-				t.Fatalf("%s does not unpack: %v", e.Name(), err)
-			}
-			if e.Name() != m.ID+".fmc" {
-				t.Fatalf("module file %s does not match module id %s", e.Name(), m.ID)
-			}
-		case e.Name() == "trust.key":
-			trustSeen = true
+	ep, err := deploy.Serve("127.0.0.1:0", proxy.NewServer, px, func(string, ...interface{}) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+
+	cmd := exec.Command(os.Args[0], "-listen", "127.0.0.1:0", "-proxy", ep.Addr(), "-publish", dir, "-pages", "4")
+	cmd.Env = append(os.Environ(), "FRACTAL_SERVER_RUN_DAEMON=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bufio.NewScanner(stderr)
+	var seen []string
+	for lines.Scan() && !strings.Contains(lines.Text(), "listening on") {
+		seen = append(seen, lines.Text())
+	}
+	if st := px.Stats(); st.TopologyPushes != 1 {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+		t.Fatalf("topology pushes = %d, want 1; server log:\n%s", st.TopologyPushes, strings.Join(seen, "\n"))
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for lines.Scan() {
 		}
-	}
-	if mods != 4 {
-		t.Fatalf("published %d modules, want 4", mods)
-	}
-	if !trustSeen {
-		t.Fatal("trust.key not written")
-	}
-	// The trust key must parse with the client loader.
-	raw, err := os.ReadFile(filepath.Join(dir, "trust.key"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 2 || lines[0] != "op" {
-		t.Fatalf("trust key format: %q", raw)
+		done <- cmd.Wait()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("server did not exit cleanly on SIGTERM: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		_ = cmd.Process.Kill()
+		t.Fatal("server did not exit on SIGTERM")
 	}
 }

@@ -4,52 +4,36 @@
 //
 // Usage:
 //
-//	fractald -listen :7001
+//	fractald -listen :7001 -dir ./pads
 //
-// An application server (cmd/fractal-server) pushes its protocol
-// adaptation topology with -proxy pointed here; clients negotiate against
-// the same address.
+// cmd/fractal-server publishes its PAD modules to -dir and pushes its
+// topology here; clients negotiate against the same address. A push is
+// refused unless every PAD it names is in -dir, matches its digest and
+// passes the bytecode verifier. -proactive must match fractal-server's:
+// the strategy is not carried on the wire.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
-	"fractal/internal/core"
-	"fractal/internal/netsim"
+	"fractal/internal/deploy"
 	"fractal/internal/proxy"
 )
 
 func main() {
 	var (
 		listen    = flag.String("listen", ":7001", "INP listen address")
-		cacheCap  = flag.Int("cache", 4096, "adaptation cache capacity (entries)")
-		rho       = flag.Float64("rho", netsim.DefaultRho, "application-level bandwidth fraction")
-		serverMHz = flag.Float64("server-mhz", netsim.ServerDevice.CPUMHz, "application server CPU speed for the overhead model")
-		session   = flag.Int("session", 75, "default requests per application session")
-		maxConc   = flag.Int("max-concurrent", 256, "maximum simultaneous sessions")
-		proactive = flag.Bool("proactive", false, "assume proactive adaptive content (exclude server-side computing from Equation 3)")
+		dir       = flag.String("dir", "./pads", "publish directory of the PAD modules pushed topologies name (fractal-server -publish)")
+		proactive = flag.Bool("proactive", false, "assume proactive adaptive content (exclude server-side computing from Equation 3); must match fractal-server")
 		policy    = flag.String("policy", "", "access-control policy file: one 'principal: proto1,proto2' line per restricted principal")
 	)
 	flag.Parse()
 
-	ms, err := core.CaseStudyMatrices()
-	if err != nil {
-		log.Fatalf("fractald: %v", err)
-	}
-	px, err := proxy.New(core.OverheadModel{
-		Matrices:          ms,
-		Rho:               *rho,
-		ServerCPUMHz:      *serverMHz,
-		IncludeServerComp: !*proactive,
-		SessionRequests:   *session,
-	}, *cacheCap)
+	px, err := deploy.NewProxy(*proactive, deploy.DirModules(*dir))
 	if err != nil {
 		log.Fatalf("fractald: %v", err)
 	}
@@ -61,23 +45,15 @@ func main() {
 		px.SetAuthorizer(pt)
 		log.Printf("fractald: loaded access policy for %d principal(s)", n)
 	}
-	srv, err := proxy.NewServer(px, *maxConc, log.Printf)
+	ep, err := deploy.Serve(*listen, proxy.NewServer, px, log.Printf)
 	if err != nil {
 		log.Fatalf("fractald: %v", err)
 	}
-	ln, err := net.Listen("tcp", *listen)
+	err = ep.Run(func() { log.Printf("fractald: adaptation proxy listening on %s (modules from %s)", ep.Addr(), *dir) })
+	st := px.Stats()
+	log.Printf("fractald: shut down (negotiations %d, cache hits %d, topology pushes %d, verifier rejections %d)",
+		st.Negotiations, st.CacheHits, st.TopologyPushes, st.VerifierRejections)
 	if err != nil {
-		log.Fatalf("fractald: listen %s: %v", *listen, err)
-	}
-	log.Printf("fractald: adaptation proxy listening on %s (cache %d entries, rho %.2f)", ln.Addr(), *cacheCap, *rho)
-
-	go handleSignals(func() {
-		st := px.Stats()
-		log.Printf("fractald: shutting down (negotiations %d, cache hits %d, topology pushes %d)",
-			st.Negotiations, st.CacheHits, st.TopologyPushes)
-		_ = srv.Close()
-	})
-	if err := srv.Serve(ln); err != nil {
 		log.Fatalf("fractald: %v", err)
 	}
 }
@@ -112,12 +88,4 @@ func loadPolicy(path string) (*proxy.PolicyTable, int, error) {
 		n++
 	}
 	return pt, n, nil
-}
-
-func handleSignals(stop func()) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
-	sig := <-ch
-	fmt.Fprintf(os.Stderr, "fractald: received %v\n", sig)
-	stop()
 }

@@ -31,15 +31,11 @@ func main() {
 	s, err := fractal.NewExperimentSetup(fractal.DefaultExperimentConfig())
 	check(err)
 
-	trust := fractal.NewTrustList()
-	entity, key := s.App.TrustedKey()
-	check(trust.Add(entity, key))
-
 	newClient := func() *fractal.Client {
 		c, err := fractal.NewClient(fractal.ClientConfig{
 			Env:             fractal.EnvFor(netsim.PDA),
-			SessionRequests: s.Config.SessionRequests,
-			Trust:           trust,
+			SessionRequests: s.Model.SessionRequests,
+			Trust:           s.Trust,
 			Sandbox:         mobilecode.DefaultSandbox(),
 		},
 			s.Proxy,

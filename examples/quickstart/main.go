@@ -15,75 +15,49 @@ import (
 
 	"fractal"
 	"fractal/internal/client"
+	"fractal/internal/deploy"
 	"fractal/internal/mobilecode"
 	"fractal/internal/netsim"
-	"fractal/internal/workload"
 )
 
 func main() {
-	// 1. The application operator generates content and a signing key.
-	signer, err := fractal.NewSigner("quickstart-operator")
-	check(err)
-	app, err := fractal.NewAppServer("webapp", signer)
-	check(err)
-
-	v1, err := fractal.GenerateCorpus(workload.Config{
-		Pages: 8, TextBytes: 4096, Images: 4, ImageBytes: 32 * 1024, Seed: 7,
-	})
-	check(err)
-	v2, err := fractal.MutateCorpus(v1, workload.DefaultMutation(8))
-	check(err)
-	check(app.InstallCorpus(v1, v2))
-
-	// 2. Deploy the four case-study PADs (Table 1) and pre-measure their
-	// overhead vectors on the corpus (Equation 1).
-	check(app.DeployPADs("1.0"))
-	appMeta, err := app.MeasureAppMeta(4)
+	// 1. The operator builds its server: a two-version corpus, the four signed
+	// case-study PADs (Table 1), their overheads measured on it (Equation 1).
+	app, err := deploy.NewApp("webapp", 8, 7, 2, false)
 	check(err)
 
-	// 3. Stand up the adaptation proxy and push the topology to it.
-	matrices, err := fractal.CaseStudyMatrices()
-	check(err)
-	px, err := fractal.NewProxy(fractal.OverheadModel{
-		Matrices:          matrices,
-		Rho:               netsim.DefaultRho,
-		ServerCPUMHz:      netsim.ServerDevice.CPUMHz,
-		IncludeServerComp: true,
-		SessionRequests:   8,
-	}, 256)
-	check(err)
-	check(px.PushAppMeta(appMeta))
-
-	// 4. Publish the PAD modules through the CDN.
+	// 2. Publish the PAD modules through the CDN.
 	topo, err := fractal.DefaultCDNTopology(4)
 	check(err)
 	check(app.PublishPADs(topo.Origin()))
 
-	// 5. A PDA on Bluetooth appears. It trusts the operator's key.
-	trust := fractal.NewTrustList()
-	entity, key := app.TrustedKey()
-	check(trust.Add(entity, key))
+	// 3. Stand up the adaptation proxy, gated on the CDN origin: it verifies
+	// every module a pushed topology names before registering it.
+	px, err := deploy.NewProxy(false, topo.Origin().Get)
+	check(err)
+	check(px.PushAppMeta(app.Meta))
 
+	// 4. A PDA on Bluetooth appears. It trusts the operator's key.
 	c, err := fractal.NewClient(fractal.ClientConfig{
 		Env:             fractal.EnvFor(netsim.PDA),
-		SessionRequests: 8,
-		Trust:           trust,
+		SessionRequests: deploy.SessionRequests,
+		Trust:           app.Trust,
 		Sandbox:         mobilecode.DefaultSandbox(),
 	},
 		px, // in-process negotiation
 		&client.CDNFetcher{CDN: topo, Region: "region-1", Link: netsim.Bluetooth},
-		app,
+		app.Server,
 	)
 	check(err)
 
-	// 6. Negotiate: the proxy's path search picks the protocol for this
+	// 5. Negotiate: the proxy's path search picks the protocol for this
 	// environment; the client downloads + verifies + deploys the PAD.
 	pads, err := c.EnsureProtocol("webapp")
 	check(err)
 	fmt.Printf("negotiated protocol for PDA/Bluetooth: %s (PAD %s, %d-byte module)\n",
 		pads[0].Protocol, pads[0].ID, pads[0].Size)
 
-	// 7. Fetch a page, then fetch it again — the second transfer is a
+	// 6. Fetch a page, then fetch it again — the second transfer is a
 	// differential update thanks to the version cache.
 	data, err := c.Request("webapp", "page-000")
 	check(err)

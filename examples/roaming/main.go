@@ -25,10 +25,6 @@ func main() {
 	s, err := fractal.NewExperimentSetup(fractal.DefaultExperimentConfig())
 	check(err)
 
-	trust := fractal.NewTrustList()
-	entity, key := s.App.TrustedKey()
-	check(trust.Add(entity, key))
-
 	hops := []struct {
 		where   string
 		station netsim.Station
@@ -41,8 +37,8 @@ func main() {
 
 	c, err := fractal.NewClient(fractal.ClientConfig{
 		Env:             fractal.EnvFor(hops[0].station),
-		SessionRequests: s.Config.SessionRequests,
-		Trust:           trust,
+		SessionRequests: s.Model.SessionRequests,
+		Trust:           s.Trust,
 		Sandbox:         mobilecode.DefaultSandbox(),
 	},
 		s.Proxy,

@@ -2,11 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"fractal/internal/client"
+	"fractal/internal/deploy"
 	"fractal/internal/netsim"
 	"fractal/internal/proxy"
 )
@@ -33,21 +33,12 @@ func RunFig9a(s *Setup, clientCounts []int) (Fig9aResult, error) {
 	if len(clientCounts) == 0 {
 		return Fig9aResult{}, fmt.Errorf("experiment: fig9a needs client counts")
 	}
-	srv, err := proxy.NewServer(s.Proxy, 64, func(string, ...interface{}) {})
+	ep, err := deploy.Serve("127.0.0.1:0", proxy.NewServer, s.Proxy, func(string, ...interface{}) {})
 	if err != nil {
-		return Fig9aResult{}, err
+		return Fig9aResult{}, fmt.Errorf("experiment: fig9a: %w", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return Fig9aResult{}, fmt.Errorf("experiment: fig9a listen: %w", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	defer func() {
-		_ = srv.Close()
-		<-done
-	}()
-	neg := &client.TCPNegotiator{Addr: ln.Addr().String()}
+	defer ep.Close()
+	neg := &client.TCPNegotiator{Addr: ep.Addr()}
 	stations := netsim.Stations()
 
 	var out Fig9aResult
@@ -65,7 +56,7 @@ func RunFig9a(s *Setup, clientCounts []int) (Fig9aResult, error) {
 				env := EnvFor(stations[i%len(stations)])
 				//fractal:allow simtime — fig9a measures real TCP negotiation latency
 				start := time.Now()
-				_, err := neg.Negotiate(s.App.AppID(), env, s.Config.SessionRequests)
+				_, err := neg.Negotiate(s.App.AppID(), env, s.Model.SessionRequests)
 				durs[i] = time.Since(start)
 				errs[i] = err
 			}(i)

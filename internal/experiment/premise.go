@@ -5,6 +5,7 @@ import (
 
 	"fractal/internal/codec"
 	"fractal/internal/core"
+	"fractal/internal/deploy"
 	"fractal/internal/netsim"
 	"fractal/internal/workload"
 )
@@ -70,16 +71,9 @@ type PremiseResult struct {
 // Equation 3 per station, reproducing the heterogeneity argument: the
 // winner set must not collapse to a single protocol.
 func RunPremise(seed int64) (PremiseResult, error) {
-	ms, err := core.CaseStudyMatrices()
+	model, err := deploy.Model(false)
 	if err != nil {
 		return PremiseResult{}, err
-	}
-	model := core.OverheadModel{
-		Matrices:          ms,
-		Rho:               netsim.DefaultRho,
-		ServerCPUMHz:      netsim.ServerDevice.CPUMHz,
-		IncludeServerComp: true,
-		SessionRequests:   75,
 	}
 	protos := []string{codec.NameDirect, codec.NameGzip, codec.NameBitmap, codec.NameVaryBlock, codec.NameRsync}
 	out := PremiseResult{Bytes: map[string]map[string]int64{}}

@@ -12,6 +12,7 @@ import (
 	"fractal/internal/appserver"
 	"fractal/internal/cdn"
 	"fractal/internal/core"
+	"fractal/internal/deploy"
 	"fractal/internal/mobilecode"
 	"fractal/internal/netsim"
 	"fractal/internal/proxy"
@@ -20,37 +21,22 @@ import (
 
 // SetupConfig parameterizes the experimental platform of Figure 7.
 type SetupConfig struct {
-	Pages           int   // corpus size (75 in the paper)
-	Seed            int64 // workload determinism
-	Edges           int   // CDN edgeservers standing in for PlanetLab nodes
-	SessionRequests int   // requests per application session
-	SamplePages     int   // pages used to pre-measure PAD overheads
-	CacheCapacity   int   // adaptation-cache entries at the proxy
+	Pages int   // corpus size (75 in the paper)
+	Seed  int64 // workload determinism
+	Edges int   // CDN edgeservers standing in for PlanetLab nodes
 }
 
 // DefaultSetupConfig matches the paper's platform.
 func DefaultSetupConfig() SetupConfig {
 	return SetupConfig{
-		Pages:           workload.DefaultPages,
-		Seed:            2005, // IPPS 2005
-		Edges:           10,
-		SessionRequests: 75,
-		SamplePages:     8,
-		CacheCapacity:   1024,
+		Pages: workload.DefaultPages,
+		Seed:  2005, // IPPS 2005
+		Edges: 10,
 	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c SetupConfig) Validate() error {
-	if c.Pages < 1 || c.Edges < 1 || c.SessionRequests < 1 || c.SamplePages < 1 || c.CacheCapacity < 1 {
-		return fmt.Errorf("experiment: all setup counts must be >= 1: %+v", c)
-	}
-	return nil
 }
 
 // Setup is a fully wired Fractal deployment on the simulated platform.
 type Setup struct {
-	Config  SetupConfig
 	App     *appserver.Server
 	Proxy   *proxy.Proxy
 	CDN     *cdn.CDN
@@ -60,54 +46,11 @@ type Setup struct {
 	Model   core.OverheadModel
 }
 
-// NewSetup builds the experimental platform: the 75-page two-version
-// corpus, the application server with all four PADs deployed and measured,
-// the adaptation proxy with the pushed topology, and the CDN with
-// published modules.
+// NewSetup builds the experimental platform through internal/deploy: the
+// application server, the CDN with its modules published, and the proxy,
+// gated on the CDN origin, with the topology pushed.
 func NewSetup(cfg SetupConfig) (*Setup, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	signer, err := mobilecode.NewSigner("app-operator")
-	if err != nil {
-		return nil, err
-	}
-	app, err := appserver.New("webapp", signer)
-	if err != nil {
-		return nil, err
-	}
-	wcfg := workload.DefaultConfig(cfg.Seed)
-	wcfg.Pages = cfg.Pages
-	v1, err := workload.Generate(wcfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: generating corpus: %w", err)
-	}
-	v2, err := workload.MutateCorpus(v1, workload.DefaultMutation(cfg.Seed+1))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: evolving corpus: %w", err)
-	}
-	if err := app.InstallCorpus(v1, v2); err != nil {
-		return nil, err
-	}
-	if err := app.DeployPADs("1.0"); err != nil {
-		return nil, err
-	}
-	appMeta, err := app.MeasureAppMeta(cfg.SamplePages)
-	if err != nil {
-		return nil, err
-	}
-	ms, err := core.CaseStudyMatrices()
-	if err != nil {
-		return nil, err
-	}
-	model := core.OverheadModel{
-		Matrices:          ms,
-		Rho:               netsim.DefaultRho,
-		ServerCPUMHz:      netsim.ServerDevice.CPUMHz,
-		IncludeServerComp: true,
-		SessionRequests:   cfg.SessionRequests,
-	}
-	px, err := proxy.New(model, cfg.CacheCapacity)
+	app, err := deploy.NewApp("webapp", cfg.Pages, cfg.Seed, 2, false)
 	if err != nil {
 		return nil, err
 	}
@@ -118,26 +61,20 @@ func NewSetup(cfg SetupConfig) (*Setup, error) {
 	if err := app.PublishPADs(topo.Origin()); err != nil {
 		return nil, err
 	}
-	// Arm the proxy's registration gate before any topology is pushed: the
-	// proxy fetches every referenced module from the origin (modules are
-	// published above, so the fetch resolves) and statically verifies its
-	// bytecode, so a malformed module never enters the PAT.
-	origin := topo.Origin()
-	fetch := func(m core.PADMeta) ([]byte, error) { return origin.Get(m.URL) }
-	if err := px.SetModuleSource(fetch, mobilecode.DefaultSandbox()); err != nil {
+	px, err := deploy.NewProxy(false, topo.Origin().Get)
+	if err != nil {
 		return nil, err
 	}
-	if err := px.PushAppMeta(appMeta); err != nil {
+	if err := px.PushAppMeta(app.Meta); err != nil {
 		return nil, err
 	}
-	trust := mobilecode.NewTrustList()
-	entity, key := app.TrustedKey()
-	if err := trust.Add(entity, key); err != nil {
+	model, err := deploy.Model(false)
+	if err != nil {
 		return nil, err
 	}
 	return &Setup{
-		Config: cfg, App: app, Proxy: px, CDN: topo,
-		AppMeta: appMeta, Trust: trust, V1: v1, V2: v2, Model: model,
+		App: app.Server, Proxy: px, CDN: topo, AppMeta: app.Meta,
+		Trust: app.Trust, V1: app.Versions[0], V2: app.Versions[1], Model: model,
 	}, nil
 }
 

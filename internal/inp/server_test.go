@@ -58,7 +58,7 @@ const bigModule = "/pads/big"
 func daemons(t *testing.T) []daemon {
 	t.Helper()
 	cfg := experiment.DefaultSetupConfig()
-	cfg.Pages, cfg.SamplePages = 4, 2
+	cfg.Pages = 4
 	s, err := experiment.NewSetup(cfg)
 	if err != nil {
 		t.Fatal(err)
