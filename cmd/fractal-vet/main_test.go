@@ -247,12 +247,23 @@ func TestRunPadsJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &reports); err != nil {
 		t.Fatalf("output is not a JSON report array: %v\n%s", err, out)
 	}
+	// The instruction count is each program's exact cost: one CALL and a
+	// HALT, or cascade's two CALLs.
+	want := map[string]int{
+		"pad-direct": 2, "pad-gzip": 2, "pad-bitmap": 2, "pad-vary": 2,
+		"pad-rsync": 2, "pad-cascade": 3, "pad-full": 2, "pad-thumb": 2,
+	}
+	if len(reports) != len(want) {
+		t.Fatalf("%d reports, want one per builtin module (%d)", len(reports), len(want))
+	}
 	for _, r := range reports {
 		if r.Error != "" {
 			t.Errorf("builtin module %s rejected: %s", r.Module, r.Error)
+			continue
 		}
-		if r.Encode == nil || !r.Encode.ExactCost {
-			t.Errorf("builtin module %s should carry an exact encode cost bound", r.Module)
+		if r.Encode.Instructions != want[r.Module] || r.Decode.Instructions != want[r.Module] {
+			t.Errorf("builtin module %s: encode %d and decode %d instructions, want %d each",
+				r.Module, r.Encode.Instructions, r.Decode.Instructions, want[r.Module])
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package deploy
 
 import (
+	"crypto/ed25519"
+	"crypto/sha1"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +11,9 @@ import (
 	"fractal/internal/appserver"
 	"fractal/internal/core"
 	"fractal/internal/mobilecode"
+	"fractal/internal/mobilecode/verify"
 	"fractal/internal/proxy"
+	"fractal/internal/wire"
 )
 
 // quiet discards a daemon's log.
@@ -41,39 +45,70 @@ var pdaEnv = core.Env{
 	Ntwk: core.NtwkMeta{NetworkType: core.NetBluetooth, BandwidthKbps: 723},
 }
 
-// evilModule assembles, signs and packs a module whose decode program
-// calls a capability the sandbox does not declare, as proxy's gate tests
-// build theirs.
-func evilModule(t *testing.T) (*mobilecode.Module, []byte) {
+// newSigner is a code-signing key for the application operator.
+func newSigner(t *testing.T) *mobilecode.Signer {
 	t.Helper()
 	signer, err := mobilecode.NewSigner(signerEntity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	program := func(src string) []byte {
-		p, err := mobilecode.Assemble(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bin, err := p.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return bin
-	}
-	m, err := mobilecode.NewModule("pad-evil", "1.0", mobilecode.Payload{
-		Protocol: "direct",
-		Encode:   program("CALL identity\nHALT"),
-		Decode:   program("CALL backdoor.fetch\nHALT"),
-	}, signer)
+	return signer
+}
+
+// signedModule signs and packs a module, named id, whose encode program
+// is CALL identity and whose decode program is the given encoding.
+// NewModule refuses a decode program outside the language, so the module
+// is signed here over the section Pack writes.
+func signedModule(t *testing.T, signer *mobilecode.Signer, id string, decode []byte) (*mobilecode.Module, []byte) {
+	t.Helper()
+	p, err := mobilecode.Assemble("CALL identity\nHALT")
 	if err != nil {
 		t.Fatal(err)
 	}
+	encode, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &mobilecode.Module{ID: id, Version: "1.0", Entity: signer.Entity,
+		Payload: mobilecode.Payload{Protocol: "direct", Encode: encode, Decode: decode},
+		Sig:     make([]byte, ed25519.SignatureSize)}
+	unsigned, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(unsigned[len("FMC2"):], false)
+	r.Str() // id
+	r.Str() // version
+	r.Str() // entity
+	m.Digest = sha1.Sum(r.Bytes())
+	m.Sig = signer.Sign(m.ID, m.Version, m.Digest)
 	packed, err := m.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m, packed
+}
+
+// evilModule's decode program calls a capability the sandbox does not
+// declare.
+func evilModule(t *testing.T) (*mobilecode.Module, []byte) {
+	p, err := mobilecode.Assemble("CALL backdoor.fetch\nHALT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return signedModule(t, newSigner(t), "pad-evil", bin)
+}
+
+// legacyModule's decode program is PUSH 1, POP, CALL identity, HALT in the
+// program encoding (opcode, varint immediate, symbol): PUSH and POP were
+// opcodes 2 and 3 of a larger language the verifier once accepted.
+func legacyModule(t *testing.T, signer *mobilecode.Signer) (*mobilecode.Module, []byte) {
+	decode := append([]byte{4, 2, 2, 0, 3, 0, 0, 14, 0, 8}, "identity"...)
+	return signedModule(t, signer, "pad-legacy", append(decode, 1, 0, 0))
 }
 
 // TestShippedProxyGate pushes over TCP, as fractal-server does, to the
@@ -120,9 +155,8 @@ func TestShippedProxyGate(t *testing.T) {
 		}
 	})
 
-	t.Run("unverifiable", func(t *testing.T) {
+	refused := func(t *testing.T, m *mobilecode.Module, packed []byte) {
 		dir := publish(t)
-		m, packed := evilModule(t)
 		if err := os.WriteFile(filepath.Join(dir, m.ID+".fmc"), packed, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -137,6 +171,38 @@ func TestShippedProxyGate(t *testing.T) {
 		if st := px.Stats(); st.VerifierRejections != 1 || st.TopologyPushes != 0 {
 			t.Fatalf("stats after verifier rejection: %+v", st)
 		}
+	}
+
+	t.Run("unverifiable", func(t *testing.T) {
+		m, packed := evilModule(t)
+		refused(t, m, packed)
+	})
+
+	// A signed module in the larger language refused at every gate: the
+	// client's loader with and without the verifier, the verifier alone,
+	// and the proxy's registration gate.
+	t.Run("removed opcode", func(t *testing.T) {
+		signer := newSigner(t)
+		m, packed := legacyModule(t, signer)
+		trust := mobilecode.NewTrustList()
+		if err := trust.Add(signer.Entity, signer.PublicKey()); err != nil {
+			t.Fatal(err)
+		}
+		loader, err := mobilecode.NewLoader(trust, mobilecode.DefaultSandbox())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loader.Load(packed); err == nil || !strings.Contains(err.Error(), "OP(2)") {
+			t.Fatalf("loader without the verifier: %v, want PUSH refused", err)
+		}
+		loader.SetVerifier(verify.LoaderVerifier())
+		if _, err := loader.Load(packed); err == nil {
+			t.Fatal("loader with the verifier deployed a removed opcode")
+		}
+		if _, err := verify.Packed(packed, mobilecode.DefaultSandbox()); err == nil {
+			t.Fatal("verifier accepted a removed opcode")
+		}
+		refused(t, m, packed)
 	})
 }
 

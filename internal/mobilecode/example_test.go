@@ -1,23 +1,27 @@
 package mobilecode_test
 
 import (
+	"bytes"
 	"fmt"
 
 	"fractal/internal/mobilecode"
 )
 
-// A PAD program is tiny assembly over codec primitives; this one
-// compresses content only when it exceeds a threshold.
+// A PAD program is a pipeline over codec primitives. These two are the
+// cascade PAD: a content-defined-chunking delta of the current version
+// against the old one, gzip-compressed, and its inverse.
 func ExampleAssemble() {
-	prog, err := mobilecode.Assemble(`
-		SIZE            ; len(content)
-		PUSH 64
-		LT              ; small?
-		JZ big
-		CALL identity   ; send tiny content as-is
-		HALT
-	big:
-		CALL gzip.encode
+	encode, err := mobilecode.Assemble(`
+		CALL vary.encode   ; [old, cur] -> [delta]
+		CALL gzip.encode   ; [delta] -> [payload]
+		HALT`)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	decode, err := mobilecode.Assemble(`
+		CALL gzip.decode   ; [old, payload] -> [old, delta]
+		CALL vary.decode   ; [old, delta] -> [cur]
 		HALT`)
 	if err != nil {
 		fmt.Println(err)
@@ -33,11 +37,22 @@ func ExampleAssemble() {
 		fmt.Println(err)
 		return
 	}
-	small, err := vm.Run(prog, [][]byte{[]byte("short")})
+	old := bytes.Repeat([]byte("pervasive computing adapts its protocols. "), 200)
+	cur := append(bytes.Clone(old), "One more sentence."...)
+	enc, err := vm.Run(encode, [][]byte{old, cur})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("small input passes through: %q\n", small[len(small)-1])
-	// Output: small input passes through: "short"
+	payload := enc[len(enc)-1]
+	dec, err := vm.Run(decode, [][]byte{old, payload})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("payload smaller than content: %v\n", len(payload) < len(cur))
+	fmt.Printf("decoded equals content: %v\n", bytes.Equal(dec[len(dec)-1], cur))
+	// Output:
+	// payload smaller than content: true
+	// decoded equals content: true
 }

@@ -58,7 +58,7 @@ func FuzzUnpack(f *testing.F) {
 
 // FuzzUnmarshalProgram hardens program decoding.
 func FuzzUnmarshalProgram(f *testing.F) {
-	bin, err := MustAssemble("PUSH 5\nJZ done\nCALL identity\ndone:\nHALT").MarshalBinary()
+	bin, err := MustAssemble("DUPB\nSWAPB\nDROPB\nCALL identity\nHALT").MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}

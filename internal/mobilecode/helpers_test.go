@@ -18,30 +18,13 @@ func MustAssemble(src string) Program {
 	return p
 }
 
-// Disassemble renders a program back into assembly (with numeric jump
-// targets as synthesized labels).
+// Disassemble renders a program back into assembly.
 func Disassemble(p Program) string {
-	targets := map[int64]string{}
-	for _, in := range p {
-		if in.Op == OpJmp || in.Op == OpJz {
-			if _, ok := targets[in.Arg]; !ok {
-				targets[in.Arg] = fmt.Sprintf("L%d", in.Arg)
-			}
-		}
-	}
 	var b strings.Builder
-	for i, in := range p {
-		if lbl, ok := targets[int64(i)]; ok {
-			fmt.Fprintf(&b, "%s:\n", lbl)
-		}
-		switch in.Op {
-		case OpPush:
-			fmt.Fprintf(&b, "\t%s %d\n", in.Op, in.Arg)
-		case OpJmp, OpJz:
-			fmt.Fprintf(&b, "\t%s %s\n", in.Op, targets[in.Arg])
-		case OpCall:
+	for _, in := range p {
+		if in.Op == OpCall {
 			fmt.Fprintf(&b, "\t%s %s\n", in.Op, in.Sym)
-		default:
+		} else {
 			fmt.Fprintf(&b, "\t%s\n", in.Op)
 		}
 	}

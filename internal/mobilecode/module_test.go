@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/sha1"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -365,6 +366,39 @@ func TestBuiltinModuleSizesAreOrdered(t *testing.T) {
 	}
 	if sizes["pad-direct"] < 1024 {
 		t.Fatalf("pad-direct suspiciously small: %d bytes", sizes["pad-direct"])
+	}
+}
+
+// TestBuiltinModuleDigestsArePinned fixes the payload bytes of every
+// builtin module: the programs' wire encoding, the params and the library
+// blob. PAD sizes, and through them the simulated figures, follow from
+// these bytes, so a change to the program language that moves one byte of
+// a shipped module fails here.
+func TestBuiltinModuleDigestsArePinned(t *testing.T) {
+	want := map[string]string{
+		"pad-direct":  "856a297c41b152513465c2dcbc3610e79ce68334",
+		"pad-gzip":    "da8cf077ca4101c1da5fe0dde98b918c8b0efa7e",
+		"pad-bitmap":  "7fe259213bf008e40f57eef440f8693b7c99c2e7",
+		"pad-vary":    "33bb3469025de56a697ec7efb7b5e44cf5e3fa8e",
+		"pad-rsync":   "7804f4d1bf269955a3bc58d401212ab751de1563",
+		"pad-cascade": "980d68653424a97ca2c17171bfa13624464f3a43",
+		"pad-full":    "e8f76e2ca10969cf40dda4d07de5cf04f04f1171",
+		"pad-thumb":   "d566d5a5c267501fe55f2a1feec937964545f558",
+	}
+	specs := append(BuiltinSpecs(), RsyncSpec(), CascadeSpec())
+	specs = append(specs, TranscoderSpecs()...)
+	if len(specs) != len(want) {
+		t.Fatalf("%d builtin specs, %d pinned digests", len(specs), len(want))
+	}
+	s := testSigner(t)
+	for _, spec := range specs {
+		m, err := BuildModule(spec, "1.0", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", m.Digest); got != want[spec.ID] {
+			t.Errorf("%s: payload digest %s, want %s", spec.ID, got, want[spec.ID])
+		}
 	}
 }
 

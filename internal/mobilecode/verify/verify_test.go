@@ -19,7 +19,7 @@ func deployCfg(t *testing.T, sb mobilecode.Sandbox) Config {
 }
 
 func smallSandbox() mobilecode.Sandbox {
-	return mobilecode.Sandbox{MaxInstructions: 1 << 12, MaxBufferBytes: 1 << 20, MaxStackDepth: 8}
+	return mobilecode.Sandbox{MaxBufferBytes: 1 << 20, MaxStackDepth: 8}
 }
 
 func TestBuiltinModulesVerify(t *testing.T) {
@@ -39,54 +39,60 @@ func TestBuiltinModulesVerify(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: builtin PAD rejected: %v", spec.ID, err)
 		}
-		for role, r := range map[string]*Report{"encode": rep.Encode, "decode": rep.Decode} {
-			if !r.ExactCost {
-				t.Errorf("%s %s: straight-line builtin did not get an exact cost", spec.ID, role)
+		for role, c := range map[string]struct {
+			r   *Report
+			src string
+		}{"encode": {rep.Encode, spec.EncodeSrc}, "decode": {rep.Decode, spec.DecodeSrc}} {
+			p, err := mobilecode.Assemble(c.src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(r.Calls) == 0 {
+			if c.r.Instructions != len(p) {
+				t.Errorf("%s %s: cost %d, want the program length %d", spec.ID, role, c.r.Instructions, len(p))
+			}
+			if len(c.r.Calls) == 0 {
 				t.Errorf("%s %s: no host calls resolved", spec.ID, role)
-			}
-			if r.Loops {
-				t.Errorf("%s %s: builtin reported loops", spec.ID, role)
 			}
 		}
 	}
 }
 
 func TestCraftedBadProgramsRejectedWithTypedErrors(t *testing.T) {
-	I := func(op mobilecode.Op, arg int64) mobilecode.Instr { return mobilecode.Instr{Op: op, Arg: arg} }
+	I := func(op mobilecode.Op) mobilecode.Instr { return mobilecode.Instr{Op: op} }
+	// Ops removed from the language, at their old wire values: programs
+	// that used them fail Validate, so the verifier refuses them as
+	// malformed before it looks at a stack height.
+	const (
+		nop  mobilecode.Op = 0
+		push mobilecode.Op = 2
+		pop  mobilecode.Op = 3
+		eq   mobilecode.Op = 11
+		jmp  mobilecode.Op = 12
+		jz   mobilecode.Op = 13
+	)
 	cases := []struct {
 		name   string
 		prog   mobilecode.Program
-		cfg    func(Config) Config
 		kind   error
 		wantPC int
 	}{
 		{
 			name:   "int underflow",
-			prog:   mobilecode.Program{I(mobilecode.OpPop, 0), I(mobilecode.OpHalt, 0)},
-			kind:   ErrIntUnderflow,
-			wantPC: 0,
+			prog:   mobilecode.Program{I(pop), I(mobilecode.OpHalt)},
+			kind:   ErrMalformed,
+			wantPC: -1,
 		},
 		{
-			name: "int underflow on a join path",
-			// Only the fall-through path pushes before EQ pops twice.
-			prog: mobilecode.Program{
-				I(mobilecode.OpPush, 1),
-				I(mobilecode.OpJz, 4),
-				I(mobilecode.OpPush, 2),
-				I(mobilecode.OpPush, 3),
-				I(mobilecode.OpEq, 0),
-				I(mobilecode.OpHalt, 0),
-			},
-			kind:   ErrIntUnderflow,
-			wantPC: 4,
+			name:   "int underflow on a join path",
+			prog:   mobilecode.Program{I(push), I(jz), I(push), I(push), I(eq), I(mobilecode.OpHalt)},
+			kind:   ErrMalformed,
+			wantPC: -1,
 		},
 		{
 			name: "buffer underflow",
 			prog: mobilecode.Program{
-				I(mobilecode.OpDropB, 0), I(mobilecode.OpDropB, 0),
-				I(mobilecode.OpDropB, 0), I(mobilecode.OpHalt, 0),
+				I(mobilecode.OpDropB), I(mobilecode.OpDropB),
+				I(mobilecode.OpDropB), I(mobilecode.OpHalt),
 			},
 			kind:   ErrBufUnderflow,
 			wantPC: 2,
@@ -95,53 +101,44 @@ func TestCraftedBadProgramsRejectedWithTypedErrors(t *testing.T) {
 			name: "undeclared CALL",
 			prog: mobilecode.Program{
 				{Op: mobilecode.OpCall, Sym: "evil.exfiltrate"},
-				I(mobilecode.OpHalt, 0),
+				I(mobilecode.OpHalt),
 			},
 			kind:   ErrUndeclaredCall,
 			wantPC: 0,
 		},
 		{
 			name: "dead code",
+			// Nothing after the first HALT ever runs.
 			prog: mobilecode.Program{
-				I(mobilecode.OpJmp, 2),
-				I(mobilecode.OpNop, 0),
-				I(mobilecode.OpHalt, 0),
+				I(mobilecode.OpHalt),
+				I(mobilecode.OpDropB),
+				I(mobilecode.OpHalt),
 			},
 			kind:   ErrDeadCode,
 			wantPC: 1,
 		},
 		{
-			name: "unbounded loop",
-			// The cycle 0-1-2 escapes through JZ at 1, but the edge that
-			// closes it (2 -> 0) is unconditional.
-			prog: mobilecode.Program{
-				I(mobilecode.OpPush, 1),
-				I(mobilecode.OpJz, 3),
-				I(mobilecode.OpJmp, 0),
-				I(mobilecode.OpHalt, 0),
-			},
-			kind:   ErrUnboundedLoop,
-			wantPC: 2,
+			name:   "unbounded loop",
+			prog:   mobilecode.Program{I(push), I(jz), I(jmp), I(mobilecode.OpHalt)},
+			kind:   ErrMalformed,
+			wantPC: -1,
 		},
 		{
-			name: "no reachable HALT",
-			prog: mobilecode.Program{
-				I(mobilecode.OpJmp, 1),
-				I(mobilecode.OpJmp, 0),
-			},
-			kind:   ErrNoHalt,
-			wantPC: 0,
+			name:   "no reachable HALT",
+			prog:   mobilecode.Program{I(jmp), I(jmp)},
+			kind:   ErrMalformed,
+			wantPC: -1,
 		},
 		{
 			name:   "falls off the end",
-			prog:   mobilecode.Program{I(mobilecode.OpNop, 0)},
-			kind:   ErrFallsOff,
-			wantPC: 0,
+			prog:   mobilecode.Program{{Op: mobilecode.OpCall, Sym: "identity"}},
+			kind:   ErrMalformed,
+			wantPC: -1,
 		},
 		{
 			name: "halts without a result",
 			prog: mobilecode.Program{
-				I(mobilecode.OpDropB, 0), I(mobilecode.OpDropB, 0), I(mobilecode.OpHalt, 0),
+				I(mobilecode.OpDropB), I(mobilecode.OpDropB), I(mobilecode.OpHalt),
 			},
 			kind:   ErrNoResult,
 			wantPC: 2,
@@ -149,48 +146,29 @@ func TestCraftedBadProgramsRejectedWithTypedErrors(t *testing.T) {
 		{
 			name: "stack depth",
 			prog: mobilecode.Program{
-				I(mobilecode.OpDupB, 0), I(mobilecode.OpDupB, 0), I(mobilecode.OpDupB, 0),
-				I(mobilecode.OpDupB, 0), I(mobilecode.OpDupB, 0), I(mobilecode.OpDupB, 0),
-				I(mobilecode.OpDupB, 0), I(mobilecode.OpHalt, 0),
+				I(mobilecode.OpDupB), I(mobilecode.OpDupB), I(mobilecode.OpDupB),
+				I(mobilecode.OpDupB), I(mobilecode.OpDupB), I(mobilecode.OpDupB),
+				I(mobilecode.OpDupB), I(mobilecode.OpHalt),
 			},
 			kind:   ErrStackDepth,
 			wantPC: 6,
 		},
 		{
-			name: "cost over budget",
-			prog: mobilecode.Program{
-				I(mobilecode.OpNop, 0), I(mobilecode.OpNop, 0), I(mobilecode.OpNop, 0),
-				I(mobilecode.OpNop, 0), I(mobilecode.OpHalt, 0),
-			},
-			cfg: func(c Config) Config {
-				c.Sandbox.MaxInstructions = 4
-				return c
-			},
-			kind:   ErrCost,
-			wantPC: 0,
+			name:   "cost over budget",
+			prog:   mobilecode.Program{I(nop), I(nop), I(nop), I(nop), I(mobilecode.OpHalt)},
+			kind:   ErrMalformed,
+			wantPC: -1,
 		},
 		{
-			name: "loop under a loop-free policy",
-			prog: mobilecode.Program{
-				I(mobilecode.OpPush, 1),
-				I(mobilecode.OpJz, 0),
-				I(mobilecode.OpHalt, 0),
-			},
-			cfg: func(c Config) Config {
-				c.AllowLoops = false
-				return c
-			},
-			kind:   ErrLoop,
-			wantPC: 1,
+			name:   "loop under a loop-free policy",
+			prog:   mobilecode.Program{I(push), I(jz), I(mobilecode.OpHalt)},
+			kind:   ErrMalformed,
+			wantPC: -1,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := deployCfg(t, smallSandbox())
-			if tc.cfg != nil {
-				cfg = tc.cfg(cfg)
-			}
-			_, err := Program(tc.prog, cfg)
+			_, err := Program(tc.prog, deployCfg(t, smallSandbox()))
 			if err == nil {
 				t.Fatal("verifier accepted the program")
 			}
@@ -211,47 +189,6 @@ func TestCraftedBadProgramsRejectedWithTypedErrors(t *testing.T) {
 	}
 }
 
-func TestGuardedLoopAcceptedAndRuns(t *testing.T) {
-	cfg := deployCfg(t, smallSandbox())
-	// A cycle closed by a conditional jump: the verifier accepts it and
-	// falls back to the sandbox budget as the cost bound.
-	cyclic, err := mobilecode.Assemble(`
-		PUSH 4
-	loop:
-		DUPB
-		DROPB
-		PUSH 0
-		JZ loop     ; always taken at run time: spins until the budget
-		HALT`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := Program(cyclic, cfg)
-	if err != nil {
-		t.Fatalf("conditionally closed cycle rejected: %v", err)
-	}
-	if !rep2.Loops || rep2.ExactCost {
-		t.Fatalf("cycle not detected: %+v", rep2)
-	}
-	if rep2.MaxCost != cfg.Sandbox.MaxInstructions {
-		t.Fatalf("cyclic cost bound = %d, want the sandbox budget %d", rep2.MaxCost, cfg.Sandbox.MaxInstructions)
-	}
-	// The VM's budget is the back-edge check the verifier relied on: the
-	// program spins but fails with budget exhaustion, not a static fault.
-	hosts, err := mobilecode.HostTable(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := mobilecode.NewVM(hosts, smallSandbox())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = vm.Run(cyclic, [][]byte{[]byte("old"), []byte("cur")})
-	if !errors.Is(err, mobilecode.ErrInstructionBudget) {
-		t.Fatalf("spinning program failed with %v, want the instruction budget", err)
-	}
-}
-
 func TestReportBoundsMatchStraightLine(t *testing.T) {
 	p, err := mobilecode.Assemble(`
 		CALL vary.encode
@@ -264,27 +201,14 @@ func TestReportBoundsMatchStraightLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MaxCost != 3 || !rep.ExactCost {
-		t.Fatalf("cost = %d (exact %v), want exactly 3", rep.MaxCost, rep.ExactCost)
+	if rep.Instructions != 3 {
+		t.Fatalf("cost = %d instructions, want 3", rep.Instructions)
 	}
 	if rep.MaxBufDepth != 2 {
 		t.Fatalf("buffer depth bound = %d, want 2", rep.MaxBufDepth)
 	}
 	if len(rep.Calls) != 2 {
 		t.Fatalf("calls = %v, want the two primitives", rep.Calls)
-	}
-}
-
-func TestCapsForHostsExcludesUndeclaredResults(t *testing.T) {
-	caps := CapsForHosts([]mobilecode.HostFunc{
-		{Name: "declared", Arity: 1, Results: 1},
-		{Name: "legacy", Arity: 1}, // undeclared result count
-	})
-	if _, ok := caps["declared"]; !ok {
-		t.Fatal("declared host missing from the capability set")
-	}
-	if _, ok := caps["legacy"]; ok {
-		t.Fatal("host with undeclared results must be uncallable")
 	}
 }
 

@@ -6,7 +6,9 @@
 // can download, verify, and *execute* protocol logic it did not ship with —
 // including the paper's security mechanisms (Section 3.5): SHA-1 message
 // digests, code signing against a trust list, and a sandbox that bounds
-// the instructions, memory, and buffers a PAD may consume.
+// the memory and buffers a PAD may hold. A program is a straight-line
+// pipeline of host-function calls and buffer-stack shuffles with no jumps,
+// so every run terminates after at most len(program) instructions.
 package mobilecode
 
 import (
@@ -17,38 +19,26 @@ import (
 	"fractal/internal/wire"
 )
 
-// Op is a VM opcode. The machine has two stacks: a buffer stack of byte
-// slices (the data being transformed) and an integer stack (control
-// values). Host calls invoke named primitives registered by the embedder.
-// Buffers are immutable values: no instruction writes the bytes of one, so
-// the stack, the caller's inputs and the results may share storage freely.
+// Op is a VM opcode. The machine has one stack of byte slices, the data
+// being transformed; host calls invoke named primitives registered by the
+// embedder. Buffers are immutable values: no instruction writes the bytes
+// of one, so the stack, the caller's inputs and the results may share
+// storage freely.
 type Op uint8
 
-// The instruction set.
+// The instruction set. The byte values are the program wire encoding, and
+// the gaps between them are opcodes the language no longer has, which
+// Validate refuses.
 const (
-	OpNop     Op = iota // no effect
-	OpHalt              // stop successfully
-	OpPush              // push immediate onto the int stack
-	OpPop               // discard top of int stack
-	OpDupB              // duplicate top buffer (a second reference, no copy)
-	OpSwapB             // swap top two buffers
-	OpDropB             // drop top buffer
-	OpSize              // push len(top buffer) onto int stack
-	OpConcatB           // pop two buffers, push their concatenation (a new buffer)
-	OpSliceB            // pop end, start ints; replace top buffer by that window of it
-	OpLt                // pop b, a; push 1 if a < b else 0
-	OpEq                // pop b, a; push 1 if a == b else 0
-	OpJmp               // jump to absolute instruction index (immediate)
-	OpJz                // pop int; jump to immediate index if it is zero
-	OpCall              // invoke host function named by the symbol
-	opMax
+	OpHalt  Op = 1  // stop successfully
+	OpDupB  Op = 4  // duplicate top buffer (a second reference, no copy)
+	OpSwapB Op = 5  // swap top two buffers
+	OpDropB Op = 6  // drop top buffer
+	OpCall  Op = 14 // invoke host function named by the symbol
 )
 
 var opNames = map[Op]string{
-	OpNop: "NOP", OpHalt: "HALT", OpPush: "PUSH", OpPop: "POP",
-	OpDupB: "DUPB", OpSwapB: "SWAPB", OpDropB: "DROPB", OpSize: "SIZE",
-	OpConcatB: "CONCATB", OpSliceB: "SLICEB", OpLt: "LT", OpEq: "EQ",
-	OpJmp: "JMP", OpJz: "JZ", OpCall: "CALL",
+	OpHalt: "HALT", OpDupB: "DUPB", OpSwapB: "SWAPB", OpDropB: "DROPB", OpCall: "CALL",
 }
 
 // String returns the assembler mnemonic.
@@ -59,59 +49,61 @@ func (o Op) String() string {
 	return fmt.Sprintf("OP(%d)", uint8(o))
 }
 
-// Instr is one VM instruction. Arg is the immediate for OpPush/OpJmp/OpJz;
-// Sym is the host-function name for OpCall.
+// Instr is one VM instruction. Sym is the host-function name for OpCall.
 type Instr struct {
 	Op  Op
-	Arg int64
 	Sym string
 }
 
 // Program is an executable instruction sequence.
 type Program []Instr
 
-// Validate performs static checks: known opcodes, jump targets inside the
-// program, and non-empty call symbols. A valid program can still fail at
-// run time (stack underflow, unknown host function, budget exhaustion) —
-// those are sandbox matters.
+// Validate performs static checks: known opcodes, a symbol on every CALL
+// and on nothing else, and a HALT last. A valid program can still fail at
+// run time (stack underflow, unknown host function, memory budget) —
+// those are sandbox matters, and the bytecode verifier's.
 func (p Program) Validate() error {
 	if len(p) == 0 {
 		return errors.New("mobilecode: empty program")
 	}
 	for i, in := range p {
-		if in.Op >= opMax {
-			return fmt.Errorf("mobilecode: instruction %d: unknown opcode %d", i, in.Op)
-		}
 		switch in.Op {
-		case OpJmp, OpJz:
-			if in.Arg < 0 || in.Arg >= int64(len(p)) {
-				return fmt.Errorf("mobilecode: instruction %d: jump target %d outside program of %d instructions", i, in.Arg, len(p))
+		case OpHalt, OpDupB, OpSwapB, OpDropB:
+			if in.Sym != "" {
+				return fmt.Errorf("mobilecode: instruction %d: %s takes no symbol, got %q", i, in.Op, in.Sym)
 			}
 		case OpCall:
 			if in.Sym == "" {
 				return fmt.Errorf("mobilecode: instruction %d: CALL without symbol", i)
 			}
+		default:
+			return fmt.Errorf("mobilecode: instruction %d: unknown opcode %d", i, in.Op)
 		}
+	}
+	if last := p[len(p)-1].Op; last != OpHalt {
+		return fmt.Errorf("mobilecode: program ends in %s, not HALT", last)
 	}
 	return nil
 }
 
 // MarshalBinary encodes the program for transport inside a PAD module,
 // in package wire's encoding: a uvarint instruction count, then per
-// instruction its opcode byte, varint immediate and symbol string.
+// instruction its opcode byte, a varint immediate (always zero: no opcode
+// takes one) and its symbol string.
 func (p Program) MarshalBinary() ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	out := binary.AppendUvarint(nil, uint64(len(p)))
 	for _, in := range p {
-		out = wire.AppendString(wire.AppendVarint(append(out, byte(in.Op)), in.Arg), in.Sym)
+		out = wire.AppendString(append(out, byte(in.Op), 0), in.Sym)
 	}
 	return out, nil
 }
 
 // UnmarshalProgram decodes a program encoded by MarshalBinary and
-// validates it.
+// validates it. A non-zero immediate is refused along with every opcode
+// Validate refuses.
 func UnmarshalProgram(data []byte) (Program, error) {
 	r := wire.NewReader(data, false)
 	n := r.Uvarint()
@@ -124,7 +116,9 @@ func UnmarshalProgram(data []byte) (Program, error) {
 		if op := r.Take(1); len(op) == 1 {
 			in.Op = Op(op[0])
 		}
-		in.Arg = r.Varint()
+		if arg := r.Varint(); arg != 0 {
+			return nil, fmt.Errorf("mobilecode: instruction %d: %s carries immediate %d; no opcode takes one", i, in.Op, arg)
+		}
 		in.Sym = r.Str()
 		p = append(p, in)
 	}
@@ -138,18 +132,15 @@ func UnmarshalProgram(data []byte) (Program, error) {
 }
 
 // HostFunc is a primitive callable from PAD programs. It pops `Arity`
-// buffers (topmost last in the slice) and its results are pushed in order.
-// Results declares how many buffers a successful call pushes; the static
-// verifier uses it to bound the buffer stack, and the VM enforces the
-// declaration at run time when it is set. Fn must treat its arguments as
-// read-only — they may be the caller's own inputs to Run, shared with other
-// stack slots — and may return them, or sub-slices of them, as results.
+// buffers (topmost last in the slice) and pushes the `Results` buffers it
+// returns, in order. The count is a contract: the static verifier bounds
+// the buffer stack with it, and the VM fails a call that returns another
+// number. Fn must treat its arguments as read-only — they may be the
+// caller's own inputs to Run, shared with other stack slots — and may
+// return them, or sub-slices of them, as results.
 type HostFunc struct {
-	Name  string
-	Arity int
-	// Results is the declared number of result buffers. Zero means
-	// undeclared for compatibility with hand-built tables; declared tables
-	// (HostTable) always fill it in.
+	Name    string
+	Arity   int
 	Results int
 	Fn      func(args [][]byte) ([][]byte, error)
 }
@@ -157,19 +148,18 @@ type HostFunc struct {
 // Sandbox bounds a PAD execution, the paper's VMM/sandbox mechanism. The
 // zero value denies everything; use DefaultSandbox for sane limits.
 type Sandbox struct {
-	MaxInstructions int64 // total executed instructions
-	MaxBufferBytes  int64 // total bytes live on the buffer stack
-	MaxStackDepth   int   // buffer and int stack depth
+	MaxBufferBytes int64 // total bytes live on the buffer stack
+	MaxStackDepth  int   // buffer stack depth
 }
 
 // DefaultSandbox allows generous budgets suited to page-sized transforms.
 func DefaultSandbox() Sandbox {
-	return Sandbox{MaxInstructions: 1 << 20, MaxBufferBytes: 64 << 20, MaxStackDepth: 64}
+	return Sandbox{MaxBufferBytes: 64 << 20, MaxStackDepth: 64}
 }
 
 // Validate reports whether the sandbox limits are usable.
 func (s Sandbox) Validate() error {
-	if s.MaxInstructions < 1 || s.MaxBufferBytes < 1 || s.MaxStackDepth < 1 {
+	if s.MaxBufferBytes < 1 || s.MaxStackDepth < 1 {
 		return fmt.Errorf("mobilecode: sandbox limits must be positive: %+v", s)
 	}
 	return nil
@@ -190,7 +180,7 @@ func NewVM(hosts []HostFunc, sb Sandbox) (*VM, error) {
 	}
 	m := map[string]HostFunc{}
 	for _, h := range hosts {
-		if h.Name == "" || h.Fn == nil || h.Arity < 0 || h.Results < 0 {
+		if h.Name == "" || h.Fn == nil || h.Arity < 0 || h.Results < 1 {
 			return nil, fmt.Errorf("mobilecode: malformed host function %q", h.Name)
 		}
 		if _, dup := m[h.Name]; dup {
@@ -218,9 +208,8 @@ func (e *RunError) Unwrap() error { return e.Err }
 
 // Budget errors, matchable with errors.Is.
 var (
-	ErrInstructionBudget = errors.New("instruction budget exhausted")
-	ErrMemoryBudget      = errors.New("buffer memory budget exhausted")
-	ErrStackDepth        = errors.New("stack depth limit exceeded")
+	ErrMemoryBudget = errors.New("buffer memory budget exhausted")
+	ErrStackDepth   = errors.New("stack depth limit exceeded")
 )
 
 // Static-class faults: failures a sound bytecode verifier proves absent
@@ -229,10 +218,8 @@ var (
 // can pin the soundness contract "verifier-accepted programs never trip
 // one of these at run time".
 var (
-	ErrIntUnderflow = errors.New("int stack underflow")
 	ErrBufUnderflow = errors.New("buffer stack underflow")
 	ErrUnknownHost  = errors.New("unknown host function")
-	ErrPCRange      = errors.New("program counter out of range (missing HALT?)")
 )
 
 // Run executes the program with the given initial buffer stack and returns
@@ -250,25 +237,11 @@ func (v *VM) Run(p Program, inputs [][]byte) ([][]byte, error) {
 			return nil, err
 		}
 	}
-	pc := 0
-	for {
-		if pc < 0 || pc >= len(p) {
-			return nil, &RunError{PC: pc, Op: OpNop, Err: ErrPCRange}
-		}
-		st.steps++
-		if st.steps > v.sandbox.MaxInstructions {
-			return nil, &RunError{PC: pc, Op: p[pc].Op, Err: ErrInstructionBudget}
-		}
+	// Validate put a HALT last, so the loop stops inside the program.
+	for pc := 0; p[pc].Op != OpHalt; pc++ {
 		in := p[pc]
 		var err error
 		switch in.Op {
-		case OpNop:
-		case OpHalt:
-			return st.bufs, nil
-		case OpPush:
-			err = st.pushI(in.Arg)
-		case OpPop:
-			_, err = st.popI()
 		case OpDupB:
 			var b []byte
 			if b, err = st.peekB(); err == nil {
@@ -278,83 +251,21 @@ func (v *VM) Run(p Program, inputs [][]byte) ([][]byte, error) {
 			err = st.swapB()
 		case OpDropB:
 			_, err = st.popB()
-		case OpSize:
-			var b []byte
-			if b, err = st.peekB(); err == nil {
-				err = st.pushI(int64(len(b)))
-			}
-		case OpConcatB:
-			var top, below []byte
-			if top, err = st.popB(); err != nil {
-				break
-			}
-			if below, err = st.popB(); err != nil {
-				break
-			}
-			// A new buffer, never an append into below: its storage is shared.
-			out := make([]byte, 0, len(below)+len(top))
-			err = st.pushB(append(append(out, below...), top...))
-		case OpSliceB:
-			var end, start int64
-			if end, err = st.popI(); err != nil {
-				break
-			}
-			if start, err = st.popI(); err != nil {
-				break
-			}
-			var b []byte
-			if b, err = st.popB(); err != nil {
-				break
-			}
-			if start < 0 || end < start || end > int64(len(b)) {
-				err = fmt.Errorf("slice [%d:%d] of %d-byte buffer", start, end, len(b))
-				break
-			}
-			err = st.pushB(b[start:end:end])
-		case OpLt, OpEq:
-			var b2, a2 int64
-			if b2, err = st.popI(); err != nil {
-				break
-			}
-			if a2, err = st.popI(); err != nil {
-				break
-			}
-			r := int64(0)
-			if (in.Op == OpLt && a2 < b2) || (in.Op == OpEq && a2 == b2) {
-				r = 1
-			}
-			err = st.pushI(r)
-		case OpJmp:
-			pc = int(in.Arg)
-			continue
-		case OpJz:
-			var c int64
-			if c, err = st.popI(); err != nil {
-				break
-			}
-			if c == 0 {
-				pc = int(in.Arg)
-				continue
-			}
 		case OpCall:
 			err = st.call(in.Sym)
-		default:
-			err = fmt.Errorf("unknown opcode %d", in.Op)
 		}
 		if err != nil {
 			return nil, &RunError{PC: pc, Op: in.Op, Err: err}
 		}
-		pc++
 	}
+	return st.bufs, nil
 }
 
 // state is one execution's mutable machinery.
 type state struct {
 	vm    *VM
 	bufs  [][]byte
-	ints  []int64
 	bytes int64
-	steps int64
 }
 
 func (s *state) pushB(b []byte) error {
@@ -395,23 +306,6 @@ func (s *state) swapB() error {
 	return nil
 }
 
-func (s *state) pushI(v int64) error {
-	if len(s.ints) >= s.vm.sandbox.MaxStackDepth {
-		return ErrStackDepth
-	}
-	s.ints = append(s.ints, v)
-	return nil
-}
-
-func (s *state) popI() (int64, error) {
-	if len(s.ints) == 0 {
-		return 0, ErrIntUnderflow
-	}
-	v := s.ints[len(s.ints)-1]
-	s.ints = s.ints[:len(s.ints)-1]
-	return v, nil
-}
-
 func (s *state) call(sym string) error {
 	h, ok := s.vm.hosts[sym]
 	if !ok {
@@ -429,10 +323,10 @@ func (s *state) call(sym string) error {
 	if err != nil {
 		return fmt.Errorf("call %q: %w", sym, err)
 	}
-	// A declared result count is a contract the verifier's stack-height
-	// proof depends on; a primitive that violates it is a host-table bug,
-	// not a program fault, and must not silently skew the buffer stack.
-	if h.Results > 0 && len(results) != h.Results {
+	// The result count is a contract the verifier's stack-height proof
+	// depends on; a primitive that violates it is a host-table bug, not a
+	// program fault, and must not silently skew the buffer stack.
+	if len(results) != h.Results {
 		return fmt.Errorf("call %q: host returned %d buffers, declared %d", sym, len(results), h.Results)
 	}
 	for _, r := range results {

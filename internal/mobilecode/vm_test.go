@@ -1,7 +1,6 @@
 package mobilecode
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -27,17 +26,19 @@ func TestProgramValidate(t *testing.T) {
 		p    Program
 	}{
 		{"empty", Program{}},
-		{"bad opcode", Program{{Op: opMax}}},
-		{"jump out of range", Program{{Op: OpJmp, Arg: 5}, {Op: OpHalt}}},
-		{"negative jump", Program{{Op: OpJz, Arg: -1}, {Op: OpHalt}}},
+		{"zero opcode", Program{{Op: 0}, {Op: OpHalt}}},
+		{"removed opcode", Program{{Op: 13}, {Op: OpHalt}}},
+		{"opcode past CALL", Program{{Op: OpCall + 1}, {Op: OpHalt}}},
 		{"call without symbol", Program{{Op: OpCall}, {Op: OpHalt}}},
+		{"symbol on a non-CALL", Program{{Op: OpDupB, Sym: "identity"}, {Op: OpHalt}}},
+		{"no HALT last", Program{{Op: OpHalt}, {Op: OpCall, Sym: "identity"}}},
 	}
 	for _, c := range cases {
 		if err := c.p.Validate(); err == nil {
 			t.Errorf("%s: invalid program validated", c.name)
 		}
 	}
-	good := Program{{Op: OpPush, Arg: 1}, {Op: OpJz, Arg: 0}, {Op: OpHalt}}
+	good := Program{{Op: OpDupB}, {Op: OpCall, Sym: "identity"}, {Op: OpHalt}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good program rejected: %v", err)
 	}
@@ -45,10 +46,9 @@ func TestProgramValidate(t *testing.T) {
 
 func TestProgramBinaryRoundTrip(t *testing.T) {
 	p := Program{
-		{Op: OpPush, Arg: -42},
-		{Op: OpSize},
-		{Op: OpLt},
-		{Op: OpJz, Arg: 5},
+		{Op: OpDupB},
+		{Op: OpSwapB},
+		{Op: OpDropB},
 		{Op: OpCall, Sym: "gzip.encode"},
 		{Op: OpHalt},
 	}
@@ -71,7 +71,7 @@ func TestProgramBinaryRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalProgramRejectsCorrupt(t *testing.T) {
-	p := Program{{Op: OpPush, Arg: 7}, {Op: OpHalt}}
+	p := Program{{Op: OpCall, Sym: "identity"}, {Op: OpHalt}}
 	bin, err := p.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -90,99 +90,41 @@ func TestUnmarshalProgramRejectsCorrupt(t *testing.T) {
 	if _, err := UnmarshalProgram([]byte{0x80, 0x80, 0x40}); err == nil || !strings.Contains(err.Error(), "unreasonable") {
 		t.Errorf("hostile instruction count: err = %v, want it refused as unreasonable", err)
 	}
+	// Each instruction is opcode, varint immediate, symbol: the encoding
+	// still carries the immediate the removed opcodes used, so a module
+	// built for the larger language decodes far enough to be refused.
+	for _, c := range []struct {
+		name string
+		bin  []byte
+	}{
+		{"PUSH 1", []byte{2, 2, 2, 0, 1, 0, 0}},
+		{"JZ 1", []byte{2, 13, 2, 0, 1, 0, 0}},
+		{"immediate on HALT", []byte{1, 1, 2, 0}},
+		{"symbol on HALT", []byte{1, 1, 0, 1, 'x'}},
+		{"no HALT last", []byte{1, 4, 0, 0}},
+	} {
+		if _, err := UnmarshalProgram(c.bin); err == nil {
+			t.Errorf("%s: unmarshalled", c.name)
+		}
+	}
 }
 
 func TestVMIdentityAndStackOps(t *testing.T) {
 	vm := testVM(t)
-	// [a, b] -> swap -> [b, a] -> dup -> [b, a, a] -> concat -> [b, aa]
+	// [bb, a] -> swap -> [a, bb] -> dup -> [a, bb, bb] -> drop -> [a, bb]
+	// -> identity -> [a, bb]
 	p := MustAssemble(`
 		SWAPB
 		DUPB
-		CONCATB
+		DROPB
+		CALL identity
 		HALT`)
 	out, err := vm.Run(p, [][]byte{[]byte("bb"), []byte("a")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || string(out[0]) != "a" || string(out[1]) != "bbbb" {
-		t.Fatalf("stack = %q, want [a bbbb]", out)
-	}
-}
-
-func TestVMSliceAndSize(t *testing.T) {
-	vm := testVM(t)
-	p := MustAssemble(`
-		PUSH 1
-		PUSH 4
-		SLICEB
-		HALT`)
-	out, err := vm.Run(p, [][]byte{[]byte("abcdef")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out[0]) != "bcd" {
-		t.Fatalf("slice = %q, want bcd", out[0])
-	}
-	bad := MustAssemble(`
-		PUSH 4
-		PUSH 1
-		SLICEB
-		HALT`)
-	if _, err := vm.Run(bad, [][]byte{[]byte("abcdef")}); err == nil {
-		t.Fatal("inverted slice bounds accepted")
-	}
-}
-
-func TestVMConditionalBranch(t *testing.T) {
-	vm := testVM(t)
-	// If len(input) < 4, return it unchanged, else gzip it.
-	src := `
-		SIZE
-		PUSH 4
-		LT
-		JZ big
-		CALL identity
-		HALT
-	big:
-		CALL gzip.encode
-		HALT`
-	p := MustAssemble(src)
-	small, err := vm.Run(p, [][]byte{[]byte("abc")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(small[len(small)-1]) != "abc" {
-		t.Fatalf("small path = %q, want abc", small[len(small)-1])
-	}
-	big, err := vm.Run(p, [][]byte{bytes.Repeat([]byte("x"), 100)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(big[len(big)-1]) >= 100 {
-		t.Fatal("big path did not compress")
-	}
-}
-
-func TestVMEqAndPop(t *testing.T) {
-	vm := testVM(t)
-	p := MustAssemble(`
-		PUSH 3
-		PUSH 3
-		EQ
-		JZ nope
-		PUSH 99
-		POP
-		CALL identity
-		HALT
-	nope:
-		DROPB
-		HALT`)
-	out, err := vm.Run(p, [][]byte{[]byte("keep")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || string(out[0]) != "keep" {
-		t.Fatalf("EQ path result = %q", out)
+	if len(out) != 2 || string(out[0]) != "a" || string(out[1]) != "bb" {
+		t.Fatalf("stack = %q, want [a bb]", out)
 	}
 }
 
@@ -194,10 +136,9 @@ func TestVMRuntimeErrors(t *testing.T) {
 		in   [][]byte
 	}{
 		{"buffer underflow", "DROPB\nDROPB\nHALT", [][]byte{[]byte("x")}},
-		{"int underflow", "POP\nHALT", nil},
+		{"dup of an empty stack", "DUPB\nHALT", nil},
 		{"unknown host fn", "CALL no.such.fn\nHALT", [][]byte{[]byte("x")}},
 		{"host arity underflow", "CALL bitmap.encode\nHALT", [][]byte{[]byte("x")}},
-		{"no halt", "NOP", nil},
 		{"swap underflow", "SWAPB\nHALT", [][]byte{[]byte("x")}},
 	}
 	for _, c := range cases {
@@ -211,45 +152,22 @@ func TestVMRuntimeErrors(t *testing.T) {
 	}
 }
 
-func TestSandboxInstructionBudget(t *testing.T) {
-	hosts, err := HostTable(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := NewVM(hosts, Sandbox{MaxInstructions: 100, MaxBufferBytes: 1 << 20, MaxStackDepth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loop := MustAssemble(`
-	top:
-		NOP
-		JMP top`)
-	_, err = vm.Run(loop, nil)
-	if !errors.Is(err, ErrInstructionBudget) {
-		t.Fatalf("infinite loop error = %v, want instruction budget", err)
-	}
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("error %T does not unwrap to RunError", err)
-	}
-}
-
 func TestSandboxMemoryBudget(t *testing.T) {
 	hosts, err := HostTable(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := NewVM(hosts, Sandbox{MaxInstructions: 1 << 20, MaxBufferBytes: 1024, MaxStackDepth: 64})
+	vm, err := NewVM(hosts, Sandbox{MaxBufferBytes: 1024, MaxStackDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Repeated self-concatenation doubles the buffer until the budget trips.
+	// Each duplicate is charged in full, so the third reference to 400
+	// bytes trips a 1024-byte budget.
 	bomb := MustAssemble(`
-	top:
 		DUPB
-		CONCATB
-		JMP top`)
-	_, err = vm.Run(bomb, [][]byte{[]byte("xxxxxxxx")})
+		DUPB
+		HALT`)
+	_, err = vm.Run(bomb, [][]byte{make([]byte, 400)})
 	if !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("memory bomb error = %v, want memory budget", err)
 	}
@@ -260,14 +178,16 @@ func TestSandboxStackDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := NewVM(hosts, Sandbox{MaxInstructions: 1 << 20, MaxBufferBytes: 1 << 20, MaxStackDepth: 4})
+	vm, err := NewVM(hosts, Sandbox{MaxBufferBytes: 1 << 20, MaxStackDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	deep := MustAssemble(`
-	top:
 		DUPB
-		JMP top`)
+		DUPB
+		DUPB
+		DUPB
+		HALT`)
 	_, err = vm.Run(deep, [][]byte{[]byte("x")})
 	if !errors.Is(err, ErrStackDepth) {
 		t.Fatalf("deep stack error = %v, want stack depth", err)
@@ -278,8 +198,8 @@ func TestSandboxValidation(t *testing.T) {
 	hosts, _ := HostTable(nil)
 	for _, sb := range []Sandbox{
 		{},
-		{MaxInstructions: 1, MaxBufferBytes: 1},
-		{MaxInstructions: 1, MaxStackDepth: 1},
+		{MaxBufferBytes: 1},
+		{MaxStackDepth: 1},
 	} {
 		if _, err := NewVM(hosts, sb); err == nil {
 			t.Errorf("sandbox %+v accepted", sb)
@@ -288,15 +208,18 @@ func TestSandboxValidation(t *testing.T) {
 }
 
 func TestNewVMRejectsBadHostTables(t *testing.T) {
-	ok := HostFunc{Name: "f", Arity: 1, Fn: func(a [][]byte) ([][]byte, error) { return a, nil }}
+	ok := HostFunc{Name: "f", Arity: 1, Results: 1, Fn: func(a [][]byte) ([][]byte, error) { return a, nil }}
 	if _, err := NewVM([]HostFunc{ok, ok}, DefaultSandbox()); err == nil {
 		t.Error("duplicate host fn accepted")
 	}
 	if _, err := NewVM([]HostFunc{{Name: "", Arity: 1, Fn: ok.Fn}}, DefaultSandbox()); err == nil {
 		t.Error("anonymous host fn accepted")
 	}
-	if _, err := NewVM([]HostFunc{{Name: "g", Arity: 1}}, DefaultSandbox()); err == nil {
+	if _, err := NewVM([]HostFunc{{Name: "g", Arity: 1, Results: 1}}, DefaultSandbox()); err == nil {
 		t.Error("nil host fn accepted")
+	}
+	if _, err := NewVM([]HostFunc{{Name: "h", Arity: 1, Fn: ok.Fn}}, DefaultSandbox()); err == nil {
+		t.Error("host fn without a declared result count accepted")
 	}
 }
 
@@ -304,9 +227,9 @@ func TestVMInputIsolation(t *testing.T) {
 	vm := testVM(t)
 	in := []byte("immutable")
 	p := MustAssemble(`
-		PUSH 0
-		PUSH 2
-		SLICEB
+		DUPB
+		CALL gzip.encode
+		SWAPB
 		HALT`)
 	if _, err := vm.Run(p, [][]byte{in}); err != nil {
 		t.Fatal(err)
@@ -319,15 +242,12 @@ func TestVMInputIsolation(t *testing.T) {
 func TestAssembleErrors(t *testing.T) {
 	bad := []string{
 		"FROB",                    // unknown mnemonic
-		"PUSH",                    // missing operand
-		"PUSH abc",                // non-integer
-		"JZ nowhere\nHALT",        // undefined label
-		"x:\nx:\nHALT",            // duplicate label
+		"PUSH 1\nHALT",            // a removed opcode
+		"JZ done\ndone:\nHALT",    // jumps and labels are gone
 		"HALT extra",              // stray operand
 		"CALL",                    // missing symbol
-		"PUSH 1 2\nHALT",          // too many operands
-		"bad label:\nHALT",        // label with space
-		"JMP\nHALT",               // jump without label
+		"CALL a b\nHALT",          // too many operands
+		"CALL identity",           // no HALT last
 		"",                        // empty program
 		"; only a comment\n\n\t ", // still empty
 	}
@@ -340,13 +260,11 @@ func TestAssembleErrors(t *testing.T) {
 
 func TestAssembleDisassembleRoundTrip(t *testing.T) {
 	src := `
-		SIZE
-		PUSH 64
-		LT
-		JZ big
-		CALL identity
-		HALT
-	big:
+		SWAPB            ; [cur, old]
+		DUPB
+		DROPB
+		SWAPB            ; [old, cur]
+		call vary.encode ; mnemonics are case-insensitive
 		CALL gzip.encode
 		HALT`
 	p := MustAssemble(src)
@@ -367,10 +285,11 @@ func TestAssembleDisassembleRoundTrip(t *testing.T) {
 // Property: program binary round trip is exact for arbitrary generated
 // valid programs.
 func TestProgramBinaryRoundTripProperty(t *testing.T) {
-	f := func(pushes []int64, callGzip bool) bool {
+	shuffles := []Op{OpDupB, OpSwapB, OpDropB}
+	f := func(ops []uint8, callGzip bool) bool {
 		p := Program{}
-		for _, v := range pushes {
-			p = append(p, Instr{Op: OpPush, Arg: v})
+		for _, o := range ops {
+			p = append(p, Instr{Op: shuffles[int(o)%len(shuffles)]})
 		}
 		if callGzip {
 			p = append(p, Instr{Op: OpCall, Sym: "gzip.encode"})
