@@ -5,8 +5,8 @@
 // protocol adaptation tree — content renditions (full fidelity vs
 // thumbnail) at the first level, communication-optimization protocols at
 // the second — and the path search picks a complete path per client: the
-// big-screen desktop keeps full fidelity, the PDA gets thumbnails diffed
-// over Bluetooth.
+// big-screen desktop keeps full fidelity, the PDA gets thumbnails
+// gzip-compressed over Bluetooth.
 //
 // Run with:
 //
@@ -17,40 +17,44 @@ import (
 	"fmt"
 	"log"
 
-	"fractal"
+	"fractal/internal/appserver"
+	"fractal/internal/cdn"
 	"fractal/internal/client"
+	"fractal/internal/core"
+	"fractal/internal/experiment"
 	"fractal/internal/mobilecode"
 	"fractal/internal/netsim"
+	"fractal/internal/proxy"
 	"fractal/internal/workload"
 )
 
 func main() {
-	signer, err := fractal.NewSigner("clinic-operator")
+	signer, err := mobilecode.NewSigner("clinic-operator")
 	check(err)
-	app, err := fractal.NewAppServer("webapp-ca", signer)
+	app, err := appserver.New("webapp-ca", signer)
 	check(err)
-	v1, err := fractal.GenerateCorpus(workload.Config{
+	v1, err := workload.Generate(workload.Config{
 		Pages: 6, TextBytes: 4096, Images: 4, ImageBytes: 32 * 1024, Seed: 51,
 	})
 	check(err)
-	v2, err := fractal.MutateCorpus(v1, workload.DefaultMutation(52))
+	v2, err := workload.MutateCorpus(v1, workload.DefaultMutation(52))
 	check(err)
 	check(app.InstallCorpus(v1, v2))
 	check(app.DeployPADs("1.0"))
 	check(app.DeployContentAdaptation("1.0"))
 
-	appMeta, err := app.MeasureContentAdaptationAppMeta("webapp-ca", 4)
+	appMeta, err := app.MeasureContentAdaptationAppMeta(4)
 	check(err)
-	pat, err := fractal.BuildPAT(appMeta)
+	pat, err := core.BuildPAT(appMeta)
 	check(err)
 	fmt.Printf("two-level PAT: %d nodes, %d root-to-leaf paths\n", pat.Len(), len(pat.Paths()))
 
 	// The content-adaptation matrices add the screen-resolution-style
 	// suitability parameter: thumbnails are disqualified on large
 	// displays.
-	matrices, err := fractal.ContentAdaptationMatrices()
+	matrices, err := core.ContentAdaptationMatrices()
 	check(err)
-	px, err := fractal.NewProxy(fractal.OverheadModel{
+	px, err := proxy.New(core.OverheadModel{
 		Matrices:          matrices,
 		Rho:               netsim.DefaultRho,
 		ServerCPUMHz:      netsim.ServerDevice.CPUMHz,
@@ -60,10 +64,10 @@ func main() {
 	check(err)
 	check(px.PushAppMeta(appMeta))
 
-	topo, err := fractal.DefaultCDNTopology(4)
+	topo, err := cdn.DefaultTopology(4)
 	check(err)
 	check(app.PublishPADs(topo.Origin()))
-	trust := fractal.NewTrustList()
+	trust := mobilecode.NewTrustList()
 	entity, key := app.TrustedKey()
 	check(trust.Add(entity, key))
 
@@ -74,8 +78,8 @@ func main() {
 		{netsim.Desktop, "region-0"},
 		{netsim.PDA, "region-1"},
 	} {
-		c, err := fractal.NewClient(fractal.ClientConfig{
-			Env:             fractal.EnvFor(hop.station),
+		c, err := client.New(client.Config{
+			Env:             experiment.EnvFor(hop.station),
 			SessionRequests: 6,
 			Trust:           trust,
 			Sandbox:         mobilecode.DefaultSandbox(),

@@ -19,21 +19,21 @@ import (
 	"fmt"
 	"log"
 
-	"fractal"
 	"fractal/internal/client"
 	"fractal/internal/codec"
 	"fractal/internal/core"
+	"fractal/internal/experiment"
 	"fractal/internal/mobilecode"
 	"fractal/internal/netsim"
 )
 
 func main() {
-	s, err := fractal.NewExperimentSetup(fractal.DefaultExperimentConfig())
+	s, err := experiment.NewSetup(experiment.DefaultSetupConfig())
 	check(err)
 
-	newClient := func() *fractal.Client {
-		c, err := fractal.NewClient(fractal.ClientConfig{
-			Env:             fractal.EnvFor(netsim.PDA),
+	newClient := func() *client.Client {
+		c, err := client.New(client.Config{
+			Env:             experiment.EnvFor(netsim.PDA),
 			SessionRequests: s.Model.SessionRequests,
 			Trust:           s.Trust,
 			Sandbox:         mobilecode.DefaultSandbox(),

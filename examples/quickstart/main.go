@@ -13,9 +13,10 @@ import (
 	"fmt"
 	"log"
 
-	"fractal"
+	"fractal/internal/cdn"
 	"fractal/internal/client"
 	"fractal/internal/deploy"
+	"fractal/internal/experiment"
 	"fractal/internal/mobilecode"
 	"fractal/internal/netsim"
 )
@@ -27,7 +28,7 @@ func main() {
 	check(err)
 
 	// 2. Publish the PAD modules through the CDN.
-	topo, err := fractal.DefaultCDNTopology(4)
+	topo, err := cdn.DefaultTopology(4)
 	check(err)
 	check(app.PublishPADs(topo.Origin()))
 
@@ -38,8 +39,8 @@ func main() {
 	check(px.PushAppMeta(app.Meta))
 
 	// 4. A PDA on Bluetooth appears. It trusts the operator's key.
-	c, err := fractal.NewClient(fractal.ClientConfig{
-		Env:             fractal.EnvFor(netsim.PDA),
+	c, err := client.New(client.Config{
+		Env:             experiment.EnvFor(netsim.PDA),
 		SessionRequests: deploy.SessionRequests,
 		Trust:           app.Trust,
 		Sandbox:         mobilecode.DefaultSandbox(),

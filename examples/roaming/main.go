@@ -15,14 +15,14 @@ import (
 	"fmt"
 	"log"
 
-	"fractal"
 	"fractal/internal/client"
+	"fractal/internal/experiment"
 	"fractal/internal/mobilecode"
 	"fractal/internal/netsim"
 )
 
 func main() {
-	s, err := fractal.NewExperimentSetup(fractal.DefaultExperimentConfig())
+	s, err := experiment.NewSetup(experiment.DefaultSetupConfig())
 	check(err)
 
 	hops := []struct {
@@ -35,8 +35,8 @@ func main() {
 		{"meeting-room PDA on Bluetooth", netsim.PDA, "region-2"},
 	}
 
-	c, err := fractal.NewClient(fractal.ClientConfig{
-		Env:             fractal.EnvFor(hops[0].station),
+	c, err := client.New(client.Config{
+		Env:             experiment.EnvFor(hops[0].station),
 		SessionRequests: s.Model.SessionRequests,
 		Trust:           s.Trust,
 		Sandbox:         mobilecode.DefaultSandbox(),
@@ -52,7 +52,7 @@ func main() {
 		if i > 0 {
 			// Device/network handoff: re-probe metadata; the protocol
 			// cache is invalidated and the next request renegotiates.
-			check(c.SetEnv(fractal.EnvFor(hop.station)))
+			check(c.SetEnv(experiment.EnvFor(hop.station)))
 		}
 		pads, err := c.EnsureProtocol("webapp")
 		check(err)

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"log"
 
-	"fractal"
 	"fractal/internal/codec"
 	"fractal/internal/experiment"
 	"fractal/internal/netsim"
@@ -31,13 +30,13 @@ func main() {
 	// A study evolving through five versions: each revision moves view
 	// content around (slab reshuffles) and introduces some new imagery.
 	chain := make([]*workload.Corpus, 0, versions)
-	v, err := fractal.GenerateCorpus(workload.Config{
+	v, err := workload.Generate(workload.Config{
 		Pages: 1, TextBytes: 4096, Images: 4, ImageBytes: 32 * 1024, Seed: 29,
 	})
 	check(err)
 	chain = append(chain, v)
 	for i := 1; i < versions; i++ {
-		v, err = fractal.MutateCorpus(v, workload.DefaultMutation(int64(29+i)))
+		v, err = workload.MutateCorpus(v, workload.DefaultMutation(int64(29+i)))
 		check(err)
 		chain = append(chain, v)
 	}
@@ -48,7 +47,7 @@ func main() {
 	for _, name := range []string{
 		codec.NameDirect, codec.NameGzip, codec.NameBitmap, codec.NameVaryBlock,
 	} {
-		c, err := fractal.NewCodec(name)
+		c, err := codec.New(name)
 		check(err)
 		fmt.Printf("%-10s", name)
 		var old []byte
@@ -58,7 +57,7 @@ func main() {
 			payload, err := c.Encode(old, cur)
 			check(err)
 			cost := int64(len(payload))
-			if uc, ok := fractal.Codec(c).(codec.UpstreamCoster); ok {
+			if uc, ok := c.(codec.UpstreamCoster); ok {
 				cost += uc.UpstreamBytes(old)
 			}
 			total += cost
@@ -80,7 +79,7 @@ func main() {
 
 	// What does Fractal negotiate for this clinic's PDA? Build the full
 	// platform and ask, under both server strategies.
-	s, err := fractal.NewExperimentSetup(fractal.DefaultExperimentConfig())
+	s, err := experiment.NewSetup(experiment.DefaultSetupConfig())
 	check(err)
 	for _, strategy := range []struct {
 		name          string

@@ -10,6 +10,7 @@ package appserver
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -45,13 +46,19 @@ func (s Strategy) String() string {
 	return "reactive"
 }
 
-// pad couples a deployed PAD module with its native protocol
-// implementation (the server always runs native code; mobile code is for
-// clients).
+// pad couples a deployed communication PAD's module with the
+// implementation the server encodes with: the native codec of its protocol
+// or, for a protocol without one, the module's own mobile code.
 type pad struct {
 	module *mobilecode.Module
 	impl   codec.Costed
-	meta   core.PADMeta
+}
+
+// transcoder couples a deployed content-adaptation PAD's module with the
+// transcoder the server applies it as.
+type transcoder struct {
+	module *mobilecode.Module
+	tc     transcode.Transcoder
 }
 
 // Stats counts server activity.
@@ -113,9 +120,8 @@ type Server struct {
 
 	mu          sync.RWMutex
 	resources   map[string]*record
-	pads        map[string]*pad                 // by PAD id
-	protoPAD    map[string]string               // protocol name -> PAD id
-	transcoders map[string]transcode.Transcoder // content-adaptation PADs by id
+	pads        map[string]*pad       // communication PADs by id
+	transcoders map[string]transcoder // content-adaptation PADs by id
 	strategy    Strategy
 
 	requests    atomic.Int64
@@ -139,8 +145,7 @@ func New(appID string, signer *mobilecode.Signer) (*Server, error) {
 		chunks:      codec.NewChunkCache(serverChunkCacheEntries),
 		resources:   map[string]*record{},
 		pads:        map[string]*pad{},
-		protoPAD:    map[string]string{},
-		transcoders: map[string]transcode.Transcoder{},
+		transcoders: map[string]transcoder{},
 	}, nil
 }
 
@@ -156,6 +161,13 @@ func (s *Server) SetStrategy(st Strategy) error {
 	}
 	s.installMu.Lock()
 	defer s.installMu.Unlock()
+	return s.setStrategyLocked(st)
+}
+
+// setStrategyLocked rebuilds every record for strategy st — precomputing
+// its encodings under Proactive — and swaps them in; the caller holds
+// s.installMu.
+func (s *Server) setStrategyLocked(st Strategy) error {
 	s.mu.RLock()
 	next := make(map[string]*record, len(s.resources))
 	for id, rec := range s.resources {
@@ -260,38 +272,114 @@ func (s *Server) Current(resource string) ([]byte, int, error) {
 	return rec.cur, rec.version, nil
 }
 
-// DeployPADs builds, signs, and installs the case-study PAD set at the
-// given module version.
+// DeployPADs builds, signs, verifies and installs the case-study PAD set
+// at the given module version.
 func (s *Server) DeployPADs(moduleVersion string) error {
-	specs := mobilecode.BuiltinSpecs()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return s.addPADs(moduleVersion, mobilecode.BuiltinSpecs()...)
+}
+
+// addPADs is the one registration path of communication PADs: each spec's
+// module is built and verified, its serving implementation resolved, and
+// the set registered unless one of its ids is already deployed.
+func (s *Server) addPADs(moduleVersion string, specs ...mobilecode.BuiltinSpec) error {
+	built := make([]*pad, 0, len(specs))
 	for _, spec := range specs {
-		m, err := mobilecode.BuildModule(spec, moduleVersion, s.signer)
+		m, err := s.build(spec, moduleVersion)
 		if err != nil {
-			return fmt.Errorf("appserver: building %s: %w", spec.ID, err)
+			return err
 		}
-		// Static verification before registration: a module the server
-		// cannot prove safe is never published, measured, or pushed to the
-		// proxy — the same gate clients apply on deployment.
-		if _, err := verify.Module(m, mobilecode.DefaultSandbox()); err != nil {
-			return fmt.Errorf("appserver: %s: %w", spec.ID, err)
-		}
-		impl, err := codec.New(spec.Protocol)
+		impl, err := s.implFor(spec, m)
 		if err != nil {
-			return fmt.Errorf("appserver: native impl for %s: %w", spec.ID, err)
+			return err
 		}
+		built = append(built, &pad{module: m, impl: impl})
+	}
+	return s.register(func() error {
+		for _, p := range built {
+			if _, dup := s.pads[p.module.ID]; dup {
+				return fmt.Errorf("appserver: PAD %s already deployed", p.module.ID)
+			}
+		}
+		for _, p := range built {
+			s.pads[p.module.ID] = p
+		}
+		return nil
+	})
+}
+
+// build builds and signs one spec's module and verifies it statically: a
+// module the server cannot prove safe is never published, measured, or
+// pushed to the proxy — the same gate clients apply on deployment.
+func (s *Server) build(spec mobilecode.BuiltinSpec, moduleVersion string) (*mobilecode.Module, error) {
+	m, err := mobilecode.BuildModule(spec, moduleVersion, s.signer)
+	if err != nil {
+		return nil, fmt.Errorf("appserver: building %s: %w", spec.ID, err)
+	}
+	if _, err := verify.Module(m, mobilecode.DefaultSandbox()); err != nil {
+		return nil, fmt.Errorf("appserver: %s: %w", spec.ID, err)
+	}
+	return m, nil
+}
+
+// register adds built modules to the PAD tables through add, which runs
+// under the write lock. A Proactive server then rebuilds its store, as
+// SetStrategy does, so the new PADs are served precomputed like the rest.
+func (s *Server) register(add func() error) error {
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
+	s.mu.Lock()
+	err := add()
+	proactive := s.strategy == Proactive
+	s.mu.Unlock()
+	if err != nil || !proactive {
+		return err
+	}
+	return s.setStrategyLocked(Proactive)
+}
+
+// implFor resolves a spec's serving implementation: the registered native
+// codec when one exists, otherwise the server deploys the module's own
+// mobile code in a sandbox and runs it natively — pure VM compositions
+// like CascadeSpec need no Go implementation at all.
+func (s *Server) implFor(spec mobilecode.BuiltinSpec, m *mobilecode.Module) (codec.Costed, error) {
+	if impl, err := codec.New(spec.Protocol); err == nil {
 		// Vary-sized blocking — the one ChunkCacheUser — encodes through the
 		// server-wide chunk-index cache: each installed version is chunked
 		// and digested once, not once per request or per precompute pass.
-		if cu, ok := codec.Codec(impl).(codec.ChunkCacheUser); ok {
+		if cu, ok := impl.(codec.ChunkCacheUser); ok {
 			cu.UseChunkCache(s.chunks)
 		}
-		s.pads[m.ID] = &pad{module: m, impl: impl}
-		s.protoPAD[spec.Protocol] = m.ID
+		return impl, nil
 	}
-	return nil
+	trust := mobilecode.NewTrustList()
+	if err := trust.Add(s.signer.Entity, s.signer.PublicKey()); err != nil {
+		return nil, fmt.Errorf("appserver: self-trust for %s: %w", spec.ID, err)
+	}
+	loader, err := mobilecode.NewLoader(trust, mobilecode.DefaultSandbox())
+	if err != nil {
+		return nil, err
+	}
+	loader.SetVerifier(verify.LoaderVerifier())
+	packed, err := m.Pack()
+	if err != nil {
+		return nil, err
+	}
+	deployed, err := loader.Load(packed)
+	if err != nil {
+		return nil, fmt.Errorf("appserver: deploying VM impl for %s: %w", spec.ID, err)
+	}
+	return vmPad{DeployedPAD: deployed, cost: spec.Cost}, nil
 }
+
+// vmPad serves a protocol through its own mobile code with a spec-supplied
+// cost model.
+type vmPad struct {
+	*mobilecode.DeployedPAD
+	cost codec.CostModel
+}
+
+// Cost implements codec.Costed.
+func (v vmPad) Cost() codec.CostModel { return v.cost }
 
 // ChunkCacheStats reports the counters of the chunk-index cache. Only
 // vary-sized blocking encodes look versions up in it, so a server whose
@@ -300,113 +388,144 @@ func (s *Server) ChunkCacheStats() codec.ChunkCacheStats {
 	return s.chunks.Stats()
 }
 
-// PADIDs returns the deployed PAD ids.
+// PADIDs returns the deployed communication PAD ids.
 func (s *Server) PADIDs() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.pads))
-	for id := range s.pads {
-		out = append(out, id)
-	}
-	return out
+	return sortedIDs(s.pads)
 }
 
-// MeasureAppMeta pre-tests every deployed PAD against up to samplePages of
-// the installed corpus (latest version against its predecessor) to fill
-// the PADMeta overhead vectors, producing the AppMeta to push to the
-// adaptation proxy. Digest and URL are filled from the module and the
-// CDN publishing convention.
+// MeasureAppMeta pre-tests every deployed communication PAD against up to
+// samplePages of the installed corpus (latest version against its
+// predecessor), producing the AppMeta to push to the adaptation proxy.
 func (s *Server) MeasureAppMeta(samplePages int) (core.AppMeta, error) {
-	if samplePages < 1 {
-		return core.AppMeta{}, fmt.Errorf("appserver: need >= 1 sample page, got %d", samplePages)
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if len(s.pads) == 0 {
 		return core.AppMeta{}, fmt.Errorf("appserver: no PADs deployed")
 	}
-	// Collect sample (old, cur) pairs deterministically.
-	type pair struct{ old, cur []byte }
-	var pairs []pair
-	ids := make([]string, 0, len(s.resources))
-	for id := range s.resources {
-		ids = append(ids, id)
+	pairs, _, err := s.samplePairsLocked(samplePages)
+	if err != nil {
+		return core.AppMeta{}, err
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if len(pairs) >= samplePages {
-			break
-		}
-		rec := s.resources[id]
-		pairs = append(pairs, pair{old: rec.prev, cur: rec.cur})
-	}
-	if len(pairs) == 0 {
-		return core.AppMeta{}, fmt.Errorf("appserver: no content installed to measure against")
-	}
-
 	app := core.AppMeta{AppID: s.appID}
-	padIDs := make([]string, 0, len(s.pads))
-	for id := range s.pads {
-		// Transcoder PADs belong to the content-adaptation topology
-		// (MeasureContentAdaptationAppMeta), not the flat one.
-		if _, isTC := s.transcoders[id]; isTC {
-			continue
+	for _, id := range sortedIDs(s.pads) {
+		meta, err := pretest(s.pads[id], nil, pairs)
+		if err != nil {
+			return core.AppMeta{}, err
 		}
-		padIDs = append(padIDs, id)
-	}
-	sort.Strings(padIDs)
-	for _, id := range padIDs {
-		p := s.pads[id]
-		var traffic, upstream, content int64
-		for _, pr := range pairs {
-			payload, err := p.impl.Encode(pr.old, pr.cur)
-			if err != nil {
-				return core.AppMeta{}, fmt.Errorf("appserver: measuring %s: %w", id, err)
-			}
-			traffic += int64(len(payload))
-			content += int64(len(pr.cur))
-			if uc, ok := codec.Codec(p.impl).(codec.UpstreamCoster); ok {
-				upstream += uc.UpstreamBytes(pr.old)
-			}
-		}
-		n := int64(len(pairs))
-		avgContent := content / n
-		cost := p.impl.Cost()
-		meta := core.PADMeta{
-			ID:       p.module.ID,
-			Version:  p.module.Version,
-			Protocol: p.impl.Name(),
-			Size:     p.module.Size(),
-			Digest:   p.module.Digest,
-			URL:      "/pads/" + p.module.ID,
-			Overhead: core.PADOverhead{
-				ServerCompStd: cost.ServerTime(avgContent),
-				ClientCompStd: cost.ClientTime(avgContent),
-				TrafficBytes:  traffic / n,
-				UpstreamBytes: upstream / n,
-			},
-		}
-		p.meta = meta
 		app.PADs = append(app.PADs, meta)
 	}
 	return app, nil
 }
 
-// PublishPADs uploads every deployed PAD module to the CDN origin under
-// its metadata URL.
+// pretest is Equation 1, the one pre-test every PADMeta's overhead vector
+// comes from: p encodes each sample pair, transcoded first by tc unless tc
+// is nil; the means over the pairs give the traffic and upstream bytes,
+// and p's CostModel the compute times at the mean content size.
+func pretest(p *pad, tc transcode.Transcoder, pairs []measurePair) (core.PADMeta, error) {
+	var traffic, upstream, content int64
+	for _, pr := range pairs {
+		old, err := transform(tc, pr.old)
+		if err != nil {
+			return core.PADMeta{}, err
+		}
+		cur, err := transform(tc, pr.cur)
+		if err != nil {
+			return core.PADMeta{}, err
+		}
+		payload, err := p.impl.Encode(old, cur)
+		if err != nil {
+			return core.PADMeta{}, fmt.Errorf("appserver: measuring %s: %w", p.module.ID, err)
+		}
+		traffic += int64(len(payload))
+		content += int64(len(cur))
+		if uc, ok := p.impl.(codec.UpstreamCoster); ok {
+			upstream += uc.UpstreamBytes(old)
+		}
+	}
+	n := int64(len(pairs))
+	meta := padMeta(p.module, p.impl.Name(), p.impl.Cost(), content/n)
+	meta.Overhead.TrafficBytes = traffic / n
+	meta.Overhead.UpstreamBytes = upstream / n
+	return meta, nil
+}
+
+// padMeta describes module m, served as protocol, with cost's compute
+// times at the given content size; the URL is the CDN publishing path.
+func padMeta(m *mobilecode.Module, protocol string, cost codec.CostModel, content int64) core.PADMeta {
+	return core.PADMeta{
+		ID:       m.ID,
+		Version:  m.Version,
+		Protocol: protocol,
+		Size:     m.Size(),
+		Digest:   m.Digest,
+		URL:      "/pads/" + m.ID,
+		Overhead: core.PADOverhead{
+			ServerCompStd: cost.ServerTime(content),
+			ClientCompStd: cost.ClientTime(content),
+		},
+	}
+}
+
+// measurePair is one (old, cur) measurement sample.
+type measurePair struct{ old, cur []byte }
+
+// samplePairsLocked collects up to samplePages (old, cur) measurement
+// pairs, in resource id order, and their mean content size; the caller
+// holds s.mu (read).
+func (s *Server) samplePairsLocked(samplePages int) ([]measurePair, int64, error) {
+	if samplePages < 1 {
+		return nil, 0, fmt.Errorf("appserver: need >= 1 sample page, got %d", samplePages)
+	}
+	var pairs []measurePair
+	var content int64
+	for _, id := range sortedIDs(s.resources) {
+		if len(pairs) >= samplePages {
+			break
+		}
+		rec := s.resources[id]
+		pairs = append(pairs, measurePair{old: rec.prev, cur: rec.cur})
+		content += int64(len(rec.cur))
+	}
+	if len(pairs) == 0 {
+		return nil, 0, fmt.Errorf("appserver: no content installed to measure against")
+	}
+	return pairs, content / int64(len(pairs)), nil
+}
+
+// sortedIDs returns a table's keys in order.
+func sortedIDs[V any](table map[string]V) []string {
+	ids := make([]string, 0, len(table))
+	for id := range table {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// PublishPADs uploads every deployed PAD module, transcoders included, to
+// the CDN origin under its metadata URL.
 func (s *Server) PublishPADs(origin *cdn.Origin) error {
 	if origin == nil {
 		return fmt.Errorf("appserver: nil CDN origin")
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for id, p := range s.pads {
-		packed, err := p.module.Pack()
+	modules := make([]*mobilecode.Module, 0, len(s.pads)+len(s.transcoders))
+	for _, p := range s.pads {
+		modules = append(modules, p.module)
+	}
+	for _, t := range s.transcoders {
+		modules = append(modules, t.module)
+	}
+	for _, m := range modules {
+		packed, err := m.Pack()
 		if err != nil {
-			return fmt.Errorf("appserver: packing %s: %w", id, err)
+			return fmt.Errorf("appserver: packing %s: %w", m.ID, err)
 		}
-		if err := origin.Publish("/pads/"+id, packed); err != nil {
-			return fmt.Errorf("appserver: publishing %s: %w", id, err)
+		if err := origin.Publish("/pads/"+m.ID, packed); err != nil {
+			return fmt.Errorf("appserver: publishing %s: %w", m.ID, err)
 		}
 	}
 	return nil
@@ -428,14 +547,9 @@ type encoders struct {
 
 // encodersLocked snapshots the encoders; the caller holds s.mu.
 func (s *Server) encodersLocked() encoders {
-	e := encoders{pads: map[string]*pad{}, tcs: map[string]transcode.Transcoder{"": nil}}
-	for id, tc := range s.transcoders {
-		e.tcs[id] = tc
-	}
-	for id, p := range s.pads {
-		if _, isTC := s.transcoders[id]; !isTC {
-			e.pads[id] = p
-		}
+	e := encoders{pads: maps.Clone(s.pads), tcs: map[string]transcode.Transcoder{"": nil}}
+	for id, t := range s.transcoders {
+		e.tcs[id] = t.tc
 	}
 	return e
 }
@@ -450,15 +564,13 @@ func (e encoders) precompute(res string, rec *record) error {
 	}
 	rec.store = map[storeKey][]byte{}
 	for tcID, tc := range e.tcs {
-		cur, err := transform(tcID, tc, rec.cur)
+		cur, err := transform(tc, rec.cur)
 		if err != nil {
 			return err
 		}
-		var prev []byte
-		if rec.prev != nil {
-			if prev, err = transform(tcID, tc, rec.prev); err != nil {
-				return err
-			}
+		prev, err := transform(tc, rec.prev)
+		if err != nil {
+			return err
 		}
 		for id, p := range e.pads {
 			// A base-independent protocol is encoded once and the one
@@ -486,14 +598,15 @@ func (e encoders) precompute(res string, rec *record) error {
 }
 
 // transform applies transcoder tc to content. A nil tc — what the
-// transcoder table holds for the id "" — is the identity.
-func transform(tcID string, tc transcode.Transcoder, content []byte) ([]byte, error) {
-	if tc == nil {
+// transcoder table holds for the id "" — is the identity, and nil content,
+// a version not held, stays nil.
+func transform(tc transcode.Transcoder, content []byte) ([]byte, error) {
+	if tc == nil || content == nil {
 		return content, nil
 	}
 	out, err := tc.Transform(content)
 	if err != nil {
-		return nil, fmt.Errorf("appserver: transcoding with %s: %w", tcID, err)
+		return nil, fmt.Errorf("appserver: transcoding to %s: %w", tc.Name(), err)
 	}
 	return out, nil
 }
@@ -526,18 +639,16 @@ func (s *Server) Encode(padIDs []string, resource string, haveVersion int) (Enco
 		s.precompHits.Add(1)
 		return EncodeResult{Payload: r.payload, Version: r.curV, Base: r.base, PADID: r.padID, Precomputed: true}, nil
 	}
-	cur, err := transform(r.tcID, r.tc, r.cur)
+	cur, err := transform(r.tc, r.cur)
 	if err != nil {
 		return EncodeResult{}, err
 	}
 	// haveVersion may equal the current version (client already current):
 	// old is then the current content itself, and differencing protocols
 	// collapse the payload to nearly nothing.
-	old := r.old
-	if old != nil {
-		if old, err = transform(r.tcID, r.tc, old); err != nil {
-			return EncodeResult{}, err
-		}
+	old, err := transform(r.tc, r.old)
+	if err != nil {
+		return EncodeResult{}, err
 	}
 	payload, err := r.pad.impl.Encode(old, cur)
 	if err != nil {
@@ -591,11 +702,11 @@ func (s *Server) resolve(padIDs []string, resource string, haveVersion int) (res
 	defer s.mu.RUnlock()
 	var r resolved
 	for _, id := range padIDs {
-		if tc, ok := s.transcoders[id]; ok {
+		if t, ok := s.transcoders[id]; ok {
 			if r.tcID != "" && r.tcID != id {
 				return r, fmt.Errorf("appserver: path names two transcoders (%s, %s)", r.tcID, id)
 			}
-			r.tc, r.tcID = tc, id
+			r.tc, r.tcID = t.tc, id
 			continue
 		}
 		if r.pad != nil {

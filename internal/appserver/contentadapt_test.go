@@ -2,6 +2,10 @@ package appserver
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"sync"
 	"testing"
 
 	"fractal/internal/codec"
@@ -33,7 +37,7 @@ func TestDeployContentAdaptationRequiresCommPADs(t *testing.T) {
 
 func TestContentAdaptationAppMetaBuildsTwoLevelPAT(t *testing.T) {
 	s := caServer(t)
-	app, err := s.MeasureContentAdaptationAppMeta("webapp-ca", 3)
+	app, err := s.MeasureContentAdaptationAppMeta(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +75,11 @@ func TestContentAdaptationAppMetaBuildsTwoLevelPAT(t *testing.T) {
 
 func TestContentAdaptationAppMetaValidation(t *testing.T) {
 	s := caServer(t)
-	if _, err := s.MeasureContentAdaptationAppMeta("", 3); err == nil {
-		t.Error("empty app id accepted")
-	}
-	if _, err := s.MeasureContentAdaptationAppMeta("x", 0); err == nil {
+	if _, err := s.MeasureContentAdaptationAppMeta(0); err == nil {
 		t.Error("zero samples accepted")
 	}
 	plain := testServer(t)
-	if _, err := plain.MeasureContentAdaptationAppMeta("x", 3); err == nil {
+	if _, err := plain.MeasureContentAdaptationAppMeta(3); err == nil {
 		t.Error("CA AppMeta measured without transcoders")
 	}
 }
@@ -232,7 +233,7 @@ func TestNegotiationPicksThumbnailForWeakClient(t *testing.T) {
 	// should prefer a thumbnail path (half the traffic), while the desktop
 	// on LAN keeps full fidelity.
 	s := caServer(t)
-	app, err := s.MeasureContentAdaptationAppMeta("webapp-ca", 3)
+	app, err := s.MeasureContentAdaptationAppMeta(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,5 +356,99 @@ func TestDeployExtraPADRejectsDuplicate(t *testing.T) {
 	}
 	if _, err := s.DeployExtraPAD(mobilecode.CascadeSpec(), "1.0", 0); err == nil {
 		t.Fatal("zero samples accepted")
+	}
+}
+
+// TestPretestProductsPinned pins the SHA-256 of the JSON encoding of every
+// pre-test product on one fixture: the flat and two-level AppMeta, the
+// rsync and cascade PADMeta, and the flat AppMeta with both extras. Any
+// change to what the proxy is told fails here.
+func TestPretestProductsPinned(t *testing.T) {
+	s := caServer(t)
+	products := []struct {
+		name    string
+		measure func() (any, error)
+		want    string
+	}{
+		{"flat", func() (any, error) { return s.MeasureAppMeta(3) },
+			"3f82fe2521f6716b9e3d7d784984f54ca2df0d932f8450b2bbf356675c97353c"},
+		{"two-level", func() (any, error) { return s.MeasureContentAdaptationAppMeta(3) },
+			"a4fd59125843b063137cd50ef2dd4b0175f9feae535ec64502f590a3278deade"},
+		{"rsync", func() (any, error) { return s.DeployExtraPAD(mobilecode.RsyncSpec(), "1.0", 3) },
+			"4aeb288def080f809cdf293df6c3831a419c0ada123f4c9f12febb3334c3b799"},
+		{"cascade", func() (any, error) { return s.DeployExtraPAD(mobilecode.CascadeSpec(), "1.0", 3) },
+			"32bfe6065ea539c2f1fb373fca8112c8d1a0e937cf39adc5a1ff6c8c327160dc"},
+		{"flat with extras", func() (any, error) { return s.MeasureAppMeta(3) },
+			"8027f1f4dbb3e862715de7a4db4fbf0ed3b15736c1f72b36d4ed55ad5eee1dea"},
+	}
+	for _, p := range products {
+		v, err := p.measure()
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		enc, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(enc); hex.EncodeToString(sum[:]) != p.want {
+			t.Errorf("%s: sha256 %x, want %s\n%s", p.name, sum, p.want, enc)
+		}
+	}
+}
+
+// A PAD or transcoder registered on a Proactive server joins the
+// precomputed store: the proactive model leaves server compute out of Eq.
+// 3, so a path the server would have to encode per request must not be
+// negotiable. Requests served while the store is rebuilt stay
+// precomputed.
+func TestDeployOnProactiveServerIsPrecomputed(t *testing.T) {
+	s := testServer(t)
+	if err := s.SetStrategy(Proactive); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := s.Encode([]string{"pad-gzip"}, "page-001", 1)
+				if err != nil || !res.Precomputed {
+					t.Errorf("encode during registration: precomputed %v, %v", res.Precomputed, err)
+					return
+				}
+			}
+		}()
+	}
+	_, err := s.DeployExtraPAD(mobilecode.RsyncSpec(), "1.0", 2)
+	if err == nil {
+		err = s.DeployContentAdaptation("1.0")
+	}
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range [][]string{
+		{"pad-rsync"},
+		{"pad-thumb", "pad-gzip@thumbnail"},
+		{"pad-thumb", "pad-rsync@thumbnail"},
+	} {
+		res, err := s.Encode(path, "page-000", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Precomputed {
+			t.Errorf("%v: served reactively on a Proactive server", path)
+		}
+	}
+	if n := s.Stats().ReactiveEncod; n != 0 {
+		t.Errorf("%d reactive encodes on a Proactive server", n)
 	}
 }

@@ -17,7 +17,6 @@ package codec
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -123,18 +122,6 @@ func New(name string) (Costed, error) {
 		return nil, fmt.Errorf("codec: unknown protocol %q", name)
 	}
 	return ctor()
-}
-
-// Names returns the sorted registry names.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func init() {

@@ -3,17 +3,30 @@ package codec
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"fractal/internal/workload"
 )
 
+// registered returns the sorted registry names.
+func registered() []string {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	names := make([]string, 0, len(registry))
+	for n := range registry {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // allCodecs returns one instance of each case-study protocol.
 func allCodecs(t testing.TB) []Costed {
 	t.Helper()
 	var out []Costed
-	for _, name := range Names() {
+	for _, name := range registered() {
 		c, err := New(name)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
@@ -24,7 +37,7 @@ func allCodecs(t testing.TB) []Costed {
 }
 
 func TestRegistryHasCaseStudyProtocols(t *testing.T) {
-	names := Names()
+	names := registered()
 	have := map[string]bool{}
 	for _, n := range names {
 		have[n] = true
@@ -411,7 +424,7 @@ func TestDecodeGarbageNeverPanicsProperty(t *testing.T) {
 
 func BenchmarkEncode(b *testing.B) {
 	old, cur := versionedPair(b, 20)
-	for _, name := range Names() {
+	for _, name := range registered() {
 		c, err := New(name)
 		if err != nil {
 			b.Fatal(err)
@@ -429,7 +442,7 @@ func BenchmarkEncode(b *testing.B) {
 
 func BenchmarkDecode(b *testing.B) {
 	old, cur := versionedPair(b, 21)
-	for _, name := range Names() {
+	for _, name := range registered() {
 		c, err := New(name)
 		if err != nil {
 			b.Fatal(err)

@@ -29,7 +29,7 @@ func FuzzDecoders(f *testing.F) {
 func allFuzzCodecs(f *testing.F) []Costed {
 	f.Helper()
 	var out []Costed
-	for _, name := range Names() {
+	for _, name := range registered() {
 		c, err := New(name)
 		if err != nil {
 			f.Fatal(err)
