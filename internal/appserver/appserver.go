@@ -22,6 +22,7 @@ import (
 	"fractal/internal/inp"
 	"fractal/internal/mobilecode"
 	"fractal/internal/mobilecode/verify"
+	"fractal/internal/syncx"
 	"fractal/internal/transcode"
 	"fractal/internal/workload"
 )
@@ -106,9 +107,10 @@ type storeKey struct {
 // and strategy) is guarded by a single RWMutex, so many sessions may
 // encode and negotiate at once. Installs and strategy switches are
 // serialised on their own mutex and do their encoding outside the RWMutex,
-// taking it for writing only to swap finished records in. The stats are
-// atomic counters outside both locks, and the chunk-index cache the
-// vary-sized blocking PAD encodes through is internally synchronized.
+// on GOMAXPROCS workers that take no server lock, taking it for writing
+// only to swap finished records in. The stats are atomic counters outside
+// both locks, and the chunk-index cache the vary-sized blocking PAD
+// encodes through is internally synchronized.
 type Server struct {
 	appID  string
 	signer *mobilecode.Signer
@@ -161,25 +163,30 @@ func (s *Server) SetStrategy(st Strategy) error {
 	}
 	s.installMu.Lock()
 	defer s.installMu.Unlock()
+	//fractal:allow lockheld installMu serialises installs on purpose; the precompute workers take no server lock
 	return s.setStrategyLocked(st)
 }
 
 // setStrategyLocked rebuilds every record for strategy st — precomputing
-// its encodings under Proactive — and swaps them in; the caller holds
-// s.installMu.
+// its encodings under Proactive, one record per worker — and swaps them
+// in once all are built; the caller holds s.installMu. A failed precompute
+// publishes nothing and returns the error of the lowest resource id.
 func (s *Server) setStrategyLocked(st Strategy) error {
 	s.mu.RLock()
-	next := make(map[string]*record, len(s.resources))
-	for id, rec := range s.resources {
+	ids := sortedIDs(s.resources)
+	next := make(map[string]*record, len(ids))
+	for _, id := range ids {
+		rec := s.resources[id]
 		next[id] = &record{version: rec.version, cur: rec.cur, prev: rec.prev}
 	}
 	enc := s.encodersLocked()
 	s.mu.RUnlock()
 	if st == Proactive {
-		for id, rec := range next {
-			if err := enc.precompute(id, rec); err != nil {
-				return err
-			}
+		err := syncx.Each(len(ids), func(i int) error {
+			return enc.precompute(ids[i], next[ids[i]])
+		})
+		if err != nil {
+			return err
 		}
 	}
 	s.mu.Lock()
@@ -200,9 +207,11 @@ func (s *Server) Strategy() Strategy {
 // page contributes its serialized versions in order. Calling it again
 // adds further versions (a content update on a live server); each
 // resource keeps only its newest two. Only the resources the update
-// touches are rebuilt — under Proactive, with their precomputed encodings
-// — outside the read lock, and each is published with one swap, so
-// requests are never served a version without its encodings.
+// touches are rebuilt — under Proactive, with their precomputed encodings,
+// one record per worker — outside the read lock, and each is published
+// with one swap once every record is built, so requests are never served
+// a version without its encodings. A failed precompute publishes nothing
+// and returns the error of the first failing resource in corpus order.
 func (s *Server) InstallCorpus(versions ...*workload.Corpus) error {
 	if len(versions) == 0 {
 		return fmt.Errorf("appserver: no corpus versions to install")
@@ -240,10 +249,12 @@ func (s *Server) InstallCorpus(versions ...*workload.Corpus) error {
 	enc := s.encodersLocked()
 	s.mu.RUnlock()
 	if proactive {
-		for _, id := range order {
-			if err := enc.precompute(id, &work[id].rec); err != nil {
-				return err
-			}
+		//fractal:allow lockheld installMu serialises installs on purpose; the precompute workers take no server lock
+		err := syncx.Each(len(order), func(i int) error {
+			return enc.precompute(order[i], &work[order[i]].rec)
+		})
+		if err != nil {
+			return err
 		}
 	}
 	for _, id := range order {
@@ -334,6 +345,7 @@ func (s *Server) register(add func() error) error {
 	if err != nil || !proactive {
 		return err
 	}
+	//fractal:allow lockheld installMu serialises installs on purpose; the precompute workers take no server lock
 	return s.setStrategyLocked(Proactive)
 }
 

@@ -1,11 +1,18 @@
 package appserver
 
 import (
+	"bytes"
+	"fmt"
+	"maps"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"fractal/internal/codec"
 	"fractal/internal/inp"
+	"fractal/internal/mobilecode"
 	"fractal/internal/workload"
 )
 
@@ -171,5 +178,132 @@ func TestProactiveInstallRebuildsOnlyChanged(t *testing.T) {
 		if touched && (rec.version != 3 || len(rec.store) == 0) {
 			t.Fatalf("%s: rebuilt record at v%d with %d encodings", id, rec.version, len(rec.store))
 		}
+	}
+}
+
+// refusingCodec is direct, except that once armed it refuses to encode
+// the newest version of the pages it names; the refusal of slow comes
+// late, after the other workers have met theirs.
+type refusingCodec struct {
+	codec.Costed
+	armed  *atomic.Bool
+	refuse []string
+	slow   string
+}
+
+func (r refusingCodec) Encode(old, cur []byte) ([]byte, error) {
+	if r.armed.Load() {
+		for _, id := range r.refuse {
+			if bytes.HasPrefix(cur, []byte("PAGE "+id+" ")) {
+				if id == r.slow {
+					time.Sleep(50 * time.Millisecond)
+				}
+				return nil, fmt.Errorf("refusing %s", id)
+			}
+		}
+	}
+	return r.Costed.Encode(old, cur)
+}
+
+// TestProactiveInstallFailurePublishesNothing pins that a precompute pass
+// is all or nothing: when one resource out of many fails to encode,
+// InstallCorpus and SetStrategy return the failure of the lowest resource
+// (a sequential pass's error), publish no record and no strategy, and
+// leave no precompute worker running.
+func TestProactiveInstallFailurePublishesNothing(t *testing.T) {
+	const pages = 24
+	signer, err := mobilecode.NewSigner("app-server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New("webapp", signer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, v2 := testCorpora(t, pages)
+	if err := s.InstallCorpus(v1, v2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeployPADs("1.0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetStrategy(Proactive); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := codec.New(codec.NameDirect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	failing := &pad{
+		module: s.pads["pad-direct"].module,
+		impl:   refusingCodec{Costed: direct, armed: &armed, refuse: []string{"page-019", "page-007", "page-013"}, slow: "page-007"},
+	}
+	if err := s.register(func() error { s.pads["pad-failing"] = failing; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+
+	snapshot := func() (map[string]*record, Strategy) {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return maps.Clone(s.resources), s.strategy
+	}
+	want, _ := snapshot()
+	served, err := s.Encode([]string{"pad-gzip"}, "page-010", 1)
+	if err != nil || !served.Precomputed || served.Version != 2 {
+		t.Fatalf("before: %+v, %v", served, err)
+	}
+	unchanged := func(step string, st Strategy) {
+		t.Helper()
+		got, gotSt := snapshot()
+		if gotSt != st || len(got) != len(want) {
+			t.Fatalf("%s: strategy %v with %d resources, want %v with %d", step, gotSt, len(got), st, len(want))
+		}
+		for id, rec := range want {
+			if got[id] != rec {
+				t.Fatalf("%s: record of %s was replaced", step, id)
+			}
+			if _, v, err := s.Current(id); err != nil || v != 2 {
+				t.Fatalf("%s: Current(%s) = v%d, %v; want v2", step, id, v, err)
+			}
+		}
+		res, err := s.Encode([]string{"pad-gzip"}, "page-010", 1)
+		if err != nil || res.Version != 2 || res.Precomputed != (st == Proactive) || !bytes.Equal(res.Payload, served.Payload) {
+			t.Fatalf("%s: Encode = v%d precomputed %v, %v; want the old v2 payload", step, res.Version, res.Precomputed, err)
+		}
+	}
+	lowest := func(step string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "refusing page-007") {
+			t.Fatalf("%s: err = %v, want the failure of page-007", step, err)
+		}
+	}
+	before := runtime.NumGoroutine()
+
+	v3, err := workload.MutateCorpus(v2, workload.DefaultMutation(102))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 5; trial++ {
+		lowest("InstallCorpus", s.InstallCorpus(v3))
+		unchanged("InstallCorpus", Proactive)
+		lowest("SetStrategy", s.SetStrategy(Proactive))
+		unchanged("SetStrategy", Proactive)
+	}
+	// From Reactive, a failed switch leaves the server reactive.
+	if err := s.SetStrategy(Reactive); err != nil {
+		t.Fatal(err)
+	}
+	want, _ = snapshot()
+	lowest("SetStrategy from reactive", s.SetStrategy(Proactive))
+	unchanged("SetStrategy from reactive", Reactive)
+
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed installs, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -77,7 +77,10 @@ type App struct {
 	Meta core.AppMeta
 	// Trust lists the operator's signing key, as a client trusts it.
 	Trust *mobilecode.TrustList
-	// Versions are the installed corpus versions, oldest first.
+	// Versions are the newest two installed corpus versions (one when only
+	// one was installed), oldest first: the two the server holds. Older
+	// versions are not kept, so a daemon holding its App does not hold
+	// every corpus it generated.
 	Versions []*workload.Corpus
 }
 
@@ -103,16 +106,19 @@ func NewApp(appID string, pages int, seed int64, versions int, proactive bool) (
 	if err != nil {
 		return nil, fmt.Errorf("deploy: generating corpus: %w", err)
 	}
-	chain := []*workload.Corpus{corpus}
+	if err := srv.InstallCorpus(corpus); err != nil {
+		return nil, err
+	}
+	held := []*workload.Corpus{corpus}
 	for v := 1; v < versions; v++ {
-		next, err := workload.MutateCorpus(chain[v-1], workload.DefaultMutation(seed+int64(v)))
+		next, err := workload.MutateCorpus(corpus, workload.DefaultMutation(seed+int64(v)))
 		if err != nil {
 			return nil, fmt.Errorf("deploy: evolving corpus: %w", err)
 		}
-		chain = append(chain, next)
-	}
-	if err := srv.InstallCorpus(chain...); err != nil {
-		return nil, err
+		if err := srv.InstallCorpus(next); err != nil {
+			return nil, err
+		}
+		held, corpus = []*workload.Corpus{corpus, next}, next
 	}
 	if err := srv.DeployPADs("1.0"); err != nil {
 		return nil, err
@@ -130,7 +136,7 @@ func NewApp(appID string, pages int, seed int64, versions int, proactive bool) (
 	if err != nil {
 		return nil, err
 	}
-	return &App{Server: srv, Meta: meta, Trust: trust, Versions: chain}, nil
+	return &App{Server: srv, Meta: meta, Trust: trust, Versions: held}, nil
 }
 
 func trustList(entity string, key []byte) (*mobilecode.TrustList, error) {

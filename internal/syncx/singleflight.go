@@ -1,9 +1,11 @@
 // Package syncx provides small concurrency primitives shared by the
-// serving-path packages. Its centerpiece is a singleflight Group used to
-// collapse duplicate concurrent work: the proxy's negotiation plane runs
-// one adaptation path search per unique cache key no matter how many
-// identical clients stampede a cold cache, and a CDN edgeserver performs
-// one origin fill per object however many concurrent misses arrive.
+// serving-path packages. A singleflight Group collapses duplicate
+// concurrent work: the proxy's negotiation plane runs one adaptation path
+// search per unique cache key no matter how many identical clients
+// stampede a cold cache, and a CDN edgeserver performs one origin fill
+// per object however many concurrent misses arrive. Each fans independent
+// items out over the cores: the application server's proactive
+// precompute and the workload generator's per-page synthesis.
 package syncx
 
 import (

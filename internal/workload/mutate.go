@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+
+	"fractal/internal/syncx"
 )
 
 // Mutation controls how a page evolves between versions. The three knobs
@@ -81,16 +83,23 @@ func MutateRand(rng *rand.Rand, p *Page, m Mutation) (*Page, error) {
 }
 
 // MutateCorpus evolves every page of the corpus into its next version.
+// Each page draws from its own seeded stream, so the pages are mutated on
+// the syncx.Each workers and the result does not depend on their number.
 func MutateCorpus(c *Corpus, m Mutation) (*Corpus, error) {
 	out := &Corpus{Pages: make([]*Page, len(c.Pages))}
-	for i, p := range c.Pages {
+	err := syncx.Each(len(c.Pages), func(i int) error {
+		p := c.Pages[i]
 		pm := m
 		pm.Seed = m.Seed + int64(i)*7919 // distinct per-page stream
 		q, err := Mutate(p, pm)
 		if err != nil {
-			return nil, fmt.Errorf("workload: mutating %s: %w", p.ID, err)
+			return fmt.Errorf("workload: mutating %s: %w", p.ID, err)
 		}
 		out.Pages[i] = q
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -11,6 +11,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+
+	"fractal/internal/syncx"
 )
 
 // Defaults matching the paper's corpus description.
@@ -144,7 +146,11 @@ func Generate(cfg Config) (*Corpus, error) {
 
 // GenerateRand is Generate drawing from an explicit generator. Page slab
 // dictionaries are still derived from cfg.Seed so that later mutations of
-// the same corpus can regenerate them.
+// the same corpus can regenerate them. Every draw from rng — each page's
+// text, then its slab permutation — is made on the caller in page order;
+// only the per-page work, the slab dictionary from the page's own PoolSeed
+// and the images laid out from it, runs on the syncx.Each workers, so the
+// corpus is the same whatever the number of cores.
 func GenerateRand(rng *rand.Rand, cfg Config) (*Corpus, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -154,6 +160,7 @@ func GenerateRand(rng *rand.Rand, cfg Config) (*Corpus, error) {
 		noise = 2
 	}
 	c := &Corpus{Pages: make([]*Page, cfg.Pages)}
+	perms := make([][]int, cfg.Pages)
 	for i := range c.Pages {
 		p := &Page{
 			ID:         fmt.Sprintf("page-%03d", i),
@@ -162,10 +169,15 @@ func GenerateRand(rng *rand.Rand, cfg Config) (*Corpus, error) {
 			NoiseEvery: noise,
 		}
 		p.Text = genText(rng, cfg.TextBytes)
-		p.Images = genImages(rng, slabPool(p.PoolSeed, noise), cfg.Images, cfg.ImageBytes)
+		perms[i] = rng.Perm(slabPoolLen)
 		c.Pages[i] = p
 	}
-	return c, nil
+	err := syncx.Each(cfg.Pages, func(i int) error {
+		p := c.Pages[i]
+		p.Images = genImages(perms[i], slabPool(p.PoolSeed, noise), cfg.Images, cfg.ImageBytes)
+		return nil
+	})
+	return c, err
 }
 
 // genText emits space-separated vocabulary words with sentence structure
@@ -241,12 +253,12 @@ func genSlab(rng *rand.Rand, noiseEvery int) []byte {
 }
 
 // genImages builds the page's images as sequences of dictionary slabs (the
-// final slab of each image truncated to fit). Slabs are drawn without
-// replacement while the pool lasts, so a fresh page contains no duplicated
-// regions; duplication only appears through mutation, where it represents
+// final slab of each image truncated to fit), taken in the order perm, a
+// permutation of the pool, gives. Slabs are drawn without replacement
+// while the pool lasts, so a fresh page contains no duplicated regions;
+// duplication only appears through mutation, where it represents
 // genuinely shared view content.
-func genImages(rng *rand.Rand, pool [][]byte, count, size int) [][]byte {
-	perm := rng.Perm(len(pool))
+func genImages(perm []int, pool [][]byte, count, size int) [][]byte {
 	next := 0
 	draw := func() []byte {
 		s := pool[perm[next%len(perm)]]
