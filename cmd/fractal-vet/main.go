@@ -2,10 +2,9 @@
 // the module: determinism (simtime, rawrand), error-handling (errdiscard),
 // digest-comparison hygiene (digestsafe), and the flow-sensitive checks
 // built on the one CFG/dataflow engine and its interprocedural call-graph
-// summaries — lock discipline (lockheld), wire-length allocation taint
-// (wiretaint), and hot-path allocation and arena-lifetime hygiene
-// (hotpath). See internal/analysis for the invariants and the
-// //fractal:allow annotation syntax.
+// summaries — lock discipline (lockheld) and hot-path allocation and
+// arena-lifetime hygiene (hotpath). See internal/analysis for the
+// invariants and the //fractal:allow annotation syntax.
 //
 // Usage:
 //

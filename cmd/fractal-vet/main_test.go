@@ -141,18 +141,19 @@ func TestRunSARIFFindings(t *testing.T) {
 }
 
 // TestRunSARIFRelatedLocations checks an interprocedural finding's
-// secondary positions (decode site, callee sink, lock acquisition) come
-// through as SARIF relatedLocations with their own messages.
+// secondary positions (the lock acquisition, the blocking operation inside
+// the callee) come through as SARIF relatedLocations with their own
+// messages.
 func TestRunSARIFRelatedLocations(t *testing.T) {
 	diags := []analysis.Diagnostic{{
-		Analyzer: "wiretaint",
-		File:     "/mod/internal/inp/frame.go",
+		Analyzer: "lockheld",
+		File:     "/mod/internal/client/transport.go",
 		Line:     40,
 		Col:      15,
-		Message:  "wire-decoded integer n flows into make size",
+		Message:  "s.heartbeat (blocks) while s.mu is held",
 		Related: []analysis.Related{
-			{File: "/mod/internal/inp/frame.go", Line: 31, Col: 12, Message: "wire-decoded here"},
-			{File: "/mod/internal/inp/alloc.go", Line: 9, Col: 22, Message: "allocation sink inside the callee"},
+			{File: "/mod/internal/client/transport.go", Line: 31, Col: 12, Message: "lock acquired here"},
+			{File: "/mod/internal/inp/conn.go", Line: 9, Col: 22, Message: "blocking operation inside the callee: conn Write"},
 		},
 	}}
 	log := analysis.SARIF(diags, analysis.Analyzers(), "/mod")
@@ -162,10 +163,10 @@ func TestRunSARIFRelatedLocations(t *testing.T) {
 	}
 	for _, want := range []string{
 		`"relatedLocations":[`,
-		`"uri":"internal/inp/alloc.go"`,
+		`"uri":"internal/inp/conn.go"`,
 		`"startLine":31`,
-		`"message":{"text":"wire-decoded here"}`,
-		`"message":{"text":"allocation sink inside the callee"}`,
+		`"message":{"text":"lock acquired here"}`,
+		`"message":{"text":"blocking operation inside the callee: conn Write"}`,
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("SARIF output missing %s:\n%s", want, data)

@@ -21,8 +21,6 @@
 //   - lockheld:   (flow-sensitive) no mutex is provably held across a
 //     blocking operation, no lock is re-acquired while held, and
 //     known locks are acquired in a consistent order.
-//   - wiretaint:  (flow-sensitive) integers decoded from the wire must
-//     pass an upper-bound check before sizing an allocation.
 //   - hotpath:    (flow-sensitive) functions annotated //fractal:hotpath
 //     avoid per-call allocation constructs, pinning the
 //     benchmarked allocs/op; session arena buffers never outlive
@@ -31,11 +29,15 @@
 // The flow-sensitive analyzers share one engine: one per-function driver
 // over an intraprocedural CFG (cfg.go), one forward-dataflow solver with its
 // replay and copy-on-write helpers (dataflow.go), one "may block" classifier
-// (lockheld.go), and one taint engine with two rule sets — wire integers
-// and session arena borrows (wiretaint.go). A call graph with bottom-up
-// function summaries (callgraph.go, summary.go) lets lockheld and
-// wiretaint see through calls: blocking behaviour and taint transfer
-// compose across any number of in-set hops.
+// (lockheld.go), and one taint engine, whose rule set is session arena
+// borrows (hotpath.go). A call graph with bottom-up function summaries
+// (callgraph.go, summary.go) lets lockheld see through calls: blocking
+// behaviour composes across any number of in-set hops.
+//
+// Integers a peer sends are not an analyzer's business: every one is read
+// through wire.Reader, which bounds counts by the bytes present, and a
+// structural test (TestBinaryDecodeOnlyInBoundedReaders) keeps
+// encoding/binary decoding inside the few bounded readers.
 //
 // A finding can be suppressed at a genuine exception site (for example a
 // wall-clock serving metric) with a checked annotation comment on the same
@@ -66,8 +68,8 @@ type Diagnostic struct {
 	Col      int            `json:"col"`
 	Message  string         `json:"message"`
 	// Related points at the other ends of an interprocedural finding: the
-	// decode site feeding a sink, the lock acquisition a blocking call
-	// violates.
+	// lock acquisition a blocking call violates, the blocking operation
+	// inside the callee.
 	Related []Related `json:"related,omitempty"`
 }
 
@@ -262,7 +264,6 @@ func Analyzers() []*Analyzer {
 		ErrdiscardAnalyzer,
 		DigestsafeAnalyzer,
 		LockheldAnalyzer,
-		WiretaintAnalyzer,
 		HotpathAnalyzer,
 	}
 }

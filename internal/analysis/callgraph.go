@@ -7,7 +7,7 @@ import (
 )
 
 // This file builds the interprocedural substrate the summary engine
-// (summary.go) and the upgraded flow-sensitive analyzers run on: an index
+// (summary.go) and lockheld run on: an index
 // of every function declaration in the analyzed package set and a static
 // call graph over it. The graph is deliberately modest — exactly what a
 // bottom-up summary computation needs:
@@ -26,9 +26,9 @@ import (
 //
 // Unresolved calls (interface dispatch, func-typed fields, channels of
 // functions) contribute no edges: the summaries treat them as
-// non-blocking and taint-free. That is an unsoundness, documented in
-// DESIGN.md ("Interprocedural analysis" — soundness caveats); the repo's
-// blocking and decoding primitives are concrete calls in practice, and
+// non-blocking. That is an unsoundness, documented in DESIGN.md
+// ("Interprocedural analysis" — soundness caveats); the repo's blocking
+// primitives are concrete calls in practice, and
 // dynamic tests (the conformance oracle, the goroutine and idle-timeout
 // tests of the serving loop) backstop what the static layer cannot see.
 

@@ -6,22 +6,12 @@ import (
 )
 
 // This file builds intraprocedural control-flow graphs over Go statements
-// — the substrate the flow-sensitive analyzers (lockheld, wiretaint,
-// hotpath) run their dataflow fixpoints on. It is deliberately the same
+// — the substrate the flow-sensitive analyzers (lockheld, hotpath) run
+// their dataflow fixpoints on. It is deliberately the same
 // shape as the PR 5 bytecode verifier's CFG, but for the host language:
 // basic blocks of leaf statements, explicit branch/loop/defer edges, and
 // enough structure (loop depth, select/range markers) for the analyzers to
 // stay simple.
-
-// Edge is one control transfer between blocks. When Cond is non-nil the
-// edge is taken iff Cond evaluates to true (Negated false) or false
-// (Negated true); dataflow analyses can refine facts on such edges (the
-// wiretaint bound-check sanitizer does).
-type Edge struct {
-	To      *Block
-	Cond    ast.Expr
-	Negated bool
-}
 
 // Block is one basic block: a maximal straight-line run of leaf statements
 // and condition expressions in execution order. Compound statements are
@@ -30,7 +20,7 @@ type Edge struct {
 type Block struct {
 	Index int
 	Nodes []ast.Node
-	Succs []Edge
+	Succs []*Block // control transfers out of the block
 	// LoopDepth counts the enclosing for/range loops of the block's
 	// statements (0 = straight-line code).
 	LoopDepth int
@@ -102,10 +92,10 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	b.cfg.Entry = b.newBlock()
 	b.ret = b.newBlock()
 	end := b.stmt(body, b.cfg.Entry)
-	b.edge(end, Edge{To: b.ret})
+	b.edge(end, b.ret)
 	for _, g := range b.gotos {
 		if t, ok := b.labelBlocks[g.label]; ok {
-			b.edge(g.from, Edge{To: t})
+			b.edge(g.from, t)
 		}
 	}
 	// Deferred calls replay in LIFO order on the way to Exit. Conditionally
@@ -116,11 +106,11 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 		d := b.newBlock()
 		d.Deferred = true
 		d.Nodes = append(d.Nodes, b.defers[i].Call)
-		b.edge(cur, Edge{To: d})
+		b.edge(cur, d)
 		cur = d
 	}
 	b.cfg.Exit = b.newBlock()
-	b.edge(cur, Edge{To: b.cfg.Exit})
+	b.edge(cur, b.cfg.Exit)
 	return b.cfg
 }
 
@@ -130,8 +120,8 @@ func (b *cfgBuilder) newBlock() *Block {
 	return blk
 }
 
-func (b *cfgBuilder) edge(from *Block, e Edge) {
-	from.Succs = append(from.Succs, e)
+func (b *cfgBuilder) edge(from, to *Block) {
+	from.Succs = append(from.Succs, to)
 }
 
 // takeLabel consumes the pending label for the construct being built.
@@ -159,16 +149,16 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		cur.Nodes = append(cur.Nodes, s.Cond)
 		out := b.newBlock()
 		then := b.newBlock()
-		b.edge(cur, Edge{To: then, Cond: s.Cond})
+		b.edge(cur, then)
 		tend := b.stmt(s.Body, then)
-		b.edge(tend, Edge{To: out})
+		b.edge(tend, out)
 		if s.Else != nil {
 			els := b.newBlock()
-			b.edge(cur, Edge{To: els, Cond: s.Cond, Negated: true})
+			b.edge(cur, els)
 			eend := b.stmt(s.Else, els)
-			b.edge(eend, Edge{To: out})
+			b.edge(eend, out)
 		} else {
-			b.edge(cur, Edge{To: out, Cond: s.Cond, Negated: true})
+			b.edge(cur, out)
 		}
 		return out
 
@@ -179,15 +169,13 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		}
 		head := b.newBlock()
 		out := b.newBlock()
-		b.edge(cur, Edge{To: head})
+		b.edge(cur, head)
 		b.loopDepth++
 		body := b.newBlock()
+		b.edge(head, body)
 		if s.Cond != nil {
 			head.Nodes = append(head.Nodes, s.Cond)
-			b.edge(head, Edge{To: body, Cond: s.Cond})
-			b.edge(head, Edge{To: out, Cond: s.Cond, Negated: true})
-		} else {
-			b.edge(head, Edge{To: body})
+			b.edge(head, out)
 		}
 		post := head
 		if s.Post != nil {
@@ -199,10 +187,10 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 			b.labelBreak[label], b.labelCont[label] = out, post
 		}
 		end := b.stmt(s.Body, body)
-		b.edge(end, Edge{To: post})
+		b.edge(end, post)
 		if s.Post != nil {
 			pend := b.stmt(s.Post, post)
-			b.edge(pend, Edge{To: head})
+			b.edge(pend, head)
 		}
 		b.breakT, b.contT = savedB, savedC
 		if label != "" {
@@ -218,18 +206,18 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		head := b.newBlock()
 		head.Range = s
 		out := b.newBlock()
-		b.edge(cur, Edge{To: head})
-		b.edge(head, Edge{To: out})
+		b.edge(cur, head)
+		b.edge(head, out)
 		b.loopDepth++
 		body := b.newBlock()
-		b.edge(head, Edge{To: body})
+		b.edge(head, body)
 		savedB, savedC := b.breakT, b.contT
 		b.breakT, b.contT = out, head
 		if label != "" {
 			b.labelBreak[label], b.labelCont[label] = out, head
 		}
 		end := b.stmt(s.Body, body)
-		b.edge(end, Edge{To: head})
+		b.edge(end, head)
 		b.breakT, b.contT = savedB, savedC
 		if label != "" {
 			delete(b.labelBreak, label)
@@ -260,7 +248,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		label := b.takeLabel()
 		head := b.newBlock()
 		head.Select = s
-		b.edge(cur, Edge{To: head})
+		b.edge(cur, head)
 		out := b.newBlock()
 		savedB := b.breakT
 		b.breakT = out
@@ -270,7 +258,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		for _, cl := range s.Body.List {
 			cc := cl.(*ast.CommClause)
 			cb := b.newBlock()
-			b.edge(head, Edge{To: cb})
+			b.edge(head, cb)
 			end := cb
 			if cc.Comm != nil {
 				b.cfg.commStmt[cc.Comm] = true
@@ -279,7 +267,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 			for _, st := range cc.Body {
 				end = b.stmt(st, end)
 			}
-			b.edge(end, Edge{To: out})
+			b.edge(end, out)
 		}
 		b.breakT = savedB
 		if label != "" {
@@ -290,7 +278,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 
 	case *ast.LabeledStmt:
 		lb := b.newBlock()
-		b.edge(cur, Edge{To: lb})
+		b.edge(cur, lb)
 		b.labelBlocks[s.Label.Name] = lb
 		saved := b.pendingLabel
 		b.pendingLabel = s.Label.Name
@@ -306,7 +294,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 				t = b.labelBreak[s.Label.Name]
 			}
 			if t != nil {
-				b.edge(cur, Edge{To: t})
+				b.edge(cur, t)
 			}
 		case token.CONTINUE:
 			t := b.contT
@@ -314,24 +302,24 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 				t = b.labelCont[s.Label.Name]
 			}
 			if t != nil {
-				b.edge(cur, Edge{To: t})
+				b.edge(cur, t)
 			}
 		case token.GOTO:
 			if t, ok := b.labelBlocks[s.Label.Name]; ok {
-				b.edge(cur, Edge{To: t})
+				b.edge(cur, t)
 			} else {
 				b.gotos = append(b.gotos, pendingGoto{from: cur, label: s.Label.Name})
 			}
 		case token.FALLTHROUGH:
 			if b.nextCase != nil {
-				b.edge(cur, Edge{To: b.nextCase})
+				b.edge(cur, b.nextCase)
 			}
 		}
 		return b.newBlock() // unreachable continuation
 
 	case *ast.ReturnStmt:
 		cur.Nodes = append(cur.Nodes, s)
-		b.edge(cur, Edge{To: b.ret})
+		b.edge(cur, b.ret)
 		return b.newBlock()
 
 	case *ast.DeferStmt:
@@ -365,7 +353,7 @@ func (b *cfgBuilder) switchClauses(cur *Block, label string, body *ast.BlockStmt
 	hasDefault := false
 	for i, cc := range clauses {
 		bodies[i] = b.newBlock()
-		b.edge(cur, Edge{To: bodies[i]})
+		b.edge(cur, bodies[i])
 		if cc.List == nil {
 			hasDefault = true
 		} else if valueCases {
@@ -375,7 +363,7 @@ func (b *cfgBuilder) switchClauses(cur *Block, label string, body *ast.BlockStmt
 		}
 	}
 	if !hasDefault {
-		b.edge(cur, Edge{To: out})
+		b.edge(cur, out)
 	}
 	savedB := b.breakT
 	b.breakT = out
@@ -394,7 +382,7 @@ func (b *cfgBuilder) switchClauses(cur *Block, label string, body *ast.BlockStmt
 			end = b.stmt(st, end)
 		}
 		b.nextCase = savedNext
-		b.edge(end, Edge{To: out})
+		b.edge(end, out)
 	}
 	b.breakT = savedB
 	if label != "" {

@@ -31,8 +31,8 @@ func reachable(g *CFG) []*Block {
 			return
 		}
 		seen[b.Index] = true
-		for _, e := range b.Succs {
-			walk(e.To)
+		for _, to := range b.Succs {
+			walk(to)
 		}
 	}
 	walk(g.Entry)
@@ -79,8 +79,8 @@ func pathExists(g *CFG, from, to *Block) bool {
 			return false
 		}
 		seen[b.Index] = true
-		for _, e := range b.Succs {
-			if walk(e.To) {
+		for _, to := range b.Succs {
+			if walk(to) {
 				return true
 			}
 		}
@@ -99,26 +99,12 @@ func TestCFGIfElseJoins(t *testing.T) {
 	}
 	a = 4`)
 	cond := blockWith(t, g, fset, "a > 0")
-	if len(cond.Succs) != 2 {
-		t.Fatalf("condition block has %d successors, want 2", len(cond.Succs))
-	}
-	var sawTrue, sawFalse bool
-	for _, e := range cond.Succs {
-		if e.Cond == nil {
-			t.Fatalf("if-branch edge missing condition")
-		}
-		if e.Negated {
-			sawFalse = true
-		} else {
-			sawTrue = true
-		}
-	}
-	if !sawTrue || !sawFalse {
-		t.Fatalf("want one true and one negated edge, got true=%v false=%v", sawTrue, sawFalse)
-	}
 	join := blockWith(t, g, fset, "a = 4")
 	then := blockWith(t, g, fset, "a = 2")
 	els := blockWith(t, g, fset, "a = 3")
+	if len(cond.Succs) != 2 || cond.Succs[0] != then || cond.Succs[1] != els {
+		t.Fatalf("condition block must branch to the then and else blocks, in that order")
+	}
 	if !pathExists(g, then, join) || !pathExists(g, els, join) {
 		t.Fatalf("both branches must reach the join block")
 	}
@@ -168,25 +154,21 @@ outer:
 	n = -1`)
 	brkCond := blockWith(t, g, fset, "j == i")
 	after := blockWith(t, g, fset, "n = -1")
-	// The labelled break must exit both loops: its true edge leads to the
-	// after-loop block without passing the inner-loop increment again.
-	var trueEdge *Edge
-	for i := range brkCond.Succs {
-		if !brkCond.Succs[i].Negated {
-			trueEdge = &brkCond.Succs[i]
-		}
+	// The labelled break must exit both loops: the if's then-branch, its
+	// first successor, leads to the after-loop block without passing the
+	// inner-loop increment again.
+	if len(brkCond.Succs) != 2 {
+		t.Fatalf("break condition has %d successors, want 2", len(brkCond.Succs))
 	}
-	if trueEdge == nil {
-		t.Fatalf("break condition has no true edge")
-	}
-	if !pathExists(g, trueEdge.To, after) {
+	brk := brkCond.Succs[0]
+	if !pathExists(g, brk, after) {
 		t.Fatalf("labelled break must reach the statement after the outer loop")
 	}
 	inner := blockWith(t, g, fset, "n++")
 	if inner.LoopDepth != 2 {
 		t.Fatalf("inner body LoopDepth = %d, want 2", inner.LoopDepth)
 	}
-	if pathExists(g, trueEdge.To, inner) {
+	if pathExists(g, brk, inner) {
 		t.Fatalf("labelled break edge must not re-enter the loops")
 	}
 }

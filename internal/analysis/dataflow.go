@@ -7,16 +7,14 @@ import (
 )
 
 // The dataflow half of the flow-sensitive engine, and the three pieces
-// every flow analyzer (lockheld, wiretaint, hotpath) is built from: a
-// per-function driver (forEachFunc), a forward worklist fixpoint with a
-// replay of each reached block (solve), and a copy-on-write handle on
-// map-shaped facts (cow). An analyzer supplies the lattice (Join, Equal),
-// the per-block transfer function, and optionally a per-edge refinement
-// (how a branch condition sharpens facts on its true/false edges).
+// both flow analyzers (lockheld, hotpath) are built from: a per-function
+// driver (forEachFunc), a forward worklist fixpoint with a replay of each
+// reached block (solve), and a copy-on-write handle on map-shaped facts
+// (cow). An analyzer supplies the lattice (Join, Equal) and the per-block
+// transfer function.
 //
-// Contract: Transfer, Refine, and Join must treat their inputs as
-// immutable — facts are shared between blocks, so implementations
-// copy-on-write.
+// Contract: Transfer and Join must treat their inputs as immutable —
+// facts are shared between blocks, so implementations copy-on-write.
 
 // FlowAnalysis defines one dataflow problem over facts of type F.
 type FlowAnalysis[F any] struct {
@@ -24,9 +22,6 @@ type FlowAnalysis[F any] struct {
 	Entry func() F
 	// Transfer pushes a fact through a block's nodes.
 	Transfer func(b *Block, in F) F
-	// Refine (optional) sharpens a block's out-fact along one edge, using
-	// the edge's branch condition.
-	Refine func(e Edge, out F) F
 	// Join merges facts arriving over two edges.
 	Join func(a, b F) F
 	// Equal decides convergence.
@@ -62,23 +57,19 @@ func ForwardFixpoint[F any](g *CFG, an FlowAnalysis[F]) map[*Block]F {
 		}
 		queued[b.Index] = false
 		out := an.Transfer(b, in[b])
-		for _, e := range b.Succs {
-			f := out
-			if an.Refine != nil {
-				f = an.Refine(e, out)
-			}
-			cur, seen := in[e.To]
-			next := f
+		for _, to := range b.Succs {
+			cur, seen := in[to]
+			next := out
 			if seen {
-				next = an.Join(cur, f)
+				next = an.Join(cur, out)
 			}
 			if seen && an.Equal(cur, next) {
 				continue
 			}
-			in[e.To] = next
-			if !queued[e.To.Index] {
-				queued[e.To.Index] = true
-				work = append(work, e.To)
+			in[to] = next
+			if !queued[to.Index] {
+				queued[to.Index] = true
+				work = append(work, to)
 			}
 		}
 	}

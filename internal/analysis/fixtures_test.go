@@ -180,20 +180,6 @@ func TestLockheldFixtures(t *testing.T) {
 	checkFixture(t, LockheldAnalyzer, filepath.Join("testdata", "lockheld", "good"), "fractal/internal/client")
 }
 
-func TestWiretaintFixtures(t *testing.T) {
-	checkFixture(t, WiretaintAnalyzer, filepath.Join("testdata", "wiretaint", "bad"), "fractal/internal/inp")
-	checkFixture(t, WiretaintAnalyzer, filepath.Join("testdata", "wiretaint", "good"), "fractal/internal/inp")
-}
-
-// TestWiretaintInterFixtures pins the interprocedural taint paths: a
-// wire length laundered through two call hops still reaches the sink
-// (and is reported at the caller's argument), while caller-side guards,
-// callee-internal clamps, and min() all sanitize.
-func TestWiretaintInterFixtures(t *testing.T) {
-	checkFixture(t, WiretaintAnalyzer, filepath.Join("testdata", "wiretaint", "inter", "bad"), "fractal/internal/inp")
-	checkFixture(t, WiretaintAnalyzer, filepath.Join("testdata", "wiretaint", "inter", "good"), "fractal/internal/inp")
-}
-
 // TestLockheldInterFixtures pins the interprocedural lock discipline: a
 // mutex held across a call to a transitively-blocking helper (conn I/O
 // or a dial, one or two hops down) is reported; snapshot-then-call is
@@ -228,27 +214,8 @@ func TestLockheldScope(t *testing.T) {
 	}
 }
 
-// TestWiretaintScope verifies integers decoded outside the wire-facing
-// packages are not treated as hostile.
-func TestWiretaintScope(t *testing.T) {
-	loader := getLoader(t)
-	abs, err := filepath.Abs(filepath.Join("testdata", "wiretaint", "bad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(abs, "fractal/internal/netsim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{WiretaintAnalyzer}) {
-		if d.Analyzer == WiretaintAnalyzer.Name {
-			t.Fatalf("wiretaint fired outside its scope: %v", d)
-		}
-	}
-}
-
-// TestStaleAllowsForFlowAnalyzers verifies allowcheck covers the new
-// analyzer names: an annotation naming lockheld/wiretaint/hotpath that
+// TestStaleAllowsForFlowAnalyzers verifies allowcheck covers the
+// flow-sensitive analyzers: an annotation naming lockheld or hotpath that
 // suppresses nothing is itself reported.
 func TestStaleAllowsForFlowAnalyzers(t *testing.T) {
 	loader := getLoader(t)
@@ -265,7 +232,7 @@ func TestStaleAllowsForFlowAnalyzers(t *testing.T) {
 	}
 	want := parseWants(t, abs)
 	var got []diagKey
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{LockheldAnalyzer, WiretaintAnalyzer, HotpathAnalyzer}) {
+	for _, d := range Run([]*Package{pkg}, []*Analyzer{LockheldAnalyzer, HotpathAnalyzer}) {
 		got = append(got, diagKey{analyzer: d.Analyzer, file: d.File, line: d.Line, col: d.Col})
 	}
 	sortKeys(want)

@@ -3,7 +3,9 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -20,8 +22,8 @@ const HotpathPrefix = "fractal:hotpath"
 // interface boxing of non-pointer values. It is annotation-driven and runs
 // in every package.
 //
-// Independent of annotations it also enforces the arena lifetime rule, as
-// the taint engine's arena rule set: a session-scoped buffer
+// Independent of annotations it also enforces the arena lifetime rule with
+// the taint engine (arenaTaint): a session-scoped buffer
 // (arena.Session Bytes/Grow) is recycled when the connection releases its
 // session, so storing one into a struct field, a package-level variable,
 // or a channel would let the storage be overwritten under the escapee.
@@ -35,8 +37,8 @@ var HotpathAnalyzer = &Analyzer{
 
 func runHotpath(pass *Pass) {
 	hot := hotFuncs(pass)
-	// Without a session borrow the arena rule set has no source, so only
-	// hot functions and borrowing ones need a CFG.
+	// Without a session borrow the taint engine has no source, so only hot
+	// functions and borrowing ones need a CFG.
 	want := func(fd *ast.FuncDecl) bool {
 		keep := hot[fd]
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -46,44 +48,140 @@ func runHotpath(pass *Pass) {
 		})
 		return keep
 	}
-	forEachFunc(pass, want, func(fd *ast.FuncDecl, pf *ProgFunc, g *CFG) {
-		(&taintCtx{pass: pass, pkg: pass.Pkg, pf: pf, fd: fd, rules: arenaRules}).run(g, taintFact{})
+	forEachFunc(pass, want, func(fd *ast.FuncDecl, _ *ProgFunc, g *CFG) {
+		(&arenaTaint{pass: pass, fd: fd}).run(g)
 		if hot[fd] {
 			checkHotFunc(pass, fd, g)
 		}
 	})
 }
 
-// arenaRules is the taint engine's second rule set: a borrow from an arena
-// session ((*arena.Session) Bytes/Grow) is tainted, taint follows slicing,
-// parens, & and composite literals, and the borrow must not be stored where
-// it outlives the session.
-var arenaRules = &taintRules{source: isSessionBorrow, sinks: arenaSinks}
+// arenaTaint is the taint engine over one function's CFG, with its arena
+// rule set: a borrow from an arena session ((*arena.Session) Bytes/Grow)
+// is the source, taint follows assignments, slicing, parens, & and
+// composite literals, and the borrow must not be stored where it outlives
+// the session. It is a may analysis: a variable is tainted when any path
+// may leave a borrow in it, and assigning it a clean value clears it.
+type arenaTaint struct {
+	pass *Pass
+	fd   *ast.FuncDecl
+}
 
-// arenaSinks reports a session borrow stored into a struct field, a
+// taintFact is the set of variables that may hold a session borrow.
+type taintFact map[*types.Var]bool
+
+// run solves the fixpoint over g and replays each block once to report.
+func (c *arenaTaint) run(g *CFG) {
+	solve(g, FlowAnalysis[taintFact]{
+		Entry:    func() taintFact { return taintFact{} },
+		Transfer: func(b *Block, in taintFact) taintFact { return c.transfer(b, in, false) },
+		Join: func(a, b taintFact) taintFact {
+			out := maps.Clone(a)
+			maps.Copy(out, b)
+			return out
+		},
+		Equal: func(a, b taintFact) bool { return maps.Equal(a, b) },
+	}, func(b *Block, in taintFact) { c.transfer(b, in, true) })
+}
+
+// transfer pushes the taint set through one block; with final set it also
+// checks each node for a sink under the fact before it.
+func (c *arenaTaint) transfer(b *Block, in taintFact, final bool) taintFact {
+	fact := in
+	mutate := cow(&fact)
+	for _, node := range b.Nodes {
+		if final {
+			c.sinks(node, fact)
+		}
+		switch n := node.(type) {
+		case *ast.AssignStmt:
+			c.assign(n.Lhs, n.Rhs, fact, mutate)
+		case *ast.DeclStmt:
+			if gd, ok := n.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				for _, spec := range gd.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) > 0 {
+						lhs := make([]ast.Expr, len(vs.Names))
+						for i, id := range vs.Names {
+							lhs[i] = id
+						}
+						c.assign(lhs, vs.Values, fact, mutate)
+					}
+				}
+			}
+		}
+	}
+	return fact
+}
+
+// assign applies strong updates: a variable assigned a tainted value
+// becomes tainted, one assigned a clean value becomes clean. A borrow is
+// a single result, so every multi-value form assigns clean values.
+func (c *arenaTaint) assign(lhs, rhs []ast.Expr, fact taintFact, mutate func() taintFact) {
+	for i, l := range lhs {
+		v := identVar(c.pass.Pkg, l)
+		if v == nil {
+			continue
+		}
+		if len(rhs) == len(lhs) && c.tainted(rhs[i], fact) {
+			mutate()[v] = true
+		} else if fact[v] {
+			delete(mutate(), v)
+		}
+	}
+}
+
+// tainted reports whether an expression's value may be a session borrow
+// under the current fact.
+func (c *arenaTaint) tainted(e ast.Expr, fact taintFact) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		v, ok := c.pass.Pkg.Info.Uses[e].(*types.Var)
+		return ok && fact[v]
+	case *ast.ParenExpr:
+		return c.tainted(e.X, fact)
+	case *ast.UnaryExpr:
+		return c.tainted(e.X, fact)
+	case *ast.SliceExpr:
+		return c.tainted(e.X, fact)
+	case *ast.CompositeLit:
+		for _, elt := range e.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			if c.tainted(elt, fact) {
+				return true
+			}
+		}
+	case *ast.CallExpr:
+		return isSessionBorrow(c.pass.Pkg, e)
+	}
+	return false
+}
+
+// sinks reports a session borrow stored into a struct field or a
 // package-level variable, or sent on a channel.
-func arenaSinks(c *taintCtx, node ast.Node, fact taintFact) {
+func (c *arenaTaint) sinks(node ast.Node, fact taintFact) {
 	switch n := node.(type) {
 	case *ast.AssignStmt:
 		if len(n.Lhs) != len(n.Rhs) {
 			return
 		}
 		for i, lhs := range n.Lhs {
-			if !c.exprTaint(n.Rhs[i], fact).tainted() {
+			if !c.tainted(n.Rhs[i], fact) {
 				continue
 			}
 			if _, ok := lhs.(*ast.SelectorExpr); ok {
 				c.pass.Reportf(lhs.Pos(),
 					"session arena buffer stored into field %s outlives its session in %s; the storage is recycled at Session.Release (or annotate with //%s hotpath if the field shares the session's lifetime)",
 					types.ExprString(lhs), c.fd.Name.Name, AllowPrefix)
-			} else if v := identVar(c.pkg, lhs); v != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			} else if v := identVar(c.pass.Pkg, lhs); v != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
 				c.pass.Reportf(lhs.Pos(),
 					"session arena buffer stored into package variable %s outlives its session in %s (or annotate with //%s hotpath)",
 					v.Name(), c.fd.Name.Name, AllowPrefix)
 			}
 		}
 	case *ast.SendStmt:
-		if c.exprTaint(n.Value, fact).tainted() {
+		if c.tainted(n.Value, fact) {
 			c.pass.Reportf(n.Pos(),
 				"session arena buffer sent on a channel escapes its session in %s; the storage is recycled at Session.Release (or annotate with //%s hotpath)",
 				c.fd.Name.Name, AllowPrefix)

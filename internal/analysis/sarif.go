@@ -44,9 +44,8 @@ type sarifResult struct {
 	Message   sarifMessage    `json:"message"`
 	Locations []sarifLocation `json:"locations"`
 	// RelatedLocations carries the other ends of an interprocedural
-	// finding (decode site and callee sink, lock acquisition and blocking
-	// leaf) so code scanning renders the full chain, not just the report
-	// line.
+	// finding (lock acquisition and blocking leaf) so code scanning
+	// renders the full chain, not just the report line.
 	RelatedLocations []sarifLocation `json:"relatedLocations,omitempty"`
 }
 

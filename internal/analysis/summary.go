@@ -1,55 +1,21 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/token"
-)
+import "go/ast"
 
 // The bottom-up function-summary engine. For every function of the
 // analyzed package set (in the call graph's bottom-up order, iterating
-// cycles to a fixpoint) it computes:
-//
-//	(a) taint transfer  — which results carry wire-derived integers
-//	    (TaintSpec per result: unconditionally, or conditionally on the
-//	    taint of specific parameters) and which integer parameters reach
-//	    an allocation-size sink (make, slices.Grow, io.CopyN) unchecked
-//	    — possibly through further calls;
-//	(b) blocking        — the earliest operation by which the function may
-//	    block indefinitely on a peer or another goroutine, as the one
-//	    "may block" classifier (mayBlock) sees it, directly or
-//	    transitively through in-set callees.
-//
-// Summaries let the flow-sensitive analyzers (wiretaint, lockheld) see one
-// call deep — and, because summaries compose, arbitrarily many calls deep
-// — without ever inlining bodies.
+// cycles to a fixpoint) it computes the earliest operation by which the
+// function may block indefinitely on a peer or another goroutine, as the
+// one "may block" classifier (mayBlock) sees it, directly or transitively
+// through in-set callees. The summary lets lockheld see one call deep —
+// and, because summaries compose, arbitrarily many calls deep — without
+// ever inlining bodies.
 
 // FuncSummary is the interprocedural abstract of one function.
 type FuncSummary struct {
 	// block is the earliest site in this function that may block; its
 	// desc is empty when nothing can.
 	block blockSite
-
-	// Taint transfer.
-	Results    []TaintSpec      // per result, in signature order
-	SinkParams map[int]SinkSite // parameter index → the sink it reaches
-}
-
-// TaintSpec describes the taint of one function result.
-type TaintSpec struct {
-	// Always marks a result that is wire-derived regardless of the
-	// arguments (the function is itself a decoder); SrcPos is the decode
-	// site that introduces the taint.
-	Always bool
-	SrcPos token.Pos
-	// Params is a bitmask of parameter indices: the result is tainted iff
-	// any of those arguments is tainted at the call site.
-	Params uint64
-}
-
-// SinkSite is the allocation sink a tainted parameter reaches.
-type SinkSite struct {
-	Pos  token.Pos
-	Desc string
 }
 
 // summarize computes every summary bottom-up, iterating each call-graph
@@ -69,8 +35,7 @@ func (p *Program) summarize() {
 			changed := false
 			for _, pf := range batch {
 				ns := &FuncSummary{block: p.summarizeBlocking(pf)}
-				summarizeTaint(p, pf, ns)
-				if !summaryEqual(pf.Summary, ns) {
+				if pf.Summary.block.pos != ns.block.pos {
 					changed = true
 				}
 				pf.Summary = ns
@@ -83,23 +48,6 @@ func (p *Program) summarize() {
 		}
 		i = j
 	}
-}
-
-func summaryEqual(a, b *FuncSummary) bool {
-	if a.block.pos != b.block.pos || len(a.Results) != len(b.Results) || len(a.SinkParams) != len(b.SinkParams) {
-		return false
-	}
-	for i := range a.Results {
-		if a.Results[i] != b.Results[i] {
-			return false
-		}
-	}
-	for k, v := range a.SinkParams {
-		if b.SinkParams[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // summarizeBlocking returns the earliest operation in the body that

@@ -17,11 +17,6 @@ func nothingBlocksHere(s *state) {
 	s.mu.Unlock()
 }
 
-func nothingTaintedHere() []byte {
-	//fractal:allow wiretaint — stale: constant size //want allowcheck:2
-	return make([]byte, 64)
-}
-
 //fractal:hotpath fixture
 func nothingAllocatesHere(n *int) int {
 	//fractal:allow hotpath — stale: pointer arguments do not box //want allowcheck:2

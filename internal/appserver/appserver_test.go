@@ -255,6 +255,36 @@ func TestEncodeReactiveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReactiveDirectEncodeDoesNotCopy pins that a reactive Direct encode
+// hands out the held page rather than a copy of it: the page is tens of
+// kilobytes, the whole Encode call allocates less than 4 KB.
+func TestReactiveDirectEncodeDoesNotCopy(t *testing.T) {
+	s := testServer(t)
+	cur, _, err := s.Current("page-001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cur) < 16<<10 {
+		t.Fatalf("page is %d bytes, too small to tell a copy apart", len(cur))
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		res, err := s.Encode([]string{"pad-direct"}, "page-001", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Precomputed {
+			t.Fatal("the test server precomputed; want a reactive encode")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+		t.Fatalf("a reactive Direct encode of a %d-byte page allocated %d bytes, want < 4096", len(cur), per)
+	}
+}
+
 func TestEncodeDifferentialSmallerThanCold(t *testing.T) {
 	s := testServer(t)
 	cold, err := s.Encode([]string{"pad-vary"}, "page-000", 0)

@@ -1,15 +1,13 @@
 package codec
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"slices"
 
 	"fractal/internal/arena"
+	"fractal/internal/wire"
 )
 
 // DefaultBlockSize is the fixed block granularity of the Bitmap protocol.
@@ -105,104 +103,54 @@ func (b *Bitmap) Encode(old, cur []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Codec.
+// Decode implements Codec. Every count in the payload is read through
+// wire.Reader, which bounds it by the bytes actually present before
+// anything is sized from it.
 func (b *Bitmap) Decode(old, payload []byte) ([]byte, error) {
-	return b.DecodeFrom(old, bytes.NewReader(payload))
-}
-
-// DecodeFrom decodes a Bitmap payload from a stream. The reader may
-// deliver arbitrarily short reads (chunked transports routinely do);
-// every framed field is read with io.ReadFull so a short read is a
-// truncation error, never silently-misparsed framing.
-func (b *Bitmap) DecodeFrom(old []byte, src io.Reader) ([]byte, error) {
-	r := bufio.NewReader(src)
-	magic := make([]byte, len(bitmapMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || !bytes.Equal(magic, bitmapMagic) {
+	r := wire.NewReader(payload, true)
+	if !bytes.Equal(r.Take(uint64(len(bitmapMagic))), bitmapMagic) {
 		return nil, fmt.Errorf("codec: bitmap payload: bad magic")
 	}
-	readU := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return 0, fmt.Errorf("codec: bitmap payload: reading %s: %w", what, err)
-		}
-		return v, nil
+	bsU, curLenU, oldLenU := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("codec: bitmap payload: reading header: %w", err)
 	}
-	bsU, err := readU("block size")
-	if err != nil {
-		return nil, err
-	}
-	curLenU, err := readU("content length")
-	if err != nil {
-		return nil, err
-	}
-	oldLenU, err := readU("old length")
-	if err != nil {
-		return nil, err
-	}
-	bs := int(bsU)
-	if bs < 16 || bs > 1<<20 {
-		return nil, fmt.Errorf("codec: bitmap payload: block size %d out of range", bs)
+	if bsU < 16 || bsU > 1<<20 {
+		return nil, fmt.Errorf("codec: bitmap payload: block size %d out of range", bsU)
 	}
 	if curLenU > 1<<32 {
 		return nil, fmt.Errorf("codec: bitmap payload: content length %d unreasonable", curLenU)
 	}
-	curLen := int(curLenU)
-	if int(oldLenU) != len(old) {
+	if oldLenU != uint64(len(old)) {
 		return nil, fmt.Errorf("codec: bitmap payload encoded against %d-byte old version, receiver holds %d bytes", oldLenU, len(old))
 	}
+	bs, curLen := int(bsU), int(curLenU)
 	nblocks := (curLen + bs - 1) / bs
-	// The bitmap's size is derived from the (hostile) header length, so it
-	// is read incrementally in clamped steps rather than allocated up
-	// front: a header claiming 4 GB of content yields a ~32 MB bitmap
-	// length, but the allocation only grows as bytes actually arrive.
-	bmLen := (nblocks + 7) / 8
-	bmReserve := bmLen
-	if bmReserve > maxDecodeReserve {
-		bmReserve = maxDecodeReserve
+	bitmap := r.Take(uint64(nblocks+7) / 8)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("codec: bitmap payload: truncated bitmap: %w", err)
 	}
-	bitmap := make([]byte, 0, bmReserve)
-	for len(bitmap) < bmLen {
-		step := bmLen - len(bitmap)
-		if step > maxDecodeReserve {
-			step = maxDecodeReserve
-		}
-		off := len(bitmap)
-		bitmap = slices.Grow(bitmap, step)[:off+step]
-		if _, err := io.ReadFull(r, bitmap[off:]); err != nil {
-			return nil, fmt.Errorf("codec: bitmap payload: truncated bitmap: %w", err)
-		}
-	}
-	reserve := curLen
-	if reserve > maxDecodeReserve {
-		// An unvalidated header length must not force a huge allocation;
-		// the output grows naturally as blocks are actually produced.
-		reserve = maxDecodeReserve
-	}
-	out := make([]byte, 0, reserve)
+	// An unvalidated header length must not force a huge allocation; the
+	// output grows as blocks are actually produced.
+	out := make([]byte, 0, min(curLen, maxDecodeReserve))
 	for i := 0; i < nblocks; i++ {
 		start := i * bs
-		end := start + bs
-		if end > curLen {
-			end = curLen
-		}
-		blkLen := end - start
+		end := min(start+bs, curLen)
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			// Read the literal straight into the output's free space — no
-			// per-block staging slice.
-			off := len(out)
-			out = slices.Grow(out, blkLen)[:off+blkLen]
-			if _, err := io.ReadFull(r, out[off:]); err != nil {
+			lit := r.Take(uint64(end - start))
+			if err := r.Err(); err != nil {
 				return nil, fmt.Errorf("codec: bitmap payload: truncated literal block %d: %w", i, err)
 			}
+			out = append(out, lit...)
 			continue
 		}
-		if start+blkLen > len(old) {
+		if end > len(old) {
 			return nil, fmt.Errorf("codec: bitmap payload references old block %d beyond old length %d", i, len(old))
 		}
-		out = append(out, old[start:start+blkLen]...)
+		out = append(out, old[start:end]...)
 	}
-	if _, err := r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("codec: bitmap payload has trailing bytes")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("codec: bitmap payload: %w", err)
 	}
 	return out, nil
 }

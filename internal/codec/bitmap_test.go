@@ -3,37 +3,7 @@ package codec
 import (
 	"bytes"
 	"testing"
-	"testing/iotest"
 )
-
-// TestBitmapDecodeFromOneByteReader is the regression test for the
-// short-read bug formerly latent in Decode's magic check: a bare r.Read
-// into the 4-byte magic buffer assumed one call fills it. DecodeFrom now
-// uses io.ReadFull throughout, so a transport delivering one byte per
-// Read (as chunked transports legitimately may) must decode identically
-// to the in-memory path.
-func TestBitmapDecodeFromOneByteReader(t *testing.T) {
-	b, err := NewBitmap(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := bytes.Repeat([]byte("abcdefgh"), 40) // 320 bytes, 5 blocks
-	cur := append([]byte(nil), old...)
-	copy(cur[70:], "XXXX") // dirty the second block
-	cur = append(cur, []byte("tail beyond old")...)
-
-	payload, err := b.Encode(old, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.DecodeFrom(old, iotest.OneByteReader(bytes.NewReader(payload)))
-	if err != nil {
-		t.Fatalf("DecodeFrom(OneByteReader): %v", err)
-	}
-	if !bytes.Equal(got, cur) {
-		t.Fatalf("one-byte-at-a-time decode diverged: got %d bytes, want %d", len(got), len(cur))
-	}
-}
 
 // TestBitmapDecodeTruncated verifies every prefix of a valid payload is
 // rejected rather than misparsed — the failure mode a silent short read

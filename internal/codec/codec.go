@@ -29,7 +29,8 @@ type Codec interface {
 	// Name returns the protocol's registry name.
 	Name() string
 	// Encode produces the downstream wire payload for cur given that the
-	// receiver holds old (nil when the receiver has nothing).
+	// receiver holds old (nil when the receiver has nothing). The payload
+	// may alias cur, so it is read-only, as cur is.
 	Encode(old, cur []byte) ([]byte, error)
 	// Decode reconstructs cur from the payload and the receiver's old
 	// version (nil when none was held).

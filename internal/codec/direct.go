@@ -18,9 +18,9 @@ func (*Direct) Cost() CostModel { return CostModel{} }
 // BaseIndependent implements the marker: Encode never reads old.
 func (*Direct) BaseIndependent() {}
 
-// Encode implements Codec: the payload is a copy of the current content.
+// Encode implements Codec: the payload is the current content itself.
 func (*Direct) Encode(old, cur []byte) ([]byte, error) {
-	return append([]byte(nil), cur...), nil
+	return cur, nil
 }
 
 // Decode implements Codec.

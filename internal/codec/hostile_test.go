@@ -11,13 +11,14 @@ import (
 	"testing"
 )
 
-// These tests pin the hostile-header allocation behaviour the wiretaint
-// analyzer enforces statically: a payload whose header claims gigabytes
-// of content but delivers nothing must fail fast without the decoder
-// reserving anything close to the claimed size. The bounds are loose
-// (megabytes of headroom over the ~1 MB clamp) so runtime allocation
-// noise cannot flake them — the regression they catch is the original
-// make([]byte, 0, curLen) which allocated 2-4 GB up front.
+// These tests pin the bound every peer-sent length gets before it sizes
+// memory: a payload whose header claims gigabytes of content but delivers
+// nothing must fail fast without the decoder reserving anything close to
+// the claimed size. The bounds are loose (megabytes of headroom over the
+// ~1 MB clamp) so runtime allocation noise cannot flake them — the
+// regression they catch is the original make([]byte, 0, curLen) which
+// allocated 2-4 GB up front. The counts are read through wire.Reader,
+// which also refuses a varint written in more bytes than it needs.
 
 // allocDelta reports bytes allocated while running f on a quiesced heap.
 func allocDelta(t *testing.T, f func()) uint64 {
@@ -39,6 +40,29 @@ func appendUvarints(dst []byte, vs ...uint64) []byte {
 	return dst
 }
 
+// nonMinimal64 is 64 as a two-byte uvarint, one byte longer than needed.
+var nonMinimal64 = []byte{0xC0, 0x00}
+
+// payloadOf concatenates a payload's parts into fresh storage.
+func payloadOf(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+// refuses decodes payload against an empty old version and fails unless
+// the decoder refuses it with an error containing want, allocating at most
+// maxAlloc bytes on the way.
+func refuses(t *testing.T, c Codec, name string, payload []byte, want string, maxAlloc uint64) {
+	t.Helper()
+	delta := allocDelta(t, func() {
+		if _, err := c.Decode(nil, payload); err == nil {
+			t.Errorf("%s %s: decoded without error", c.Name(), name)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s %s: error %q, want it to mention %q", c.Name(), name, err, want)
+		}
+	})
+	if delta > maxAlloc {
+		t.Errorf("%s %s: refusing it allocated %d bytes, want at most %d", c.Name(), name, delta, maxAlloc)
+	}
+}
+
 func TestRsyncHostileLengthNoHugeAllocation(t *testing.T) {
 	r, err := NewRsync(64)
 	if err != nil {
@@ -46,17 +70,8 @@ func TestRsyncHostileLengthNoHugeAllocation(t *testing.T) {
 	}
 	// Header: block size 64, 2 GB of claimed content, empty old version,
 	// one op — then the stream ends.
-	payload := appendUvarints(append([]byte(nil), rsyncMagic...), 64, 1<<31, 0, 1)
-	delta := allocDelta(t, func() {
-		if _, err := r.Decode(nil, payload); err == nil {
-			t.Error("truncated 2 GB-claiming payload decoded without error")
-		} else if !strings.Contains(err.Error(), "truncated") {
-			t.Errorf("unexpected decode error: %v", err)
-		}
-	})
-	if delta > 16<<20 {
-		t.Fatalf("decoding a truncated 2 GB-claiming rsync payload allocated %d bytes", delta)
-	}
+	refuses(t, r, "2 GB claimed, no op", appendUvarints(payloadOf(rsyncMagic), 64, 1<<31, 0, 1), "truncated", 16<<20)
+	refuses(t, r, "non-minimal block size", appendUvarints(payloadOf(rsyncMagic, nonMinimal64), 1<<31, 0, 1), "non-minimal", 16<<20)
 }
 
 func TestBitmapHostileLengthNoHugeAllocation(t *testing.T) {
@@ -64,19 +79,14 @@ func TestBitmapHostileLengthNoHugeAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Header: block size 16 and 4 GB of claimed content, which implies a
-	// 32 MB bitmap — none of which arrives.
-	payload := appendUvarints(append([]byte(nil), bitmapMagic...), 16, 1<<32, 0)
-	delta := allocDelta(t, func() {
-		if _, err := b.Decode(nil, payload); err == nil {
-			t.Error("truncated 4 GB-claiming payload decoded without error")
-		} else if !strings.Contains(err.Error(), "truncated bitmap") {
-			t.Errorf("unexpected decode error: %v", err)
-		}
-	})
-	if delta > 8<<20 {
-		t.Fatalf("decoding a truncated 4 GB-claiming bitmap payload allocated %d bytes", delta)
-	}
+	// Block size 16 and 4 GB of claimed content, which implies a 32 MB
+	// bitmap — none of which arrives.
+	refuses(t, b, "4 GB claimed, no bitmap", appendUvarints(payloadOf(bitmapMagic), 16, 1<<32, 0), "truncated bitmap", 8<<20)
+	// 1 MB blocks and 2 GB of claimed content: the 256-byte bitmap
+	// arrives and marks every block a literal, but no literal follows.
+	refuses(t, b, "2 GB claimed, no literal",
+		payloadOf(appendUvarints(payloadOf(bitmapMagic), 1<<20, 1<<31, 0), bytes.Repeat([]byte{0xFF}, 256)), "truncated literal", 8<<20)
+	refuses(t, b, "non-minimal block size", appendUvarints(payloadOf(bitmapMagic, nonMinimal64), 1<<32, 0), "non-minimal", 8<<20)
 }
 
 func TestVaryBlockHostileLengthNoHugeAllocation(t *testing.T) {
@@ -86,17 +96,8 @@ func TestVaryBlockHostileLengthNoHugeAllocation(t *testing.T) {
 	}
 	// Header: 2 GB of claimed content, empty old version, one op — then
 	// the stream ends.
-	payload := appendUvarints(append([]byte(nil), varyMagic...), 1<<31, 0, 1)
-	delta := allocDelta(t, func() {
-		if _, err := v.Decode(nil, payload); err == nil {
-			t.Error("truncated 2 GB-claiming payload decoded without error")
-		} else if !strings.Contains(err.Error(), "truncated") {
-			t.Errorf("unexpected decode error: %v", err)
-		}
-	})
-	if delta > 16<<20 {
-		t.Fatalf("decoding a truncated 2 GB-claiming varyblock payload allocated %d bytes", delta)
-	}
+	refuses(t, v, "2 GB claimed, no op", appendUvarints(payloadOf(varyMagic), 1<<31, 0, 1), "truncated", 16<<20)
+	refuses(t, v, "non-minimal content length", appendUvarints(payloadOf(varyMagic, nonMinimal64), 0, 1), "non-minimal", 16<<20)
 }
 
 // The gzip decoder sizes its output from the trailer's ISIZE field, which

@@ -5,7 +5,8 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
-	"io"
+
+	"fractal/internal/wire"
 )
 
 // rsyncMagic identifies an Rsync wire payload.
@@ -161,94 +162,63 @@ func (r *Rsync) Encode(old, cur []byte) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// Decode implements Codec.
+// Decode implements Codec. Every count in the payload is read through
+// wire.Reader, which bounds it by the bytes actually present before
+// anything is sized from it.
 func (r *Rsync) Decode(old, payload []byte) ([]byte, error) {
-	rd := bytes.NewReader(payload)
-	magic := make([]byte, len(rsyncMagic))
-	if _, err := io.ReadFull(rd, magic); err != nil || !bytes.Equal(magic, rsyncMagic) {
+	rd := wire.NewReader(payload, true)
+	if !bytes.Equal(rd.Take(uint64(len(rsyncMagic))), rsyncMagic) {
 		return nil, fmt.Errorf("codec: rsync payload: bad magic")
 	}
-	readU := func(what string) (uint64, error) {
-		u, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return 0, fmt.Errorf("codec: rsync payload: reading %s: %w", what, err)
-		}
-		return u, nil
+	bsU, curLen, oldLen, nops := rd.Uvarint(), rd.Uvarint(), rd.Uvarint(), rd.Uvarint()
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("codec: rsync payload: reading header: %w", err)
 	}
-	bsU, err := readU("block size")
-	if err != nil {
-		return nil, err
-	}
-	bs := int(bsU)
-	if bs < 16 || bs > 1<<20 {
-		return nil, fmt.Errorf("codec: rsync payload: block size %d out of range", bs)
-	}
-	curLen, err := readU("content length")
-	if err != nil {
-		return nil, err
+	if bsU < 16 || bsU > 1<<20 {
+		return nil, fmt.Errorf("codec: rsync payload: block size %d out of range", bsU)
 	}
 	if curLen > 1<<32 {
 		return nil, fmt.Errorf("codec: rsync payload: content length %d unreasonable", curLen)
 	}
-	oldLen, err := readU("old length")
-	if err != nil {
-		return nil, err
-	}
-	if int(oldLen) != len(old) {
+	if oldLen != uint64(len(old)) {
 		return nil, fmt.Errorf("codec: rsync payload encoded against %d-byte old version, receiver holds %d bytes", oldLen, len(old))
-	}
-	nops, err := readU("op count")
-	if err != nil {
-		return nil, err
 	}
 	if nops > curLen+1 {
 		return nil, fmt.Errorf("codec: rsync payload: %d ops for %d bytes is impossible", nops, curLen)
 	}
-	reserve := curLen
-	if reserve > maxDecodeReserve {
-		// An unvalidated header length must not force a huge allocation;
-		// the output grows naturally as ops actually produce bytes.
-		reserve = maxDecodeReserve
-	}
-	out := make([]byte, 0, reserve)
+	bs := int(bsU)
+	// An unvalidated header length must not force a huge allocation; the
+	// output grows as ops actually produce bytes.
+	out := make([]byte, 0, min(curLen, maxDecodeReserve))
 	for op := uint64(0); op < nops; op++ {
-		tag, err := rd.ReadByte()
-		if err != nil {
+		// Both ops are a tag byte and one uvarint: a block index or a
+		// literal length.
+		tag, n := rd.Take(1), rd.Uvarint()
+		if err := rd.Err(); err != nil {
 			return nil, fmt.Errorf("codec: rsync payload: truncated at op %d: %w", op, err)
 		}
-		switch tag {
+		switch tag[0] {
 		case rsyncOpCopy:
-			idx, err := readU("block index")
-			if err != nil {
-				return nil, err
+			if n >= uint64(len(old)/bs) {
+				return nil, fmt.Errorf("codec: rsync payload references old block %d beyond %d bytes", n, len(old))
 			}
-			start := int(idx) * bs
-			if start < 0 || start+bs > len(old) {
-				return nil, fmt.Errorf("codec: rsync payload references old block %d beyond %d bytes", idx, len(old))
-			}
+			start := int(n) * bs
 			out = append(out, old[start:start+bs]...)
 		case rsyncOpLit:
-			n, err := readU("literal length")
-			if err != nil {
-				return nil, err
-			}
-			if n > uint64(rd.Len()) {
-				return nil, fmt.Errorf("codec: rsync payload: literal of %d bytes exceeds remaining %d", n, rd.Len())
-			}
-			lit := make([]byte, n)
-			if _, err := io.ReadFull(rd, lit); err != nil {
-				return nil, fmt.Errorf("codec: rsync payload: truncated literal: %w", err)
+			lit := rd.Take(n)
+			if err := rd.Err(); err != nil {
+				return nil, fmt.Errorf("codec: rsync payload: truncated literal at op %d: %w", op, err)
 			}
 			out = append(out, lit...)
 		default:
-			return nil, fmt.Errorf("codec: rsync payload: unknown op tag %d", tag)
+			return nil, fmt.Errorf("codec: rsync payload: unknown op tag %d", tag[0])
 		}
 	}
 	if uint64(len(out)) != curLen {
 		return nil, fmt.Errorf("codec: rsync payload reconstructed %d bytes, header says %d", len(out), curLen)
 	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("codec: rsync payload has %d trailing bytes", rd.Len())
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("codec: rsync payload: %w", err)
 	}
 	return out, nil
 }

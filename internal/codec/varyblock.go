@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"slices"
 
 	"fractal/internal/arena"
 	"fractal/internal/rabin"
+	"fractal/internal/wire"
 )
 
 // varyMagic identifies a Vary-sized blocking wire payload.
@@ -54,7 +53,8 @@ type VaryBlock struct {
 }
 
 // NewVaryBlock returns the protocol with the default LBFS-like chunking
-// parameters (48-byte window, ~2 KB expected chunks).
+// parameters (rabin.DefaultChunkerConfig: 48-byte window, ≈ 768 B
+// expected chunks).
 func NewVaryBlock() (*VaryBlock, error) {
 	return NewVaryBlockConfig(rabin.DefaultChunkerConfig())
 }
@@ -141,86 +141,57 @@ func (v *VaryBlock) Encode(old, cur []byte) ([]byte, error) {
 // Decode implements Codec. The receiver re-chunks its old version with the
 // same parameters and resolves the references; chunk boundaries are all it
 // needs, so no digest is computed and the chunk cache is not touched.
+// Every count in the payload is read through wire.Reader, which bounds it
+// by the bytes actually present before anything is sized from it.
 func (v *VaryBlock) Decode(old, payload []byte) ([]byte, error) {
-	r := bytes.NewReader(payload)
-	magic := make([]byte, len(varyMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || !bytes.Equal(magic, varyMagic) {
+	r := wire.NewReader(payload, true)
+	if !bytes.Equal(r.Take(uint64(len(varyMagic))), varyMagic) {
 		return nil, fmt.Errorf("codec: varyblock payload: bad magic")
 	}
-	readU := func(what string) (uint64, error) {
-		u, err := binary.ReadUvarint(r)
-		if err != nil {
-			return 0, fmt.Errorf("codec: varyblock payload: reading %s: %w", what, err)
-		}
-		return u, nil
-	}
-	curLen, err := readU("content length")
-	if err != nil {
-		return nil, err
+	curLen, oldLen, nops := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("codec: varyblock payload: reading header: %w", err)
 	}
 	if curLen > 1<<32 {
 		return nil, fmt.Errorf("codec: varyblock payload: content length %d unreasonable", curLen)
 	}
-	oldLen, err := readU("old length")
-	if err != nil {
-		return nil, err
-	}
-	if int(oldLen) != len(old) {
+	if oldLen != uint64(len(old)) {
 		return nil, fmt.Errorf("codec: varyblock payload encoded against %d-byte old version, receiver holds %d bytes", oldLen, len(old))
-	}
-	nops, err := readU("op count")
-	if err != nil {
-		return nil, err
 	}
 	if nops > curLen+1 {
 		return nil, fmt.Errorf("codec: varyblock payload: %d ops for %d bytes is impossible", nops, curLen)
 	}
 	oldChunks := v.chunker.Split(old)
-	reserve := curLen
-	if reserve > maxDecodeReserve {
-		reserve = maxDecodeReserve
-	}
-	out := make([]byte, 0, reserve)
+	out := make([]byte, 0, min(curLen, maxDecodeReserve))
 	for op := uint64(0); op < nops; op++ {
-		tag, err := r.ReadByte()
-		if err != nil {
+		// Both ops are a tag byte and one uvarint: a chunk index or a
+		// literal length.
+		tag, n := r.Take(1), r.Uvarint()
+		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("codec: varyblock payload: truncated at op %d: %w", op, err)
 		}
-		switch tag {
+		switch tag[0] {
 		case varyOpRef:
-			idx, err := readU("chunk index")
-			if err != nil {
-				return nil, err
+			if n >= uint64(len(oldChunks)) {
+				return nil, fmt.Errorf("codec: varyblock payload references old chunk %d of %d", n, len(oldChunks))
 			}
-			if idx >= uint64(len(oldChunks)) {
-				return nil, fmt.Errorf("codec: varyblock payload references old chunk %d of %d", idx, len(oldChunks))
-			}
-			c := oldChunks[idx]
+			c := oldChunks[n]
 			out = append(out, old[c.Offset:c.Offset+c.Length]...)
 		case varyOpLit:
-			n, err := readU("literal length")
-			if err != nil {
-				return nil, err
+			lit := r.Take(n)
+			if err := r.Err(); err != nil {
+				return nil, fmt.Errorf("codec: varyblock payload: truncated literal at op %d: %w", op, err)
 			}
-			if n > uint64(r.Len()) {
-				return nil, fmt.Errorf("codec: varyblock payload: literal of %d bytes exceeds remaining %d", n, r.Len())
-			}
-			// Read the literal straight into the output's free space — no
-			// per-op staging slice.
-			off := len(out)
-			out = slices.Grow(out, int(n))[:off+int(n)]
-			if _, err := io.ReadFull(r, out[off:]); err != nil {
-				return nil, fmt.Errorf("codec: varyblock payload: truncated literal: %w", err)
-			}
+			out = append(out, lit...)
 		default:
-			return nil, fmt.Errorf("codec: varyblock payload: unknown op tag %d", tag)
+			return nil, fmt.Errorf("codec: varyblock payload: unknown op tag %d", tag[0])
 		}
 	}
 	if uint64(len(out)) != curLen {
 		return nil, fmt.Errorf("codec: varyblock payload reconstructed %d bytes, header says %d", len(out), curLen)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("codec: varyblock payload has %d trailing bytes", r.Len())
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("codec: varyblock payload: %w", err)
 	}
 	return out, nil
 }

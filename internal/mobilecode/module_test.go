@@ -6,6 +6,7 @@ import (
 	"crypto/sha1"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -620,6 +621,31 @@ func TestUnpackRefusesWhatPackCannotProduce(t *testing.T) {
 		if _, err := Unpack(b); err == nil {
 			t.Errorf("%s: unpacked cleanly", name)
 		}
+	}
+}
+
+// TestUnpackHostileParamsCountNoHugeAllocation pins the bound
+// wire.Reader.Count puts on a section's params count: a module whose
+// count claims a million entries, with a few bytes left behind it, is
+// refused before the params table is sized from the claim.
+func TestUnpackHostileParamsCountNoHugeAllocation(t *testing.T) {
+	p := simplePayload(t)
+	sec := wire.AppendString(nil, "direct")
+	sec = wire.AppendBytes(sec, p.Encode)
+	sec = wire.AppendBytes(sec, p.Decode)
+	sec = wire.AppendCount(sec, 1<<20, false)
+	sec = wire.AppendString(wire.AppendString(sec, "a"), "1")
+	packed := rawModule("pad-x", "1", "e", sec, make([]byte, ed25519.SignatureSize))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Unpack(packed)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a params count past the bytes left unpacked cleanly")
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > 4<<20 {
+		t.Fatalf("refusing a million-entry params claim allocated %d bytes", delta)
 	}
 }
 

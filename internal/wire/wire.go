@@ -3,7 +3,9 @@
 // fields carry a presence-aware prefix (0 = nil, n+1 = n elements), ints
 // are zig-zag varints, float64s are 8 big-endian IEEE-754 bytes, digests
 // are raw fixed-width bytes. Varints must be minimal, so a decoded value
-// re-encodes to the bytes it came from.
+// re-encodes to the bytes it came from. Reader is also how the bitmap,
+// vary-block and rsync decoders read their payloads: every count a peer
+// sends is bounded here.
 package wire
 
 import (
