@@ -58,10 +58,11 @@ func runHotpath(pass *Pass) {
 
 // arenaTaint is the taint engine over one function's CFG, with its arena
 // rule set: a borrow from an arena session ((*arena.Session) Bytes/Grow)
-// is the source, taint follows assignments, slicing, parens, & and
-// composite literals, and the borrow must not be stored where it outlives
-// the session. It is a may analysis: a variable is tainted when any path
-// may leave a borrow in it, and assigning it a clean value clears it.
+// is the source, taint follows assignments, slicing, parens, &, composite
+// literals and the first argument of the builtin append, and the borrow
+// must not be stored where it outlives the session. It is a may analysis:
+// a variable is tainted when any path may leave a borrow in it, and
+// assigning it a clean value clears it.
 type arenaTaint struct {
 	pass *Pass
 	fd   *ast.FuncDecl
@@ -153,6 +154,11 @@ func (c *arenaTaint) tainted(e ast.Expr, fact taintFact) bool {
 			}
 		}
 	case *ast.CallExpr:
+		if id, ok := e.Fun.(*ast.Ident); ok && len(e.Args) > 0 {
+			if b, ok := c.pass.Pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
+				return c.tainted(e.Args[0], fact) // append may return its first argument's storage
+			}
+		}
 		return isSessionBorrow(c.pass.Pkg, e)
 	}
 	return false

@@ -34,3 +34,8 @@ func compositeEscape(w *frameWrap, sess *arena.Session) {
 	b := sess.Bytes(16)
 	w.h = frameHolder{buf: b} //want hotpath:2
 }
+
+func appendEscape(h *frameHolder, sess *arena.Session) {
+	b := append(sess.Bytes(8)[:0], 1)
+	h.buf = b //want hotpath:2
+}

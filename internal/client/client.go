@@ -87,8 +87,9 @@ type Stats struct {
 	// Degradations counts sessions that fell back to the local Direct
 	// module after the adaptation plane failed.
 	Degradations int64
-	// StaleVersionDrops counts replies whose version did not advance the
-	// held one and were therefore not committed to the content cache.
+	// StaleVersionDrops counts replies older than the held version, which
+	// are therefore not committed to the content cache. A reply at the
+	// held version (a re-request of an unchanged resource) is not a drop.
 	StaleVersionDrops int64
 }
 
@@ -348,7 +349,7 @@ func (c *Client) Request(appID, resource string) ([]byte, error) {
 	// longer holds the newest data for.
 	if cur := c.versions[resource]; rep.Version > cur.version {
 		c.versions[resource] = contentEntry{version: rep.Version, data: data}
-	} else {
+	} else if rep.Version < cur.version {
 		c.stats.StaleVersionDrops++
 	}
 	c.stats.Requests++

@@ -134,6 +134,31 @@ func TestRequestDropsStaleVersionReply(t *testing.T) {
 	}
 }
 
+// TestRequestAtHeldVersionIsNoStaleDrop re-requests a resource the server
+// has not changed: the reply carries the version already held, which is
+// neither committed again nor counted as a stale drop.
+func TestRequestAtHeldVersionIsNoStaleDrop(t *testing.T) {
+	w := buildDirectWorld(t)
+	content := funcContent(func(req inp.AppReq) (inp.AppRep, error) {
+		return inp.AppRep{Resource: req.Resource, Version: 3, PADID: w.meta.ID, Payload: []byte("content v3")}, nil
+	})
+	c, err := New(w.config(), w.negotiator(), w.padStore(), content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Request("webapp", "page"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.HeldVersion("page"); got != 3 {
+		t.Fatalf("held version = %d, want 3", got)
+	}
+	if st := c.Stats(); st.StaleVersionDrops != 0 || st.Requests != 3 {
+		t.Fatalf("stale drops = %d, requests = %d; want 0 and 3", st.StaleVersionDrops, st.Requests)
+	}
+}
+
 // TestRequestVersionMonotonicUnderRace hammers Request from many
 // goroutines against a server handing out versions in arbitrary order and
 // checks (under -race) that the held version only ever advances.

@@ -149,13 +149,14 @@ func mutateImages(rng *rand.Rand, old, dst [][]byte, regionFrac, freshFrac float
 	if len(positions) == 0 {
 		return
 	}
+	fresh := make([]byte, SlabSize)
 	for _, p := range positions {
 		if rng.Float64() >= regionFrac {
 			continue
 		}
-		var slab []byte
+		slab := fresh
 		if rng.Float64() < freshFrac {
-			slab = genSlab(rng, noiseEvery)
+			genSlab(rng, noiseEvery, fresh)
 		} else {
 			src := positions[rng.Intn(len(positions))]
 			slab = old[src.img][src.start:src.end]

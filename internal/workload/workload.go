@@ -9,8 +9,11 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"fractal/internal/syncx"
 )
@@ -30,8 +33,7 @@ type Page struct {
 	Version int
 	Text    []byte
 	Images  [][]byte
-	// PoolSeed derives the page's slab dictionary (see genImages); versions
-	// of the same page share it so mutations can swap dictionary slabs.
+	// PoolSeed seeds the page's slab dictionary (see genImages).
 	PoolSeed int64
 	// NoiseEvery is the slab noise density the page was generated with
 	// (see Config.NoiseEvery); mutations reuse it so fresh slabs match the
@@ -47,19 +49,38 @@ type Page struct {
 // image assets live at stable positions while markup shifts — the property
 // that gives fixed-size blocking a fair workload.
 func (p *Page) Bytes() []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "PAGE %s v%06d\n", p.ID, p.Version)
+	b := append(make([]byte, 0, p.Size()), "PAGE "...)
+	b = append(appendPadded(append(append(b, p.ID...), " v"...), p.Version, 6), '\n')
 	for i, img := range p.Images {
-		fmt.Fprintf(&buf, "IMG %d %08d\n", i, len(img))
-		buf.Write(img)
+		b = append(appendPadded(append(b, "IMG "...), i, 0), ' ')
+		b = append(appendPadded(b, len(img), 8), '\n')
+		b = append(b, img...)
 	}
-	buf.WriteString("TEXT\n")
-	buf.Write(p.Text)
-	return buf.Bytes()
+	return append(append(b, "TEXT\n"...), p.Text...)
 }
 
-// Size returns the serialized size in bytes.
-func (p *Page) Size() int { return len(p.Bytes()) }
+// Size returns the serialized size in bytes, without serializing.
+func (p *Page) Size() int {
+	var d [24]byte
+	n := len("PAGE  v\nTEXT\n") + len(p.ID) + len(appendPadded(d[:0], p.Version, 6)) + len(p.Text)
+	for i, img := range p.Images {
+		n += len("IMG  \n") + len(appendPadded(d[:0], i, 0)) + len(appendPadded(d[:0], len(img), 8)) + len(img)
+	}
+	return n
+}
+
+// appendPadded appends v as fmt's %0<width>d verb prints it.
+func appendPadded(b []byte, v, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(v), 10)
+	if v < 0 {
+		b, digits, width = append(b, '-'), digits[1:], width-1
+	}
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
+}
 
 // Clone returns a deep copy of the page.
 func (p *Page) Clone() *Page {
@@ -145,12 +166,11 @@ func Generate(cfg Config) (*Corpus, error) {
 }
 
 // GenerateRand is Generate drawing from an explicit generator. Page slab
-// dictionaries are still derived from cfg.Seed so that later mutations of
-// the same corpus can regenerate them. Every draw from rng — each page's
-// text, then its slab permutation — is made on the caller in page order;
-// only the per-page work, the slab dictionary from the page's own PoolSeed
-// and the images laid out from it, runs on the syncx.Each workers, so the
-// corpus is the same whatever the number of cores.
+// dictionaries are derived from cfg.Seed, not from rng. Every draw from
+// rng — each page's text, then its slab permutation — is made on the
+// caller in page order; only the per-page work, the images drawn from the
+// page's own PoolSeed, runs on the syncx.Each workers, so the corpus is
+// the same whatever the number of cores.
 func GenerateRand(rng *rand.Rand, cfg Config) (*Corpus, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -174,7 +194,7 @@ func GenerateRand(rng *rand.Rand, cfg Config) (*Corpus, error) {
 	}
 	err := syncx.Each(cfg.Pages, func(i int) error {
 		p := c.Pages[i]
-		p.Images = genImages(perms[i], slabPool(p.PoolSeed, noise), cfg.Images, cfg.ImageBytes)
+		p.Images = genImages(p.PoolSeed, perms[i], noise, cfg.Images, cfg.ImageBytes)
 		return nil
 	})
 	return c, err
@@ -204,9 +224,9 @@ func genText(rng *rand.Rand, n int) []byte {
 }
 
 // SlabSize is the granularity of the per-page image dictionary. Each page
-// owns a pool of SlabSize-byte texture slabs; every image in every version
-// of the page is a sequence of pool slabs (plus occasional fresh ones after
-// mutation). This models the paper's medical workload — four 3D views of
+// owns a dictionary of SlabSize-byte texture slabs; every image in every
+// version of the page is a sequence of its slabs (plus occasional fresh
+// ones after mutation). This models the paper's medical workload — four 3D views of
 // the same volume share large displaced regions of identical data — and is
 // what lets content-defined chunking (Vary-sized blocking) dedupe content
 // that fixed-offset blocking (Bitmap) cannot.
@@ -215,68 +235,67 @@ const SlabSize = 8192
 // slabPoolLen is the number of distinct slabs in a page's dictionary.
 const slabPoolLen = 48
 
-// slabPool deterministically derives a page's slab dictionary from its
-// PoolSeed. Both versions of a page regenerate the identical pool.
-func slabPool(seed int64, noiseEvery int) [][]byte {
-	rng := NewRand(seed)
-	pool := make([][]byte, slabPoolLen)
-	for i := range pool {
-		pool[i] = genSlab(rng, noiseEvery)
-	}
-	return pool
-}
-
-// genSlab synthesizes one image-like texture slab: smooth gradient tiles
-// with light noise, giving moderate gzip compressibility like the
-// DICOM/BMP images the paper's Bitmap protocol targets.
-func genSlab(rng *rand.Rand, noiseEvery int) []byte {
+// genSlab fills s, whole 256-byte tiles, with one image-like texture slab:
+// smooth gradient tiles with light noise, giving moderate gzip
+// compressibility like the DICOM/BMP images the paper's Bitmap protocol
+// targets. It draws what rng.Intn(256) per tile and rng.Intn(3) per noise
+// byte (Intn(256) if noiseEvery is 1) would, without Intn's divisions.
+func genSlab(rng *rand.Rand, noiseEvery int, s []byte) {
 	if noiseEvery < 1 {
 		noiseEvery = 2
 	}
-	s := make([]byte, SlabSize)
 	const tile = 256
-	var base byte
-	for i := range s {
-		if i%tile == 0 {
-			base = byte(rng.Intn(256))
+	const max3 = 1<<31 - 1 - (1<<31)%3           // rand.Int31n(3) redraws above this
+	for t, next := 0, 0; t < len(s); t += tile { // next: the next noise position
+		base := byte(rng.Int63() >> 32) // rand.Intn(256)
+		for i := 0; i < tile; i += 8 {  // the gradient steps every 8 bytes
+			binary.LittleEndian.PutUint64(s[t+i:], uint64(base+byte(i/8))*0x0101010101010101)
 		}
-		s[i] = base + byte(i%tile)/8
-		if i%noiseEvery == 0 { // sensor noise controls compressibility
+		for ; next < t+tile; next += noiseEvery { // sensor noise controls compressibility
+			v := uint32(rng.Int63() >> 32)
 			if noiseEvery == 1 {
-				s[i] = byte(rng.Intn(256)) // fully random: incompressible
-			} else {
-				s[i] += byte(rng.Intn(3)) - 1
+				s[next] = byte(v) // fully random: incompressible
+				continue
 			}
+			for v > max3 {
+				v = uint32(rng.Int63() >> 32)
+			}
+			s[next] += byte(v%3) - 1
 		}
 	}
-	return s
 }
 
-// genImages builds the page's images as sequences of dictionary slabs (the
-// final slab of each image truncated to fit), taken in the order perm, a
-// permutation of the pool, gives. Slabs are drawn without replacement
-// while the pool lasts, so a fresh page contains no duplicated regions;
-// duplication only appears through mutation, where it represents
-// genuinely shared view content.
-func genImages(perm []int, pool [][]byte, count, size int) [][]byte {
-	next := 0
-	draw := func() []byte {
-		s := pool[perm[next%len(perm)]]
-		next++
-		return s
-	}
+// genImages builds the page's images from slab placements, each image's
+// last one truncated: placement n holds slab perm[n%len(perm)] of the
+// dictionary seeded by seed, so a fresh page repeats no region until the
+// dictionary runs out (shared view content is what mutation adds). Slabs
+// are drawn in index order up to the highest used, each into its first
+// placement if whole, else into scratch, then copied to its others.
+func genImages(seed int64, perm []int, noiseEvery, count, size int) [][]byte {
 	images := make([][]byte, count)
 	for j := range images {
-		img := make([]byte, 0, size)
-		for len(img) < size {
-			s := draw()
-			take := size - len(img)
-			if take > len(s) {
-				take = len(s)
-			}
-			img = append(img, s[:take]...)
+		images[j] = make([]byte, size)
+	}
+	per := (size + SlabSize - 1) / SlabSize // placements per image
+	total := count * per
+	place := func(n int) []byte {
+		start := n % per * SlabSize
+		return images[n/per][start:min(start+SlabSize, size)]
+	}
+	if total == 0 {
+		return images
+	}
+	rng, scratch := NewRand(seed), make([]byte, SlabSize)
+	for k := range slices.Max(perm[:min(total, len(perm))]) + 1 {
+		n := slices.Index(perm, k) // slab k's first placement
+		slab := scratch
+		if n < total && len(place(n)) == SlabSize {
+			slab = place(n)
 		}
-		images[j] = img
+		genSlab(rng, noiseEvery, slab)
+		for ; n < total; n += len(perm) {
+			copy(place(n), slab)
+		}
 	}
 	return images
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -83,6 +85,29 @@ func TestPageBytesRoundTripStructure(t *testing.T) {
 	}
 	if c.Pages[0].Size() != len(b) {
 		t.Fatalf("Size() = %d, len(Bytes()) = %d", c.Pages[0].Size(), len(b))
+	}
+}
+
+// TestPageBytesHeaderWidths holds Page.Bytes and Page.Size to the
+// fmt-formatted layout at versions that overflow or undercut the
+// zero-padded width, a two-digit image index and a seven-digit image size.
+func TestPageBytesHeaderWidths(t *testing.T) {
+	for _, v := range []int{0, 1, -3, 999999, 1234567, math.MinInt64} {
+		p := &Page{ID: "x", Version: v, Text: []byte("t"), Images: make([][]byte, 11)}
+		p.Images[10] = make([]byte, 1234567)
+		var want bytes.Buffer
+		fmt.Fprintf(&want, "PAGE %s v%06d\n", p.ID, p.Version)
+		for i, img := range p.Images {
+			fmt.Fprintf(&want, "IMG %d %08d\n", i, len(img))
+			want.Write(img)
+		}
+		want.WriteString("TEXT\nt")
+		if got := p.Bytes(); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("version %d: Bytes differs from the fmt layout", v)
+		}
+		if p.Size() != want.Len() {
+			t.Errorf("version %d: Size() = %d, want %d", v, p.Size(), want.Len())
+		}
 	}
 }
 
@@ -235,5 +260,18 @@ func TestMutateImagePreservesLengthProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkGenerate builds the paper's 75-page corpus, the set-up every
+// reactive platform pays before it can serve; its allocs/op and B/op are
+// gated in BENCH_workload.json.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := DefaultConfig(2005)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
