@@ -223,7 +223,7 @@ func lockOpOf(pass *Pass, call *ast.CallExpr) (key, typeKey, op string, ok bool)
 }
 
 // lockTypeKey derives a cross-function identity for a lock: the owning
-// named type plus field name for struct-field locks ("core.cacheShard.mu"),
+// named type plus field name for struct-field locks ("proxy.Proxy.mu"),
 // the package-qualified name for package-level locks, "" when the lock is
 // a local variable (no meaningful global order).
 func lockTypeKey(pass *Pass, lockExpr ast.Expr) string {

@@ -618,113 +618,6 @@ func TestPathsEqualLeavesProperty(t *testing.T) {
 	}
 }
 
-// --- adaptation cache ---
-
-func TestAdaptationCacheBasics(t *testing.T) {
-	c, err := NewAdaptationCache(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := validEnv()
-	k1 := CacheKey{AppID: "app", Dev: env.Dev, Ntwk: env.Ntwk}
-	if _, ok := c.Get(k1); ok {
-		t.Fatal("empty cache hit")
-	}
-	c.Put(k1, []PADMeta{{ID: "p1", Protocol: "x"}})
-	got, ok := c.Get(k1)
-	if !ok || len(got) != 1 || got[0].ID != "p1" {
-		t.Fatalf("Get = %v, %v", got, ok)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Mutating the returned slice must not corrupt the cache.
-	got[0].ID = "corrupted"
-	got2, _ := c.Get(k1)
-	if got2[0].ID != "p1" {
-		t.Fatal("cache entry aliased to caller's slice")
-	}
-}
-
-// TestAdaptationCacheRecheckCountsOneOutcome pins the double-check
-// accounting: a lookup that misses and is looked at again is still one
-// counted outcome — a miss if the second look misses too, a hit if an entry
-// arrived in between.
-func TestAdaptationCacheRecheckCountsOneOutcome(t *testing.T) {
-	c, err := NewAdaptationCache(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := validEnv()
-	key := CacheKey{AppID: "app", Dev: env.Dev, Ntwk: env.Ntwk}.String()
-	c.GetKeyed(key)
-	if _, ok := c.RecheckKeyed(key); ok {
-		t.Fatal("recheck hit an empty cache")
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("miss then missed recheck: stats = %+v, want one miss", st)
-	}
-	c.PutKeyed(key, []PADMeta{{ID: "p1", Protocol: "x"}})
-	got, ok := c.RecheckKeyed(key)
-	if !ok || len(got) != 1 || got[0].ID != "p1" {
-		t.Fatalf("RecheckKeyed = %v, %v", got, ok)
-	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("miss then filled recheck: stats = %+v, want the miss relabelled a hit", st)
-	}
-}
-
-func TestAdaptationCacheLRUEviction(t *testing.T) {
-	c, err := NewAdaptationCache(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(mhz float64) CacheKey {
-		e := validEnv()
-		e.Dev.CPUMHz = mhz
-		return CacheKey{AppID: "app", Dev: e.Dev, Ntwk: e.Ntwk}
-	}
-	c.Put(mk(1), nil)
-	c.Put(mk(2), nil)
-	c.Get(mk(1)) // touch 1 so 2 is LRU
-	c.Put(mk(3), nil)
-	if _, ok := c.Get(mk(2)); ok {
-		t.Fatal("LRU entry survived eviction")
-	}
-	if _, ok := c.Get(mk(1)); !ok {
-		t.Fatal("recently used entry evicted")
-	}
-	if c.Stats().Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", c.Stats().Evictions)
-	}
-}
-
-func TestAdaptationCacheInvalidate(t *testing.T) {
-	c, err := NewAdaptationCache(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := validEnv()
-	c.Put(CacheKey{AppID: "app-a", Dev: env.Dev, Ntwk: env.Ntwk}, nil)
-	c.Put(CacheKey{AppID: "app-b", Dev: env.Dev, Ntwk: env.Ntwk}, nil)
-	if n := c.Invalidate("app-a"); n != 1 {
-		t.Fatalf("invalidated %d entries, want 1", n)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("cache len = %d after invalidate, want 1", c.Len())
-	}
-	if _, ok := c.Get(CacheKey{AppID: "app-b", Dev: env.Dev, Ntwk: env.Ntwk}); !ok {
-		t.Fatal("unrelated app entry dropped")
-	}
-}
-
-func TestAdaptationCacheValidation(t *testing.T) {
-	if _, err := NewAdaptationCache(0); err == nil {
-		t.Fatal("zero capacity accepted")
-	}
-}
-
 func TestCaseStudyMatrices(t *testing.T) {
 	ms, err := CaseStudyMatrices()
 	if err != nil {

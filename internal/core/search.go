@@ -57,21 +57,17 @@ func FindPathFiltered(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool
 		return PathResult{}, fmt.Errorf("core: FindPath on a PAT not built by BuildPAT")
 	}
 
-	// Step 1: mark each node slot with its total overhead, into a pooled
-	// slice instead of a fresh map. Symbolic links were resolved at
-	// compile time.
-	mp := marksPool.Get().(*[]Breakdown)
-	marks := *mp
-	if cap(marks) < len(idx.ids) {
-		marks = make([]Breakdown, len(idx.ids))
+	// Step 1: mark each node slot with its total overhead, into an array
+	// on the stack instead of a fresh map; only a PAT with more nodes than
+	// the array holds allocates. Symbolic links were resolved at compile
+	// time.
+	var buf [32]Breakdown
+	var marks []Breakdown
+	if len(idx.ids) <= len(buf) {
+		marks = buf[:len(idx.ids)]
 	} else {
-		marks = marks[:len(idx.ids)]
+		marks = make([]Breakdown, len(idx.ids))
 	}
-	// Point mp at the (possibly regrown) backing array now, so the defer
-	// is a plain pooled put — a capturing closure here would itself
-	// allocate on every search.
-	*mp = marks[:0]
-	defer marksPool.Put(mp)
 	for i := range idx.ids {
 		if allow != nil && !allow(idx.metas[i]) {
 			marks[i] = Breakdown{ClientComp: math.Inf(1)}

@@ -1,13 +1,11 @@
 package core
 
-import "sync"
-
 // searchIndex is the compiled form of a PAT for the negotiation hot path.
 // BuildPAT (and AddPAD, after a mutation) precomputes everything FindPath
 // otherwise re-derives per call: the deterministic node order, each node's
 // symbolic link resolved to concrete metadata, and every root-to-leaf path
 // flattened to integer offsets. With the index in place a search marks
-// overheads into a pooled []Breakdown slice indexed by node slot — no
+// overheads into a []Breakdown on the stack indexed by node slot — no
 // per-call map, no sort, no tree walk — while producing a PathResult
 // identical to the reference algorithm (pinned by the differential test in
 // search_differential_test.go).
@@ -50,13 +48,4 @@ func (t *PAT) compile() error {
 	}
 	t.index = &searchIndex{ids: ids, metas: metas, paths: paths}
 	return nil
-}
-
-// marksPool recycles the per-search overhead-mark slices so a steady-state
-// negotiation allocates nothing for marking.
-var marksPool = sync.Pool{
-	New: func() interface{} {
-		b := make([]Breakdown, 0, 64)
-		return &b
-	},
 }

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -66,20 +67,18 @@ func (p *PolicyTable) Allow(principal, appID string, pad core.PADMeta) bool {
 }
 
 // SetAuthorizer installs (or clears, with nil) the proxy's access-control
-// policy. Installing a policy invalidates nothing retroactively: callers
-// should install policy before serving, or push AppMeta again to flush the
-// adaptation cache.
+// policy. It drops every cached negotiation and outdates every search in
+// flight, so each negotiation that begins after it returns is decided
+// under the new policy. Edits to an installed PolicyTable (Restrict,
+// Clear) reach the searches that follow but not the cached results: they
+// take effect for every client when the table is installed again.
 func (p *Proxy) SetAuthorizer(a Authorizer) {
-	p.authzMu.Lock()
-	defer p.authzMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.authz = a
-}
-
-// authorizer returns the current policy (nil = allow all).
-func (p *Proxy) authorizer() Authorizer {
-	p.authzMu.RLock()
-	defer p.authzMu.RUnlock()
-	return p.authz
+	clear(p.cache.entries)
+	p.cache.order.Init()
+	p.gen++
 }
 
 // NegotiateFor is Negotiate with an authenticated principal: the
@@ -87,80 +86,85 @@ func (p *Proxy) authorizer() Authorizer {
 // considers PADs the policy allows. Concurrent misses for the same cache
 // key collapse into one search: one caller becomes the leader and runs the
 // search, the rest block on its result and are counted as
-// CollapsedSearches. The warm path (cache hit) allocates only the key and
-// the defensive result copy; the singleflight closure below is built on
-// misses only.
+// CollapsedSearches. A caller that joined a search answered for a state
+// older than the one it began under asks again. The warm path (cache hit)
+// allocates only the key and the caller's copy of the result; the
+// singleflight closure below is built on misses only.
 func (p *Proxy) NegotiateFor(principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
 	if err := env.Validate(); err != nil {
 		return nil, fmt.Errorf("proxy: client metadata: %w", err)
 	}
 	key := core.CacheKey{AppID: appID, Principal: principal, Dev: env.Dev, Ntwk: env.Ntwk}.String()
 	p.negotiations.Add(1)
-	if pads, ok := p.cache.GetKeyed(key); ok {
-		p.cacheHits.Add(1)
-		return pads, nil
-	}
-	pads, err, joined := p.sf.Do(key, func() ([]core.PADMeta, error) {
-		// Double-check under leadership: a previous leader may have filled
-		// the cache between our miss and this call, so each unique key runs
-		// at most one search no matter how callers interleave. RecheckKeyed
-		// keeps the cache's counters at one outcome per negotiation.
-		if pads, ok := p.cache.RecheckKeyed(key); ok {
+	for {
+		p.mu.Lock()
+		pads, hit := p.cache.get(key)
+		gen := p.gen
+		p.mu.Unlock()
+		if hit {
 			p.cacheHits.Add(1)
-			return pads, nil
+			return slices.Clone(pads), nil
 		}
-		return p.searchAndFill(key, principal, appID, env, sessionRequests)
-	})
-	if joined {
-		p.collapsedSearches.Add(1)
-		if err == nil {
-			// Followers share the leader's slice; hand each caller its own
-			// copy, matching the cache's defensive-copy contract.
-			pads = append([]core.PADMeta(nil), pads...)
+		f, err, joined := p.sf.Do(key, func() (flight, error) {
+			return p.search(key, principal, appID, env, sessionRequests)
+		})
+		if !joined || f.gen >= gen {
+			if joined {
+				p.collapsedSearches.Add(1)
+			}
+			return slices.Clone(f.pads), err
 		}
 	}
-	return pads, err
 }
 
-// searchAndFill runs the authorized path search for a cache miss and
-// stores the prepared result under the canonical key.
-func (p *Proxy) searchAndFill(key, principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
-	authz := p.authorizer()
-	var filter func(core.PADMeta) bool
+// search is the singleflight leader's work for one cache key. It looks
+// again first: an earlier leader may have filled the key since this
+// caller missed, so each key runs at most one search however callers
+// interleave. Otherwise it searches under the generation rule (see Proxy).
+func (p *Proxy) search(key, principal, appID string, env core.Env, sessionRequests int) (flight, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pads, ok := p.cache.get(key); ok {
+		p.cacheHits.Add(1)
+		return flight{pads, p.gen}, nil
+	}
+	p.searches.Add(1)
+	for {
+		gen, pat, authz := p.gen, p.pats[appID], p.authz
+		p.mu.Unlock()
+		pads, err := p.findPath(pat, authz, principal, appID, env, sessionRequests)
+		p.mu.Lock()
+		if p.gen == gen {
+			if err == nil {
+				p.cache.put(key, appID, pads)
+			}
+			return flight{pads, gen}, err
+		}
+	}
+}
+
+// findPath runs the authorized adaptation path search on one snapshot of
+// the state and prepares its result for the client.
+func (p *Proxy) findPath(pat *core.PAT, authz Authorizer, principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
+	if pat == nil {
+		return nil, fmt.Errorf("proxy: no protocol adaptation topology for app %q", appID)
+	}
+	var allow func(core.PADMeta) bool
 	if authz != nil {
-		filter = func(meta core.PADMeta) bool {
+		allow = func(meta core.PADMeta) bool {
 			return authz.Allow(principal, appID, meta)
 		}
 	}
-	p.searches.Add(1)
-	//fractal:allow simtime — wall-clock metric on the real serving path
-	start := time.Now()
-	res, err := p.nm.negotiateFiltered(appID, env, sessionRequests, filter)
-	p.searchNanos.Add(time.Since(start).Nanoseconds())
-	if err != nil {
-		return nil, err
-	}
-	pads := prepareForClient(res.PADs)
-	p.cache.PutKeyed(key, pads)
-	return pads, nil
-}
-
-// negotiateFiltered runs the path search with an optional authorization
-// filter.
-func (nm *NegotiationManager) negotiateFiltered(appID string, env core.Env, sessionRequests int, allow func(core.PADMeta) bool) (core.PathResult, error) {
-	nm.mu.RLock()
-	pat, ok := nm.pats[appID]
-	model := nm.model
-	nm.mu.RUnlock()
-	if !ok {
-		return core.PathResult{}, fmt.Errorf("proxy: no protocol adaptation topology for app %q", appID)
-	}
+	model := p.model
 	if sessionRequests > 0 {
 		model.SessionRequests = sessionRequests
 	}
+	//fractal:allow simtime — wall-clock metric on the real serving path
+	start := time.Now()
 	res, err := core.FindPathFiltered(pat, model, env, allow)
+	p.searchNanos.Add(time.Since(start).Nanoseconds())
 	if err != nil {
-		return core.PathResult{}, fmt.Errorf("proxy: app %s: %w", appID, err)
+		return nil, fmt.Errorf("proxy: app %s: %w", appID, err)
 	}
-	return res, nil
+	return prepareForClient(res.PADs), nil
 }

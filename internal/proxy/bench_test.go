@@ -44,7 +44,7 @@ func BenchmarkNegotiateCold(b *testing.B) {
 }
 
 // BenchmarkNegotiateParallel measures negotiation throughput across
-// GOMAXPROCS goroutines over a sharded cache: a realistic mix of a few
+// GOMAXPROCS goroutines over the one-lock cache: a realistic mix of a few
 // hundred distinct client configurations, mostly hits after warmup.
 func BenchmarkNegotiateParallel(b *testing.B) {
 	p, err := New(testModel(b), 4096)

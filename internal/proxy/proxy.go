@@ -6,6 +6,7 @@
 package proxy
 
 import (
+	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -16,69 +17,6 @@ import (
 	"fractal/internal/syncx"
 )
 
-// NegotiationManager maps client metadata to the PADs the client needs.
-// It is safe for concurrent use; the PAT registry is guarded by an
-// RWMutex so negotiations may proceed while applications register.
-type NegotiationManager struct {
-	mu    sync.RWMutex
-	pats  map[string]*core.PAT
-	model core.OverheadModel
-}
-
-// NewNegotiationManager builds a manager around an overhead model.
-func NewNegotiationManager(model core.OverheadModel) (*NegotiationManager, error) {
-	if err := model.Validate(); err != nil {
-		return nil, fmt.Errorf("proxy: %w", err)
-	}
-	return &NegotiationManager{pats: map[string]*core.PAT{}, model: model}, nil
-}
-
-// PushAppMeta installs or replaces an application's protocol adaptation
-// topology, as the application server does "when the protocol adaptation
-// topology is first created or changed later".
-func (nm *NegotiationManager) PushAppMeta(app core.AppMeta) error {
-	pat, err := core.BuildPAT(app)
-	if err != nil {
-		return fmt.Errorf("proxy: rejecting AppMeta: %w", err)
-	}
-	nm.mu.Lock()
-	defer nm.mu.Unlock()
-	nm.pats[app.AppID] = pat
-	return nil
-}
-
-// Apps returns the application ids with installed topologies.
-func (nm *NegotiationManager) Apps() []string {
-	nm.mu.RLock()
-	defer nm.mu.RUnlock()
-	out := make([]string, 0, len(nm.pats))
-	for id := range nm.pats {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Negotiate runs the adaptation path search for one client environment.
-// sessionRequests amortizes the PAD download term; values < 1 are treated
-// as 1.
-func (nm *NegotiationManager) Negotiate(appID string, env core.Env, sessionRequests int) (core.PathResult, error) {
-	nm.mu.RLock()
-	pat, ok := nm.pats[appID]
-	model := nm.model
-	nm.mu.RUnlock()
-	if !ok {
-		return core.PathResult{}, fmt.Errorf("proxy: no protocol adaptation topology for app %q", appID)
-	}
-	if sessionRequests > 0 {
-		model.SessionRequests = sessionRequests
-	}
-	res, err := core.FindPath(pat, model, env)
-	if err != nil {
-		return core.PathResult{}, fmt.Errorf("proxy: app %s: %w", appID, err)
-	}
-	return res, nil
-}
-
 // Stats are the proxy's negotiation counters. On every successful
 // negotiation exactly one of CacheHits, Searches, or CollapsedSearches is
 // incremented, so Negotiations = CacheHits + Searches + CollapsedSearches
@@ -87,7 +25,9 @@ type Stats struct {
 	Negotiations   int64
 	CacheHits      int64
 	TopologyPushes int64
-	// Searches counts path searches actually executed on cache misses.
+	// Searches counts cache misses whose caller ran the path search; a
+	// search repeated because a push or policy change outdated it counts
+	// once.
 	Searches int64
 	// CollapsedSearches counts negotiations that joined another caller's
 	// in-flight search for the same cache key instead of running their own.
@@ -100,21 +40,26 @@ type Stats struct {
 	VerifierRejections int64
 }
 
-// Proxy couples the negotiation manager with the distribution manager's
-// adaptation cache and the INP server front end. Proxy is safe for
-// concurrent use: the authorizer swap is guarded by its own RWMutex,
-// stats are atomic, and the manager and cache synchronize themselves.
+// Proxy is the negotiation manager and the distribution manager in one.
+// The topologies, the access policy, the module source and the adaptation
+// cache live under one mutex, mu. A topology push or a policy change
+// bumps gen under mu and drops the cache entries it outdates. A search
+// snapshots (gen, PAT, authorizer) under mu and runs outside it; it stores
+// its result only if gen is unchanged when it finishes, and otherwise
+// searches again. So no negotiation that begins after a push or policy
+// change has returned is answered from the state it replaced. Counters
+// are atomic.
 type Proxy struct {
-	nm    *NegotiationManager
-	cache *core.AdaptationCache
+	model core.OverheadModel
 	// sf collapses concurrent cache-miss negotiations for the same cache
 	// key into one path search (the negotiation-plane singleflight).
-	sf syncx.Group[[]core.PADMeta]
+	sf syncx.Group[flight]
 
-	authzMu sync.RWMutex
-	authz   Authorizer
-
-	srcMu         sync.RWMutex
+	mu            sync.Mutex
+	gen           uint64 // bumped by every topology push and policy change
+	pats          map[string]*core.PAT
+	cache         *adaptCache
+	authz         Authorizer // nil = allow all
 	moduleSrc     ModuleSourceFunc
 	verifySandbox mobilecode.Sandbox
 
@@ -127,6 +72,79 @@ type Proxy struct {
 	verifierRejections atomic.Int64
 }
 
+// flight is one singleflight outcome: the prepared PADs and the generation
+// they were current at when the search finished.
+type flight struct {
+	pads []core.PADMeta
+	gen  uint64
+}
+
+// adaptCache is the distribution manager's adaptation cache: one map from
+// the canonical CacheKey string to the prepared PADMeta array, bounded by
+// entry count with LRU eviction. Proxy.mu guards it. A stored slice is
+// never modified, so readers hand out copies.
+type adaptCache struct {
+	cap       int
+	order     *list.List // front = most recent; values are *adaptEntry
+	entries   map[string]*list.Element
+	evictions int64
+}
+
+type adaptEntry struct {
+	key, appID string
+	pads       []core.PADMeta
+}
+
+func newAdaptCache(capacity int) (*adaptCache, error) {
+	if capacity < 1 {
+		return nil, fmt.Errorf("proxy: adaptation cache capacity must be positive, got %d", capacity)
+	}
+	return &adaptCache{cap: capacity, order: list.New(), entries: map[string]*list.Element{}}, nil
+}
+
+// get returns the cached result for a canonical key and marks it most
+// recently used.
+//
+//fractal:hotpath every negotiation looks in the cache before searching
+func (c *adaptCache) get(key string) ([]core.PADMeta, bool) {
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*adaptEntry).pads, true
+}
+
+// put stores a search result, which the cache then owns, evicting the
+// least recently used entry if the cache is full.
+//
+//fractal:hotpath every cache miss stores its search result here
+func (c *adaptCache) put(key, appID string, pads []core.PADMeta) {
+	if el, ok := c.entries[key]; ok {
+		el.Value.(*adaptEntry).pads = pads
+		c.order.MoveToFront(el)
+		return
+	}
+	c.entries[key] = c.order.PushFront(&adaptEntry{key: key, appID: appID, pads: pads})
+	if len(c.entries) > c.cap {
+		delete(c.entries, c.order.Remove(c.order.Back()).(*adaptEntry).key)
+		c.evictions++
+	}
+}
+
+// invalidate drops every entry for an application and reports how many.
+func (c *adaptCache) invalidate(appID string) int {
+	n := 0
+	for key, el := range c.entries {
+		if el.Value.(*adaptEntry).appID == appID {
+			c.order.Remove(el)
+			delete(c.entries, key)
+			n++
+		}
+	}
+	return n
+}
+
 // ModuleSourceFunc retrieves the packed module bytes behind a PADMeta —
 // typically the CDN origin the application server publishes to. Installed
 // with SetModuleSource to gate topology registration on bytecode
@@ -136,15 +154,14 @@ type ModuleSourceFunc func(meta core.PADMeta) ([]byte, error)
 // New builds a proxy with the given overhead model and adaptation-cache
 // capacity.
 func New(model core.OverheadModel, cacheCapacity int) (*Proxy, error) {
-	nm, err := NewNegotiationManager(model)
+	if err := model.Validate(); err != nil {
+		return nil, fmt.Errorf("proxy: %w", err)
+	}
+	cache, err := newAdaptCache(cacheCapacity)
 	if err != nil {
 		return nil, err
 	}
-	cache, err := core.NewAdaptationCache(cacheCapacity)
-	if err != nil {
-		return nil, fmt.Errorf("proxy: %w", err)
-	}
-	return &Proxy{nm: nm, cache: cache}, nil
+	return &Proxy{model: model, pats: map[string]*core.PAT{}, cache: cache}, nil
 }
 
 // SetModuleSource arms the registration gate: every subsequent PushAppMeta
@@ -159,19 +176,19 @@ func (p *Proxy) SetModuleSource(fetch ModuleSourceFunc, sb mobilecode.Sandbox) e
 			return fmt.Errorf("proxy: module source sandbox: %w", err)
 		}
 	}
-	p.srcMu.Lock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.moduleSrc = fetch
 	p.verifySandbox = sb
-	p.srcMu.Unlock()
 	return nil
 }
 
 // verifyModules is the armed registration gate: malformed modules never
-// enter the PAT.
+// enter the PAT. The fetches run outside mu.
 func (p *Proxy) verifyModules(app core.AppMeta) error {
-	p.srcMu.RLock()
+	p.mu.Lock()
 	fetch, sb := p.moduleSrc, p.verifySandbox
-	p.srcMu.RUnlock()
+	p.mu.Unlock()
 	if fetch == nil {
 		return nil
 	}
@@ -195,17 +212,25 @@ func (p *Proxy) verifyModules(app core.AppMeta) error {
 	return nil
 }
 
-// PushAppMeta installs a topology and invalidates cached negotiations for
-// that application. With a module source installed (SetModuleSource), every
-// referenced PAD module is fetched and statically verified first.
+// PushAppMeta installs or replaces an application's protocol adaptation
+// topology, as the application server does "when the protocol adaptation
+// topology is first created or changed later", and drops the
+// application's cached negotiations. With a module source installed
+// (SetModuleSource), every referenced PAD module is fetched and statically
+// verified first.
 func (p *Proxy) PushAppMeta(app core.AppMeta) error {
 	if err := p.verifyModules(app); err != nil {
 		return err
 	}
-	if err := p.nm.PushAppMeta(app); err != nil {
-		return err
+	pat, err := core.BuildPAT(app)
+	if err != nil {
+		return fmt.Errorf("proxy: rejecting AppMeta: %w", err)
 	}
-	p.cache.Invalidate(app.AppID)
+	p.mu.Lock()
+	p.pats[app.AppID] = pat
+	p.cache.invalidate(app.AppID)
+	p.gen++
+	p.mu.Unlock()
 	p.topologyPushes.Add(1)
 	return nil
 }
@@ -246,5 +271,15 @@ func (p *Proxy) Stats() Stats {
 	}
 }
 
-// CacheStats exposes the adaptation cache counters.
-func (p *Proxy) CacheStats() core.CacheStats { return p.cache.Stats() }
+// CacheStats reports the adaptation cache's counters. Every negotiation
+// is one lookup: a hit when the cache answered it (Stats.CacheHits) and a
+// miss otherwise, so Hits + Misses = Negotiations by construction.
+func (p *Proxy) CacheStats() core.CacheStats {
+	p.mu.Lock()
+	evictions := p.cache.evictions
+	p.mu.Unlock()
+	// Hits first: a negotiation is counted before its hit, so Misses
+	// never reads negative.
+	hits := p.cacheHits.Load()
+	return core.CacheStats{Hits: hits, Misses: p.negotiations.Load() - hits, Evictions: evictions}
+}

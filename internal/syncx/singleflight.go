@@ -15,9 +15,9 @@ import (
 
 // call is one in-flight execution of a Group function.
 type call[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
+	wg  sync.WaitGroup
+	val V
+	err error
 }
 
 // Group collapses concurrent Do calls with the same key into a single
@@ -41,10 +41,11 @@ func (g *Group[V]) Do(key string, fn func() (V, error)) (v V, err error, joined 
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
-		<-c.done
+		c.wg.Wait()
 		return c.val, c.err, true
 	}
-	c := &call[V]{done: make(chan struct{})}
+	c := &call[V]{}
+	c.wg.Add(1)
 	g.m[key] = c
 	g.mu.Unlock()
 
@@ -58,7 +59,7 @@ func (g *Group[V]) Do(key string, fn func() (V, error)) (v V, err error, joined 
 		g.mu.Lock()
 		delete(g.m, key)
 		g.mu.Unlock()
-		close(c.done)
+		c.wg.Done()
 	}()
 	c.val, c.err = fn()
 	finished = true
