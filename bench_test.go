@@ -380,7 +380,7 @@ func BenchmarkAblationVaryChunk(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var enc func([][]byte) ([][]byte, error)
+			var enc func(*mobilecode.Codecs, [][]byte) ([][]byte, error)
 			for _, h := range hosts {
 				if h.Name == "vary.encode" {
 					enc = h.Fn
@@ -389,7 +389,7 @@ func BenchmarkAblationVaryChunk(b *testing.B) {
 			b.SetBytes(int64(len(cur)))
 			var out [][]byte
 			for i := 0; i < b.N; i++ {
-				out, err = enc([][]byte{old, cur})
+				out, err = enc(nil, [][]byte{old, cur})
 				if err != nil {
 					b.Fatal(err)
 				}

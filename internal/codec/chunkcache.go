@@ -128,8 +128,11 @@ func (c *ChunkCache) getOrBuild(conf string, ch *rabin.Chunker, data []byte) *Ch
 }
 
 // Stats returns a snapshot of hit/miss counters and the current entry
-// count.
+// count. A nil cache has seen nothing.
 func (c *ChunkCache) Stats() ChunkCacheStats {
+	if c == nil {
+		return ChunkCacheStats{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return ChunkCacheStats{Hits: c.hits, Misses: c.misses, Entries: c.order.Len()}

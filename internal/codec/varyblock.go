@@ -48,8 +48,8 @@ const maxDecodeReserve = 1 << 20
 // receipts").
 type VaryBlock struct {
 	chunker *rabin.Chunker
-	conf    string      // cache-key descriptor of the chunker config
 	cache   *ChunkCache // Encode only; nil = stateless
+	conf    string      // the cache's key descriptor of the chunker config, set with it
 }
 
 // NewVaryBlock returns the protocol with the default LBFS-like chunking
@@ -66,9 +66,7 @@ func NewVaryBlockConfig(cfg rabin.ChunkerConfig) (*VaryBlock, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codec: varyblock: %w", err)
 	}
-	conf := fmt.Sprintf("vary|%x|%d|%d|%d|%x|%x",
-		uint64(cfg.Pol), cfg.Window, cfg.MinSize, cfg.MaxSize, cfg.Mask, cfg.Magic)
-	return &VaryBlock{chunker: ch, conf: conf}, nil
+	return &VaryBlock{chunker: ch}, nil
 }
 
 // Name implements Codec.
@@ -77,9 +75,14 @@ func (*VaryBlock) Name() string { return NameVaryBlock }
 // ChunkerConfig returns the chunking parameters in use.
 func (v *VaryBlock) ChunkerConfig() rabin.ChunkerConfig { return v.chunker.Config() }
 
-// UseChunkCache implements ChunkCacheUser. It must be called before the
-// codec is used concurrently.
-func (v *VaryBlock) UseChunkCache(c *ChunkCache) { v.cache = c }
+// UseChunkCache implements ChunkCacheUser. It must be called before
+// Encode is used concurrently; Decode reads neither the cache nor its key
+// descriptor, which a codec that never gets a cache never renders.
+func (v *VaryBlock) UseChunkCache(c *ChunkCache) {
+	cfg := v.chunker.Config()
+	v.cache, v.conf = c, fmt.Sprintf("vary|%x|%d|%d|%d|%x|%x",
+		uint64(cfg.Pol), cfg.Window, cfg.MinSize, cfg.MaxSize, cfg.Mask, cfg.Magic)
+}
 
 // Cost implements Costed. The dominant server-side term reproduces the
 // paper's observation that Vary-sized blocking "has huge server side

@@ -221,12 +221,18 @@ func ReadMessage(r io.Reader) (Header, []byte, error) {
 // session-scoped (body must then be nil or an earlier readFrame result on
 // the same session), else through the heap. The returned slice is the
 // possibly regrown storage even on error, so a caller reusing it keeps it.
+// A failure before the header's first byte is returned unformatted and
+// kept as r.boundaryErr; any later one is wrapped with where it struck.
 //
 //fractal:hotpath every INP exchange reads through here
 func readFrame(r *bufReader, body []byte, sess *arena.Session) (Header, []byte, error) {
 	body = body[:0]
 	hdr := r.hdr[:] // a local array would be moved to the heap by src.Read, once per frame
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	if n, err := io.ReadFull(r, hdr); err != nil {
+		if n == 0 {
+			r.boundaryErr = err
+			return Header{}, body, err
+		}
 		return Header{}, body, fmt.Errorf("inp: reading header: %w", err)
 	}
 	h, n, err := parseHeader(hdr)
@@ -264,6 +270,8 @@ type bufReader struct {
 	buf  []byte
 	r, w int
 	hdr  [headerLen]byte // readFrame's header scratch
+	// boundaryErr is the last failure between frames readFrame returned.
+	boundaryErr error
 }
 
 // buffered reports the undrained byte count.

@@ -7,6 +7,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"fractal/internal/arena"
@@ -143,9 +144,10 @@ func (s *Server) Close() error {
 // ServeConn serves sessions over an established connection until the peer
 // disconnects. The connection is persistent — a client runs session after
 // session without paying a dial for each — and its read and body buffers
-// come from one arena session released when it ends. A clean disconnect
-// at a session boundary returns nil; a connection that ends before its
-// first message, or mid-frame, is an error.
+// come from one arena session released when it ends. A peer that leaves
+// at a session boundary — EOF or a reset (ECONNRESET) before a frame's
+// first byte — returns nil, with nothing formatted or logged; one that
+// ends or resets before its first message, or mid-frame, is an error.
 func (s *Server) ServeConn(rw net.Conn) error {
 	sess := arena.AcquireSession()
 	defer sess.Release()
@@ -154,11 +156,14 @@ func (s *Server) ServeConn(rw net.Conn) error {
 	for first := true; ; first = false {
 		h, raw, err := c.Recv()
 		if err != nil {
+			if err == c.brd.boundaryErr { // the stream failed between frames
+				if !first && (err == io.EOF || errors.Is(err, syscall.ECONNRESET)) {
+					return nil
+				}
+				err = fmt.Errorf("inp: reading header: %w", err)
+			}
 			if first {
 				return fmt.Errorf("reading first message: %w", err)
-			}
-			if errors.Is(err, io.EOF) {
-				return nil // clean disconnect at a session boundary
 			}
 			return fmt.Errorf("reading next session: %w", err)
 		}

@@ -49,10 +49,10 @@ func (l *Loader) SetVerifier(v VerifyFunc) { l.verify = v }
 // the payload itself).
 type DeployedPAD struct {
 	module *Module
-	vm     *VM
+	vm     VM
 	enc    Program
 	dec    Program
-	chunks *codec.ChunkCache
+	codecs Codecs
 }
 
 // Load verifies and instantiates a packed module. packed is never written,
@@ -77,23 +77,20 @@ func (l *Loader) Load(packed []byte) (*DeployedPAD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mobilecode: PAD %s decode program: %w", m.ID, err)
 	}
-	hosts, chunks, err := HostTableWithCache(m.Params)
-	if err != nil {
+	d := &DeployedPAD{module: m, enc: enc, dec: dec}
+	if err := d.codecs.configure(m.Params); err != nil {
 		return nil, fmt.Errorf("mobilecode: PAD %s: %w", m.ID, err)
 	}
 	if l.verify != nil {
-		if err := l.verify("encode", enc, hosts, l.sandbox); err != nil {
+		if err := l.verify("encode", enc, primitives, l.sandbox); err != nil {
 			return nil, fmt.Errorf("mobilecode: PAD %s encode program: %w", m.ID, err)
 		}
-		if err := l.verify("decode", dec, hosts, l.sandbox); err != nil {
+		if err := l.verify("decode", dec, primitives, l.sandbox); err != nil {
 			return nil, fmt.Errorf("mobilecode: PAD %s decode program: %w", m.ID, err)
 		}
 	}
-	vm, err := NewVM(hosts, l.sandbox)
-	if err != nil {
-		return nil, err
-	}
-	return &DeployedPAD{module: m, vm: vm, enc: enc, dec: dec, chunks: chunks}, nil
+	d.vm = VM{hosts: primitiveVM.hosts, codecs: &d.codecs, sandbox: l.sandbox}
+	return d, nil
 }
 
 // ID returns the PAD's module identifier.
@@ -106,9 +103,9 @@ func (d *DeployedPAD) Name() string { return d.module.Protocol }
 func (d *DeployedPAD) Module() *Module { return d.module }
 
 // ChunkCacheStats reports the counters of the chunk-index cache of the
-// PAD's vary.encode primitive. Nothing else touches it, so on a PAD used
-// only to decode every counter stays zero.
-func (d *DeployedPAD) ChunkCacheStats() codec.ChunkCacheStats { return d.chunks.Stats() }
+// PAD's vary.encode primitive. The first encode makes it, so on a PAD used
+// only to decode every counter reads zero.
+func (d *DeployedPAD) ChunkCacheStats() codec.ChunkCacheStats { return d.codecs.cache.Load().Stats() }
 
 // run executes a program with the calling convention shared by both
 // directions: the initial buffer stack is [a, b] (b on top) and the result

@@ -18,7 +18,7 @@ import (
 // verifier. An opcode that can be encoded but not executed, assembled or
 // verified fails here, and so does one of the removed opcodes coming back.
 func TestEveryOpcodeIsNamedAssembledDispatchedAndVerified(t *testing.T) {
-	sym := mobilecode.HostFunc{Name: "sym", Arity: 1, Results: 1, Fn: func(a [][]byte) ([][]byte, error) { return a, nil }}
+	sym := mobilecode.HostFunc{Name: "sym", Arity: 1, Results: 1, Fn: func(_ *mobilecode.Codecs, a [][]byte) ([][]byte, error) { return a, nil }}
 	vm, err := mobilecode.NewVM([]mobilecode.HostFunc{sym}, mobilecode.DefaultSandbox())
 	if err != nil {
 		t.Fatal(err)

@@ -42,40 +42,22 @@ const (
 	MinResults = 1
 )
 
-// Capability declares one host function a program may CALL: how many
-// buffers it pops and how many it pushes on success.
-type Capability struct {
-	Arity   int
-	Results int
-}
-
-// CapSet is a declared capability manifest: the host symbols a program is
-// allowed to call, with their stack effects.
-type CapSet map[string]Capability
-
-// CapsForHosts derives the capability set from a host table.
-func CapsForHosts(hosts []mobilecode.HostFunc) CapSet {
-	caps := make(CapSet, len(hosts))
-	for _, h := range hosts {
-		caps[h.Name] = Capability{Arity: h.Arity, Results: h.Results}
-	}
-	return caps
-}
-
 // Config is one verification policy.
 type Config struct {
-	// Caps is the declared capability manifest CALLs must resolve in.
-	Caps CapSet
+	// Caps is the declared capability manifest CALLs must resolve in: the
+	// host functions a program may call, read for their names and stack
+	// effects (how many buffers each pops, and pushes on success).
+	Caps []mobilecode.HostFunc
 	// Sandbox supplies the stack depth limit the heights are checked
 	// against.
 	Sandbox mobilecode.Sandbox
 }
 
 // DeployConfig is the policy the deployment pipeline enforces on PAD
-// programs: the capability manifest of the module's own host table and
-// the deploying sandbox.
+// programs: the host table's capability manifest and the deploying
+// sandbox. It copies nothing, so a deploy pays nothing for it.
 func DeployConfig(hosts []mobilecode.HostFunc, sb mobilecode.Sandbox) Config {
-	return Config{Caps: CapsForHosts(hosts), Sandbox: sb}
+	return Config{Caps: hosts, Sandbox: sb}
 }
 
 // Report is the proof summary for an accepted program.
@@ -162,11 +144,11 @@ func Program(p mobilecode.Program, cfg Config) (*Report, error) {
 		case mobilecode.OpDropB:
 			pop = 1
 		case mobilecode.OpCall:
-			c, ok := cfg.Caps[in.Sym]
-			if !ok {
+			i := slices.IndexFunc(cfg.Caps, func(h mobilecode.HostFunc) bool { return h.Name == in.Sym })
+			if i < 0 {
 				return nil, errAt(p, pc, ErrUndeclaredCall, "symbol %q is not in the %d-symbol manifest", in.Sym, len(cfg.Caps))
 			}
-			pop, push = c.Arity, c.Results
+			pop, push = cfg.Caps[i].Arity, cfg.Caps[i].Results
 			if !slices.Contains(rep.Calls, in.Sym) {
 				rep.Calls = append(rep.Calls, in.Sym)
 			}

@@ -119,7 +119,7 @@ func UnmarshalProgram(data []byte) (Program, error) {
 		if arg := r.Varint(); arg != 0 {
 			return nil, fmt.Errorf("mobilecode: instruction %d: %s carries immediate %d; no opcode takes one", i, in.Op, arg)
 		}
-		in.Sym = r.Str()
+		in.Sym = symbol(r.Bytes())
 		p = append(p, in)
 	}
 	if err := r.Done(); err != nil {
@@ -131,18 +131,27 @@ func UnmarshalProgram(data []byte) (Program, error) {
 	return p, nil
 }
 
+// symbol returns a decoded CALL symbol, a primitive's by its table copy.
+func symbol(b []byte) string {
+	if h, ok := primitiveVM.hosts[string(b)]; ok {
+		return h.Name
+	}
+	return string(b)
+}
+
 // HostFunc is a primitive callable from PAD programs. It pops `Arity`
 // buffers (topmost last in the slice) and pushes the `Results` buffers it
 // returns, in order. The count is a contract: the static verifier bounds
 // the buffer stack with it, and the VM fails a call that returns another
-// number. Fn must treat its arguments as read-only — they may be the
+// number. Fn runs against the calling VM's Codecs (nil on a VM NewVM
+// built). It must treat its arguments as read-only — they may be the
 // caller's own inputs to Run, shared with other stack slots — and may
 // return them, or sub-slices of them, as results.
 type HostFunc struct {
 	Name    string
 	Arity   int
 	Results int
-	Fn      func(args [][]byte) ([][]byte, error)
+	Fn      func(c *Codecs, args [][]byte) ([][]byte, error)
 }
 
 // Sandbox bounds a PAD execution, the paper's VMM/sandbox mechanism. The
@@ -170,6 +179,7 @@ func (s Sandbox) Validate() error {
 // Run uses its own execution state.
 type VM struct {
 	hosts   map[string]HostFunc
+	codecs  *Codecs // handed to every host call
 	sandbox Sandbox
 }
 
@@ -319,7 +329,7 @@ func (s *state) call(sym string) error {
 		}
 		args[i] = b
 	}
-	results, err := h.Fn(args)
+	results, err := h.Fn(s.vm.codecs, args)
 	if err != nil {
 		return fmt.Errorf("call %q: %w", sym, err)
 	}

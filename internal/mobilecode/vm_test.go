@@ -208,7 +208,7 @@ func TestSandboxValidation(t *testing.T) {
 }
 
 func TestNewVMRejectsBadHostTables(t *testing.T) {
-	ok := HostFunc{Name: "f", Arity: 1, Results: 1, Fn: func(a [][]byte) ([][]byte, error) { return a, nil }}
+	ok := HostFunc{Name: "f", Arity: 1, Results: 1, Fn: func(_ *Codecs, a [][]byte) ([][]byte, error) { return a, nil }}
 	if _, err := NewVM([]HostFunc{ok, ok}, DefaultSandbox()); err == nil {
 		t.Error("duplicate host fn accepted")
 	}

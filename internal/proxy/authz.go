@@ -83,28 +83,36 @@ func (p *Proxy) SetAuthorizer(a Authorizer) {
 
 // NegotiateFor is Negotiate with an authenticated principal: the
 // adaptation cache is partitioned per principal and the path search only
-// considers PADs the policy allows. Concurrent misses for the same cache
-// key collapse into one search: one caller becomes the leader and runs the
-// search, the rest block on its result and are counted as
+// considers PADs the policy allows. The cache is partitioned per session
+// length too (a non-positive sessionRequests means the model's), because
+// the search amortizes the PAD download over it. Concurrent misses for the
+// same cache key collapse into one search: one caller becomes the leader
+// and runs the search, the rest block on its result and are counted as
 // CollapsedSearches. A caller that joined a search answered for a state
 // older than the one it began under asks again. The warm path (cache hit)
-// allocates only the key and the caller's copy of the result; the
-// singleflight closure below is built on misses only.
+// allocates only the caller's copy of the result: the key is built on the
+// stack, and it becomes a string, as the singleflight closure below is
+// built, on misses only.
 func (p *Proxy) NegotiateFor(principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
 	if err := env.Validate(); err != nil {
 		return nil, fmt.Errorf("proxy: client metadata: %w", err)
 	}
-	key := core.CacheKey{AppID: appID, Principal: principal, Dev: env.Dev, Ntwk: env.Ntwk}.String()
+	if sessionRequests <= 0 {
+		sessionRequests = p.model.SessionRequests
+	}
+	var buf [128]byte
+	kb := core.CacheKey{AppID: appID, Principal: principal, Dev: env.Dev, Ntwk: env.Ntwk, SessionRequests: sessionRequests}.Append(buf[:0])
 	p.negotiations.Add(1)
 	for {
 		p.mu.Lock()
-		pads, hit := p.cache.get(key)
+		pads, hit := p.cache.touch(p.cache.entries[string(kb)])
 		gen := p.gen
 		p.mu.Unlock()
 		if hit {
 			p.cacheHits.Add(1)
 			return slices.Clone(pads), nil
 		}
+		key := string(kb)
 		f, err, joined := p.sf.Do(key, func() (flight, error) {
 			return p.search(key, principal, appID, env, sessionRequests)
 		})
@@ -156,9 +164,7 @@ func (p *Proxy) findPath(pat *core.PAT, authz Authorizer, principal, appID strin
 		}
 	}
 	model := p.model
-	if sessionRequests > 0 {
-		model.SessionRequests = sessionRequests
-	}
+	model.SessionRequests = sessionRequests
 	//fractal:allow simtime — wall-clock metric on the real serving path
 	start := time.Now()
 	res, err := core.FindPathFiltered(pat, model, env, allow)

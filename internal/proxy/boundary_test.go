@@ -2,8 +2,12 @@ package proxy
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -230,5 +234,107 @@ func TestServeConnEOFMidBody(t *testing.T) {
 				t.Fatalf("EOF mid-body => %v, want reading-next-session error", err)
 			}
 		})
+	}
+}
+
+// resetClose closes a TCP client end with SO_LINGER 0, so the kernel
+// sends a real RST instead of a FIN.
+func resetClose(t *testing.T, conn net.Conn) {
+	t.Helper()
+	if err := conn.(*net.TCPConn).SetLinger(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeConnResetAtSessionBoundary: a client that resets the
+// connection after a complete session has left as cleanly as one that
+// half-closes. ServeConn returns nil, and the serving loop logs nothing.
+func TestServeConnResetAtSessionBoundary(t *testing.T) {
+	for _, tc := range boundaryMatrix {
+		if tc.transport != "tcp" {
+			continue // an in-memory stream has no reset
+		}
+		t.Run(tc.transport+"/"+advertName(tc.advert), func(t *testing.T) {
+			srv, err := NewServer(newTestProxy(t), 4, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, errc := startServeConn(t, tc.transport, srv)
+			negotiateOnce(t, inp.NewConn(conn), tc.advert)
+			resetClose(t, conn)
+			if err := waitServeConn(t, errc); err != nil {
+				t.Fatalf("reset at a session boundary => %v, want nil", err)
+			}
+		})
+		t.Run("serve/"+advertName(tc.advert), func(t *testing.T) {
+			var mu sync.Mutex
+			var logged []string
+			logf := func(format string, args ...interface{}) {
+				mu.Lock()
+				defer mu.Unlock()
+				logged = append(logged, fmt.Sprintf(format, args...))
+			}
+			srv, err := NewServer(newTestProxy(t), 4, logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(ln) }()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			negotiateOnce(t, inp.NewConn(conn), tc.advert)
+			resetClose(t, conn)
+			// Close drains the session, which ends only when the reset
+			// reaches its read.
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("Serve => %v", err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(logged) != 0 {
+				t.Fatalf("a reset between sessions was logged: %q", logged)
+			}
+		})
+	}
+}
+
+// TestServeConnResetBeforeFirstMessage: a connection reset before a
+// single frame is an error, worded as a failed first header read.
+func TestServeConnResetBeforeFirstMessage(t *testing.T) {
+	srv, err := NewServer(newTestProxy(t), 4, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	resetClose(t, client)
+	err = srv.ServeConn(server)
+	if err == nil || !strings.HasPrefix(err.Error(), "reading first message: inp: reading header: ") ||
+		!errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("reset before the first message => %v, want a reading-first-message header error", err)
 	}
 }

@@ -310,3 +310,52 @@ func TestSetAuthorizerDropsCachedNegotiations(t *testing.T) {
 		t.Fatal("a cached negotiation served a PAD the new policy denies")
 	}
 }
+
+// TestNegotiateCacheKeysOnSessionLength: the search amortizes the PAD
+// download over the session length, so a short and a long session may
+// choose different paths, and a warm proxy must answer each with its own
+// choice whichever asked first. With pad-bitmap made 400,000 B, a PDA
+// amortizing it over 75 requests still takes bitmap, but one request
+// cannot pay for it.
+func TestNegotiateCacheKeysOnSessionLength(t *testing.T) {
+	app := testApp()
+	for i := range app.PADs {
+		if app.PADs[i].ID == "pad-bitmap" {
+			app.PADs[i].Size = 400_000
+		}
+	}
+	proxyFor := func() *Proxy {
+		p, err := New(testModel(t), 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.PushAppMeta(app); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	choose := func(p *Proxy, reqs int) string {
+		pads, err := p.Negotiate("webapp", pdaEnv(), reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pads[0].ID
+	}
+	want := map[int]string{1: choose(proxyFor(), 1), 75: choose(proxyFor(), 75)}
+	if want[1] == want[75] {
+		t.Fatalf("fresh proxies choose %s for both session lengths; the fixture no longer separates them", want[1])
+	}
+	for _, order := range [][]int{{1, 75}, {75, 1}} {
+		p := proxyFor()
+		for round := 0; round < 2; round++ { // the second round is served from the cache
+			for _, reqs := range order {
+				if got := choose(p, reqs); got != want[reqs] {
+					t.Errorf("order %v round %d: %d-request PDA got %s, want %s", order, round, reqs, got, want[reqs])
+				}
+			}
+		}
+		if st := p.Stats(); st.Searches != 2 || st.CacheHits != 2 {
+			t.Errorf("order %v: stats %+v, want 2 searches and 2 cache hits", order, st)
+		}
+	}
+}

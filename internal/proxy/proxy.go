@@ -104,11 +104,15 @@ func newAdaptCache(capacity int) (*adaptCache, error) {
 
 // get returns the cached result for a canonical key and marks it most
 // recently used.
+func (c *adaptCache) get(key string) ([]core.PADMeta, bool) { return c.touch(c.entries[key]) }
+
+// touch returns the result of an entry looked up in entries, nil for a
+// miss, and marks it most recently used. A caller holding the key as bytes
+// indexes entries with string(key) itself, which copies nothing.
 //
 //fractal:hotpath every negotiation looks in the cache before searching
-func (c *adaptCache) get(key string) ([]core.PADMeta, bool) {
-	el, ok := c.entries[key]
-	if !ok {
+func (c *adaptCache) touch(el *list.Element) ([]core.PADMeta, bool) {
+	if el == nil {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
