@@ -380,7 +380,7 @@ func BenchmarkAblationVaryChunk(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var enc func(*mobilecode.Codecs, [][]byte) ([][]byte, error)
+			var enc func(*mobilecode.Codecs, *codec.Held, [][]byte) ([][]byte, error)
 			for _, h := range hosts {
 				if h.Name == "vary.encode" {
 					enc = h.Fn
@@ -389,7 +389,7 @@ func BenchmarkAblationVaryChunk(b *testing.B) {
 			b.SetBytes(int64(len(cur)))
 			var out [][]byte
 			for i := 0; i < b.N; i++ {
-				out, err = enc(nil, [][]byte{old, cur})
+				out, err = enc(nil, nil, [][]byte{old, cur})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -526,7 +526,7 @@ func BenchmarkMobileCodeDeployment(b *testing.B) {
 // pattern of a device that works through more pages than any small cache
 // holds, so each decode re-chunks its held version. One op is one page.
 func BenchmarkVaryDecodeHeldCorpus(b *testing.B) {
-	benchPADDecode(b, codec.NameVaryBlock)
+	benchPADDecode(b, codec.NameVaryBlock, false)
 }
 
 // BenchmarkPADDecode is the same rotation through each builtin PAD: the
@@ -535,14 +535,23 @@ func BenchmarkVaryDecodeHeldCorpus(b *testing.B) {
 // back the payload itself, so it allocates nothing page-sized.
 func BenchmarkPADDecode(b *testing.B) {
 	for _, proto := range []string{codec.NameDirect, codec.NameGzip, codec.NameBitmap, codec.NameVaryBlock} {
-		b.Run(proto, func(b *testing.B) { benchPADDecode(b, proto) })
+		b.Run(proto, func(b *testing.B) { benchPADDecode(b, proto, false) })
 	}
 }
 
-// benchPADDecode times one DeployedPAD.Decode per op, rotating through the
-// corpus: page j is held at its old version and receives proto's payload
-// for the new one.
-func benchPADDecode(b *testing.B, proto string) {
+// BenchmarkPADDecodeHeld is BenchmarkPADDecode/varyblock through
+// DeployedPAD.DecodeHeld, as the client decodes: each page's held version
+// is a codec.Held whose split an untimed decode made, so the timed op
+// reuses it where BenchmarkPADDecode re-chunks the held version.
+func BenchmarkPADDecodeHeld(b *testing.B) {
+	b.Run(codec.NameVaryBlock, func(b *testing.B) { benchPADDecode(b, codec.NameVaryBlock, true) })
+}
+
+// benchPADDecode times one DeployedPAD.Decode per op — DecodeHeld against
+// a warmed codec.Held when held is set — rotating through the corpus: page
+// j is held at its old version and receives proto's payload for the new
+// one.
+func benchPADDecode(b *testing.B, proto string, held bool) {
 	s := getSetup(b)
 	olds, curs := benchCorpus(b, s)
 	mods, loader := benchLoader(b)
@@ -574,12 +583,27 @@ func benchPADDecode(b *testing.B, proto string) {
 		payloads[i] = p
 		total += int64(len(curs[i]))
 	}
+	var helds []*codec.Held
+	if held {
+		for i := range olds {
+			helds = append(helds, &codec.Held{Data: olds[i]})
+			if _, err := pad.DecodeHeld(helds[i], payloads[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	b.SetBytes(total / int64(len(olds)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(olds)
-		if _, err := pad.Decode(olds[j], payloads[j]); err != nil {
+		var err error
+		if held {
+			_, err = pad.DecodeHeld(helds[j], payloads[j])
+		} else {
+			_, err = pad.Decode(olds[j], payloads[j])
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

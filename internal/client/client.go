@@ -93,10 +93,26 @@ type Stats struct {
 	StaleVersionDrops int64
 }
 
-// contentEntry is the cached newest version of a resource.
+// contentEntry is the cached newest version of a resource; what decoding
+// against it derives lives on held and goes with the entry.
 type contentEntry struct {
 	version int
-	data    []byte
+	held    *codec.Held
+}
+
+// protocol is a cached negotiation result: the PADs, and their IDs built
+// once for every APP_REQ. Neither slice is written once cached.
+type protocol struct {
+	pads []core.PADMeta
+	ids  []string
+}
+
+func newProtocol(pads []core.PADMeta) protocol {
+	ids := make([]string, len(pads))
+	for i, m := range pads {
+		ids[i] = m.ID
+	}
+	return protocol{pads: pads, ids: ids}
 }
 
 // Client is one Fractal client host. Client is safe for concurrent use:
@@ -113,12 +129,12 @@ type Client struct {
 	// negFlight collapses concurrent cold-start negotiations per appID:
 	// one leader negotiates and deploys, stampeding callers share its
 	// result instead of opening duplicate proxy exchanges.
-	negFlight syncx.Group[[]core.PADMeta]
+	negFlight syncx.Group[protocol]
 
 	mu sync.Mutex
 	// protocolCache is the paper's client-side protocol cache: PADMeta
 	// saved from previous negotiations keyed by application id.
-	protocolCache map[string][]core.PADMeta
+	protocolCache map[string]protocol
 	deployed      map[string]*mobilecode.DeployedPAD
 	versions      map[string]contentEntry
 	stats         Stats
@@ -139,7 +155,7 @@ func New(cfg Config, neg Negotiator, pads PADFetcher, content ContentFetcher) (*
 	loader.SetVerifier(verify.LoaderVerifier())
 	return &Client{
 		cfg: cfg, neg: neg, pads: pads, content: content, loader: loader,
-		protocolCache: map[string][]core.PADMeta{},
+		protocolCache: map[string]protocol{},
 		deployed:      map[string]*mobilecode.DeployedPAD{},
 		versions:      map[string]contentEntry{},
 	}, nil
@@ -149,6 +165,12 @@ func New(cfg Config, neg Negotiator, pads PADFetcher, content ContentFetcher) (*
 // application: first the local protocol cache, then negotiation, CDN
 // download, security checks, and sandbox deployment.
 func (c *Client) EnsureProtocol(appID string) ([]core.PADMeta, error) {
+	p, err := c.ensure(appID)
+	return p.pads, err
+}
+
+// ensure is EnsureProtocol returning the cached protocol.
+func (c *Client) ensure(appID string) (protocol, error) {
 	c.mu.Lock()
 	cached, hasCached := c.protocolCache[appID]
 	c.mu.Unlock()
@@ -157,7 +179,7 @@ func (c *Client) EnsureProtocol(appID string) ([]core.PADMeta, error) {
 		// disk) without renegotiating; only if deployment fails — say the
 		// published modules changed — fall through to a fresh negotiation.
 		ok := true
-		for _, m := range cached {
+		for _, m := range cached.pads {
 			if err := c.deployPAD(m); err != nil {
 				ok = false
 				break
@@ -175,7 +197,7 @@ func (c *Client) EnsureProtocol(appID string) ([]core.PADMeta, error) {
 	// one proxy exchange. The leader runs the full negotiate → download →
 	// deploy → cache pipeline (degrading if it fails); joined callers
 	// share its outcome.
-	pads, err, joined := c.negFlight.Do(appID, func() ([]core.PADMeta, error) {
+	p, err, joined := c.negFlight.Do(appID, func() (protocol, error) {
 		return c.negotiateAndDeploy(appID)
 	})
 	if joined {
@@ -183,7 +205,7 @@ func (c *Client) EnsureProtocol(appID string) ([]core.PADMeta, error) {
 		c.stats.CollapsedNegotiations++
 		c.mu.Unlock()
 	}
-	return pads, err
+	return p, err
 }
 
 // negotiateAndDeploy is the cold-start pipeline run by a singleflight
@@ -191,7 +213,7 @@ func (c *Client) EnsureProtocol(appID string) ([]core.PADMeta, error) {
 // the result. If any step ultimately fails (after whatever retries the
 // configured Negotiator and PADFetcher perform) it degrades to the local
 // Direct fallback module rather than failing the session outright.
-func (c *Client) negotiateAndDeploy(appID string) ([]core.PADMeta, error) {
+func (c *Client) negotiateAndDeploy(appID string) (protocol, error) {
 	pads, err := c.neg.Negotiate(appID, c.cfg.Env, c.cfg.SessionRequests)
 	if err != nil {
 		return c.degrade(appID, fmt.Errorf("client: negotiation: %w", err))
@@ -207,24 +229,25 @@ func (c *Client) negotiateAndDeploy(appID string) ([]core.PADMeta, error) {
 			return c.degrade(appID, err)
 		}
 	}
+	p := newProtocol(pads)
 	c.mu.Lock()
-	c.protocolCache[appID] = pads
+	c.protocolCache[appID] = p
 	c.mu.Unlock()
-	return pads, nil
+	return p, nil
 }
 
 // degrade falls back to the locally shipped Direct module after the
 // adaptation plane failed with cause. The fallback passes the same
 // security checks (signature + sandbox limits) as a downloaded PAD; if it
 // cannot be deployed, or no fallback is configured, cause is surfaced.
-func (c *Client) degrade(appID string, cause error) ([]core.PADMeta, error) {
+func (c *Client) degrade(appID string, cause error) (protocol, error) {
 	if len(c.cfg.FallbackDirect) == 0 {
-		return nil, cause
+		return protocol{}, cause
 	}
 	pad, err := c.loader.Load(c.cfg.FallbackDirect)
 	if err != nil {
 		c.noteSecurityRejection(err)
-		return nil, fmt.Errorf("%w (and fallback module failed security checks: %v)", cause, err)
+		return protocol{}, fmt.Errorf("%w (and fallback module failed security checks: %v)", cause, err)
 	}
 	meta := core.PADMeta{
 		ID:       pad.ID(),
@@ -233,15 +256,15 @@ func (c *Client) degrade(appID string, cause error) ([]core.PADMeta, error) {
 		Size:     pad.Module().Size(),
 		Digest:   pad.Module().Digest,
 	}
-	pads := []core.PADMeta{meta}
+	p := newProtocol([]core.PADMeta{meta})
 	c.mu.Lock()
 	if _, live := c.deployed[meta.ID]; !live {
 		c.deployed[meta.ID] = pad
 	}
-	c.protocolCache[appID] = pads
+	c.protocolCache[appID] = p
 	c.stats.Degradations++
 	c.mu.Unlock()
-	return pads, nil
+	return p, nil
 }
 
 // noteSecurityRejection counts a deploy-pipeline failure. Every failure is
@@ -296,16 +319,13 @@ func (c *Client) deployPAD(meta core.PADMeta) error {
 // adapted payload with the deployed mobile code and updating the local
 // version cache so later requests are differential. The returned slice is
 // the held version itself — under pad-direct, the reply frame's own bytes,
-// which the decode aliases rather than copies — so callers must not modify
-// it.
+// which the decode aliases rather than copies — and later decodes against
+// it reuse chunk boundaries split from those bytes, so callers must not
+// modify it.
 func (c *Client) Request(appID, resource string) ([]byte, error) {
-	pads, err := c.EnsureProtocol(appID)
+	proto, err := c.ensure(appID)
 	if err != nil {
 		return nil, err
-	}
-	ids := make([]string, len(pads))
-	for i, m := range pads {
-		ids[i] = m.ID
 	}
 	c.mu.Lock()
 	have := c.versions[resource]
@@ -314,7 +334,7 @@ func (c *Client) Request(appID, resource string) ([]byte, error) {
 	rep, err := c.content.FetchContent(inp.AppReq{
 		AppID:       appID,
 		Resource:    resource,
-		ProtocolIDs: ids,
+		ProtocolIDs: proto.ids,
 		HaveVersion: have.version,
 	})
 	if err != nil {
@@ -329,15 +349,15 @@ func (c *Client) Request(appID, resource string) ([]byte, error) {
 	// The payload names the version it was encoded against: the one held
 	// here, or none when the server no longer holds ours. Any other base
 	// would decode into garbage, so it is refused before decoding.
-	var base []byte
+	var base *codec.Held
 	switch rep.Base {
 	case have.version:
-		base = have.data
+		base = have.held
 	case 0:
 	default:
 		return nil, fmt.Errorf("client: server encoded %s against version %d, client holds %d", resource, rep.Base, have.version)
 	}
-	data, err := pad.Decode(base, rep.Payload)
+	data, err := pad.DecodeHeld(base, rep.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("client: decoding %s via %s: %w", resource, rep.PADID, err)
 	}
@@ -348,7 +368,7 @@ func (c *Client) Request(appID, resource string) ([]byte, error) {
 	// differential requests would then claim a base version the client no
 	// longer holds the newest data for.
 	if cur := c.versions[resource]; rep.Version > cur.version {
-		c.versions[resource] = contentEntry{version: rep.Version, data: data}
+		c.versions[resource] = contentEntry{version: rep.Version, held: &codec.Held{Data: data}}
 	} else if rep.Version < cur.version {
 		c.stats.StaleVersionDrops++
 	}
@@ -400,7 +420,7 @@ func (c *Client) SetEnv(env core.Env) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cfg.Env = env
-	c.protocolCache = map[string][]core.PADMeta{}
+	c.protocolCache = map[string]protocol{}
 	return nil
 }
 

@@ -35,8 +35,8 @@ func (c *Client) SaveProtocolCache(path string) error {
 		EnvKey: envKey(c.cfg.Env),
 		Apps:   map[string][]core.PADMeta{},
 	}
-	for app, pads := range c.protocolCache {
-		out.Apps[app] = append([]core.PADMeta(nil), pads...)
+	for app, p := range c.protocolCache {
+		out.Apps[app] = append([]core.PADMeta(nil), p.pads...)
 	}
 	c.mu.Unlock()
 	raw, err := json.MarshalIndent(out, "", "  ")
@@ -105,7 +105,7 @@ func (c *Client) LoadProtocolCache(path string) (int, error) {
 		if !ok {
 			continue
 		}
-		c.protocolCache[app] = pads
+		c.protocolCache[app] = newProtocol(pads)
 		n++
 	}
 	return n, nil

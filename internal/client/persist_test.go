@@ -226,7 +226,7 @@ func TestStaleCacheFallsBackToNegotiation(t *testing.T) {
 	}
 	// Corrupt the cached digest to simulate a module rollover.
 	fresh.mu.Lock()
-	pads := fresh.protocolCache["webapp"]
+	pads := fresh.protocolCache["webapp"].pads
 	pads[0].Digest[0] ^= 0xFF
 	fresh.mu.Unlock()
 	if _, err := fresh.EnsureProtocol("webapp"); err != nil {

@@ -3,19 +3,31 @@ package codec
 import "testing"
 
 // FuzzDecoders hardens every wire decoder against adversarial payloads.
+// The vary-block decoder also decodes every input through a Held whose
+// split a valid decode warmed, and must reach the stateless verdict.
 func FuzzDecoders(f *testing.F) {
 	old := []byte("the old version the receiver holds, block after block of it")
 	codecs := allFuzzCodecs(f)
+	held := &Held{Data: old}
 	for _, c := range codecs {
 		payload, err := c.Encode(old, []byte("the new version with changes"))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(payload)
+		if v, ok := c.(*VaryBlock); ok {
+			if _, err := v.DecodeHeld(held, payload); err != nil {
+				f.Fatal(err)
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range codecs {
 			out, err := c.Decode(old, data)
+			if v, ok := c.(*VaryBlock); ok {
+				got, herr := v.DecodeHeld(held, data)
+				sameVerdict(t, "fuzzed payload", out, err, got, herr)
+			}
 			if err != nil {
 				continue
 			}

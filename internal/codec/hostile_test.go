@@ -89,15 +89,27 @@ func TestBitmapHostileLengthNoHugeAllocation(t *testing.T) {
 	refuses(t, b, "non-minimal block size", appendUvarints(payloadOf(bitmapMagic, nonMinimal64), 1<<32, 0), "non-minimal", 8<<20)
 }
 
+// varyHostile is the vary-block hostile table: each payload, decoded
+// against an empty old version, must be refused with an error naming
+// want. TestDecodeHeldMatchesDecode runs it through a Held too.
+var varyHostile = []struct {
+	name, want string
+	payload    []byte
+}{
+	// Header: 2 GB of claimed content, empty old version, one op — then
+	// the stream ends.
+	{"2 GB claimed, no op", "truncated", appendUvarints(payloadOf(varyMagic), 1<<31, 0, 1)},
+	{"non-minimal content length", "non-minimal", appendUvarints(payloadOf(varyMagic, nonMinimal64), 0, 1)},
+}
+
 func TestVaryBlockHostileLengthNoHugeAllocation(t *testing.T) {
 	v, err := NewVaryBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Header: 2 GB of claimed content, empty old version, one op — then
-	// the stream ends.
-	refuses(t, v, "2 GB claimed, no op", appendUvarints(payloadOf(varyMagic), 1<<31, 0, 1), "truncated", 16<<20)
-	refuses(t, v, "non-minimal content length", appendUvarints(payloadOf(varyMagic, nonMinimal64), 0, 1), "non-minimal", 16<<20)
+	for _, tc := range varyHostile {
+		refuses(t, v, tc.name, tc.payload, tc.want, 16<<20)
+	}
 }
 
 // The gzip decoder sizes its output from the trailer's ISIZE field, which

@@ -15,14 +15,16 @@ import (
 // deflate data, decoded from the whole payload straight into the output
 // slice. It replaces compress/gzip's reader, which streams through a
 // 32 KiB window, copies the window out to the caller and pulls every input
-// byte through an io.ByteReader. The verdict follows compress/gzip's
-// exactly — every stream it accepts decodes to the same bytes, every
-// stream it refuses is refused with an error wrapping the same one of
-// gzip.ErrHeader, gzip.ErrChecksum, io.ErrUnexpectedEOF or
-// flate.CorruptInputError — with two deliberate departures: an empty
-// payload is a truncated header (compress/gzip reports a bare io.EOF), and
-// an output past maxInflate is refused. FuzzGzipDecode holds it to that
-// against compress/gzip.
+// byte through an io.ByteReader. Each Huffman table entry packs what its
+// code means (tableEntry), so one lookup decodes a literal or a whole
+// length or distance, and one shift consumes the code with its extra bits.
+// The verdict follows compress/gzip's exactly — every stream it accepts
+// decodes to the same bytes, every stream it refuses is refused with an
+// error wrapping the same one of gzip.ErrHeader, gzip.ErrChecksum,
+// io.ErrUnexpectedEOF or flate.CorruptInputError — with two deliberate
+// departures: an empty payload is a truncated header (compress/gzip
+// reports a bare io.EOF), and an output past maxInflate is refused.
+// FuzzGzipDecode holds it to that against compress/gzip.
 
 // maxInflate bounds what one payload may decode to: 64 MiB, the same as an
 // INP message body (inp.MaxBody) and a deployed PAD's buffer budget
@@ -42,27 +44,41 @@ const (
 	maxCodeLen = 15
 	maxNumLit  = 286 // literal/length symbols a block may use
 	maxNumDist = 30  // distance symbols a block may use
-	// longCode marks a table entry where codes longer than tableBits
-	// begin. A zero entry begins no code at all.
-	longCode = 1 << 4
+)
+
+// A tableEntry packs what one code means: in bits 0-3 the code's length n
+// (0 where a long code begins), in bits 4-7 the count x of extra bits
+// after it, in bits 8-11 a kind flag (none for a length or distance), and
+// in bits 16-31 a literal byte, a code-length symbol, or the base a length
+// or distance adds its x extra bits to. b >>= n+x consumes the code and
+// its extra bits. A zero entry begins no code at all.
+type tableEntry = uint32
+
+const (
+	entLit  = 1 << 8  // a literal byte
+	entEnd  = 1 << 9  // the end of the block
+	entBad  = 1 << 10 // a symbol no block may use: lengths 286-287, distances 30-31
+	entLong = 1 << 11 // a code longer than tableBits begins here
+	entKind = entLit | entEnd | entBad | entLong
 )
 
 // huffman decodes one canonical Huffman code. table, indexed by the next
-// tableBits input bits (first bit lowest), holds symbol<<4 | length for
-// each code of up to tableBits; longer codes are decoded bit by bit from
-// count and symbol, the code's canonical form. The arrays are fixed-size
-// so a decoder's state lives on the stack.
+// tableBits input bits (first bit lowest), holds the entry of each code of
+// up to tableBits; longer codes are decoded bit by bit from count and
+// vals, the code's canonical form. The arrays are fixed-size so a
+// decoder's state lives on the stack.
 type huffman struct {
-	table  [1 << tableBits]uint16
-	count  [maxCodeLen + 1]uint16 // codes of each length
-	symbol [288]uint16            // symbols ordered by code length, then value
-	min    uint                   // bits compress/flate buffers before a lookup
+	table [1 << tableBits]tableEntry
+	count [maxCodeLen + 1]uint16 // codes of each length
+	vals  [288]tableEntry        // entries less n, ordered by code length, then symbol
+	min   uint                   // bits compress/flate buffers before a lookup
 }
 
-// build sets h to the code with the given lengths and reports whether
-// compress/flate accepts it: a complete code, the empty code (which fails
-// when used) or a single one-bit code.
-func (h *huffman) build(lengths []uint8) bool {
+// build sets h to the code with the given lengths over the alphabet whose
+// symbols mean alphabet's entries, and reports whether compress/flate
+// accepts it: a complete code, the empty code (which fails when used) or
+// a single one-bit code.
+func (h *huffman) build(lengths []uint8, alphabet []tableEntry) bool {
 	h.count = [maxCodeLen + 1]uint16{}
 	for _, l := range lengths {
 		h.count[l]++
@@ -84,7 +100,7 @@ func (h *huffman) build(lengths []uint8) bool {
 		if codes > 1 || codes == 1 && h.count[1] != 1 {
 			return false
 		}
-		h.table = [1 << tableBits]uint16{} // the lookups no code reaches must read 0
+		h.table = [1 << tableBits]tableEntry{} // the lookups no code reaches must read 0
 	}
 	var offs [maxCodeLen + 2]uint16
 	for l := 1; l <= maxCodeLen; l++ {
@@ -92,7 +108,7 @@ func (h *huffman) build(lengths []uint8) bool {
 	}
 	for sym, l := range lengths {
 		if l != 0 {
-			h.symbol[offs[l]] = uint16(sym)
+			h.vals[offs[l]] = alphabet[sym]
 			offs[l]++
 		}
 	}
@@ -101,12 +117,12 @@ func (h *huffman) build(lengths []uint8) bool {
 		for end := i + int(h.count[l]); i < end; i++ {
 			rev := int(bits.Reverse16(uint16(code)) >> (16 - l))
 			if l <= tableBits {
-				e := h.symbol[i]<<4 | uint16(l)
+				e := h.vals[i] | tableEntry(l)
 				for j := rev; j < len(h.table); j += 1 << l {
 					h.table[j] = e
 				}
 			} else {
-				h.table[rev&tableMask] = longCode
+				h.table[rev&tableMask] = entLong
 			}
 			code++
 		}
@@ -116,24 +132,44 @@ func (h *huffman) build(lengths []uint8) bool {
 }
 
 // decodeLong decodes a code longer than tableBits from b, first bit
-// lowest, returning its symbol and length.
-func (h *huffman) decodeLong(b uint64) (sym uint16, n uint) {
+// lowest, returning its entry.
+func (h *huffman) decodeLong(b uint64) tableEntry {
 	code, first, index := 0, 0, 0
 	for l := 1; l <= maxCodeLen; l++ {
 		code |= int(b & 1)
 		b >>= 1
 		count := int(h.count[l])
 		if code-first < count {
-			return h.symbol[index+code-first], uint(l)
+			return h.vals[index+code-first] | tableEntry(l)
 		}
 		index += count
 		first = (first + count) << 1
 		code <<= 1
 	}
-	return 0, 0 // unreachable: only complete codes have long entries
+	return 0 // unreachable: only complete codes have long entries
 }
 
-var fixedLit, fixedDist huffman
+// Each symbol's entry: the code-length code reads its symbols as literals.
+var litAlphabet, distAlphabet = func() (lit [288]tableEntry, dist [32]tableEntry) {
+	for i := range 256 {
+		lit[i] = tableEntry(i)<<16 | entLit
+	}
+	lit[256] = entEnd
+	for i, base := range lengthBase {
+		lit[257+i] = tableEntry(base)<<16 | tableEntry(lengthExtra[i])<<4
+	}
+	lit[286], lit[287] = entBad, entBad
+	for i, base := range distBase {
+		dist[i] = tableEntry(base)<<16 | tableEntry(distExtra[i])<<4
+	}
+	dist[30], dist[31] = entBad, entBad
+	return
+}()
+
+// blockCodes are the two codes of a Huffman-coded block.
+type blockCodes struct{ lit, dist huffman }
+
+var fixed blockCodes
 
 func init() {
 	var lit [288]uint8
@@ -151,8 +187,8 @@ func init() {
 	for i := range dist {
 		dist[i] = 5
 	}
-	fixedLit.build(lit[:])
-	fixedDist.build(dist[:])
+	fixed.lit.build(lit[:], litAlphabet[:])
+	fixed.dist.build(dist[:], distAlphabet[:])
 }
 
 var (
@@ -177,8 +213,8 @@ type inflater struct {
 	start int // where the current member's output begins
 	hint  int // the trailer's ISIZE: the likely final size
 
-	lit, dist huffman
-	lengths   [maxNumLit + maxNumDist]uint8
+	dyn     blockCodes
+	lengths [maxNumLit + maxNumDist]uint8
 }
 
 // inflate decodes a gzip payload of one or more members. The last
@@ -283,10 +319,10 @@ func (f *inflater) deflate() error {
 		case 0:
 			err = f.stored()
 		case 1:
-			err = f.codes(&fixedLit, &fixedDist)
+			err = f.codes(&fixed)
 		case 2:
 			if err = f.dynamic(); err == nil {
-				err = f.codes(&f.lit, &f.dist)
+				err = f.codes(&f.dyn)
 			}
 		default:
 			err = f.corrupt()
@@ -342,10 +378,11 @@ func (f *inflater) take(n uint) (uint32, error) {
 	return v, nil
 }
 
-// sym decodes one symbol of h. Near the end of the payload it follows
-// compress/flate: fewer than h.min bits left is truncation, bits no code
-// begins with are corruption, and a code cut short is truncation.
-func (f *inflater) sym(h *huffman) (int, error) {
+// sym decodes one code of h, returning its entry; any extra bits are
+// left for take. Near the end of the payload it follows compress/flate:
+// fewer than h.min bits left is truncation, bits no code begins with are
+// corruption, and a code cut short is truncation.
+func (f *inflater) sym(h *huffman) (tableEntry, error) {
 	if f.nbits < maxCodeLen {
 		f.refill()
 	}
@@ -356,16 +393,16 @@ func (f *inflater) sym(h *huffman) (int, error) {
 	if e == 0 {
 		return 0, f.corrupt()
 	}
-	sym, n := e>>4, uint(e&15)
-	if n == 0 {
-		sym, n = h.decodeLong(f.bits)
+	if e&entLong != 0 {
+		e = h.decodeLong(f.bits)
 	}
+	n := uint(e & 15)
 	if n > f.nbits {
 		return 0, io.ErrUnexpectedEOF
 	}
 	f.bits >>= n
 	f.nbits -= n
-	return int(sym), nil
+	return e, nil
 }
 
 // grow makes room for n more output bytes. Past the reserve it trusts the
@@ -409,7 +446,7 @@ func (f *inflater) stored() error {
 	return nil
 }
 
-// dynamic reads a dynamic block's code lengths into f.lit and f.dist.
+// dynamic reads a dynamic block's code lengths into f.dyn.
 func (f *inflater) dynamic() error {
 	v, err := f.take(14)
 	if err != nil {
@@ -427,23 +464,23 @@ func (f *inflater) dynamic() error {
 		}
 		clens[sym] = uint8(v)
 	}
-	if !f.lit.build(clens[:]) {
+	if !f.dyn.lit.build(clens[:], litAlphabet[:]) {
 		return f.corrupt()
 	}
 	lengths := f.lengths[:nlit+ndist]
 	for i := 0; i < len(lengths); {
-		sym, err := f.sym(&f.lit)
+		e, err := f.sym(&f.dyn.lit)
 		if err != nil {
 			return err
 		}
-		if sym < 16 {
+		if sym := e >> 16; sym < 16 {
 			lengths[i] = uint8(sym)
 			i++
 			continue
 		}
 		var rep uint32
 		var prev uint8
-		switch sym {
+		switch e >> 16 {
 		case 16:
 			if i == 0 {
 				return f.corrupt()
@@ -468,78 +505,84 @@ func (f *inflater) dynamic() error {
 			lengths[i] = prev
 		}
 	}
-	if !f.lit.build(lengths[:nlit]) || !f.dist.build(lengths[nlit:]) {
+	if !f.dyn.lit.build(lengths[:nlit], litAlphabet[:]) || !f.dyn.dist.build(lengths[nlit:], distAlphabet[:]) {
 		return f.corrupt()
 	}
 	// compress/flate buffers the end-of-block code's length before any
 	// literal/length lookup, which decides where a truncated block fails.
-	f.lit.min = max(f.lit.min, uint(lengths[256]))
+	f.dyn.lit.min = max(f.dyn.lit.min, uint(lengths[256]))
 	return nil
 }
 
 // codes decodes one Huffman-coded block with the given codes. Its loop
-// keeps the decoder's state in locals and checks bounds once per symbol:
-// it runs while a whole match's bits are buffered (15+5+15+13) and the
-// longest match fits the room reserved; near the end of the payload or of
-// the room, step decodes one symbol with every check.
-func (f *inflater) codes(lit, dist *huffman) error {
-	const fastBits, room = 48, 258 + 8
-	in, pos, b, nb, out, w, start := f.in, f.pos, f.bits, f.nbits, f.out, f.w, f.start
+// keeps the decoder's state in locals and checks bounds once per turn: it
+// runs while a whole word of payload is left to load and the longest match
+// fits the room reserved, with the word copies' overshoot; near the end of
+// the payload or of the room, step decodes one symbol with every check.
+func (f *inflater) codes(c *blockCodes) error {
+	const room = 258 + 16
+	in, pos, b, nb, out, w := f.in, f.pos, f.bits, f.nbits, f.out, f.w
 	for {
-		if nb < fastBits && pos+8 <= len(in) {
-			b |= binary.LittleEndian.Uint64(in[pos:]) << nb
-			k := (63 - nb) >> 3
-			pos += int(k)
-			nb += k << 3
-		}
-		if nb < fastBits || len(out)-w < room {
+		if pos+8 > len(in) || len(out)-w < room {
 			f.pos, f.bits, f.nbits, f.w = pos, b, nb, w
-			if done, err := f.step(lit, dist); done || err != nil {
+			if done, err := f.step(c); done || err != nil {
 				return err
 			}
 			pos, b, nb, out, w = f.pos, f.bits, f.nbits, f.out, f.w
 			continue
 		}
-		e := lit.table[b&tableMask]
-		sym, n := int(e>>4), uint(e&15)
-		if n == 0 {
-			sym, n = lit.decodeSlow(e, b)
+		// Look the next code up beside the refill, not after it, unless
+		// fewer than tableBits are buffered. The refill leaves at least 56
+		// bits: two literals, or a whole match's 15+5+15+13.
+		e, short := c.lit.table[b&tableMask], nb < tableBits
+		b |= binary.LittleEndian.Uint64(in[pos:]) << (nb & 63)
+		pos += int(7 - nb>>3)
+		nb |= 56 // nb + 8 per whole byte loaded
+		if short {
+			e = c.lit.table[b&tableMask]
 		}
-		b >>= n
-		nb -= n
-		if sym < 256 {
-			out[w] = byte(sym)
+		if e&entLong != 0 {
+			e = c.lit.decodeLong(b)
+		}
+		if e&entLit != 0 {
+			n := uint(e & 15)
+			b >>= n
+			nb -= n
+			out[w] = byte(e >> 16)
 			w++
+			if e = c.lit.table[b&tableMask]; e&entLit != 0 {
+				n = uint(e & 15)
+				b >>= n
+				nb -= n
+				out[w] = byte(e >> 16)
+				w++
+			}
 			continue
 		}
-		if sym -= 257; uint(sym) >= uint(len(lengthBase)) { // end of block, a bad symbol or no code
-			f.pos, f.bits, f.nbits, f.w = pos, b, nb, w
-			if sym == -1 {
+		if e&entKind != 0 || e == 0 { // end of block, a bad symbol or no code
+			n := uint(e & 15)
+			f.pos, f.bits, f.nbits, f.w = pos, b>>n, nb-n, w
+			if e&entEnd != 0 {
 				return nil
 			}
 			return f.corrupt()
 		}
-		x := uint(lengthExtra[sym])
-		length := int(lengthBase[sym]) + int(b&(1<<x-1))
-		b >>= x
-		nb -= x
-		e = dist.table[b&tableMask]
-		dsym, n := uint(e>>4), uint(e&15)
-		if n == 0 {
-			s, m := dist.decodeSlow(e, b)
-			dsym, n = uint(s), m
+		n, x := uint(e&15), uint(e>>4&15)
+		length := int(e>>16) + int(b>>n&(1<<x-1))
+		b >>= n + x
+		nb -= n + x
+		if e = c.dist.table[b&tableMask]; e&entLong != 0 {
+			e = c.dist.decodeLong(b)
 		}
-		b >>= n
-		nb -= n
-		if dsym >= maxNumDist {
+		if e&entKind != 0 || e == 0 { // a bad symbol or no code
 			f.pos, f.bits, f.nbits, f.w = pos, b, nb, w
 			return f.corrupt()
 		}
-		x = uint(distExtra[dsym])
-		d := int(distBase[dsym]) + int(b&(1<<x-1))
-		b >>= x
-		nb -= x
-		if d > w-start {
+		n, x = uint(e&15), uint(e>>4&15)
+		d := int(e>>16) + int(b>>n&(1<<x-1))
+		b >>= n + x
+		nb -= n + x
+		if d > w-f.start {
 			f.pos, f.bits, f.nbits, f.w = pos, b, nb, w
 			return f.corrupt()
 		}
@@ -547,27 +590,15 @@ func (f *inflater) codes(lit, dist *huffman) error {
 			w = copyMatch(out, w, d, length)
 			continue
 		}
-		// A short match far enough back moves a word at a time; the room
-		// check above leaves space for the last word's overshoot.
-		for i := w; i < w+length; i += 8 {
+		// A short match far enough back moves a word at a time, the first
+		// two whatever its length; room leaves space for the overshoot.
+		binary.LittleEndian.PutUint64(out[w:], binary.LittleEndian.Uint64(out[w-d:]))
+		binary.LittleEndian.PutUint64(out[w+8:], binary.LittleEndian.Uint64(out[w+8-d:]))
+		for i := w + 16; i < w+length; i += 8 {
 			binary.LittleEndian.PutUint64(out[i:], binary.LittleEndian.Uint64(out[i-d:]))
 		}
 		w += length
 	}
-}
-
-// noCode is what decodeSlow returns where no code begins: a symbol of no
-// alphabet, so the caller's range check refuses it.
-const noCode = 1 << 12
-
-// decodeSlow decodes the code at the front of b, which holds at least
-// maxCodeLen bits, where its table entry e holds no short code.
-func (h *huffman) decodeSlow(e uint16, b uint64) (sym int, n uint) {
-	if e == 0 {
-		return noCode, 0
-	}
-	s, n := h.decodeLong(b)
-	return int(s), n
 }
 
 // copyMatch appends the length bytes found d back from w in out, which
@@ -588,42 +619,41 @@ func copyMatch(out []byte, w, d, length int) int {
 
 // step decodes one literal, match or end of block with every bounds
 // check, reporting whether the block ended.
-func (f *inflater) step(lit, dist *huffman) (bool, error) {
-	sym, err := f.sym(lit)
+func (f *inflater) step(c *blockCodes) (bool, error) {
+	e, err := f.sym(&c.lit)
 	if err != nil {
 		return false, err
 	}
-	if sym < 256 {
+	switch {
+	case e&entLit != 0:
 		if f.w == len(f.out) {
 			if err := f.grow(1); err != nil {
 				return false, err
 			}
 		}
-		f.out[f.w] = byte(sym)
+		f.out[f.w] = byte(e >> 16)
 		f.w++
 		return false, nil
-	}
-	if sym == 256 {
+	case e&entEnd != 0:
 		return true, nil
-	}
-	if sym -= 257; sym >= len(lengthBase) {
+	case e&entBad != 0:
 		return false, f.corrupt()
 	}
-	extra, err := f.take(uint(lengthExtra[sym]))
+	extra, err := f.take(uint(e >> 4 & 15))
 	if err != nil {
 		return false, err
 	}
-	length := int(lengthBase[sym]) + int(extra)
-	if sym, err = f.sym(dist); err != nil {
+	length := int(e>>16) + int(extra)
+	if e, err = f.sym(&c.dist); err != nil {
 		return false, err
 	}
-	if sym >= maxNumDist {
+	if e&entBad != 0 {
 		return false, f.corrupt()
 	}
-	if extra, err = f.take(uint(distExtra[sym])); err != nil {
+	if extra, err = f.take(uint(e >> 4 & 15)); err != nil {
 		return false, err
 	}
-	d := int(distBase[sym]) + int(extra)
+	d := int(e>>16) + int(extra)
 	if d > f.w-f.start {
 		return false, f.corrupt()
 	}

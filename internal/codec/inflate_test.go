@@ -84,7 +84,8 @@ var seedLevels = []int{gzip.HuffmanOnly, gzip.NoCompression, gzip.BestSpeed, gzi
 
 // gzipSeeds are the fuzz seeds: a corpus-shaped page at each seed level,
 // two concatenated members, a header with every optional field, a forged
-// ISIZE, and truncations in the header, a block and the trailer. The page
+// ISIZE, a block with codes too long for one table lookup, and
+// truncations in the header, a block and the trailer. The page
 // is a 4 KB one: the fuzzer minimizes every input that finds new coverage,
 // and on a full 136 KB page that takes the whole budget.
 func gzipSeeds(t testing.TB) [][]byte {
@@ -116,8 +117,69 @@ func gzipSeeds(t testing.TB) [][]byte {
 
 	forged := append([]byte(nil), one...)
 	binary.LittleEndian.PutUint32(forged[len(forged)-4:], 1<<31)
-	seeds = append(seeds, forged)
+	seeds = append(seeds, forged, freshGzip(t, gzip.BestCompression, longCodeContent()))
 	return append(seeds, one[:6], one[:len(one)/2], one[:len(one)-3])
+}
+
+// longCodeContent compresses to one dynamic block whose literal/length
+// and distance codes both include codes longer than tableBits, which a
+// lookup cannot decode alone (TestGzipSeedsReachLongCodes). Random bytes
+// keep unplanted matches rare; the planted ones lie at the bases of
+// distance codes 4-17 (at least 5 back, so no earlier run of one byte
+// can stand in for them) with Fibonacci counts, the frequencies that make
+// a Huffman code deepest, and eight of them have a length no other match
+// has.
+func longCodeContent() []byte {
+	rng := rand.New(rand.NewSource(31))
+	var jobs []int // one distance code per match
+	for k, a, b := 4, 377, 233; k < 18; k, a, b = k+1, b, max(a-b, 1) {
+		for range a {
+			jobs = append(jobs, k)
+		}
+	}
+	rng.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
+	rare := []int{20, 35, 43, 67, 99, 131, 163, 258}
+	var out []byte
+	for i, k := range jobs {
+		d, n := int(distBase[k]), 6
+		if i < len(rare) {
+			n = rare[i]
+		}
+		for range d {
+			out = append(out, byte(rng.Intn(256)))
+		}
+		for range n { // an n-byte match d back
+			out = append(out, out[len(out)-d])
+		}
+	}
+	return out
+}
+
+// TestGzipSeedsReachLongCodes: the long-code seed's first block codes
+// literals and distances past tableBits, so the fuzzer starts from inputs
+// that take decodeLong.
+func TestGzipSeedsReachLongCodes(t *testing.T) {
+	payload := freshGzip(t, gzip.BestCompression, longCodeContent())
+	f := inflater{in: payload}
+	if err := f.header(); err != nil {
+		t.Fatal(err)
+	}
+	if hdr, err := f.take(3); err != nil || hdr>>1 != 2 {
+		t.Fatalf("first block header %d (%v), want a dynamic block", hdr, err)
+	}
+	if err := f.dynamic(); err != nil {
+		t.Fatal(err)
+	}
+	long := func(h *huffman) (n int) {
+		for l := tableBits + 1; l <= maxCodeLen; l++ {
+			n += int(h.count[l])
+		}
+		return n
+	}
+	if long(&f.dyn.lit) == 0 || long(&f.dyn.dist) == 0 {
+		t.Fatalf("codes longer than %d bits: %d literal/length, %d distance; want both", tableBits, long(&f.dyn.lit), long(&f.dyn.dist))
+	}
+	matchOracle(t, payload)
 }
 
 func FuzzGzipDecode(f *testing.F) {

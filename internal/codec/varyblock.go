@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"fractal/internal/arena"
 	"fractal/internal/rabin"
@@ -34,18 +35,18 @@ const maxDecodeReserve = 1 << 20
 // client re-chunks its old copy with the identical parameters — which
 // travel inside the PAD — and resolves the references.
 //
-// VaryBlock is stateless and safe for concurrent use. Optionally a shared
-// ChunkCache (UseChunkCache, set before concurrent use begins) memoizes
-// the per-version chunk list + digest index for Encode, so the base
-// version of a page is chunked and digested once per version instead of
-// once per request; payloads are byte-identical either way. What a hit
-// still pays is the cache key, one whole-version SHA-1 per side — about a
-// quarter of the stateless encode on a 135 KB page. Decode never
-// consults the cache: it needs the old version's chunk boundaries only, and
-// a client either advances past a held version or cycles through more of
-// them than a small cache holds, so a lookup would add a whole-version
-// SHA-1 and an index build that do not pay back (DESIGN.md, "Ablation
-// receipts").
+// VaryBlock is safe for concurrent use. Optionally a shared ChunkCache
+// (UseChunkCache, set before concurrent use begins) memoizes the
+// per-version chunk list + digest index for Encode, so the base version of
+// a page is chunked and digested once per version instead of once per
+// request; payloads are byte-identical either way. What a hit still pays
+// is the cache key, one whole-version SHA-1 per side — about a quarter of
+// the stateless encode on a 135 KB page. Decode never consults that
+// cache: it needs only the held version's chunk boundaries, which
+// DecodeHeld memoizes on the receiver's Held — keyed by the held entry's
+// identity, not by a digest of its bytes, and dropped with it — so a
+// client re-requesting a version it still holds splits it once (DESIGN.md,
+// "Ablation receipts").
 type VaryBlock struct {
 	chunker *rabin.Chunker
 	cache   *ChunkCache // Encode only; nil = stateless
@@ -141,12 +142,66 @@ func (v *VaryBlock) Encode(old, cur []byte) ([]byte, error) {
 	return out, nil
 }
 
+// Held is a version the receiver holds, with the chunk boundaries the
+// first DecodeHeld against it splits — never derived from a payload — so
+// they live and die with the Held. Data must not be modified once held.
+// Concurrent decodes may each split; all reuse the first split stored.
+type Held struct {
+	Data  []byte
+	split atomic.Pointer[heldSplit]
+}
+
+// heldSplit is Data's split under one chunker configuration.
+type heldSplit struct {
+	cfg    rabin.ChunkerConfig
+	chunks []rabin.Chunk
+}
+
+// Holds reports whether b is h's version itself (the same first element
+// and length), not equal bytes elsewhere. A nil Held holds nothing.
+func (h *Held) Holds(b []byte) bool {
+	return h != nil && len(b) == len(h.Data) && (len(b) == 0 || &b[0] == &h.Data[0])
+}
+
+// chunks returns old split by ch, where h is nil or holds old: h's split
+// when it was made under ch's configuration, else a fresh one, which is
+// stored if h holds none yet.
+func (h *Held) chunks(ch *rabin.Chunker, old []byte) []rabin.Chunk {
+	if h == nil {
+		return ch.Split(old)
+	}
+	s := h.split.Load()
+	if s == nil {
+		h.split.CompareAndSwap(nil, &heldSplit{ch.Config(), ch.Split(old)})
+		s = h.split.Load() // ours, or that of a concurrent decode that stored first
+	}
+	if s.cfg != ch.Config() {
+		return ch.Split(old)
+	}
+	return s.chunks
+}
+
 // Decode implements Codec. The receiver re-chunks its old version with the
 // same parameters and resolves the references; chunk boundaries are all it
 // needs, so no digest is computed and the chunk cache is not touched.
-// Every count in the payload is read through wire.Reader, which bounds it
-// by the bytes actually present before anything is sized from it.
 func (v *VaryBlock) Decode(old, payload []byte) ([]byte, error) {
+	return v.decode(old, nil, payload)
+}
+
+// DecodeHeld is Decode against h.Data that splits it only when h holds no
+// split made under v's chunker configuration. Its bytes and verdict are
+// Decode's; a nil h is an empty old version.
+func (v *VaryBlock) DecodeHeld(h *Held, payload []byte) ([]byte, error) {
+	if h == nil {
+		return v.decode(nil, nil, payload)
+	}
+	return v.decode(h.Data, h, payload)
+}
+
+// decode is the one decoder, h nil or holding old. Every count in the
+// payload is read through wire.Reader, which bounds it by the bytes
+// actually present before anything is sized from it.
+func (v *VaryBlock) decode(old []byte, h *Held, payload []byte) ([]byte, error) {
 	r := wire.NewReader(payload, true)
 	if !bytes.Equal(r.Take(uint64(len(varyMagic))), varyMagic) {
 		return nil, fmt.Errorf("codec: varyblock payload: bad magic")
@@ -164,7 +219,7 @@ func (v *VaryBlock) Decode(old, payload []byte) ([]byte, error) {
 	if nops > curLen+1 {
 		return nil, fmt.Errorf("codec: varyblock payload: %d ops for %d bytes is impossible", nops, curLen)
 	}
-	oldChunks := v.chunker.Split(old)
+	oldChunks := h.chunks(v.chunker, old)
 	out := make([]byte, 0, min(curLen, maxDecodeReserve))
 	for op := uint64(0); op < nops; op++ {
 		// Both ops are a tag byte and one uvarint: a chunk index or a

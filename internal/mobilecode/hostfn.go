@@ -40,28 +40,31 @@ func one(out []byte, err error) ([][]byte, error) {
 //	bitmap.encode       2 buffers (old, cur)     -> payload (param "bitmap.block")
 //	bitmap.decode       2 buffers (old, payload) -> cur
 //	vary.encode         2 buffers (old, cur)     -> payload (params "vary.min", "vary.max", "vary.maskbits")
-//	vary.decode         2 buffers (old, payload) -> cur
+//	vary.decode         2 buffers (old, payload) -> cur (old split once per held version)
 //	rsync.encode        2 buffers (old, cur)     -> payload (param "rsync.block")
 //	rsync.decode        2 buffers (old, payload) -> cur
 //
 // Load verifies against it and runs a copy of primitiveVM, so a deploy
 // builds no host table. vary.encode keeps one small chunk-index cache per
 // Codecs (per deployed PAD), so a PAD that encodes against the same
-// version repeatedly chunks and digests it once. gzip.encode borrows a
+// version repeatedly chunks and digests it once; vary.decode keeps its
+// split of a held version on the run's codec.Held. gzip.encode borrows a
 // pooled compressor from internal/arena for the length of one call, and
 // gzip.decode inflates with state on its own stack; neither keeps anything
 // between calls. Every other primitive is stateless. None writes its
 // arguments (the HostFunc contract), and only identity returns one.
 var primitives = []HostFunc{
-	{Name: "identity", Arity: 1, Results: 1, Fn: func(_ *Codecs, a [][]byte) ([][]byte, error) { return one(a[0], nil) }},
-	{Name: "gzip.encode", Arity: 1, Results: 1, Fn: func(c *Codecs, a [][]byte) ([][]byte, error) { return one(c.gz.Encode(nil, a[0])) }},
-	{Name: "gzip.decode", Arity: 1, Results: 1, Fn: func(c *Codecs, a [][]byte) ([][]byte, error) { return one(c.gz.Decode(nil, a[0])) }},
-	{Name: "bitmap.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, a [][]byte) ([][]byte, error) { return one(c.bm.Encode(a[0], a[1])) }},
-	{Name: "bitmap.decode", Arity: 2, Results: 1, Fn: func(c *Codecs, a [][]byte) ([][]byte, error) { return one(c.bm.Decode(a[0], a[1])) }},
-	{Name: "vary.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, a [][]byte) ([][]byte, error) { return one(c.varyEncoder().Encode(a[0], a[1])) }},
-	{Name: "vary.decode", Arity: 2, Results: 1, Fn: func(c *Codecs, a [][]byte) ([][]byte, error) { return one(c.vb.Decode(a[0], a[1])) }},
-	{Name: "rsync.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, a [][]byte) ([][]byte, error) { return one(c.rs.Encode(a[0], a[1])) }},
-	{Name: "rsync.decode", Arity: 2, Results: 1, Fn: func(c *Codecs, a [][]byte) ([][]byte, error) { return one(c.rs.Decode(a[0], a[1])) }},
+	{Name: "identity", Arity: 1, Results: 1, Fn: func(_ *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(a[0], nil) }},
+	{Name: "gzip.encode", Arity: 1, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(c.gz.Encode(nil, a[0])) }},
+	{Name: "gzip.decode", Arity: 1, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(c.gz.Decode(nil, a[0])) }},
+	{Name: "bitmap.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(c.bm.Encode(a[0], a[1])) }},
+	{Name: "bitmap.decode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(c.bm.Decode(a[0], a[1])) }},
+	{Name: "vary.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) {
+		return one(c.varyEncoder().Encode(a[0], a[1]))
+	}},
+	{Name: "vary.decode", Arity: 2, Results: 1, Fn: varyDecode},
+	{Name: "rsync.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(c.rs.Encode(a[0], a[1])) }},
+	{Name: "rsync.decode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(c.rs.Decode(a[0], a[1])) }},
 }
 
 // primitiveVM is the VM over primitives, its name index built once: a
@@ -83,9 +86,18 @@ func HostTable(params map[string]string) ([]HostFunc, error) {
 	}
 	hosts := slices.Clone(primitives)
 	for i, h := range hosts {
-		hosts[i].Fn = func(_ *Codecs, args [][]byte) ([][]byte, error) { return h.Fn(c, args) }
+		hosts[i].Fn = func(_ *Codecs, held *codec.Held, args [][]byte) ([][]byte, error) { return h.Fn(c, held, args) }
 	}
 	return hosts, nil
+}
+
+// varyDecode is vary.decode, through the run's Held only when old is the
+// held version itself, not something a program derived from it.
+func varyDecode(c *Codecs, h *codec.Held, a [][]byte) ([][]byte, error) {
+	if h.Holds(a[0]) {
+		return one(c.vb.DecodeHeld(h, a[1]))
+	}
+	return one(c.vb.Decode(a[0], a[1]))
 }
 
 // varyEncoder returns the vary codec, attaching its chunk-index cache on

@@ -109,9 +109,9 @@ func (d *DeployedPAD) ChunkCacheStats() codec.ChunkCacheStats { return d.codecs.
 
 // run executes a program with the calling convention shared by both
 // directions: the initial buffer stack is [a, b] (b on top) and the result
-// is the top buffer of the final stack.
-func (d *DeployedPAD) run(p Program, a, b []byte) ([]byte, error) {
-	out, err := d.vm.Run(p, [][]byte{a, b})
+// is the top buffer of the final stack. held reaches the host calls.
+func (d *DeployedPAD) run(p Program, held *codec.Held, a, b []byte) ([]byte, error) {
+	out, err := d.vm.run(p, held, [][]byte{a, b})
 	if err != nil {
 		return nil, err
 	}
@@ -124,11 +124,22 @@ func (d *DeployedPAD) run(p Program, a, b []byte) ([]byte, error) {
 // Encode implements the server/sender direction: produce the wire payload
 // for cur given the receiver holds old.
 func (d *DeployedPAD) Encode(old, cur []byte) ([]byte, error) {
-	return d.run(d.enc, old, cur)
+	return d.run(d.enc, nil, old, cur)
 }
 
 // Decode implements the client/receiver direction: reconstruct cur from
 // the payload and the held old version.
 func (d *DeployedPAD) Decode(old, payload []byte) ([]byte, error) {
-	return d.run(d.dec, old, payload)
+	return d.run(d.dec, nil, old, payload)
+}
+
+// DecodeHeld is Decode against h.Data (none when h is nil) whose
+// vary.decode splits h's version once, however often it is decoded
+// against; its bytes and verdict are Decode's.
+func (d *DeployedPAD) DecodeHeld(h *codec.Held, payload []byte) ([]byte, error) {
+	var old []byte
+	if h != nil {
+		old = h.Data
+	}
+	return d.run(d.dec, h, old, payload)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fractal/internal/codec"
 	"fractal/internal/mobilecode"
 	"fractal/internal/mobilecode/verify"
 )
@@ -18,7 +19,7 @@ import (
 // verifier. An opcode that can be encoded but not executed, assembled or
 // verified fails here, and so does one of the removed opcodes coming back.
 func TestEveryOpcodeIsNamedAssembledDispatchedAndVerified(t *testing.T) {
-	sym := mobilecode.HostFunc{Name: "sym", Arity: 1, Results: 1, Fn: func(_ *mobilecode.Codecs, a [][]byte) ([][]byte, error) { return a, nil }}
+	sym := mobilecode.HostFunc{Name: "sym", Arity: 1, Results: 1, Fn: func(_ *mobilecode.Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return a, nil }}
 	vm, err := mobilecode.NewVM([]mobilecode.HostFunc{sym}, mobilecode.DefaultSandbox())
 	if err != nil {
 		t.Fatal(err)

@@ -116,26 +116,37 @@ func errAt(p mobilecode.Program, pc int, kind error, format string, args ...inte
 // Program statically verifies one program under a policy, returning the
 // proof summary or a typed rejection naming the offending instruction.
 func Program(p mobilecode.Program, cfg Config) (*Report, error) {
+	rep := &Report{Instructions: len(p), MaxBufDepth: Inputs}
+	if err := check(p, cfg, rep); err != nil {
+		return nil, err
+	}
+	slices.Sort(rep.Calls)
+	return rep, nil
+}
+
+// check is the one verification walk. It returns the rejection, or nil
+// for an accepted program; rep, when not nil, collects the proof summary
+// as it goes, less the sorting of Calls.
+func check(p mobilecode.Program, cfg Config, rep *Report) error {
 	if err := cfg.Sandbox.Validate(); err != nil {
-		return nil, &Error{PC: -1, Kind: ErrConfig, Detail: err.Error()}
+		return &Error{PC: -1, Kind: ErrConfig, Detail: err.Error()}
 	}
 	if Inputs > cfg.Sandbox.MaxStackDepth {
-		return nil, &Error{PC: -1, Kind: ErrConfig, Detail: fmt.Sprintf("%d input buffers exceed the sandbox depth limit %d", Inputs, cfg.Sandbox.MaxStackDepth)}
+		return &Error{PC: -1, Kind: ErrConfig, Detail: fmt.Sprintf("%d input buffers exceed the sandbox depth limit %d", Inputs, cfg.Sandbox.MaxStackDepth)}
 	}
 	if err := p.Validate(); err != nil {
-		return nil, &Error{PC: -1, Kind: ErrMalformed, Detail: err.Error()}
+		return &Error{PC: -1, Kind: ErrMalformed, Detail: err.Error()}
 	}
-	rep := &Report{Instructions: len(p), MaxBufDepth: Inputs}
 	depth := Inputs
 	for pc, in := range p {
 		var pop, push int
 		switch in.Op {
 		case mobilecode.OpHalt:
 			if pc != len(p)-1 {
-				return nil, errAt(p, pc+1, ErrDeadCode, "the HALT at instruction %d stops every run before it", pc)
+				return errAt(p, pc+1, ErrDeadCode, "the HALT at instruction %d stops every run before it", pc)
 			}
 			if depth < MinResults {
-				return nil, errAt(p, pc, ErrNoResult, "halts with %d of %d required buffers", depth, MinResults)
+				return errAt(p, pc, ErrNoResult, "halts with %d of %d required buffers", depth, MinResults)
 			}
 		case mobilecode.OpDupB:
 			pop, push = 1, 2
@@ -146,32 +157,34 @@ func Program(p mobilecode.Program, cfg Config) (*Report, error) {
 		case mobilecode.OpCall:
 			i := slices.IndexFunc(cfg.Caps, func(h mobilecode.HostFunc) bool { return h.Name == in.Sym })
 			if i < 0 {
-				return nil, errAt(p, pc, ErrUndeclaredCall, "symbol %q is not in the %d-symbol manifest", in.Sym, len(cfg.Caps))
+				return errAt(p, pc, ErrUndeclaredCall, "symbol %q is not in the %d-symbol manifest", in.Sym, len(cfg.Caps))
 			}
 			pop, push = cfg.Caps[i].Arity, cfg.Caps[i].Results
-			if !slices.Contains(rep.Calls, in.Sym) {
+			if rep != nil && !slices.Contains(rep.Calls, in.Sym) {
 				rep.Calls = append(rep.Calls, in.Sym)
 			}
 		}
 		if depth < pop {
-			return nil, errAt(p, pc, ErrBufUnderflow, "needs %d buffers, arrives with %d", pop, depth)
+			return errAt(p, pc, ErrBufUnderflow, "needs %d buffers, arrives with %d", pop, depth)
 		}
 		if depth += push - pop; depth > cfg.Sandbox.MaxStackDepth {
-			return nil, errAt(p, pc, ErrStackDepth, "buffer stack reaches %d of limit %d", depth, cfg.Sandbox.MaxStackDepth)
+			return errAt(p, pc, ErrStackDepth, "buffer stack reaches %d of limit %d", depth, cfg.Sandbox.MaxStackDepth)
 		}
-		rep.MaxBufDepth = max(rep.MaxBufDepth, depth)
+		if rep != nil {
+			rep.MaxBufDepth = max(rep.MaxBufDepth, depth)
+		}
 	}
-	slices.Sort(rep.Calls)
-	return rep, nil
+	return nil
 }
 
 // LoaderVerifier returns the mobilecode.VerifyFunc production deploy paths
 // install on their Loader: each program of a module is verified under the
 // module's own host-table manifest and the deploying sandbox, with the
-// [old, x] -> result calling convention.
+// [old, x] -> result calling convention. A deploy needs the verdict only,
+// so it walks the program without building a Report.
 func LoaderVerifier() mobilecode.VerifyFunc {
 	return func(role string, p mobilecode.Program, hosts []mobilecode.HostFunc, sb mobilecode.Sandbox) error {
-		if _, err := Program(p, DeployConfig(hosts, sb)); err != nil {
+		if err := check(p, DeployConfig(hosts, sb), nil); err != nil {
 			return fmt.Errorf("verifier rejected %s program: %w", role, err)
 		}
 		return nil

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 
+	"fractal/internal/codec"
 	"fractal/internal/wire"
 )
 
@@ -144,14 +145,15 @@ func symbol(b []byte) string {
 // returns, in order. The count is a contract: the static verifier bounds
 // the buffer stack with it, and the VM fails a call that returns another
 // number. Fn runs against the calling VM's Codecs (nil on a VM NewVM
-// built). It must treat its arguments as read-only — they may be the
-// caller's own inputs to Run, shared with other stack slots — and may
-// return them, or sub-slices of them, as results.
+// built) and the run's held version (nil unless DeployedPAD.DecodeHeld
+// started the run). It must treat its arguments as read-only — they may
+// be the caller's own inputs to Run, shared with other stack slots — and
+// may return them, or sub-slices of them, as results.
 type HostFunc struct {
 	Name    string
 	Arity   int
 	Results int
-	Fn      func(c *Codecs, args [][]byte) ([][]byte, error)
+	Fn      func(c *Codecs, h *codec.Held, args [][]byte) ([][]byte, error)
 }
 
 // Sandbox bounds a PAD execution, the paper's VMM/sandbox mechanism. The
@@ -238,10 +240,15 @@ var (
 // alias them, so a caller that later overwrites an input must copy the
 // results it keeps first.
 func (v *VM) Run(p Program, inputs [][]byte) ([][]byte, error) {
+	return v.run(p, nil, inputs)
+}
+
+// run is Run with the held version host calls receive.
+func (v *VM) run(p Program, held *codec.Held, inputs [][]byte) ([][]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	st := &state{vm: v, bufs: make([][]byte, 0, len(inputs))}
+	st := &state{vm: v, held: held, bufs: make([][]byte, 0, len(inputs))}
 	for _, in := range inputs {
 		if err := st.pushB(in[:len(in):len(in)]); err != nil {
 			return nil, err
@@ -274,6 +281,7 @@ func (v *VM) Run(p Program, inputs [][]byte) ([][]byte, error) {
 // state is one execution's mutable machinery.
 type state struct {
 	vm    *VM
+	held  *codec.Held
 	bufs  [][]byte
 	bytes int64
 }
@@ -329,7 +337,7 @@ func (s *state) call(sym string) error {
 		}
 		args[i] = b
 	}
-	results, err := h.Fn(s.vm.codecs, args)
+	results, err := h.Fn(s.vm.codecs, s.held, args)
 	if err != nil {
 		return fmt.Errorf("call %q: %w", sym, err)
 	}
