@@ -1,6 +1,7 @@
 package fractal
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -380,7 +381,7 @@ func BenchmarkAblationVaryChunk(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var enc func(*mobilecode.Codecs, *codec.Held, [][]byte) ([][]byte, error)
+			var enc func(*mobilecode.Codecs, mobilecode.Versions, [][]byte) ([][]byte, error)
 			for _, h := range hosts {
 				if h.Name == "vary.encode" {
 					enc = h.Fn
@@ -389,7 +390,7 @@ func BenchmarkAblationVaryChunk(b *testing.B) {
 			b.SetBytes(int64(len(cur)))
 			var out [][]byte
 			for i := 0; i < b.N; i++ {
-				out, err = enc(nil, nil, [][]byte{old, cur})
+				out, err = enc(nil, mobilecode.Versions{}, [][]byte{old, cur})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -547,15 +548,61 @@ func BenchmarkPADDecodeHeld(b *testing.B) {
 	b.Run(codec.NameVaryBlock, func(b *testing.B) { benchPADDecode(b, codec.NameVaryBlock, true) })
 }
 
-// benchPADDecode times one DeployedPAD.Decode per op — DecodeHeld against
-// a warmed codec.Held when held is set — rotating through the corpus: page
-// j is held at its old version and receives proto's payload for the new
-// one.
-func benchPADDecode(b *testing.B, proto string, held bool) {
-	s := getSetup(b)
-	olds, curs := benchCorpus(b, s)
+// BenchmarkPADRedeliver is a re-request of a held version through each
+// deployed PAD that answers one without decoding again, as client.Request
+// makes it: page j's held version is the codec.Held a cold decode
+// returned, and the timed op decodes against it a copy of the payload for
+// that same version — a copy, as a reply frame's own body is, so gzip
+// compares every byte of the stream. An untimed first re-request splits
+// the vary-block version, as the client's first one does. One op is one
+// page.
+func BenchmarkPADRedeliver(b *testing.B) {
+	for _, proto := range []string{codec.NameGzip, codec.NameBitmap, codec.NameVaryBlock} {
+		b.Run(proto, func(b *testing.B) {
+			s := getSetup(b)
+			_, curs := benchCorpus(b, s)
+			pad := benchDeployed(b, proto)
+			helds := make([]*codec.Held, len(curs))
+			payloads := make([][]byte, len(curs))
+			var total int64
+			for i, cur := range curs {
+				cold, err := pad.Encode(nil, cur)
+				if err != nil {
+					b.Fatal(err)
+				}
+				data, h, err := pad.DecodeHeld(nil, cold)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if h == nil {
+					h = &codec.Held{Data: data}
+				}
+				p, err := pad.Encode(cur, cur)
+				if err != nil {
+					b.Fatal(err)
+				}
+				helds[i], payloads[i] = h, bytes.Clone(p)
+				if _, again, err := pad.DecodeHeld(h, payloads[i]); err != nil || again != h {
+					b.Fatalf("page %d was not re-delivered: %v", i, err)
+				}
+				total += int64(len(cur))
+			}
+			b.SetBytes(total / int64(len(curs)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(curs)
+				if _, _, err := pad.DecodeHeld(helds[j], payloads[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchDeployed loads the builtin PAD that implements proto.
+func benchDeployed(b *testing.B, proto string) *mobilecode.DeployedPAD {
 	mods, loader := benchLoader(b)
-	var pad *mobilecode.DeployedPAD
 	for _, m := range mods {
 		packed, err := m.Pack()
 		if err != nil {
@@ -566,13 +613,21 @@ func benchPADDecode(b *testing.B, proto string, held bool) {
 			b.Fatal(err)
 		}
 		if d.Name() == proto {
-			pad = d
-			break
+			return d
 		}
 	}
-	if pad == nil {
-		b.Fatal("no builtin PAD implements " + proto)
-	}
+	b.Fatal("no builtin PAD implements " + proto)
+	return nil
+}
+
+// benchPADDecode times one DeployedPAD.Decode per op — DecodeHeld against
+// a warmed codec.Held when held is set — rotating through the corpus: page
+// j is held at its old version and receives proto's payload for the new
+// one.
+func benchPADDecode(b *testing.B, proto string, held bool) {
+	s := getSetup(b)
+	olds, curs := benchCorpus(b, s)
+	pad := benchDeployed(b, proto)
 	payloads := make([][]byte, len(olds))
 	var total int64
 	for i := range olds {
@@ -587,7 +642,7 @@ func benchPADDecode(b *testing.B, proto string, held bool) {
 	if held {
 		for i := range olds {
 			helds = append(helds, &codec.Held{Data: olds[i]})
-			if _, err := pad.DecodeHeld(helds[i], payloads[i]); err != nil {
+			if _, _, err := pad.DecodeHeld(helds[i], payloads[i]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -599,7 +654,7 @@ func benchPADDecode(b *testing.B, proto string, held bool) {
 		j := i % len(olds)
 		var err error
 		if held {
-			_, err = pad.DecodeHeld(helds[j], payloads[j])
+			_, _, err = pad.DecodeHeld(helds[j], payloads[j])
 		} else {
 			_, err = pad.Decode(olds[j], payloads[j])
 		}

@@ -94,7 +94,8 @@ type Stats struct {
 }
 
 // contentEntry is the cached newest version of a resource; what decoding
-// against it derives lives on held and goes with the entry.
+// derives from it — its vary-block split, the gzip stream it was inflated
+// from — lives on held and goes with the entry.
 type contentEntry struct {
 	version int
 	held    *codec.Held
@@ -317,11 +318,14 @@ func (c *Client) deployPAD(meta core.PADMeta) error {
 
 // Request fetches a resource through the negotiated protocol, decoding the
 // adapted payload with the deployed mobile code and updating the local
-// version cache so later requests are differential. The returned slice is
-// the held version itself — under pad-direct, the reply frame's own bytes,
-// which the decode aliases rather than copies — and later decodes against
-// it reuse chunk boundaries split from those bytes, so callers must not
-// modify it.
+// version cache so later requests are differential. A reply that advances
+// the held version commits the Held the decode returned; a reply that
+// re-delivers the held version — a payload that rebuilds it, or the gzip
+// stream it was inflated from — returns the held version itself without
+// decoding it again. Either way the returned slice is a held version —
+// under pad-direct, the reply frame's own bytes, which the decode aliases
+// rather than copies — and later decodes against it reuse chunk
+// boundaries split from those bytes, so callers must not modify it.
 func (c *Client) Request(appID, resource string) ([]byte, error) {
 	proto, err := c.ensure(appID)
 	if err != nil {
@@ -357,7 +361,7 @@ func (c *Client) Request(appID, resource string) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("client: server encoded %s against version %d, client holds %d", resource, rep.Base, have.version)
 	}
-	data, err := pad.DecodeHeld(base, rep.Payload)
+	data, held, err := pad.DecodeHeld(base, rep.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("client: decoding %s via %s: %w", resource, rep.PADID, err)
 	}
@@ -368,7 +372,10 @@ func (c *Client) Request(appID, resource string) ([]byte, error) {
 	// differential requests would then claim a base version the client no
 	// longer holds the newest data for.
 	if cur := c.versions[resource]; rep.Version > cur.version {
-		c.versions[resource] = contentEntry{version: rep.Version, held: &codec.Held{Data: data}}
+		if held == nil {
+			held = &codec.Held{Data: data}
+		}
+		c.versions[resource] = contentEntry{version: rep.Version, held: held}
 	} else if rep.Version < cur.version {
 		c.stats.StaleVersionDrops++
 	}

@@ -106,6 +106,8 @@ func (b *Bitmap) Encode(old, cur []byte) ([]byte, error) {
 // Decode implements Codec. Every count in the payload is read through
 // wire.Reader, which bounds it by the bytes actually present before
 // anything is sized from it.
+// A payload that rebuilds old, or a prefix of it, decodes to old itself
+// (see output).
 func (b *Bitmap) Decode(old, payload []byte) ([]byte, error) {
 	r := wire.NewReader(payload, true)
 	if !bytes.Equal(r.Take(uint64(len(bitmapMagic))), bitmapMagic) {
@@ -130,9 +132,7 @@ func (b *Bitmap) Decode(old, payload []byte) ([]byte, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("codec: bitmap payload: truncated bitmap: %w", err)
 	}
-	// An unvalidated header length must not force a huge allocation; the
-	// output grows as blocks are actually produced.
-	out := make([]byte, 0, min(curLen, maxDecodeReserve))
+	out := newOutput(old, curLenU)
 	for i := 0; i < nblocks; i++ {
 		start := i * bs
 		end := min(start+bs, curLen)
@@ -141,16 +141,16 @@ func (b *Bitmap) Decode(old, payload []byte) ([]byte, error) {
 			if err := r.Err(); err != nil {
 				return nil, fmt.Errorf("codec: bitmap payload: truncated literal block %d: %w", i, err)
 			}
-			out = append(out, lit...)
+			out.add(lit)
 			continue
 		}
 		if end > len(old) {
 			return nil, fmt.Errorf("codec: bitmap payload references old block %d beyond old length %d", i, len(old))
 		}
-		out = append(out, old[start:end]...)
+		out.add(old[start:end])
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("codec: bitmap payload: %w", err)
 	}
-	return out, nil
+	return out.bytes(), nil
 }

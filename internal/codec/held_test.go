@@ -69,8 +69,10 @@ func TestDecodeHeldMatchesDecode(t *testing.T) {
 }
 
 // TestDecodeHeldSplitsOnce: the split is made by the first decode against
-// a Held and reused by every later one, so a warm DecodeHeld allocates
-// the output and nothing else, where Decode also allocates the chunk list.
+// a Held and reused by every later one. A current payload rebuilds the
+// held version, so a warm DecodeHeld of it allocates nothing, where Decode
+// allocates the chunk list; a differential payload allocates its output
+// besides.
 func TestDecodeHeldSplitsOnce(t *testing.T) {
 	v, err := NewVaryBlock()
 	if err != nil {
@@ -92,18 +94,17 @@ func TestDecodeHeldSplitsOnce(t *testing.T) {
 	if first == nil || first.cfg != v.ChunkerConfig() {
 		t.Fatalf("the first decode stored split %+v, want one under the codec's config", first)
 	}
-	warm := testing.AllocsPerRun(20, func() {
-		if _, err := v.DecodeHeld(h, payload); err != nil {
-			t.Fatal(err)
-		}
-	})
-	stateless := testing.AllocsPerRun(20, func() {
-		if _, err := v.Decode(old, payload); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if warm != 1 || stateless != 2 {
-		t.Fatalf("allocs per decode: warm DecodeHeld %v, Decode %v; want 1 (the output) and 2 (output and chunk list)", warm, stateless)
+	allocs := func(decode func() ([]byte, error)) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := decode(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	warm := allocs(func() ([]byte, error) { return v.DecodeHeld(h, payload) })
+	stateless := allocs(func() ([]byte, error) { return v.Decode(old, payload) })
+	if warm != 0 || stateless != 1 {
+		t.Fatalf("allocs per decode of the current payload: warm DecodeHeld %v, Decode %v; want 0 and 1 (the chunk list)", warm, stateless)
 	}
 	if h.split.Load() != first {
 		t.Fatal("a later decode replaced the stored split")
@@ -116,6 +117,11 @@ func TestDecodeHeldSplitsOnce(t *testing.T) {
 	}
 	if got, err := v.DecodeHeld(h, diff); err != nil || !bytes.Equal(got, cur) {
 		t.Fatalf("differential decode through the held split: %v", err)
+	}
+	warm = allocs(func() ([]byte, error) { return v.DecodeHeld(h, diff) })
+	stateless = allocs(func() ([]byte, error) { return v.Decode(old, diff) })
+	if warm != 1 || stateless != 2 {
+		t.Fatalf("allocs per differential decode: warm DecodeHeld %v, Decode %v; want 1 (the output) and 2 (output and chunk list)", warm, stateless)
 	}
 }
 

@@ -165,6 +165,8 @@ func (r *Rsync) Encode(old, cur []byte) ([]byte, error) {
 // Decode implements Codec. Every count in the payload is read through
 // wire.Reader, which bounds it by the bytes actually present before
 // anything is sized from it.
+// A payload that rebuilds old, or a prefix of it, decodes to old itself
+// (see output).
 func (r *Rsync) Decode(old, payload []byte) ([]byte, error) {
 	rd := wire.NewReader(payload, true)
 	if !bytes.Equal(rd.Take(uint64(len(rsyncMagic))), rsyncMagic) {
@@ -187,9 +189,7 @@ func (r *Rsync) Decode(old, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("codec: rsync payload: %d ops for %d bytes is impossible", nops, curLen)
 	}
 	bs := int(bsU)
-	// An unvalidated header length must not force a huge allocation; the
-	// output grows as ops actually produce bytes.
-	out := make([]byte, 0, min(curLen, maxDecodeReserve))
+	out := newOutput(old, curLen)
 	for op := uint64(0); op < nops; op++ {
 		// Both ops are a tag byte and one uvarint: a block index or a
 		// literal length.
@@ -203,22 +203,22 @@ func (r *Rsync) Decode(old, payload []byte) ([]byte, error) {
 				return nil, fmt.Errorf("codec: rsync payload references old block %d beyond %d bytes", n, len(old))
 			}
 			start := int(n) * bs
-			out = append(out, old[start:start+bs]...)
+			out.add(old[start : start+bs])
 		case rsyncOpLit:
 			lit := rd.Take(n)
 			if err := rd.Err(); err != nil {
 				return nil, fmt.Errorf("codec: rsync payload: truncated literal at op %d: %w", op, err)
 			}
-			out = append(out, lit...)
+			out.add(lit)
 		default:
 			return nil, fmt.Errorf("codec: rsync payload: unknown op tag %d", tag[0])
 		}
 	}
-	if uint64(len(out)) != curLen {
-		return nil, fmt.Errorf("codec: rsync payload reconstructed %d bytes, header says %d", len(out), curLen)
+	if uint64(out.len()) != curLen {
+		return nil, fmt.Errorf("codec: rsync payload reconstructed %d bytes, header says %d", out.len(), curLen)
 	}
 	if err := rd.Done(); err != nil {
 		return nil, fmt.Errorf("codec: rsync payload: %w", err)
 	}
-	return out, nil
+	return out.bytes(), nil
 }

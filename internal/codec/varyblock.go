@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"fractal/internal/arena"
 	"fractal/internal/rabin"
@@ -19,12 +18,6 @@ const (
 	varyOpRef = 0 // copy old chunk by index
 	varyOpLit = 1 // literal bytes follow
 )
-
-// maxDecodeReserve caps the output capacity reserved up front from an
-// unvalidated header length: a hostile curLen (up to the 1<<32 sanity
-// bound) must not force a multi-GB allocation before a single op has been
-// checked. Larger outputs grow naturally as ops prove themselves.
-const maxDecodeReserve = 1 << 20
 
 // VaryBlock is the LBFS-style vary-sized blocking protocol [34]: files are
 // divided into chunks demarcated where the Rabin fingerprint of the
@@ -142,48 +135,11 @@ func (v *VaryBlock) Encode(old, cur []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Held is a version the receiver holds, with the chunk boundaries the
-// first DecodeHeld against it splits — never derived from a payload — so
-// they live and die with the Held. Data must not be modified once held.
-// Concurrent decodes may each split; all reuse the first split stored.
-type Held struct {
-	Data  []byte
-	split atomic.Pointer[heldSplit]
-}
-
-// heldSplit is Data's split under one chunker configuration.
-type heldSplit struct {
-	cfg    rabin.ChunkerConfig
-	chunks []rabin.Chunk
-}
-
-// Holds reports whether b is h's version itself (the same first element
-// and length), not equal bytes elsewhere. A nil Held holds nothing.
-func (h *Held) Holds(b []byte) bool {
-	return h != nil && len(b) == len(h.Data) && (len(b) == 0 || &b[0] == &h.Data[0])
-}
-
-// chunks returns old split by ch, where h is nil or holds old: h's split
-// when it was made under ch's configuration, else a fresh one, which is
-// stored if h holds none yet.
-func (h *Held) chunks(ch *rabin.Chunker, old []byte) []rabin.Chunk {
-	if h == nil {
-		return ch.Split(old)
-	}
-	s := h.split.Load()
-	if s == nil {
-		h.split.CompareAndSwap(nil, &heldSplit{ch.Config(), ch.Split(old)})
-		s = h.split.Load() // ours, or that of a concurrent decode that stored first
-	}
-	if s.cfg != ch.Config() {
-		return ch.Split(old)
-	}
-	return s.chunks
-}
-
 // Decode implements Codec. The receiver re-chunks its old version with the
 // same parameters and resolves the references; chunk boundaries are all it
-// needs, so no digest is computed and the chunk cache is not touched.
+// needs, so no digest is computed and the chunk cache is not touched. A
+// payload that rebuilds old, or a prefix of it, decodes to old itself (see
+// output).
 func (v *VaryBlock) Decode(old, payload []byte) ([]byte, error) {
 	return v.decode(old, nil, payload)
 }
@@ -220,7 +176,7 @@ func (v *VaryBlock) decode(old []byte, h *Held, payload []byte) ([]byte, error) 
 		return nil, fmt.Errorf("codec: varyblock payload: %d ops for %d bytes is impossible", nops, curLen)
 	}
 	oldChunks := h.chunks(v.chunker, old)
-	out := make([]byte, 0, min(curLen, maxDecodeReserve))
+	out := newOutput(old, curLen)
 	for op := uint64(0); op < nops; op++ {
 		// Both ops are a tag byte and one uvarint: a chunk index or a
 		// literal length.
@@ -234,22 +190,22 @@ func (v *VaryBlock) decode(old []byte, h *Held, payload []byte) ([]byte, error) 
 				return nil, fmt.Errorf("codec: varyblock payload references old chunk %d of %d", n, len(oldChunks))
 			}
 			c := oldChunks[n]
-			out = append(out, old[c.Offset:c.Offset+c.Length]...)
+			out.add(old[c.Offset : c.Offset+c.Length])
 		case varyOpLit:
 			lit := r.Take(n)
 			if err := r.Err(); err != nil {
 				return nil, fmt.Errorf("codec: varyblock payload: truncated literal at op %d: %w", op, err)
 			}
-			out = append(out, lit...)
+			out.add(lit)
 		default:
 			return nil, fmt.Errorf("codec: varyblock payload: unknown op tag %d", tag[0])
 		}
 	}
-	if uint64(len(out)) != curLen {
-		return nil, fmt.Errorf("codec: varyblock payload reconstructed %d bytes, header says %d", len(out), curLen)
+	if uint64(out.len()) != curLen {
+		return nil, fmt.Errorf("codec: varyblock payload reconstructed %d bytes, header says %d", out.len(), curLen)
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("codec: varyblock payload: %w", err)
 	}
-	return out, nil
+	return out.bytes(), nil
 }

@@ -3,6 +3,7 @@ package mobilecode
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"fractal/internal/codec"
 )
@@ -46,13 +47,17 @@ func (l *Loader) SetVerifier(v VerifyFunc) { l.verify = v }
 // ready to encode/decode application content on this host. It is safe for
 // concurrent use. Encode and Decode never modify their inputs, and — as
 // VM.Run does — may return a result that aliases one (pad-direct returns
-// the payload itself).
+// the payload itself, a differencing decode that rebuilds old returns
+// old).
 type DeployedPAD struct {
 	module *Module
 	vm     VM
 	enc    Program
 	dec    Program
 	codecs Codecs
+	// inflates says dec calls gzip.decode, the one primitive that notes
+	// on Versions.Next.
+	inflates bool
 }
 
 // Load verifies and instantiates a packed module. packed is never written,
@@ -77,7 +82,7 @@ func (l *Loader) Load(packed []byte) (*DeployedPAD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mobilecode: PAD %s decode program: %w", m.ID, err)
 	}
-	d := &DeployedPAD{module: m, enc: enc, dec: dec}
+	d := &DeployedPAD{module: m, enc: enc, dec: dec, inflates: slices.Contains(dec, Instr{Op: OpCall, Sym: "gzip.decode"})}
 	if err := d.codecs.configure(m.Params); err != nil {
 		return nil, fmt.Errorf("mobilecode: PAD %s: %w", m.ID, err)
 	}
@@ -109,9 +114,9 @@ func (d *DeployedPAD) ChunkCacheStats() codec.ChunkCacheStats { return d.codecs.
 
 // run executes a program with the calling convention shared by both
 // directions: the initial buffer stack is [a, b] (b on top) and the result
-// is the top buffer of the final stack. held reaches the host calls.
-func (d *DeployedPAD) run(p Program, held *codec.Held, a, b []byte) ([]byte, error) {
-	out, err := d.vm.run(p, held, [][]byte{a, b})
+// is the top buffer of the final stack. vers reaches the host calls.
+func (d *DeployedPAD) run(p Program, vers Versions, a, b []byte) ([]byte, error) {
+	out, err := d.vm.run(p, vers, [][]byte{a, b})
 	if err != nil {
 		return nil, err
 	}
@@ -124,22 +129,45 @@ func (d *DeployedPAD) run(p Program, held *codec.Held, a, b []byte) ([]byte, err
 // Encode implements the server/sender direction: produce the wire payload
 // for cur given the receiver holds old.
 func (d *DeployedPAD) Encode(old, cur []byte) ([]byte, error) {
-	return d.run(d.enc, nil, old, cur)
+	return d.run(d.enc, Versions{}, old, cur)
 }
 
 // Decode implements the client/receiver direction: reconstruct cur from
 // the payload and the held old version.
 func (d *DeployedPAD) Decode(old, payload []byte) ([]byte, error) {
-	return d.run(d.dec, nil, old, payload)
+	return d.run(d.dec, Versions{}, old, payload)
 }
 
-// DecodeHeld is Decode against h.Data (none when h is nil) whose
-// vary.decode splits h's version once, however often it is decoded
-// against; its bytes and verdict are Decode's.
-func (d *DeployedPAD) DecodeHeld(h *codec.Held, payload []byte) ([]byte, error) {
+// DecodeHeld is Decode against h.Data (none when h is nil). Its bytes and
+// verdict are Decode's, and the sandbox charges the same bytes, but what
+// decoding derives is kept on Helds: vary.decode splits h's version once,
+// however often it is decoded against, and a version re-delivered in a
+// payload that rebuilds it, or in the gzip stream it was inflated from,
+// is returned without being decoded again.
+//
+// It also returns the decoded version as a Held when decoding made one
+// worth keeping: h itself when the result is h's version, or a new Held
+// recording the gzip stream the result was inflated from, when the
+// result is gzip.decode's output itself. Otherwise the Held is nil, and a
+// caller that keeps the version holds it in a Held of its own; so a
+// decode allocates a Held only for a PAD whose decode calls gzip.decode.
+func (d *DeployedPAD) DecodeHeld(h *codec.Held, payload []byte) ([]byte, *codec.Held, error) {
+	vers := Versions{Held: h}
 	var old []byte
 	if h != nil {
 		old = h.Data
 	}
-	return d.run(d.dec, h, old, payload)
+	if d.inflates {
+		vers.Next = new(codec.Held)
+	}
+	out, err := d.run(d.dec, vers, old, payload)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case h.Holds(out):
+		return out, h, nil
+	case vers.Next.Holds(out):
+		return out, vers.Next, nil
+	}
+	return out, nil, nil
 }
