@@ -1,6 +1,8 @@
 // Package analysis is fractal-vet: a repo-specific static-analysis suite
 // built entirely on the stdlib go/ast + go/parser + go/types stack (the
-// module is dependency-free and must stay that way).
+// module is dependency-free and must stay that way). It has no command:
+// TestVetSelfCheck runs the whole suite over the module in `go test ./...`
+// and fails on any unsuppressed finding.
 //
 // The repo's core correctness properties — "simulation results are
 // repeatable" and "PADs are verified before deployment" — are invariants
@@ -56,29 +58,15 @@ import (
 	"go/token"
 	"slices"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding of one analyzer.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
-	// Related points at the other ends of an interprocedural finding: the
-	// lock acquisition a blocking call violates, the blocking operation
-	// inside the callee.
-	Related []Related `json:"related,omitempty"`
-}
-
-// Related is one secondary location attached to a diagnostic.
-type Related struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String renders the conventional file:line:col form.
@@ -89,15 +77,14 @@ func (d Diagnostic) String() string {
 // Analyzer is one named invariant check run over a type-checked package.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass)
 	// scope, when non-empty, lists the only import paths the analyzer runs
-	// on; RunTimed applies it.
+	// on; run applies it.
 	scope []string
 }
 
 // Pass carries one analyzer's view of one package and collects its
-// diagnostics. Prog is the interprocedural view of the whole Run package
+// diagnostics. Prog is the interprocedural view of the whole run's package
 // set (call graph + function summaries); it is shared and read-only.
 type Pass struct {
 	Analyzer *Analyzer
@@ -109,33 +96,14 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.ReportRelated(pos, nil, format, args...)
-}
-
-// ReportRelated records a finding at pos carrying secondary locations.
-func (p *Pass) ReportRelated(pos token.Pos, related []Related, format string, args ...interface{}) {
 	position := p.Fset.Position(pos)
 	p.diags = append(p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Pos:      position,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
-		Related:  related,
 	})
-}
-
-// RelatedAt builds one Related entry from a position in this pass's
-// file set. An invalid position yields a zero entry the caller should
-// drop; every current call site passes positions of nodes it just
-// visited, so the guard is belt and braces.
-func (p *Pass) RelatedAt(pos token.Pos, message string) Related {
-	if !pos.IsValid() {
-		return Related{Message: message}
-	}
-	position := p.Fset.Position(pos)
-	return Related{File: position.Filename, Line: position.Line, Col: position.Column, Message: message}
 }
 
 // AllowPrefix introduces a suppression annotation comment.
@@ -178,39 +146,26 @@ func collectAllows(fset *token.FileSet, files []*ast.File) []*allowAnnotation {
 	return out
 }
 
-// Timing is one analyzer's cumulative wall time across the whole run
-// (the pseudo-entry "(summaries)" is the interprocedural program build:
-// call graph plus bottom-up function summaries).
-type Timing struct {
-	Analyzer string        `json:"analyzer"`
-	Duration time.Duration `json:"duration"`
-}
-
-// RunTimed executes the analyzers over the packages, applies allow
+// run executes the analyzers over the packages, applies allow
 // annotations, reports unused annotations, and returns the surviving
-// diagnostics sorted by position together with per-analyzer wall time.
-// Analyzers run
-// one after another, in suite order, on each package their scope admits.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
-	t0 := time.Now()
+// diagnostics sorted by position. Analyzers run one after another, in
+// suite order, on each package their scope admits. TestVetSelfCheck and
+// the fixture tests are its callers.
+func run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	prog := BuildProgram(pkgs)
-	timings := []Timing{{Analyzer: "(summaries)", Duration: time.Since(t0)}}
 	enabled := map[string]bool{}
 	for _, a := range analyzers {
-		timings = append(timings, Timing{Analyzer: a.Name})
 		enabled[a.Name] = true
 	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		allows := collectAllows(pkg.Fset, pkg.Files)
-		for i, a := range analyzers {
+		for _, a := range analyzers {
 			if len(a.scope) > 0 && !slices.Contains(a.scope, pkg.Path) {
 				continue
 			}
-			start := time.Now()
 			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, Prog: prog}
 			a.Run(pass)
-			timings[i+1].Duration += time.Since(start)
 			for _, d := range pass.diags {
 				if !suppressed(d, allows) {
 					out = append(out, d)
@@ -226,7 +181,6 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 			p := pkg.Fset.Position(al.pos)
 			out = append(out, Diagnostic{
 				Analyzer: "allowcheck",
-				Pos:      p,
 				File:     p.Filename,
 				Line:     p.Line,
 				Col:      p.Column,
@@ -237,7 +191,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 	slices.SortFunc(out, func(a, b Diagnostic) int {
 		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col), cmp.Compare(a.Analyzer, b.Analyzer))
 	})
-	return out, timings
+	return out
 }
 
 // suppressed reports whether an annotation on the diagnostic's line or the
@@ -256,8 +210,8 @@ func suppressed(d Diagnostic, allows []*allowAnnotation) bool {
 	return hit
 }
 
-// Analyzers returns the full fractal-vet suite in stable order.
-func Analyzers() []*Analyzer {
+// allAnalyzers returns the full fractal-vet suite in stable order.
+func allAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		SimtimeAnalyzer,
 		RawrandAnalyzer,
@@ -266,37 +220,4 @@ func Analyzers() []*Analyzer {
 		LockheldAnalyzer,
 		HotpathAnalyzer,
 	}
-}
-
-// Select filters the suite by enable/disable comma lists ("" means all).
-func Select(enable, disable string) ([]*Analyzer, error) {
-	all := Analyzers()
-	byName := map[string]*Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	picked := all
-	if enable != "" {
-		picked = nil
-		for _, name := range strings.Split(enable, ",") {
-			name = strings.TrimSpace(name)
-			a, ok := byName[name]
-			if !ok {
-				return nil, fmt.Errorf("analysis: unknown analyzer %q", name)
-			}
-			picked = append(picked, a)
-		}
-	}
-	if disable != "" {
-		drop := map[string]bool{}
-		for _, name := range strings.Split(disable, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := byName[name]; !ok {
-				return nil, fmt.Errorf("analysis: unknown analyzer %q", name)
-			}
-			drop[name] = true
-		}
-		picked = slices.DeleteFunc(picked, func(a *Analyzer) bool { return drop[a.Name] })
-	}
-	return picked, nil
 }

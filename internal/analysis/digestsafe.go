@@ -26,7 +26,6 @@ var digestHelperNames = map[string]bool{
 // algorithm agility) lives in exactly one place.
 var DigestsafeAnalyzer = &Analyzer{
 	Name: "digestsafe",
-	Doc:  "compare SHA-1 digests via the designated DigestEqual helper, not ==/bytes.Equal",
 	Run:  runDigestsafe,
 	// The PAD verification pipeline. Digest comparisons elsewhere (for
 	// example the rsync encoder's block-dedup hash-table probe) are content

@@ -21,7 +21,6 @@ var errdiscardWatched = map[string]bool{
 // io.Reader/io.Writer and codec encode/decode paths.
 var ErrdiscardAnalyzer = &Analyzer{
 	Name: "errdiscard",
-	Doc:  "flag ignored errors and Read byte counts on io.Reader/io.Writer/codec paths",
 	Run:  runErrdiscard,
 }
 

@@ -22,6 +22,10 @@ var testOnlyAllow = map[string]bool{
 	// The Eq. 3 regret measurement on real sockets will derive faulted
 	// links from the netsim link models through this.
 	"fractal/internal/faultnet.ScheduleForLink": true,
+	// Cascade is the one PAD with no native codec; the mobilecode, verify
+	// and appserver tests build it to drive the VM-served branch of
+	// appserver.implFor.
+	"fractal/internal/mobilecode.CascadeSpec": true,
 }
 
 // TestNoTestOnlyExports fails on any exported package-level identifier

@@ -19,16 +19,10 @@ var (
 	fixtureLoaderErr  error
 )
 
-// Run is RunTimed without the timings.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(pkgs, analyzers)
-	return diags
-}
-
 func getLoader(t *testing.T) *Loader {
 	t.Helper()
 	fixtureLoaderOnce.Do(func() {
-		fixtureLoader, fixtureLoaderErr = NewLoader(".")
+		fixtureLoader, fixtureLoaderErr = newLoader(".")
 	})
 	if fixtureLoaderErr != nil {
 		t.Fatal(fixtureLoaderErr)
@@ -104,7 +98,7 @@ func checkFixture(t *testing.T, a *Analyzer, dir, asPath string) {
 	}
 	want := parseWants(t, abs)
 	var got []diagKey
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{a}) {
+	for _, d := range run([]*Package{pkg}, []*Analyzer{a}) {
 		got = append(got, diagKey{analyzer: d.Analyzer, file: d.File, line: d.Line, col: d.Col})
 	}
 	sortKeys(want)
@@ -170,7 +164,7 @@ func TestDigestsafeScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run([]*Package{pkg}, []*Analyzer{DigestsafeAnalyzer}); len(diags) != 0 {
+	if diags := run([]*Package{pkg}, []*Analyzer{DigestsafeAnalyzer}); len(diags) != 0 {
 		t.Fatalf("digestsafe fired outside its scope: %v", diags)
 	}
 }
@@ -207,7 +201,7 @@ func TestLockheldScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{LockheldAnalyzer}) {
+	for _, d := range run([]*Package{pkg}, []*Analyzer{LockheldAnalyzer}) {
 		if d.Analyzer == LockheldAnalyzer.Name {
 			t.Fatalf("lockheld fired outside its scope: %v", d)
 		}
@@ -232,7 +226,7 @@ func TestStaleAllowsForFlowAnalyzers(t *testing.T) {
 	}
 	want := parseWants(t, abs)
 	var got []diagKey
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{LockheldAnalyzer, HotpathAnalyzer}) {
+	for _, d := range run([]*Package{pkg}, []*Analyzer{LockheldAnalyzer, HotpathAnalyzer}) {
 		got = append(got, diagKey{analyzer: d.Analyzer, file: d.File, line: d.Line, col: d.Col})
 	}
 	sortKeys(want)
@@ -244,23 +238,5 @@ func TestStaleAllowsForFlowAnalyzers(t *testing.T) {
 		if want[i] != got[i] {
 			t.Errorf("diagnostic %d at %s, want %s", i, got[i], want[i])
 		}
-	}
-}
-
-func TestSelect(t *testing.T) {
-	all, err := Select("", "")
-	if err != nil || len(all) != len(Analyzers()) {
-		t.Fatalf("Select(\"\",\"\") = %d analyzers, err %v", len(all), err)
-	}
-	two, err := Select("simtime,rawrand", "")
-	if err != nil || len(two) != 2 {
-		t.Fatalf("enable list: got %d analyzers, err %v", len(two), err)
-	}
-	rest, err := Select("", "hotpath")
-	if err != nil || len(rest) != len(Analyzers())-1 {
-		t.Fatalf("disable list: got %d analyzers, err %v", len(rest), err)
-	}
-	if _, err := Select("nope", ""); err == nil {
-		t.Fatal("unknown analyzer accepted")
 	}
 }

@@ -31,7 +31,6 @@ const HotpathPrefix = "fractal:hotpath"
 // the session's lifetime — is annotated.
 var HotpathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc:  "flag per-call allocation constructs in functions annotated //fractal:hotpath, and session arena buffers escaping their lifetime scope",
 	Run:  runHotpath,
 }
 

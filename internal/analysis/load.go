@@ -58,8 +58,8 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
-// NewLoader builds a loader rooted at the module containing dir.
-func NewLoader(dir string) (*Loader, error) {
+// newLoader builds a loader rooted at the module containing dir.
+func newLoader(dir string) (*Loader, error) {
 	root, err := FindModuleRoot(dir)
 	if err != nil {
 		return nil, err

@@ -30,8 +30,8 @@ func TestFindModuleRootMissing(t *testing.T) {
 func TestNewLoaderNoModuleDirective(t *testing.T) {
 	dir := t.TempDir()
 	writeTree(t, dir, map[string]string{"go.mod": "// no module line\n"})
-	if _, err := NewLoader(dir); err == nil || !strings.Contains(err.Error(), "no module directive") {
-		t.Fatalf("NewLoader error = %v, want a no-module-directive error", err)
+	if _, err := newLoader(dir); err == nil || !strings.Contains(err.Error(), "no module directive") {
+		t.Fatalf("newLoader error = %v, want a no-module-directive error", err)
 	}
 }
 
@@ -44,7 +44,7 @@ func newTempLoader(t *testing.T, files map[string]string) *Loader {
 		all[k] = v
 	}
 	writeTree(t, dir, all)
-	l, err := NewLoader(dir)
+	l, err := newLoader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestLoadDirTypeErrorsNonFatal(t *testing.T) {
 	}
 	// The full suite (including the interprocedural program build) must
 	// tolerate the partial Info.
-	if diags := Run([]*Package{pkg}, Analyzers()); diags != nil {
+	if diags := run([]*Package{pkg}, allAnalyzers()); diags != nil {
 		for _, d := range diags {
 			t.Errorf("unexpected diagnostic on type-broken package: %v", d)
 		}

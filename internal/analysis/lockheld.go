@@ -17,7 +17,6 @@ import (
 // package (AB in one function, BA in another).
 var LockheldAnalyzer = &Analyzer{
 	Name: "lockheld",
-	Doc:  "flag mutexes held across blocking ops, self-deadlocks, and lock-order inversions",
 	Run:  runLockheld,
 	// The concurrent serving-plane packages: a mutex held across a blocking
 	// operation there turns one stalled peer into a pile-up behind the
@@ -98,17 +97,7 @@ func lockTransfer(pass *Pass, g *CFG, b *Block, in lockFact, pf *ProgFunc, order
 			pass.Reportf(site.pos, "%s while %s is held; release the lock first", site.desc, heldNames(held))
 			return
 		}
-		var related []Related
-		if site.leaf != site.pos {
-			// Interprocedural: the callee is not itself a blocking
-			// primitive, but its summary says some operation it
-			// (transitively) performs can block indefinitely.
-			related = []Related{
-				pass.RelatedAt(heldAcquisition(held), "lock acquired here"),
-				pass.RelatedAt(site.leaf, "blocking operation inside the callee: "+site.leafDesc),
-			}
-		}
-		pass.ReportRelated(site.pos, related, "%s while %s is held; a stalled peer parks every caller behind the lock (release it, or annotate a deliberate serialization point with //%s lockheld)",
+		pass.Reportf(site.pos, "%s while %s is held; a stalled peer parks every caller behind the lock (release it, or annotate a deliberate serialization point with //%s lockheld)",
 			site.desc, heldNames(held), AllowPrefix)
 	}
 	if b.Select != nil {
@@ -166,20 +155,6 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// heldAcquisition returns the acquisition site of the first held lock in
-// name order — the deterministic anchor for related-location reporting.
-func heldAcquisition(held lockFact) token.Pos {
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if len(keys) == 0 {
-		return token.NoPos
-	}
-	return held[keys[0]].pos
 }
 
 // heldNames renders the held set deterministically for messages.
@@ -248,7 +223,7 @@ func lockTypeKey(pass *Pass, lockExpr ast.Expr) string {
 // what it is, and the primitive it bottoms out in — itself, unless it is a
 // call into a blocking in-set function.
 type blockSite struct {
-	pos, leaf      token.Pos
+	pos            token.Pos
 	desc, leafDesc string
 }
 
@@ -283,14 +258,14 @@ func (p *Program) mayBlock(pkg *Package, pf *ProgFunc, n ast.Node) (blockSite, b
 		}
 		if callee := p.resolveCall(pkg, pf, n); callee != nil && callee.Summary != nil && callee.Summary.block.desc != "" {
 			cb := callee.Summary.block
-			return blockSite{pos: n.Pos(), leaf: cb.leaf, leafDesc: cb.leafDesc,
+			return blockSite{pos: n.Pos(), leafDesc: cb.leafDesc,
 				desc: fmt.Sprintf("call to %s (may block: %s)", shortFuncName(callee), cb.leafDesc)}, true
 		}
 	}
 	if desc == "" {
 		return blockSite{}, false
 	}
-	return blockSite{pos: n.Pos(), leaf: n.Pos(), desc: desc, leafDesc: desc}, true
+	return blockSite{pos: n.Pos(), desc: desc, leafDesc: desc}, true
 }
 
 // blockingCall describes a call that can block indefinitely on a peer or

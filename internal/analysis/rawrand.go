@@ -31,7 +31,6 @@ var rawrandAllowed = map[string]bool{
 // random draw comes from an injected, seeded *rand.Rand.
 var RawrandAnalyzer = &Analyzer{
 	Name: "rawrand",
-	Doc:  "forbid the global math/rand source; use an injected seeded *rand.Rand",
 	Run:  runRawrand,
 }
 

@@ -16,11 +16,11 @@ var simtimeForbidden = map[string]bool{
 	"Tick":  true,
 }
 
-// SimtimeAnalyzer forbids wall-clock time in simulation-deterministic
-// packages.
+// SimtimeAnalyzer forbids wall-clock time (time.Now, Sleep, After, ...)
+// in simulation-deterministic packages: virtual time flows through
+// netsim.VirtualClock.
 var SimtimeAnalyzer = &Analyzer{
 	Name: "simtime",
-	Doc:  "forbid time.Now/Sleep/After in simulation-deterministic packages; use netsim.VirtualClock",
 	Run:  runSimtime,
 	// netsim, experiment and core must be strictly deterministic — simulated
 	// time flows through netsim.VirtualClock — while the protocol servers (cdn,

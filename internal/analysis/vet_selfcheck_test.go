@@ -30,7 +30,7 @@ func TestVetSelfCheck(t *testing.T) {
 			t.Errorf("%s: type error: %v", pkg.Path, te)
 		}
 	}
-	for _, d := range Run(pkgs, Analyzers()) {
+	for _, d := range run(pkgs, allAnalyzers()) {
 		t.Errorf("%s", d)
 	}
 }
@@ -40,7 +40,7 @@ func TestVetSelfCheck(t *testing.T) {
 // deleted or renamed package checks nothing, silently.
 func TestScopeTablesNameRealPackages(t *testing.T) {
 	loader := getLoader(t)
-	for _, a := range Analyzers() {
+	for _, a := range allAnalyzers() {
 		for _, path := range a.scope {
 			rel, ok := strings.CutPrefix(path, loader.ModulePath+"/")
 			if !ok || !hasGoFiles(filepath.Join(loader.ModuleDir, filepath.FromSlash(rel))) {

@@ -102,10 +102,13 @@ type contentEntry struct {
 }
 
 // protocol is a cached negotiation result: the PADs, and their IDs built
-// once for every APP_REQ. Neither slice is written once cached.
+// once for every APP_REQ. Neither slice is written once cached. degraded
+// marks the local Direct fallback, which stands in for a negotiation that
+// failed and so is never persisted.
 type protocol struct {
-	pads []core.PADMeta
-	ids  []string
+	pads     []core.PADMeta
+	ids      []string
+	degraded bool
 }
 
 func newProtocol(pads []core.PADMeta) protocol {
@@ -258,6 +261,7 @@ func (c *Client) degrade(appID string, cause error) (protocol, error) {
 		Digest:   pad.Module().Digest,
 	}
 	p := newProtocol([]core.PADMeta{meta})
+	p.degraded = true
 	c.mu.Lock()
 	if _, live := c.deployed[meta.ID]; !live {
 		c.deployed[meta.ID] = pad

@@ -25,7 +25,9 @@ func envKey(env core.Env) string {
 
 // SaveProtocolCache writes the protocol cache to path so a later session
 // on the same device can skip negotiation entirely (though it still
-// re-downloads PAD modules, which are not persisted). The write is
+// re-downloads PAD modules, which are not persisted). A degraded entry is
+// left out: it records that the adaptation plane was down, not what it
+// would choose, so a later session negotiates afresh. The write is
 // crash-safe: the cache lands in a temp file in the same directory and is
 // atomically renamed over path, so a crash mid-save leaves either the old
 // complete cache or the new complete cache — never a truncated file.
@@ -36,7 +38,9 @@ func (c *Client) SaveProtocolCache(path string) error {
 		Apps:   map[string][]core.PADMeta{},
 	}
 	for app, p := range c.protocolCache {
-		out.Apps[app] = append([]core.PADMeta(nil), p.pads...)
+		if !p.degraded {
+			out.Apps[app] = append([]core.PADMeta(nil), p.pads...)
+		}
 	}
 	c.mu.Unlock()
 	raw, err := json.MarshalIndent(out, "", "  ")

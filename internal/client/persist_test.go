@@ -1,10 +1,12 @@
 package client
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"fractal/internal/core"
 	"fractal/internal/netsim"
 )
 
@@ -101,6 +103,50 @@ func TestProtocolCachePersistence(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("different-env client restored %d apps, want 0", n)
+	}
+}
+
+// TestDegradedProtocolNotPersisted: a client that degraded while the proxy
+// was down saves no entry for the app, so a later client that loads the
+// file negotiates instead of staying on Direct.
+func TestDegradedProtocolNotPersisted(t *testing.T) {
+	w := buildDirectWorld(t)
+	path := filepath.Join(t.TempDir(), "protocols.json")
+	cfg := w.config()
+	cfg.FallbackDirect = w.packed
+	down := funcNeg(func(string, core.Env, int) ([]core.PADMeta, error) {
+		return nil, errors.New("proxy unreachable")
+	})
+	first, err := New(cfg, down, w.padStore(), funcContent(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.EnsureProtocol("webapp"); err != nil {
+		t.Fatal(err)
+	}
+	if st := first.Stats(); st.Degradations != 1 {
+		t.Fatalf("degradations = %d, want 1", st.Degradations)
+	}
+	if err := first.SaveProtocolCache(path); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := New(cfg, w.negotiator(), w.padStore(), funcContent(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := second.LoadProtocolCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("restored %d apps from a degraded client's cache, want 0", n)
+	}
+	if _, err := second.EnsureProtocol("webapp"); err != nil {
+		t.Fatal(err)
+	}
+	if st := second.Stats(); st.Negotiations != 1 || st.Degradations != 0 {
+		t.Fatalf("after loading: negotiations %d, degradations %d; want 1 and 0", st.Negotiations, st.Degradations)
 	}
 }
 

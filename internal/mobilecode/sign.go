@@ -13,7 +13,7 @@ import (
 // DigestEqual reports whether two SHA-1 payload digests match, in constant
 // time. It is the single designated digest comparison of the deployment
 // pipeline: signature checks go through ed25519.Verify and digest checks
-// go through here, which the digestsafe analyzer (cmd/fractal-vet)
+// go through here, which the digestsafe analyzer (internal/analysis)
 // enforces across mobilecode, cdn, and client.
 func DigestEqual(a, b [sha1.Size]byte) bool {
 	return subtle.ConstantTimeCompare(a[:], b[:]) == 1

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"fractal/internal/mobilecode"
@@ -22,7 +23,27 @@ func smallSandbox() mobilecode.Sandbox {
 	return mobilecode.Sandbox{MaxBufferBytes: 1 << 20, MaxStackDepth: 8}
 }
 
+// proof is one program's verified summary: its exact cost, its
+// buffer-stack bound and the host symbols it resolves.
+type proof struct {
+	instr, bufs int
+	calls       string
+}
+
+// TestBuiltinModulesVerify verifies every builtin PAD module under the
+// default sandbox and pins each program's proof: one CALL and a HALT, or
+// cascade's two CALLs, never more than two buffers deep.
 func TestBuiltinModulesVerify(t *testing.T) {
+	want := map[string][2]proof{
+		"pad-direct":  {{2, 2, "identity"}, {2, 2, "identity"}},
+		"pad-gzip":    {{2, 2, "gzip.encode"}, {2, 2, "gzip.decode"}},
+		"pad-bitmap":  {{2, 2, "bitmap.encode"}, {2, 2, "bitmap.decode"}},
+		"pad-vary":    {{2, 2, "vary.encode"}, {2, 2, "vary.decode"}},
+		"pad-rsync":   {{2, 2, "rsync.encode"}, {2, 2, "rsync.decode"}},
+		"pad-cascade": {{3, 2, "gzip.encode,vary.encode"}, {3, 2, "gzip.decode,vary.decode"}},
+		"pad-full":    {{2, 2, "identity"}, {2, 2, "identity"}},
+		"pad-thumb":   {{2, 2, "identity"}, {2, 2, "identity"}},
+	}
 	signer, err := mobilecode.NewSigner("test-op")
 	if err != nil {
 		t.Fatal(err)
@@ -30,6 +51,9 @@ func TestBuiltinModulesVerify(t *testing.T) {
 	specs := mobilecode.BuiltinSpecs()
 	specs = append(specs, mobilecode.RsyncSpec(), mobilecode.CascadeSpec())
 	specs = append(specs, mobilecode.TranscoderSpecs()...)
+	if len(specs) != len(want) {
+		t.Fatalf("%d builtin modules, want one proof per module (%d)", len(specs), len(want))
+	}
 	for _, spec := range specs {
 		m, err := mobilecode.BuildModule(spec, "1.0", signer)
 		if err != nil {
@@ -39,19 +63,26 @@ func TestBuiltinModulesVerify(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: builtin PAD rejected: %v", spec.ID, err)
 		}
-		for role, c := range map[string]struct {
-			r   *Report
-			src string
-		}{"encode": {rep.Encode, spec.EncodeSrc}, "decode": {rep.Decode, spec.DecodeSrc}} {
+		w, ok := want[spec.ID]
+		if !ok {
+			t.Errorf("%s: no pinned proof", spec.ID)
+			continue
+		}
+		for i, c := range []struct {
+			role string
+			r    *Report
+			src  string
+		}{{"encode", rep.Encode, spec.EncodeSrc}, {"decode", rep.Decode, spec.DecodeSrc}} {
 			p, err := mobilecode.Assemble(c.src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if c.r.Instructions != len(p) {
-				t.Errorf("%s %s: cost %d, want the program length %d", spec.ID, role, c.r.Instructions, len(p))
+				t.Errorf("%s %s: cost %d, want the program length %d", spec.ID, c.role, c.r.Instructions, len(p))
 			}
-			if len(c.r.Calls) == 0 {
-				t.Errorf("%s %s: no host calls resolved", spec.ID, role)
+			got := proof{c.r.Instructions, c.r.MaxBufDepth, strings.Join(c.r.Calls, ",")}
+			if got != w[i] {
+				t.Errorf("%s %s: proof %+v, want %+v", spec.ID, c.role, got, w[i])
 			}
 		}
 	}
@@ -266,5 +297,8 @@ func TestLoaderVerifierGatesDeployment(t *testing.T) {
 	var verr *Error
 	if !errors.As(err, &verr) || !errors.Is(err, ErrUndeclaredCall) {
 		t.Fatalf("rejection not typed as an undeclared call: %v", err)
+	}
+	if !strings.Contains(err.Error(), "backdoor.fetch") {
+		t.Errorf("rejection does not name the undeclared capability: %v", err)
 	}
 }
