@@ -23,23 +23,22 @@
 //   - lockheld:   (flow-sensitive) no mutex is provably held across a
 //     blocking operation, no lock is re-acquired while held, and
 //     known locks are acquired in a consistent order.
-//   - hotpath:    (flow-sensitive) functions annotated //fractal:hotpath
-//     avoid per-call allocation constructs, pinning the
-//     benchmarked allocs/op; session arena buffers never outlive
-//     their session.
 //
-// The flow-sensitive analyzers share one engine: one per-function driver
-// over an intraprocedural CFG (cfg.go), one forward-dataflow solver with its
-// replay and copy-on-write helpers (dataflow.go), one "may block" classifier
-// (lockheld.go), and one taint engine, whose rule set is session arena
-// borrows (hotpath.go). A call graph with bottom-up function summaries
+// lockheld runs on the flow-sensitive engine: a per-function driver over
+// an intraprocedural CFG (cfg.go), a forward-dataflow solver with its
+// replay and copy-on-write helpers (dataflow.go), and a "may block"
+// classifier (lockheld.go). A call graph with bottom-up function summaries
 // (callgraph.go, summary.go) lets lockheld see through calls: blocking
 // behaviour composes across any number of in-set hops.
 //
 // Integers a peer sends are not an analyzer's business: every one is read
 // through wire.Reader, which bounds counts by the bytes present, and a
 // structural test (TestBinaryDecodeOnlyInBoundedReaders) keeps
-// encoding/binary decoding inside the few bounded readers.
+// encoding/binary decoding inside the few bounded readers. Nor is
+// allocation: the hot entry points' allocs/op are pinned exactly by
+// AllocsPerRun tests and the bench-gate snapshot rows, and a structural
+// test (TestSessionBorrowsOnlyInConn) keeps arena session borrows inside
+// inp's connection, which shares the session's lifetime.
 //
 // A finding can be suppressed at a genuine exception site (for example a
 // wall-clock serving metric) with a checked annotation comment on the same
@@ -218,6 +217,5 @@ func allAnalyzers() []*Analyzer {
 		ErrdiscardAnalyzer,
 		DigestsafeAnalyzer,
 		LockheldAnalyzer,
-		HotpathAnalyzer,
 	}
 }

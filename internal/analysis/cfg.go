@@ -6,12 +6,11 @@ import (
 )
 
 // This file builds intraprocedural control-flow graphs over Go statements
-// — the substrate the flow-sensitive analyzers (lockheld, hotpath) run
-// their dataflow fixpoints on. It is deliberately the same
-// shape as the PR 5 bytecode verifier's CFG, but for the host language:
-// basic blocks of leaf statements, explicit branch/loop/defer edges, and
-// enough structure (loop depth, select/range markers) for the analyzers to
-// stay simple.
+// — the substrate lockheld runs its dataflow fixpoint on. It is
+// deliberately the same shape as the bytecode verifier's CFG, but for the
+// host language: basic blocks of leaf statements, explicit
+// branch/loop/defer edges, and enough structure (select/range markers) for
+// the analyzer to stay simple.
 
 // Block is one basic block: a maximal straight-line run of leaf statements
 // and condition expressions in execution order. Compound statements are
@@ -21,12 +20,6 @@ type Block struct {
 	Index int
 	Nodes []ast.Node
 	Succs []*Block // control transfers out of the block
-	// LoopDepth counts the enclosing for/range loops of the block's
-	// statements (0 = straight-line code).
-	LoopDepth int
-	// Deferred marks blocks of the synthetic exit chain that replays
-	// deferred calls (in LIFO order) between every return and Exit.
-	Deferred bool
 	// Select is set on the head block of a select statement, so an
 	// analyzer can treat the select itself as one (possibly blocking)
 	// operation.
@@ -57,8 +50,7 @@ func (g *CFG) IsSelectComm(n ast.Node) bool { return g.commStmt[n] }
 
 // cfgBuilder holds the construction state for one function body.
 type cfgBuilder struct {
-	cfg       *CFG
-	loopDepth int
+	cfg *CFG
 	// ret collects every return and the fall-off end of the body; the
 	// deferred chain is routed from it to Exit.
 	ret    *Block
@@ -104,7 +96,6 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	cur := b.ret
 	for i := len(b.defers) - 1; i >= 0; i-- {
 		d := b.newBlock()
-		d.Deferred = true
 		d.Nodes = append(d.Nodes, b.defers[i].Call)
 		b.edge(cur, d)
 		cur = d
@@ -115,7 +106,7 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 }
 
 func (b *cfgBuilder) newBlock() *Block {
-	blk := &Block{Index: len(b.cfg.Blocks), LoopDepth: b.loopDepth}
+	blk := &Block{Index: len(b.cfg.Blocks)}
 	b.cfg.Blocks = append(b.cfg.Blocks, blk)
 	return blk
 }
@@ -170,7 +161,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		head := b.newBlock()
 		out := b.newBlock()
 		b.edge(cur, head)
-		b.loopDepth++
 		body := b.newBlock()
 		b.edge(head, body)
 		if s.Cond != nil {
@@ -197,7 +187,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 			delete(b.labelBreak, label)
 			delete(b.labelCont, label)
 		}
-		b.loopDepth--
 		return out
 
 	case *ast.RangeStmt:
@@ -208,7 +197,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		out := b.newBlock()
 		b.edge(cur, head)
 		b.edge(head, out)
-		b.loopDepth++
 		body := b.newBlock()
 		b.edge(head, body)
 		savedB, savedC := b.breakT, b.contT
@@ -223,7 +211,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 			delete(b.labelBreak, label)
 			delete(b.labelCont, label)
 		}
-		b.loopDepth--
 		return out
 
 	case *ast.SwitchStmt:

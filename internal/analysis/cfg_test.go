@@ -121,12 +121,9 @@ func TestCFGForLoopBackEdge(t *testing.T) {
 	}
 	s = -1`)
 	body := blockWith(t, g, fset, "s += i")
-	if body.LoopDepth != 1 {
-		t.Fatalf("loop body LoopDepth = %d, want 1", body.LoopDepth)
-	}
 	head := blockWith(t, g, fset, "i < 10")
-	if head.LoopDepth != 0 {
-		t.Fatalf("loop head LoopDepth = %d, want 0 (condition evaluates outside the body)", head.LoopDepth)
+	if body == head {
+		t.Fatalf("loop condition must evaluate in its own head block, outside the body")
 	}
 	// Back edge: body -> post (i++) -> head.
 	post := blockWith(t, g, fset, "i++")
@@ -165,9 +162,6 @@ outer:
 		t.Fatalf("labelled break must reach the statement after the outer loop")
 	}
 	inner := blockWith(t, g, fset, "n++")
-	if inner.LoopDepth != 2 {
-		t.Fatalf("inner body LoopDepth = %d, want 2", inner.LoopDepth)
-	}
 	if pathExists(g, brk, inner) {
 		t.Fatalf("labelled break edge must not re-enter the loops")
 	}
@@ -178,31 +172,20 @@ func TestCFGDeferChainLIFO(t *testing.T) {
 	defer first()
 	defer second()
 	work()`)
-	var deferred []*Block
-	for _, b := range reachable(g) {
-		if b.Deferred {
-			deferred = append(deferred, b)
-		}
-	}
-	if len(deferred) != 2 {
-		t.Fatalf("got %d deferred blocks, want 2", len(deferred))
+	// The in-line DeferStmt reads "defer first()"; the replayed call alone
+	// is "first()", so these find the synthetic exit chain.
+	second := blockWith(t, g, fset, "second()")
+	first := blockWith(t, g, fset, "first()")
+	work := blockWith(t, g, fset, "work()")
+	if work == second || work == first {
+		t.Fatalf("in-line statements must not share a block with the replayed defers")
 	}
 	// LIFO: the last-registered defer replays first on the way to Exit.
-	if got := nodeText(fset, deferred[0].Nodes[0]); got != "second()" {
-		t.Fatalf("first replayed deferred call = %q, want %q", got, "second()")
+	if !pathExists(g, work, second) || !pathExists(g, second, first) || pathExists(g, first, second) {
+		t.Fatalf("deferred chain must run second() before first(), after the body")
 	}
-	if got := nodeText(fset, deferred[1].Nodes[0]); got != "first()" {
-		t.Fatalf("second replayed deferred call = %q, want %q", got, "first()")
-	}
-	if !pathExists(g, deferred[0], deferred[1]) {
-		t.Fatalf("deferred chain must run second() before first()")
-	}
-	if !pathExists(g, deferred[1], g.Exit) {
+	if !pathExists(g, first, g.Exit) {
 		t.Fatalf("deferred chain must end at Exit")
-	}
-	work := blockWith(t, g, fset, "work()")
-	if work.Deferred {
-		t.Fatalf("in-line statements must not be marked Deferred")
 	}
 }
 
@@ -292,9 +275,6 @@ func TestCFGRangeHead(t *testing.T) {
 	}
 	body := blockWith(t, g, fset, "use(v)")
 	after := blockWith(t, g, fset, "after()")
-	if body.LoopDepth != 1 {
-		t.Fatalf("range body LoopDepth = %d, want 1", body.LoopDepth)
-	}
 	if !pathExists(g, head, body) || !pathExists(g, body, head) {
 		t.Fatalf("range head and body must form a cycle")
 	}

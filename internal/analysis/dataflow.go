@@ -7,11 +7,11 @@ import (
 )
 
 // The dataflow half of the flow-sensitive engine, and the three pieces
-// both flow analyzers (lockheld, hotpath) are built from: a per-function
-// driver (forEachFunc), a forward worklist fixpoint with a replay of each
-// reached block (solve), and a copy-on-write handle on map-shaped facts
-// (cow). An analyzer supplies the lattice (Join, Equal) and the per-block
-// transfer function.
+// lockheld, its one analyzer, is built from: a per-function driver
+// (forEachFunc), a forward worklist fixpoint with a replay of each reached
+// block (solve), and a copy-on-write handle on map-shaped facts (cow). An
+// analyzer supplies the lattice (Join, Equal) and the per-block transfer
+// function.
 //
 // Contract: Transfer and Join must treat their inputs as immutable —
 // facts are shared between blocks, so implementations copy-on-write.
@@ -102,22 +102,21 @@ func cow[M ~map[K]V, K comparable, V any](fact *M) func() M {
 }
 
 // forEachFunc is the per-function driver: it visits the CFG of every
-// function body in the package that want admits (nil admits all) — each
-// declaration, then each function literal inside it, analyzed from its
-// own entry — together with the enclosing declaration and its program
-// function (nil without a program view), whose locally-evident bindings
-// cover the nested literals too.
-func forEachFunc(pass *Pass, want func(*ast.FuncDecl) bool, visit func(fd *ast.FuncDecl, pf *ProgFunc, g *CFG)) {
+// function body in the package — each declaration, then each function
+// literal inside it, analyzed from its own entry — together with the
+// enclosing declaration's program function (nil without a program view),
+// whose locally-evident bindings cover the nested literals too.
+func forEachFunc(pass *Pass, visit func(pf *ProgFunc, g *CFG)) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || (want != nil && !want(fd)) {
+			if !ok || fd.Body == nil {
 				continue
 			}
 			fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
 			pf := pass.Prog.FuncOf(fn)
 			for _, g := range funcCFGs(fd.Body) {
-				visit(fd, pf, g)
+				visit(pf, g)
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
+	"go/token"
 	"go/types"
 )
 
@@ -16,9 +18,10 @@ var errdiscardWatched = map[string]bool{
 	"Flush":  true,
 }
 
-// ErrdiscardAnalyzer flags discarded error returns (and discarded Read
-// byte counts — the short-read bug class latent in codec framing code) on
-// io.Reader/io.Writer and codec encode/decode paths.
+// ErrdiscardAnalyzer flags discarded error returns (and Read byte counts
+// that are discarded or only compared with 0 — the short-read bug class
+// latent in codec framing code) on io.Reader/io.Writer and codec
+// encode/decode paths.
 var ErrdiscardAnalyzer = &Analyzer{
 	Name: "errdiscard",
 	Run:  runErrdiscard,
@@ -36,7 +39,7 @@ func runErrdiscard(pass *Pass) {
 				if !ok {
 					return true
 				}
-				checkAssignedCall(pass, st, call)
+				checkAssignedCall(pass, f, st, call)
 			case *ast.ExprStmt:
 				call, ok := st.X.(*ast.CallExpr)
 				if !ok {
@@ -53,9 +56,10 @@ func runErrdiscard(pass *Pass) {
 	}
 }
 
-// checkAssignedCall flags blank identifiers in the short-read-prone count
-// position of Read and in the error position of any watched call.
-func checkAssignedCall(pass *Pass, st *ast.AssignStmt, call *ast.CallExpr) {
+// checkAssignedCall flags a Read count that is blank or only compared with
+// 0 (either way a short read goes unseen), and a blank in the error
+// position of any watched call.
+func checkAssignedCall(pass *Pass, f *ast.File, st *ast.AssignStmt, call *ast.CallExpr) {
 	fn, sig := watchedCallee(pass, call)
 	if fn == nil {
 		return
@@ -64,10 +68,16 @@ func checkAssignedCall(pass *Pass, st *ast.AssignStmt, call *ast.CallExpr) {
 	if len(st.Lhs) != results.Len() {
 		return
 	}
-	if fn.Name() == "Read" && isReaderShape(sig) && isBlank(st.Lhs[0]) {
-		pass.Reportf(st.Lhs[0].Pos(),
-			"discarding the byte count from %s risks acting on a silent short read; use io.ReadFull",
-			calleeLabel(fn))
+	if fn.Name() == "Read" && isReaderShape(sig) {
+		if isBlank(st.Lhs[0]) {
+			pass.Reportf(st.Lhs[0].Pos(),
+				"discarding the byte count from %s risks acting on a silent short read; use io.ReadFull",
+				calleeLabel(fn))
+		} else if v := identVar(pass.Pkg, st.Lhs[0]); v != nil && onlyZeroCompared(pass, f, v) {
+			pass.Reportf(st.Lhs[0].Pos(),
+				"the byte count from %s is only compared with 0, so a short read passes as a full one; use io.ReadFull",
+				calleeLabel(fn))
+		}
 	}
 	for i := 0; i < results.Len(); i++ {
 		if !isErrorType(results.At(i).Type()) || !isBlank(st.Lhs[i]) {
@@ -77,6 +87,39 @@ func checkAssignedCall(pass *Pass, st *ast.AssignStmt, call *ast.CallExpr) {
 			"error from %s discarded; handle it or propagate it",
 			calleeLabel(fn))
 	}
+}
+
+// onlyZeroCompared reports whether every use of v in f is an operand of a
+// comparison with the constant 0.
+func onlyZeroCompared(pass *Pass, f *ast.File, v *types.Var) bool {
+	compared := map[*ast.Ident]bool{}
+	uses, other := 0, false
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			switch n.Op {
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+				for _, pair := range [2][2]ast.Expr{{n.X, n.Y}, {n.Y, n.X}} {
+					if id, ok := pair[0].(*ast.Ident); ok && isZero(pass, pair[1]) {
+						compared[id] = true
+					}
+				}
+			}
+		case *ast.Ident:
+			if pass.Pkg.Info.Uses[n] == v {
+				uses++
+				other = other || !compared[n]
+			}
+		}
+		return true
+	})
+	return uses > 0 && !other
+}
+
+// isZero reports whether e is the integer constant 0.
+func isZero(pass *Pass, e ast.Expr) bool {
+	tv := pass.Pkg.Info.Types[e]
+	return tv.Value != nil && tv.Value.Kind() == constant.Int && constant.Sign(tv.Value) == 0
 }
 
 // watchedCallee resolves a call to a watched I/O/codec function, returning

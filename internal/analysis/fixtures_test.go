@@ -183,11 +183,6 @@ func TestLockheldInterFixtures(t *testing.T) {
 	checkFixture(t, LockheldAnalyzer, filepath.Join("testdata", "lockheld", "inter", "good"), "fractal/internal/client")
 }
 
-func TestHotpathFixtures(t *testing.T) {
-	checkFixture(t, HotpathAnalyzer, filepath.Join("testdata", "hotpath", "bad"), "fractal/internal/core")
-	checkFixture(t, HotpathAnalyzer, filepath.Join("testdata", "hotpath", "good"), "fractal/internal/core")
-}
-
 // TestLockheldScope verifies lock discipline outside the concurrent
 // serving-plane packages (for example a test helper package) is not the
 // analyzer's business.
@@ -209,34 +204,8 @@ func TestLockheldScope(t *testing.T) {
 }
 
 // TestStaleAllowsForFlowAnalyzers verifies allowcheck covers the
-// flow-sensitive analyzers: an annotation naming lockheld or hotpath that
-// suppresses nothing is itself reported.
+// flow-sensitive analyzer: an annotation naming lockheld that suppresses
+// nothing is itself reported.
 func TestStaleAllowsForFlowAnalyzers(t *testing.T) {
-	loader := getLoader(t)
-	abs, err := filepath.Abs(filepath.Join("testdata", "allowstale"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(abs, "fractal/internal/client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, te := range pkg.TypeErrs {
-		t.Errorf("fixture failed to type-check: %v", te)
-	}
-	want := parseWants(t, abs)
-	var got []diagKey
-	for _, d := range run([]*Package{pkg}, []*Analyzer{LockheldAnalyzer, HotpathAnalyzer}) {
-		got = append(got, diagKey{analyzer: d.Analyzer, file: d.File, line: d.Line, col: d.Col})
-	}
-	sortKeys(want)
-	sortKeys(got)
-	if len(want) != len(got) {
-		t.Fatalf("got %d diagnostics, want %d\ngot:  %v\nwant: %v", len(got), len(want), got, want)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Errorf("diagnostic %d at %s, want %s", i, got[i], want[i])
-		}
-	}
+	checkFixture(t, LockheldAnalyzer, filepath.Join("testdata", "allowstale"), "fractal/internal/client")
 }

@@ -67,7 +67,7 @@ type orderSite struct {
 
 func runLockheld(pass *Pass) {
 	var orders []orderSite
-	forEachFunc(pass, nil, func(_ *ast.FuncDecl, pf *ProgFunc, g *CFG) {
+	forEachFunc(pass, func(pf *ProgFunc, g *CFG) {
 		an := FlowAnalysis[lockFact]{
 			Entry:    func() lockFact { return lockFact{} },
 			Transfer: func(b *Block, in lockFact) lockFact { return lockTransfer(pass, g, b, in, pf, nil) },

@@ -1,6 +1,6 @@
-// Package client is the stale-allow fixture: every annotation here names
-// an enabled flow-sensitive analyzer but suppresses nothing, so allowcheck
-// must report each one.
+// Package client is the stale-allow fixture: its annotation names the
+// enabled lockheld analyzer but suppresses nothing, so allowcheck must
+// report it.
 package client
 
 import "sync"
@@ -15,10 +15,4 @@ func nothingBlocksHere(s *state) {
 	//fractal:allow lockheld — stale: no blocking op under the lock //want allowcheck:2
 	s.n++
 	s.mu.Unlock()
-}
-
-//fractal:hotpath fixture
-func nothingAllocatesHere(n *int) int {
-	//fractal:allow hotpath — stale: pointer arguments do not box //want allowcheck:2
-	return *n + 1
 }

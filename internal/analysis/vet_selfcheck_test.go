@@ -12,10 +12,10 @@ import (
 // itself, so tier-1 verification (`go test ./...`) enforces its invariants
 // forever: a change that reads the wall clock in internal/netsim, draws
 // from the global math/rand source, discards a codec error, compares
-// digests ad hoc, holds a lock across a network exchange, or allocates
-// per call in a //fractal:hotpath function fails this test. The
-// invariants of the retired goleak, opcomplete, deadline and wiretaint
-// analyzers are pinned by tests instead (DESIGN.md, "Analyzer receipts").
+// digests ad hoc, or holds a lock across a network exchange fails this
+// test. The invariants of the retired goleak, opcomplete, deadline,
+// wiretaint and hotpath analyzers are pinned by tests instead (DESIGN.md,
+// "Analyzer receipts").
 func TestVetSelfCheck(t *testing.T) {
 	loader := getLoader(t)
 	pkgs, err := loader.LoadAll()
@@ -71,9 +71,39 @@ var binaryDecoders = map[string]bool{
 // TestBinaryDecodeOnlyInBoundedReaders fails on an encoding/binary decode
 // call outside binaryDecodeHomes: a hand-rolled binary.ReadUvarint in a
 // codec decoder, say, would size memory from a peer's count that no
-// bounded reader has checked. A home that no longer decodes anything
-// fails it too, so the list cannot go stale.
+// bounded reader has checked.
 func TestBinaryDecodeOnlyInBoundedReaders(t *testing.T) {
+	checkHomes(t, binaryDecodeHomes, func(fn *types.Func) bool {
+		return fn.Pkg().Path() == "encoding/binary" && binaryDecoders[fn.Name()]
+	}, "encoding/binary.%s decodes outside a bounded reader; read the bytes through wire.Reader")
+}
+
+// sessionBorrowHomes are the only functions that may borrow storage from
+// an arena.Session. A session buffer is recycled at Release, so a borrow
+// stored where it outlives the session is overwritten under its holder.
+var sessionBorrowHomes = map[string]string{
+	"internal/inp/conn.go:NewConnSession": "the read buffer, stored in the Conn, which shares the session's lifetime",
+	"internal/inp/frame.go:readFrame":     "body growth, returned to Recv, whose slice is valid until the next Recv",
+}
+
+// TestSessionBorrowsOnlyInConn fails on a call of (*arena.Session).Bytes
+// or Grow outside sessionBorrowHomes: a borrow kept in a field, a package
+// variable or a channel elsewhere would outlive the session it came from.
+func TestSessionBorrowsOnlyInConn(t *testing.T) {
+	checkHomes(t, sessionBorrowHomes, func(fn *types.Func) bool {
+		sig := fn.Type().(*types.Signature)
+		return sig.Recv() != nil && named(sig.Recv().Type()) == "fractal/internal/arena.Session" &&
+			(fn.Name() == "Bytes" || fn.Name() == "Grow")
+	}, "(*arena.Session).%s borrows session storage outside inp's connection, where nothing ties the borrow to the session's lifetime")
+}
+
+// checkHomes fails on every use, in the module's non-test code, of a
+// function that match selects outside homes, which are keyed by
+// module-relative directory, file, or file:function; msg formats the
+// function's name. A home that uses none fails it too, so the list cannot
+// go stale.
+func checkHomes(t *testing.T, homes map[string]string, match func(*types.Func) bool, msg string) {
+	t.Helper()
 	loader := getLoader(t)
 	pkgs, err := loader.LoadAll()
 	if err != nil {
@@ -99,24 +129,24 @@ func TestBinaryDecodeOnlyInBoundedReaders(t *testing.T) {
 						return true
 					}
 					obj, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-					if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "encoding/binary" || !binaryDecoders[obj.Name()] {
+					if !ok || obj.Pkg() == nil || !match(obj) {
 						return true
 					}
 					for _, home := range []string{filepath.ToSlash(filepath.Dir(rel)), rel, rel + ":" + fn} {
-						if _, ok := binaryDecodeHomes[home]; ok {
+						if _, ok := homes[home]; ok {
 							used[home] = true
 							return true
 						}
 					}
-					t.Errorf("%s: encoding/binary.%s decodes outside a bounded reader; read the bytes through wire.Reader", pkg.Fset.Position(sel.Pos()), obj.Name())
+					t.Errorf("%s: "+msg, pkg.Fset.Position(sel.Pos()), obj.Name())
 					return true
 				})
 			}
 		}
 	}
-	for home := range binaryDecodeHomes {
+	for home := range homes {
 		if !used[home] {
-			t.Errorf("binaryDecodeHomes lists %s, which decodes nothing with encoding/binary; drop the entry", home)
+			t.Errorf("%s is listed as a home but calls nothing the test guards; drop the entry", home)
 		}
 	}
 }

@@ -349,7 +349,7 @@ func (s *Server) register(add func() error) error {
 	return s.setStrategyLocked(Proactive)
 }
 
-// implFor resolves a spec's serving implementation: the registered native
+// implFor resolves a spec's serving implementation: codec.New's native
 // codec when one exists, otherwise the server deploys the module's own
 // mobile code in a sandbox and runs it natively — pure VM compositions
 // like CascadeSpec need no Go implementation at all.

@@ -23,10 +23,12 @@
 // package-global and safe for concurrent use; an individual Buffer or
 // Session is single-goroutine, like the connection it serves.
 //
-// The hotpath analyzer's arena-escape check enforces the lifetime rule
-// statically: a session-scoped buffer must not be stored into a field or
-// sent on a channel, because it is recycled at Release and would be
-// overwritten under the escapee.
+// A session-scoped buffer is recycled at Release, so one stored where it
+// outlives its session would be overwritten under the holder. Only inp's
+// connection borrows from a Session, in NewConnSession and readFrame, and
+// the Conn and its session share a lifetime; a structural test in
+// internal/analysis (TestSessionBorrowsOnlyInConn) keeps every other
+// caller out.
 package arena
 
 import "sync"
@@ -66,8 +68,6 @@ func classFor(n int) int {
 
 // getBox borrows a box with capacity >= n. Oversized requests get a fresh
 // allocator-backed box that putBox will drop rather than pool.
-//
-//fractal:hotpath every arena borrow on the serving path lands here
 func getBox(n int) *box {
 	ci := classFor(n)
 	if ci < 0 {
@@ -80,8 +80,6 @@ func getBox(n int) *box {
 
 // putBox recycles a box into the pool of the largest class its capacity
 // still satisfies; capacities that match no class are dropped.
-//
-//fractal:hotpath every arena return on the serving path lands here
 func putBox(bx *box) {
 	c := cap(bx.b)
 	for i := len(classSizes) - 1; i >= 0; i-- {
@@ -122,8 +120,6 @@ func (w *Buffer) ensure(n int) {
 }
 
 // Write implements io.Writer.
-//
-//fractal:hotpath frame and op assembly write through here
 func (w *Buffer) Write(p []byte) (int, error) {
 	w.ensure(len(p))
 	w.bx.b = append(w.bx.b, p...)
@@ -131,8 +127,6 @@ func (w *Buffer) Write(p []byte) (int, error) {
 }
 
 // WriteString appends s without an intermediate []byte conversion.
-//
-//fractal:hotpath binary body strings are appended here
 func (w *Buffer) WriteString(s string) (int, error) {
 	w.ensure(len(s))
 	w.bx.b = append(w.bx.b, s...)
@@ -140,8 +134,6 @@ func (w *Buffer) WriteString(s string) (int, error) {
 }
 
 // WriteByte appends one byte.
-//
-//fractal:hotpath codec op tags are written byte-at-a-time
 func (w *Buffer) WriteByte(c byte) error {
 	w.ensure(1)
 	w.bx.b = append(w.bx.b, c)
@@ -229,8 +221,6 @@ func (s *Session) Release() {
 // Bytes borrows a zero-length buffer with capacity >= n, returned to the
 // arena at Release. Growing it beyond its capacity must go through Grow so
 // the session keeps tracking the storage.
-//
-//fractal:hotpath per-connection read and body buffers come from here
 func (s *Session) Bytes(n int) []byte {
 	bx := getBox(n)
 	s.boxes = append(s.boxes, bx)
@@ -241,8 +231,6 @@ func (s *Session) Bytes(n int) []byte {
 // replacing the tracked storage when promotion to a larger class is
 // needed. The argument slice is invalid afterwards; callers must use only
 // the returned slice.
-//
-//fractal:hotpath incremental body growth under hostile-header caps
 func (s *Session) Grow(b []byte, n int) []byte {
 	if cap(b)-len(b) >= n {
 		return b

@@ -17,7 +17,6 @@ package codec
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -26,7 +25,7 @@ import (
 // current version; Decode runs on the client to reconstruct the current
 // version. Implementations must be safe for concurrent use.
 type Codec interface {
-	// Name returns the protocol's registry name.
+	// Name returns the protocol's name, the one New takes.
 	Name() string
 	// Encode produces the downstream wire payload for cur given that the
 	// receiver holds old (nil when the receiver has nothing). The payload
@@ -89,7 +88,7 @@ type Costed interface {
 	Cost() CostModel
 }
 
-// Registry names of the case-study protocols.
+// Names of the case-study protocols, as New takes them.
 const (
 	NameDirect    = "direct"
 	NameGzip      = "gzip"
@@ -97,43 +96,20 @@ const (
 	NameVaryBlock = "varyblock"
 )
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]func() (Costed, error){}
-)
-
-// Register installs a protocol constructor under a name. It returns an
-// error if the name is already taken.
-func Register(name string, ctor func() (Costed, error)) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("codec: protocol %q already registered", name)
-	}
-	registry[name] = ctor
-	return nil
-}
-
-// New constructs a registered protocol by name.
+// New constructs a case-study protocol by name; an unknown name is an
+// error.
 func New(name string) (Costed, error) {
-	regMu.RLock()
-	ctor, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("codec: unknown protocol %q", name)
+	switch name {
+	case NameDirect:
+		return NewDirect(), nil
+	case NameGzip:
+		return NewGzip(), nil
+	case NameBitmap:
+		return NewBitmap(DefaultBlockSize)
+	case NameVaryBlock:
+		return NewVaryBlock()
+	case NameRsync:
+		return NewRsync(DefaultBlockSize)
 	}
-	return ctor()
-}
-
-func init() {
-	must := func(err error) {
-		if err != nil {
-			panic(err)
-		}
-	}
-	must(Register(NameDirect, func() (Costed, error) { return NewDirect(), nil }))
-	must(Register(NameGzip, func() (Costed, error) { return NewGzip(), nil }))
-	must(Register(NameBitmap, func() (Costed, error) { return NewBitmap(DefaultBlockSize) }))
-	must(Register(NameVaryBlock, func() (Costed, error) { return NewVaryBlock() }))
-	must(Register(NameRsync, func() (Costed, error) { return NewRsync(DefaultBlockSize) }))
+	return nil, fmt.Errorf("codec: unknown protocol %q", name)
 }

@@ -3,30 +3,21 @@ package codec
 import (
 	"bytes"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"fractal/internal/workload"
 )
 
-// registered returns the sorted registry names.
-func registered() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// protocolNames are the names New constructs, in the sorted order the
+// sub-benchmarks of BenchmarkEncode and BenchmarkDecode run in.
+var protocolNames = []string{NameBitmap, NameDirect, NameGzip, NameRsync, NameVaryBlock}
 
 // allCodecs returns one instance of each case-study protocol.
 func allCodecs(t testing.TB) []Costed {
 	t.Helper()
 	var out []Costed
-	for _, name := range registered() {
+	for _, name := range protocolNames {
 		c, err := New(name)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
@@ -37,27 +28,13 @@ func allCodecs(t testing.TB) []Costed {
 }
 
 func TestRegistryHasCaseStudyProtocols(t *testing.T) {
-	names := registered()
-	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
-	}
-	for _, want := range []string{NameBitmap, NameDirect, NameGzip, NameVaryBlock, NameRsync} {
-		if !have[want] {
-			t.Errorf("registry %v missing %q", names, want)
+	for i, c := range allCodecs(t) {
+		if c.Name() != protocolNames[i] {
+			t.Errorf("New(%q) built %q", protocolNames[i], c.Name())
 		}
 	}
 	if _, err := New("morse-code"); err == nil {
 		t.Fatal("unknown protocol constructed")
-	}
-}
-
-func TestRegisterRejectsDuplicate(t *testing.T) {
-	if err := Register(NameDirect, func() (Costed, error) { return NewDirect(), nil }); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if err := Register("test-unique-proto", func() (Costed, error) { return NewDirect(), nil }); err != nil {
-		t.Fatalf("fresh registration failed: %v", err)
 	}
 }
 
@@ -424,7 +401,7 @@ func TestDecodeGarbageNeverPanicsProperty(t *testing.T) {
 
 func BenchmarkEncode(b *testing.B) {
 	old, cur := versionedPair(b, 20)
-	for _, name := range registered() {
+	for _, name := range protocolNames {
 		c, err := New(name)
 		if err != nil {
 			b.Fatal(err)
@@ -440,9 +417,31 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// TestVaryBlockEncodeAllocsPinned pins what one stateless vary-block
+// Encode allocates, as BenchmarkEncode/varyblock counts it in
+// BENCH_codec.json over the same page pair. A change to the count must
+// change that row too.
+func TestVaryBlockEncodeAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	old, cur := versionedPair(t, 20)
+	v, err := NewVaryBlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := v.Encode(old, cur); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 15 {
+		t.Errorf("VaryBlock.Encode: %v allocs/op, want 15 (BenchmarkEncode/varyblock's row)", got)
+	}
+}
+
 func BenchmarkDecode(b *testing.B) {
 	old, cur := versionedPair(b, 21)
-	for _, name := range registered() {
+	for _, name := range protocolNames {
 		c, err := New(name)
 		if err != nil {
 			b.Fatal(err)

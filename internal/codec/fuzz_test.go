@@ -51,7 +51,7 @@ func FuzzDecoders(f *testing.F) {
 func allFuzzCodecs(f *testing.F) []Costed {
 	f.Helper()
 	var out []Costed
-	for _, name := range registered() {
+	for _, name := range protocolNames {
 		c, err := New(name)
 		if err != nil {
 			f.Fatal(err)

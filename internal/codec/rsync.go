@@ -12,7 +12,7 @@ import (
 // rsyncMagic identifies an Rsync wire payload.
 var rsyncMagic = []byte("FRS1")
 
-// NameRsync is the registry name of the fix-sized blocking protocol.
+// NameRsync is the name of the fix-sized blocking protocol.
 const NameRsync = "rsync"
 
 // Rsync op tags.

@@ -103,8 +103,6 @@ func (v *VaryBlock) indexOf(data []byte) *ChunkIndex {
 //	"FVB1" | uvarint len(cur) | uvarint len(old) | uvarint nops |
 //	ops: tag 0 => uvarint oldChunkIndex
 //	     tag 1 => uvarint litLen | litLen bytes
-//
-//fractal:hotpath the delta-encode inner loop dominates serving cost
 func (v *VaryBlock) Encode(old, cur []byte) ([]byte, error) {
 	oldIdx := v.indexOf(old)
 	curIdx := v.indexOf(cur)

@@ -19,7 +19,7 @@ const (
 // 4–6: the PXA255 column carries a 1.1 penalty for the three computing
 // protocols ("some of the data come from the test, others we set as 1 to
 // follow the linear model"); the OS and network matrices are all ones.
-// Row labels are codec registry names; Direct is omitted and therefore
+// Row labels are codec protocol names; Direct is omitted and therefore
 // falls back to the neutral ratio 1.
 func CaseStudyMatrices() (Matrices, error) {
 	rows := []string{"gzip", "varyblock", "bitmap"}

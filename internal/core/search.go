@@ -24,8 +24,6 @@ var ErrNoFeasiblePath = fmt.Errorf("core: no feasible adaptation path")
 // mark every PAT node with its total overhead from Equation 3 — infinity
 // meaning "not suitable for this client environment" — then traverse each
 // root-to-leaf path depth-first and return the one with the least sum.
-//
-//fractal:hotpath every negotiation cache miss runs the path search
 func FindPath(t *PAT, m OverheadModel, env Env) (PathResult, error) {
 	return FindPathFiltered(t, m, env, nil)
 }
@@ -38,8 +36,6 @@ func FindPath(t *PAT, m OverheadModel, env Env) (PathResult, error) {
 // The search runs over the PAT's compiled index (see searchindex.go) and
 // returns results identical — node order, tie-breaking, totals, breakdowns
 // — to the reference algorithm the differential test compares it with.
-//
-//fractal:hotpath the compiled search is the negotiation plane's inner loop
 func FindPathFiltered(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool) (PathResult, error) {
 	if t == nil {
 		return PathResult{}, fmt.Errorf("core: FindPath on nil PAT")

@@ -233,7 +233,10 @@ func TestSessionConnRejectsHostileHeader(t *testing.T) {
 }
 
 // TestBatchedFramingSteadyStateAllocs pins the arena promise on the write
-// path: a warm queue+flush of a burst allocates nothing at all.
+// path: a warm queue+flush of a burst allocates nothing at all. The seqs
+// are above 255 so that boxing or formatting one allocates: Go boxes a
+// smaller integer into a static table, and formats it into a static
+// string, for free.
 func TestBatchedFramingSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -246,7 +249,7 @@ func TestBatchedFramingSteadyStateAllocs(t *testing.T) {
 	fw := NewFrameWriter(io.Discard)
 	send := func() {
 		for i, body := range burst {
-			if err := fw.WriteMessage(Header{Version: Version2, Type: body.(wireBody).wireType(), Seq: uint32(i + 1)}, body); err != nil {
+			if err := fw.WriteMessage(Header{Version: Version2, Type: body.(wireBody).wireType(), Seq: uint32(1000 + i)}, body); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -60,7 +60,6 @@ func decodeRaw(h Header, raw []byte, v interface{}, owned bool) error {
 
 // --- core metadata, shared by several messages ---
 
-//fractal:hotpath device metadata rides every negotiation burst
 func (e *encodeState) appendDevMeta(d *core.DevMeta) {
 	e.appendString(d.OSType)
 	e.appendString(d.CPUType)
@@ -75,7 +74,6 @@ func readDevMeta(r *wire.Reader, d *core.DevMeta) {
 	d.MemMB = r.Int()
 }
 
-//fractal:hotpath network metadata rides every negotiation burst
 func (e *encodeState) appendNtwkMeta(n *core.NtwkMeta) {
 	e.appendString(n.NetworkType)
 	e.appendFloat(n.BandwidthKbps)
@@ -86,7 +84,6 @@ func readNtwkMeta(r *wire.Reader, n *core.NtwkMeta) {
 	n.BandwidthKbps = r.Float()
 }
 
-//fractal:hotpath PAD metadata arrays ride every PAD_META_REP
 func (e *encodeState) appendPADMeta(p *core.PADMeta) {
 	e.appendString(p.ID)
 	e.appendString(p.Version)
@@ -148,18 +145,14 @@ func (e *encodeState) room(n int) []byte {
 	return e.buf.AvailableBuffer(binary.MaxVarintLen64 + n)
 }
 
-//fractal:hotpath signed fields, counters and durations are appended here
 func (e *encodeState) appendInt64(v int64) { e.buf.Write(wire.AppendVarint(e.room(0), v)) }
 
 func (e *encodeState) appendInt(v int) { e.appendInt64(int64(v)) }
 
-//fractal:hotpath boolean fields are appended here
 func (e *encodeState) appendBool(v bool) { e.buf.Write(wire.AppendBool(e.room(0), v)) }
 
-//fractal:hotpath metadata rates are appended here
 func (e *encodeState) appendFloat(f float64) { e.buf.Write(wire.AppendFloat(e.room(0), f)) }
 
-//fractal:hotpath string fields are appended here
 func (e *encodeState) appendString(s string) { e.buf.Write(wire.AppendString(e.room(len(s)), s)) }
 
 // appendCount writes the presence-aware prefix of a slice field.
@@ -170,8 +163,6 @@ func (e *encodeState) appendCount(n int, isNil bool) {
 // appendBlob encodes b behind a count prefix. Large payloads splice as
 // their own writev vector instead of being copied; they must stay
 // unmodified until Flush.
-//
-//fractal:hotpath payload and module bodies are appended here
 func (e *encodeState) appendBlob(b []byte) {
 	e.appendCount(len(b), b == nil)
 	if len(b) >= spliceMin {
@@ -181,7 +172,6 @@ func (e *encodeState) appendBlob(b []byte) {
 	e.buf.Write(b)
 }
 
-//fractal:hotpath protocol-id lists are appended here
 func (e *encodeState) appendStrings(ss []string) {
 	e.appendCount(len(ss), ss == nil)
 	for _, s := range ss {

@@ -89,7 +89,6 @@ func NewConnSession(rw io.ReadWriter, sess *arena.Session) *Conn {
 	c := &Conn{rw: rw, sess: sess}
 	c.fw.init(rw)
 	b := sess.Bytes(readBufSize)
-	//fractal:allow hotpath — the Conn and its session share a lifetime; the caller releases sess only after abandoning the Conn
 	c.brd = bufReader{src: rw, buf: b[:readBufSize]}
 	return c
 }

@@ -80,8 +80,6 @@ var zeroHeader [headerLen]byte
 // header is stamped as given. On error every byte the half-built frame
 // queued (splice vectors included) is rolled back, so a batch of
 // already-queued frames survives intact.
-//
-//fractal:hotpath every frame is assembled here
 func (fw *FrameWriter) WriteMessage(h Header, body interface{}) error {
 	if h.Type == MsgInvalid || h.Type >= msgMax {
 		return fmt.Errorf("inp: cannot write message of type %v", h.Type)
@@ -125,8 +123,6 @@ func (fw *FrameWriter) Buffered() int {
 
 // Flush writes every queued frame in one call and releases the assembly
 // buffer back to the arena. Flushing an empty writer is a no-op.
-//
-//fractal:hotpath one flush per direction per session phase
 func (fw *FrameWriter) Flush() error {
 	n := fw.queued
 	fw.queued = 0
@@ -223,8 +219,6 @@ func ReadMessage(r io.Reader) (Header, []byte, error) {
 // possibly regrown storage even on error, so a caller reusing it keeps it.
 // A failure before the header's first byte is returned unformatted and
 // kept as r.boundaryErr; any later one is wrapped with where it struck.
-//
-//fractal:hotpath every INP exchange reads through here
 func readFrame(r *bufReader, body []byte, sess *arena.Session) (Header, []byte, error) {
 	body = body[:0]
 	hdr := r.hdr[:] // a local array would be moved to the heap by src.Read, once per frame
@@ -279,8 +273,6 @@ func (b *bufReader) buffered() int { return b.w - b.r }
 
 // Read refills from src at most once per call; reads at least as large as
 // the buffer bypass it entirely so large bodies stream straight through.
-//
-//fractal:hotpath every Conn read lands here
 func (b *bufReader) Read(p []byte) (int, error) {
 	if b.r == b.w {
 		if len(p) >= len(b.buf) {

@@ -113,7 +113,7 @@ func RsyncSpec() BuiltinSpec {
 // extension: a full-fidelity rendition and a downscaled thumbnail
 // rendition. Content adaptation is applied at the server; the client-side
 // programs are identities because the adapted content is exactly what the
-// client consumes. Protocol names match the transcode package registry.
+// client consumes. Protocol names match transcode's transcoder names.
 func TranscoderSpecs() []BuiltinSpec {
 	identity := `
 		CALL identity

@@ -109,8 +109,6 @@ func (c *adaptCache) get(key string) ([]core.PADMeta, bool) { return c.touch(c.e
 // touch returns the result of an entry looked up in entries, nil for a
 // miss, and marks it most recently used. A caller holding the key as bytes
 // indexes entries with string(key) itself, which copies nothing.
-//
-//fractal:hotpath every negotiation looks in the cache before searching
 func (c *adaptCache) touch(el *list.Element) ([]core.PADMeta, bool) {
 	if el == nil {
 		return nil, false
@@ -121,8 +119,6 @@ func (c *adaptCache) touch(el *list.Element) ([]core.PADMeta, bool) {
 
 // put stores a search result, which the cache then owns, evicting the
 // least recently used entry if the cache is full.
-//
-//fractal:hotpath every cache miss stores its search result here
 func (c *adaptCache) put(key, appID string, pads []core.PADMeta) {
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*adaptEntry).pads = pads

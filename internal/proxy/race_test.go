@@ -1,0 +1,8 @@
+//go:build race
+
+package proxy
+
+// raceEnabled reports that the race detector is instrumenting this build;
+// its shadow-memory bookkeeping allocates, so exact allocs-per-run
+// assertions are meaningless and are skipped.
+const raceEnabled = true

@@ -12,7 +12,6 @@ package transcode
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"fractal/internal/codec"
@@ -26,7 +25,7 @@ import (
 // in practice means keeping them stateless, as Identity and Thumbnail
 // are.
 type Transcoder interface {
-	// Name returns the registry name.
+	// Name returns the transcoder's name, the one New takes.
 	Name() string
 	// Transform rewrites one serialized page.
 	Transform(page []byte) ([]byte, error)
@@ -36,47 +35,21 @@ type Transcoder interface {
 	Cost() codec.CostModel
 }
 
-// Registry names.
+// Transcoder names, as New takes them.
 const (
 	NameIdentity  = "full"
 	NameThumbnail = "thumbnail"
 )
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]func() (Transcoder, error){}
-)
-
-// Register installs a transcoder constructor.
-func Register(name string, ctor func() (Transcoder, error)) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("transcode: %q already registered", name)
-	}
-	registry[name] = ctor
-	return nil
-}
-
-// New constructs a registered transcoder.
+// New constructs a transcoder by name; an unknown name is an error.
 func New(name string) (Transcoder, error) {
-	regMu.RLock()
-	ctor, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("transcode: unknown transcoder %q", name)
+	switch name {
+	case NameIdentity:
+		return Identity{}, nil
+	case NameThumbnail:
+		return NewThumbnail(2)
 	}
-	return ctor()
-}
-
-func init() {
-	must := func(err error) {
-		if err != nil {
-			panic(err)
-		}
-	}
-	must(Register(NameIdentity, func() (Transcoder, error) { return Identity{}, nil }))
-	must(Register(NameThumbnail, func() (Transcoder, error) { return NewThumbnail(2) }))
+	return nil, fmt.Errorf("transcode: unknown transcoder %q", name)
 }
 
 // Identity is the full-fidelity rendition: content passes through

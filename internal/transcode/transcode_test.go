@@ -2,7 +2,6 @@ package transcode
 
 import (
 	"bytes"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -20,32 +19,18 @@ func samplePage(t testing.TB) []byte {
 	return c.Pages[0].Bytes()
 }
 
-// registered returns the sorted registry names.
-func registered() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func TestRegistry(t *testing.T) {
-	names := registered()
-	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
-	}
-	if !have[NameIdentity] || !have[NameThumbnail] {
-		t.Fatalf("registry = %v", names)
+	for _, name := range []string{NameIdentity, NameThumbnail} {
+		tc, err := New(name)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		if tc.Name() != name {
+			t.Errorf("New(%q) built %q", name, tc.Name())
+		}
 	}
 	if _, err := New("sepia-filter"); err == nil {
 		t.Fatal("unknown transcoder constructed")
-	}
-	if err := Register(NameIdentity, func() (Transcoder, error) { return Identity{}, nil }); err == nil {
-		t.Fatal("duplicate registration accepted")
 	}
 }
 

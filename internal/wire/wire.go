@@ -17,10 +17,8 @@ import (
 
 // The append primitives extend b with one field each.
 
-//fractal:hotpath signed fields, counters and durations are appended here
 func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
 
-//fractal:hotpath boolean fields are appended here
 func AppendBool(b []byte, v bool) []byte {
 	if v {
 		return append(b, 1)
@@ -29,13 +27,10 @@ func AppendBool(b []byte, v bool) []byte {
 }
 
 // AppendFloat keeps every bit, so NaN and the infinities round-trip.
-//
-//fractal:hotpath metadata rates are appended here
 func AppendFloat(b []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
 }
 
-//fractal:hotpath string fields are appended here
 func AppendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
@@ -46,8 +41,6 @@ func AppendBytes(b, p []byte) []byte {
 }
 
 // AppendCount writes the presence-aware prefix of a slice field.
-//
-//fractal:hotpath slice and table prefixes are appended here
 func AppendCount(b []byte, n int, isNil bool) []byte {
 	if isNil {
 		return append(b, 0)
