@@ -3,6 +3,7 @@ package fractal
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -220,8 +221,14 @@ func BenchmarkVaryEncodeHot(b *testing.B) {
 
 // BenchmarkVaryEncodeCold measures the same corpus sweep through a stateless
 // VaryBlock: every encode re-chunks and re-digests both versions from
-// scratch. The hot/cold ratio is the chunk-index cache's payoff.
+// scratch. The hot/cold ratio is the chunk-index cache's payoff. Its
+// allocs/op counts the sweep alone whatever b.N is: one untimed sweep
+// first refills the arena pools the harness's GC emptied, and the run
+// holds one P, as testing.AllocsPerRun does, because a sync.Pool caches
+// per P and a goroutine preempted onto another P misses the box it
+// released on the first.
 func BenchmarkVaryEncodeCold(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := getSetup(b)
 	olds, curs := benchCorpus(b, s)
 	vb, err := codec.NewVaryBlock()
@@ -231,6 +238,9 @@ func BenchmarkVaryEncodeCold(b *testing.B) {
 	var total int64
 	for i := range olds {
 		total += int64(len(curs[i]))
+		if _, err := vb.Encode(olds[i], curs[i]); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

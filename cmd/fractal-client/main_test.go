@@ -44,8 +44,13 @@ func TestLoadTrust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := trust.Entities(); len(got) != 1 || got[0] != "operator" {
-		t.Fatalf("entities = %v", got)
+	var digest [20]byte
+	sig := signer.Sign("pad", "1.0", digest)
+	if err := trust.Verify("operator", "pad", "1.0", digest, sig); err != nil {
+		t.Fatalf("the loaded key does not verify the operator's signature: %v", err)
+	}
+	if err := trust.Verify("intruder", "pad", "1.0", digest, sig); err == nil {
+		t.Fatal("an entity absent from the trust file verified")
 	}
 }
 

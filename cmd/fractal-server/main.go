@@ -28,7 +28,7 @@ func main() {
 		pages     = flag.Int("pages", workload.DefaultPages, "corpus size")
 		seed      = flag.Int64("seed", 2005, "workload seed")
 		versions  = flag.Int("versions", 2, "content versions to generate and install in order (>= 1); the server keeps the newest two")
-		proactive = flag.Bool("proactive", false, "precompute adaptive content (Figure 10(d) strategy); give fractald the same flag")
+		proactive = flag.Bool("proactive", false, "precompute adaptive content (Figure 10(d) strategy); the pushed topology carries it to the proxy")
 	)
 	flag.Parse()
 

@@ -30,7 +30,7 @@ func TestMain(m *testing.M) {
 // exits 0.
 func TestPublishesBeforePush(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "pads")
-	px, err := deploy.NewProxy(false, deploy.DirModules(dir))
+	px, err := deploy.NewProxy(deploy.DirModules(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

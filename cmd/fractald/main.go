@@ -9,8 +9,8 @@
 // cmd/fractal-server publishes its PAD modules to -dir and pushes its
 // topology here; clients negotiate against the same address. A push is
 // refused unless every PAD it names is in -dir, matches its digest and
-// passes the bytecode verifier. -proactive must match fractal-server's:
-// the strategy is not carried on the wire.
+// passes the bytecode verifier. The content strategy needs no flag here:
+// a proactive server's topology reports no server-side computing.
 package main
 
 import (
@@ -26,14 +26,13 @@ import (
 
 func main() {
 	var (
-		listen    = flag.String("listen", ":7001", "INP listen address")
-		dir       = flag.String("dir", "./pads", "publish directory of the PAD modules pushed topologies name (fractal-server -publish)")
-		proactive = flag.Bool("proactive", false, "assume proactive adaptive content (exclude server-side computing from Equation 3); must match fractal-server")
-		policy    = flag.String("policy", "", "access-control policy file: one 'principal: proto1,proto2' line per restricted principal")
+		listen = flag.String("listen", ":7001", "INP listen address")
+		dir    = flag.String("dir", "./pads", "publish directory of the PAD modules pushed topologies name (fractal-server -publish)")
+		policy = flag.String("policy", "", "access-control policy file: one 'principal: proto1,proto2' line per restricted principal")
 	)
 	flag.Parse()
 
-	px, err := deploy.NewProxy(*proactive, deploy.DirModules(*dir))
+	px, err := deploy.NewProxy(deploy.DirModules(*dir))
 	if err != nil {
 		log.Fatalf("fractald: %v", err)
 	}
@@ -59,14 +58,14 @@ func main() {
 }
 
 // loadPolicy parses "principal: proto1,proto2" lines ('#' comments and
-// blank lines ignored) into a policy table.
+// blank lines ignored) into a policy table; it returns the number of
+// restricted principals.
 func loadPolicy(path string) (*proxy.PolicyTable, int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	pt := proxy.NewPolicyTable()
-	n := 0
+	rules := map[string][]string{}
 	for lineNo, line := range strings.Split(string(raw), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -82,10 +81,11 @@ func loadPolicy(path string) (*proxy.PolicyTable, int, error) {
 				list = append(list, p)
 			}
 		}
-		if err := pt.Restrict(strings.TrimSpace(principal), list...); err != nil {
-			return nil, 0, fmt.Errorf("policy %s line %d: %w", path, lineNo+1, err)
-		}
-		n++
+		rules[strings.TrimSpace(principal)] = list
 	}
-	return pt, n, nil
+	pt, err := proxy.NewPolicyTable(rules)
+	if err != nil {
+		return nil, 0, fmt.Errorf("policy %s: %w", path, err)
+	}
+	return pt, len(rules), nil
 }

@@ -34,7 +34,7 @@ func main() {
 
 	// 3. Stand up the adaptation proxy, gated on the CDN origin: it verifies
 	// every module a pushed topology names before registering it.
-	px, err := deploy.NewProxy(false, topo.Origin().Get)
+	px, err := deploy.NewProxy(topo.Origin().Get)
 	check(err)
 	check(px.PushAppMeta(app.Meta))
 

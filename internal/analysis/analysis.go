@@ -11,8 +11,8 @@
 // bug it was written for makes it fire (DESIGN.md, "Analyzer receipts"):
 //
 //   - simtime:    wall-clock time sources are forbidden in
-//     simulation-deterministic packages; virtual time flows
-//     through netsim.VirtualClock.
+//     simulation-deterministic packages; virtual time is
+//     computed from the netsim models.
 //   - rawrand:    the global math/rand source is forbidden; randomness
 //     comes from injected, seeded *rand.Rand values.
 //   - errdiscard: io.Reader/io.Writer and codec encode/decode errors (and

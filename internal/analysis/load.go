@@ -93,9 +93,9 @@ func newLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// LoadAll loads every package of the module (skipping testdata and hidden
+// loadAll loads every package of the module (skipping testdata and hidden
 // directories), returning them sorted by import path.
-func (l *Loader) LoadAll() ([]*Package, error) {
+func (l *Loader) loadAll() ([]*Package, error) {
 	var paths []string
 	err := filepath.WalkDir(l.ModuleDir, func(p string, d os.DirEntry, err error) error {
 		if err != nil {

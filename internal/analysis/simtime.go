@@ -17,19 +17,20 @@ var simtimeForbidden = map[string]bool{
 }
 
 // SimtimeAnalyzer forbids wall-clock time (time.Now, Sleep, After, ...)
-// in simulation-deterministic packages: virtual time flows through
-// netsim.VirtualClock.
+// in simulation-deterministic packages: virtual time is durations the
+// netsim models compute and the experiments add up.
 var SimtimeAnalyzer = &Analyzer{
 	Name: "simtime",
 	Run:  runSimtime,
 	// netsim, experiment and core must be strictly deterministic — simulated
-	// time flows through netsim.VirtualClock — while the protocol servers (cdn,
-	// appserver, proxy) are in scope so that their genuine wall-clock sites
-	// (serving-path metrics; socket deadlines live in inp.Conn, outside this
-	// scope) carry checked //fractal:allow simtime annotations instead of
-	// silently drifting. faultnet's injection decisions must never depend on
-	// the wall clock: only a stall blocks, and only until the victim's own
-	// deadline fires (time.Until/NewTimer are not in the forbidden set).
+	// time is computed from the models, never read — while the protocol
+	// servers (cdn, appserver, proxy) are in scope so that their genuine
+	// wall-clock sites (serving-path metrics; socket deadlines live in
+	// inp.Conn, outside this scope) carry checked //fractal:allow simtime
+	// annotations instead of silently drifting. faultnet's injection
+	// decisions must never depend on the wall clock: only a stall blocks,
+	// and only until the victim's own deadline fires (time.Until/NewTimer
+	// are not in the forbidden set).
 	scope: []string{"fractal/internal/netsim", "fractal/internal/experiment", "fractal/internal/core",
 		"fractal/internal/cdn", "fractal/internal/appserver", "fractal/internal/proxy", "fractal/internal/faultnet"},
 }
@@ -45,7 +46,7 @@ func runSimtime(pass *Pass) {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
-				"time.%s is wall-clock time in simulation-deterministic package %s; route virtual time through netsim.VirtualClock (or annotate a genuine real-I/O site with //%s simtime)",
+				"time.%s is wall-clock time in simulation-deterministic package %s; compute virtual time from the netsim models (or annotate a genuine real-I/O site with //%s simtime)",
 				sel.Sel.Name, pass.Pkg.Path, AllowPrefix)
 			return true
 		})

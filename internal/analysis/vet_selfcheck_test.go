@@ -18,7 +18,7 @@ import (
 // "Analyzer receipts").
 func TestVetSelfCheck(t *testing.T) {
 	loader := getLoader(t)
-	pkgs, err := loader.LoadAll()
+	pkgs, err := loader.loadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSessionBorrowsOnlyInConn(t *testing.T) {
 func checkHomes(t *testing.T, homes map[string]string, match func(*types.Func) bool, msg string) {
 	t.Helper()
 	loader := getLoader(t)
-	pkgs, err := loader.LoadAll()
+	pkgs, err := loader.loadAll()
 	if err != nil {
 		t.Fatal(err)
 	}

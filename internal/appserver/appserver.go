@@ -422,7 +422,7 @@ func (s *Server) MeasureAppMeta(samplePages int) (core.AppMeta, error) {
 	}
 	app := core.AppMeta{AppID: s.appID}
 	for _, id := range sortedIDs(s.pads) {
-		meta, err := pretest(s.pads[id], nil, pairs)
+		meta, err := pretest(s.pads[id], nil, pairs, s.strategy)
 		if err != nil {
 			return core.AppMeta{}, err
 		}
@@ -434,8 +434,9 @@ func (s *Server) MeasureAppMeta(samplePages int) (core.AppMeta, error) {
 // pretest is Equation 1, the one pre-test every PADMeta's overhead vector
 // comes from: p encodes each sample pair, transcoded first by tc unless tc
 // is nil; the means over the pairs give the traffic and upstream bytes,
-// and p's CostModel the compute times at the mean content size.
-func pretest(p *pad, tc transcode.Transcoder, pairs []measurePair) (core.PADMeta, error) {
+// and p's CostModel the compute times at the mean content size, the
+// server's zero under Proactive (see padMeta).
+func pretest(p *pad, tc transcode.Transcoder, pairs []measurePair, st Strategy) (core.PADMeta, error) {
 	var traffic, upstream, content int64
 	for _, pr := range pairs {
 		old, err := transform(tc, pr.old)
@@ -457,7 +458,7 @@ func pretest(p *pad, tc transcode.Transcoder, pairs []measurePair) (core.PADMeta
 		}
 	}
 	n := int64(len(pairs))
-	meta := padMeta(p.module, p.impl.Name(), p.impl.Cost(), content/n)
+	meta := padMeta(p.module, p.impl.Name(), p.impl.Cost(), content/n, st)
 	meta.Overhead.TrafficBytes = traffic / n
 	meta.Overhead.UpstreamBytes = upstream / n
 	return meta, nil
@@ -465,8 +466,11 @@ func pretest(p *pad, tc transcode.Transcoder, pairs []measurePair) (core.PADMeta
 
 // padMeta describes module m, served as protocol, with cost's compute
 // times at the given content size; the URL is the CDN publishing path.
-func padMeta(m *mobilecode.Module, protocol string, cost codec.CostModel, content int64) core.PADMeta {
-	return core.PADMeta{
+// Under Proactive the server computes nothing at request time, so the
+// server-side term is zero and the topology carries the strategy to the
+// proxy's Eq. 3.
+func padMeta(m *mobilecode.Module, protocol string, cost codec.CostModel, content int64, st Strategy) core.PADMeta {
+	meta := core.PADMeta{
 		ID:       m.ID,
 		Version:  m.Version,
 		Protocol: protocol,
@@ -478,6 +482,10 @@ func padMeta(m *mobilecode.Module, protocol string, cost codec.CostModel, conten
 			ClientCompStd: cost.ClientTime(content),
 		},
 	}
+	if st == Proactive {
+		meta.Overhead.ServerCompStd = 0
+	}
+	return meta
 }
 
 // measurePair is one (old, cur) measurement sample.

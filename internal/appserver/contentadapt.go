@@ -58,9 +58,9 @@ func (s *Server) MeasureContentAdaptationAppMeta(samplePages int) (core.AppMeta,
 	app := core.AppMeta{AppID: s.appID}
 	for _, tcID := range sortedIDs(s.transcoders) {
 		t := s.transcoders[tcID]
-		root := padMeta(t.module, t.tc.Name(), t.tc.Cost(), avgContent)
+		root := padMeta(t.module, t.tc.Name(), t.tc.Cost(), avgContent, s.strategy)
 		for _, id := range sortedIDs(s.pads) {
-			child, err := pretest(s.pads[id], t.tc, pairs)
+			child, err := pretest(s.pads[id], t.tc, pairs, s.strategy)
 			if err != nil {
 				return core.AppMeta{}, err
 			}
@@ -95,5 +95,5 @@ func (s *Server) DeployExtraPAD(spec mobilecode.BuiltinSpec, moduleVersion strin
 	if err != nil {
 		return core.PADMeta{}, err
 	}
-	return pretest(s.pads[spec.ID], nil, pairs)
+	return pretest(s.pads[spec.ID], nil, pairs, s.strategy)
 }

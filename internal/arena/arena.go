@@ -173,13 +173,6 @@ func (w *Buffer) Len() int {
 	return len(w.bx.b)
 }
 
-// Reset truncates the buffer, keeping its storage for reuse.
-func (w *Buffer) Reset() {
-	if w.bx != nil {
-		w.bx.b = w.bx.b[:0]
-	}
-}
-
 // Release returns the backing storage to the arena. The Buffer remains
 // usable; the next Write borrows fresh storage.
 func (w *Buffer) Release() {

@@ -38,15 +38,15 @@ func TestBufferRoundTrip(t *testing.T) {
 	if !bytes.Equal(w.Bytes(), want.Bytes()) {
 		t.Fatalf("Buffer diverged from bytes.Buffer after growth: %d vs %d bytes", w.Len(), want.Len())
 	}
-	w.Reset()
+	w.Release()
 	if w.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", w.Len())
+		t.Fatalf("Len after Release = %d", w.Len())
 	}
 	if _, err := w.Write([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if string(w.Bytes()) != "x" {
-		t.Fatalf("Bytes after Reset+Write = %q", w.Bytes())
+		t.Fatalf("Bytes after Release+Write = %q", w.Bytes())
 	}
 }
 
@@ -148,8 +148,8 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBufferSteadyStateAllocs pins that rewriting a warmed Buffer
-// allocates nothing.
+// TestBufferSteadyStateAllocs pins that rewriting a warmed Buffer — its
+// storage released to the arena and borrowed back — allocates nothing.
 func TestBufferSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -159,7 +159,7 @@ func TestBufferSteadyStateAllocs(t *testing.T) {
 	payload := bytes.Repeat([]byte("p"), 600)
 	w.Write(payload)
 	avg := testing.AllocsPerRun(200, func() {
-		w.Reset()
+		w.Release()
 		if _, err := w.Write(payload); err != nil {
 			t.Fatal(err)
 		}

@@ -101,7 +101,7 @@ func TestGzipSteadyStateAllocs(t *testing.T) {
 	defer out.Release()
 	out.Write(freshCompress(t, gzip.BestSpeed, in))
 	cycle := func() {
-		out.Reset()
+		out.Release()
 		zw, err := AcquireGzipWriter(&out, gzip.BestSpeed)
 		if err != nil {
 			t.Fatal(err)

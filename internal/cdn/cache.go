@@ -80,17 +80,3 @@ func (c *lruCache) Put(key string, data []byte) {
 		c.used -= int64(len(ent.data))
 	}
 }
-
-// Len returns the number of cached entries.
-func (c *lruCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Used returns the cached byte total.
-func (c *lruCache) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}

@@ -254,17 +254,6 @@ func (c *CDN) Edges() []*Edge {
 	return append([]*Edge(nil), c.edges...)
 }
 
-// EdgeFor returns the closest healthy edgeserver for a client region: an
-// edge in the same region if one exists, otherwise the one with the lowest
-// client-facing base RTT. Ties break deterministically by id.
-func (c *CDN) EdgeFor(region string) (*Edge, error) {
-	ranked, err := c.rankedEdges(region)
-	if err != nil {
-		return nil, err
-	}
-	return ranked[0], nil
-}
-
 // rankedEdges orders healthy edges by preference for a region: same-region
 // edges first (by id), then ascending base RTT (ties by id).
 func (c *CDN) rankedEdges(region string) ([]*Edge, error) {

@@ -18,8 +18,8 @@ func TestLRUCacheBasics(t *testing.T) {
 	}
 	c.Put("a", make([]byte, 40))
 	c.Put("b", make([]byte, 40))
-	if c.Len() != 2 || c.Used() != 80 {
-		t.Fatalf("len=%d used=%d, want 2/80", c.Len(), c.Used())
+	if len(c.entries) != 2 || c.used != 80 {
+		t.Fatalf("len=%d used=%d, want 2/80", len(c.entries), c.used)
 	}
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing")
@@ -44,7 +44,7 @@ func TestLRUCacheOversizedValueNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Put("big", make([]byte, 11))
-	if c.Len() != 0 {
+	if len(c.entries) != 0 {
 		t.Fatal("oversized value was cached")
 	}
 }
@@ -56,8 +56,8 @@ func TestLRUCacheReplaceSameKey(t *testing.T) {
 	}
 	c.Put("k", make([]byte, 30))
 	c.Put("k", make([]byte, 50))
-	if c.Len() != 1 || c.Used() != 50 {
-		t.Fatalf("len=%d used=%d after replace, want 1/50", c.Len(), c.Used())
+	if len(c.entries) != 1 || c.used != 50 {
+		t.Fatalf("len=%d used=%d after replace, want 1/50", len(c.entries), c.used)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestLRUCacheCapacityInvariantProperty(t *testing.T) {
 				break
 			}
 			c.Put(fmt.Sprintf("k%d", k%32), make([]byte, int(sizes[i])%1500))
-			if c.Used() > 1000 {
+			if c.used > 1000 {
 				return false
 			}
 		}
@@ -203,13 +203,22 @@ func TestNewEdgeValidation(t *testing.T) {
 	}
 }
 
+// edgeFor is the edge Retrieve tries first for a region.
+func edgeFor(c *CDN, region string) (*Edge, error) {
+	ranked, err := c.rankedEdges(region)
+	if err != nil {
+		return nil, err
+	}
+	return ranked[0], nil
+}
+
 func TestCDNEdgeForPrefersRegionThenRTT(t *testing.T) {
 	c, err := New(testOrigin(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.EdgeFor("anywhere"); err == nil {
-		t.Fatal("EdgeFor succeeded with no edges")
+	if _, err := edgeFor(c, "anywhere"); err == nil {
+		t.Fatal("edgeFor succeeded with no edges")
 	}
 	far := edgeConfig("far", "other")
 	far.Server.BaseRTT = 50 * time.Millisecond
@@ -222,13 +231,13 @@ func TestCDNEdgeForPrefersRegionThenRTT(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e, err := c.EdgeFor("mine")
+	e, err := edgeFor(c, "mine")
 	if err != nil || e.ID != "home" {
-		t.Fatalf("EdgeFor(mine) = %v, %v; want home", e, err)
+		t.Fatalf("edgeFor(mine) = %v, %v; want home", e, err)
 	}
-	e, err = c.EdgeFor("elsewhere")
+	e, err = edgeFor(c, "elsewhere")
 	if err != nil || e.ID != "near" {
-		t.Fatalf("EdgeFor(elsewhere) = %v, %v; want near (lowest RTT)", e, err)
+		t.Fatalf("edgeFor(elsewhere) = %v, %v; want near (lowest RTT)", e, err)
 	}
 }
 
@@ -380,7 +389,7 @@ func TestEdgeFailover(t *testing.T) {
 	if err := c.Origin().Publish("/pad", blob); err != nil {
 		t.Fatal(err)
 	}
-	home, err := c.EdgeFor("region-1")
+	home, err := edgeFor(c, "region-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,8 +436,8 @@ func TestAllEdgesDown(t *testing.T) {
 	if _, err := c.Retrieve("region-0", "/pad", netsim.WLAN, 1); err == nil {
 		t.Fatal("retrieval succeeded with every edge down")
 	}
-	if _, err := c.EdgeFor("region-0"); err == nil {
-		t.Fatal("EdgeFor returned a failed edge")
+	if _, err := edgeFor(c, "region-0"); err == nil {
+		t.Fatal("edgeFor returned a failed edge")
 	}
 }
 

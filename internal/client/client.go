@@ -435,13 +435,6 @@ func (c *Client) SetEnv(env core.Env) error {
 	return nil
 }
 
-// Env returns the client's current environment metadata.
-func (c *Client) Env() core.Env {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cfg.Env
-}
-
 // Stats returns a snapshot of client counters.
 func (c *Client) Stats() Stats {
 	c.mu.Lock()

@@ -148,7 +148,7 @@ func TestAppSessionTruncationRedial(t *testing.T) {
 	if !errors.Is(err, ErrSessionBroken) {
 		t.Fatalf("truncated session err = %v, want ErrSessionBroken", err)
 	}
-	if !session.Broken() {
+	if !session.isBroken() {
 		t.Fatal("session not marked broken after mid-frame truncation")
 	}
 	rep, err := session.FetchContent(req)
@@ -158,14 +158,14 @@ func TestAppSessionTruncationRedial(t *testing.T) {
 	if rep.Resource != "page-000" || len(rep.Payload) == 0 {
 		t.Fatalf("post-redial reply = %+v", rep)
 	}
-	if session.Redials() != 1 {
-		t.Fatalf("redials = %d, want 1", session.Redials())
+	if session.redialCount() != 1 {
+		t.Fatalf("redials = %d, want 1", session.redialCount())
 	}
 	// An in-band error still leaves the (fresh) stream healthy.
 	if _, err := session.FetchContent(inp.AppReq{AppID: "webapp", Resource: "page-404", ProtocolIDs: []string{"pad-direct"}}); err == nil {
 		t.Fatal("missing resource served")
 	}
-	if session.Broken() {
+	if session.isBroken() {
 		t.Fatal("in-band peer error broke the session")
 	}
 }

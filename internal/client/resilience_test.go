@@ -442,8 +442,8 @@ func TestRetryingNegotiatorExhausts(t *testing.T) {
 // frame) or the proxy refuses at INIT_REP.
 func TestNegotiationRefusalNotRetried(t *testing.T) {
 	w := buildWorld(t)
-	pt := proxy.NewPolicyTable()
-	if err := pt.Restrict("banned"); err != nil {
+	pt, err := proxy.NewPolicyTable(map[string][]string{"banned": nil})
+	if err != nil {
 		t.Fatal(err)
 	}
 	w.proxy.SetAuthorizer(pt)

@@ -249,7 +249,7 @@ type SessionConfig struct {
 // sequence, so exchanges must not interleave, and sessMu is therefore —
 // deliberately — held across network I/O. mu guards only the state fields
 // (conn, c, broken, closed, redials) and is never held across I/O, so
-// Close and Broken stay responsive while a peer stalls mid-exchange;
+// Close and isBroken stay responsive while a peer stalls mid-exchange;
 // Close tears down the live conn, which unblocks the in-flight Call.
 type TCPAppSession struct {
 	addr string
@@ -365,16 +365,16 @@ func (s *TCPAppSession) swapConn(conn net.Conn, c *inp.Conn) net.Conn {
 	return prev
 }
 
-// Broken reports whether the next call will have to redial. It does not
+// isBroken reports whether the next call will have to redial. It does not
 // wait for an in-flight exchange.
-func (s *TCPAppSession) Broken() bool {
+func (s *TCPAppSession) isBroken() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.broken
 }
 
-// Redials reports how many times the session recovered by redialing.
-func (s *TCPAppSession) Redials() int64 {
+// redialCount reports how many times the session recovered by redialing.
+func (s *TCPAppSession) redialCount() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.redials

@@ -132,10 +132,7 @@ func TestCDNFetcherRecordsRetrievals(t *testing.T) {
 	if err := topo.Origin().Publish("/pads/x", bytes.Repeat([]byte("x"), 2048)); err != nil {
 		t.Fatal(err)
 	}
-	home, err := topo.EdgeFor("region-0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	home := topo.Edges()[0] // edge-00, region-0's own
 	f := &CDNFetcher{CDN: topo, Region: "region-0", Link: netsim.WLAN}
 	for range 2 {
 		if _, err := f.FetchPAD(core.PADMeta{ID: "x", URL: "/pads/x"}); err != nil {
@@ -155,10 +152,7 @@ func TestCDNFetcherSurvivesEdgeFailure(t *testing.T) {
 	if err := topo.Origin().Publish("/pads/x", []byte("module")); err != nil {
 		t.Fatal(err)
 	}
-	home, err := topo.EdgeFor("region-0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	home := topo.Edges()[0] // edge-00, region-0's own
 	home.SetFailed(true)
 	f := &CDNFetcher{CDN: topo, Region: "region-0", Link: netsim.WLAN}
 	got, err := f.FetchPAD(core.PADMeta{ID: "x", URL: "/pads/x"})
@@ -223,14 +217,14 @@ func TestAppSessionCloseUnblocksStalledCall(t *testing.T) {
 	}
 
 	brokenDone := make(chan bool, 1)
-	go func() { brokenDone <- s.Broken() }()
+	go func() { brokenDone <- s.isBroken() }()
 	select {
 	case b := <-brokenDone:
 		if b {
 			t.Error("session reported broken before any failure")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Broken() blocked behind a stalled exchange")
+		t.Fatal("isBroken() blocked behind a stalled exchange")
 	}
 
 	if err := s.Close(); err != nil {
@@ -262,7 +256,7 @@ func TestAppSessionUseAfterClose(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "session closed") {
 		t.Fatalf("FetchContent after Close = %v, want session-closed error", err)
 	}
-	if s.Redials() != 0 {
+	if s.redialCount() != 0 {
 		t.Fatal("closed session redialed")
 	}
 	if err := s.Close(); err != nil {

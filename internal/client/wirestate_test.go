@@ -81,7 +81,7 @@ func TestSessionRejectsStaleReplayedFrame(t *testing.T) {
 	if !errors.Is(err, ErrSessionBroken) {
 		t.Fatalf("stale replayed frame => %v, want ErrSessionBroken", err)
 	}
-	if !s.Broken() {
+	if !s.isBroken() {
 		t.Fatal("session not marked broken after sequence violation")
 	}
 
@@ -92,7 +92,7 @@ func TestSessionRejectsStaleReplayedFrame(t *testing.T) {
 	if string(rep.Payload) != "ok" {
 		t.Fatalf("post-redial payload = %q, want %q", rep.Payload, "ok")
 	}
-	if got := s.Redials(); got != 1 {
+	if got := s.redialCount(); got != 1 {
 		t.Fatalf("redials = %d, want 1", got)
 	}
 }

@@ -43,9 +43,6 @@ func NewBitmap(blockSize int) (*Bitmap, error) {
 // Name implements Codec.
 func (*Bitmap) Name() string { return NameBitmap }
 
-// BlockSize returns the configured block granularity.
-func (b *Bitmap) BlockSize() int { return b.blockSize }
-
 // Cost implements Costed; see DESIGN.md ("Calibration"). The client-side
 // term is large: the client digests its entire old version block by block
 // and rebuilds the new version, expensive on weak devices.

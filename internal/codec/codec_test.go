@@ -206,8 +206,8 @@ func TestNewBitmapValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.BlockSize() != 256 {
-		t.Fatalf("BlockSize = %d, want 256", b.BlockSize())
+	if b.blockSize != 256 {
+		t.Fatalf("block size = %d, want 256", b.blockSize)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestDecodeHeldSplitsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := h.split.Load()
-	if first == nil || first.cfg != v.ChunkerConfig() {
+	if first == nil || first.cfg != v.chunker.Config() {
 		t.Fatalf("the first decode stored split %+v, want one under the codec's config", first)
 	}
 	allocs := func(decode func() ([]byte, error)) float64 {
@@ -165,7 +165,7 @@ func TestHeldSplitUnderOtherChunkerConfigUnused(t *testing.T) {
 				t.Fatalf("%s (%s decode): a codec with another %s decoded through the default split: %v", name, state, name, err)
 			}
 		}
-		if s := h.split.Load(); s.cfg != def.ChunkerConfig() {
+		if s := h.split.Load(); s.cfg != def.chunker.Config() {
 			t.Fatalf("%s: the held split is now under %+v, want the first decode's", name, s.cfg)
 		}
 	}

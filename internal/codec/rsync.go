@@ -44,9 +44,6 @@ func NewRsync(blockSize int) (*Rsync, error) {
 // Name implements Codec.
 func (*Rsync) Name() string { return NameRsync }
 
-// BlockSize returns the configured block granularity.
-func (r *Rsync) BlockSize() int { return r.blockSize }
-
 // Cost implements Costed: the sliding-window match is the dominant
 // (sender-side) term; reconstruction is cheap.
 func (*Rsync) Cost() CostModel {

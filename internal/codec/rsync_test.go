@@ -104,8 +104,8 @@ func TestRsyncValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.BlockSize() != 512 {
-		t.Fatalf("block size = %d", r.BlockSize())
+	if r.blockSize != 512 {
+		t.Fatalf("block size = %d", r.blockSize)
 	}
 	if got := r.UpstreamBytes(make([]byte, 1024)); got != 2*24 {
 		t.Fatalf("upstream = %d, want 48", got)

@@ -66,9 +66,6 @@ func NewVaryBlockConfig(cfg rabin.ChunkerConfig) (*VaryBlock, error) {
 // Name implements Codec.
 func (*VaryBlock) Name() string { return NameVaryBlock }
 
-// ChunkerConfig returns the chunking parameters in use.
-func (v *VaryBlock) ChunkerConfig() rabin.ChunkerConfig { return v.chunker.Config() }
-
 // UseChunkCache implements ChunkCacheUser. It must be called before
 // Encode is used concurrently; Decode reads neither the cache nor its key
 // descriptor, which a codec that never gets a cache never renders.

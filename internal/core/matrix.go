@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // RatioMatrix is a normalized ratio matrix (Section 3.4.2): rows are
@@ -13,7 +12,6 @@ import (
 // disqualifies the combination outright, like Kinoma on WinCE in the
 // paper's example.
 type RatioMatrix struct {
-	name string
 	rows map[string]int
 	cols map[string]int
 	vals [][]float64
@@ -31,7 +29,7 @@ func NewRatioMatrix(name string, rows, cols []string, vals [][]float64) (*RatioM
 	if len(vals) != len(rows) {
 		return nil, fmt.Errorf("core: ratio matrix %s has %d value rows for %d row labels", name, len(vals), len(rows))
 	}
-	m := &RatioMatrix{name: name, rows: map[string]int{}, cols: map[string]int{}}
+	m := &RatioMatrix{rows: map[string]int{}, cols: map[string]int{}}
 	for i, r := range rows {
 		if _, dup := m.rows[r]; dup {
 			return nil, fmt.Errorf("core: ratio matrix %s: duplicate row %q", name, r)
@@ -57,24 +55,6 @@ func NewRatioMatrix(name string, rows, cols []string, vals [][]float64) (*RatioM
 		m.vals[i] = append([]float64(nil), vals[i]...)
 	}
 	return m, nil
-}
-
-// Name returns the matrix name (A, B, or R in the paper).
-func (m *RatioMatrix) Name() string { return m.name }
-
-// Rows returns the sorted row (protocol) labels.
-func (m *RatioMatrix) Rows() []string { return sortedKeys(m.rows) }
-
-// Cols returns the sorted column (environment type) labels.
-func (m *RatioMatrix) Cols() []string { return sortedKeys(m.cols) }
-
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Ratio returns the normalized ratio for a protocol in an environment

@@ -25,9 +25,6 @@ func (b Breakdown) Total() float64 {
 	return b.Download + b.ServerComp + b.ClientComp + b.Traffic
 }
 
-// IsFeasible reports whether the PAD can run at all in the environment.
-func (b Breakdown) IsFeasible() bool { return !math.IsInf(b.Total(), 1) }
-
 // OverheadModel evaluates Equation 3. It is immutable after construction
 // and safe for concurrent use.
 type OverheadModel struct {
@@ -91,7 +88,7 @@ func (m OverheadModel) PADTotal(p PADMeta, env Env) (Breakdown, error) {
 // padTotal is PADTotal without the input validation, for the compiled
 // search path where the model, environment, and every resolved PADMeta
 // were validated up front (FindPathFiltered validates the model and
-// environment per call; BuildPAT/AddPAD validate the metadata).
+// environment per call; BuildPAT validates the metadata).
 func (m OverheadModel) padTotal(p PADMeta, env Env) Breakdown {
 	effBps := m.Rho * env.Ntwk.BandwidthKbps * 1000.0
 	var b Breakdown

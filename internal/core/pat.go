@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 )
 
 // PAT is the protocol adaptation tree (Section 3.4.1). Each node is a
@@ -16,9 +15,8 @@ type PAT struct {
 	nodes map[string]*patNode
 	// roots are the top-level PADs in insertion order.
 	roots []string
-	// index is the compiled search index (see searchindex.go), rebuilt by
-	// BuildPAT and AddPAD. Mutating a PAT concurrently with searches has
-	// never been supported; the index follows the same contract.
+	// index is the compiled search index (see searchindex.go), built by
+	// BuildPAT.
 	index *searchIndex
 }
 
@@ -141,15 +139,6 @@ func (t *PAT) AppID() string { return t.appID }
 // Len returns the number of nodes (including symbolic links).
 func (t *PAT) Len() int { return len(t.nodes) }
 
-// PAD returns the metadata for an id.
-func (t *PAT) PAD(id string) (PADMeta, bool) {
-	n, ok := t.nodes[id]
-	if !ok {
-		return PADMeta{}, false
-	}
-	return n.meta, true
-}
-
 // Resolve follows a symbolic link to its target metadata; non-links
 // resolve to themselves.
 func (t *PAT) Resolve(id string) (PADMeta, error) {
@@ -187,57 +176,4 @@ func (t *PAT) Paths() [][]string {
 		walk(r, nil)
 	}
 	return out
-}
-
-// Leaves returns the sorted ids of leaf nodes.
-func (t *PAT) Leaves() []string {
-	var out []string
-	for id, n := range t.nodes {
-		if len(n.children) == 0 {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AddPAD extends the tree with a new adaptor at run time, the
-// extensibility property of Section 3.4.1: a PAD whose Parent is empty
-// becomes a new top-level protocol; otherwise it is attached as a new
-// child of the named parent (in "reasonable time", i.e. O(1) here).
-func (t *PAT) AddPAD(p PADMeta) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if _, dup := t.nodes[p.ID]; dup {
-		return fmt.Errorf("core: PAT %s already has PAD %s", t.appID, p.ID)
-	}
-	if len(p.Children) > 0 {
-		return fmt.Errorf("core: PAT %s: AddPAD(%s) cannot introduce children; add them separately", t.appID, p.ID)
-	}
-	if p.Alias != "" {
-		target, ok := t.nodes[p.Alias]
-		if !ok {
-			return fmt.Errorf("core: PAT %s: AddPAD(%s) aliases unknown PAD %s", t.appID, p.ID, p.Alias)
-		}
-		if target.meta.Alias != "" {
-			return fmt.Errorf("core: PAT %s: AddPAD(%s) aliases an alias", t.appID, p.ID)
-		}
-	}
-	if p.Parent != "" {
-		parent, ok := t.nodes[p.Parent]
-		if !ok {
-			return fmt.Errorf("core: PAT %s: AddPAD(%s) names unknown parent %s", t.appID, p.ID, p.Parent)
-		}
-		if parent.meta.Alias != "" {
-			return fmt.Errorf("core: PAT %s: AddPAD(%s) cannot attach under symbolic link %s", t.appID, p.ID, p.Parent)
-		}
-		parent.children = append(parent.children, p.ID)
-		parent.meta.Children = append(parent.meta.Children, p.ID)
-	}
-	t.nodes[p.ID] = &patNode{meta: p}
-	if p.Parent == "" {
-		t.roots = append(t.roots, p.ID)
-	}
-	return t.compile()
 }

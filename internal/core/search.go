@@ -48,8 +48,7 @@ func FindPathFiltered(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool
 	}
 	idx := t.index
 	if idx == nil {
-		// BuildPAT and AddPAD always compile, so only a zero-value PAT
-		// gets here.
+		// BuildPAT always compiles, so only a zero-value PAT gets here.
 		return PathResult{}, fmt.Errorf("core: FindPath on a PAT not built by BuildPAT")
 	}
 

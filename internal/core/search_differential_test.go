@@ -136,39 +136,6 @@ func TestFindPathCompiledMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFindPathCompiledMatchesReferenceAfterAddPAD verifies the index is
-// recompiled when the tree is extended at run time.
-func TestFindPathCompiledMatchesReferenceAfterAddPAD(t *testing.T) {
-	ms, err := CaseStudyMatrices()
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := OverheadModel{Matrices: ms, Rho: 0.8, ServerCPUMHz: 2000, SessionRequests: 1}
-	pat, err := BuildPAT(caseStudyApp())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pat.AddPAD(PADMeta{ID: "pad-rsync", Protocol: "rsync",
-		Overhead: PADOverhead{ClientCompStd: time.Millisecond, TrafficBytes: 100}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pat.AddPAD(PADMeta{ID: "pad-link", Alias: "pad-gzip"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, env := range sweepEnvs() {
-		got, gotErr := FindPath(pat, model, env)
-		want, wantErr := findPathReference(pat, model, env, nil)
-		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("post-AddPAD divergence for %v: compiled %+v (%v), reference %+v (%v)",
-				env, got, gotErr, want, wantErr)
-		}
-		// The freshly added cheap protocol must actually win somewhere.
-		if math.IsInf(want.Total, 1) {
-			t.Fatalf("reference returned infinite total without error for %v", env)
-		}
-	}
-}
-
 // TestFindPathCompiledProperty drives randomized trees through both
 // implementations.
 func TestFindPathCompiledProperty(t *testing.T) {
@@ -293,7 +260,7 @@ func findPathReference(t *PAT, m OverheadModel, env Env, allow func(PADMeta) boo
 	return best, nil
 }
 
-// TestFindPathRejectsZeroValuePAT: every PAT BuildPAT or AddPAD produces is
+// TestFindPathRejectsZeroValuePAT: every PAT BuildPAT produces is
 // compiled, so the only uncompiled tree is a zero value, and searching one
 // is a caller bug reported as an error rather than a nil-map walk.
 func TestFindPathRejectsZeroValuePAT(t *testing.T) {

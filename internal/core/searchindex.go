@@ -1,10 +1,10 @@
 package core
 
 // searchIndex is the compiled form of a PAT for the negotiation hot path.
-// BuildPAT (and AddPAD, after a mutation) precomputes everything FindPath
-// otherwise re-derives per call: the deterministic node order, each node's
-// symbolic link resolved to concrete metadata, and every root-to-leaf path
-// flattened to integer offsets. With the index in place a search marks
+// BuildPAT precomputes everything FindPath otherwise re-derives per call:
+// the deterministic node order, each node's symbolic link resolved to
+// concrete metadata, and every root-to-leaf path flattened to integer
+// offsets. With the index in place a search marks
 // overheads into a []Breakdown on the stack indexed by node slot — no
 // per-call map, no sort, no tree walk — while producing a PathResult
 // identical to the reference algorithm (pinned by the differential test in

@@ -31,9 +31,10 @@ const (
 	samplePages = 8
 )
 
-// Model is the Eq. 3 overhead model the proxy searches with; server-side
-// computing counts unless the server precomputes its content (proactive).
-func Model(proactive bool) (core.OverheadModel, error) {
+// Model is the Eq. 3 overhead model the proxy searches with. Server-side
+// computing always counts: a proactive server's measured topology reports
+// none, so the strategy travels with the topology.
+func Model() (core.OverheadModel, error) {
 	ms, err := core.CaseStudyMatrices()
 	if err != nil {
 		return core.OverheadModel{}, err
@@ -42,20 +43,20 @@ func Model(proactive bool) (core.OverheadModel, error) {
 		Matrices:          ms,
 		Rho:               netsim.DefaultRho,
 		ServerCPUMHz:      netsim.ServerDevice.CPUMHz,
-		IncludeServerComp: !proactive,
+		IncludeServerComp: true,
 		SessionRequests:   SessionRequests,
 	}, nil
 }
 
-// NewProxy builds the adaptation proxy over Model(proactive) with its
+// NewProxy builds the adaptation proxy over Model() with its
 // registration gate armed: every pushed PAD's packed module is looked up
 // by its URL through modules, checked against the advertised digest and
 // bytecode-verified before the topology may enter the PAT.
-func NewProxy(proactive bool, modules func(url string) ([]byte, error)) (*proxy.Proxy, error) {
+func NewProxy(modules func(url string) ([]byte, error)) (*proxy.Proxy, error) {
 	if modules == nil {
 		return nil, errors.New("deploy: the proxy needs a module source for its registration gate")
 	}
-	model, err := Model(proactive)
+	model, err := Model()
 	if err != nil {
 		return nil, err
 	}

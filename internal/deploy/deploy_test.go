@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"fractal/internal/core"
+	"fractal/internal/netsim"
 	"fractal/internal/workload"
 )
 
@@ -54,5 +56,46 @@ func TestDeployAppKeepsNewestTwoVersions(t *testing.T) {
 	}
 	if len(one.Versions) != 1 || one.Versions[0].Pages[0].Version != 1 {
 		t.Fatalf("a one-version App holds %d versions", len(one.Versions))
+	}
+}
+
+// TestProxyNegotiatesUnderTheAppsStrategy pins that the content strategy
+// travels in the measured topology: one proxy, built without knowing it,
+// gives a PDA on Bluetooth vary-sized blocking from a proactive server,
+// whose differences cost nothing at request time, and the bitmap codec
+// from a reactive one, which would compute the vary-sized differences
+// per request.
+func TestProxyNegotiatesUnderTheAppsStrategy(t *testing.T) {
+	pda := netsim.PDA
+	env := core.Env{
+		Dev:  core.DevMeta{OSType: string(pda.Device.OS), CPUType: string(pda.Device.CPU), CPUMHz: pda.Device.CPUMHz, MemMB: pda.Device.MemMB},
+		Ntwk: core.NtwkMeta{NetworkType: string(pda.Link.Type), BandwidthKbps: pda.Link.BandwidthKbps},
+	}
+	for _, c := range []struct {
+		proactive bool
+		want      string
+	}{{true, "pad-vary"}, {false, "pad-bitmap"}} {
+		app, err := NewApp("webapp", 8, 2005, 2, c.proactive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := Publish(app.Server, dir); err != nil {
+			t.Fatal(err)
+		}
+		px, err := NewProxy(DirModules(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := px.PushAppMeta(app.Meta); err != nil {
+			t.Fatal(err)
+		}
+		pads, err := px.Negotiate("webapp", env, SessionRequests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pads[0].ID != c.want {
+			t.Errorf("proactive=%v: the PDA negotiated %s, want %s", c.proactive, pads[0].ID, c.want)
+		}
 	}
 }

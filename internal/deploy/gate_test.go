@@ -22,7 +22,7 @@ func quiet(string, ...interface{}) {}
 // servedProxy builds and serves the proxy as fractald does, gated on dir.
 func servedProxy(t testing.TB, dir string) (*proxy.Proxy, string) {
 	t.Helper()
-	px, err := NewProxy(false, DirModules(dir))
+	px, err := NewProxy(DirModules(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func BenchmarkAppMetaPush(b *testing.B) {
 	if err := Publish(app.Server, dir); err != nil {
 		b.Fatal(err)
 	}
-	model, err := Model(false)
+	model, err := Model()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -168,9 +168,6 @@ func TestPublishDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := trust.Entities(); len(got) != 1 || got[0] != signerEntity {
-		t.Fatalf("trusted entities %v, want [%s]", got, signerEntity)
-	}
 	loader, err := mobilecode.NewLoader(trust, mobilecode.DefaultSandbox())
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -364,14 +365,19 @@ func TestCapacityScenarioOrdering(t *testing.T) {
 
 func TestTimelinePhases(t *testing.T) {
 	s := testSetup(t)
+	golden, err := os.ReadFile("../../figures_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(golden), "== Extension: first-contact timeline per station (Figure 4 sequence) ==\n")
+	section, _, _ = strings.Cut(section, "\n\n")
+	var rendered []string
 	for _, st := range netsim.Stations() {
 		tl, err := RunTimeline(s, st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range tl.Render() {
-			t.Log(row)
-		}
+		rendered = append(rendered, tl.Render()...)
 		if len(tl.Phases) != 5 {
 			t.Fatalf("%s: %d phases, want 5", st.Device.Name, len(tl.Phases))
 		}
@@ -389,6 +395,11 @@ func TestTimelinePhases(t *testing.T) {
 		if tl.Total != prev {
 			t.Fatalf("%s: total %v != last phase end %v", st.Device.Name, tl.Total, prev)
 		}
+	}
+	// Every row is the one figures_output.txt records for the default
+	// platform.
+	if got := strings.Join(rendered, "\n"); got != section {
+		t.Errorf("timeline rows differ from figures_output.txt:\n%s\nwant:\n%s", got, section)
 	}
 	// The PDA's first contact is dominated by the slow link; it must take
 	// far longer than the desktop's.
@@ -498,6 +509,16 @@ func TestRhoSweepStability(t *testing.T) {
 	}
 }
 
+// sessionRow finds the row for a station/scenario pair.
+func sessionRow(r SessionResult, station string, sc Scenario) (SessionRow, error) {
+	for _, row := range r.Rows {
+		if row.Station == station && row.Scenario == sc {
+			return row, nil
+		}
+	}
+	return SessionRow{}, fmt.Errorf("no session row for %s/%s", station, sc)
+}
+
 // Session-level client total delay: adaptive wins whole sessions on the
 // constrained stations even after paying for negotiation and PAD
 // download; on the desktop LAN the startup cost makes it a wash with
@@ -515,18 +536,18 @@ func TestSessionTotals(t *testing.T) {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	for _, station := range []string{"Laptop", "PDA"} {
-		none, err := r.Row(station, ScenarioNone)
+		none, err := sessionRow(r, station, ScenarioNone)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adaptive, err := r.Row(station, ScenarioAdaptive)
+		adaptive, err := sessionRow(r, station, ScenarioAdaptive)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if adaptive.Total >= none.Total {
 			t.Errorf("%s: adaptive session %v not below none %v", station, adaptive.Total, none.Total)
 		}
-		static, err := r.Row(station, ScenarioStatic)
+		static, err := sessionRow(r, station, ScenarioStatic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -536,8 +557,8 @@ func TestSessionTotals(t *testing.T) {
 	}
 	// Desktop: adaptive == direct protocol, so the only delta is the
 	// bounded startup cost.
-	dNone, _ := r.Row("Desktop", ScenarioNone)
-	dAd, _ := r.Row("Desktop", ScenarioAdaptive)
+	dNone, _ := sessionRow(r, "Desktop", ScenarioNone)
+	dAd, _ := sessionRow(r, "Desktop", ScenarioAdaptive)
 	if dAd.Total < dNone.Total {
 		t.Error("desktop adaptive cheaper than direct despite startup cost")
 	}

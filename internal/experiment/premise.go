@@ -71,7 +71,7 @@ type PremiseResult struct {
 // Equation 3 per station, reproducing the heterogeneity argument: the
 // winner set must not collapse to a single protocol.
 func RunPremise(seed int64) (PremiseResult, error) {
-	model, err := deploy.Model(false)
+	model, err := deploy.Model()
 	if err != nil {
 		return PremiseResult{}, err
 	}

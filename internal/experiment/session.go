@@ -81,16 +81,6 @@ func RunSessionTotals(s *Setup, requests int) (SessionResult, error) {
 	return out, nil
 }
 
-// Row returns the entry for a station/scenario pair.
-func (r SessionResult) Row(station string, sc Scenario) (SessionRow, error) {
-	for _, row := range r.Rows {
-		if row.Station == station && row.Scenario == sc {
-			return row, nil
-		}
-	}
-	return SessionRow{}, fmt.Errorf("experiment: no session row for %s/%s", station, sc)
-}
-
 // Render renders the comparison.
 func (r SessionResult) Render() []string {
 	rows := []string{fmt.Sprintf("station\tscenario\tprotocol\tsession_total\tper_request\t(%d requests)", r.Requests)}

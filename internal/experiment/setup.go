@@ -61,14 +61,14 @@ func NewSetup(cfg SetupConfig) (*Setup, error) {
 	if err := app.PublishPADs(topo.Origin()); err != nil {
 		return nil, err
 	}
-	px, err := deploy.NewProxy(false, topo.Origin().Get)
+	px, err := deploy.NewProxy(topo.Origin().Get)
 	if err != nil {
 		return nil, err
 	}
 	if err := px.PushAppMeta(app.Meta); err != nil {
 		return nil, err
 	}
-	model, err := deploy.Model(false)
+	model, err := deploy.Model()
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ type TimelinePhase struct {
 
 // Timeline is the simulated end-to-end schedule of one client session:
 // negotiation round trips, PAD retrieval, deployment, and the first
-// adapted application request, on the discrete-event virtual clock.
+// adapted application request, in virtual time.
 type Timeline struct {
 	Station string
 	PADID   string
@@ -38,11 +38,12 @@ var defaultTimelineParams = timelineParams{
 	deployCPUStd:   12 * time.Millisecond,
 }
 
-// RunTimeline simulates the Figure 4 message sequence for one station on
-// the virtual clock: INIT_REQ/REP + CLI_META exchanges (two proxy round
-// trips), PAD_META computation, PAD download from the closest edge,
-// security checks and deployment, then APP_REQ/REP with the negotiated
-// protocol's traffic and computing overheads from Equation 3.
+// RunTimeline simulates the Figure 4 message sequence for one station in
+// virtual time, each phase starting where the previous one ends:
+// INIT_REQ/REP + CLI_META exchanges (two proxy round trips), PAD_META
+// computation, PAD download from the closest edge, security checks and
+// deployment, then APP_REQ/REP with the negotiated protocol's traffic and
+// computing overheads from Equation 3.
 func RunTimeline(s *Setup, station netsim.Station) (Timeline, error) {
 	env := EnvFor(station)
 	res, err := core.FindPath(mustPAT(s), s.Model, env)
@@ -52,15 +53,12 @@ func RunTimeline(s *Setup, station netsim.Station) (Timeline, error) {
 	pad := res.PADs[len(res.PADs)-1]
 	breakdown := res.Breakdown[res.NodeIDs[len(res.NodeIDs)-1]]
 
-	clock := netsim.NewVirtualClock()
 	tl := Timeline{Station: station.Device.Name, PADID: pad.ID}
 	link := station.Link
 
 	phase := func(name string, d time.Duration) {
-		start := clock.Now()
-		clock.Schedule(d, func() {})
-		clock.Run()
-		tl.Phases = append(tl.Phases, TimelinePhase{Name: name, Start: start, End: clock.Now()})
+		tl.Phases = append(tl.Phases, TimelinePhase{Name: name, Start: tl.Total, End: tl.Total + d})
+		tl.Total += d
 	}
 
 	// Negotiation: INIT_REQ -> INIT_REP + CLI_META_REQ (one round trip),
@@ -89,8 +87,6 @@ func RunTimeline(s *Setup, station netsim.Station) (Timeline, error) {
 		return Timeline{}, err
 	}
 	phase("app:first-request", link.RTT+appTime)
-
-	tl.Total = clock.Now()
 	return tl, nil
 }
 

@@ -116,11 +116,6 @@ func (e *encodeState) splice(p []byte) {
 	e.extLen += len(p)
 }
 
-// Buffered reports how many queued bytes await Flush.
-func (fw *FrameWriter) Buffered() int {
-	return fw.es.buf.Len() + fw.es.extLen
-}
-
 // Flush writes every queued frame in one call and releases the assembly
 // buffer back to the arena. Flushing an empty writer is a no-op.
 func (fw *FrameWriter) Flush() error {

@@ -168,13 +168,8 @@ func TestTrustListManagement(t *testing.T) {
 	if err := tr.Add("beta", s.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
-	es := tr.Entities()
-	if len(es) != 2 || es[0] != "alpha" || es[1] != "beta" {
-		t.Fatalf("entities = %v", es)
-	}
-	tr.Remove("alpha")
-	if got := tr.Entities(); len(got) != 1 || got[0] != "beta" {
-		t.Fatalf("after removal entities = %v", got)
+	if len(tr.keys) != 2 || tr.keys["alpha"] == nil || tr.keys["beta"] == nil {
+		t.Fatalf("trusted keys = %v", tr.keys)
 	}
 }
 

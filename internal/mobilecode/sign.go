@@ -6,7 +6,6 @@ import (
 	"crypto/sha1"
 	"crypto/subtle"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -89,25 +88,6 @@ func (t *TrustList) Add(entity string, key ed25519.PublicKey) error {
 	defer t.mu.Unlock()
 	t.keys[entity] = append(ed25519.PublicKey(nil), key...)
 	return nil
-}
-
-// Remove revokes trust in an entity.
-func (t *TrustList) Remove(entity string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.keys, entity)
-}
-
-// Entities returns the sorted names of trusted entities.
-func (t *TrustList) Entities() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.keys))
-	for e := range t.keys {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Verify checks that sig is a valid signature over the module identity by

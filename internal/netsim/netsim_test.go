@@ -1,89 +1,10 @@
 package netsim
 
 import (
-	"math/bits"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-func TestVirtualClockRunsEventsInOrder(t *testing.T) {
-	c := NewVirtualClock()
-	var order []int
-	c.Schedule(30*time.Millisecond, func() { order = append(order, 3) })
-	c.Schedule(10*time.Millisecond, func() { order = append(order, 1) })
-	c.Schedule(20*time.Millisecond, func() { order = append(order, 2) })
-	end := c.Run()
-	if end != 30*time.Millisecond {
-		t.Fatalf("final time = %v, want 30ms", end)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("execution order = %v, want [1 2 3]", order)
-	}
-}
-
-func TestVirtualClockTieBreakPreservesScheduleOrder(t *testing.T) {
-	c := NewVirtualClock()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		c.Schedule(time.Second, func() { order = append(order, i) })
-	}
-	c.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order[%d] = %d, want %d (FIFO at equal timestamps)", i, v, i)
-		}
-	}
-}
-
-func TestVirtualClockNestedScheduling(t *testing.T) {
-	c := NewVirtualClock()
-	var fired []time.Duration
-	c.Schedule(time.Second, func() {
-		fired = append(fired, c.Now())
-		c.Schedule(2*time.Second, func() { fired = append(fired, c.Now()) })
-	})
-	end := c.Run()
-	if end != 3*time.Second {
-		t.Fatalf("end = %v, want 3s", end)
-	}
-	if len(fired) != 2 || fired[0] != time.Second || fired[1] != 3*time.Second {
-		t.Fatalf("fired at %v, want [1s 3s]", fired)
-	}
-}
-
-func TestVirtualClockNegativeDelayClamped(t *testing.T) {
-	c := NewVirtualClock()
-	ran := false
-	c.Schedule(-time.Second, func() { ran = true })
-	if end := c.Run(); end != 0 {
-		t.Fatalf("end = %v, want 0", end)
-	}
-	if !ran {
-		t.Fatal("event with negative delay did not run")
-	}
-}
-
-func TestVirtualClockStepAndPending(t *testing.T) {
-	c := NewVirtualClock()
-	c.Schedule(time.Millisecond, func() {})
-	c.Schedule(2*time.Millisecond, func() {})
-	if c.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", c.Pending())
-	}
-	if !c.Step() {
-		t.Fatal("Step returned false with pending events")
-	}
-	if c.Pending() != 1 {
-		t.Fatalf("pending after step = %d, want 1", c.Pending())
-	}
-	c.Run()
-	if c.Step() {
-		t.Fatal("Step returned true on empty queue")
-	}
-}
 
 func TestSecondsRejectsInvalid(t *testing.T) {
 	for _, s := range []float64{-1, -0.001} {
@@ -330,50 +251,5 @@ func TestLinkLossRate(t *testing.T) {
 	// Standard links remain clean by default.
 	if Bluetooth.LossRate != 0 {
 		t.Fatal("standard link has nonzero loss")
-	}
-}
-
-// logNBound is the per-operation move envelope of a 4-ary heap holding at
-// most n elements: ceil(log4 n) levels plus slack for the root/leaf edges.
-func logNBound(n int) uint64 {
-	if n < 2 {
-		return 2
-	}
-	levels := (bits.Len(uint(n-1)) + 1) / 2 // ceil(log4 n)
-	return uint64(levels + 2)
-}
-
-// TestVirtualClockHeapDiscipline verifies the clock's inlined heap keeps
-// the same stable (timestamp, schedule-order) execution order as the old
-// container/heap implementation, and stays within the O(log n) move
-// envelope under a large schedule.
-func TestVirtualClockHeapDiscipline(t *testing.T) {
-	const n = 100000
-	run := func(seed int64) ([]int, uint64) {
-		rng := rand.New(rand.NewSource(seed))
-		c := NewVirtualClock()
-		order := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			i := i
-			c.Schedule(time.Duration(rng.Intn(1000))*time.Millisecond, func() {
-				order = append(order, i)
-			})
-		}
-		c.Run()
-		return order, c.moves
-	}
-	a, movesA := run(11)
-	b, _ := run(11)
-	if len(a) != n || len(b) != n {
-		t.Fatalf("executed %d/%d events, want %d", len(a), len(b), n)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("event order diverged at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-	bound := uint64(2*n) * logNBound(n)
-	if movesA > bound {
-		t.Fatalf("%d schedule+run ops did %d moves, above envelope %d", 2*n, movesA, bound)
 	}
 }

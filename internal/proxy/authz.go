@@ -3,7 +3,6 @@ package proxy
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"fractal/internal/core"
@@ -18,47 +17,36 @@ type Authorizer interface {
 
 // PolicyTable is a simple concrete Authorizer: per-principal protocol
 // allowlists with a default-allow fallback for unlisted principals. It is
-// safe for concurrent use.
+// immutable once built, so it is safe for concurrent use; a policy change
+// installs a new table.
 type PolicyTable struct {
-	mu    sync.RWMutex
 	rules map[string]map[string]bool // principal -> allowed protocol set
 }
 
-// NewPolicyTable returns an empty table (every principal allowed
-// everything until restricted).
-func NewPolicyTable() *PolicyTable {
-	return &PolicyTable{rules: map[string]map[string]bool{}}
-}
-
-// Restrict limits a principal to the listed protocol names.
-func (p *PolicyTable) Restrict(principal string, protocols ...string) error {
-	if principal == "" {
-		return fmt.Errorf("proxy: cannot restrict the anonymous principal")
-	}
-	set := map[string]bool{}
-	for _, proto := range protocols {
-		if proto == "" {
-			return fmt.Errorf("proxy: empty protocol in policy for %q", principal)
+// NewPolicyTable builds a table that limits each principal in rules to
+// the listed protocol names; a principal with an empty list may use none.
+// The anonymous principal cannot be restricted, and no protocol name may
+// be empty.
+func NewPolicyTable(rules map[string][]string) (*PolicyTable, error) {
+	p := &PolicyTable{rules: make(map[string]map[string]bool, len(rules))}
+	for principal, protocols := range rules {
+		if principal == "" {
+			return nil, fmt.Errorf("proxy: cannot restrict the anonymous principal")
 		}
-		set[proto] = true
+		set := map[string]bool{}
+		for _, proto := range protocols {
+			if proto == "" {
+				return nil, fmt.Errorf("proxy: empty protocol in policy for %q", principal)
+			}
+			set[proto] = true
+		}
+		p.rules[principal] = set
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rules[principal] = set
-	return nil
-}
-
-// Clear removes a principal's restrictions.
-func (p *PolicyTable) Clear(principal string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.rules, principal)
+	return p, nil
 }
 
 // Allow implements Authorizer.
 func (p *PolicyTable) Allow(principal, appID string, pad core.PADMeta) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	set, restricted := p.rules[principal]
 	if !restricted {
 		return true
@@ -69,9 +57,7 @@ func (p *PolicyTable) Allow(principal, appID string, pad core.PADMeta) bool {
 // SetAuthorizer installs (or clears, with nil) the proxy's access-control
 // policy. It drops every cached negotiation and outdates every search in
 // flight, so each negotiation that begins after it returns is decided
-// under the new policy. Edits to an installed PolicyTable (Restrict,
-// Clear) reach the searches that follow but not the cached results: they
-// take effect for every client when the table is installed again.
+// under the new policy.
 func (p *Proxy) SetAuthorizer(a Authorizer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -15,15 +15,22 @@ func (f AuthorizerFunc) Allow(principal, appID string, pad core.PADMeta) bool {
 	return f(principal, appID, pad)
 }
 
+// policy builds a table from rules, failing the test on a rejected one.
+func policy(t *testing.T, rules map[string][]string) *PolicyTable {
+	t.Helper()
+	pt, err := NewPolicyTable(rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
 func TestPolicyTableBasics(t *testing.T) {
-	pt := NewPolicyTable()
+	pt := policy(t, map[string][]string{"guest": {"direct", "gzip"}, "banned": nil})
 	pad := func(proto string) core.PADMeta { return core.PADMeta{ID: "p", Protocol: proto} }
 	// Unrestricted principals get everything.
 	if !pt.Allow("alice", "app", pad("varyblock")) {
 		t.Fatal("unrestricted principal denied")
-	}
-	if err := pt.Restrict("guest", "direct", "gzip"); err != nil {
-		t.Fatal(err)
 	}
 	if pt.Allow("guest", "app", pad("varyblock")) {
 		t.Fatal("restricted principal allowed disallowed protocol")
@@ -31,26 +38,21 @@ func TestPolicyTableBasics(t *testing.T) {
 	if !pt.Allow("guest", "app", pad("gzip")) {
 		t.Fatal("restricted principal denied allowed protocol")
 	}
-	pt.Clear("guest")
-	if !pt.Allow("guest", "app", pad("varyblock")) {
-		t.Fatal("cleared principal still restricted")
+	if pt.Allow("banned", "app", pad("direct")) {
+		t.Fatal("principal with an empty list allowed a protocol")
 	}
-	if err := pt.Restrict("", "direct"); err == nil {
+	if _, err := NewPolicyTable(map[string][]string{"": {"direct"}}); err == nil {
 		t.Fatal("anonymous restriction accepted")
 	}
-	if err := pt.Restrict("x", ""); err == nil {
+	if _, err := NewPolicyTable(map[string][]string{"x": {""}}); err == nil {
 		t.Fatal("empty protocol accepted")
 	}
 }
 
 func TestNegotiateForAppliesPolicy(t *testing.T) {
 	p := newTestProxy(t)
-	pt := NewPolicyTable()
 	// The PDA environment normally negotiates bitmap; deny it for guest.
-	if err := pt.Restrict("guest", "direct", "gzip"); err != nil {
-		t.Fatal(err)
-	}
-	p.SetAuthorizer(pt)
+	p.SetAuthorizer(policy(t, map[string][]string{"guest": {"direct", "gzip"}}))
 
 	admin, err := p.NegotiateFor("admin", "webapp", pdaEnv(), 75)
 	if err != nil {
@@ -73,11 +75,7 @@ func TestNegotiateForAppliesPolicy(t *testing.T) {
 
 func TestNegotiateForCacheIsolation(t *testing.T) {
 	p := newTestProxy(t)
-	pt := NewPolicyTable()
-	if err := pt.Restrict("guest", "direct"); err != nil {
-		t.Fatal(err)
-	}
-	p.SetAuthorizer(pt)
+	p.SetAuthorizer(policy(t, map[string][]string{"guest": {"direct"}}))
 	// Same environment, different principals: results must not be shared
 	// through the adaptation cache.
 	full, err := p.NegotiateFor("admin", "webapp", pdaEnv(), 75)
@@ -117,11 +115,7 @@ func TestNegotiateForDenyAllFails(t *testing.T) {
 
 func TestSetAuthorizerNilAllowsAll(t *testing.T) {
 	p := newTestProxy(t)
-	pt := NewPolicyTable()
-	if err := pt.Restrict("guest", "direct"); err != nil {
-		t.Fatal(err)
-	}
-	p.SetAuthorizer(pt)
+	p.SetAuthorizer(policy(t, map[string][]string{"guest": {"direct"}}))
 	p.SetAuthorizer(nil)
 	pads, err := p.NegotiateFor("guest", "webapp", pdaEnv(), 75)
 	if err != nil {

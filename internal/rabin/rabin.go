@@ -92,6 +92,3 @@ func NewTable(pol Pol, window int) (*Table, error) {
 	shared, _ := tables.LoadOrStore(key, t)
 	return shared.(*Table), nil
 }
-
-// Window returns the window size the table was built for.
-func (t *Table) Window() int { return t.window }

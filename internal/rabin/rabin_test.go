@@ -56,8 +56,8 @@ func TestNewTableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Window() != 48 {
-		t.Fatalf("Window() = %d, want 48", tab.Window())
+	if tab.window != 48 {
+		t.Fatalf("window = %d, want 48", tab.window)
 	}
 }
 
@@ -89,8 +89,8 @@ func TestNewTableSharedAcrossGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other == got[0] || other.Window() != 41 {
-		t.Fatalf("window 41 shares the window-40 table (Window() = %d)", other.Window())
+	if other == got[0] || other.window != 41 {
+		t.Fatalf("window 41 shares the window-40 table (window = %d)", other.window)
 	}
 }
 

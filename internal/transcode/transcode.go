@@ -86,9 +86,6 @@ func NewThumbnail(factor int) (*Thumbnail, error) {
 // Name implements Transcoder.
 func (t *Thumbnail) Name() string { return NameThumbnail }
 
-// Factor returns the reduction factor.
-func (t *Thumbnail) Factor() int { return t.factor }
-
 // Cost implements Transcoder: a cheap linear pass over the content.
 func (t *Thumbnail) Cost() codec.CostModel {
 	return codec.CostModel{ServerNsPerByte: 45, ServerFixed: 100 * time.Microsecond}

@@ -109,8 +109,8 @@ func TestThumbnailDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("thumbnail transform not deterministic")
 	}
-	if tc.Factor() != 4 {
-		t.Fatalf("factor = %d", tc.Factor())
+	if tc.factor != 4 {
+		t.Fatalf("factor = %d", tc.factor)
 	}
 }
 

@@ -299,31 +299,3 @@ func genImages(seed int64, perm []int, noiseEvery, count, size int) [][]byte {
 	}
 	return images
 }
-
-// TotalBytes returns the sum of serialized page sizes.
-func (c *Corpus) TotalBytes() int64 {
-	var total int64
-	for _, p := range c.Pages {
-		total += int64(p.Size())
-	}
-	return total
-}
-
-// Clone deep-copies the corpus.
-func (c *Corpus) Clone() *Corpus {
-	out := &Corpus{Pages: make([]*Page, len(c.Pages))}
-	for i, p := range c.Pages {
-		out.Pages[i] = p.Clone()
-	}
-	return out
-}
-
-// Page returns the page with the given ID, or an error if absent.
-func (c *Corpus) Page(id string) (*Page, error) {
-	for _, p := range c.Pages {
-		if p.ID == id {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("workload: no page %q in corpus", id)
-}
