@@ -5,28 +5,16 @@
 //
 //	fractal-bench -exp all
 //	fractal-bench -exp fig9b -clients 1,50,100,200,300
-//	fractal-bench -exp headline -json
-//	fractal-bench -exp fig10 -cpuprofile cpu.out -memprofile mem.out
 //
 // Experiments: table1, fig9a, fig9b, fig10, fig10d, fig11a, fig11b,
 // fig11c, headline, capacity, timeline, premise, session, all.
-//
-// With -json the sections are emitted as one JSON document (each TSV row
-// split into fields) instead of the human-readable text, for consumption by
-// plotting or regression-tracking scripts. The document is an envelope that
-// records run provenance — goos, goarch, gomaxprocs, nproc, and an optional
-// free-form -note — so snapshots taken on different hosts are never mistaken
-// for comparable. -cpuprofile and -memprofile write pprof profiles covering
-// the experiment runs.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -35,308 +23,144 @@ import (
 	"fractal/internal/workload"
 )
 
-// section is one experiment's output: a title plus TSV rows.
-type section struct {
-	ID    string
-	Title string
-	Rows  []string
+// defaultClients are the client counts of Figures 9(a) and 9(b).
+const defaultClients = "1,25,50,100,150,200,250,300"
+
+// sectionDef is one experiment: its -exp id, its title, and its TSV rows
+// on the platform.
+type sectionDef struct {
+	id, title string
+	rows      func(s *experiment.Setup, counts []int) ([]string, error)
 }
 
-// jsonSection is the -json wire form of a section, TSV rows split.
-type jsonSection struct {
-	ID    string     `json:"id"`
-	Title string     `json:"title"`
-	Rows  [][]string `json:"rows"`
+// sections are the experiments, in the order -exp all prints them.
+var sections = []sectionDef{
+	{"table1", "Table 1: functions and implementations of PADs", func(s *experiment.Setup, _ []int) ([]string, error) {
+		pads, err := experiment.RunTable1(s)
+		rows := []string{"pad\tfunction\timplementation\tmodule_bytes"}
+		for _, r := range pads {
+			rows = append(rows, fmt.Sprintf("%s\t%s\t%s\t%d", r.Name, r.Function, r.Implementation, r.ModuleBytes))
+		}
+		return rows, err
+	}},
+	{"fig9a", "Figure 9(a): average negotiation time vs clients (real TCP)", func(s *experiment.Setup, counts []int) ([]string, error) {
+		r, err := experiment.RunFig9a(s, counts)
+		return r.Rows(), err
+	}},
+	{"fig9b", "Figure 9(b): PAD retrieval time, centralized vs CDN (simulated)", func(s *experiment.Setup, counts []int) ([]string, error) {
+		r, err := experiment.RunFig9b(s, counts)
+		return r.Rows(), err
+	}},
+	{"fig10", "Figure 10(a-c): computing overhead per scenario (reactive server)", fig10(true)},
+	{"fig10d", "Figure 10(d): computing overhead per scenario (proactive server)", fig10(false)},
+	{"fig11a", "Figure 11(a): bytes transferred per protocol", func(s *experiment.Setup, _ []int) ([]string, error) {
+		r, err := experiment.RunFig11a(s)
+		return r.Render(), err
+	}},
+	{"fig11b", "Figure 11(b): total time with server-side difference computing", fig11(true)},
+	{"fig11c", "Figure 11(c): total time without server-side difference computing", fig11(false)},
+	{"headline", "Headline: total overhead savings of adaptive protocol adaptation", func(s *experiment.Setup, _ []int) ([]string, error) {
+		r, err := experiment.RunHeadline(s)
+		return r.Render(), err
+	}},
+	{"capacity", "Extension: server capacity per adaptation scenario", func(s *experiment.Setup, _ []int) ([]string, error) {
+		trace, err := workload.GenerateTrace(s.V2, workload.DefaultTraceConfig(7))
+		if err != nil {
+			return nil, err
+		}
+		r, err := experiment.RunCapacity(s, trace)
+		return r.Render(), err
+	}},
+	{"timeline", "Extension: first-contact timeline per station (Figure 4 sequence)", func(s *experiment.Setup, _ []int) ([]string, error) {
+		var rows []string
+		for _, st := range netsim.Stations() {
+			tl, err := experiment.RunTimeline(s, st)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, tl.Render()...)
+		}
+		return rows, nil
+	}},
+	{"premise", "Premise [30]: no single protocol wins across document classes", func(*experiment.Setup, []int) ([]string, error) {
+		r, err := experiment.RunPremise(experiment.DefaultSetupConfig().Seed)
+		return r.Render(), err
+	}},
+	{"session", "Extension: whole-session client total delay per scenario", func(s *experiment.Setup, _ []int) ([]string, error) {
+		r, err := experiment.RunSessionTotals(s, s.Model.SessionRequests)
+		return r.Render(), err
+	}},
 }
 
-// jsonEnvelope wraps -json output with the provenance a regression tracker
-// needs to decide whether two runs are comparable at all: numbers taken at
-// GOMAXPROCS=1 on a single-CPU host must not be gated against an 8-way run.
-type jsonEnvelope struct {
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"nproc"`
-	Note       string        `json:"note,omitempty"`
-	Sections   []jsonSection `json:"sections"`
-}
-
-// emitJSON writes the sections wrapped in the provenance envelope.
-func emitJSON(secs []jsonSection, note string) error {
-	env := jsonEnvelope{
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note:       note,
-		Sections:   secs,
+// fig10 is Figure 10's computing-overhead rows under one server strategy.
+func fig10(includeServer bool) func(*experiment.Setup, []int) ([]string, error) {
+	return func(s *experiment.Setup, _ []int) ([]string, error) {
+		r, err := experiment.RunScenarios(s, includeServer)
+		return r.ComputingRows(), err
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(env)
+}
+
+// fig11 is Figure 11(b)/(c): every protocol's total per station, then
+// each scenario's.
+func fig11(includeServer bool) func(*experiment.Setup, []int) ([]string, error) {
+	return func(s *experiment.Setup, _ []int) ([]string, error) {
+		g, err := experiment.RunFig11Grid(s, includeServer)
+		if err != nil {
+			return nil, err
+		}
+		sc, err := experiment.RunScenarios(s, includeServer)
+		return append(g.Rows(), sc.TotalRows()...), err
+	}
 }
 
 func main() {
-	var (
-		exp        = flag.String("exp", "all", "experiment id: table1|fig9a|fig9b|fig10|fig10d|fig11a|fig11b|fig11c|headline|capacity|timeline|premise|session|all")
-		clients    = flag.String("clients", "1,25,50,100,150,200,250,300", "comma-separated client counts for fig9a/fig9b")
-		pages      = flag.Int("pages", 0, "override corpus size (default: the paper's 75)")
-		seed       = flag.Int64("seed", 0, "override workload seed")
-		edges      = flag.Int("edges", 0, "override CDN edgeserver count")
-		jsonOut    = flag.Bool("json", false, "emit sections as one JSON document (with run provenance) instead of text")
-		note       = flag.String("note", "", "free-form provenance note recorded in the -json envelope (e.g. host or run context)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering the experiment runs to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile taken after the experiment runs to this file")
-	)
+	exp := flag.String("exp", "all", "experiment id: table1|fig9a|fig9b|fig10|fig10d|fig11a|fig11b|fig11c|headline|capacity|timeline|premise|session|all")
+	clients := flag.String("clients", defaultClients, "comma-separated client counts for fig9a/fig9b")
 	flag.Parse()
 
-	cfg := experiment.DefaultSetupConfig()
-	if *pages > 0 {
-		cfg.Pages = *pages
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *edges > 0 {
-		cfg.Edges = *edges
+	defs := sections
+	if *exp != "all" {
+		defs = nil
+		var ids []string
+		for _, d := range sections {
+			if d.id == *exp {
+				defs = []sectionDef{d}
+			}
+			ids = append(ids, d.id)
+		}
+		if defs == nil {
+			fatal(fmt.Errorf("unknown experiment %q (want one of %s, all)", *exp, strings.Join(ids, ", ")))
+		}
 	}
 	counts, err := parseCounts(*clients)
 	if err != nil {
 		fatal(err)
 	}
+	if err := printSections(os.Stdout, defs, counts); err != nil {
+		fatal(err)
+	}
+}
 
+// printSections builds the paper's platform and prints each section as a
+// titled block of TSV rows.
+func printSections(w io.Writer, defs []sectionDef, counts []int) error {
+	cfg := experiment.DefaultSetupConfig()
 	fmt.Fprintf(os.Stderr, "fractal-bench: building platform (%d pages, %d edges)...\n", cfg.Pages, cfg.Edges)
 	s, err := experiment.NewSetup(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	run := map[string]func() (section, error){
-		"table1":   func() (section, error) { return runTable1(s) },
-		"fig9a":    func() (section, error) { return runFig9a(s, counts) },
-		"fig9b":    func() (section, error) { return runFig9b(s, counts) },
-		"fig10":    func() (section, error) { return runFig10(s, true) },
-		"fig10d":   func() (section, error) { return runFig10(s, false) },
-		"fig11a":   func() (section, error) { return runFig11a(s) },
-		"fig11b":   func() (section, error) { return runFig11(s, true) },
-		"fig11c":   func() (section, error) { return runFig11(s, false) },
-		"headline": func() (section, error) { return runHeadline(s) },
-		"capacity": func() (section, error) { return runCapacity(s) },
-		"timeline": func() (section, error) { return runTimeline(s) },
-		"premise":  func() (section, error) { return runPremise(cfg.Seed) },
-		"session":  func() (section, error) { return runSession(s, s.Model.SessionRequests) },
-	}
-	order := []string{"table1", "fig9a", "fig9b", "fig10", "fig10d", "fig11a", "fig11b", "fig11c", "headline", "capacity", "timeline", "premise", "session"}
-
-	var ids []string
-	if *exp == "all" {
-		ids = order
-	} else {
-		if _, ok := run[*exp]; !ok {
-			fatal(fmt.Errorf("unknown experiment %q (want one of %s, all)", *exp, strings.Join(order, ", ")))
-		}
-		ids = []string{*exp}
-	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	for _, d := range defs {
+		rows, err := d.rows(s, counts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-	}
-
-	var collected []jsonSection
-	for _, id := range ids {
-		sec, err := run[id]()
-		if err != nil {
-			fatal(err)
-		}
-		sec.ID = id
-		if *jsonOut {
-			collected = append(collected, sec.toJSON())
-		} else {
-			sec.print()
+		fmt.Fprintf(w, "\n== %s ==\n", d.title)
+		for _, row := range rows {
+			fmt.Fprintln(w, row)
 		}
 	}
-	if *jsonOut {
-		if err := emitJSON(collected, *note); err != nil {
-			fatal(err)
-		}
-	}
-
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// print renders the section in the original human-readable text format.
-func (s section) print() {
-	fmt.Printf("\n== %s ==\n", s.Title)
-	for _, row := range s.Rows {
-		fmt.Println(row)
-	}
-}
-
-// toJSON splits the TSV rows into fields for structured output.
-func (s section) toJSON() jsonSection {
-	js := jsonSection{ID: s.ID, Title: s.Title, Rows: make([][]string, len(s.Rows))}
-	for i, row := range s.Rows {
-		js.Rows[i] = strings.Split(row, "\t")
-	}
-	return js
-}
-
-func runTable1(s *experiment.Setup) (section, error) {
-	sec := section{Title: "Table 1: functions and implementations of PADs"}
-	rows, err := experiment.RunTable1(s)
-	if err != nil {
-		return sec, err
-	}
-	sec.Rows = append(sec.Rows, "pad\tfunction\timplementation\tmodule_bytes")
-	for _, r := range rows {
-		sec.Rows = append(sec.Rows, fmt.Sprintf("%s\t%s\t%s\t%d", r.Name, r.Function, r.Implementation, r.ModuleBytes))
-	}
-	return sec, nil
-}
-
-func runFig9a(s *experiment.Setup, counts []int) (section, error) {
-	sec := section{Title: "Figure 9(a): average negotiation time vs clients (real TCP)"}
-	r, err := experiment.RunFig9a(s, counts)
-	if err != nil {
-		return sec, err
-	}
-	sec.Rows = r.Rows()
-	return sec, nil
-}
-
-func runFig9b(s *experiment.Setup, counts []int) (section, error) {
-	sec := section{Title: "Figure 9(b): PAD retrieval time, centralized vs CDN (simulated)"}
-	r, err := experiment.RunFig9b(s, counts)
-	if err != nil {
-		return sec, err
-	}
-	sec.Rows = r.Rows()
-	return sec, nil
-}
-
-func runFig10(s *experiment.Setup, includeServer bool) (section, error) {
-	var sec section
-	if includeServer {
-		sec.Title = "Figure 10(a-c): computing overhead per scenario (reactive server)"
-	} else {
-		sec.Title = "Figure 10(d): computing overhead per scenario (proactive server)"
-	}
-	r, err := experiment.RunScenarios(s, includeServer)
-	if err != nil {
-		return sec, err
-	}
-	sec.Rows = r.ComputingRows()
-	return sec, nil
-}
-
-func runFig11a(s *experiment.Setup) (section, error) {
-	sec := section{Title: "Figure 11(a): bytes transferred per protocol"}
-	r, err := experiment.RunFig11a(s)
-	if err != nil {
-		return sec, err
-	}
-	sec.Rows = r.Render()
-	return sec, nil
-}
-
-func runFig11(s *experiment.Setup, includeServer bool) (section, error) {
-	var sec section
-	if includeServer {
-		sec.Title = "Figure 11(b): total time with server-side difference computing"
-	} else {
-		sec.Title = "Figure 11(c): total time without server-side difference computing"
-	}
-	g, err := experiment.RunFig11Grid(s, includeServer)
-	if err != nil {
-		return sec, err
-	}
-	sec.Rows = append(sec.Rows, g.Rows()...)
-	sc, err := experiment.RunScenarios(s, includeServer)
-	if err != nil {
-		return sec, err
-	}
-	sec.Rows = append(sec.Rows, sc.TotalRows()...)
-	return sec, nil
-}
-
-func runHeadline(s *experiment.Setup) (section, error) {
-	sec := section{Title: "Headline: total overhead savings of adaptive protocol adaptation"}
-	r, err := experiment.RunHeadline(s)
-	if err != nil {
-		return sec, err
-	}
-	sec.Rows = r.Render()
-	return sec, nil
-}
-
-func runCapacity(s *experiment.Setup) (section, error) {
-	sec := section{Title: "Extension: server capacity per adaptation scenario"}
-	trace, err := workload.GenerateTrace(s.V2, workload.DefaultTraceConfig(7))
-	if err != nil {
-		return sec, err
-	}
-	r, err := experiment.RunCapacity(s, trace)
-	if err != nil {
-		return sec, err
-	}
-	sec.Rows = r.Render()
-	return sec, nil
-}
-
-func runTimeline(s *experiment.Setup) (section, error) {
-	sec := section{Title: "Extension: first-contact timeline per station (Figure 4 sequence)"}
-	for _, st := range netsim.Stations() {
-		tl, err := experiment.RunTimeline(s, st)
-		if err != nil {
-			return sec, err
-		}
-		sec.Rows = append(sec.Rows, tl.Render()...)
-	}
-	return sec, nil
-}
-
-func runPremise(seed int64) (section, error) {
-	sec := section{Title: "Premise [30]: no single protocol wins across document classes"}
-	r, err := experiment.RunPremise(seed)
-	if err != nil {
-		return sec, err
-	}
-	sec.Rows = r.Render()
-	return sec, nil
-}
-
-func runSession(s *experiment.Setup, requests int) (section, error) {
-	sec := section{Title: "Extension: whole-session client total delay per scenario"}
-	r, err := experiment.RunSessionTotals(s, requests)
-	if err != nil {
-		return sec, err
-	}
-	sec.Rows = r.Render()
-	return sec, nil
+	return nil
 }
 
 func parseCounts(s string) ([]int, error) {

@@ -262,14 +262,14 @@ func TestNegotiationPicksThumbnailForWeakClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resPDA.PADs[0].Protocol != transcode.NameThumbnail {
-		t.Errorf("PDA rendition = %s, want thumbnail (path %v)", resPDA.PADs[0].Protocol, resPDA.NodeIDs)
+		t.Errorf("PDA rendition = %s, want thumbnail (path %v)", resPDA.PADs[0].Protocol, resPDA.PADs)
 	}
 	resDesk, err := core.FindPath(pat, model, desktop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resDesk.PADs[0].Protocol != transcode.NameIdentity {
-		t.Errorf("desktop rendition = %s, want full (path %v)", resDesk.PADs[0].Protocol, resDesk.NodeIDs)
+		t.Errorf("desktop rendition = %s, want full (path %v)", resDesk.PADs[0].Protocol, resDesk.PADs)
 	}
 }
 

@@ -16,17 +16,11 @@ import (
 type Origin struct {
 	mu      sync.RWMutex
 	objects map[string][]byte
-	// Server models the origin's uplink for direct (centralized) serving
-	// and for edge cache-miss fills.
-	Server netsim.SharedServer
 }
 
-// NewOrigin returns an empty origin with the given uplink model.
-func NewOrigin(server netsim.SharedServer) (*Origin, error) {
-	if err := server.Validate(); err != nil {
-		return nil, fmt.Errorf("cdn: origin: %w", err)
-	}
-	return &Origin{objects: map[string][]byte{}, Server: server}, nil
+// NewOrigin returns an empty origin.
+func NewOrigin() *Origin {
+	return &Origin{objects: map[string][]byte{}}
 }
 
 // Publish stores (or replaces) an object.
@@ -215,16 +209,23 @@ func (e *Edge) Stats() EdgeStats {
 // and each Edge synchronizes independently.
 type CDN struct {
 	origin *Origin
-	mu     sync.RWMutex
-	edges  []*Edge
+	// centralized models the origin's uplink for direct serving, the
+	// baseline of Figure 9(b).
+	centralized netsim.SharedServer
+	mu          sync.RWMutex
+	edges       []*Edge
 }
 
-// New builds a CDN over an origin.
-func New(origin *Origin) (*CDN, error) {
+// New builds a CDN over an origin whose uplink, for direct (centralized)
+// serving, is modelled by centralized.
+func New(origin *Origin, centralized netsim.SharedServer) (*CDN, error) {
 	if origin == nil {
 		return nil, fmt.Errorf("cdn: nil origin")
 	}
-	return &CDN{origin: origin}, nil
+	if err := centralized.Validate(); err != nil {
+		return nil, fmt.Errorf("cdn: origin uplink: %w", err)
+	}
+	return &CDN{origin: origin, centralized: centralized}, nil
 }
 
 // Origin exposes the publishing point.
@@ -350,7 +351,7 @@ func (c *CDN) RetrieveCentralized(path string, client netsim.Link, concurrent in
 	if err != nil {
 		return Retrieval{}, err
 	}
-	t, err := c.origin.Server.RetrievalTime(int64(len(data)), concurrent, client)
+	t, err := c.centralized.RetrievalTime(int64(len(data)), concurrent, client)
 	if err != nil {
 		return Retrieval{}, fmt.Errorf("cdn: centralized retrieval: %w", err)
 	}
@@ -365,13 +366,9 @@ func DefaultTopology(edges int) (*CDN, error) {
 	if edges < 1 {
 		return nil, fmt.Errorf("cdn: topology needs >= 1 edge, got %d", edges)
 	}
-	origin, err := NewOrigin(netsim.SharedServer{
+	c, err := New(NewOrigin(), netsim.SharedServer{
 		Name: "origin", UplinkKbps: 10000, Rho: netsim.DefaultRho, BaseRTT: 40 * time.Millisecond,
 	})
-	if err != nil {
-		return nil, err
-	}
-	c, err := New(origin)
 	if err != nil {
 		return nil, err
 	}

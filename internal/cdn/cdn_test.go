@@ -90,17 +90,8 @@ func TestLRUCacheCapacityInvariantProperty(t *testing.T) {
 	}
 }
 
-func testOrigin(t testing.TB) *Origin {
-	t.Helper()
-	o, err := NewOrigin(netsim.SharedServer{Name: "origin", UplinkKbps: 10000, Rho: 0.8, BaseRTT: 40 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o
-}
-
 func TestOriginPublishGet(t *testing.T) {
-	o := testOrigin(t)
+	o := NewOrigin()
 	if err := o.Publish("", []byte("x")); err == nil {
 		t.Fatal("empty path published")
 	}
@@ -124,7 +115,7 @@ func TestOriginPublishGet(t *testing.T) {
 }
 
 func TestOriginDataIsolation(t *testing.T) {
-	o := testOrigin(t)
+	o := NewOrigin()
 	data := []byte("mutable")
 	if err := o.Publish("/x", data); err != nil {
 		t.Fatal(err)
@@ -139,6 +130,9 @@ func TestOriginDataIsolation(t *testing.T) {
 	}
 }
 
+// centralizedUplink is the origin's uplink for direct serving.
+var centralizedUplink = netsim.SharedServer{Name: "origin", UplinkKbps: 10000, Rho: 0.8, BaseRTT: 40 * time.Millisecond}
+
 func edgeConfig(id, region string) EdgeConfig {
 	return EdgeConfig{
 		ID: id, Region: region,
@@ -150,7 +144,7 @@ func edgeConfig(id, region string) EdgeConfig {
 }
 
 func TestEdgeFetchMissThenHit(t *testing.T) {
-	o := testOrigin(t)
+	o := NewOrigin()
 	if err := o.Publish("/pad", bytes.Repeat([]byte("p"), 5000)); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +179,7 @@ func TestEdgeFetchMissThenHit(t *testing.T) {
 }
 
 func TestNewEdgeValidation(t *testing.T) {
-	o := testOrigin(t)
+	o := NewOrigin()
 	bad := []EdgeConfig{
 		{},
 		func() EdgeConfig { c := edgeConfig("e", "r"); c.CacheBytes = 0; return c }(),
@@ -213,7 +207,7 @@ func edgeFor(c *CDN, region string) (*Edge, error) {
 }
 
 func TestCDNEdgeForPrefersRegionThenRTT(t *testing.T) {
-	c, err := New(testOrigin(t))
+	c, err := New(NewOrigin(), centralizedUplink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +236,10 @@ func TestCDNEdgeForPrefersRegionThenRTT(t *testing.T) {
 }
 
 func TestCDNAddEdgeDuplicate(t *testing.T) {
-	c, err := New(testOrigin(t))
+	if _, err := New(NewOrigin(), netsim.SharedServer{Name: "origin"}); err == nil {
+		t.Fatal("CDN built over an origin uplink with no bandwidth")
+	}
+	c, err := New(NewOrigin(), centralizedUplink)
 	if err != nil {
 		t.Fatal(err)
 	}

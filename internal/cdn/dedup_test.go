@@ -13,7 +13,7 @@ import (
 // object must produce exactly one origin fill, with every other miss
 // either joining the in-flight fill or finding the cache already filled.
 func TestEdgeFetchConcurrentMissesSingleOriginFill(t *testing.T) {
-	o := testOrigin(t)
+	o := NewOrigin()
 	payload := bytes.Repeat([]byte("p"), 5000)
 	if err := o.Publish("/pad", payload); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestEdgeFetchConcurrentMissesSingleOriginFill(t *testing.T) {
 // TestEdgeFetchMissErrorNotCached verifies a failed fill does not poison
 // the dedup path: after the object appears at the origin, fetches succeed.
 func TestEdgeFetchMissErrorNotCached(t *testing.T) {
-	o := testOrigin(t)
+	o := NewOrigin()
 	e, err := NewEdge(edgeConfig("e1", "r1"), o)
 	if err != nil {
 		t.Fatal(err)

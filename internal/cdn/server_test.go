@@ -13,7 +13,7 @@ import (
 
 func startTestPADServer(t *testing.T) (addr string, store *Origin, shutdown func()) {
 	t.Helper()
-	store = testOrigin(t)
+	store = NewOrigin()
 	if err := store.Publish("/pads/pad-x", bytes.Repeat([]byte("m"), 4096)); err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +98,13 @@ func TestNewPADServerValidation(t *testing.T) {
 	if _, err := NewPADServer(nil, 1, nil); err == nil {
 		t.Error("nil store accepted")
 	}
-	if _, err := NewPADServer(testOrigin(t), 0, nil); err == nil {
+	if _, err := NewPADServer(NewOrigin(), 0, nil); err == nil {
 		t.Error("zero concurrency accepted")
 	}
 }
 
 func TestPADServerDoubleServeRejected(t *testing.T) {
-	srv, err := NewPADServer(testOrigin(t), 1, t.Logf)
+	srv, err := NewPADServer(NewOrigin(), 1, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,7 @@ func startPADServer(t *testing.T, idle time.Duration) (addr string, mods []*mobi
 		}
 		mods = append(mods, m)
 	}
-	store, err := cdn.NewOrigin(netsim.SharedServer{Name: "store", UplinkKbps: 1000, Rho: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := cdn.NewOrigin()
 	for _, m := range mods {
 		packed, err := m.Pack()
 		if err != nil {

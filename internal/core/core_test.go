@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -182,28 +183,16 @@ func TestBuildPATFigure5(t *testing.T) {
 	if tr.Len() != 8 {
 		t.Fatalf("tree has %d nodes, want 8", tr.Len())
 	}
+	// Leaves: PAD4, PAD5, PAD6(link), PAD7, PAD8a => 5 paths, roots in
+	// AppMeta order and children in listed order. That PAD6 resolves to
+	// PAD7's metadata is TestFindPathUsesSymbolicLinkCost's check.
 	paths := tr.Paths()
-	// Leaves: PAD4, PAD5, PAD6(link), PAD7, PAD8a => 5 paths.
-	if len(paths) != 5 {
-		t.Fatalf("got %d paths, want 5 (= number of leaves): %v", len(paths), paths)
+	want := [][]string{{"PAD1", "PAD4"}, {"PAD1", "PAD5"}, {"PAD1", "PAD6"}, {"PAD2", "PAD7"}, {"PAD3", "PAD8a"}}
+	if !reflect.DeepEqual(paths, want) {
+		t.Fatalf("paths = %v, want %v", paths, want)
 	}
-	if leaves := countLeaves(tr); leaves != len(paths) {
+	if leaves := countLeaves(figure5App()); leaves != len(paths) {
 		t.Fatalf("paths (%d) != leaves (%d)", len(paths), leaves)
-	}
-	// The symbolic link resolves to its target's metadata.
-	meta, err := tr.Resolve("PAD6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.ID != "PAD7" {
-		t.Fatalf("PAD6 resolves to %s, want PAD7", meta.ID)
-	}
-	direct, err := tr.Resolve("PAD4")
-	if err != nil || direct.ID != "PAD4" {
-		t.Fatalf("PAD4 resolves to %v, %v", direct.ID, err)
-	}
-	if _, err := tr.Resolve("PAD99"); err == nil {
-		t.Fatal("resolving unknown PAD succeeded")
 	}
 }
 
@@ -250,11 +239,12 @@ func TestBuildPATRejectsCycle(t *testing.T) {
 	}
 }
 
-// countLeaves counts the tree's childless nodes, symbolic links included.
-func countLeaves(tr *PAT) int {
+// countLeaves counts the metadata's childless PADs, symbolic links
+// included.
+func countLeaves(app AppMeta) int {
 	n := 0
-	for _, node := range tr.nodes {
-		if len(node.children) == 0 {
+	for _, p := range app.PADs {
+		if len(p.Children) == 0 {
 			n++
 		}
 	}
@@ -432,17 +422,11 @@ func TestFindPathFigure5Example(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.NodeIDs) != 2 || res.NodeIDs[0] != "PAD2" || res.NodeIDs[1] != "PAD7" {
-		t.Fatalf("selected path %v, want [PAD2 PAD7]", res.NodeIDs)
+	if len(res.PADs) != 2 || res.PADs[0].ID != "PAD2" || res.PADs[1].ID != "PAD7" {
+		t.Fatalf("selected PADs %v, want [PAD2 PAD7]", res.PADs)
 	}
 	if !close1e9(res.Total, 9) {
 		t.Fatalf("total = %v, want 9", res.Total)
-	}
-	if len(res.PADs) != 2 || res.PADs[1].ID != "PAD7" {
-		t.Fatalf("resolved PADs = %v", res.PADs)
-	}
-	if len(res.Breakdown) != 2 {
-		t.Fatalf("breakdown has %d entries, want 2", len(res.Breakdown))
 	}
 }
 
@@ -473,15 +457,13 @@ func TestFindPathUsesSymbolicLinkCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NodeIDs[0] != "PAD1" || res.NodeIDs[1] != "PAD6" {
-		t.Fatalf("selected %v, want [PAD1 PAD6]", res.NodeIDs)
+	// The path runs through link PAD6, and the client must be told to
+	// fetch PAD7, the link's target.
+	if len(res.PADs) != 2 || res.PADs[0].ID != "PAD1" || res.PADs[1].ID != "PAD7" {
+		t.Fatalf("selected PADs %v, want [PAD1 PAD7] (through link PAD6)", res.PADs)
 	}
 	if !close1e9(res.Total, 13) {
 		t.Fatalf("total = %v, want 13", res.Total)
-	}
-	// The client must be told to fetch PAD7, the link's target.
-	if res.PADs[1].ID != "PAD7" {
-		t.Fatalf("resolved PAD = %s, want PAD7", res.PADs[1].ID)
 	}
 }
 
@@ -538,13 +520,17 @@ func TestFindPathIsOptimalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		byID := map[string]PADMeta{}
+		for _, p := range app.PADs {
+			byID[p.ID] = p
+		}
 		minTotal := math.Inf(1)
 		for _, path := range tr.Paths() {
 			sum := 0.0
 			for _, id := range path {
-				meta, err := tr.Resolve(id)
-				if err != nil {
-					return false
+				meta := byID[id]
+				if meta.Alias != "" {
+					meta = byID[meta.Alias]
 				}
 				b, err := m.PADTotal(meta, env)
 				if err != nil {
@@ -579,7 +565,7 @@ func TestPathsEqualLeavesProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return len(tr.Paths()) == countLeaves(tr)
+		return len(tr.Paths()) == countLeaves(app)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -696,7 +682,7 @@ func TestFindPathStableUnderWorseExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.Total != after.Total || before.NodeIDs[0] != after.NodeIDs[0] {
-		t.Fatalf("worse extension changed the result: %v -> %v", before.NodeIDs, after.NodeIDs)
+	if before.Total != after.Total || before.PADs[0].ID != after.PADs[0].ID {
+		t.Fatalf("worse extension changed the result: %v -> %v", before.PADs, after.PADs)
 	}
 }

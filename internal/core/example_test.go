@@ -49,7 +49,11 @@ func ExampleFindPath() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("path %v, total %.0fs\n", res.NodeIDs, res.Total)
+	ids := make([]string, len(res.PADs))
+	for i, p := range res.PADs {
+		ids[i] = p.ID
+	}
+	fmt.Printf("path %v, total %.0fs\n", ids, res.Total)
 	// Output: path [PAD2 PAD7], total 9s
 }
 

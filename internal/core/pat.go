@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 )
 
 // PAT is the protocol adaptation tree (Section 3.4.1). Each node is a
@@ -10,19 +11,20 @@ import (
 // complete application protocol is a path from the (virtual) application
 // root to a leaf. Symbolic links let one PAD serve multiple parents while
 // keeping the structure a tree.
+//
+// A PAT is immutable after BuildPAT, which lays it out as the search reads
+// it: a search marks overheads into an array indexed by node slot and
+// scans the flattened paths, with no per-call map, sort or tree walk.
 type PAT struct {
 	appID string
-	nodes map[string]*patNode
-	// roots are the top-level PADs in insertion order.
-	roots []string
-	// index is the compiled search index (see searchindex.go), built by
-	// BuildPAT.
-	index *searchIndex
-}
-
-type patNode struct {
-	meta     PADMeta
-	children []string
+	// ids holds every node id in sorted order; a node's slot is its
+	// offset here.
+	ids []string
+	// metas[i] is ids[i]'s metadata with symbolic links resolved.
+	metas []PADMeta
+	// paths are the root-to-leaf paths as slots, roots in AppMeta order
+	// and children in listed order: the search's tie-breaking order.
+	paths [][]int32
 }
 
 // BuildPAT constructs and validates the tree from pushed application
@@ -33,17 +35,18 @@ func BuildPAT(app AppMeta) (*PAT, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
-	t := &PAT{appID: app.AppID, nodes: map[string]*patNode{}}
+	byID := make(map[string]PADMeta, len(app.PADs))
 	for _, p := range app.PADs {
-		t.nodes[p.ID] = &patNode{meta: p}
+		byID[p.ID] = p
 	}
+	var roots []string
 	for _, p := range app.PADs {
 		if p.Alias != "" {
-			target, ok := t.nodes[p.Alias]
+			target, ok := byID[p.Alias]
 			if !ok {
 				return nil, fmt.Errorf("core: PAT %s: PAD %s aliases unknown PAD %s", app.AppID, p.ID, p.Alias)
 			}
-			if target.meta.Alias != "" {
+			if target.Alias != "" {
 				return nil, fmt.Errorf("core: PAT %s: PAD %s aliases %s which is itself an alias", app.AppID, p.ID, p.Alias)
 			}
 			if len(p.Children) > 0 {
@@ -51,129 +54,113 @@ func BuildPAT(app AppMeta) (*PAT, error) {
 			}
 		}
 		for _, c := range p.Children {
-			child, ok := t.nodes[c]
+			child, ok := byID[c]
 			if !ok {
 				return nil, fmt.Errorf("core: PAT %s: PAD %s lists unknown child %s", app.AppID, p.ID, c)
 			}
-			if child.meta.Parent != p.ID {
-				return nil, fmt.Errorf("core: PAT %s: PAD %s lists child %s whose Parent is %q", app.AppID, p.ID, c, child.meta.Parent)
+			if child.Parent != p.ID {
+				return nil, fmt.Errorf("core: PAT %s: PAD %s lists child %s whose Parent is %q", app.AppID, p.ID, c, child.Parent)
 			}
 		}
-		if p.Parent != "" {
-			parent, ok := t.nodes[p.Parent]
-			if !ok {
-				return nil, fmt.Errorf("core: PAT %s: PAD %s has unknown parent %s", app.AppID, p.ID, p.Parent)
-			}
-			found := false
-			for _, c := range parent.meta.Children {
-				if c == p.ID {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("core: PAT %s: PAD %s names parent %s, which does not list it", app.AppID, p.ID, p.Parent)
-			}
-		}
-	}
-	for _, p := range app.PADs {
-		t.nodes[p.ID].children = append([]string(nil), p.Children...)
 		if p.Parent == "" {
-			t.roots = append(t.roots, p.ID)
+			roots = append(roots, p.ID)
+			continue
+		}
+		parent, ok := byID[p.Parent]
+		if !ok {
+			return nil, fmt.Errorf("core: PAT %s: PAD %s has unknown parent %s", app.AppID, p.ID, p.Parent)
+		}
+		found := false
+		for _, c := range parent.Children {
+			if c == p.ID {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("core: PAT %s: PAD %s names parent %s, which does not list it", app.AppID, p.ID, p.Parent)
 		}
 	}
-	if len(t.roots) == 0 {
+	if len(roots) == 0 {
 		return nil, fmt.Errorf("core: PAT %s has no top-level PADs", app.AppID)
 	}
-	if err := t.checkAcyclic(); err != nil {
-		return nil, err
-	}
-	if err := t.compile(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
 
-// checkAcyclic verifies the parent/child structure is a forest reachable
-// from the roots with each node visited once.
-func (t *PAT) checkAcyclic() error {
+	t := &PAT{appID: app.AppID, ids: make([]string, 0, len(byID)), metas: make([]PADMeta, len(byID))}
+	for id := range byID {
+		t.ids = append(t.ids, id)
+	}
+	sort.Strings(t.ids)
+	slot := make(map[string]int32, len(t.ids))
+	for i, id := range t.ids {
+		slot[id] = int32(i)
+		m := byID[id]
+		if m.Alias != "" {
+			m = byID[m.Alias]
+		}
+		t.metas[i] = m
+	}
+
+	// One walk from the roots refuses a cycle and a node with two parents,
+	// and records every root-to-leaf path; a node it never reaches is
+	// refused after it.
 	const (
-		unvisited = 0
-		inStack   = 1
-		done      = 2
+		inStack = 1
+		done    = 2
 	)
-	state := map[string]int{}
+	state := make([]uint8, len(t.ids))
+	var prefix []int32
 	var visit func(id string) error
 	visit = func(id string) error {
-		switch state[id] {
+		s := slot[id]
+		switch state[s] {
 		case inStack:
-			return fmt.Errorf("core: PAT %s contains a cycle through PAD %s", t.appID, id)
+			return fmt.Errorf("core: PAT %s contains a cycle through PAD %s", app.AppID, id)
 		case done:
-			return fmt.Errorf("core: PAT %s: PAD %s is reachable from two parents (use a symbolic link)", t.appID, id)
+			return fmt.Errorf("core: PAT %s: PAD %s is reachable from two parents (use a symbolic link)", app.AppID, id)
 		}
-		state[id] = inStack
-		for _, c := range t.nodes[id].children {
+		state[s] = inStack
+		prefix = append(prefix, s)
+		children := byID[id].Children
+		if len(children) == 0 {
+			t.paths = append(t.paths, append([]int32(nil), prefix...))
+		}
+		for _, c := range children {
 			if err := visit(c); err != nil {
 				return err
 			}
 		}
-		state[id] = done
+		prefix = prefix[:len(prefix)-1]
+		state[s] = done
 		return nil
 	}
-	for _, r := range t.roots {
+	for _, r := range roots {
 		if err := visit(r); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	for id := range t.nodes {
-		if state[id] != done {
-			return fmt.Errorf("core: PAT %s: PAD %s is not reachable from any root", t.appID, id)
+	for i, id := range t.ids {
+		if state[i] != done {
+			return nil, fmt.Errorf("core: PAT %s: PAD %s is not reachable from any root", app.AppID, id)
 		}
 	}
-	return nil
+	return t, nil
 }
 
 // AppID returns the application the tree describes.
 func (t *PAT) AppID() string { return t.appID }
 
 // Len returns the number of nodes (including symbolic links).
-func (t *PAT) Len() int { return len(t.nodes) }
-
-// Resolve follows a symbolic link to its target metadata; non-links
-// resolve to themselves.
-func (t *PAT) Resolve(id string) (PADMeta, error) {
-	n, ok := t.nodes[id]
-	if !ok {
-		return PADMeta{}, fmt.Errorf("core: PAT %s has no PAD %s", t.appID, id)
-	}
-	if n.meta.Alias == "" {
-		return n.meta, nil
-	}
-	target, ok := t.nodes[n.meta.Alias]
-	if !ok {
-		return PADMeta{}, fmt.Errorf("core: PAT %s: dangling symbolic link %s -> %s", t.appID, id, n.meta.Alias)
-	}
-	return target.meta, nil
-}
+func (t *PAT) Len() int { return len(t.ids) }
 
 // Paths enumerates every root-to-leaf path as slices of node ids, in
 // deterministic order. The number of paths equals the number of leaves.
 func (t *PAT) Paths() [][]string {
-	var out [][]string
-	var walk func(id string, prefix []string)
-	walk = func(id string, prefix []string) {
-		prefix = append(prefix, id)
-		n := t.nodes[id]
-		if len(n.children) == 0 {
-			out = append(out, append([]string(nil), prefix...))
-			return
+	out := make([][]string, len(t.paths))
+	for i, p := range t.paths {
+		out[i] = make([]string, len(p))
+		for j, s := range p {
+			out[i][j] = t.ids[s]
 		}
-		for _, c := range n.children {
-			walk(c, prefix)
-		}
-	}
-	for _, r := range t.roots {
-		walk(r, nil)
 	}
 	return out
 }

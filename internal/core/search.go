@@ -3,17 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // PathResult is the outcome of the adaptation path search: the PADs (with
 // symbolic links resolved) forming the least-total-overhead root-to-leaf
-// path, their summed overhead in seconds, and the per-node breakdowns.
+// path, and their summed overhead in seconds.
 type PathResult struct {
-	PADs      []PADMeta
-	NodeIDs   []string // tree node ids, which may include symbolic links
-	Total     float64
-	Breakdown map[string]Breakdown // keyed by tree node id
+	PADs  []PADMeta
+	Total float64
 }
 
 // ErrNoFeasiblePath is returned (wrapped) when every root-to-leaf path has
@@ -33,12 +30,13 @@ func FindPath(t *PAT, m OverheadModel, env Env) (PathResult, error) {
 // hook used by the proxy's access-control extension. A nil filter allows
 // everything.
 //
-// The search runs over the PAT's compiled index (see searchindex.go) and
-// returns results identical — node order, tie-breaking, totals, breakdowns
-// — to the reference algorithm the differential test compares it with.
+// The search reads the PAT's slots and flattened paths, and returns the
+// result of the reference algorithm the differential test compares it
+// with: the same PADs, totals, tie-breaking and error texts.
 func FindPathFiltered(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool) (PathResult, error) {
-	if t == nil {
-		return PathResult{}, fmt.Errorf("core: FindPath on nil PAT")
+	if t == nil || t.paths == nil {
+		// BuildPAT always records at least one path.
+		return PathResult{}, fmt.Errorf("core: FindPath on a PAT not built by BuildPAT")
 	}
 	if err := m.Validate(); err != nil {
 		return PathResult{}, err
@@ -46,40 +44,33 @@ func FindPathFiltered(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool
 	if err := env.Validate(); err != nil {
 		return PathResult{}, err
 	}
-	idx := t.index
-	if idx == nil {
-		// BuildPAT always compiles, so only a zero-value PAT gets here.
-		return PathResult{}, fmt.Errorf("core: FindPath on a PAT not built by BuildPAT")
-	}
 
 	// Step 1: mark each node slot with its total overhead, into an array
 	// on the stack instead of a fresh map; only a PAT with more nodes than
-	// the array holds allocates. Symbolic links were resolved at compile
-	// time.
-	var buf [32]Breakdown
-	var marks []Breakdown
-	if len(idx.ids) <= len(buf) {
-		marks = buf[:len(idx.ids)]
+	// the array holds allocates. Symbolic links were resolved by BuildPAT.
+	var buf [32]float64
+	var marks []float64
+	if len(t.ids) <= len(buf) {
+		marks = buf[:len(t.ids)]
 	} else {
-		marks = make([]Breakdown, len(idx.ids))
+		marks = make([]float64, len(t.ids))
 	}
-	for i := range idx.ids {
-		if allow != nil && !allow(idx.metas[i]) {
-			marks[i] = Breakdown{ClientComp: math.Inf(1)}
+	for i, meta := range t.metas {
+		if allow != nil && !allow(meta) {
+			marks[i] = math.Inf(1)
 			continue
 		}
-		marks[i] = m.padTotal(idx.metas[i], env)
+		marks[i] = m.padTotal(meta, env).Total()
 	}
 
 	// Step 2: scan the flattened root-to-leaf paths keeping the least
-	// total; strict < preserves the reference tie-breaking (first path in
-	// Paths() order wins).
+	// total; strict < keeps the first path in Paths() order on a tie.
 	bestTotal := math.Inf(1)
 	bestPath := -1
-	for pi, path := range idx.paths {
+	for pi, path := range t.paths {
 		total := 0.0
 		for _, s := range path {
-			total += marks[s].Total()
+			total += marks[s]
 		}
 		if total < bestTotal {
 			bestTotal = total
@@ -90,28 +81,10 @@ func FindPathFiltered(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool
 		return PathResult{}, fmt.Errorf("%w for app %s in env {%s %s}", ErrNoFeasiblePath, t.AppID(), env.Dev.Key(), env.Ntwk.Key())
 	}
 
-	path := idx.paths[bestPath]
-	best := PathResult{
-		PADs:      make([]PADMeta, 0, len(path)),
-		NodeIDs:   make([]string, len(path)),
-		Total:     bestTotal,
-		Breakdown: make(map[string]Breakdown, len(path)),
-	}
+	path := t.paths[bestPath]
+	best := PathResult{PADs: make([]PADMeta, len(path)), Total: bestTotal}
 	for j, s := range path {
-		id := idx.ids[s]
-		best.NodeIDs[j] = id
-		best.PADs = append(best.PADs, idx.metas[s])
-		best.Breakdown[id] = marks[s]
+		best.PADs[j] = t.metas[s]
 	}
 	return best, nil
-}
-
-// allIDs returns every node id in deterministic order.
-func (t *PAT) allIDs() []string {
-	ids := make([]string, 0, len(t.nodes))
-	for id := range t.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -77,8 +77,8 @@ func sweepEnvs() []Env {
 // TestFindPathCompiledMatchesReference is the byte-identical-search pin:
 // for every environment in the case-study sweep, over flat and multi-level
 // trees, with and without filters, at several session lengths and server
-// strategies, the compiled-index FindPathFiltered must return exactly the
-// PathResult (NodeIDs, Total, Breakdown, PADs) of the reference algorithm.
+// strategies, FindPathFiltered must return exactly the PathResult (PADs,
+// Total) and the error text of the reference algorithm.
 func TestFindPathCompiledMatchesReference(t *testing.T) {
 	ms, err := CaseStudyMatrices()
 	if err != nil {
@@ -115,7 +115,7 @@ func TestFindPathCompiledMatchesReference(t *testing.T) {
 				for ei, env := range sweepEnvs() {
 					for fname, filter := range filters {
 						got, gotErr := FindPathFiltered(pat, model, env, filter)
-						want, wantErr := findPathReference(pat, model, env, filter)
+						want, wantErr := findPathReference(tc.app, model, env, filter)
 						label := fmt.Sprintf("%s/server=%v/session=%d/env=%d/filter=%s", appName, includeServer, session, ei, fname)
 						if (gotErr == nil) != (wantErr == nil) {
 							t.Fatalf("%s: err mismatch: compiled %v, reference %v", label, gotErr, wantErr)
@@ -183,7 +183,7 @@ func TestFindPathCompiledProperty(t *testing.T) {
 			Ntwk: NtwkMeta{NetworkType: "net", BandwidthKbps: 1000},
 		}
 		got, gotErr := FindPath(pat, model, env)
-		want, wantErr := findPathReference(pat, model, env, nil)
+		want, wantErr := findPathReference(app, model, env, nil)
 		return (gotErr == nil) == (wantErr == nil) && reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -209,60 +209,78 @@ func TestCacheKeyStringMatchesFmtReference(t *testing.T) {
 	}
 }
 
-// findPathReference is the original map-and-walk implementation of the
-// adaptation path search, kept verbatim as the behavioural pin for the
-// compiled index: the differential tests below drive both over the full
-// case-study sweep.
-func findPathReference(t *PAT, m OverheadModel, env Env, allow func(PADMeta) bool) (PathResult, error) {
+// findPathReference is the adaptation path search as Figure 6 states it,
+// kept as the behavioural pin for FindPathFiltered: mark every node, walk
+// every root-to-leaf path, keep the first strictly least total. It reads
+// only the AppMeta's Parent/Children/Alias links, so the differential
+// tests also check the tree BuildPAT lays out.
+func findPathReference(app AppMeta, m OverheadModel, env Env, allow func(PADMeta) bool) (PathResult, error) {
+	byID := map[string]PADMeta{}
+	for _, p := range app.PADs {
+		byID[p.ID] = p
+	}
+	resolve := func(id string) PADMeta {
+		if p := byID[id]; p.Alias != "" {
+			return byID[p.Alias]
+		}
+		return byID[id]
+	}
+
 	// Step 1: mark each node with its total overhead (resolving symbolic
 	// links so an alias inherits its target's cost).
-	marks := map[string]Breakdown{}
-	for _, id := range t.allIDs() {
-		meta, err := t.Resolve(id)
-		if err != nil {
-			return PathResult{}, err
-		}
+	marks := map[string]float64{}
+	for _, p := range app.PADs {
+		meta := resolve(p.ID)
 		if allow != nil && !allow(meta) {
-			marks[id] = Breakdown{ClientComp: math.Inf(1)}
+			marks[p.ID] = math.Inf(1)
 			continue
 		}
 		b, err := m.PADTotal(meta, env)
 		if err != nil {
-			return PathResult{}, fmt.Errorf("core: marking PAD %s: %w", id, err)
+			return PathResult{}, fmt.Errorf("core: marking PAD %s: %w", p.ID, err)
 		}
-		marks[id] = b
+		marks[p.ID] = b.Total()
 	}
 
 	// Step 2: DFS over root-to-leaf paths keeping the least total.
-	best := PathResult{Total: math.Inf(1)}
-	for _, path := range t.Paths() {
-		total := 0.0
-		for _, id := range path {
-			total += marks[id].Total()
+	bestTotal := math.Inf(1)
+	var bestPath []string
+	var walk func(id string, prefix []string)
+	walk = func(id string, prefix []string) {
+		prefix = append(prefix, id)
+		children := byID[id].Children
+		if len(children) == 0 {
+			total := 0.0
+			for _, n := range prefix {
+				total += marks[n]
+			}
+			if total < bestTotal {
+				bestTotal, bestPath = total, append([]string(nil), prefix...)
+			}
+			return
 		}
-		if total < best.Total {
-			best = PathResult{NodeIDs: append([]string(nil), path...), Total: total}
+		for _, c := range children {
+			walk(c, prefix)
 		}
 	}
-	if math.IsInf(best.Total, 1) {
-		return PathResult{}, fmt.Errorf("%w for app %s in env {%s %s}", ErrNoFeasiblePath, t.AppID(), env.Dev.Key(), env.Ntwk.Key())
-	}
-
-	best.Breakdown = map[string]Breakdown{}
-	for _, id := range best.NodeIDs {
-		meta, err := t.Resolve(id)
-		if err != nil {
-			return PathResult{}, err
+	for _, p := range app.PADs {
+		if p.Parent == "" {
+			walk(p.ID, nil)
 		}
-		best.PADs = append(best.PADs, meta)
-		best.Breakdown[id] = marks[id]
+	}
+	if math.IsInf(bestTotal, 1) {
+		return PathResult{}, fmt.Errorf("%w for app %s in env {%s %s}", ErrNoFeasiblePath, app.AppID, env.Dev.Key(), env.Ntwk.Key())
+	}
+	best := PathResult{Total: bestTotal}
+	for _, id := range bestPath {
+		best.PADs = append(best.PADs, resolve(id))
 	}
 	return best, nil
 }
 
-// TestFindPathRejectsZeroValuePAT: every PAT BuildPAT produces is
-// compiled, so the only uncompiled tree is a zero value, and searching one
-// is a caller bug reported as an error rather than a nil-map walk.
+// TestFindPathRejectsZeroValuePAT: every PAT BuildPAT produces has at
+// least one path, so a tree without one is a zero value or nil, and
+// searching it is a caller bug reported as an error.
 func TestFindPathRejectsZeroValuePAT(t *testing.T) {
 	ms, err := CaseStudyMatrices()
 	if err != nil {
@@ -271,5 +289,8 @@ func TestFindPathRejectsZeroValuePAT(t *testing.T) {
 	model := OverheadModel{Matrices: ms, Rho: 0.8, ServerCPUMHz: 2000, SessionRequests: 75}
 	if _, err := FindPath(&PAT{}, model, sweepEnvs()[0]); err == nil {
 		t.Fatal("FindPath searched a zero-value PAT")
+	}
+	if _, err := FindPath(nil, model, sweepEnvs()[0]); err == nil {
+		t.Fatal("FindPath searched a nil PAT")
 	}
 }

@@ -9,12 +9,10 @@ import (
 	"path"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"fractal/internal/appserver"
 	"fractal/internal/cdn"
 	"fractal/internal/mobilecode"
-	"fractal/internal/netsim"
 )
 
 // The publish directory is how an application server hands its PADs to
@@ -23,23 +21,12 @@ import (
 // This file is the only code that knows that layout.
 const moduleExt = ".fmc"
 
-// newStore returns an empty module store; its netsim figures feed only
-// simulated retrievals, which no served daemon runs.
-func newStore() (*cdn.Origin, error) {
-	return cdn.NewOrigin(netsim.SharedServer{
-		Name: "edge", UplinkKbps: 100000, Rho: netsim.DefaultRho, BaseRTT: 5 * time.Millisecond,
-	})
-}
-
 // Publish writes app's packed PAD modules and its trust key to dir.
 func Publish(app *appserver.Server, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	store, err := newStore()
-	if err != nil {
-		return err
-	}
+	store := cdn.NewOrigin()
 	if err := app.PublishPADs(store); err != nil {
 		return err
 	}
@@ -65,10 +52,7 @@ func LoadModules(dir string) (*cdn.Origin, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", dir, err)
 	}
-	store, err := newStore()
-	if err != nil {
-		return nil, err
-	}
+	store := cdn.NewOrigin()
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), moduleExt) {
 			continue

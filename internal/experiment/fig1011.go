@@ -62,9 +62,10 @@ func (s *Setup) protocolFor(sc Scenario, env core.Env, includeServer bool) (stri
 	case ScenarioAdaptive:
 		model := s.Model
 		model.IncludeServerComp = includeServer
-		// Use a throwaway negotiation manager so the Fig 11(b) and (c)
-		// runs don't pollute each other through the adaptation cache.
-		res, err := core.FindPath(mustPAT(s), model, env)
+		// Search the setup's tree directly, not through the proxy, so the
+		// Fig 11(b) and (c) runs don't pollute each other through the
+		// adaptation cache.
+		res, err := core.FindPath(s.pat, model, env)
 		if err != nil {
 			return "", err
 		}
@@ -72,16 +73,6 @@ func (s *Setup) protocolFor(sc Scenario, env core.Env, includeServer bool) (stri
 	default:
 		return "", fmt.Errorf("experiment: unknown scenario %q", sc)
 	}
-}
-
-// mustPAT rebuilds the PAT from the measured AppMeta (cheap; a handful of
-// nodes).
-func mustPAT(s *Setup) *core.PAT {
-	t, err := core.BuildPAT(s.AppMeta)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: AppMeta no longer builds a PAT: %v", err))
-	}
-	return t
 }
 
 // RunScenarios evaluates the three adaptation scenarios for each of the

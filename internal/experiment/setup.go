@@ -44,6 +44,8 @@ type Setup struct {
 	Trust   *mobilecode.TrustList
 	V1, V2  *workload.Corpus
 	Model   core.OverheadModel
+	// pat is AppMeta's tree, built once for the experiments' own searches.
+	pat *core.PAT
 }
 
 // NewSetup builds the experimental platform through internal/deploy: the
@@ -68,12 +70,16 @@ func NewSetup(cfg SetupConfig) (*Setup, error) {
 	if err := px.PushAppMeta(app.Meta); err != nil {
 		return nil, err
 	}
+	pat, err := core.BuildPAT(app.Meta)
+	if err != nil {
+		return nil, err
+	}
 	model, err := deploy.Model()
 	if err != nil {
 		return nil, err
 	}
 	return &Setup{
-		App: app.Server, Proxy: px, CDN: topo, AppMeta: app.Meta,
+		App: app.Server, Proxy: px, CDN: topo, AppMeta: app.Meta, pat: pat,
 		Trust: app.Trust, V1: app.Versions[0], V2: app.Versions[1], Model: model,
 	}, nil
 }

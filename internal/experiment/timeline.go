@@ -46,12 +46,15 @@ var defaultTimelineParams = timelineParams{
 // computing overheads from Equation 3.
 func RunTimeline(s *Setup, station netsim.Station) (Timeline, error) {
 	env := EnvFor(station)
-	res, err := core.FindPath(mustPAT(s), s.Model, env)
+	res, err := core.FindPath(s.pat, s.Model, env)
 	if err != nil {
 		return Timeline{}, fmt.Errorf("experiment: timeline: %w", err)
 	}
 	pad := res.PADs[len(res.PADs)-1]
-	breakdown := res.Breakdown[res.NodeIDs[len(res.NodeIDs)-1]]
+	breakdown, err := s.Model.PADTotal(pad, env)
+	if err != nil {
+		return Timeline{}, fmt.Errorf("experiment: timeline: %w", err)
+	}
 
 	tl := Timeline{Station: station.Device.Name, PADID: pad.ID}
 	link := station.Link

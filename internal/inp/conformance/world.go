@@ -8,7 +8,6 @@ import (
 	"fractal/internal/cdn"
 	"fractal/internal/core"
 	"fractal/internal/mobilecode"
-	"fractal/internal/netsim"
 	"fractal/internal/proxy"
 	"fractal/internal/workload"
 )
@@ -170,12 +169,7 @@ func NewWorld() (*World, error) {
 		return nil, err
 	}
 
-	origin, err := cdn.NewOrigin(netsim.SharedServer{
-		Name: "conformance-origin", UplinkKbps: 100000, Rho: 0.9, BaseRTT: time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
+	origin := cdn.NewOrigin()
 	if err := appCore.PublishPADs(origin); err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fractal/internal/cdn"
-	"fractal/internal/netsim"
 	"fractal/internal/workload"
 )
 
@@ -188,10 +187,7 @@ func TestLoadNeverWritesPacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	origin, err := cdn.NewOrigin(netsim.SharedServer{Name: "origin", UplinkKbps: 1000, Rho: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	origin := cdn.NewOrigin()
 	specs := append(BuiltinSpecs(), RsyncSpec(), CascadeSpec())
 	specs = append(specs, TranscoderSpecs()...)
 	for _, spec := range specs {

@@ -40,6 +40,7 @@ type Peer struct {
 	name    string
 	station netsim.Station
 	app     *appserver.Server
+	modules *cdn.Origin // this peer's packed PAD modules, by URL
 	proxy   *proxy.Proxy
 	trust   *mobilecode.TrustList
 	signer  *mobilecode.Signer
@@ -75,6 +76,10 @@ func NewPeer(cfg Config) (*Peer, error) {
 	if err := app.DeployPADs("1.0"); err != nil {
 		return nil, err
 	}
+	modules := cdn.NewOrigin()
+	if err := app.PublishPADs(modules); err != nil {
+		return nil, err
+	}
 	appMeta, err := app.MeasureAppMeta(4)
 	if err != nil {
 		return nil, err
@@ -104,6 +109,7 @@ func NewPeer(cfg Config) (*Peer, error) {
 		name:     cfg.Name,
 		station:  cfg.Station,
 		app:      app,
+		modules:  modules,
 		proxy:    px,
 		trust:    mobilecode.NewTrustList(),
 		signer:   signer,
@@ -125,17 +131,9 @@ func (p *Peer) Trust(q *Peer) error {
 	return p.trust.Add(entity, key)
 }
 
-// modules serves this peer's PAD modules to another peer.
+// fetchModule serves one of this peer's PAD modules to another peer.
 func (p *Peer) fetchModule(meta core.PADMeta) ([]byte, error) {
-	// Reuse the publishing path: pack on demand.
-	origin, err := memOrigin()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.app.PublishPADs(origin); err != nil {
-		return nil, err
-	}
-	return origin.Get(meta.URL)
+	return p.modules.Get(meta.URL)
 }
 
 // clientFor lazily builds this peer's client role toward q.
@@ -213,10 +211,4 @@ func envFor(st netsim.Station) core.Env {
 			BandwidthKbps: st.Link.BandwidthKbps,
 		},
 	}
-}
-
-// memOrigin is a throwaway in-memory module store used as the packing
-// sink for peer-to-peer module transfer.
-func memOrigin() (*cdn.Origin, error) {
-	return cdn.NewOrigin(netsim.SharedServer{Name: "p2p", UplinkKbps: 1, Rho: 1})
 }
