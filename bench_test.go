@@ -391,7 +391,7 @@ func BenchmarkAblationVaryChunk(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var enc func(*mobilecode.Codecs, mobilecode.Versions, [][]byte) ([][]byte, error)
+			var enc func(*mobilecode.Codecs, *codec.Held, [][]byte) ([][]byte, error)
 			for _, h := range hosts {
 				if h.Name == "vary.encode" {
 					enc = h.Fn
@@ -400,7 +400,7 @@ func BenchmarkAblationVaryChunk(b *testing.B) {
 			b.SetBytes(int64(len(cur)))
 			var out [][]byte
 			for i := 0; i < b.N; i++ {
-				out, err = enc(nil, mobilecode.Versions{}, [][]byte{old, cur})
+				out, err = enc(nil, nil, [][]byte{old, cur})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -559,15 +559,17 @@ func BenchmarkPADDecodeHeld(b *testing.B) {
 }
 
 // BenchmarkPADRedeliver is a re-request of a held version through each
-// deployed PAD that answers one without decoding again, as client.Request
-// makes it: page j's held version is the codec.Held a cold decode
-// returned, and the timed op decodes against it a copy of the payload for
-// that same version — a copy, as a reply frame's own body is, so gzip
-// compares every byte of the stream. An untimed first re-request splits
-// the vary-block version, as the client's first one does. One op is one
-// page.
+// builtin PAD, which answers one with the held version itself, as
+// client.Request makes it: page j's held version is the codec.Held a cold
+// decode returned (or, where it returned none, one of its bytes), and the
+// timed op decodes against it a copy of the payload for that same version
+// — a copy, as a reply frame's own body is, so gzip compares every byte of
+// the stream and direct every byte of the page. An untimed first
+// re-request splits the vary-block version, as the client's first one
+// does, and fails unless the Held it returns is the held one. One op is
+// one page.
 func BenchmarkPADRedeliver(b *testing.B) {
-	for _, proto := range []string{codec.NameGzip, codec.NameBitmap, codec.NameVaryBlock} {
+	for _, proto := range []string{codec.NameDirect, codec.NameGzip, codec.NameBitmap, codec.NameVaryBlock} {
 		b.Run(proto, func(b *testing.B) {
 			s := getSetup(b)
 			_, curs := benchCorpus(b, s)

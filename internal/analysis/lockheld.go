@@ -329,6 +329,7 @@ var inpConnExchanges = map[string]bool{
 	"Recv":      true,
 	"RecvInto":  true,
 	"Call":      true,
+	"CallInto":  true,
 	"SendError": true,
 	"Queue":     true,
 	"Flush":     true,

@@ -1,14 +1,16 @@
 // Package arena is the unified buffer arena of the serving path: one
 // size-classed recycling layer under every hot byte buffer — INP frame
-// assembly, codec op buffers, per-connection read buffers, and message
-// body scratch — replacing the per-package sync.Pools that used to each
-// retain their own storage.
+// assembly, codec op buffers, per-connection read buffers, message body
+// scratch, and the reply body of a client request — replacing the
+// per-package sync.Pools that used to each retain their own storage.
 //
 // Two lifetimes are offered:
 //
 //   - Buffer: an append-style builder whose backing storage comes from the
 //     class pools and is recycled on Release (or when growth promotes it to
-//     a larger class). Encoders hold one per writer.
+//     a larger class). Encoders hold one per writer; a client request
+//     holds one for its reply, and Holds tells it which of the slices it
+//     keeps must be copied out before Release.
 //   - Session: a lifetime scope acquired when a connection is accepted and
 //     released when it closes. Every borrow (Bytes, Grow) is recorded and
 //     returned to the class pools in one Release call, so per-connection
@@ -31,7 +33,10 @@
 // caller out.
 package arena
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // classSizes are the buffer capacities the arena recycles, tuned to the
 // serving path: 512 B covers negotiation frames and op headers, 4 KB the
@@ -148,8 +153,30 @@ func (w *Buffer) AvailableBuffer(n int) []byte {
 	return w.bx.b[len(w.bx.b):]
 }
 
+// Extend lengthens the accumulated bytes by n and returns them all, the n
+// new bytes last with unspecified contents, for a reader to fill in place.
+// The slice is valid until the next Write, Extend or Release.
+func (w *Buffer) Extend(n int) []byte {
+	w.ensure(n)
+	w.bx.b = w.bx.b[:len(w.bx.b)+n]
+	return w.bx.b
+}
+
+// Holds reports whether p starts in w's storage, which the next promotion
+// or Release hands back to the arena: a caller keeping p past that copies
+// it out first. An empty p holds no bytes, so it is never reported.
+func (w *Buffer) Holds(p []byte) bool {
+	if w.bx == nil || len(p) == 0 {
+		return false
+	}
+	b := w.bx.b[:cap(w.bx.b)]
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+	return at >= start && at-start < uintptr(len(b))
+}
+
 // Bytes returns the accumulated bytes. The slice is valid until the next
-// Write, Reset, or Release.
+// Write, Extend, or Release.
 func (w *Buffer) Bytes() []byte {
 	if w.bx == nil {
 		return nil

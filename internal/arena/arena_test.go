@@ -50,6 +50,32 @@ func TestBufferRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBufferExtendAndHolds: Extend lengthens the accumulated bytes in
+// place, keeping them across a promotion to a larger class, and Holds
+// reports exactly the non-empty slices that start in the storage.
+func TestBufferExtendAndHolds(t *testing.T) {
+	var w Buffer
+	defer w.Release()
+	if w.Holds([]byte("x")) {
+		t.Fatal("an empty Buffer holds a foreign slice")
+	}
+	copy(w.Extend(3), "abc")
+	b := w.Extend(5000) // past the 4 KB class
+	if len(b) != 5003 || w.Len() != 5003 || string(b[:3]) != "abc" {
+		t.Fatalf("Extend kept %q of %d bytes, want abc of 5003", b[:3], len(b))
+	}
+	for name, p := range map[string][]byte{"all": b, "a tail": b[5002:], "a middle": b[100:200]} {
+		if !w.Holds(p) {
+			t.Fatalf("Holds misses %s of the storage", name)
+		}
+	}
+	for name, p := range map[string][]byte{"an empty slice": b[:0], "a copy": bytes.Clone(b), "nil": nil} {
+		if w.Holds(p) {
+			t.Fatalf("Holds reports %s", name)
+		}
+	}
+}
+
 func TestBufferOversized(t *testing.T) {
 	var w Buffer
 	big := make([]byte, classSizes[len(classSizes)-1]+1)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 
+	"fractal/internal/arena"
 	"fractal/internal/codec"
 	"fractal/internal/core"
 	"fractal/internal/inp"
@@ -324,12 +325,18 @@ func (c *Client) deployPAD(meta core.PADMeta) error {
 // adapted payload with the deployed mobile code and updating the local
 // version cache so later requests are differential. A reply that advances
 // the held version commits the Held the decode returned; a reply that
-// re-delivers the held version — a payload that rebuilds it, or the gzip
-// stream it was inflated from — returns the held version itself without
-// decoding it again. Either way the returned slice is a held version —
-// under pad-direct, the reply frame's own bytes, which the decode aliases
-// rather than copies — and later decodes against it reuse chunk
-// boundaries split from those bytes, so callers must not modify it.
+// re-delivers the held version — a payload that decodes to its bytes, or
+// the gzip stream it was inflated from — returns the held version itself
+// and keeps nothing of the reply. Either way the returned slice is a held
+// version, and later decodes against it reuse chunk boundaries split from
+// those bytes, so callers must not modify it.
+//
+// Over a TCPAppSession the reply body lands in arena storage the request
+// borrows and hands back before it returns, so only what outlives the
+// request is copied out, at its exact size: a payload that becomes the
+// held version (pad-direct's own bytes), and the gzip stream a new Held
+// records. Concurrent requests each borrow their own. Any other
+// ContentFetcher's reply owns its bytes, which the held version may alias.
 func (c *Client) Request(appID, resource string) ([]byte, error) {
 	proto, err := c.ensure(appID)
 	if err != nil {
@@ -339,12 +346,20 @@ func (c *Client) Request(appID, resource string) ([]byte, error) {
 	have := c.versions[resource]
 	c.mu.Unlock()
 
-	rep, err := c.content.FetchContent(inp.AppReq{
+	var buf arena.Buffer
+	defer buf.Release()
+	req := inp.AppReq{
 		AppID:       appID,
 		Resource:    resource,
 		ProtocolIDs: proto.ids,
 		HaveVersion: have.version,
-	})
+	}
+	var rep inp.AppRep
+	if s, ok := c.content.(*TCPAppSession); ok {
+		rep, err = s.fetch(req, &buf)
+	} else {
+		rep, err = c.content.FetchContent(req)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("client: app request for %s: %w", resource, err)
 	}
@@ -369,6 +384,13 @@ func (c *Client) Request(appID, resource string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: decoding %s via %s: %w", resource, rep.PADID, err)
 	}
+	if held == nil {
+		held = &codec.Held{Data: data}
+	}
+	if held != base {
+		held.Detach(&buf)
+		data = held.Data
+	}
 	c.mu.Lock()
 	// Only commit when the reply advances the held version: a concurrent
 	// request may have already cached a newer version, and overwriting it
@@ -376,9 +398,6 @@ func (c *Client) Request(appID, resource string) ([]byte, error) {
 	// differential requests would then claim a base version the client no
 	// longer holds the newest data for.
 	if cur := c.versions[resource]; rep.Version > cur.version {
-		if held == nil {
-			held = &codec.Held{Data: data}
-		}
 		c.versions[resource] = contentEntry{version: rep.Version, held: held}
 	} else if rep.Version < cur.version {
 		c.stats.StaleVersionDrops++

@@ -45,7 +45,7 @@ func startProxyTCP(t *testing.T, w *world) string {
 	return ln.Addr().String()
 }
 
-func startAppTCP(t *testing.T, w *world) string {
+func startAppTCP(t testing.TB, w *world) string {
 	t.Helper()
 	srv, err := appserver.NewINPServer(w.app, 8, t.Logf)
 	if err != nil {

@@ -23,16 +23,7 @@ func varyClient(t *testing.T, w *world) (*Client, core.PADMeta) {
 // holds page-000 at v2, fetched cold.
 func pinnedClient(t *testing.T, w *world, proto string) (*Client, core.PADMeta) {
 	t.Helper()
-	appMeta, err := w.app.MeasureAppMeta(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meta core.PADMeta
-	for _, m := range appMeta.PADs {
-		if m.Protocol == proto {
-			meta = m
-		}
-	}
+	meta := padFor(t, w, proto)
 	c, err := New(pdaConfig(w.trust), fixedNegotiator{meta}, w.fetcher("region-0", netsim.Bluetooth), w.app)
 	if err != nil {
 		t.Fatal(err)
@@ -41,6 +32,22 @@ func pinnedClient(t *testing.T, w *world, proto string) (*Client, core.PADMeta) 
 		t.Fatal(err)
 	}
 	return c, meta
+}
+
+// padFor is the world's PAD for proto.
+func padFor(tb testing.TB, w *world, proto string) core.PADMeta {
+	tb.Helper()
+	appMeta, err := w.app.MeasureAppMeta(4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, m := range appMeta.PADs {
+		if m.Protocol == proto {
+			return m
+		}
+	}
+	tb.Fatalf("no PAD implements %s", proto)
+	return core.PADMeta{}
 }
 
 // held returns the Held a client keeps for resource, nil if none.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"fractal/internal/arena"
 	"fractal/internal/cdn"
 	"fractal/internal/core"
 	"fractal/internal/inp"
@@ -296,6 +297,13 @@ func (s *TCPAppSession) dial() (net.Conn, *inp.Conn, error) {
 // healthy; any transport-level failure breaks the session, and the next
 // call redials before retrying.
 func (s *TCPAppSession) FetchContent(req inp.AppReq) (inp.AppRep, error) {
+	return s.fetch(req, nil)
+}
+
+// fetch is FetchContent with the APP_REP body read into into when it is
+// not nil (see inp.Conn.CallInto): the reply's payload then aliases into's
+// storage, and the caller copies out what it keeps before releasing it.
+func (s *TCPAppSession) fetch(req inp.AppReq, into *arena.Buffer) (inp.AppRep, error) {
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
 
@@ -341,7 +349,7 @@ func (s *TCPAppSession) FetchContent(req inp.AppReq) (inp.AppRep, error) {
 	// exchange-serialization lock, and Close can still interrupt the call
 	// by closing conn under mu.
 	//fractal:allow lockheld sessMu deliberately serializes the INP exchange; Close interrupts via conn.Close
-	if err := c.Call(inp.MsgAppReq, &req, inp.MsgAppRep, &rep); err != nil {
+	if err := c.CallInto(inp.MsgAppReq, &req, inp.MsgAppRep, &rep, into); err != nil {
 		var pe *inp.PeerError
 		if !errors.As(err, &pe) {
 			s.mu.Lock()

@@ -71,25 +71,12 @@ func (g *Gzip) Decode(old, payload []byte) ([]byte, error) {
 }
 
 // DecodeHeld is Decode against what the receiver holds. When h was
-// inflated from a stream byte-equal to payload, it returns h.Data itself,
-// capacity clipped, and inflates nothing: the output is a function of the
-// stream alone, so the bytes and verdict are Decode's. A non-nil into,
-// which must not be shared yet, is set to the output and records payload
-// as the stream it came from, so a later DecodeHeld against into does the
-// same. payload is kept, not copied: like Data, it must not be modified
-// while into is held.
-func (g *Gzip) DecodeHeld(h, into *Held, payload []byte) ([]byte, error) {
-	var out []byte
+// inflated from a stream byte-equal to payload (see Inflated), it returns
+// h.Data itself, capacity clipped, and inflates nothing: the output is a
+// function of the stream alone, so the bytes and verdict are Decode's.
+func (g *Gzip) DecodeHeld(h *Held, payload []byte) ([]byte, error) {
 	if h != nil && len(h.stream) > 0 && bytes.Equal(h.stream, payload) {
-		out = h.Data[:len(h.Data):len(h.Data)]
-	} else {
-		var err error
-		if out, err = g.Decode(nil, payload); err != nil {
-			return nil, err
-		}
+		return h.Data[:len(h.Data):len(h.Data)], nil
 	}
-	if into != nil {
-		into.Data, into.stream = out, payload
-	}
-	return out, nil
+	return g.Decode(nil, payload)
 }

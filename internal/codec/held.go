@@ -1,9 +1,12 @@
 package codec
 
 import (
+	"bytes"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
+	"fractal/internal/arena"
 	"fractal/internal/rabin"
 )
 
@@ -12,15 +15,35 @@ import (
 //
 //   - the chunk boundaries the first VaryBlock.DecodeHeld against it
 //     splits, never derived from a payload;
-//   - when a Gzip.DecodeHeld made it, the stream it was inflated from, so
-//     a re-delivery of that stream returns Data without inflating again.
+//   - when Inflated made it, the stream it was inflated from, so a
+//     Gzip.DecodeHeld of that stream returns Data without inflating again.
 //
-// Neither Data nor the stream may be modified once held. Concurrent
-// decodes may each split; all reuse the first split stored.
+// Neither Data nor the stream may be modified once held, nor lie in
+// storage its decode read from and the caller reuses (see Detach).
+// Concurrent decodes may each split; all reuse the first split stored.
 type Held struct {
 	Data   []byte
 	split  atomic.Pointer[heldSplit]
 	stream []byte // set before the Held is shared, never after
+}
+
+// Inflated holds data, which Gzip.Decode inflated from stream, and records
+// stream: a later Gzip.DecodeHeld of a byte-equal stream against it
+// returns data itself. stream is kept, not copied.
+func Inflated(data, stream []byte) *Held {
+	return &Held{Data: data, stream: stream}
+}
+
+// Detach replaces each of h's slices that starts in buf — the storage its
+// decode read the payload from, which the caller reuses — with a copy of
+// exactly its bytes, so that h outlives buf. h must not be shared yet.
+func (h *Held) Detach(buf *arena.Buffer) {
+	if buf.Holds(h.Data) {
+		h.Data = slices.Clip(bytes.Clone(h.Data))
+	}
+	if buf.Holds(h.stream) {
+		h.stream = slices.Clip(bytes.Clone(h.stream))
+	}
 }
 
 // heldSplit is Data's split under one chunker configuration.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"fractal/internal/arena"
 	"fractal/internal/rabin"
 )
 
@@ -209,5 +210,31 @@ func TestConcurrentDecodeHeld(t *testing.T) {
 	}
 	if h.split.Load() == nil {
 		t.Fatal("no split stored")
+	}
+}
+
+// TestHeldDetach: Detach replaces each slice of a Held that starts in the
+// buffer with a copy of exactly its bytes and leaves the others as they
+// are.
+func TestHeldDetach(t *testing.T) {
+	var buf arena.Buffer
+	defer buf.Release()
+	stream := buf.Extend(100)
+	for i := range stream {
+		stream[i] = byte(i)
+	}
+	data := []byte("inflated elsewhere")
+	h := Inflated(data, stream[10:60])
+	h.Detach(&buf)
+	if &h.Data[0] != &data[0] {
+		t.Fatal("Detach copied a version outside the buffer")
+	}
+	if buf.Holds(h.stream) || !bytes.Equal(h.stream, stream[10:60]) || cap(h.stream) != 50 {
+		t.Fatalf("the recorded stream was not copied out at its size: cap %d", cap(h.stream))
+	}
+	lent := &Held{Data: stream[:40]}
+	lent.Detach(&buf)
+	if buf.Holds(lent.Data) || !bytes.Equal(lent.Data, stream[:40]) || cap(lent.Data) != 40 {
+		t.Fatal("a version in the buffer was not copied out at its size")
 	}
 }

@@ -68,11 +68,10 @@ func TestDifferencingDecodeReturnsOld(t *testing.T) {
 	}
 }
 
-// TestGzipDecodeHeldReturnsHeldVersion: a Held made by a gzip decode
-// records its stream, and a decode against it of a byte-equal stream — a
-// copy, as a reply frame's own body is — returns its version itself and
-// allocates nothing. Any other payload is inflated, with Decode's bytes or
-// refusal.
+// TestGzipDecodeHeldReturnsHeldVersion: a Held made by Inflated records
+// its stream, and a decode against it of a byte-equal stream — a copy, as
+// a reply frame's own body is — returns its version itself and allocates
+// nothing. Any other payload is inflated, with Decode's bytes or refusal.
 func TestGzipDecodeHeldReturnsHeldVersion(t *testing.T) {
 	g := NewGzip()
 	page, other := versionedPair(t, 37)
@@ -80,29 +79,25 @@ func TestGzipDecodeHeldReturnsHeldVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := new(Held)
-	got, err := g.DecodeHeld(nil, h, stream)
-	if err != nil || !bytes.Equal(got, page) || !h.Holds(got) {
-		t.Fatalf("a cold decode did not note its output: %v", err)
+	got, err := g.DecodeHeld(nil, stream)
+	if err != nil || !bytes.Equal(got, page) {
+		t.Fatalf("a cold decode: %v", err)
 	}
+	h := Inflated(got, stream)
 	if h.Size() != cap(h.Data)+cap(stream) {
 		t.Fatalf("the Held keeps %d bytes, want its version and one stream, %d", h.Size(), cap(h.Data)+cap(stream))
 	}
 	again := bytes.Clone(stream)
-	got, err = g.DecodeHeld(h, nil, again)
+	got, err = g.DecodeHeld(h, again)
 	if err != nil || !h.Holds(got) || cap(got) != len(got) {
 		t.Fatalf("a re-delivered stream was not answered with the held version: %v", err)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if _, err := g.DecodeHeld(h, nil, again); err != nil {
+		if _, err := g.DecodeHeld(h, again); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Fatalf("a re-delivered stream allocates %v, want 0", allocs)
-	}
-	next := new(Held)
-	if _, err := g.DecodeHeld(h, next, again); err != nil || !next.Holds(h.Data) {
-		t.Fatalf("a re-delivery did not note the held version on into: %v", err)
 	}
 	otherStream, err := g.Encode(nil, other)
 	if err != nil {
@@ -120,7 +115,7 @@ func TestGzipDecodeHeldReturnsHeldVersion(t *testing.T) {
 		"the version plain": page,
 	} {
 		want, werr := g.Decode(nil, payload)
-		got, err := g.DecodeHeld(h, nil, payload)
+		got, err := g.DecodeHeld(h, payload)
 		sameVerdict(t, name, want, werr, got, err)
 		if err == nil && h.Holds(got) {
 			t.Fatalf("%s: answered with the held version", name)

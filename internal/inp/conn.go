@@ -69,7 +69,8 @@ type Conn struct {
 // NewConn wraps a byte stream (typically a dialled net.Conn). Nothing else
 // may read rw afterwards: bytes the Conn has buffered would be lost to it.
 // Each Recv allocates its frame body, which the decoded message then owns
-// (see RecvInto). The read buffer is part of the Conn's one allocation.
+// (see RecvInto), unless CallInto lends it a caller's buffer. The read
+// buffer is part of the Conn's one allocation.
 func NewConn(rw io.ReadWriter) *Conn {
 	c := &struct {
 		Conn
@@ -183,9 +184,18 @@ func (c *Conn) Send(t MsgType, body interface{}) error {
 // slice is valid only until the next Recv; on any other Conn it is
 // allocated for this frame and the Conn never touches it again.
 func (c *Conn) Recv() (Header, []byte, error) {
+	return c.recv(nil)
+}
+
+// recv is Recv reading the body into into when it is not nil.
+func (c *Conn) recv(into *arena.Buffer) (Header, []byte, error) {
 	c.armRead()
-	h, raw, err := readFrame(&c.brd, c.body, c.sess)
-	if c.sess != nil {
+	body, sess := c.body, c.sess
+	if into != nil {
+		body, sess = nil, nil
+	}
+	h, raw, err := readFrame(&c.brd, body, sess, into)
+	if sess != nil {
 		// body shares the Conn's session lifetime (see NewConnSession); it
 		// is kept across errors so grown storage is reused.
 		c.body = raw
@@ -205,11 +215,17 @@ func (c *Conn) Recv() (Header, []byte, error) {
 // Without a session the frame body was allocated for this message alone,
 // so reply's []byte fields alias it instead of copying out.
 func (c *Conn) RecvInto(want MsgType, reply interface{}) error {
-	h, raw, err := c.Recv()
+	return c.recvInto(want, reply, nil)
+}
+
+// recvInto is RecvInto reading the body into into when it is not nil, in
+// which case reply's []byte fields alias into's storage.
+func (c *Conn) recvInto(want MsgType, reply interface{}, into *arena.Buffer) error {
+	h, raw, err := c.recv(into)
 	if err != nil {
 		return err
 	}
-	return decodeAs(h, raw, want, reply, c.sess == nil)
+	return decodeAs(h, raw, want, reply, c.sess == nil || into != nil)
 }
 
 // DecodeAs is RecvInto's second half for a frame already received: it
@@ -236,10 +252,19 @@ func decodeAs(h Header, raw []byte, want MsgType, reply interface{}, owned bool)
 
 // Call sends a request and decodes the matching reply type.
 func (c *Conn) Call(t MsgType, body interface{}, want MsgType, reply interface{}) error {
+	return c.CallInto(t, body, want, reply, nil)
+}
+
+// CallInto is Call with the reply's body read into into, a caller's arena
+// buffer whose accumulated bytes it replaces, when into is not nil: reply's
+// []byte fields then alias into's storage, which the caller reuses, so it
+// copies out what it keeps before into is written again or released. A
+// nil into is Call.
+func (c *Conn) CallInto(t MsgType, body interface{}, want MsgType, reply interface{}, into *arena.Buffer) error {
 	if err := c.Send(t, body); err != nil {
 		return err
 	}
-	return c.RecvInto(want, reply)
+	return c.recvInto(want, reply, into)
 }
 
 // SendError reports a failure to the peer; it is best-effort and returns

@@ -203,19 +203,25 @@ func parseHeader(hdr []byte) (Header, uint32, error) {
 // ReadMessage reads one framed message, returning its header and raw body
 // in freshly allocated storage.
 func ReadMessage(r io.Reader) (Header, []byte, error) {
-	return readFrame(&bufReader{src: r}, nil, nil) // no buffer: nothing is read ahead of the frame
+	return readFrame(&bufReader{src: r}, nil, nil, nil) // no buffer: nothing is read ahead of the frame
 }
 
 // readFrame is the one frame reader: it parses and validates the header,
-// then reads the body into body[:0], growing it in maxBodyReserve steps as
-// bytes arrive. Growth goes through sess when the storage is
-// session-scoped (body must then be nil or an earlier readFrame result on
-// the same session), else through the heap. The returned slice is the
-// possibly regrown storage even on error, so a caller reusing it keeps it.
-// A failure before the header's first byte is returned unformatted and
-// kept as r.boundaryErr; any later one is wrapped with where it struck.
-func readFrame(r *bufReader, body []byte, sess *arena.Session) (Header, []byte, error) {
+// then reads the body, growing its storage in maxBodyReserve steps as bytes
+// arrive. The storage is one of three: into, a caller's arena buffer whose
+// accumulated bytes become the body; else body[:0] grown through sess when
+// it is session-scoped (body must then be nil or an earlier readFrame
+// result on the same session); else body[:0] grown on the heap. The
+// returned slice is the possibly regrown storage even on error, so a
+// caller reusing it keeps it. A failure before the header's first byte is
+// returned unformatted and kept as r.boundaryErr; any later one is wrapped
+// with where it struck.
+func readFrame(r *bufReader, body []byte, sess *arena.Session, into *arena.Buffer) (Header, []byte, error) {
 	body = body[:0]
+	if into != nil {
+		body = into.Bytes()[:0]
+		into.SetBytes(body)
+	}
 	hdr := r.hdr[:] // a local array would be moved to the heap by src.Read, once per frame
 	if n, err := io.ReadFull(r, hdr); err != nil {
 		if n == 0 {
@@ -231,12 +237,14 @@ func readFrame(r *bufReader, body []byte, sess *arena.Session) (Header, []byte, 
 	for len(body) < int(n) {
 		step := min(int(n)-len(body), maxBodyReserve)
 		off := len(body)
-		if sess != nil {
-			body = sess.Grow(body, step)
-		} else {
-			body = slices.Grow(body, step)
+		switch {
+		case into != nil:
+			body = into.Extend(step)
+		case sess != nil:
+			body = sess.Grow(body, step)[:off+step]
+		default:
+			body = slices.Grow(body, step)[:off+step]
 		}
-		body = body[:off+step]
 		if _, err := io.ReadFull(r, body[off:]); err != nil {
 			return Header{}, body[:0], fmt.Errorf("inp: reading %v body: %w", h.Type, err)
 		}

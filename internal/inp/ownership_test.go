@@ -116,6 +116,29 @@ func TestRecvIntoBlobOwnership(t *testing.T) {
 		}
 	})
 
+	t.Run("CallInto lends the reply the caller's arena buffer", func(t *testing.T) {
+		a, b := netsim.StreamPair()
+		tx, rx := NewConn(a), NewConn(b)
+		big := patterned(3<<19, 6) // past one maxBodyReserve step and every class
+		var buf arena.Buffer
+		defer buf.Release()
+		for i, want := range [][]byte{second, first, big} {
+			if err := tx.Send(MsgAppRep, AppRep{Resource: "r", PADID: "pad-direct", Payload: want}); err != nil {
+				t.Fatal(err)
+			}
+			var rep AppRep
+			if err := rx.CallInto(MsgAppReq, &AppReq{AppID: "a", Resource: "r"}, MsgAppRep, &rep, &buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rep.Payload, want) || cap(rep.Payload) != len(rep.Payload) {
+				t.Fatalf("reply %d: the payload lent from the buffer differs or reaches past itself", i)
+			}
+			if !buf.Holds(rep.Payload) || buf.Len() < len(want) {
+				t.Fatalf("reply %d: the payload was not read into the caller's buffer", i)
+			}
+		}
+	})
+
 	t.Run("exported decoders leave the caller its buffer", func(t *testing.T) {
 		var wire bytes.Buffer
 		if err := NewConn(&wire).Send(MsgPADDownloadRep, PADDownloadRep{PADID: "pad-vary", Module: module}); err != nil {

@@ -3,7 +3,6 @@ package mobilecode
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"fractal/internal/codec"
@@ -159,8 +158,8 @@ func sameDecode(t *testing.T, what string, want []byte, werr error, got []byte, 
 // bytes), and it does so under the default sandbox and under buffer
 // budgets just below and just above one and two page sizes, where the
 // verdicts turn. Each payload is a copy, as a reply frame's own body is.
-// Every PAD but the identities answers a current payload with the held
-// version itself.
+// Every PAD, the identities included, answers a current payload with the
+// held version itself.
 func TestRedeliveryMatchesStatelessDecode(t *testing.T) {
 	specs := append(BuiltinSpecs(), RsyncSpec(), CascadeSpec())
 	specs = append(specs, TranscoderSpecs()...)
@@ -170,7 +169,6 @@ func TestRedeliveryMatchesStatelessDecode(t *testing.T) {
 		budgets := []int64{DefaultSandbox().MaxBufferBytes, page - 1, page + 1, 2*page - 1, 2*page + 1}
 		for _, spec := range specs {
 			enc := loadSpec(t, spec)
-			identity := !strings.Contains(spec.DecodeSrc, ".decode")
 			for _, budget := range budgets {
 				pad := loadSpecIn(t, spec, Sandbox{MaxBufferBytes: budget, MaxStackDepth: DefaultSandbox().MaxStackDepth})
 				var prev *codec.Held
@@ -193,7 +191,7 @@ func TestRedeliveryMatchesStatelessDecode(t *testing.T) {
 					if prev != nil || step.base == nil {
 						got, h, err = pad.DecodeHeld(prev, payload)
 						sameDecode(t, what+" against the previous decode's Held", want, werr, got, err)
-						if err == nil && prev != nil && bytes.Equal(step.base, step.ver) && !identity && h != prev {
+						if err == nil && prev != nil && bytes.Equal(step.base, step.ver) && h != prev {
 							t.Fatalf("%s: a re-delivered version was decoded again", what)
 						}
 					}

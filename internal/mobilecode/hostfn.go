@@ -48,8 +48,8 @@ func one(out []byte, err error) ([][]byte, error) {
 // builds no host table. vary.encode keeps one small chunk-index cache per
 // Codecs (per deployed PAD), so a PAD that encodes against the same
 // version repeatedly chunks and digests it once; vary.decode keeps its
-// split of a held version on the run's Versions.Held, and gzip.decode
-// notes the stream it inflated on Versions.Next. gzip.encode borrows a
+// split of a held version on the run's codec.Held, where gzip.decode
+// finds the stream that version was inflated from. gzip.encode borrows a
 // pooled compressor from internal/arena for the length of one call, and
 // gzip.decode inflates with state on its own stack. Every other primitive
 // is stateless. None writes its arguments (the HostFunc contract), and
@@ -58,19 +58,19 @@ func one(out []byte, err error) ([][]byte, error) {
 // prefix of it, when the payload rebuilds it; gzip.decode the held version
 // when the stream it is handed is the one that version was inflated from.
 var primitives = []HostFunc{
-	{Name: "identity", Arity: 1, Results: 1, Fn: func(_ *Codecs, _ Versions, a [][]byte) ([][]byte, error) { return one(a[0], nil) }},
-	{Name: "gzip.encode", Arity: 1, Results: 1, Fn: func(c *Codecs, _ Versions, a [][]byte) ([][]byte, error) { return one(c.gz.Encode(nil, a[0])) }},
-	{Name: "gzip.decode", Arity: 1, Results: 1, Fn: func(c *Codecs, v Versions, a [][]byte) ([][]byte, error) {
-		return one(c.gz.DecodeHeld(v.Held, v.Next, a[0]))
+	{Name: "identity", Arity: 1, Results: 1, Fn: func(_ *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(a[0], nil) }},
+	{Name: "gzip.encode", Arity: 1, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(c.gz.Encode(nil, a[0])) }},
+	{Name: "gzip.decode", Arity: 1, Results: 1, Fn: func(c *Codecs, held *codec.Held, a [][]byte) ([][]byte, error) {
+		return one(c.gz.DecodeHeld(held, a[0]))
 	}},
-	{Name: "bitmap.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ Versions, a [][]byte) ([][]byte, error) { return one(c.bm.Encode(a[0], a[1])) }},
-	{Name: "bitmap.decode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ Versions, a [][]byte) ([][]byte, error) { return one(c.bm.Decode(a[0], a[1])) }},
-	{Name: "vary.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ Versions, a [][]byte) ([][]byte, error) {
+	{Name: "bitmap.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(c.bm.Encode(a[0], a[1])) }},
+	{Name: "bitmap.decode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(c.bm.Decode(a[0], a[1])) }},
+	{Name: "vary.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) {
 		return one(c.varyEncoder().Encode(a[0], a[1]))
 	}},
 	{Name: "vary.decode", Arity: 2, Results: 1, Fn: varyDecode},
-	{Name: "rsync.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ Versions, a [][]byte) ([][]byte, error) { return one(c.rs.Encode(a[0], a[1])) }},
-	{Name: "rsync.decode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ Versions, a [][]byte) ([][]byte, error) { return one(c.rs.Decode(a[0], a[1])) }},
+	{Name: "rsync.encode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(c.rs.Encode(a[0], a[1])) }},
+	{Name: "rsync.decode", Arity: 2, Results: 1, Fn: func(c *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return one(c.rs.Decode(a[0], a[1])) }},
 }
 
 // primitiveVM is the VM over primitives, its name index built once: a
@@ -92,16 +92,16 @@ func HostTable(params map[string]string) ([]HostFunc, error) {
 	}
 	hosts := slices.Clone(primitives)
 	for i, h := range hosts {
-		hosts[i].Fn = func(_ *Codecs, v Versions, args [][]byte) ([][]byte, error) { return h.Fn(c, v, args) }
+		hosts[i].Fn = func(_ *Codecs, held *codec.Held, args [][]byte) ([][]byte, error) { return h.Fn(c, held, args) }
 	}
 	return hosts, nil
 }
 
 // varyDecode is vary.decode, through the run's Held only when old is the
 // held version itself, not something a program derived from it.
-func varyDecode(c *Codecs, v Versions, a [][]byte) ([][]byte, error) {
-	if v.Held.Holds(a[0]) {
-		return one(c.vb.DecodeHeld(v.Held, a[1]))
+func varyDecode(c *Codecs, held *codec.Held, a [][]byte) ([][]byte, error) {
+	if held.Holds(a[0]) {
+		return one(c.vb.DecodeHeld(held, a[1]))
 	}
 	return one(c.vb.Decode(a[0], a[1]))
 }

@@ -1,6 +1,7 @@
 package mobilecode
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -55,10 +56,13 @@ type DeployedPAD struct {
 	enc    Program
 	dec    Program
 	codecs Codecs
-	// inflates says dec calls gzip.decode, the one primitive that notes
-	// on Versions.Next.
+	// inflates says dec is gzip.decode of the payload alone, so a result
+	// that is not the held version was inflated from the payload.
 	inflates bool
 }
+
+// inflateProgram is pad-gzip's decode program: gzip.decode of the payload.
+var inflateProgram = Program{{Op: OpCall, Sym: "gzip.decode"}, {Op: OpHalt}}
 
 // Load verifies and instantiates a packed module. packed is never written,
 // and the deployed PAD's module aliases it, so the caller must not write
@@ -82,7 +86,7 @@ func (l *Loader) Load(packed []byte) (*DeployedPAD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mobilecode: PAD %s decode program: %w", m.ID, err)
 	}
-	d := &DeployedPAD{module: m, enc: enc, dec: dec, inflates: slices.Contains(dec, Instr{Op: OpCall, Sym: "gzip.decode"})}
+	d := &DeployedPAD{module: m, enc: enc, dec: dec, inflates: slices.Equal(dec, inflateProgram)}
 	if err := d.codecs.configure(m.Params); err != nil {
 		return nil, fmt.Errorf("mobilecode: PAD %s: %w", m.ID, err)
 	}
@@ -114,9 +118,9 @@ func (d *DeployedPAD) ChunkCacheStats() codec.ChunkCacheStats { return d.codecs.
 
 // run executes a program with the calling convention shared by both
 // directions: the initial buffer stack is [a, b] (b on top) and the result
-// is the top buffer of the final stack. vers reaches the host calls.
-func (d *DeployedPAD) run(p Program, vers Versions, a, b []byte) ([]byte, error) {
-	out, err := d.vm.run(p, vers, [][]byte{a, b})
+// is the top buffer of the final stack. held reaches the host calls.
+func (d *DeployedPAD) run(p Program, held *codec.Held, a, b []byte) ([]byte, error) {
+	out, err := d.vm.run(p, held, [][]byte{a, b})
 	if err != nil {
 		return nil, err
 	}
@@ -129,13 +133,13 @@ func (d *DeployedPAD) run(p Program, vers Versions, a, b []byte) ([]byte, error)
 // Encode implements the server/sender direction: produce the wire payload
 // for cur given the receiver holds old.
 func (d *DeployedPAD) Encode(old, cur []byte) ([]byte, error) {
-	return d.run(d.enc, Versions{}, old, cur)
+	return d.run(d.enc, nil, old, cur)
 }
 
 // Decode implements the client/receiver direction: reconstruct cur from
 // the payload and the held old version.
 func (d *DeployedPAD) Decode(old, payload []byte) ([]byte, error) {
-	return d.run(d.dec, Versions{}, old, payload)
+	return d.run(d.dec, nil, old, payload)
 }
 
 // DecodeHeld is Decode against h.Data (none when h is nil). Its bytes and
@@ -146,28 +150,28 @@ func (d *DeployedPAD) Decode(old, payload []byte) ([]byte, error) {
 // is returned without being decoded again.
 //
 // It also returns the decoded version as a Held when decoding made one
-// worth keeping: h itself when the result is h's version, or a new Held
-// recording the gzip stream the result was inflated from, when the
-// result is gzip.decode's output itself. Otherwise the Held is nil, and a
-// caller that keeps the version holds it in a Held of its own; so a
-// decode allocates a Held only for a PAD whose decode calls gzip.decode.
+// worth keeping: h itself when the result is byte-equal to h's version,
+// whose bytes, capacity clipped, it then returns as the result, so a
+// re-request of a held version keeps nothing of the payload whatever the
+// PAD; or a new Held recording the payload as the stream its result was
+// inflated from, when the decode program is gzip.decode of the payload
+// alone. Otherwise the Held is nil, and a caller that keeps the version
+// holds it in a Held of its own.
 func (d *DeployedPAD) DecodeHeld(h *codec.Held, payload []byte) ([]byte, *codec.Held, error) {
-	vers := Versions{Held: h}
 	var old []byte
 	if h != nil {
 		old = h.Data
 	}
-	if d.inflates {
-		vers.Next = new(codec.Held)
-	}
-	out, err := d.run(d.dec, vers, old, payload)
+	out, err := d.run(d.dec, h, old, payload)
 	switch {
 	case err != nil:
 		return nil, nil, err
 	case h.Holds(out):
 		return out, h, nil
-	case vers.Next.Holds(out):
-		return out, vers.Next, nil
+	case h != nil && bytes.Equal(out, h.Data):
+		return h.Data[:len(h.Data):len(h.Data)], h, nil
+	case d.inflates:
+		return out, codec.Inflated(out, payload), nil
 	}
 	return out, nil, nil
 }

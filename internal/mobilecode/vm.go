@@ -145,26 +145,16 @@ func symbol(b []byte) string {
 // returns, in order. The count is a contract: the static verifier bounds
 // the buffer stack with it, and the VM fails a call that returns another
 // number. Fn runs against the calling VM's Codecs (nil on a VM NewVM
-// built) and the run's Versions. It must treat its arguments as read-only
-// — they may be the caller's own inputs to Run, shared with other stack
-// slots — and may return them, sub-slices of them or the held version
-// itself as results.
+// built) and the version the receiver holds (nil unless
+// DeployedPAD.DecodeHeld started the run). It must treat its arguments as
+// read-only — they may be the caller's own inputs to Run, shared with
+// other stack slots — and may return them, sub-slices of them or the held
+// version itself as results.
 type HostFunc struct {
 	Name    string
 	Arity   int
 	Results int
-	Fn      func(c *Codecs, v Versions, args [][]byte) ([][]byte, error)
-}
-
-// Versions is what a host call knows of the versions its run decodes
-// between. Both are nil unless DeployedPAD.DecodeHeld started the run.
-type Versions struct {
-	// Held is the version the receiver holds.
-	Held *codec.Held
-	// Next, set only for a decode program that calls gzip.decode, is
-	// where gzip.decode notes its output and the stream it inflated;
-	// DecodeHeld returns it when the program's result is that output.
-	Next *codec.Held
+	Fn      func(c *Codecs, held *codec.Held, args [][]byte) ([][]byte, error)
 }
 
 // Sandbox bounds a PAD execution, the paper's VMM/sandbox mechanism. The
@@ -251,15 +241,15 @@ var (
 // alias them, so a caller that later overwrites an input must copy the
 // results it keeps first.
 func (v *VM) Run(p Program, inputs [][]byte) ([][]byte, error) {
-	return v.run(p, Versions{}, inputs)
+	return v.run(p, nil, inputs)
 }
 
-// run is Run with the Versions host calls receive.
-func (v *VM) run(p Program, vers Versions, inputs [][]byte) ([][]byte, error) {
+// run is Run with the held version host calls receive.
+func (v *VM) run(p Program, held *codec.Held, inputs [][]byte) ([][]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	st := &state{vm: v, vers: vers, bufs: make([][]byte, 0, len(inputs))}
+	st := &state{vm: v, held: held, bufs: make([][]byte, 0, len(inputs))}
 	for _, in := range inputs {
 		if err := st.pushB(in[:len(in):len(in)]); err != nil {
 			return nil, err
@@ -292,7 +282,7 @@ func (v *VM) run(p Program, vers Versions, inputs [][]byte) ([][]byte, error) {
 // state is one execution's mutable machinery.
 type state struct {
 	vm    *VM
-	vers  Versions
+	held  *codec.Held
 	bufs  [][]byte
 	bytes int64
 }
@@ -348,7 +338,7 @@ func (s *state) call(sym string) error {
 		}
 		args[i] = b
 	}
-	results, err := h.Fn(s.vm.codecs, s.vers, args)
+	results, err := h.Fn(s.vm.codecs, s.held, args)
 	if err != nil {
 		return fmt.Errorf("call %q: %w", sym, err)
 	}

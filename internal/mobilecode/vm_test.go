@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"fractal/internal/codec"
 )
 
 func testVM(t testing.TB) *VM {
@@ -208,7 +210,7 @@ func TestSandboxValidation(t *testing.T) {
 }
 
 func TestNewVMRejectsBadHostTables(t *testing.T) {
-	ok := HostFunc{Name: "f", Arity: 1, Results: 1, Fn: func(_ *Codecs, _ Versions, a [][]byte) ([][]byte, error) { return a, nil }}
+	ok := HostFunc{Name: "f", Arity: 1, Results: 1, Fn: func(_ *Codecs, _ *codec.Held, a [][]byte) ([][]byte, error) { return a, nil }}
 	if _, err := NewVM([]HostFunc{ok, ok}, DefaultSandbox()); err == nil {
 		t.Error("duplicate host fn accepted")
 	}

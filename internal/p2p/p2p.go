@@ -43,7 +43,6 @@ type Peer struct {
 	modules *cdn.Origin // this peer's packed PAD modules, by URL
 	proxy   *proxy.Proxy
 	trust   *mobilecode.TrustList
-	signer  *mobilecode.Signer
 
 	sessions int
 
@@ -112,7 +111,6 @@ func NewPeer(cfg Config) (*Peer, error) {
 		modules:  modules,
 		proxy:    px,
 		trust:    mobilecode.NewTrustList(),
-		signer:   signer,
 		sessions: cfg.SessionRequests,
 		clients:  map[string]*client.Client{},
 	}, nil

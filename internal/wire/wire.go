@@ -66,8 +66,9 @@ type Reader struct {
 	owned bool // decoded values may keep slices of b
 }
 
-// NewReader reads b. owned says nothing will ever write b again, so Blob
-// may alias it instead of copying.
+// NewReader reads b. owned says Blob may alias b instead of copying: nothing
+// will ever write b again, or its owner copies out what it keeps before it
+// does (inp.Conn.CallInto).
 func NewReader(b []byte, owned bool) Reader { return Reader{b: b, owned: owned} }
 
 // Err is the first failure so far.
@@ -176,9 +177,9 @@ func (r *Reader) Count() (n int, present bool) {
 }
 
 // Blob reads a byte slice behind a Count prefix. It aliases the input iff
-// the input is owned: everywhere else — a session Conn's reused body
-// buffer, a caller's slice handed to inp.DecodeRaw — the bytes are
-// overwritten while decoded payloads outlive them, so they are copied.
+// the input is owned (see NewReader): everywhere else — a session Conn's
+// reused body buffer, a caller's slice handed to inp.DecodeRaw — the bytes
+// are overwritten while decoded payloads outlive them, so they are copied.
 func (r *Reader) Blob() []byte {
 	n, ok := r.Count()
 	if !ok {
