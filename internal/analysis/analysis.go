@@ -37,8 +37,9 @@
 // encoding/binary decoding inside the few bounded readers. Nor is
 // allocation: the hot entry points' allocs/op are pinned exactly by
 // AllocsPerRun tests and the bench-gate snapshot rows, and a structural
-// test (TestSessionBorrowsOnlyInConn) keeps arena session borrows inside
-// inp's connection, which shares the session's lifetime.
+// test (TestSessionBorrowsOnlyInConn) keeps the one call that takes an
+// arena session's buffers, (*arena.Session).Buffers, inside inp's
+// NewConnSession, whose Conn shares the session's lifetime.
 //
 // A finding can be suppressed at a genuine exception site (for example a
 // wall-clock serving metric) with a checked annotation comment on the same

@@ -78,23 +78,22 @@ func TestBinaryDecodeOnlyInBoundedReaders(t *testing.T) {
 	}, "encoding/binary.%s decodes outside a bounded reader; read the bytes through wire.Reader")
 }
 
-// sessionBorrowHomes are the only functions that may borrow storage from
-// an arena.Session. A session buffer is recycled at Release, so a borrow
-// stored where it outlives the session is overwritten under its holder.
+// sessionBorrowHomes are the only functions that may take an
+// arena.Session's buffers. Their storage is recycled at Release, so a
+// buffer stored where it outlives the session is overwritten under its
+// holder.
 var sessionBorrowHomes = map[string]string{
-	"internal/inp/conn.go:NewConnSession": "the read buffer, stored in the Conn, which shares the session's lifetime",
-	"internal/inp/frame.go:readFrame":     "body growth, returned to Recv, whose slice is valid until the next Recv",
+	"internal/inp/conn.go:NewConnSession": "the read window and body buffer, stored in the Conn, which shares the session's lifetime",
 }
 
-// TestSessionBorrowsOnlyInConn fails on a call of (*arena.Session).Bytes
-// or Grow outside sessionBorrowHomes: a borrow kept in a field, a package
+// TestSessionBorrowsOnlyInConn fails on a call of (*arena.Session).Buffers
+// outside sessionBorrowHomes: a session buffer kept in a field, a package
 // variable or a channel elsewhere would outlive the session it came from.
 func TestSessionBorrowsOnlyInConn(t *testing.T) {
 	checkHomes(t, sessionBorrowHomes, func(fn *types.Func) bool {
 		sig := fn.Type().(*types.Signature)
-		return sig.Recv() != nil && named(sig.Recv().Type()) == "fractal/internal/arena.Session" &&
-			(fn.Name() == "Bytes" || fn.Name() == "Grow")
-	}, "(*arena.Session).%s borrows session storage outside inp's connection, where nothing ties the borrow to the session's lifetime")
+		return sig.Recv() != nil && named(sig.Recv().Type()) == "fractal/internal/arena.Session" && fn.Name() == "Buffers"
+	}, "(*arena.Session).%s takes session storage outside inp's connection, where nothing ties it to the session's lifetime")
 }
 
 // checkHomes fails on every use, in the module's non-test code, of a

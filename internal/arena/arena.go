@@ -4,17 +4,14 @@
 // scratch, and the reply body of a client request — replacing the
 // per-package sync.Pools that used to each retain their own storage.
 //
-// Two lifetimes are offered:
-//
-//   - Buffer: an append-style builder whose backing storage comes from the
-//     class pools and is recycled on Release (or when growth promotes it to
-//     a larger class). Encoders hold one per writer; a client request
-//     holds one for its reply, and Holds tells it which of the slices it
-//     keeps must be copied out before Release.
-//   - Session: a lifetime scope acquired when a connection is accepted and
-//     released when it closes. Every borrow (Bytes, Grow) is recorded and
-//     returned to the class pools in one Release call, so per-connection
-//     code never pairs individual gets and puts.
+// Its one storage type is Buffer: an append-style builder whose backing
+// storage comes from the class pools and is recycled on Release (or when
+// growth promotes it to a larger class). Encoders hold one per writer; a
+// client request holds one for its reply, and Holds tells it which of the
+// slices it keeps must be copied out before Release. A Session is a
+// served connection's pair of Buffers — its read window and its body
+// buffer — acquired when the connection is accepted and released, both at
+// once, when it closes.
 //
 // Beside the byte classes, the arena pools gzip compressors (a GzipWriter
 // pool per compression level), the one other serving-path object large
@@ -25,12 +22,11 @@
 // package-global and safe for concurrent use; an individual Buffer or
 // Session is single-goroutine, like the connection it serves.
 //
-// A session-scoped buffer is recycled at Release, so one stored where it
+// A session's buffers are recycled at Release, so one stored where it
 // outlives its session would be overwritten under the holder. Only inp's
-// connection borrows from a Session, in NewConnSession and readFrame, and
-// the Conn and its session share a lifetime; a structural test in
-// internal/analysis (TestSessionBorrowsOnlyInConn) keeps every other
-// caller out.
+// connection takes them, in NewConnSession, and the Conn and its session
+// share a lifetime; a structural test in internal/analysis
+// (TestSessionBorrowsOnlyInConn) keeps every other caller out.
 package arena
 
 import (
@@ -209,16 +205,15 @@ func (w *Buffer) Release() {
 	}
 }
 
-// Session is a lifetime scope over arena storage: every borrow is recorded
-// and returned in one Release when the owning connection closes. A Session
-// serves one connection and is not safe for concurrent use.
+// Session is a connection's storage scope: two Buffers, its read window
+// and its body buffer, both returned to the arena in one Release when the
+// connection closes. A Session serves one connection and is not safe for
+// concurrent use.
 type Session struct {
-	boxes []*box
+	read, body Buffer
 }
 
-var sessionPool = sync.Pool{New: func() interface{} {
-	return &Session{boxes: make([]*box, 0, 8)}
-}}
+var sessionPool = sync.Pool{New: func() interface{} { return new(Session) }}
 
 // AcquireSession borrows a session scope from the arena. Pair it with
 // Release, typically at connection accept/close.
@@ -226,58 +221,17 @@ func AcquireSession() *Session {
 	return sessionPool.Get().(*Session)
 }
 
-// Release returns every borrowed buffer to the class pools and recycles
-// the session itself. All slices obtained from the session are invalid
+// Buffers returns the session's read window and body buffer, whose
+// storage is valid until Release.
+func (s *Session) Buffers() (read, body *Buffer) {
+	return &s.read, &s.body
+}
+
+// Release returns both buffers' storage to the arena and recycles the
+// session itself. All slices obtained from the session are invalid
 // afterwards.
 func (s *Session) Release() {
-	for i, bx := range s.boxes {
-		putBox(bx)
-		s.boxes[i] = nil
-	}
-	s.boxes = s.boxes[:0]
+	s.read.Release()
+	s.body.Release()
 	sessionPool.Put(s)
-}
-
-// Bytes borrows a zero-length buffer with capacity >= n, returned to the
-// arena at Release. Growing it beyond its capacity must go through Grow so
-// the session keeps tracking the storage.
-func (s *Session) Bytes(n int) []byte {
-	bx := getBox(n)
-	s.boxes = append(s.boxes, bx)
-	return bx.b
-}
-
-// Grow returns a buffer holding b's bytes with at least n spare capacity,
-// replacing the tracked storage when promotion to a larger class is
-// needed. The argument slice is invalid afterwards; callers must use only
-// the returned slice.
-func (s *Session) Grow(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b
-	}
-	grown := getBox(len(b) + n)
-	grown.b = append(grown.b, b...)
-	if old := s.findBox(b); old >= 0 {
-		putBox(s.boxes[old])
-		s.boxes[old] = grown
-	} else {
-		s.boxes = append(s.boxes, grown)
-	}
-	return grown.b
-}
-
-// findBox locates the tracked box whose storage backs b, or -1. Sessions
-// hold a handful of buffers, so a linear scan is cheaper than any index.
-func (s *Session) findBox(b []byte) int {
-	if cap(b) == 0 {
-		return -1
-	}
-	probe := &b[:cap(b)][cap(b)-1]
-	for i, bx := range s.boxes {
-		bb := bx.b
-		if cap(bb) == cap(b) && cap(bb) > 0 && &bb[:cap(bb)][cap(bb)-1] == probe {
-			return i
-		}
-	}
-	return -1
 }

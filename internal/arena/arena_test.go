@@ -91,45 +91,27 @@ func TestBufferOversized(t *testing.T) {
 	}
 }
 
-func TestSessionBytesAndGrow(t *testing.T) {
+// TestSessionBuffersGrowAndRelease pins that a session's two buffers are
+// its own, grow through the classes keeping their contents, and are empty
+// with no storage after Release.
+func TestSessionBuffersGrowAndRelease(t *testing.T) {
 	s := AcquireSession()
-	b := s.Bytes(100)
-	if len(b) != 0 || cap(b) < 100 {
-		t.Fatalf("Bytes(100): len %d cap %d", len(b), cap(b))
+	read, body := s.Buffers()
+	if r2, b2 := s.Buffers(); r2 != read || b2 != body || read == body {
+		t.Fatal("Buffers must return the session's own two distinct buffers")
 	}
-	b = append(b, bytes.Repeat([]byte("z"), 100)...)
-	// Grow past the first class: contents must be preserved and the old
-	// storage swapped out of the tracked set (no double-count at Release).
-	before := len(s.boxes)
-	b = s.Grow(b, 8<<10)
-	if len(b) != 100 || cap(b) < 100+8<<10 {
-		t.Fatalf("after Grow: len %d cap %d", len(b), cap(b))
+	if got := len(read.Extend(4096)); got != 4096 {
+		t.Fatalf("read window Extend(4096) has %d bytes", got)
 	}
-	for i := range b {
-		if b[i] != 'z' {
-			t.Fatalf("Grow lost contents at %d", i)
-		}
-	}
-	if len(s.boxes) != before {
-		t.Fatalf("Grow changed tracked box count %d -> %d (leak or double-track)", before, len(s.boxes))
+	body.Write(bytes.Repeat([]byte("z"), 100))
+	// Grow past the first class: contents must be preserved.
+	b := body.Extend(8 << 10)
+	if len(b) != 100+8<<10 || !bytes.Equal(b[:100], bytes.Repeat([]byte("z"), 100)) {
+		t.Fatalf("body growth lost contents: len %d", len(b))
 	}
 	s.Release()
-	if len(s.boxes) != 0 {
-		t.Fatalf("boxes not cleared by Release: %d", len(s.boxes))
-	}
-}
-
-func TestSessionGrowForeignSlice(t *testing.T) {
-	s := AcquireSession()
-	defer s.Release()
-	foreign := make([]byte, 3, 3)
-	copy(foreign, "abc")
-	grown := s.Grow(foreign, 1<<10)
-	if string(grown[:3]) != "abc" {
-		t.Fatalf("foreign Grow lost contents: %q", grown[:3])
-	}
-	if len(s.boxes) != 1 {
-		t.Fatalf("foreign Grow must adopt the new storage into the session, boxes = %d", len(s.boxes))
+	if read.Bytes() != nil || body.Bytes() != nil {
+		t.Fatal("Release left storage in the session's buffers")
 	}
 }
 
@@ -138,38 +120,37 @@ func TestSessionGrowForeignSlice(t *testing.T) {
 // connections.
 func TestSessionReuseIsolation(t *testing.T) {
 	s := AcquireSession()
-	b := s.Bytes(64)
-	b = append(b, "secret"...)
-	_ = b
+	_, body := s.Buffers()
+	body.WriteString("secret")
 	s.Release()
 	s2 := AcquireSession()
 	defer s2.Release()
-	b2 := s2.Bytes(64)
-	if len(b2) != 0 {
-		t.Fatalf("recycled buffer not empty: len %d", len(b2))
+	_, body2 := s2.Buffers()
+	body2.WriteByte('x')
+	if got := string(body2.Bytes()); got != "x" {
+		t.Fatalf("recycled body buffer holds %q, want only the byte written since", got)
 	}
 }
 
 // TestSessionSteadyStateAllocs pins the arena promise: after warmup, a
-// borrow/release cycle costs zero allocations. The bench-gate keeps this
-// honest at the benchmark level; this is the direct unit pin.
+// session's acquire, read-window and body borrow, and release cycle costs
+// zero allocations. The bench-gate keeps this honest at the benchmark
+// level; this is the direct unit pin.
 func TestSessionSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	for i := 0; i < 8; i++ { // warm the pools
+	cycle := func() {
 		s := AcquireSession()
-		_ = s.Bytes(4096)
-		_ = s.Bytes(512)
+		read, body := s.Buffers()
+		read.Extend(4096)
+		body.Extend(512)
 		s.Release()
 	}
-	avg := testing.AllocsPerRun(200, func() {
-		s := AcquireSession()
-		_ = s.Bytes(4096)
-		_ = s.Bytes(512)
-		s.Release()
-	})
-	if avg > 0 {
+	for i := 0; i < 8; i++ { // warm the pools
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
 		t.Errorf("session borrow cycle allocates %.1f per run, want 0", avg)
 	}
 }

@@ -131,18 +131,28 @@ type Client struct {
 	content ContentFetcher
 	loader  *mobilecode.Loader
 
-	// negFlight collapses concurrent cold-start negotiations per appID:
-	// one leader negotiates and deploys, stampeding callers share its
-	// result instead of opening duplicate proxy exchanges.
-	negFlight syncx.Group[protocol]
+	// negFlight collapses concurrent cold-start negotiations per appID and
+	// environment generation: one leader negotiates and deploys, and
+	// stampeding callers under the same environment share its result.
+	negFlight syncx.Group[flightKey, protocol]
 
 	mu sync.Mutex
+	// envGen counts SetEnv calls: a negotiation caches its protocol only
+	// if no SetEnv ran since it began.
+	envGen uint64
 	// protocolCache is the paper's client-side protocol cache: PADMeta
 	// saved from previous negotiations keyed by application id.
 	protocolCache map[string]protocol
 	deployed      map[string]*mobilecode.DeployedPAD
 	versions      map[string]contentEntry
 	stats         Stats
+}
+
+// flightKey keys a cold-start negotiation by application and the
+// environment generation it runs under.
+type flightKey struct {
+	appID string
+	gen   uint64
 }
 
 // New wires a client to its three peers.
@@ -178,6 +188,7 @@ func (c *Client) EnsureProtocol(appID string) ([]core.PADMeta, error) {
 func (c *Client) ensure(appID string) (protocol, error) {
 	c.mu.Lock()
 	cached, hasCached := c.protocolCache[appID]
+	env, gen := c.cfg.Env, c.envGen
 	c.mu.Unlock()
 	if hasCached {
 		// Deploy any PADs missing locally (e.g. a cache restored from
@@ -202,8 +213,8 @@ func (c *Client) ensure(appID string) (protocol, error) {
 	// one proxy exchange. The leader runs the full negotiate → download →
 	// deploy → cache pipeline (degrading if it fails); joined callers
 	// share its outcome.
-	p, err, joined := c.negFlight.Do(appID, func() (protocol, error) {
-		return c.negotiateAndDeploy(appID)
+	p, err, joined := c.negFlight.Do(flightKey{appID, gen}, func() (protocol, error) {
+		return c.negotiateAndDeploy(appID, env, gen)
 	})
 	if joined {
 		c.mu.Lock()
@@ -214,29 +225,32 @@ func (c *Client) ensure(appID string) (protocol, error) {
 }
 
 // negotiateAndDeploy is the cold-start pipeline run by a singleflight
-// leader: negotiate with the proxy, deploy every returned PAD, and cache
-// the result. If any step ultimately fails (after whatever retries the
-// configured Negotiator and PADFetcher perform) it degrades to the local
-// Direct fallback module rather than failing the session outright.
-func (c *Client) negotiateAndDeploy(appID string) (protocol, error) {
-	pads, err := c.neg.Negotiate(appID, c.cfg.Env, c.cfg.SessionRequests)
+// leader: negotiate with the proxy under env, deploy every returned PAD,
+// and cache the result unless SetEnv has moved the client past gen. If any
+// step ultimately fails (after whatever retries the configured Negotiator
+// and PADFetcher perform) it degrades to the local Direct fallback module
+// rather than failing the session outright.
+func (c *Client) negotiateAndDeploy(appID string, env core.Env, gen uint64) (protocol, error) {
+	pads, err := c.neg.Negotiate(appID, env, c.cfg.SessionRequests)
 	if err != nil {
-		return c.degrade(appID, fmt.Errorf("client: negotiation: %w", err))
+		return c.degrade(appID, gen, fmt.Errorf("client: negotiation: %w", err))
 	}
 	c.mu.Lock()
 	c.stats.Negotiations++
 	c.mu.Unlock()
 	if len(pads) == 0 {
-		return c.degrade(appID, fmt.Errorf("client: proxy returned no PADs for %s", appID))
+		return c.degrade(appID, gen, fmt.Errorf("client: proxy returned no PADs for %s", appID))
 	}
 	for _, meta := range pads {
 		if err := c.deployPAD(meta); err != nil {
-			return c.degrade(appID, err)
+			return c.degrade(appID, gen, err)
 		}
 	}
 	p := newProtocol(pads)
 	c.mu.Lock()
-	c.protocolCache[appID] = p
+	if c.envGen == gen {
+		c.protocolCache[appID] = p
+	}
 	c.mu.Unlock()
 	return p, nil
 }
@@ -244,8 +258,9 @@ func (c *Client) negotiateAndDeploy(appID string) (protocol, error) {
 // degrade falls back to the locally shipped Direct module after the
 // adaptation plane failed with cause. The fallback passes the same
 // security checks (signature + sandbox limits) as a downloaded PAD; if it
-// cannot be deployed, or no fallback is configured, cause is surfaced.
-func (c *Client) degrade(appID string, cause error) (protocol, error) {
+// cannot be deployed, or no fallback is configured, cause is surfaced. Like
+// negotiateAndDeploy, it caches only while the client is still at gen.
+func (c *Client) degrade(appID string, gen uint64, cause error) (protocol, error) {
 	if len(c.cfg.FallbackDirect) == 0 {
 		return protocol{}, cause
 	}
@@ -267,7 +282,9 @@ func (c *Client) degrade(appID string, cause error) (protocol, error) {
 	if _, live := c.deployed[meta.ID]; !live {
 		c.deployed[meta.ID] = pad
 	}
-	c.protocolCache[appID] = p
+	if c.envGen == gen {
+		c.protocolCache[appID] = p
+	}
 	c.stats.Degradations++
 	c.mu.Unlock()
 	return p, nil
@@ -442,7 +459,8 @@ func (c *Client) Forget(resource string) {
 
 // SetEnv updates the client's environment metadata (device switch or
 // network handoff) and clears the protocol cache so the next request
-// renegotiates.
+// renegotiates. A negotiation still in flight under the old environment
+// completes for its callers but caches nothing.
 func (c *Client) SetEnv(env core.Env) error {
 	if err := env.Validate(); err != nil {
 		return fmt.Errorf("client: %w", err)
@@ -450,6 +468,7 @@ func (c *Client) SetEnv(env core.Env) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cfg.Env = env
+	c.envGen++
 	c.protocolCache = map[string]protocol{}
 	return nil
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fractal/internal/appserver"
 	"fractal/internal/cdn"
@@ -263,6 +265,82 @@ func TestSetEnvRenegotiates(t *testing.T) {
 	}
 	if err := c.SetEnv(core.Env{}); err == nil {
 		t.Error("invalid env accepted")
+	}
+}
+
+// TestSetEnvDuringNegotiationCachesNewEnvPath: SetEnv while the first
+// negotiation is blocked at the proxy. A caller under the new environment
+// runs its own negotiation instead of joining the old one, the old caller
+// still gets the old environment's path, and what the client caches is
+// the new environment's path.
+func TestSetEnvDuringNegotiationCachesNewEnvPath(t *testing.T) {
+	w := buildWorld(t)
+	desktop, pda := desktopConfig(w.trust), pdaConfig(w.trust)
+	wantProto := map[core.DevMeta]string{}
+	for _, env := range []core.Env{desktop.Env, pda.Env} {
+		pads, err := w.proxy.Negotiate("webapp", env, desktop.SessionRequests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantProto[env.Dev] = pads[0].Protocol
+	}
+	if wantProto[desktop.Env.Dev] == wantProto[pda.Env.Dev] {
+		t.Fatalf("desktop and PDA both negotiate %s; the fixture no longer separates them", wantProto[pda.Env.Dev])
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	gate := funcNeg(func(appID string, env core.Env, n int) ([]core.PADMeta, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return w.proxy.Negotiate(appID, env, n)
+	})
+	c, err := New(desktop, gate, w.fetcher("region-0", netsim.LAN), w.app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		proto string
+		err   error
+	}
+	ensure := func(out chan<- outcome) {
+		pads, err := c.EnsureProtocol("webapp")
+		if err != nil {
+			out <- outcome{err: err}
+			return
+		}
+		out <- outcome{proto: pads[0].Protocol}
+	}
+	old, fresh := make(chan outcome, 1), make(chan outcome, 1)
+	go ensure(old)
+	<-entered
+	if err := c.SetEnv(pda.Env); err != nil {
+		t.Fatal(err)
+	}
+	go ensure(fresh)
+	select {
+	case got := <-fresh:
+		if got.err != nil || got.proto != wantProto[pda.Env.Dev] {
+			t.Errorf("caller under the new environment got (%s, %v), want %s", got.proto, got.err, wantProto[pda.Env.Dev])
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("a caller under the new environment joined the old environment's blocked negotiation")
+	}
+	close(release)
+	if got := <-old; got.err != nil || got.proto != wantProto[desktop.Env.Dev] {
+		t.Errorf("the caller that started under the old environment got (%s, %v), want %s", got.proto, got.err, wantProto[desktop.Env.Dev])
+	}
+	pads, err := c.EnsureProtocol("webapp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pads[0].Protocol != wantProto[pda.Env.Dev] {
+		t.Fatalf("after the old negotiation finished the client serves %s, want the PDA's %s", pads[0].Protocol, wantProto[pda.Env.Dev])
+	}
+	if st := c.Stats(); st.Negotiations != 2 || st.ProtocolCacheHits != 1 {
+		t.Fatalf("stats %+v, want 2 negotiations and the last call a cache hit", st)
 	}
 }
 

@@ -5,22 +5,25 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"fractal/internal/core"
 )
 
 // persistedCache is the on-disk form of the client's protocol cache: the
 // PADMeta the client negotiated per application, keyed by the environment
-// it negotiated under so a device/network change invalidates the entry
-// naturally on load.
+// and session length it negotiated under, so a device/network change or a
+// different session length invalidates the entry naturally on load.
 type persistedCache struct {
 	EnvKey string                    `json:"env_key"`
 	Apps   map[string][]core.PADMeta `json:"apps"`
 }
 
-// envKey canonicalizes the environment for cache binding.
-func envKey(env core.Env) string {
-	return env.Dev.Key() + "|" + env.Ntwk.Key()
+// envKey canonicalizes what a negotiation result depends on for cache
+// binding: the environment and the session length Eq. 3 amortizes a PAD
+// download over.
+func envKey(env core.Env, sessionRequests int) string {
+	return env.Dev.Key() + "|" + env.Ntwk.Key() + "|" + strconv.Itoa(sessionRequests)
 }
 
 // SaveProtocolCache writes the protocol cache to path so a later session
@@ -34,7 +37,7 @@ func envKey(env core.Env) string {
 func (c *Client) SaveProtocolCache(path string) error {
 	c.mu.Lock()
 	out := persistedCache{
-		EnvKey: envKey(c.cfg.Env),
+		EnvKey: envKey(c.cfg.Env, c.cfg.SessionRequests),
 		Apps:   map[string][]core.PADMeta{},
 	}
 	for app, p := range c.protocolCache {
@@ -74,12 +77,12 @@ func (c *Client) SaveProtocolCache(path string) error {
 }
 
 // LoadProtocolCache restores a saved protocol cache. Entries recorded
-// under a different environment than the client's current one are
-// discarded (the negotiation result is environment-specific). It returns
-// the number of applications restored. A cache that does not parse —
-// e.g. truncated by a crash predating the atomic-rename save — is
-// treated as absent (0 restored, no error): the protocol cache is an
-// optimization, and the client simply renegotiates.
+// under another environment or session length than the client's are
+// discarded (the negotiation result depends on both). It returns the
+// number of applications restored. A cache that does not parse — e.g.
+// truncated by a crash predating the atomic-rename save — is treated as
+// absent (0 restored, no error): the protocol cache is an optimization,
+// and the client simply renegotiates.
 func (c *Client) LoadProtocolCache(path string) (int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -91,8 +94,8 @@ func (c *Client) LoadProtocolCache(path string) (int, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if in.EnvKey != envKey(c.cfg.Env) {
-		return 0, nil // stale: recorded for a different environment
+	if in.EnvKey != envKey(c.cfg.Env, c.cfg.SessionRequests) {
+		return 0, nil // stale: recorded for a different environment or session length
 	}
 	n := 0
 	for app, pads := range in.Apps {

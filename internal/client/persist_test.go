@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"fractal/internal/core"
 	"fractal/internal/netsim"
@@ -280,5 +281,90 @@ func TestStaleCacheFallsBackToNegotiation(t *testing.T) {
 	}
 	if fresh.Stats().Negotiations != 1 {
 		t.Fatalf("negotiations = %d, want 1 (fallback)", fresh.Stats().Negotiations)
+	}
+}
+
+// TestProtocolCacheBindsSessionLength: Eq. 3 amortizes the PAD download
+// over the session length, so a saved cache is bound to it. With
+// pad-bitmap advertised at 400,000 B, a 75-request PDA takes bitmap and a
+// 1-request one cannot pay for it: a cache saved at 75 restores nothing
+// for the 1-request client, which negotiates its own path, and restores
+// fully for another 75-request client, which does not negotiate.
+func TestProtocolCacheBindsSessionLength(t *testing.T) {
+	w := buildWorld(t)
+	appMeta, err := w.app.MeasureAppMeta(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The proxy package's fixture (its testApp, pad-bitmap made 400,000 B)
+	// over the real modules, so the chosen PADs still deploy.
+	fixture := map[string]core.PADOverhead{
+		"pad-direct": {TrafficBytes: 140000},
+		"pad-gzip":   {ClientCompStd: 40 * time.Millisecond, TrafficBytes: 50000},
+		"pad-bitmap": {ClientCompStd: 85 * time.Millisecond, TrafficBytes: 30000},
+	}
+	var pads []core.PADMeta
+	for _, m := range appMeta.PADs {
+		if o, ok := fixture[m.ID]; ok {
+			m.Overhead, m.Size = o, 4096
+			if m.ID == "pad-bitmap" {
+				m.Size = 400_000
+			}
+			pads = append(pads, m)
+		}
+	}
+	if len(pads) != len(fixture) {
+		t.Fatalf("the app server publishes %d of the fixture's %d PADs", len(pads), len(fixture))
+	}
+	appMeta.PADs = pads
+	if err := w.proxy.PushAppMeta(appMeta); err != nil {
+		t.Fatal(err)
+	}
+	clientAt := func(reqs int) *Client {
+		cfg := pdaConfig(w.trust)
+		cfg.SessionRequests = reqs
+		c, err := New(cfg, w.proxy, w.fetcher("region-0", netsim.Bluetooth), w.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	protoOf := func(c *Client) string {
+		pads, err := c.EnsureProtocol("webapp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pads[0].ID
+	}
+	path := filepath.Join(t.TempDir(), "protocols.json")
+	long := clientAt(75)
+	saved := protoOf(long)
+	if saved != "pad-bitmap" {
+		t.Fatalf("a 75-request PDA negotiated %s, want pad-bitmap", saved)
+	}
+	if err := long.SaveProtocolCache(path); err != nil {
+		t.Fatal(err)
+	}
+
+	short := clientAt(1)
+	if n, err := short.LoadProtocolCache(path); err != nil || n != 0 {
+		t.Fatalf("a 1-request client restored (%d, %v) from a cache saved at 75, want (0, nil)", n, err)
+	}
+	if got := protoOf(short); got == saved {
+		t.Fatalf("a 1-request PDA negotiated %s, as at 75; the fixture no longer separates them", got)
+	}
+	if st := short.Stats(); st.Negotiations != 1 {
+		t.Fatalf("the 1-request client negotiated %d times, want 1", st.Negotiations)
+	}
+
+	again := clientAt(75)
+	if n, err := again.LoadProtocolCache(path); err != nil || n != 1 {
+		t.Fatalf("a 75-request client restored (%d, %v), want (1, nil)", n, err)
+	}
+	if got := protoOf(again); got != saved {
+		t.Fatalf("the restored 75-request client serves %s, want %s", got, saved)
+	}
+	if st := again.Stats(); st.Negotiations != 0 {
+		t.Fatalf("the restored 75-request client negotiated %d times, want 0", st.Negotiations)
 	}
 }

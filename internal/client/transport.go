@@ -56,21 +56,30 @@ func backoff(n int) time.Duration {
 	return d - half + time.Duration(rand.Int64N(int64(half)+1))
 }
 
-// retryable reports whether a failed attempt is worth repeating: an
-// in-band answer from the peer (a refusal, a missing module) would only be
-// given again, so only transport failures are retried.
-func retryable(err error) bool {
-	var pe *inp.PeerError
-	return !errors.As(err, &pe)
-}
-
-// wait sleeps the backoff before retry n through sleep, or through
-// time.Sleep when sleep is nil.
-func wait(sleep func(time.Duration), n int) {
+// retry runs attempt until it succeeds, fails in-band, or has failed
+// retryAttempts times, sleeping the backoff between tries through sleep
+// (time.Sleep when nil). An in-band answer from the peer (a refusal, a
+// missing module) would only be given again, so only transport failures
+// are retried. The exhausted error names what and id.
+func retry[T any](sleep func(time.Duration), what, id string, attempt func() (T, error)) (T, error) {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	sleep(backoff(n))
+	for n := 1; ; n++ {
+		v, err := attempt()
+		if err == nil {
+			return v, nil
+		}
+		var pe *inp.PeerError // on the heap: declared only once an attempt failed
+		if errors.As(err, &pe) {
+			return v, err
+		}
+		if n == retryAttempts {
+			var zero T
+			return zero, fmt.Errorf("client: %s %s failed after %d attempts: %w", what, id, n, err)
+		}
+		sleep(backoff(n))
+	}
 }
 
 // TCPNegotiator performs the Figure 4 negotiation against a live
@@ -97,16 +106,9 @@ type TCPNegotiator struct {
 
 // Negotiate implements Negotiator.
 func (t *TCPNegotiator) Negotiate(appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
-	for n := 1; ; n++ {
-		pads, err := t.negotiate(appID, env, sessionRequests)
-		if err == nil || !retryable(err) {
-			return pads, err
-		}
-		if n == retryAttempts {
-			return nil, fmt.Errorf("client: negotiation for %s failed after %d attempts: %w", appID, n, err)
-		}
-		wait(t.sleep, n)
-	}
+	return retry(t.sleep, "negotiation for", appID, func() ([]core.PADMeta, error) {
+		return t.negotiate(appID, env, sessionRequests)
+	})
 }
 
 // negotiate runs one exchange on a fresh connection.
@@ -195,16 +197,9 @@ type TCPPADFetcher struct {
 
 // FetchPAD implements PADFetcher.
 func (f *TCPPADFetcher) FetchPAD(meta core.PADMeta) ([]byte, error) {
-	for n := 1; ; n++ {
-		module, err := f.fetch(meta)
-		if err == nil || !retryable(err) {
-			return module, err
-		}
-		if n == retryAttempts {
-			return nil, fmt.Errorf("client: PAD download %s failed after %d attempts: %w", meta.ID, n, err)
-		}
-		wait(f.sleep, n)
-	}
+	return retry(f.sleep, "PAD download", meta.ID, func() ([]byte, error) {
+		return f.fetch(meta)
+	})
 }
 
 // fetch runs one download on a fresh connection.

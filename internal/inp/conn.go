@@ -51,8 +51,7 @@ type Conn struct {
 	rw      io.ReadWriter
 	fw      FrameWriter
 	brd     bufReader
-	sess    *arena.Session
-	body    []byte // session-scoped reusable body buffer
+	body    *arena.Buffer // the session's body buffer; nil on a dialled Conn
 	seq     uint32
 	peerSeq uint32
 	// timeout, when nonzero and rw supports deadlines, bounds each
@@ -81,16 +80,16 @@ func NewConn(rw io.ReadWriter) *Conn {
 	return &c.Conn
 }
 
-// NewConnSession is NewConn over session-scoped storage: the read buffer
-// is borrowed from sess, and message bodies reuse one arena buffer across
-// Recvs, so the raw slice returned by Recv is valid only until the next
-// Recv and decoded messages copy out of it. The caller owns sess and
-// releases it after the Conn is abandoned.
+// NewConnSession is NewConn over sess's two buffers: the read buffer is
+// its read window, and message bodies reuse its body buffer across Recvs,
+// so the raw slice returned by Recv is valid only until the next Recv and
+// decoded messages copy out of it. The caller owns sess and releases it
+// after the Conn is abandoned.
 func NewConnSession(rw io.ReadWriter, sess *arena.Session) *Conn {
-	c := &Conn{rw: rw, sess: sess}
+	read, body := sess.Buffers()
+	c := &Conn{rw: rw, body: body}
 	c.fw.init(rw)
-	b := sess.Bytes(readBufSize)
-	c.brd = bufReader{src: rw, buf: b[:readBufSize]}
+	c.brd = bufReader{src: rw, buf: read.Extend(readBufSize)}
 	return c
 }
 
@@ -187,19 +186,14 @@ func (c *Conn) Recv() (Header, []byte, error) {
 	return c.recv(nil)
 }
 
-// recv is Recv reading the body into into when it is not nil.
+// recv is Recv reading the body into into, or into the session's body
+// buffer when into is nil.
 func (c *Conn) recv(into *arena.Buffer) (Header, []byte, error) {
 	c.armRead()
-	body, sess := c.body, c.sess
-	if into != nil {
-		body, sess = nil, nil
+	if into == nil {
+		into = c.body
 	}
-	h, raw, err := readFrame(&c.brd, body, sess, into)
-	if sess != nil {
-		// body shares the Conn's session lifetime (see NewConnSession); it
-		// is kept across errors so grown storage is reused.
-		c.body = raw
-	}
+	h, raw, err := readFrame(&c.brd, into)
 	if err != nil {
 		return h, nil, err
 	}
@@ -225,7 +219,7 @@ func (c *Conn) recvInto(want MsgType, reply interface{}, into *arena.Buffer) err
 	if err != nil {
 		return err
 	}
-	return decodeAs(h, raw, want, reply, c.sess == nil || into != nil)
+	return decodeAs(h, raw, want, reply, c.body == nil || into != nil)
 }
 
 // DecodeAs is RecvInto's second half for a frame already received: it

@@ -203,50 +203,42 @@ func parseHeader(hdr []byte) (Header, uint32, error) {
 // ReadMessage reads one framed message, returning its header and raw body
 // in freshly allocated storage.
 func ReadMessage(r io.Reader) (Header, []byte, error) {
-	return readFrame(&bufReader{src: r}, nil, nil, nil) // no buffer: nothing is read ahead of the frame
+	return readFrame(&bufReader{src: r}, nil) // no buffer: nothing is read ahead of the frame
 }
 
 // readFrame is the one frame reader: it parses and validates the header,
 // then reads the body, growing its storage in maxBodyReserve steps as bytes
-// arrive. The storage is one of three: into, a caller's arena buffer whose
-// accumulated bytes become the body; else body[:0] grown through sess when
-// it is session-scoped (body must then be nil or an earlier readFrame
-// result on the same session); else body[:0] grown on the heap. The
-// returned slice is the possibly regrown storage even on error, so a
-// caller reusing it keeps it. A failure before the header's first byte is
-// returned unformatted and kept as r.boundaryErr; any later one is wrapped
-// with where it struck.
-func readFrame(r *bufReader, body []byte, sess *arena.Session, into *arena.Buffer) (Header, []byte, error) {
-	body = body[:0]
+// arrive. The body lands in into, an arena buffer whose accumulated bytes
+// it replaces, or on the heap when into is nil. A failure before the
+// header's first byte is returned unformatted and kept as r.boundaryErr;
+// any later one is wrapped with where it struck.
+func readFrame(r *bufReader, into *arena.Buffer) (Header, []byte, error) {
 	if into != nil {
-		body = into.Bytes()[:0]
-		into.SetBytes(body)
+		into.SetBytes(into.Bytes()[:0])
 	}
 	hdr := r.hdr[:] // a local array would be moved to the heap by src.Read, once per frame
 	if n, err := io.ReadFull(r, hdr); err != nil {
 		if n == 0 {
 			r.boundaryErr = err
-			return Header{}, body, err
+			return Header{}, nil, err
 		}
-		return Header{}, body, fmt.Errorf("inp: reading header: %w", err)
+		return Header{}, nil, fmt.Errorf("inp: reading header: %w", err)
 	}
 	h, n, err := parseHeader(hdr)
 	if err != nil {
-		return Header{}, body, err
+		return Header{}, nil, err
 	}
+	var body []byte
 	for len(body) < int(n) {
 		step := min(int(n)-len(body), maxBodyReserve)
 		off := len(body)
-		switch {
-		case into != nil:
+		if into != nil {
 			body = into.Extend(step)
-		case sess != nil:
-			body = sess.Grow(body, step)[:off+step]
-		default:
+		} else {
 			body = slices.Grow(body, step)[:off+step]
 		}
 		if _, err := io.ReadFull(r, body[off:]); err != nil {
-			return Header{}, body[:0], fmt.Errorf("inp: reading %v body: %w", h.Type, err)
+			return Header{}, nil, fmt.Errorf("inp: reading %v body: %w", h.Type, err)
 		}
 	}
 	return h, body, nil
@@ -258,10 +250,10 @@ func readFrame(r *bufReader, body []byte, sess *arena.Session, into *arena.Buffe
 const readBufSize = 4 << 10
 
 // bufReader is the minimal buffered reader every Conn reads through, over
-// storage the Conn supplies (arena-borrowed on a session Conn, part of the
-// Conn itself otherwise). Unlike bufio.Reader it exposes how many undrained
-// bytes sit in its buffer, which the serving path uses to detect pipelined
-// requests.
+// storage the Conn supplies (its session's read window on a session Conn,
+// part of the Conn itself otherwise). Unlike bufio.Reader it exposes how
+// many undrained bytes sit in its buffer, which the serving path uses to
+// detect pipelined requests.
 type bufReader struct {
 	src  io.Reader
 	buf  []byte

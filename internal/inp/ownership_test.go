@@ -24,10 +24,11 @@ func patterned(n int, salt byte) []byte {
 }
 
 // TestRecvIntoBlobOwnership pins the one rule wire.Reader.Blob states: a
-// decoded []byte field aliases the frame body iff the Conn allocated that
-// body for this frame alone. A dialled Conn therefore delivers a payload
-// for one allocation of its size, a session Conn and the exported decoders
-// copy out of storage that is about to be reused, and either way a message
+// decoded []byte field aliases the frame body iff the Conn is dialled or
+// the body was read into the caller's buffer. A dialled Conn therefore
+// delivers a payload for one allocation of its size, CallInto lends the
+// reply the caller's buffer, a session Conn and the exported decoders copy
+// out of storage that is about to be reused, and either way a message
 // already delivered survives whatever is received next.
 func TestRecvIntoBlobOwnership(t *testing.T) {
 	const size = 256 << 10
@@ -85,8 +86,9 @@ func TestRecvIntoBlobOwnership(t *testing.T) {
 		sess := arena.AcquireSession()
 		defer sess.Release()
 		rx := NewConnSession(b, sess)
-		small := patterned(8<<10, 4)
-		for _, p := range [][]byte{small, patterned(8<<10, 5), second} {
+		small, tail := patterned(8<<10, 4), patterned(300, 8)
+		big := patterned(3<<19, 7) // past one maxBodyReserve step and every class
+		for _, p := range [][]byte{small, patterned(8<<10, 5), second, big, tail} {
 			if err := tx.Send(MsgAppRep, AppRep{Resource: "r", PADID: "pad-direct", Payload: p}); err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +102,7 @@ func TestRecvIntoBlobOwnership(t *testing.T) {
 			t.Fatal(err)
 		}
 		held := bytes.Clone(raw)
-		var viaRecvInto, last AppRep
+		var viaRecvInto, mid, large, last AppRep
 		if err := rx.RecvInto(MsgAppRep, &viaRecvInto); err != nil {
 			t.Fatal(err)
 		}
@@ -108,11 +110,47 @@ func TestRecvIntoBlobOwnership(t *testing.T) {
 		if bytes.Equal(raw, held) {
 			t.Fatal("the session body buffer was not overwritten by the next Recv")
 		}
-		if err := rx.RecvInto(MsgAppRep, &last); err != nil {
+		for _, rep := range []*AppRep{&mid, &large, &last} {
+			if err := rx.RecvInto(MsgAppRep, rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(viaDecodeAs.Payload, small) || !bytes.Equal(viaRecvInto.Payload, patterned(8<<10, 5)) ||
+			!bytes.Equal(mid.Payload, second) || !bytes.Equal(large.Payload, big) || !bytes.Equal(last.Payload, tail) {
+			t.Fatal("a message decoded on a session conn did not survive the body buffer's reuse")
+		}
+		if _, body := sess.Buffers(); body.Len() >= len(big) || body.Holds(last.Payload) {
+			t.Fatalf("the small frame after a large one was not read into the body buffer alone (len %d) or its payload aliases it", body.Len())
+		}
+	})
+
+	t.Run("CallInto on a session conn leaves the session's body buffer alone", func(t *testing.T) {
+		a, b := netsim.StreamPair()
+		tx := NewConn(a)
+		sess := arena.AcquireSession()
+		defer sess.Release()
+		rx := NewConnSession(b, sess)
+		for _, p := range [][]byte{first, second} {
+			if err := tx.Send(MsgAppRep, AppRep{Resource: "r", PADID: "pad-direct", Payload: p}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, raw, err := rx.Recv()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(viaDecodeAs.Payload, small) || !bytes.Equal(viaRecvInto.Payload, patterned(8<<10, 5)) || !bytes.Equal(last.Payload, second) {
-			t.Fatal("a message decoded on a session conn did not survive the body buffer's reuse")
+		held := bytes.Clone(raw)
+		var buf arena.Buffer
+		defer buf.Release()
+		var rep AppRep
+		if err := rx.CallInto(MsgAppReq, &AppReq{AppID: "a", Resource: "r"}, MsgAppRep, &rep, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rep.Payload, second) || !buf.Holds(rep.Payload) || cap(rep.Payload) != len(rep.Payload) {
+			t.Fatal("the reply does not alias the caller's buffer at its exact size")
+		}
+		if _, body := sess.Buffers(); !bytes.Equal(raw, held) || !bytes.Equal(body.Bytes(), held) {
+			t.Fatal("CallInto wrote the session's body buffer")
 		}
 	})
 

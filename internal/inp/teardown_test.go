@@ -51,7 +51,7 @@ func TestReadFrameAtBoundaryAllocatesNothing(t *testing.T) {
 	for _, end := range []error{io.EOF, resetErr} {
 		r := &bufReader{src: &endingReader{err: end}, buf: make([]byte, readBufSize)}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, _, err := readFrame(r, nil, nil, nil); err != end {
+			if _, _, err := readFrame(r, nil); err != end {
 				t.Fatalf("boundary read => %v, want the source's %v unwrapped", err, end)
 			}
 		})

@@ -53,7 +53,7 @@ type Proxy struct {
 	model core.OverheadModel
 	// sf collapses concurrent cache-miss negotiations for the same cache
 	// key into one path search (the negotiation-plane singleflight).
-	sf syncx.Group[flight]
+	sf syncx.Group[string, flight]
 
 	mu            sync.Mutex
 	gen           uint64 // bumped by every topology push and policy change
